@@ -12,9 +12,8 @@ from .lattice import (FacetForm, ParameterVector, PointConfig, RelationLattice,
                       ResonanceVerdict, cone_facets, evaluate_W_membership,
                       is_nonresonant, relation_lattice, validate_config)
 from .laurent import (ConeSupport, FullSupport, HalfSupport, LambdaPoly,
-                      LaurentPoly, PredicateSupport, Support, WSupport, apply_D,
-                      build_f, build_f_symbolic, support_restrict,
-                      toric_derivative)
+                      LaurentPoly, Support, WSupport, apply_D, build_f,
+                      build_f_symbolic, support_restrict, toric_derivative)
 from .weyl import (WeylElement, box_operator, check_commutation,
                    check_phi_intertwines, euler_operator, phi_map, weyl_mul)
 from .derham import (LogForm, RankReport, check_complex, generic_rank,

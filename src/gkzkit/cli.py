@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import __version__
@@ -35,6 +36,8 @@ EXIT_RESONANT = 4
 
 def _resolve_config(text: str):
     """Builtin name, inline JSON, or a path to a JSON file."""
+    if text is None:
+        raise ValueError("--config is required")
     if text in BUILTIN_POINTS:
         return builtin_config(text), text
     if text.strip().startswith("{"):
@@ -43,7 +46,9 @@ def _resolve_config(text: str):
         return load_config(fh.read()), text
 
 
-def _parse_alpha_arg(text: str):
+def _parse_alpha_arg(text: str | None):
+    if text is None:
+        raise ValueError("--alpha is required")
     return parse_alpha([part.strip() for part in text.split(",") if part.strip()])
 
 
@@ -97,17 +102,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _lambda_values(args, count: int):
-    if args.lam == "random":
-        import random
-        rng = random.Random(args.seed)
-        return random_specialization(rng, count)
-    values = [parse_fraction(part.strip()) for part in args.lam.split(",")]
-    if len(values) != count:
-        raise ValueError(f"need {count} coefficients, got {len(values)}")
-    return tuple(values)
-
-
 def cmd_rank(args) -> int:
     config, label = _resolve_config(args.config)
     alpha = _parse_alpha_arg(args.alpha)
@@ -120,32 +114,29 @@ def cmd_rank(args) -> int:
             supports.append(("U0", ConeSupport(config)))
         else:
             raise ValueError(f"unknown support {name!r}")
+    if args.lam == "random":
+        # equals generic_rank's first draw from the same seed
+        lam = random_specialization(random.Random(args.seed), config.N)
+    else:
+        lam = tuple(parse_fraction(part.strip()) for part in args.lam.split(","))
+        if len(lam) != config.N:
+            raise ValueError(f"need {config.N} coefficients, got {len(lam)}")
     result: dict = {"supports": {}}
     try:
-        if args.lam == "random":
-            for name, support in supports:
+        for name, support in supports:
+            if args.lam == "random":
                 rep = generic_rank(config, alpha, support, args.bound,
                                    seed=args.seed)
-                result["supports"][name] = rep.to_json()
-        else:
-            lam = _lambda_values(args, config.N)
-            for name, support in supports:
+            else:
                 rep = require_stabilized(top_cohomology_dim(
                     config, alpha, lam, support, args.bound))
-                result["supports"][name] = rep.to_json()
+            result["supports"][name] = rep.to_json()
         if len(supports) == 2:
-            lam = _lambda_values(args, config.N) if args.lam != "random" else None
-            if lam is None:
-                import random
-                rng = random.Random(args.seed)
-                lam = random_specialization(rng, config.N)
             qi = quasi_iso_check(config, alpha, lam, supports[1][1],
                                  supports[0][1], args.bound)
             result["quasi_iso"] = qi.to_json()
         if args.hypersurface:
-            lam_u = (_lambda_values(args, config.N) if args.lam != "random"
-                     else _random_for(args, config.N))
-            rep = cohomology_U_dim(config, alpha, lam_u, args.bound)
+            rep = cohomology_U_dim(config, alpha, lam, args.bound)
             result["U"] = require_stabilized(rep).to_json()
     except NotStabilizedError as exc:
         result["error"] = {"kind": "NotStabilized", "dims": list(exc.dims),
@@ -154,12 +145,6 @@ def cmd_rank(args) -> int:
         return EXIT_NOT_STABILIZED
     _emit({"job": _job_block(args, config, label), "result": result}, args.out)
     return EXIT_OK
-
-
-def _random_for(args, count: int):
-    import random
-    rng = random.Random(args.seed)
-    return random_specialization(rng, count)
 
 
 def cmd_verify(args) -> int:

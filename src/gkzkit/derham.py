@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import NotStabilizedError
 from .intmat import rational_rank
@@ -98,10 +98,6 @@ class LogForm:
         return LogForm(self.n, self.degree,
                        {idx: p.scalar_mul(c) for idx, p in self.components.items()},
                        self.nlam)
-
-    def mul_poly(self, q: LaurentPoly) -> "LogForm":
-        return LogForm(self.n, self.degree,
-                       {idx: q * p for idx, p in self.components.items()}, self.nlam)
 
     def mul_monomial(self, u: Sequence[int]) -> "LogForm":
         return LogForm(self.n, self.degree,
@@ -368,6 +364,30 @@ def _window_quotient_dim(config: PointConfig, alpha: ParameterVector,
     return len(win.points) - ech.rank
 
 
+def stabilization_report(complex_id: str, alpha: ParameterVector,
+                         lam: tuple[Fraction, ...], bound: int,
+                         warnings: Sequence[str],
+                         quotient_dim: Callable[[int], int]) -> RankReport:
+    """Window quotient dimensions at bounds B-1 and B, as a report.
+
+    The result counts as stabilized when the two agree; the reported
+    dimension is the one at B.
+    """
+    if bound < 1:
+        raise ValueError("need bound at least 1 for the stabilization pair")
+    dims = (quotient_dim(bound - 1), quotient_dim(bound))
+    return RankReport(
+        complex_id=complex_id,
+        alpha=alpha,
+        lam=lam,
+        bound=bound,
+        dims=dims,
+        stabilized=dims[0] == dims[1],
+        dim=dims[1],
+        warnings=tuple(warnings),
+    )
+
+
 def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
                        lam: Sequence, support: Support, bound: int,
                        complex_id: str | None = None) -> RankReport:
@@ -380,25 +400,14 @@ def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
     lam = tuple(Fraction(v) for v in lam)
     if any(v == 0 for v in lam):
         raise ValueError("parameter specialization must be nonzero")
-    if bound < 1:
-        raise ValueError("need bound at least 1 for the stabilization pair")
     warnings = []
     verdict = is_nonresonant(config, alpha)
     if not verdict.nonresonant:
         form, value = verdict.witness
         warnings.append(f"resonant: form {form.coeffs} takes integer value {value}")
-    dims = (_window_quotient_dim(config, alpha, lam, support, bound - 1),
-            _window_quotient_dim(config, alpha, lam, support, bound))
-    return RankReport(
-        complex_id=complex_id or f"torus/{support.name}",
-        alpha=alpha,
-        lam=lam,
-        bound=bound,
-        dims=dims,
-        stabilized=dims[0] == dims[1],
-        dim=dims[1],
-        warnings=tuple(warnings),
-    )
+    return stabilization_report(
+        complex_id or f"torus/{support.name}", alpha, lam, bound, warnings,
+        lambda b: _window_quotient_dim(config, alpha, lam, support, b))
 
 
 def random_specialization(rng: random.Random, count: int) -> tuple[Fraction, ...]:

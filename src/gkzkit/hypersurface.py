@@ -20,7 +20,7 @@ from .errors import PochhammerPoleError, StructureError
 from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
 from .laurent import LaurentPoly, divide_exact, toric_derivative
-from .derham import LogForm, RankReport, wedge_insert
+from .derham import LogForm, RankReport, stabilization_report, wedge_insert
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -301,21 +301,8 @@ class SplitForm:
                     raise ValueError("split index tuples must avoid the last variable")
 
 
-def assemble(sf: SplitForm) -> LogForm:
-    """Total logarithmic form of one homogeneous degree: part1 tuples gain
-    the trailing last index."""
-    n = sf.part0.n
-    degree = sf.part0.degree
-    lifted = {idx + (n,): poly for idx, poly in sf.part1.components.items()}
-    if lifted and sf.part1.degree != degree - 1:
-        raise ValueError("rows do not assemble to a homogeneous form")
-    out = dict(sf.part0.components)
-    out.update(lifted)
-    return LogForm(n, degree, out, sf.part0.nlam)
-
-
 def split(form: LogForm) -> SplitForm:
-    """Inverse of assemble: separate components by the trailing last index."""
+    """Separate components by the trailing last index, which part1 drops."""
     n = form.n
     comp0: dict[IndexTuple, LaurentPoly] = {}
     comp1: dict[IndexTuple, LaurentPoly] = {}
@@ -511,7 +498,6 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
     g_pows = [LaurentPoly.one(nprime)]
     for _ in range(m_bound):
         g_pows.append(g_pows[-1] * g)
-    ech_gamma = RationalEchelon()
     gamma_cols = []
     for up, m, idx in basis:
         weight = pochhammer(alpha_n, m)
@@ -521,11 +507,9 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
         gamma_cols.append({(w, idx): c for w, c in num.terms.items()})
     # kernel dimension of the matrix whose columns are gamma images
     col_ech = RationalEchelon()
-    rank = 0
     for col in gamma_cols:
-        if col_ech.insert(col):
-            rank += 1
-    ker_dim = len(basis) - rank
+        col_ech.insert(col)
+    ker_dim = len(basis) - col_ech.rank
 
     # vertical-image generators confined to the window: the numerator box
     # eroded by the support of g, so every image term stays inside
@@ -533,7 +517,6 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
               if all(max(abs(a + b) for a, b in zip(up, w)) <= u_bound
                      for w in g.terms)]
     ech_v = RationalEchelon()
-    v_rank = 0
     for idx in idx_tuples:
         sign = -1 if k % 2 else 1
         for up in eroded:
@@ -546,9 +529,9 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
                     tgt = tuple(a + b for a, b in zip(up, w))
                     key = (tgt, m + 1, idx)
                     vec[key] = vec.get(key, Fraction(0)) + c * sign
-                if vec and ech_v.insert(vec):
-                    v_rank += 1
-    return ker_dim == v_rank
+                if vec:
+                    ech_v.insert(vec)
+    return ker_dim == ech_v.rank
 
 
 def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
@@ -571,19 +554,8 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
         alpha = alpha.shift(shift)
         warnings.append(f"pre-twisted last parameter entry by {shift[-1]}")
     g = build_g(config, lam)
-
-    dims = (_u_quotient_dim(config, alpha, g, bound - 1),
-            _u_quotient_dim(config, alpha, g, bound))
-    return RankReport(
-        complex_id="U",
-        alpha=alpha,
-        lam=lam,
-        bound=bound,
-        dims=dims,
-        stabilized=dims[0] == dims[1],
-        dim=dims[1],
-        warnings=tuple(warnings),
-    )
+    return stabilization_report("U", alpha, lam, bound, warnings,
+                                lambda b: _u_quotient_dim(config, alpha, g, b))
 
 
 def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
@@ -620,14 +592,11 @@ def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
         return cache[pt]
 
     span_ech = RationalEchelon()
-    span_rank = 0
     for pt in points:
-        if span_ech.insert(numvec(pt)):
-            span_rank += 1
+        span_ech.insert(numvec(pt))
 
     derivs = [toric_derivative(i, g) for i in range(1, nprime + 1)]
     gen_ech = RationalEchelon()
-    gen_rank = 0
     for pt in points:
         up, m = pt[:-1], pt[-1]
         for i in range(1, nprime + 1):
@@ -655,6 +624,6 @@ def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
                             vec[wkey] = s
                         else:
                             vec.pop(wkey, None)
-            if vec and gen_ech.insert(vec):
-                gen_rank += 1
-    return span_rank - gen_rank
+            if vec:
+                gen_ech.insert(vec)
+    return span_ech.rank - gen_ech.rank

@@ -194,30 +194,29 @@ def solve_integer(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
     return matvec(V, y)
 
 
-def unimodular_inverse(mat: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
+def rational_inverse(mat: list[list[int]]) -> list[list[Fraction]]:
+    """Exact inverse over the rationals of a nonsingular square matrix.
+
+    With U @ mat @ V = D from the Smith form, the inverse is V @ D^-1 @ U.
+    """
+    D, U, V = smith_normal_form(mat)
     k = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)]
-           for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            v = aug[i][k + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(v))
-        out.append(row)
-    return out
+    if any(D[t][t] == 0 for t in range(k)):
+        raise ValueError("matrix is singular")
+    return [[sum(Fraction(V[i][t] * U[t][j], D[t][t]) for t in range(k))
+             for j in range(k)] for i in range(k)]
+
+
+def unimodular_inverse(mat: list[list[int]]) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix.
+
+    With U @ mat @ V = D from the Smith form, mat is unimodular exactly when
+    D is the identity, and then its inverse is V @ U.
+    """
+    D, U, V = smith_normal_form(mat)
+    if D != identity_matrix(len(mat)):
+        raise ValueError("matrix is not unimodular")
+    return matmul(V, U)
 
 
 def complete_primitive_vector(w: list[int]) -> list[list[int]]:

@@ -43,6 +43,9 @@ def load_config(source) -> PointConfig:
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError('expected an object with a "points" key')
     points = data["points"]
+    if not isinstance(points, (list, tuple)) or \
+            not all(isinstance(p, (list, tuple)) for p in points):
+        raise ValueError("points must be a list of integer vectors")
     for p in points:
         for c in p:
             if not isinstance(c, int) or isinstance(c, bool):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ScalarModeError
 from .lattice import ParameterVector, PointConfig
@@ -419,17 +419,6 @@ class WSupport(Support):
 
     def contains(self, u: IntVec) -> bool:
         return all(self.facets[i - 1].evaluate(u) >= self.v[i - 1] for i in self.T)
-
-
-class PredicateSupport(Support):
-    """Arbitrary closed support given by a membership callable."""
-
-    def __init__(self, fn: Callable[[IntVec], bool], name: str = "custom"):
-        self._fn = fn
-        self.name = name
-
-    def contains(self, u: IntVec) -> bool:
-        return self._fn(tuple(u))
 
 
 def support_restrict(p: LaurentPoly, S: Support) -> tuple[LaurentPoly, LaurentPoly]:

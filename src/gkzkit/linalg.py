@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 
 class RationalEchelon:
@@ -76,9 +76,6 @@ class RationalEchelon:
         self.rows[lead] = v
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
 
 def _normalize_content(vec: dict) -> dict:
     g = 0
@@ -91,20 +88,12 @@ def _normalize_content(vec: dict) -> dict:
     return vec
 
 
-def rational_rank_of(vectors: Iterable[dict],
-                     key_order: Callable[[Hashable], object] | None = None) -> int:
-    ech = RationalEchelon(key_order)
-    for v in vectors:
-        ech.insert(v)
-    return ech.rank
-
-
 class ModpEchelon:
-    """Incremental row echelon over the field with p elements."""
+    """Incremental row echelon over the field with p elements; the pivot of
+    a row is its largest key."""
 
-    def __init__(self, p: int, key_order: Callable[[Hashable], object] | None = None):
+    def __init__(self, p: int):
         self.p = p
-        self.key_order = key_order or (lambda k: k)
         self.rows: dict[Hashable, dict] = {}
 
     @property
@@ -115,7 +104,7 @@ class ModpEchelon:
         p = self.p
         v = {k: c % p for k, c in vec.items() if c % p}
         while v:
-            lead = max(v, key=self.key_order)
+            lead = max(v)
             row = self.rows.get(lead)
             if row is None:
                 return v
@@ -132,16 +121,7 @@ class ModpEchelon:
         v = self.reduce(vec)
         if not v:
             return False
-        lead = max(v, key=self.key_order)
+        lead = max(v)
         inv = pow(v[lead], -1, self.p)
         self.rows[lead] = {k: (inv * c) % self.p for k, c in v.items()}
         return True
-
-
-def modp_nullity(rows: Iterable[dict], ncols: int, p: int,
-                 key_order: Callable[[Hashable], object] | None = None) -> int:
-    """Dimension of the solution space of the homogeneous system."""
-    ech = ModpEchelon(p, key_order)
-    for r in rows:
-        ech.insert(r)
-    return ncols - ech.rank

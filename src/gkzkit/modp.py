@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 from .derham import generic_rank
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
+from .intmat import rational_inverse, solve_integer
 from .laurent import FullSupport
 from .lattice import (ParameterVector, PointConfig, RelationLattice,
                       is_nonresonant, relation_lattice)
@@ -34,9 +35,12 @@ class ModpInstance:
 
 
 def make_instance(config: PointConfig, alpha: ParameterVector, p: int) -> ModpInstance:
-    """Reduce the parameter mod p; primes dividing a denominator are refused."""
-    if p < 2:
-        raise ValueError("modulus must be a prime")
+    """Reduce the parameter mod p; primes dividing a denominator are refused.
+
+    The modulus must be a prime, checked exactly by trial division.
+    """
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"modulus must be a prime, got {p}")
     bar = []
     for a in alpha.entries:
         if a.denominator % p == 0:
@@ -48,48 +52,20 @@ def make_instance(config: PointConfig, alpha: ParameterVector, p: int) -> ModpIn
 def solution_support(instance: ModpInstance) -> list[IntVec]:
     """Exponents v in [0, p)^N with sum_j v_j a(j) congruent to alpha mod p.
 
-    The points generate the full lattice, so the point matrix has full rank
-    mod every prime and the support is a coset of its mod-p kernel: exactly
-    p^(N-n) exponents, enumerated from one particular solution plus kernel
-    combinations.
+    The points generate the full lattice, so the point matrix maps Z^N onto
+    Z^n and its relation lattice L is a direct summand; hence L tensored
+    with F_p is the mod-p kernel.  The support is the coset of one integer
+    solution by all combinations of the basis of L with coefficients in
+    [0, p): exactly p^(N-n) exponents.
     """
     p = instance.p
     config = instance.config
-    n, N = config.n, config.N
-    # row reduce [A | alpha_bar] over F_p
-    rows = [[config.points[j][i] % p for j in range(N)] + [instance.alpha_bar[i]]
-            for i in range(n)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(N):
-        piv = next((k for k in range(r, n) if rows[k][col] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][col] % p:
-                factor = rows[k][col]
-                rows[k] = [(a - factor * b) % p for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-    if r < n:
-        raise SkippedPrimeError(f"point matrix degenerates mod {p}")
-    free = [c for c in range(N) if c not in pivots]
+    v0 = solve_integer(config.matrix(), list(instance.alpha_bar))
+    basis = relation_lattice(config).basis
     support = []
-    for assignment in itertools.product(range(p), repeat=len(free)):
-        v = [0] * N
-        for c, val in zip(free, assignment):
-            v[c] = val
-        for k, col in enumerate(pivots):
-            total = rows[k][N]
-            for c, val in zip(free, assignment):
-                total -= rows[k][c] * val
-            v[col] = total % p
-        support.append(tuple(v))
+    for t in itertools.product(range(p), repeat=len(basis)):
+        support.append(tuple((x + sum(ti * l[k] for ti, l in zip(t, basis))) % p
+                             for k, x in enumerate(v0)))
     return sorted(support)
 
 
@@ -107,18 +83,7 @@ def _lattice_points_in_box(lattice: RelationLattice, bound: int) -> list[IntVec]
     # pseudo-inverse P with P @ basis^T = identity
     gram = [[sum(basis[i][k] * basis[j][k] for k in range(N)) for j in range(r)]
             for i in range(r)]
-    aug = [[Fraction(gram[i][j]) for j in range(r)]
-           + [Fraction(int(i == j)) for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next(k for k in range(col, r) if aug[k][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for k in range(r):
-            if k != col and aug[k][col] != 0:
-                f = aug[k][col]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[col])]
-    gram_inv = [[aug[i][r + j] for j in range(r)] for i in range(r)]
+    gram_inv = rational_inverse(gram)
     # t = gram_inv @ basis @ l for l in the lattice; bound each |t_k|
     proj = [[sum(gram_inv[i][j] * basis[j][k] for j in range(r)) for k in range(N)]
             for i in range(r)]

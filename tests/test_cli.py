@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gkzkit.cli import main
 
 
@@ -104,6 +106,30 @@ def test_modp_sweep_and_skip(capsys):
     assert all(r["full"] for r in result["primes"])
     assert result["skipped"][0]["p"] == 2
     assert result["verdict"] == "full for all tested good primes"
+
+    for primes in ("9,15,25", "4", "3,9"):
+        code = main(["modp", "--config", "single", "--alpha", "1/2",
+                     "--primes", primes])
+        captured = capsys.readouterr()
+        assert code == 2, primes
+        assert captured.out == ""
+        assert "must be a prime" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--config", '{"points": 5}'],
+    ["analyze", "--config", '{"points": [5]}'],
+    ["analyze"],
+    ["rank", "--config", "single"],
+    ["modp", "--config", "single"],
+])
+def test_malformed_input_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("bad input: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_modp_resonant_exits_4(capsys):

@@ -1,9 +1,13 @@
 import random
 
-from gkzkit.intmat import (complete_primitive_vector, integer_kernel,
-                           invariant_factors, matmul, rational_rank,
-                           smith_normal_form, solve_integer,
-                           unimodular_inverse, xgcd)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gkzkit.intmat import (complete_primitive_vector, identity_matrix,
+                           integer_kernel, invariant_factors, matmul,
+                           rational_inverse, rational_rank, smith_normal_form,
+                           solve_integer, unimodular_inverse, xgcd)
 
 
 def is_unimodular(mat):
@@ -82,7 +86,37 @@ def test_solve_integer():
     assert [sum(r[j] * x[j] for j in range(3)) for r in mat] == [3, 5]
 
 
-def test_unimodular_inverse_and_completion():
+@st.composite
+def elementary_products(draw):
+    """Products of elementary integer matrices: row additions and sign flips."""
+    k = draw(st.integers(1, 4))
+    M = identity_matrix(k)
+    ops = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                                  st.integers(-3, 3)), max_size=8))
+    for i, j, c in ops:
+        if i == j:
+            M[i] = [-x for x in M[i]]
+        else:
+            M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(U=elementary_products())
+def test_unimodular_inverse_and_completion(U):
+    eye = identity_matrix(len(U))
+    inv = unimodular_inverse(U)
+    assert matmul(U, inv) == matmul(inv, U) == eye
+    assert rational_inverse(U) == inv
+    scaled = [[2 * x for x in U[0]]] + U[1:]
+    assert matmul(scaled, rational_inverse(scaled)) == eye
+    # singular, and determinant 5
+    for bad in ([[1, 2], [2, 4]], [[2, 1], [1, 3]]):
+        with pytest.raises(ValueError):
+            unimodular_inverse(bad)
+    with pytest.raises(ValueError):
+        rational_inverse([[1, 2], [2, 4]])
+
     M = [[2, 1], [1, 1]]
     inv = unimodular_inverse(M)
     assert matmul(M, inv) == [[1, 0], [0, 1]]

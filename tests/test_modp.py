@@ -1,21 +1,23 @@
+import itertools
 import json
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from gkzkit.catalog import builtin_config
+from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
 from gkzkit.errors import ResonantError, SkippedPrimeError
 from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
 from gkzkit.laurent import LambdaPoly
-from gkzkit.modp import (full_set_sweep, make_instance, modp_solution_dim,
-                         recurrence_rows, solution_dim_on_support,
-                         solution_support)
+from gkzkit.modp import (_lattice_points_in_box, full_set_sweep, make_instance,
+                         modp_solution_dim, recurrence_rows,
+                         solution_dim_on_support, solution_support)
 from gkzkit.weyl import apply_box_to_lambda_poly, box_operator
 from oracles import modp_recurrence_dim
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+PLANE2 = [(0, 1), (1, 1), (-1, 1), (2, 1)]
 
 
 def test_solution_support_examples():
@@ -27,6 +29,23 @@ def test_solution_support_examples():
     c2 = validate_config([(1, 0), (0, 1)])
     inst = make_instance(c2, ParameterVector.of("1/2", "1/3"), 7)
     assert solution_support(inst) == [(4, 5)]
+
+    # brute scan of [0, p)^N for the congruence A v = alpha mod p
+    configs = dict(BUILTIN_POINTS, plane2=PLANE2)
+    for name, points in configs.items():
+        cfg = validate_config(points)
+        alphas = [ParameterVector.of(*(Fraction(i + 1, 11) for i in range(cfg.n)))]
+        if name in BUILTIN_POINTS:
+            alphas.append(builtin_alpha(name))
+        for alpha, p in itertools.product(alphas, (2, 3, 5, 7)):
+            try:
+                inst = make_instance(cfg, alpha, p)
+            except SkippedPrimeError:
+                continue
+            want = [v for v in itertools.product(range(p), repeat=cfg.N)
+                    if all(sum(vj * a[i] for vj, a in zip(v, points)) % p == b
+                           for i, b in enumerate(inst.alpha_bar))]
+            assert solution_support(inst) == want, (name, alpha, p)
 
 
 def test_support_size_is_prime_power():
@@ -40,6 +59,22 @@ def test_make_instance_skips_bad_primes():
     c1 = validate_config([(1,)])
     with pytest.raises(SkippedPrimeError):
         make_instance(c1, ParameterVector.of("1/2"), 2)
+    for modulus in (-3, 0, 1, 4, 9, 15, 25, 49):
+        with pytest.raises(ValueError, match="must be a prime"):
+            make_instance(c1, ParameterVector.of("1/2"), modulus)
+
+
+def test_lattice_points_in_box_match_brute_scan():
+    for points in (BUILTIN_POINTS["gauss"], BUILTIN_POINTS["trinomial"], PLANE2):
+        cfg = validate_config(points)
+        lattice = relation_lattice(cfg)
+        for b in range(4):
+            brute = {v for v in itertools.product(range(-b, b + 1), repeat=cfg.N)
+                     if any(v) and all(sum(vj * a[i] for vj, a in zip(v, points)) == 0
+                                       for i in range(cfg.n))}
+            got = _lattice_points_in_box(lattice, b)
+            assert len(got) * 2 == len(brute), (points, b)
+            assert set(got) | {tuple(-x for x in l) for l in got} == brute
 
 
 def test_forced_dimension_single_point():
