@@ -19,7 +19,7 @@ from .catalog import BUILTIN_POINTS, builtin_alpha, builtin_config, builtin_name
 from .derham import (generic_rank, quasi_iso_check, random_specialization,
                      require_stabilized, top_cohomology_dim)
 from .errors import (DuplicatePointError, GkzError, NotGeneratingError,
-                     NotStabilizedError, ResonantError)
+                     NotStabilizedError, ResonantError, StructureError)
 from .hypersurface import cohomology_U_dim
 from .jsonio import dump_json, load_config, parse_alpha, parse_fraction
 from .lattice import (cone_facets, is_nonresonant, relation_lattice)
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "modp":
             return cmd_modp(args)
-    except (NotGeneratingError, DuplicatePointError) as exc:
+    except (NotGeneratingError, DuplicatePointError, StructureError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_BAD_CONFIG
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotStabilizedError
-from .intmat import rational_rank
 from .lattice import (FacetForm, ParameterVector, PointConfig, cone_facets,
                       is_nonresonant)
 from .laurent import (LambdaPoly, LaurentPoly, Support, apply_D,
@@ -265,6 +264,9 @@ class CohomologyWindow:
     the graded structure eliminates at generic parameters.  When the facet
     forms do not span (the cone has lineality), a sup-norm box of the same
     bound is intersected in as a cap for the unclipped directions.
+
+    ``points`` lists the window in elimination order (h(u), u), and
+    ``index`` maps each point to its position there, the column it keys.
     """
 
     def __init__(self, config: PointConfig, support: Support, bound: int):
@@ -277,11 +279,14 @@ class CohomologyWindow:
         n = config.n
         self.hvec = tuple(sum(f.coeffs[i] for f in facets) for i in range(n))
         hmax = max((self.weight(p) for p in config.points), default=0)
-        pointed = bool(facets) and rational_rank([list(f.coeffs) for f in facets]) == n
+        # h is positive on every nonzero point exactly when the cone has no
+        # lineality: a lineality space is spanned by points where h vanishes
+        pointed = all(self.weight(a) > 0 for a in config.points if any(a))
         self.cap = 2 * bound * hmax if pointed else None
         self.facets = facets
-        self._points = self._enumerate(pointed)
-        self._set = frozenset(self._points)
+        self.points = sorted(self._enumerate(pointed),
+                             key=lambda u: (self.weight(u), u))
+        self.index = {u: k for k, u in enumerate(self.points)}
 
     def weight(self, u: Sequence[int]) -> int:
         return sum(h * x for h, x in zip(self.hvec, u))
@@ -299,56 +304,46 @@ class CohomologyWindow:
         n = self.config.n
         if not pointed:
             box = self.bound
-            pts = [u for u in itertools.product(range(-box, box + 1), repeat=n)
-                   if self._accept(u, box)]
-            return sorted(pts)
+            return [u for u in itertools.product(range(-box, box + 1), repeat=n)
+                    if self._accept(u, box)]
         # expand the scan box until the slab no longer touches its shell
         K = max(self.cap or 0, self.bound) + 1
         for _ in range(8):
             pts = [u for u in itertools.product(range(-K, K + 1), repeat=n)
                    if self._accept(u, None)]
             if all(max(abs(x) for x in u) < K for u in pts):
-                return sorted(pts)
+                return pts
             K *= 2
         raise RuntimeError("window enumeration did not close; cone may not be pointed")
-
-    @property
-    def points(self) -> list[IntVec]:
-        return self._points
-
-    def __contains__(self, u: IntVec) -> bool:
-        return u in self._set
-
-    def key_order(self, u: IntVec):
-        return (self.weight(u), u)
 
 
 def _generator_vectors(config: PointConfig, alpha: ParameterVector,
                        lam: Sequence[Fraction], win: CohomologyWindow) -> list[dict]:
     """Images of window monomials under each twisted derivation, as sparse
-    vectors supported inside the window.
+    vectors keyed by window column.
 
     A monomial generates in direction i only when every shifted exponent it
     produces stays inside the window, so the image provably lies there.
     """
     n = config.n
+    index = win.index
     vecs = []
-    for u in win.points:
+    for col, u in enumerate(win.points):
         for i in range(1, n + 1):
-            vec: dict[IntVec, Fraction] = {}
+            vec: dict[int, Fraction] = {}
             diag = alpha.entries[i - 1] + u[i - 1]
             if diag:
-                vec[u] = diag
+                vec[col] = diag
             ok = True
             for j, point in enumerate(config.points):
                 coeff = point[i - 1]
                 if coeff == 0 or lam[j] == 0:
                     continue
-                v = tuple(x + y for x, y in zip(u, point))
-                if v not in win:
+                k = index.get(tuple(x + y for x, y in zip(u, point)))
+                if k is None:
                     ok = False
                     break
-                vec[v] = vec.get(v, Fraction(0)) + lam[j] * coeff
+                vec[k] = vec.get(k, Fraction(0)) + lam[j] * coeff
             if ok and vec:
                 vecs.append(vec)
     return vecs
@@ -358,7 +353,7 @@ def _window_quotient_dim(config: PointConfig, alpha: ParameterVector,
                          lam: Sequence[Fraction], support: Support,
                          bound: int) -> int:
     win = CohomologyWindow(config, support, bound)
-    ech = RationalEchelon(win.key_order)
+    ech = RationalEchelon()
     for vec in _generator_vectors(config, alpha, lam, win):
         ech.insert(vec)
     return len(win.points) - ech.rank
@@ -468,6 +463,7 @@ def quasi_iso_check(config: PointConfig, alpha: ParameterVector, lam: Sequence,
     Checks (a) equal stabilized dimensions and (b) surjectivity: every window
     monomial of the big support is congruent, modulo the twisted-derivation
     image inside the window, to something supported in the small window.
+    Raises ValueError when the small window is not inside the big one.
     """
     lam = tuple(Fraction(v) for v in lam)
     small = require_stabilized(
@@ -477,11 +473,14 @@ def quasi_iso_check(config: PointConfig, alpha: ParameterVector, lam: Sequence,
 
     win_big = CohomologyWindow(config, S_big, bound)
     win_small = CohomologyWindow(config, S_small, bound)
-    ech = RationalEchelon(win_big.key_order)
+    if any(u not in win_big.index for u in win_small.points):
+        raise ValueError(f"support {S_small.name} is not inside {S_big.name} "
+                         f"at bound {bound}")
+    ech = RationalEchelon()
     for vec in _generator_vectors(config, alpha, lam, win_big):
         ech.insert(vec)
     for u in win_small.points:
-        ech.insert({u: 1})
+        ech.insert({win_big.index[u]: 1})
     surjective = ech.rank == len(win_big.points)
 
     return QuasiIsoReport(

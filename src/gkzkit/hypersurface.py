@@ -19,8 +19,10 @@ from typing import Sequence
 from .errors import PochhammerPoleError, StructureError
 from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
-from .laurent import LaurentPoly, divide_exact, toric_derivative
-from .derham import LogForm, RankReport, stabilization_report, wedge_insert
+from .laurent import (HalfSupport, LaurentPoly, build_f, divide_exact,
+                      toric_derivative)
+from .derham import (CohomologyWindow, LogForm, RankReport, nabla,
+                     stabilization_report, wedge_insert)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -384,9 +386,6 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     the horizontal boundary on each row plus the vertical boundary feeding
     the dx_n/x_n row.  Compared componentwise, so empty rows of differing
     nominal degree still agree."""
-    from .derham import nabla
-    from .laurent import build_f
-
     f = build_f(config, lam)
     g = build_g(config, lam)
     for form in samples:
@@ -571,9 +570,6 @@ def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
     inside the window by closure whenever the cap admits it, so the quotient
     dimension is the difference of two ranks.
     """
-    from .derham import CohomologyWindow
-    from .laurent import HalfSupport
-
     nprime = g.n
     alpha_n = alpha.entries[-1]
     win = CohomologyWindow(config, HalfSupport(config.n), bound)
@@ -604,7 +600,7 @@ def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
             ok = True
             for w, c in derivs[i - 1].terms.items():
                 tgt = tuple(a + b for a, b in zip(up, w)) + (m + 1,)
-                if tgt not in win:
+                if tgt not in win.index:
                     ok = False
                     break
                 shifts.append((tgt, c))

@@ -221,11 +221,10 @@ def unimodular_inverse(mat: list[list[int]]) -> list[list[int]]:
 
 def complete_primitive_vector(w: list[int]) -> list[list[int]]:
     """A unimodular matrix whose last row is the primitive vector w."""
-    n = len(w)
-    D, _, V = smith_normal_form([list(w)])
+    D, U, V = smith_normal_form([list(w)])
     if D[0][0] != 1:
         raise ValueError("vector is not primitive")
-    # w @ V = e_1, so w is the first row of V^{-1}
+    # U = [[s]] with s = +-1 and s * w @ V = e_1, so w is s times the first
+    # row of V^{-1}
     vinv = unimodular_inverse(V)
-    rows = [vinv[i] for i in range(1, n)] + [vinv[0]]
-    return rows
+    return vinv[1:] + [[U[0][0] * x for x in vinv[0]]]

@@ -26,7 +26,10 @@ def parse_fraction(text) -> Fraction:
     text = str(text).strip()
     if "." in text or "e" in text.lower():
         raise ValueError(f"not an exact fraction string: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_fraction(value: Fraction) -> str:

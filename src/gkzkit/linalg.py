@@ -1,26 +1,26 @@
 """Exact sparse linear algebra over the rationals and over prime fields.
 
-Vectors are dicts from arbitrary hashable keys to coefficients.  Rational
-elimination keeps rows as content-normalized integer dicts and reduces by
-cross-multiplication, so no Fraction arithmetic happens in the inner loop.
+Vectors are dicts from comparable keys to coefficients; a row's pivot is its
+largest key.  Rational elimination keeps rows as content-normalized integer
+dicts and reduces by cross-multiplication, so no Fraction arithmetic happens
+in the inner loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable
+from typing import Hashable
 
 
 class RationalEchelon:
-    """Incremental row echelon over Q keyed by arbitrary hashables.
+    """Incremental row echelon over Q.
 
-    Each stored row is an integer dict whose pivot is its largest key under
-    ``key_order``; rows are kept with content 1.
+    Each stored row is an integer dict whose pivot is its largest key; rows
+    are kept with content 1.
     """
 
-    def __init__(self, key_order: Callable[[Hashable], object] | None = None):
-        self.key_order = key_order or (lambda k: k)
+    def __init__(self):
         self.rows: dict[Hashable, dict] = {}
 
     @property
@@ -45,7 +45,7 @@ class RationalEchelon:
         """Fully reduce a vector; the result has no pivot as leading key."""
         v = self._to_int_vec(vec)
         while v:
-            lead = max(v, key=self.key_order)
+            lead = max(v)
             row = self.rows.get(lead)
             if row is None:
                 return v
@@ -70,7 +70,7 @@ class RationalEchelon:
         if not v:
             return False
         v = _normalize_content(v)
-        lead = max(v, key=self.key_order)
+        lead = max(v)
         if v[lead] < 0:
             v = {k: -c for k, c in v.items()}
         self.rows[lead] = v

@@ -20,8 +20,8 @@ from .hypersurface import (SplitForm, build_g, check_gamma_chain_map,
 from .lattice import (ParameterVector, PointConfig, cone_facets,
                       relation_lattice)
 from .laurent import build_f_symbolic
-from .weyl import (WeylElement, check_commutation, check_phi_intertwines,
-                   check_phi_kills_box)
+from .weyl import (WeylElement, box_shift, check_commutation,
+                   check_phi_intertwines, check_phi_kills_box)
 
 
 @dataclass
@@ -72,6 +72,9 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     With ``perturb_beta`` the commutation check runs against an off-by-one
     shift parameter, which must fail; this is the negative control.
     """
+    if alpha.n != config.n:
+        raise ValueError(f"parameter has {alpha.n} entries, the configuration "
+                         f"needs {config.n}")
     report = BatteryReport()
     n, N = config.n, config.N
     lattice = relation_lattice(config)
@@ -86,7 +89,6 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
             count += 1
             beta = None
             if perturb_beta:
-                from .weyl import box_shift
                 shift = box_shift(config, l)
                 beta = ParameterVector(tuple(
                     a - s + (1 if k == i - 1 else 0)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import NotARelationError
 from .lattice import ParameterVector, PointConfig
-from .laurent import LambdaPoly, LaurentPoly
+from .laurent import LambdaPoly, LaurentPoly, apply_D, build_f_symbolic
 
 IntVec = tuple[int, ...]
 TermKey = tuple[IntVec, IntVec]
@@ -259,8 +259,6 @@ def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
     (b) Left multiplication by del_j maps to the parameter derivative plus
         multiplication by the j-th point monomial.
     """
-    from .laurent import apply_D, build_f_symbolic
-
     f = build_f_symbolic(config)
     img = phi_map(w, config)
 

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzkit.cli import main
 
@@ -122,6 +126,9 @@ def test_modp_sweep_and_skip(capsys):
     ["analyze"],
     ["rank", "--config", "single"],
     ["modp", "--config", "single"],
+    ["analyze", "--config", "single", "--alpha=1/0"],
+    ["rank", "--config", "single", "--alpha=1/2", "--lambda=1/0"],
+    ["verify", "--config", "trinomial", "--alpha=1/3"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code = main(argv)
@@ -130,6 +137,63 @@ def test_malformed_input_exits_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("bad input: ")
     assert captured.err.count("\n") == 1
+
+
+def test_no_last_coordinate_normalizer_exits_2(capsys):
+    code = main(["rank", "--config", "cusp", "--alpha=1/2", "--hypersurface"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: ")
+    assert captured.err.count("\n") == 1
+
+
+FRACTIONS = st.sampled_from(["1/2", "-1/3", "2/5", "3/7", "1", "0", "1/0"])
+
+
+@st.composite
+def cli_jobs(draw):
+    n = draw(st.integers(1, 2))
+    points = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           max_size=2, unique_by=tuple))
+    if draw(st.integers(0, 3)):
+        # the unit vectors make most configurations generate the lattice
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        points = units + [p for p in points if p not in units]
+    length = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    values = draw(st.lists(FRACTIONS, min_size=length, max_size=length))
+    command = draw(st.sampled_from(["analyze", "rank", "verify", "modp"]))
+    argv = [command, "--config", json.dumps({"points": points}),
+            "--alpha=" + ",".join(values)]
+    if command == "rank":
+        argv += ["--bound", str(draw(st.integers(0, 2))), "--supports",
+                 draw(st.sampled_from(["zn", "u0", "zn,u0", "u0,zn"]))]
+        if draw(st.booleans()):
+            count = draw(st.sampled_from([len(points), len(points) + 1]))
+            lam = draw(st.lists(FRACTIONS, min_size=count, max_size=count))
+            argv.append("--lambda=" + ",".join(lam))
+        if draw(st.booleans()):
+            argv.append("--hypersurface")
+    elif command == "modp":
+        primes = draw(st.lists(st.integers(-3, 23), min_size=1, max_size=3))
+        argv += ["--bound", str(draw(st.integers(0, 2))),
+                 "--primes=" + ",".join(map(str, primes))]
+    elif command == "verify":
+        argv += ["--window", str(draw(st.integers(0, 1))),
+                 "--degree", str(draw(st.integers(0, 2)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=cli_jobs())
+def test_cli_contract_under_fuzzing(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
 
 
 def test_modp_resonant_exits_4(capsys):

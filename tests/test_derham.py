@@ -2,16 +2,19 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from gkzkit.catalog import builtin_alpha, builtin_config
+from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.derham import (CohomologyWindow, LogForm, check_complex,
                            enumerate_monomial_forms, generic_rank,
                            graded_multiplier, homotopy_identity_check,
                            homotopy_rho, nabla, quasi_iso_check,
                            require_stabilized, top_cohomology_dim,
                            twist_conjugation_check, _generator_vectors)
-from gkzkit.errors import NotStabilizedError
+from gkzkit.errors import GkzError, NotStabilizedError
 from gkzkit.hypersurface import apply_unimodular
+from gkzkit.intmat import rational_rank
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
 from gkzkit.laurent import (ConeSupport, FullSupport, LambdaPoly, LaurentPoly,
@@ -120,12 +123,61 @@ def test_graded_multiplier():
         == Fraction(38, 15)
 
 
+def test_window_points_in_elimination_order():
+    tri = builtin_config("trinomial")
+    gauss = builtin_config("gauss")
+    bessel = builtin_config("bessel")
+    for cfg, support in ((tri, FullSupport(2)), (tri, ConeSupport(tri)),
+                         (gauss, ConeSupport(gauss)), (bessel, FullSupport(1))):
+        win = CohomologyWindow(cfg, support, 2)
+        keys = [(win.weight(u), u) for u in win.points]
+        assert keys and all(a < b for a, b in zip(keys, keys[1:])), support.name
+        assert len(win.index) == len(win.points)
+        assert all(win.points[k] == u for u, k in win.index.items())
+
+
+def facet_matrix_pointed(config):
+    facets = cone_facets(config)
+    return bool(facets) and \
+        rational_rank([list(f.coeffs) for f in facets]) == config.n
+
+
+def weight_pointed(config):
+    # the window caps the weight exactly when it takes the cone as pointed
+    return CohomologyWindow(config, FullSupport(config.n), 0).cap is not None
+
+
+def test_weight_pointedness_on_builtins():
+    want = {"single": True, "cusp": True, "bessel": False,
+            "trinomial": True, "gauss": True}
+    for name in builtin_names():
+        cfg = builtin_config(name)
+        assert weight_pointed(cfg) == facet_matrix_pointed(cfg) == want[name]
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                           min_size=n, max_size=n + 2, unique=True))
+    try:
+        return validate_config(points)
+    except GkzError:
+        reject()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(config=small_configs())
+def test_weight_pointedness_matches_facet_rank(config):
+    assert weight_pointed(config) == facet_matrix_pointed(config)
+
+
 def dense_quotient_dim(config, alpha, lam, support, bound):
     """Dense-matrix reimplementation of the window quotient."""
     win = CohomologyWindow(config, support, bound)
     cols = _generator_vectors(config, alpha, lam, win)
-    index = {u: k for k, u in enumerate(win.points)}
-    rows = [[vec.get(u, Fraction(0)) for vec in cols] for u in win.points]
+    rows = [[vec.get(k, Fraction(0)) for vec in cols]
+            for k in range(len(win.points))]
     return len(win.points) - dense_rank(rows)
 
 
@@ -189,6 +241,13 @@ def test_quasi_iso_and_warnings():
     q = quasi_iso_check(c1, ParameterVector.of(1), [1], ConeSupport(c1),
                         FullSupport(1), 4)
     assert not q.surjective and not q.verdict
+
+
+def test_quasi_iso_rejects_supports_that_are_not_nested():
+    tri = builtin_config("trinomial")
+    alpha = builtin_alpha("trinomial")
+    with pytest.raises(ValueError, match="not inside"):
+        quasi_iso_check(tri, alpha, LAM3, FullSupport(2), ConeSupport(tri), 3)
 
 
 def test_twist_invariance_of_dimension():

@@ -19,6 +19,7 @@ from gkzkit.hypersurface import (LocalizedElement, SplitForm, UForm,
                                  tilde_nabla, twist_iso_U_check)
 from gkzkit.lattice import ParameterVector, validate_config
 from gkzkit.laurent import FullSupport, LaurentPoly
+from gkzkit.verify import run_battery
 
 TRI = builtin_config("trinomial")
 ALPHA = builtin_alpha("trinomial")
@@ -224,6 +225,18 @@ def test_structure_normalization():
     with pytest.raises(StructureError):
         normalize_structure(validate_config([(1,), (2,)]),
                             ParameterVector.of("1/2"))
+
+
+def test_negated_trinomial_normalizes():
+    # every point has last coordinate -1, so the normalizer must negate it
+    cfg = validate_config([(0, -1), (1, -1), (-1, -1)])
+    alpha = ParameterVector.of("1/3", "1/5")
+    cfg_h, _, changed = normalize_structure(cfg, alpha)
+    assert changed and all(p[-1] == 1 for p in cfg_h.points)
+    rep = cohomology_U_dim(cfg, alpha, LAMR, 4)
+    assert rep.stabilized and rep.dim == 2
+    battery = run_battery(cfg, alpha)
+    assert battery.ok and len(battery.checks) == 9
 
 
 def test_cohomology_U_matches_torus_dim():

@@ -121,7 +121,9 @@ def test_unimodular_inverse_and_completion(U):
     inv = unimodular_inverse(M)
     assert matmul(M, inv) == [[1, 0], [0, 1]]
 
-    for w in ([1, 1, 1], [2, 3], [1, 0, 0], [3, 5, 7]):
+    # the last four make the Smith form flip the sign of w
+    for w in ([1, 1, 1], [2, 3], [1, 0, 0], [3, 5, 7],
+              [-1], [0, -1], [2, -1], [-1, -1, 1]):
         Q = complete_primitive_vector(list(w))
         assert Q[-1] == list(w)
         assert is_unimodular(Q)
