@@ -9,8 +9,8 @@ logarithmic de Rham complexes, and tests the mod-p full-solution criterion.
 __version__ = "0.1.0"
 
 from .lattice import (FacetForm, ParameterVector, PointConfig, RelationLattice,
-                      ResonanceVerdict, cone_facets, evaluate_W_membership,
-                      is_nonresonant, relation_lattice, validate_config)
+                      ResonanceVerdict, cone_facets, is_nonresonant,
+                      relation_lattice, validate_config)
 from .laurent import (ConeSupport, FullSupport, HalfSupport, LambdaPoly,
                       LaurentPoly, Support, WSupport, apply_D, build_f,
                       build_f_symbolic, support_restrict, toric_derivative)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import __version__
 from .catalog import BUILTIN_POINTS, builtin_alpha, builtin_config, builtin_names
-from .derham import (generic_rank, quasi_iso_check, random_specialization,
-                     require_stabilized, top_cohomology_dim)
+from .derham import (generic_rank, quasi_iso_check, require_stabilized,
+                     top_cohomology_dim)
 from .errors import (DuplicatePointError, GkzError, NotGeneratingError,
                      NotStabilizedError, ResonantError, StructureError)
 from .hypersurface import cohomology_U_dim
@@ -114,14 +113,12 @@ def cmd_rank(args) -> int:
             supports.append(("U0", ConeSupport(config)))
         else:
             raise ValueError(f"unknown support {name!r}")
-    if args.lam == "random":
-        # equals generic_rank's first draw from the same seed
-        lam = random_specialization(random.Random(args.seed), config.N)
-    else:
+    if args.lam != "random":
         lam = tuple(parse_fraction(part.strip()) for part in args.lam.split(","))
         if len(lam) != config.N:
             raise ValueError(f"need {config.N} coefficients, got {len(lam)}")
     result: dict = {"supports": {}}
+    reports = []
     try:
         for name, support in supports:
             if args.lam == "random":
@@ -130,13 +127,14 @@ def cmd_rank(args) -> int:
             else:
                 rep = require_stabilized(top_cohomology_dim(
                     config, alpha, lam, support, args.bound))
+            reports.append(rep)
             result["supports"][name] = rep.to_json()
         if len(supports) == 2:
-            qi = quasi_iso_check(config, alpha, lam, supports[1][1],
-                                 supports[0][1], args.bound)
+            qi = quasi_iso_check(config, alpha, supports[1][1], supports[0][1],
+                                 reports[1], reports[0])
             result["quasi_iso"] = qi.to_json()
         if args.hypersurface:
-            rep = cohomology_U_dim(config, alpha, lam, args.bound)
+            rep = cohomology_U_dim(config, alpha, reports[0].lam, args.bound)
             result["U"] = require_stabilized(rep).to_json()
     except NotStabilizedError as exc:
         result["error"] = {"kind": "NotStabilized", "dims": list(exc.dims),

@@ -3,16 +3,16 @@
 Forms are written in the logarithmic basis dx_{i1}/x_{i1} ^ ... ^
 dx_{ik}/x_{ik}, so the twisted differential acts through the derivations of
 ``apply_D`` with wedge-sign bookkeeping.  Top cohomology dimensions are
-computed by exact linear algebra on sup-norm windows, with an explicit
-stabilization check at two consecutive bounds; a dimension that fails to
-stabilize is an explicit outcome, never silently accepted.
+computed by exact linear algebra on facet slabs under a weight cap (sup-norm
+boxes when the cone is not pointed), checked at two consecutive bounds; a
+failure to stabilize is an explicit outcome, never silently accepted.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -350,9 +350,7 @@ def _generator_vectors(config: PointConfig, alpha: ParameterVector,
 
 
 def _window_quotient_dim(config: PointConfig, alpha: ParameterVector,
-                         lam: Sequence[Fraction], support: Support,
-                         bound: int) -> int:
-    win = CohomologyWindow(config, support, bound)
+                         lam: Sequence[Fraction], win: CohomologyWindow) -> int:
     ech = RationalEchelon()
     for vec in _generator_vectors(config, alpha, lam, win):
         ech.insert(vec)
@@ -383,9 +381,16 @@ def stabilization_report(complex_id: str, alpha: ParameterVector,
     )
 
 
+def _resonance_warnings(config: PointConfig, alpha: ParameterVector) -> tuple[str, ...]:
+    verdict = is_nonresonant(config, alpha)
+    if verdict.nonresonant:
+        return ()
+    form, value = verdict.witness
+    return (f"resonant: form {form.coeffs} takes integer value {value}",)
+
+
 def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
-                       lam: Sequence, support: Support, bound: int,
-                       complex_id: str | None = None) -> RankReport:
+                       lam: Sequence, support: Support, bound: int) -> RankReport:
     """Truncated dimension of the top cohomology of the twisted complex.
 
     Computes the window quotient at bounds B-1 and B; the result counts as
@@ -395,14 +400,11 @@ def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
     lam = tuple(Fraction(v) for v in lam)
     if any(v == 0 for v in lam):
         raise ValueError("parameter specialization must be nonzero")
-    warnings = []
-    verdict = is_nonresonant(config, alpha)
-    if not verdict.nonresonant:
-        form, value = verdict.witness
-        warnings.append(f"resonant: form {form.coeffs} takes integer value {value}")
     return stabilization_report(
-        complex_id or f"torus/{support.name}", alpha, lam, bound, warnings,
-        lambda b: _window_quotient_dim(config, alpha, lam, support, b))
+        f"torus/{support.name}", alpha, lam, bound,
+        _resonance_warnings(config, alpha),
+        lambda b: _window_quotient_dim(config, alpha, lam,
+                                       CohomologyWindow(config, support, b)))
 
 
 def random_specialization(rng: random.Random, count: int) -> tuple[Fraction, ...]:
@@ -412,28 +414,40 @@ def random_specialization(rng: random.Random, count: int) -> tuple[Fraction, ...
 
 
 def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
-                 bound: int, seed: int = 0, rounds: int = 3) -> RankReport:
+                 bound: int, seed: int = 0) -> RankReport:
     """Stabilized dimension at generic parameters.
 
-    Draws pairs of random specializations until two distinct ones agree on a
-    stabilized dimension; raises NotStabilizedError when the budget runs out.
+    Evaluates up to three pairs of distinct random specializations on one
+    pair of windows (bounds B-1 and B) until a pair agrees on a stabilized
+    dimension, and reports the first of that pair.  Otherwise raises
+    NotStabilizedError with the (B-1, B) dimensions of the last
+    specialization that did not stabilize, else of the last one drawn.
     """
+    warnings = _resonance_warnings(config, alpha)
+    if bound < 1:
+        raise ValueError("need bound at least 1 for the stabilization pair")
+    windows = {b: CohomologyWindow(config, support, b) for b in (bound - 1, bound)}
+
+    def report(lam: tuple[Fraction, ...]) -> RankReport:
+        return stabilization_report(
+            f"torus/{support.name}", alpha, lam, bound, warnings,
+            lambda b: _window_quotient_dim(config, alpha, lam, windows[b]))
+
     rng = random.Random(seed)
-    last = None
-    for _ in range(rounds):
-        lam1 = random_specialization(rng, config.N)
-        lam2 = random_specialization(rng, config.N)
-        if lam1 == lam2:
-            continue
-        rep1 = top_cohomology_dim(config, alpha, lam1, support, bound)
-        rep2 = top_cohomology_dim(config, alpha, lam2, support, bound)
-        last = (rep1, rep2)
+    unstable = None
+    for _ in range(3):
+        lam1 = lam2 = random_specialization(rng, config.N)
+        while lam2 == lam1:
+            lam2 = random_specialization(rng, config.N)
+        rep1, rep2 = report(lam1), report(lam2)
         if rep1.stabilized and rep2.stabilized and rep1.dim == rep2.dim:
-            warnings = rep1.warnings + (f"agreed with second specialization {list(map(str, lam2))}",)
-            return RankReport(rep1.complex_id, alpha, rep1.lam, bound, rep1.dims,
-                              True, rep1.dim, warnings)
-    dims = (last[0].dim, last[1].dim) if last else (-1, -1)
-    raise NotStabilizedError(dims, bound, "no agreeing stabilized pair of specializations")
+            return replace(rep1, warnings=warnings + (
+                f"agreed with second specialization {list(map(str, lam2))}",))
+        unstable = next((rep for rep in (rep2, rep1) if not rep.stabilized), unstable)
+    if unstable is not None:
+        raise NotStabilizedError(unstable.dims, bound)
+    raise NotStabilizedError(rep2.dims, bound, f"specializations disagree at bound "
+                             f"{bound}: {rep1.dim} vs {rep2.dim}")
 
 
 @dataclass
@@ -444,52 +458,43 @@ class QuasiIsoReport:
     dim_small: int
     dim_big: int
     surjective: bool
-    small: RankReport = field(repr=False, default=None)
-    big: RankReport = field(repr=False, default=None)
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "dim_small": self.dim_small,
-            "dim_big": self.dim_big,
-            "surjective": self.surjective,
-        }
+        return asdict(self)
 
 
-def quasi_iso_check(config: PointConfig, alpha: ParameterVector, lam: Sequence,
-                    S_small: Support, S_big: Support, bound: int) -> QuasiIsoReport:
+def quasi_iso_check(config: PointConfig, alpha: ParameterVector,
+                    S_small: Support, S_big: Support,
+                    small: RankReport, big: RankReport) -> QuasiIsoReport:
     """Inclusion of the small-support subcomplex induces the same top quotient.
 
-    Checks (a) equal stabilized dimensions and (b) surjectivity: every window
-    monomial of the big support is congruent, modulo the twisted-derivation
-    image inside the window, to something supported in the small window.
-    Raises ValueError when the small window is not inside the big one.
+    Given stabilized reports of both supports at one bound, checks (a) equal
+    dimensions and (b) surjectivity at ``big.lam``: every window monomial of
+    the big support is congruent, modulo the twisted-derivation image inside
+    the window, to something supported in the small window.  Raises
+    ValueError when the bounds differ or the supports do not nest.
     """
-    lam = tuple(Fraction(v) for v in lam)
-    small = require_stabilized(
-        top_cohomology_dim(config, alpha, lam, S_small, bound))
-    big = require_stabilized(
-        top_cohomology_dim(config, alpha, lam, S_big, bound))
-
+    require_stabilized(small)
+    require_stabilized(big)
+    bound = big.bound
+    if small.bound != bound:
+        raise ValueError(f"reports at bounds {small.bound} and {bound} do not compare")
     win_big = CohomologyWindow(config, S_big, bound)
     win_small = CohomologyWindow(config, S_small, bound)
     if any(u not in win_big.index for u in win_small.points):
         raise ValueError(f"support {S_small.name} is not inside {S_big.name} "
                          f"at bound {bound}")
     ech = RationalEchelon()
-    for vec in _generator_vectors(config, alpha, lam, win_big):
+    for vec in _generator_vectors(config, alpha, big.lam, win_big):
         ech.insert(vec)
     for u in win_small.points:
         ech.insert({win_big.index[u]: 1})
     surjective = ech.rank == len(win_big.points)
-
     return QuasiIsoReport(
         verdict=(small.dim == big.dim) and surjective,
         dim_small=small.dim,
         dim_big=big.dim,
         surjective=surjective,
-        small=small,
-        big=big,
     )
 
 

@@ -198,10 +198,3 @@ def is_nonresonant(config: PointConfig, alpha: ParameterVector) -> ResonanceVerd
             return ResonanceVerdict(nonresonant=False, witness=(form, int(value)), vacuous=False)
     return ResonanceVerdict(nonresonant=True, witness=None, vacuous=not facets)
 
-
-def evaluate_W_membership(u: Sequence[int], v: Sequence[int], T: Iterable[int],
-                          facets: Sequence[FacetForm]) -> bool:
-    """Whether ell_i(u) >= v_i for every i in T (1-based facet indices)."""
-    if len(v) != len(facets):
-        raise ValueError("threshold vector length must match the facet list")
-    return all(facets[i - 1].evaluate(u) >= v[i - 1] for i in T)

@@ -415,6 +415,10 @@ class WSupport(Support):
         self.v = tuple(int(x) for x in v)
         self.T = tuple(sorted(set(T)))
         self.facets = tuple(facets)
+        if len(self.v) != len(self.facets):
+            raise ValueError("threshold vector length must match the facet list")
+        if self.T and not 1 <= self.T[0] <= self.T[-1] <= len(self.facets):
+            raise ValueError(f"facet indices {self.T} outside 1..{len(self.facets)}")
         self.name = f"W({self.v},{self.T})"
 
     def contains(self, u: IntVec) -> bool:

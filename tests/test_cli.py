@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkzkit.cli import main
+from gkzkit.derham import CohomologyWindow
+from gkzkit.linalg import RationalEchelon
 
 
 def run(capsys, *argv):
@@ -59,17 +62,41 @@ def test_rank_explicit_lambda_and_hypersurface(capsys):
 
 
 def test_rank_not_stabilized_exits_3(capsys):
-    # bound 1 gives a window too small for the cusp configuration
-    code = main(["rank", "--config", "cusp", "--alpha", "1/2",
-                 "--lambda", "3/7,5/11", "--bound", "1", "--supports", "zn"])
-    out = capsys.readouterr().out
-    report = json.loads(out)
-    if code == 0:
-        # if it happens to stabilize even at bound 1, the report must agree
-        assert report["result"]["supports"]["Z^n"]["stabilized"]
-    else:
-        assert code == 3
+    # bound 1 gives a window too small for the cusp configuration; dims are
+    # the quotient dimensions at bounds 0 and 1, whichever way lambda is chosen
+    job = ["--config", "cusp", "--alpha", "1/2", "--bound", "1"]
+    for argv in (["rank", *job, "--supports", "zn", "--lambda", "3/7,5/11"],
+                 ["rank", *job, "--supports", "zn"],
+                 ["modp", *job]):
+        code, report = run(capsys, *argv)
+        assert code == 3, argv
         assert report["result"]["error"]["kind"] == "NotStabilized"
+        assert report["result"]["error"]["dims"] == [1, 2], argv
+
+
+TRINOMIAL_JOB = ["rank", "--config", "trinomial", "--alpha", "1/3,1/5",
+                 "--bound", "4", "--hypersurface"]
+
+
+@pytest.mark.parametrize("argv, windows, echelons", [
+    # per support: one window at each of B-1 and B, one echelon per window
+    # and specialization; quasi_iso_check: two windows, one echelon;
+    # the U side: two windows, two echelons each
+    (TRINOMIAL_JOB, 8, 13),
+    (TRINOMIAL_JOB + ["--lambda", "3/7,5/11,2/9"], 8, 9),
+    (["rank", "--config", "gauss", "--alpha", "1/2,1/3,1/5", "--bound", "3",
+      "--supports", "u0"], 2, 4),
+])
+def test_rank_builds_each_window_once(monkeypatch, capsys, argv, windows, echelons):
+    built = Counter()
+    for cls in (CohomologyWindow, RationalEchelon):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    assert built == {"CohomologyWindow": windows, "RationalEchelon": echelons}
 
 
 def test_verify_single_config(capsys):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -226,11 +227,14 @@ def test_dimension_same_across_supports_including_W():
 def test_quasi_iso_and_warnings():
     tri = builtin_config("trinomial")
     alpha = builtin_alpha("trinomial")
-    q = quasi_iso_check(tri, alpha, LAM3, ConeSupport(tri), FullSupport(2), 4)
+    full = top_cohomology_dim(tri, alpha, LAM3, FullSupport(2), 4)
+    cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 4)
+    q = quasi_iso_check(tri, alpha, ConeSupport(tri), FullSupport(2), cone, full)
     assert q.verdict and q.surjective and q.dim_small == q.dim_big == 2
 
     # identical supports trivially agree
-    q = quasi_iso_check(tri, alpha, LAM3, FullSupport(2), FullSupport(2), 3)
+    full3 = top_cohomology_dim(tri, alpha, LAM3, FullSupport(2), 3)
+    q = quasi_iso_check(tri, alpha, FullSupport(2), FullSupport(2), full3, full3)
     assert q.verdict
 
     # resonant parameter: computation proceeds with the flag set; at the
@@ -238,16 +242,34 @@ def test_quasi_iso_and_warnings():
     c1 = validate_config([(1,)])
     rep = top_cohomology_dim(c1, ParameterVector.of(0), [1], FullSupport(1), 4)
     assert rep.warnings and "resonant" in rep.warnings[0]
-    q = quasi_iso_check(c1, ParameterVector.of(1), [1], ConeSupport(c1),
-                        FullSupport(1), 4)
+    one = ParameterVector.of(1)
+    cone, full = (top_cohomology_dim(c1, one, [1], S, 4)
+                  for S in (ConeSupport(c1), FullSupport(1)))
+    q = quasi_iso_check(c1, one, ConeSupport(c1), FullSupport(1), cone, full)
     assert not q.surjective and not q.verdict
 
 
 def test_quasi_iso_rejects_supports_that_are_not_nested():
     tri = builtin_config("trinomial")
     alpha = builtin_alpha("trinomial")
+    full = top_cohomology_dim(tri, alpha, LAM3, FullSupport(2), 3)
+    cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 3)
     with pytest.raises(ValueError, match="not inside"):
-        quasi_iso_check(tri, alpha, LAM3, FullSupport(2), ConeSupport(tri), 3)
+        quasi_iso_check(tri, alpha, FullSupport(2), ConeSupport(tri), full, cone)
+
+
+def test_quasi_iso_rejects_reports_that_do_not_compare():
+    tri = builtin_config("trinomial")
+    alpha = builtin_alpha("trinomial")
+    full = top_cohomology_dim(tri, alpha, LAM3, FullSupport(2), 4)
+    cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 3)
+    with pytest.raises(ValueError, match="bounds 3 and 4"):
+        quasi_iso_check(tri, alpha, ConeSupport(tri), FullSupport(2), cone, full)
+    unstable = replace(full, dims=(1, 2), stabilized=False)
+    with pytest.raises(NotStabilizedError) as err:
+        quasi_iso_check(tri, alpha, ConeSupport(tri), FullSupport(2),
+                        replace(cone, bound=4), unstable)
+    assert err.value.dims == (1, 2)
 
 
 def test_twist_invariance_of_dimension():
