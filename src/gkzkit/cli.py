@@ -115,8 +115,6 @@ def cmd_rank(args) -> int:
             raise ValueError(f"unknown support {name!r}")
     if args.lam != "random":
         lam = tuple(parse_fraction(part.strip()) for part in args.lam.split(","))
-        if len(lam) != config.N:
-            raise ValueError(f"need {config.N} coefficients, got {len(lam)}")
     result: dict = {"supports": {}}
     reports = []
     try:

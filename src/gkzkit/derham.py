@@ -4,8 +4,9 @@ Forms are written in the logarithmic basis dx_{i1}/x_{i1} ^ ... ^
 dx_{ik}/x_{ik}, so the twisted differential acts through the derivations of
 ``apply_D`` with wedge-sign bookkeeping.  Top cohomology dimensions are
 computed by exact linear algebra on facet slabs under a weight cap (sup-norm
-boxes when the cone is not pointed), checked at two consecutive bounds; a
-failure to stabilize is an explicit outcome, never silently accepted.
+boxes when the cone is not pointed; on a pointed cone the U0 window is the
+semigroup elements under the cap, found by a walk), checked at two
+consecutive bounds; a failure to stabilize is an explicit outcome.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Callable, Sequence
 
 from .errors import NotStabilizedError
 from .lattice import (FacetForm, ParameterVector, PointConfig, cone_facets,
-                      is_nonresonant)
-from .laurent import (LambdaPoly, LaurentPoly, Support, apply_D,
+                      facet_weight, is_nonresonant)
+from .laurent import (ConeSupport, LambdaPoly, LaurentPoly, Support, apply_D,
                       build_f_symbolic)
 from .linalg import RationalEchelon
 
@@ -263,7 +264,9 @@ class CohomologyWindow:
     all reduction moves stay inside the slab except at the top shell, which
     the graded structure eliminates at generic parameters.  When the facet
     forms do not span (the cone has lineality), a sup-norm box of the same
-    bound is intersected in as a cap for the unclipped directions.
+    bound is intersected in as a cap for the unclipped directions.  Points
+    come from a box scan, except that a ``ConeSupport`` window on a pointed
+    cone is exactly the semigroup elements under the cap, listed by its walk.
 
     ``points`` lists the window in elimination order (h(u), u), and
     ``index`` maps each point to its position there, the column it keys.
@@ -276,8 +279,7 @@ class CohomologyWindow:
         self.support = support
         self.bound = bound
         facets = cone_facets(config)
-        n = config.n
-        self.hvec = tuple(sum(f.coeffs[i] for f in facets) for i in range(n))
+        self.hvec = facet_weight(facets, config.n)
         hmax = max((self.weight(p) for p in config.points), default=0)
         # h is positive on every nonzero point exactly when the cone has no
         # lineality: a lineality space is spanned by points where h vanishes
@@ -301,6 +303,8 @@ class CohomologyWindow:
         return self.support.contains(u)
 
     def _enumerate(self, pointed: bool) -> list[IntVec]:
+        if pointed and isinstance(self.support, ConeSupport):
+            return self.support.elements(self.cap)  # inside every facet slab
         n = self.config.n
         if not pointed:
             box = self.bound
@@ -398,6 +402,8 @@ def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
     the computation proceeds with a warning flag set.
     """
     lam = tuple(Fraction(v) for v in lam)
+    if len(lam) != config.N:
+        raise ValueError(f"need {config.N} coefficients, got {len(lam)}")
     if any(v == 0 for v in lam):
         raise ValueError("parameter specialization must be nonzero")
     return stabilization_report(

@@ -39,10 +39,6 @@ class PointConfig:
         """The n x N matrix whose columns are the points."""
         return [[self.points[j][i] for j in range(self.N)] for i in range(self.n)]
 
-    def max_norm(self) -> int:
-        """Largest sup-norm among the points (window offset for truncations)."""
-        return max(max(abs(c) for c in p) if p else 0 for p in self.points)
-
 
 @dataclass(frozen=True)
 class RelationLattice:
@@ -185,6 +181,11 @@ def cone_facets(config: PointConfig) -> tuple[FacetForm, ...]:
             continue
         found[oriented] = FacetForm(coeffs=oriented)
     return tuple(found[key] for key in sorted(found))
+
+
+def facet_weight(facets: Sequence[FacetForm], n: int) -> IntVec:
+    """Coefficients of the weight h, the sum of the facet forms."""
+    return tuple(sum(f.coeffs[i] for f in facets) for i in range(n))
 
 
 def is_nonresonant(config: PointConfig, alpha: ParameterVector) -> ResonanceVerdict:

@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ScalarModeError
-from .lattice import ParameterVector, PointConfig
+from .intmat import solve_integer
+from .lattice import ParameterVector, PointConfig, cone_facets, facet_weight
 
 IntVec = tuple[int, ...]
 
@@ -369,43 +370,47 @@ class HalfSupport(Support):
 
 
 class ConeSupport(Support):
-    """Nonnegative integer combinations of the configuration points.
+    """The semigroup U0 of nonnegative integer combinations of the points.
 
-    Membership is decided by breadth-first reachability from the origin
-    inside a padded box; results are memoized per padding bound.
+    Each element is a sum of steps (points of positive facet weight h) of
+    its own weight plus a vector of the lineality group (spanned by the
+    points of weight zero).  A walk from the origin lists the sums of steps
+    exactly, one weight layer at a time, so membership is exact.
     """
 
     def __init__(self, config: PointConfig):
         self.config = config
         self.name = "U0"
-        self._cache: dict[int, frozenset[IntVec]] = {}
+        self.hvec = facet_weight(cone_facets(config), config.n)
+        self._steps = [(a, self.weight(a)) for a in config.points if self.weight(a) > 0]
+        zero = [a for a in config.points if self.weight(a) == 0]
+        self._span = [[a[i] for a in zero] for i in range(config.n)]
+        self._layers: list[set[IntVec]] = [{(0,) * config.n}]
 
-    def _reachable(self, bound: int) -> frozenset[IntVec]:
-        # bucket the padding so nearby query norms share one search
-        pad = bound + 2 * self.config.max_norm() + 2
-        pad = ((pad + 7) // 8) * 8
-        if pad in self._cache:
-            return self._cache[pad]
-        start = (0,) * self.config.n
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for a in self.config.points:
-                    v = tuple(x + y for x, y in zip(u, a))
-                    if v not in seen and all(abs(x) <= pad for x in v):
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        result = frozenset(seen)
-        self._cache[pad] = result
-        return result
+    def weight(self, u: Sequence[int]) -> int:
+        return sum(h * x for h, x in zip(self.hvec, u))
+
+    def _layer(self, w: int) -> set[IntVec]:
+        """The sums of steps of weight exactly w."""
+        while len(self._layers) <= w:
+            k = len(self._layers)
+            self._layers.append({tuple(x + y for x, y in zip(s, a))
+                                 for a, ha in self._steps if ha <= k
+                                 for s in self._layers[k - ha]})
+        return self._layers[w]
+
+    def elements(self, cap: int) -> list[IntVec]:
+        """Sums of steps of weight at most cap: on a pointed cone, U0 under the cap."""
+        return [u for w in range(cap + 1) for u in self._layer(w)]
 
     def contains(self, u: IntVec) -> bool:
-        u = tuple(u)
-        bound = max((abs(x) for x in u), default=0)
-        return u in self._reachable(bound)
+        w = self.weight(u)
+        if w < 0:
+            return False
+        layer = self._layer(w)
+        return tuple(u) in layer or any(
+            solve_integer(self._span, [x - y for x, y in zip(u, s)]) is not None
+            for s in layer)
 
 
 class WSupport(Support):

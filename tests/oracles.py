@@ -141,6 +141,26 @@ def brute_positive_combination(points: list[tuple[int, ...]], u: tuple[int, ...]
     return False
 
 
+def brute_cone_window(points: list[tuple[int, ...]], cap: int) -> set[tuple[int, ...]]:
+    """Every sum of c_j times the j-th point with sum of c_j h(a_j) <= cap,
+    where h is the sum of the facet normals from brute_facets.
+
+    Enumerates coefficient vectors directly; for pointed cones only, where h
+    is positive on every nonzero point.
+    """
+    n = len(points[0])
+    normals = brute_facets(points, 4)
+    weights = [sum(sum(c[i] for c in normals) * p[i] for i in range(n)) for p in points]
+    steps = [(p, w) for p, w in zip(points, weights) if any(p)]
+    assert all(w > 0 for _, w in steps), "cone is not pointed"
+    out = set()
+    for coeffs in itertools.product(*(range(cap // w + 1) for _, w in steps)):
+        if sum(c * w for c, (_, w) in zip(coeffs, steps)) <= cap:
+            out.add(tuple(sum(c * p[i] for c, (p, _) in zip(coeffs, steps))
+                          for i in range(n)))
+    return out
+
+
 def modp_recurrence_dim(points: list[tuple[int, ...]],
                         relation_basis: list[tuple[int, ...]],
                         alpha_bar: tuple[int, ...], p: int) -> int:

@@ -156,6 +156,7 @@ def test_modp_sweep_and_skip(capsys):
     ["analyze", "--config", "single", "--alpha=1/0"],
     ["rank", "--config", "single", "--alpha=1/2", "--lambda=1/0"],
     ["verify", "--config", "trinomial", "--alpha=1/3"],
+    ["rank", "--config", "trinomial", "--alpha=1/3,1/5", "--lambda=1,2"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code = main(argv)

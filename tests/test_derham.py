@@ -20,7 +20,8 @@ from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
 from gkzkit.laurent import (ConeSupport, FullSupport, LambdaPoly, LaurentPoly,
                             WSupport, build_f, build_f_symbolic)
-from oracles import dense_rank
+from oracles import (brute_cone_window, brute_facets, brute_positive_combination,
+                     dense_rank)
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 LAM4 = LAM3 + [Fraction(7, 13)]
@@ -137,6 +138,36 @@ def test_window_points_in_elimination_order():
         assert all(win.points[k] == u for u, k in win.index.items())
 
 
+def test_cone_window_is_the_semigroup_under_the_cap():
+    cases = [(builtin_config(name), (1, 2, 3))
+             for name in ("single", "cusp", "trinomial", "gauss")]
+    cases += [(validate_config(points), (1, 2, 3)) for points in (
+        [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+        [(0, 1), (1, 1), (-1, 1), (2, 1)],
+        [(2,), (3,)])]
+    cases.append((validate_config([(1, 0, 1), (-1, 2, 1), (1, -1, -2),
+                                   (1, 2, -1), (0, 0, 1)]), (1,)))
+    for cfg, bounds in cases:
+        for b in bounds:
+            win = CohomologyWindow(cfg, ConeSupport(cfg), b)
+            assert set(win.points) == brute_cone_window(cfg.points, win.cap), \
+                (cfg.points, b)
+
+
+def test_cone_window_with_lineality_scans_the_box():
+    for points in ([(1,), (-1,)], [(1, 0), (-1, 0), (0, 1)],
+                   [(1, 0), (0, 1), (-1, -1)], [(1, 0), (-1, 0), (0, 2), (1, 3)]):
+        cfg = validate_config(points)
+        normals = brute_facets(points, 4)
+        for b in (1, 2):
+            win = CohomologyWindow(cfg, ConeSupport(cfg), b)
+            want = {u for u in itertools.product(range(-b, b + 1), repeat=cfg.n)
+                    if all(sum(c * x for c, x in zip(normal, u)) >= -b
+                           for normal in normals)
+                    and brute_positive_combination(points, u, 3 * b + 2)}
+            assert win.cap is None and set(win.points) == want, (points, b)
+
+
 def facet_matrix_pointed(config):
     facets = cone_facets(config)
     return bool(facets) and \
@@ -202,6 +233,14 @@ def test_top_cohomology_examples_and_dense_oracle():
         for b in (2, 3):
             got = dense_quotient_dim(tri, alpha, LAM3, support, b)
             assert got == 2, (support.name, b)
+
+
+def test_top_cohomology_rejects_lambda_of_wrong_length():
+    tri = builtin_config("trinomial")
+    alpha = builtin_alpha("trinomial")
+    for lam in (LAM3[:2], LAM4):
+        with pytest.raises(ValueError, match=f"need 3 coefficients, got {len(lam)}"):
+            top_cohomology_dim(tri, alpha, lam, FullSupport(2), 2)
 
 
 def test_gauss_dimension():

@@ -150,11 +150,17 @@ def test_support_restrict_examples():
 
 
 def test_cone_support_matches_bounded_enumeration():
-    for points in ([(1,), (2,)], [(0, 1), (1, 1), (-1, 1)], [(2,), (3,)]):
+    # (points, box, coefficient bound); the last four cones have lineality
+    cases = [([(1,), (2,)], 4, 10), ([(0, 1), (1, 1), (-1, 1)], 4, 10),
+             ([(2,), (3,)], 4, 10),
+             ([(1, 0), (-1, 0), (0, 2), (1, 3)], 3, 6),
+             ([(1, 0), (0, 1), (-1, -1)], 4, 10), ([(1,), (-1,)], 4, 10),
+             ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, -1)], 2, 4)]
+    for points, box, coeff_bound in cases:
         cfg = validate_config(points)
         S = ConeSupport(cfg)
-        for u in itertools.product(range(-4, 5), repeat=cfg.n):
-            want = brute_positive_combination(cfg.points, tuple(u), 10)
+        for u in itertools.product(range(-box, box + 1), repeat=cfg.n):
+            want = brute_positive_combination(cfg.points, tuple(u), coeff_bound)
             assert S.contains(u) == want, (points, u)
 
 

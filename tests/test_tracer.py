@@ -5,6 +5,10 @@ import importlib
 import importlib.util
 import pathlib
 
+from gkzkit.catalog import builtin_config
+from gkzkit.derham import CohomologyWindow
+from gkzkit.laurent import ConeSupport
+
 TRACER = pathlib.Path(__file__).parent.parent / "bench" / "traced_job.py"
 
 
@@ -24,3 +28,12 @@ def test_tracer_names_resolve():
     for mod_name, cls_name, meth, *_ in tracer.METHODS:
         cls = getattr(importlib.import_module(f"gkzkit.{mod_name}"), cls_name, None)
         assert callable(getattr(cls, meth, None)), (mod_name, cls_name, meth)
+
+
+def test_tracer_window_value_on_a_cone_window():
+    tracer = load_tracer()
+    value = next(value for *_, name, value in tracer.METHODS
+                 if name == "derham.CohomologyWindow")
+    tri = builtin_config("trinomial")
+    win = CohomologyWindow(tri, ConeSupport(tri), 2)
+    assert value((win,), None) == [len(win.points), True]
