@@ -3,14 +3,14 @@
 Forms are written in the logarithmic basis dx_{i1}/x_{i1} ^ ... ^
 dx_{ik}/x_{ik}, so the twisted differential acts through the derivations of
 ``apply_D`` with wedge-sign bookkeeping.  Top cohomology dimensions are
-computed by exact linear algebra on facet slabs under a weight cap (sup-norm
-boxes when the cone is not pointed; on a pointed cone the U0 window is the
-semigroup elements under the cap, found by a walk), checked at two
-consecutive bounds; a failure to stabilize is an explicit outcome.
+computed by exact linear algebra on Newton windows, one shape for every
+support and every cone, checked at two consecutive bounds; a failure to
+stabilize is an explicit outcome.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import asdict, dataclass, replace
@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import NotStabilizedError
-from .lattice import (FacetForm, ParameterVector, PointConfig, cone_facets,
-                      facet_weight, is_nonresonant)
-from .laurent import (ConeSupport, LambdaPoly, LaurentPoly, Support, apply_D,
+from .intmat import integer_kernel
+from .lattice import (FacetForm, ParameterVector, PointConfig, is_nonresonant,
+                      newton_polytope)
+from .laurent import (LambdaPoly, LaurentPoly, Support, apply_D,
                       build_f_symbolic)
 from .linalg import RationalEchelon
 
@@ -255,18 +256,16 @@ def require_stabilized(report: RankReport) -> RankReport:
 
 
 class CohomologyWindow:
-    """Finite truncation of a support adapted to the cone geometry.
+    """The lattice points of a support in the Newton window V_B.
 
-    For a pointed cone the window is the lattice slab cut out by the
-    translated facet inequalities ell_i(u) >= -B together with the weight cap
-    h(u) <= 2B * max_j h(a(j)), where h is the sum of the facet forms.  Shift
-    by any point raises every ell_i and raises h by at most its maximum, so
-    all reduction moves stay inside the slab except at the top shell, which
-    the graded structure eliminates at generic parameters.  When the facet
-    forms do not span (the cone has lineality), a sup-norm box of the same
-    bound is intersected in as a cap for the unclipped directions.  Points
-    come from a box scan, except that a ``ConeSupport`` window on a pointed
-    cone is exactly the semigroup elements under the cap, listed by its walk.
+    V_B = {u : w(u) + 2 D(u) <= B} (``lattice.NewtonPolytope``): w is the
+    Newton-polytope weight of Delta = conv(0 u A) (Adolphson-Sperber, Ann.
+    of Math. 130, 1989) and D the depth below the cone facets.  On the cone
+    V_B is B Delta, each derivation raises w by at most 1, and for
+    nonresonant alpha and generic lambda the quotient has dimension
+    n! vol(Delta) (Adolphson, Duke Math. J. 73, 1994).  Below a cone facet
+    f, the contraction against f only adds points a with f(a) >= 1, which
+    lowers w + 2D: it stays in V_B and pushes a monomial towards the cone.
 
     ``points`` lists the window in elimination order (h(u), u), and
     ``index`` maps each point to its position there, the column it keys.
@@ -278,77 +277,56 @@ class CohomologyWindow:
         self.config = config
         self.support = support
         self.bound = bound
-        facets = cone_facets(config)
-        self.hvec = facet_weight(facets, config.n)
-        hmax = max((self.weight(p) for p in config.points), default=0)
-        # h is positive on every nonzero point exactly when the cone has no
-        # lineality: a lineality space is spanned by points where h vanishes
-        pointed = all(self.weight(a) > 0 for a in config.points if any(a))
-        self.cap = 2 * bound * hmax if pointed else None
-        self.facets = facets
-        self.points = sorted(self._enumerate(pointed),
+        polytope = newton_polytope(config)
+        self.hvec = polytope.h
+        radius = bound * polytope.radius
+        box = itertools.product(range(-radius, radius + 1), repeat=config.n)
+        self.points = sorted((u for u in box if polytope.contains(u, bound)
+                              and support.contains(u)),
                              key=lambda u: (self.weight(u), u))
         self.index = {u: k for k, u in enumerate(self.points)}
 
     def weight(self, u: Sequence[int]) -> int:
         return sum(h * x for h, x in zip(self.hvec, u))
 
-    def _accept(self, u: IntVec, box: int | None) -> bool:
-        if box is not None and any(abs(x) > box for x in u):
-            return False
-        if any(f.evaluate(u) < -self.bound for f in self.facets):
-            return False
-        if self.cap is not None and self.weight(u) > self.cap:
-            return False
-        return self.support.contains(u)
 
-    def _enumerate(self, pointed: bool) -> list[IntVec]:
-        if pointed and isinstance(self.support, ConeSupport):
-            return self.support.elements(self.cap)  # inside every facet slab
-        n = self.config.n
-        if not pointed:
-            box = self.bound
-            return [u for u in itertools.product(range(-box, box + 1), repeat=n)
-                    if self._accept(u, box)]
-        # expand the scan box until the slab no longer touches its shell
-        K = max(self.cap or 0, self.bound) + 1
-        for _ in range(8):
-            pts = [u for u in itertools.product(range(-K, K + 1), repeat=n)
-                   if self._accept(u, None)]
-            if all(max(abs(x) for x in u) < K for u in pts):
-                return pts
-            K *= 2
-        raise RuntimeError("window enumeration did not close; cone may not be pointed")
+def staying_combinations(steps: Sequence[Sequence[int]], n: int):
+    """The derivation combinations whose image stays inside a window.
+
+    sum_i c_i D_i shifts a monomial by each step a with c.a != 0.  Returns a
+    function from the positions of the steps whose shift leaves the window
+    to an integer basis of the c with c.a = 0 on each of them: the unit
+    vectors when none leaves, and otherwise combinations such as the
+    contraction against a cone facet.
+    """
+    units = [[int(i == k) for k in range(n)] for i in range(n)]
+
+    @functools.cache
+    def basis(out: tuple[int, ...]) -> list[list[int]]:
+        return integer_kernel([list(steps[k]) for k in out]) if out else units
+    return basis
 
 
 def _generator_vectors(config: PointConfig, alpha: ParameterVector,
                        lam: Sequence[Fraction], win: CohomologyWindow) -> list[dict]:
-    """Images of window monomials under each twisted derivation, as sparse
-    vectors keyed by window column.
-
-    A monomial generates in direction i only when every shifted exponent it
-    produces stays inside the window, so the image provably lies there.
-    """
-    n = config.n
+    """Images of window monomials under the twisted derivation combinations
+    that stay inside the window, as sparse vectors keyed by window column."""
     index = win.index
+    steps = [(a, v) for a, v in zip(config.points, lam) if v and any(a)]
+    basis = staying_combinations([a for a, _ in steps], config.n)
     vecs = []
     for col, u in enumerate(win.points):
-        for i in range(1, n + 1):
+        targets = [index.get(tuple(x + y for x, y in zip(u, a))) for a, _ in steps]
+        for c in basis(tuple(k for k, t in enumerate(targets) if t is None)):
             vec: dict[int, Fraction] = {}
-            diag = alpha.entries[i - 1] + u[i - 1]
+            diag = sum(ci * (a + x) for ci, a, x in zip(c, alpha.entries, u))
             if diag:
                 vec[col] = diag
-            ok = True
-            for j, point in enumerate(config.points):
-                coeff = point[i - 1]
-                if coeff == 0 or lam[j] == 0:
-                    continue
-                k = index.get(tuple(x + y for x, y in zip(u, point)))
-                if k is None:
-                    ok = False
-                    break
-                vec[k] = vec.get(k, Fraction(0)) + lam[j] * coeff
-            if ok and vec:
+            for (a, v), t in zip(steps, targets):
+                coeff = sum(ci * x for ci, x in zip(c, a))
+                if coeff:
+                    vec[t] = v * coeff
+            if vec:
                 vecs.append(vec)
     return vecs
 

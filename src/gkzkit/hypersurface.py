@@ -22,6 +22,7 @@ from .lattice import ParameterVector, PointConfig, validate_config
 from .laurent import (HalfSupport, LaurentPoly, build_f, divide_exact,
                       toric_derivative)
 from .derham import (CohomologyWindow, LogForm, RankReport, nabla,
+                     staying_combinations,
                      stabilization_report, wedge_insert)
 from .linalg import RationalEchelon
 
@@ -562,13 +563,13 @@ def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
     """Window quotient of top-degree forms on the complement by the image of
     the twisted differential.
 
-    The window elements are x'^{u'} / g^m for (u', m) ranging over the
-    cone-adapted torus window intersected with m >= 0; these span a subspace
-    of the localized ring whose coordinates are numerator monomials at the
-    common denominator g^M.  Every image of a window element under the
-    twisted derivations shifts (u', m) by a configuration point, hence stays
-    inside the window by closure whenever the cap admits it, so the quotient
-    dimension is the difference of two ranks.
+    The window elements are x'^{u'} / g^m for u = (u', m) in the Newton
+    window with m >= 0, written as numerators at the common denominator
+    g^M.  As D_n acts as the identity g / g^{m+1} = 1 / g^m, the combination
+    sum_i c_i D_i (c in Q^n) sends u to c.(u + alpha) times u minus
+    (m + alpha_n) times the sum of (c.a) lambda_a (u + a) over the points a:
+    the torus rule of ``staying_combinations``.  The quotient dimension is
+    the difference of two ranks.
     """
     nprime = g.n
     alpha_n = alpha.entries[-1]
@@ -591,35 +592,21 @@ def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
     for pt in points:
         span_ech.insert(numvec(pt))
 
-    derivs = [toric_derivative(i, g) for i in range(1, nprime + 1)]
+    # x^{u'} / g^m is the monomial (u', m); its shifts are the points (w, 1)
+    steps = [((*w, 1), c) for w, c in g.terms.items()]
+    basis = staying_combinations([a for a, _ in steps], config.n)
     gen_ech = RationalEchelon()
     for pt in points:
-        up, m = pt[:-1], pt[-1]
-        for i in range(1, nprime + 1):
-            shifts = []
-            ok = True
-            for w, c in derivs[i - 1].terms.items():
-                tgt = tuple(a + b for a, b in zip(up, w)) + (m + 1,)
-                if tgt not in win.index:
-                    ok = False
-                    break
-                shifts.append((tgt, c))
-            if not ok:
-                continue
+        targets = [tuple(x + y for x, y in zip(pt, a)) for a, _ in steps]
+        for c in basis(tuple(k for k, t in enumerate(targets) if t not in win.index)):
             vec: dict = {}
-            diag = Fraction(up[i - 1]) + alpha.entries[i - 1]
-            if diag:
-                for w, c in numvec(pt).items():
-                    vec[w] = vec.get(w, Fraction(0)) + diag * c
-            scale = -(m + alpha_n)
-            if scale:
-                for tgt, c in shifts:
-                    for wkey, cv in numvec(tgt).items():
-                        s = vec.get(wkey, Fraction(0)) + scale * c * cv
-                        if s:
-                            vec[wkey] = s
-                        else:
-                            vec.pop(wkey, None)
-            if vec:
+            terms = [(pt, sum(ci * (x + a) for ci, x, a in zip(c, pt, alpha.entries)))]
+            terms += [(tgt, -(pt[-1] + alpha_n) * cw * sum(ci * x for ci, x in zip(c, a)))
+                      for (a, cw), tgt in zip(steps, targets)]
+            for tgt, coeff in terms:
+                # a shift that leaves the window has coefficient 0 and no numerator
+                for wkey, cv in (numvec(tgt).items() if coeff else ()):
+                    vec[wkey] = vec.get(wkey, Fraction(0)) + coeff * cv
+            if any(vec.values()):
                 gen_ech.insert(vec)
     return span_ech.rank - gen_ech.rank

@@ -171,10 +171,6 @@ def integer_kernel(mat: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def rational_rank(mat: list[list[int]]) -> int:
-    return sum(1 for d in invariant_factors(mat) if d != 0)
-
-
 def solve_integer(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
     """One integer solution of mat @ x = rhs, or None if there is none."""
     m = len(mat)

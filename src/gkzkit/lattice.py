@@ -1,22 +1,23 @@
 """Integer-lattice and cone geometry for point configurations.
 
 Validates that a set of lattice points generates the full lattice, computes
-the lattice of relations among the points, enumerates the primitive inner
-normals of the codimension-one faces of the real cone spanned by the points,
-and decides nonresonance of a rational parameter vector against those
-normals.
+the lattice of relations among the points, enumerates the facets of the
+Newton polytope conv(0 u A) (those through the origin are the facets of the
+cone spanned by the points), and decides nonresonance of a rational
+parameter vector against the cone's facet normals.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil
 from typing import Iterable, Sequence
 
 from .errors import DuplicatePointError, NotARelationError, NotGeneratingError
-from .intmat import integer_kernel, invariant_factors, matvec, rational_rank
+from .intmat import integer_kernel, invariant_factors, matvec, rational_inverse
 
 
 IntVec = tuple[int, ...]
@@ -145,47 +146,85 @@ def relation_lattice(config: PointConfig) -> RelationLattice:
     return RelationLattice(basis=tuple(basis), rank=len(basis))
 
 
-def _primitive(vec: Sequence[int]) -> IntVec:
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return tuple(vec)
-    return tuple(c // g for c in vec)
+@dataclass(frozen=True)
+class NewtonPolytope:
+    """The facets of Delta = conv(0 u A) and the windows they cut out.
+
+    ``cone`` holds the inner normals f of the facets through the origin
+    (the cone's facets) and ``weights`` the other facets c.u <= d, d > 0.
+    With the Newton weight w(u) = max c.u / d (at most 1 on every point)
+    and the depth D(u) = sum of max(0, -f(u)) (0 exactly on the cone), the
+    window V_B = {u : w(u) + 2 D(u) <= B} is B times V_1 and meets the cone
+    in B Delta.  Off the cone, adding a point a with f(a) >= 1 across a
+    violated facet f raises w by at most 1 and lowers D by at least 1 until
+    the cone, where w >= 0, is reached; so w + 2D >= 1 there and V_1 is
+    bounded.
+    """
+
+    n: int
+    cone: tuple[FacetForm, ...]
+    weights: tuple[tuple[IntVec, int], ...]
+    h: IntVec       # the sum of the cone facet forms
+
+    def contains(self, u: Sequence[int], bound: int) -> bool:
+        """Is u in V_B for B = bound?"""
+        depth = sum(max(0, -f.evaluate(u)) for f in self.cone)
+        return all(sum(ci * x for ci, x in zip(c, u)) + 2 * depth * d <= bound * d
+                   for c, d in self.weights)
+
+    @functools.cached_property
+    def radius(self) -> int:
+        """The least integer bounding every coordinate of V_1, from the
+        vertices of its pieces on the sign patterns of the cone facets."""
+        radius = 0
+        for signs in itertools.product((1, -1), repeat=len(self.cone)):
+            # the piece where the facets of sign -1 are violated, as g.u >= -e
+            down = [sum(f.coeffs[i] for f, s in zip(self.cone, signs) if s < 0)
+                    for i in range(self.n)]
+            rows = [(tuple(s * x for x in f.coeffs), 0) for f, s in zip(self.cone, signs)]
+            rows += [(tuple(2 * d * y - x for x, y in zip(c, down)), d) for c, d in self.weights]
+            for subset in itertools.combinations(rows, self.n):
+                try:
+                    inverse = rational_inverse([list(g) for g, _ in subset])
+                except ValueError:
+                    continue
+                vertex = [-sum(x * e for x, (_, e) in zip(row, subset)) for row in inverse]
+                if all(sum(c * x for c, x in zip(g, vertex)) >= -e for g, e in rows):
+                    radius = max(radius, *(ceil(abs(x)) for x in vertex))
+        return radius
+
+
+@functools.cache
+def newton_polytope(config: PointConfig) -> NewtonPolytope:
+    """The facets of conv(0 u A), in one pass over the n-subsets of A u {0}.
+
+    A facet c.u = d is spanned by n affinely independent points of A u {0},
+    so (c, d) is the kernel of the rows (a, -1) of one such subset, and
+    c.a - d has one sign over A u {0}; d = 0 marks a facet of the cone.
+    """
+    n = config.n
+    points = config.points + ((0,) * n,)
+    found: set[tuple[IntVec, int]] = set()
+    for subset in itertools.combinations(points, n):
+        kernel = integer_kernel([[*a, -1] for a in subset])
+        if len(kernel) != 1:
+            continue
+        *c, d = kernel[0]
+        values = [sum(ci * x for ci, x in zip(c, a)) - d for a in points]
+        if all(v <= 0 for v in values):
+            found.add((tuple(c), d))
+        elif all(v >= 0 for v in values):
+            found.add((tuple(-x for x in c), -d))
+    cone = tuple(FacetForm(f) for f in sorted(tuple(-x for x in c)
+                                              for c, d in found if d == 0))
+    return NewtonPolytope(n=n, cone=cone,
+                          weights=tuple(sorted((c, d) for c, d in found if d > 0)),
+                          h=tuple(sum(f.coeffs[i] for f in cone) for i in range(n)))
 
 
 def cone_facets(config: PointConfig) -> tuple[FacetForm, ...]:
-    """Primitive inner normals of the codimension-one faces of the cone.
-
-    Brute force over (n-1)-element subsets of the points: each facet of the
-    cone is spanned by points lying on it, so its normal shows up as the
-    kernel of one such subset.  One-sidedness over the whole configuration
-    filters genuine facets; duplicates are removed by the normalized form.
-    """
-    n = config.n
-    found: dict[IntVec, FacetForm] = {}
-    for subset in itertools.combinations(range(config.N), n - 1):
-        rows = [list(config.points[j]) for j in subset]
-        if rows and rational_rank(rows) != n - 1:
-            continue
-        kernel = integer_kernel(rows) if rows else integer_kernel([[0] * n])
-        if len(kernel) != 1:
-            continue
-        normal = _primitive(kernel[0])
-        values = [sum(c * x for c, x in zip(normal, p)) for p in config.points]
-        if all(v >= 0 for v in values):
-            oriented = normal
-        elif all(v <= 0 for v in values):
-            oriented = tuple(-c for c in normal)
-        else:
-            continue
-        found[oriented] = FacetForm(coeffs=oriented)
-    return tuple(found[key] for key in sorted(found))
-
-
-def facet_weight(facets: Sequence[FacetForm], n: int) -> IntVec:
-    """Coefficients of the weight h, the sum of the facet forms."""
-    return tuple(sum(f.coeffs[i] for f in facets) for i in range(n))
+    """Sorted inner normals of the cone's facets, those of conv(0 u A) at 0."""
+    return newton_polytope(config).cone
 
 
 def is_nonresonant(config: PointConfig, alpha: ParameterVector) -> ResonanceVerdict:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import ScalarModeError
 from .intmat import solve_integer
-from .lattice import ParameterVector, PointConfig, cone_facets, facet_weight
+from .lattice import ParameterVector, PointConfig, newton_polytope
 
 IntVec = tuple[int, ...]
 
@@ -381,10 +381,10 @@ class ConeSupport(Support):
     def __init__(self, config: PointConfig):
         self.config = config
         self.name = "U0"
-        self.hvec = facet_weight(cone_facets(config), config.n)
+        self.hvec = newton_polytope(config).h
         self._steps = [(a, self.weight(a)) for a in config.points if self.weight(a) > 0]
         zero = [a for a in config.points if self.weight(a) == 0]
-        self._span = [[a[i] for a in zero] for i in range(config.n)]
+        self._span = [[a[i] for a in zero] for i in range(config.n)] if zero else None
         self._layers: list[set[IntVec]] = [{(0,) * config.n}]
 
     def weight(self, u: Sequence[int]) -> int:
@@ -399,16 +399,15 @@ class ConeSupport(Support):
                                  for s in self._layers[k - ha]})
         return self._layers[w]
 
-    def elements(self, cap: int) -> list[IntVec]:
-        """Sums of steps of weight at most cap: on a pointed cone, U0 under the cap."""
-        return [u for w in range(cap + 1) for u in self._layer(w)]
-
     def contains(self, u: IntVec) -> bool:
         w = self.weight(u)
         if w < 0:
             return False
         layer = self._layer(w)
-        return tuple(u) in layer or any(
+        if tuple(u) in layer:
+            return True
+        # with no point of weight zero the lineality group is trivial
+        return self._span is not None and any(
             solve_integer(self._span, [x - y for x, y in zip(u, s)]) is not None
             for s in layer)
 

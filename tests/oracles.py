@@ -141,24 +141,66 @@ def brute_positive_combination(points: list[tuple[int, ...]], u: tuple[int, ...]
     return False
 
 
-def brute_cone_window(points: list[tuple[int, ...]], cap: int) -> set[tuple[int, ...]]:
-    """Every sum of c_j times the j-th point with sum of c_j h(a_j) <= cap,
-    where h is the sum of the facet normals from brute_facets.
+def brute_newton_window(points: list[tuple[int, ...]], B: int, coeff_bound: int,
+                        cone_coeff_bound: int | None = None) -> set[tuple[int, ...]]:
+    """Every lattice point u with w(u) + 2 D(u) <= B, where w(u) is the
+    largest -g.u / e and D(u) the sum of max(0, -g.u) over the facet normals
+    (g, e) of the homogenized configuration (a, 1), (0, 1) with e > 0 and
+    e = 0 respectively.
 
-    Enumerates coefficient vectors directly; for pointed cones only, where h
-    is positive on every nonzero point.
+    The normals come from brute_facets.  Adding a point across a violated
+    facet lowers w + 2D by at least 1, and clearing the depth -f(u) below a
+    facet f takes at least -f(u) / max f(a) such steps, so the window lies
+    in the polytope with w <= B and each f(u) >= -B max f(a); the scanned
+    box holds its vertices, the feasible solutions of n of its equations
+    (Cramer's rule).  With cone_coeff_bound, only nonnegative integer
+    combinations of the points with coefficients up to that bound are kept
+    (each lies in the cone, where D = 0).
     """
     n = len(points[0])
-    normals = brute_facets(points, 4)
-    weights = [sum(sum(c[i] for c in normals) * p[i] for i in range(n)) for p in points]
-    steps = [(p, w) for p, w in zip(points, weights) if any(p)]
-    assert all(w > 0 for _, w in steps), "cone is not pointed"
+    normals = brute_facets([(*a, 1) for a in points] + [(0,) * n + (1,)], coeff_bound)
+    weights = [(g[:n], g[n]) for g in normals if g[n] > 0]
+    cone = [g[:n] for g in normals if g[n] == 0]
+    rows = [(g, B * e) for g, e in weights]
+    rows += [(f, B * max(sum(c * x for c, x in zip(f, a)) for a in points)) for f in cone]
+    box = 0
+    for subset in itertools.combinations(rows, n):
+        det = int_det([list(g) for g, _ in subset])
+        if det == 0:
+            continue
+        vertex = [Fraction(int_det([[-r if k == i else g[k] for k in range(n)]
+                                    for g, r in subset]), det) for i in range(n)]
+        if all(sum(c * x for c, x in zip(g, vertex)) >= -r for g, r in rows):
+            box = max(box, *(-(-abs(x) // 1) for x in vertex))
     out = set()
-    for coeffs in itertools.product(*(range(cap // w + 1) for _, w in steps)):
-        if sum(c * w for c, (_, w) in zip(coeffs, steps)) <= cap:
-            out.add(tuple(sum(c * p[i] for c, (p, _) in zip(coeffs, steps))
-                          for i in range(n)))
+    for u in itertools.product(range(-box, box + 1), repeat=n):
+        depth = sum(max(0, -sum(c * x for c, x in zip(f, u))) for f in cone)
+        if all(-sum(c * x for c, x in zip(g, u)) + 2 * depth * e <= B * e
+               for g, e in weights) and (
+                cone_coeff_bound is None or depth == 0
+                and brute_positive_combination(points, u, cone_coeff_bound)):
+            out.add(u)
     return out
+
+
+def shoelace_volume(points: list[tuple[int, int]]) -> int:
+    """2! vol(conv(0 u A)) for plane points: monotone-chain hull, then shoelace."""
+    pts = sorted(set(points) | {(0, 0)})
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    hull = chains[0] + chains[1]
+    return abs(sum(x1 * y2 - x2 * y1
+                   for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1])))
 
 
 def modp_recurrence_dim(points: list[tuple[int, ...]],

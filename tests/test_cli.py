@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gkzkit.cli import main
 from gkzkit.derham import CohomologyWindow
+from gkzkit.lattice import newton_polytope
 from gkzkit.linalg import RationalEchelon
 
 
@@ -72,6 +73,36 @@ def test_rank_not_stabilized_exits_3(capsys):
         assert code == 3, argv
         assert report["result"]["error"]["kind"] == "NotStabilized"
         assert report["result"]["error"]["dims"] == [1, 2], argv
+
+
+@pytest.mark.parametrize("points, supports, bound, volume", [
+    # n! vol(conv(0 u A)) by the shoelace formula on the hull of 0 and the
+    # points; the 3-D points lie at height 1 over a quadrilateral of area
+    # 5/2, so 3! * (1/3) * 5/2 = 5 (at bound 2 the window pair reads 4, 5)
+    ([[1, 0], [0, 1], [-1, -1]], "zn,u0", 4, 3),
+    ([[1, 0], [0, 1], [1, 1], [2, 1]], "zn,u0", 4, 3),
+    ([[1, 0], [0, 1], [2, 3]], "zn", 4, 5),
+    ([[0, 0, 1], [1, 0, 1], [0, 1, 1], [2, 3, 1]], "zn", 3, 5),
+])
+def test_rank_is_the_normalized_volume(capsys, points, supports, bound, volume):
+    alpha = ",".join(["1/3", "1/5", "1/7"][:len(points[0])])
+    code, report = run(capsys, "rank", "--config", json.dumps({"points": points}),
+                       "--alpha", alpha, "--bound", str(bound), "--supports", supports)
+    assert code == 0
+    reports = report["result"]["supports"]
+    assert len(reports) == len(supports.split(","))
+    assert all(rep["dims"] == [volume, volume] for rep in reports.values())
+    if len(reports) == 2:
+        assert report["result"]["quasi_iso"]["verdict"] is True
+
+
+def test_rank_enumerates_the_facets_once(capsys):
+    newton_polytope.cache_clear()
+    # both supports, four windows, the cone walk and the resonance check
+    code, _ = run(capsys, "rank", "--config", "gauss", "--alpha", "1/2,1/3,1/5",
+                  "--bound", "3")
+    assert code == 0
+    assert newton_polytope.cache_info().misses == 1
 
 
 TRINOMIAL_JOB = ["rank", "--config", "trinomial", "--alpha", "1/3,1/5",

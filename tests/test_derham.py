@@ -15,13 +15,11 @@ from gkzkit.derham import (CohomologyWindow, LogForm, check_complex,
                            twist_conjugation_check, _generator_vectors)
 from gkzkit.errors import GkzError, NotStabilizedError
 from gkzkit.hypersurface import apply_unimodular
-from gkzkit.intmat import rational_rank
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
 from gkzkit.laurent import (ConeSupport, FullSupport, LambdaPoly, LaurentPoly,
                             WSupport, build_f, build_f_symbolic)
-from oracles import (brute_cone_window, brute_facets, brute_positive_combination,
-                     dense_rank)
+from oracles import brute_newton_window, dense_rank, shoelace_volume
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 LAM4 = LAM3 + [Fraction(7, 13)]
@@ -138,58 +136,40 @@ def test_window_points_in_elimination_order():
         assert all(win.points[k] == u for u, k in win.index.items())
 
 
-def test_cone_window_is_the_semigroup_under_the_cap():
-    cases = [(builtin_config(name), (1, 2, 3))
-             for name in ("single", "cusp", "trinomial", "gauss")]
-    cases += [(validate_config(points), (1, 2, 3)) for points in (
-        [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
-        [(0, 1), (1, 1), (-1, 1), (2, 1)],
-        [(2,), (3,)])]
-    cases.append((validate_config([(1, 0, 1), (-1, 2, 1), (1, -1, -2),
-                                   (1, 2, -1), (0, 0, 1)]), (1,)))
-    for cfg, bounds in cases:
-        for b in bounds:
-            win = CohomologyWindow(cfg, ConeSupport(cfg), b)
-            assert set(win.points) == brute_cone_window(cfg.points, win.cap), \
-                (cfg.points, b)
+def assert_newton_window(cfg, bound):
+    """Both the Z^n and the U0 window equal the brute-force Newton window."""
+    points = list(cfg.points)
+    full = CohomologyWindow(cfg, FullSupport(cfg.n), bound)
+    assert set(full.points) == brute_newton_window(points, bound, 3), (points, bound)
+    cone = CohomologyWindow(cfg, ConeSupport(cfg), bound)
+    assert set(cone.points) == brute_newton_window(points, bound, 3, 2 * bound + 1), \
+        (points, bound)
 
 
-def test_cone_window_with_lineality_scans_the_box():
+def test_newton_window_on_builtins():
+    for name in builtin_names():
+        for b in (1, 2):
+            assert_newton_window(builtin_config(name), b)
+
+
+def test_cone_window_matches_brute_newton_window():
+    for points in ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+                   [(0, 1), (1, 1), (-1, 1), (2, 1)], [(2,), (3,)],
+                   [(1, 0, 1), (-1, 2, 1), (1, -1, -2), (1, 2, -1), (0, 0, 1)]):
+        for b in (1, 2):
+            assert_newton_window(validate_config(points), b)
+
+
+def test_lineality_window_matches_brute_newton_window():
     for points in ([(1,), (-1,)], [(1, 0), (-1, 0), (0, 1)],
                    [(1, 0), (0, 1), (-1, -1)], [(1, 0), (-1, 0), (0, 2), (1, 3)]):
-        cfg = validate_config(points)
-        normals = brute_facets(points, 4)
         for b in (1, 2):
-            win = CohomologyWindow(cfg, ConeSupport(cfg), b)
-            want = {u for u in itertools.product(range(-b, b + 1), repeat=cfg.n)
-                    if all(sum(c * x for c, x in zip(normal, u)) >= -b
-                           for normal in normals)
-                    and brute_positive_combination(points, u, 3 * b + 2)}
-            assert win.cap is None and set(win.points) == want, (points, b)
-
-
-def facet_matrix_pointed(config):
-    facets = cone_facets(config)
-    return bool(facets) and \
-        rational_rank([list(f.coeffs) for f in facets]) == config.n
-
-
-def weight_pointed(config):
-    # the window caps the weight exactly when it takes the cone as pointed
-    return CohomologyWindow(config, FullSupport(config.n), 0).cap is not None
-
-
-def test_weight_pointedness_on_builtins():
-    want = {"single": True, "cusp": True, "bessel": False,
-            "trinomial": True, "gauss": True}
-    for name in builtin_names():
-        cfg = builtin_config(name)
-        assert weight_pointed(cfg) == facet_matrix_pointed(cfg) == want[name]
+            assert_newton_window(validate_config(points), b)
 
 
 @st.composite
 def small_configs(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 2))
     points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
                            min_size=n, max_size=n + 2, unique=True))
     try:
@@ -200,8 +180,12 @@ def small_configs(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(config=small_configs())
-def test_weight_pointedness_matches_facet_rank(config):
-    assert weight_pointed(config) == facet_matrix_pointed(config)
+def test_newton_window_matches_brute_oracle_on_small_configs(config):
+    # the U0 oracle's coefficient scan is too slow for random cones with
+    # lineality, so random draws check the window shape on Z^n
+    for b in (1, 2):
+        win = CohomologyWindow(config, FullSupport(config.n), b)
+        assert set(win.points) == brute_newton_window(list(config.points), b, 5)
 
 
 def dense_quotient_dim(config, alpha, lam, support, bound):
@@ -344,6 +328,26 @@ def test_generic_rank_two_specializations():
     rep = generic_rank(tri, alpha, FullSupport(2), 4, seed=5)
     assert rep.stabilized and rep.dim == 2
     assert any("second specialization" in w for w in rep.warnings)
+
+
+@st.composite
+def plane_configs(draw):
+    points = draw(st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+                           min_size=3, max_size=4, unique=True))
+    try:
+        return validate_config(points)
+    except GkzError:
+        reject()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(config=plane_configs())
+def test_generic_rank_is_the_volume_in_the_plane(config):
+    # a primitive facet normal (f1, f2) takes an integer value on (1/7, 1/11)
+    # only when 7 | f1 and 11 | f2, which no normal of these points does
+    alpha = ParameterVector.of("1/7", "1/11")
+    rep = generic_rank(config, alpha, FullSupport(2), 4)
+    assert rep.dim == shoelace_volume(config.points), config.points
 
 
 def test_not_stabilized_surfaces():
