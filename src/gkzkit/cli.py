@@ -182,6 +182,8 @@ def cmd_modp(args) -> int:
     config, label = _resolve_config(args.config)
     alpha = _parse_alpha_arg(args.alpha)
     primes = [int(p.strip()) for p in args.primes.split(",") if p.strip()]
+    if not primes:
+        raise ValueError("--primes lists no prime")
     try:
         report = full_set_sweep(config, alpha, primes, bound=args.bound,
                                 seed=args.seed)
@@ -192,8 +194,8 @@ def cmd_modp(args) -> int:
         return EXIT_RESONANT
     except NotStabilizedError as exc:
         _emit({"job": _job_block(args, config, label),
-               "result": {"error": {"kind": "NotStabilized",
-                                    "dims": list(exc.dims)}}}, args.out)
+               "result": {"error": {"kind": "NotStabilized", "dims": list(exc.dims),
+                                    "bound": exc.bound}}}, args.out)
         return EXIT_NOT_STABILIZED
     _emit({"job": _job_block(args, config, label), "result": report.to_json()},
           args.out)

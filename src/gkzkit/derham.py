@@ -218,11 +218,6 @@ def homotopy_identity_check(ell: FacetForm, alpha: ParameterVector,
     return True
 
 
-def graded_multiplier(ell: FacetForm, alpha: ParameterVector, p: int) -> Fraction:
-    """The scalar by which the homotopy acts on the p-th graded piece."""
-    return Fraction(ell.evaluate(alpha.entries)) + p
-
-
 @dataclass
 class RankReport:
     """Outcome of a truncated top-cohomology dimension computation."""

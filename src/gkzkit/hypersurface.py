@@ -143,10 +143,6 @@ class LocalizedElement:
     def zero(g: LaurentPoly) -> "LocalizedElement":
         return LocalizedElement(g, LaurentPoly.zero(g.n), 0)
 
-    @staticmethod
-    def from_poly(g: LaurentPoly, num: LaurentPoly) -> "LocalizedElement":
-        return LocalizedElement(g, num, 0)
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -171,12 +167,6 @@ class LocalizedElement:
 
     def __sub__(self, other: "LocalizedElement") -> "LocalizedElement":
         return self + (-other)
-
-    def __mul__(self, other: "LocalizedElement") -> "LocalizedElement":
-        if self.g != other.g:
-            raise ValueError("localized elements over different denominators")
-        return LocalizedElement(self.g, self.num * other.num,
-                                self.gpow + other.gpow)
 
     def scale(self, c) -> "LocalizedElement":
         return LocalizedElement(self.g, self.num.scalar_mul(c), self.gpow)
@@ -248,10 +238,6 @@ class UForm:
 
     def __sub__(self, other: "UForm") -> "UForm":
         return self + (-other)
-
-    def mul_localized(self, c: LocalizedElement) -> "UForm":
-        return UForm(self.g, self.degree,
-                     {idx: v * c for idx, v in self.components.items()})
 
     def __repr__(self) -> str:
         if not self.components:
@@ -365,22 +351,6 @@ def d_v(alpha: ParameterVector, g: LaurentPoly, part0: LogForm) -> LogForm:
     return out
 
 
-def split_boundaries(alpha: ParameterVector, g: LaurentPoly,
-                     sf: SplitForm) -> tuple[SplitForm, LogForm]:
-    """The two boundary maps of the double complex.
-
-    Returns the horizontal image of both rows as a SplitForm of one higher
-    degree, and the vertical image of the top row (which lands in the
-    dx_n/x_n row).  The vertical map is injective on the half-Laurent row;
-    a zero vertical image with a nonzero input raises.
-    """
-    dh = SplitForm(d_h(alpha, g, sf.part0), d_h(alpha, g, sf.part1))
-    dv = d_v(alpha, g, sf.part0)
-    if dv.is_zero() and not sf.part0.is_zero():
-        raise StructureError("vertical boundary unexpectedly annihilated a form")
-    return dh, dv
-
-
 def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
                               lam: Sequence, samples: Sequence["LogForm"]) -> bool:
     """The twisted differential on the full torus decomposes along the rows:
@@ -453,21 +423,6 @@ def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
     return True
 
 
-def twist_iso_U_check(alpha: ParameterVector, u: Sequence[int], g: LaurentPoly,
-                      samples: Sequence[UForm]) -> bool:
-    """Multiplication by x'^{u'} / g^{u_n} conjugates the shifted twist to the
-    original twist on the complement."""
-    u = tuple(int(x) for x in u)
-    factor = LocalizedElement(g, LaurentPoly.monomial(u[:-1]), u[-1])
-    shifted = alpha.shift(u)
-    for omega in samples:
-        lhs = tilde_nabla(shifted, g, omega).mul_localized(factor)
-        rhs = tilde_nabla(alpha, g, omega.mul_localized(factor))
-        if lhs != rhs:
-            return False
-    return True
-
-
 def _box(nprime: int, bound: int):
     return itertools.product(range(-bound, bound + 1), repeat=nprime)
 
@@ -487,8 +442,6 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
         raise PochhammerPoleError(
             "last parameter entry is a nonpositive integer")
     nprime = g.n
-    n = nprime + 1
-    r_g = max(max(abs(x) for x in u) for u in g.terms)
     idx_tuples = list(itertools.combinations(range(1, nprime + 1), k))
     basis = [(up, m, idx) for idx in idx_tuples
              for up in _box(nprime, u_bound) for m in range(m_bound + 1)]

@@ -13,11 +13,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Iterable, Sequence
 
 from .errors import DuplicatePointError, NotARelationError, NotGeneratingError
-from .intmat import integer_kernel, invariant_factors, matvec, rational_inverse
+from .intmat import integer_kernel, invariant_factors, matvec
 
 
 IntVec = tuple[int, ...]
@@ -155,43 +154,29 @@ class NewtonPolytope:
     With the Newton weight w(u) = max c.u / d (at most 1 on every point)
     and the depth D(u) = sum of max(0, -f(u)) (0 exactly on the cone), the
     window V_B = {u : w(u) + 2 D(u) <= B} is B times V_1 and meets the cone
-    in B Delta.  Off the cone, adding a point a with f(a) >= 1 across a
-    violated facet f raises w by at most 1 and lowers D by at least 1 until
-    the cone, where w >= 0, is reached; so w + 2D >= 1 there and V_1 is
-    bounded.
+    in B Delta.
+
+    ``radius`` is max |a|_inf over the points, and every lattice point of
+    V_B has |u|_inf <= B * radius.  If u violates a cone facet f, then
+    f(u) <= -1; as A spans Z^n and f >= 0 on A, some point a has
+    f(a) >= 1.  Then D(u + a) <= D(u) - 1 and, w being sublinear with
+    w(a) <= 1, w(u + a) <= w(u) + 1, so u + a lies in V_{B-1}.  Repeating
+    reaches the cone, where w >= 0, so V_B is empty for B < 0; on the cone
+    V_B = B Delta.  Induction on B, with |u|_inf <= |u + a|_inf + radius,
+    gives the bound.  As V_1 contains Delta, no smaller radius bounds V_1.
     """
 
     n: int
     cone: tuple[FacetForm, ...]
     weights: tuple[tuple[IntVec, int], ...]
     h: IntVec       # the sum of the cone facet forms
+    radius: int
 
     def contains(self, u: Sequence[int], bound: int) -> bool:
         """Is u in V_B for B = bound?"""
         depth = sum(max(0, -f.evaluate(u)) for f in self.cone)
         return all(sum(ci * x for ci, x in zip(c, u)) + 2 * depth * d <= bound * d
                    for c, d in self.weights)
-
-    @functools.cached_property
-    def radius(self) -> int:
-        """The least integer bounding every coordinate of V_1, from the
-        vertices of its pieces on the sign patterns of the cone facets."""
-        radius = 0
-        for signs in itertools.product((1, -1), repeat=len(self.cone)):
-            # the piece where the facets of sign -1 are violated, as g.u >= -e
-            down = [sum(f.coeffs[i] for f, s in zip(self.cone, signs) if s < 0)
-                    for i in range(self.n)]
-            rows = [(tuple(s * x for x in f.coeffs), 0) for f, s in zip(self.cone, signs)]
-            rows += [(tuple(2 * d * y - x for x, y in zip(c, down)), d) for c, d in self.weights]
-            for subset in itertools.combinations(rows, self.n):
-                try:
-                    inverse = rational_inverse([list(g) for g, _ in subset])
-                except ValueError:
-                    continue
-                vertex = [-sum(x * e for x, (_, e) in zip(row, subset)) for row in inverse]
-                if all(sum(c * x for c, x in zip(g, vertex)) >= -e for g, e in rows):
-                    radius = max(radius, *(ceil(abs(x)) for x in vertex))
-        return radius
 
 
 @functools.cache
@@ -219,7 +204,8 @@ def newton_polytope(config: PointConfig) -> NewtonPolytope:
                                               for c, d in found if d == 0))
     return NewtonPolytope(n=n, cone=cone,
                           weights=tuple(sorted((c, d) for c, d in found if d > 0)),
-                          h=tuple(sum(f.coeffs[i] for f in cone) for i in range(n)))
+                          h=tuple(sum(f.coeffs[i] for f in cone) for i in range(n)),
+                          radius=max(abs(x) for a in config.points for x in a))
 
 
 def cone_facets(config: PointConfig) -> tuple[FacetForm, ...]:

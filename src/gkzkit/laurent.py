@@ -9,9 +9,8 @@ ScalarModeError on a mismatch.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ScalarModeError
 from .intmat import solve_integer
@@ -410,41 +409,3 @@ class ConeSupport(Support):
         return self._span is not None and any(
             solve_integer(self._span, [x - y for x, y in zip(u, s)]) is not None
             for s in layer)
-
-
-class WSupport(Support):
-    """Exponents with facet values at least the given thresholds on a subset T."""
-
-    def __init__(self, v: Sequence[int], T: Iterable[int], facets: Sequence):
-        self.v = tuple(int(x) for x in v)
-        self.T = tuple(sorted(set(T)))
-        self.facets = tuple(facets)
-        if len(self.v) != len(self.facets):
-            raise ValueError("threshold vector length must match the facet list")
-        if self.T and not 1 <= self.T[0] <= self.T[-1] <= len(self.facets):
-            raise ValueError(f"facet indices {self.T} outside 1..{len(self.facets)}")
-        self.name = f"W({self.v},{self.T})"
-
-    def contains(self, u: IntVec) -> bool:
-        return all(self.facets[i - 1].evaluate(u) >= self.v[i - 1] for i in self.T)
-
-
-def support_restrict(p: LaurentPoly, S: Support) -> tuple[LaurentPoly, LaurentPoly]:
-    """Split p into the part supported in S and the residue outside."""
-    inside: dict[IntVec, Scalar] = {}
-    outside: dict[IntVec, Scalar] = {}
-    for u, c in p.terms.items():
-        (inside if S.contains(u) else outside)[u] = c
-    return (LaurentPoly(p.n, inside, p.nlam), LaurentPoly(p.n, outside, p.nlam))
-
-
-def check_closure(S: Support, config: PointConfig, bound: int) -> bool:
-    """Sample the closure condition: u in S implies u + a(j) in S, within a box."""
-    for u in itertools.product(range(-bound, bound + 1), repeat=config.n):
-        if S.contains(u):
-            for a in config.points:
-                if not S.contains(tuple(x + y for x, y in zip(u, a))):
-                    return False
-    return True
-
-

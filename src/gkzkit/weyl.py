@@ -274,25 +274,3 @@ def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
             return False
     return True
 
-
-def apply_box_to_lambda_poly(box: WeylElement, poly: LambdaPoly) -> LambdaPoly:
-    """Apply a pure-del Weyl element to a polynomial in the parameters."""
-    out = LambdaPoly(poly.nvars)
-    for (e, b), c in box.terms.items():
-        for exp, coeff in poly.terms.items():
-            val = coeff * c
-            new = list(exp)
-            ok = True
-            for j, bj in enumerate(b):
-                for _ in range(bj):
-                    if new[j] == 0:
-                        ok = False
-                        break
-                    val *= new[j]
-                    new[j] -= 1
-                if not ok:
-                    break
-            if ok and val:
-                tgt = tuple(x + y for x, y in zip(new, e))
-                out = out + LambdaPoly(poly.nvars, {tgt: val})
-    return out

@@ -254,3 +254,22 @@ def modp_recurrence_dim(points: list[tuple[int, ...]],
             if touched and any(row):
                 rows.append(row)
     return len(support) - dense_rank_modp(rows, p)
+
+
+def apply_box_to_lambda_poly(box_terms: dict, poly_terms: dict) -> dict:
+    """A Weyl element, as its terms {(e, b): c} for c lambda^e del^b, applied
+    to a polynomial in the parameters, as its terms {exponent: c}: each del_j
+    differentiates by hand, one power at a time.  Returns nonzero terms."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for (e, b), c in box_terms.items():
+        for exp, coeff in poly_terms.items():
+            val = Fraction(coeff) * c
+            new = list(exp)
+            for j, bj in enumerate(b):
+                for _ in range(bj):
+                    val *= new[j]
+                    new[j] -= 1
+            if val:
+                tgt = tuple(x + y for x, y in zip(new, e))
+                out[tgt] = out.get(tgt, Fraction(0)) + val
+    return {w: c for w, c in out.items() if c}

@@ -71,8 +71,8 @@ def test_rank_not_stabilized_exits_3(capsys):
                  ["modp", *job]):
         code, report = run(capsys, *argv)
         assert code == 3, argv
-        assert report["result"]["error"]["kind"] == "NotStabilized"
-        assert report["result"]["error"]["dims"] == [1, 2], argv
+        assert report["result"]["error"] == {"kind": "NotStabilized",
+                                             "dims": [1, 2], "bound": 1}, argv
 
 
 @pytest.mark.parametrize("points, supports, bound, volume", [
@@ -151,12 +151,16 @@ def test_verify_perturbed_beta_fails(capsys):
 
 def test_verify_vacuous_flagged(capsys):
     # the single-point configuration has no relations, so the commutation
-    # section runs on zero samples and says so
-    code, report = run(capsys, "verify", "--config", "single")
-    assert code == 0
-    battery = report["result"]["batteries"][0]
-    comm = next(c for c in battery["checks"] if c["name"] == "commutation")
-    assert comm["vacuous"] is True and comm["samples"] == 0
+    # section runs on zero samples and says so; degree -1 leaves no Weyl
+    # monomial to transport
+    for config, extra, name in (("single", [], "commutation"),
+                                ("trinomial", ["--degree", "-1"], "phi_intertwines")):
+        code, report = run(capsys, "verify", "--config", config, *extra)
+        assert code == 0
+        checks = report["result"]["batteries"][0]["checks"]
+        check = next(c for c in checks if c["name"] == name)
+        assert check["vacuous"] is True and check["samples"] == 0, name
+        assert all(c["vacuous"] == (c["ok"] and c["samples"] == 0) for c in checks)
 
 
 def test_modp_sweep_and_skip(capsys):
@@ -188,6 +192,8 @@ def test_modp_sweep_and_skip(capsys):
     ["rank", "--config", "single", "--alpha=1/2", "--lambda=1/0"],
     ["verify", "--config", "trinomial", "--alpha=1/3"],
     ["rank", "--config", "trinomial", "--alpha=1/3,1/5", "--lambda=1,2"],
+    ["modp", "--config", "single", "--alpha=1/2", "--primes="],
+    ["modp", "--config", "single", "--alpha=1/2", "--primes=,"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code = main(argv)

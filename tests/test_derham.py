@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.derham import (CohomologyWindow, LogForm, check_complex,
                            enumerate_monomial_forms, generic_rank,
-                           graded_multiplier, homotopy_identity_check,
-                           homotopy_rho, nabla, quasi_iso_check,
-                           require_stabilized, top_cohomology_dim,
-                           twist_conjugation_check, _generator_vectors)
+                           homotopy_identity_check, homotopy_rho, nabla,
+                           quasi_iso_check, require_stabilized,
+                           top_cohomology_dim, twist_conjugation_check,
+                           _generator_vectors)
 from gkzkit.errors import GkzError, NotStabilizedError
 from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
 from gkzkit.laurent import (ConeSupport, FullSupport, LambdaPoly, LaurentPoly,
-                            WSupport, build_f, build_f_symbolic)
+                            build_f, build_f_symbolic)
 from oracles import brute_newton_window, dense_rank, shoelace_volume
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
@@ -114,15 +114,6 @@ def test_filtration_compatibility():
                         assert ell.evaluate(w) >= p
 
 
-def test_graded_multiplier():
-    assert graded_multiplier(FacetForm((1,)), ParameterVector.of("1/2"), 0) \
-        == Fraction(1, 2)
-    assert graded_multiplier(FacetForm((1,)), ParameterVector.of(3), -3) == 0
-    assert graded_multiplier(FacetForm((1, 1)),
-                             ParameterVector.of("1/3", "1/5"), 2) \
-        == Fraction(38, 15)
-
-
 def test_window_points_in_elimination_order():
     tri = builtin_config("trinomial")
     gauss = builtin_config("gauss")
@@ -136,14 +127,15 @@ def test_window_points_in_elimination_order():
         assert all(win.points[k] == u for u, k in win.index.items())
 
 
-def assert_newton_window(cfg, bound):
+def assert_newton_window(cfg, bound, coeff_bound=3):
     """Both the Z^n and the U0 window equal the brute-force Newton window."""
     points = list(cfg.points)
     full = CohomologyWindow(cfg, FullSupport(cfg.n), bound)
-    assert set(full.points) == brute_newton_window(points, bound, 3), (points, bound)
-    cone = CohomologyWindow(cfg, ConeSupport(cfg), bound)
-    assert set(cone.points) == brute_newton_window(points, bound, 3, 2 * bound + 1), \
+    assert set(full.points) == brute_newton_window(points, bound, coeff_bound), \
         (points, bound)
+    cone = CohomologyWindow(cfg, ConeSupport(cfg), bound)
+    assert set(cone.points) == brute_newton_window(points, bound, coeff_bound,
+                                                   2 * bound + 1), (points, bound)
 
 
 def test_newton_window_on_builtins():
@@ -158,6 +150,15 @@ def test_cone_window_matches_brute_newton_window():
                    [(1, 0, 1), (-1, 2, 1), (1, -1, -2), (1, 2, -1), (0, 0, 1)]):
         for b in (1, 2):
             assert_newton_window(validate_config(points), b)
+
+
+@pytest.mark.parametrize("points, coeff_bound", [
+    ([(-2, 2, 2), (-2, 1, -2), (2, 0, -2), (-2, -1, 1), (1, -1, -2)], 5),
+    ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (2, 1, 1), (1, 2, 1),
+      (-1, 2, 1), (-2, 1, 1), (0, 0, 1)], 3)])
+def test_uneven_3d_windows_match_brute_newton_window(points, coeff_bound):
+    # the scan box is B max|a|, far smaller than the oracle's vertex box
+    assert_newton_window(validate_config(points), 1, coeff_bound)
 
 
 def test_lineality_window_matches_brute_newton_window():
@@ -239,12 +240,9 @@ def test_gauss_dimension():
 def test_dimension_same_across_supports_including_W():
     tri = builtin_config("trinomial")
     alpha = builtin_alpha("trinomial")
-    facets = cone_facets(tri)
-    supports = [FullSupport(2), ConeSupport(tri),
-                WSupport((0, 0), (1, 2), facets),
-                WSupport((-1, 1), (1, 2), facets)]
+    supports = [FullSupport(2), ConeSupport(tri)]
     dims = [top_cohomology_dim(tri, alpha, LAM3, S, 4).dim for S in supports]
-    assert dims == [2, 2, 2, 2]
+    assert dims == [2, 2]
 
 
 def test_quasi_iso_and_warnings():

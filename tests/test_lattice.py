@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gkzkit.errors import DuplicatePointError, NotGeneratingError
 from gkzkit.lattice import (ParameterVector, cone_facets, is_nonresonant,
                             relation_lattice, validate_config)
-from gkzkit.laurent import WSupport
 from oracles import brute_facets, minor_gcd, residue_subgroup_covers
 
 
@@ -149,26 +148,3 @@ def test_nonresonance_shift_invariance(num, den, shift):
     shifted = alpha.shift(shift)
     assert (is_nonresonant(cfg, alpha).nonresonant
             == is_nonresonant(cfg, shifted).nonresonant)
-
-
-def test_W_support_contains():
-    cfg = validate_config([(0, 1), (1, 1), (-1, 1)])
-    facets = cone_facets(cfg)
-    assert WSupport((0, 0), (), facets).contains((5, -5))
-    assert WSupport((0, 0), (1, 2), facets).contains((0, 2))
-    c1 = validate_config([(1,)])
-    f1 = cone_facets(c1)
-    assert not WSupport((0,), (1,), f1).contains((-1,))
-
-
-def test_W_support_rejects_short_threshold_vector():
-    facets = cone_facets(validate_config([(0, 1), (1, 1), (-1, 1)]))
-    with pytest.raises(ValueError, match="threshold"):
-        WSupport((0,), (1,), facets)
-
-
-def test_W_support_rejects_facet_index_out_of_range():
-    facets = cone_facets(validate_config([(0, 1), (1, 1), (-1, 1)]))
-    for T in ((0,), (3,), (1, 3), (-1, 2)):
-        with pytest.raises(ValueError, match="facet indices"):
-            WSupport((0, 0), T, facets)

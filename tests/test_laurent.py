@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from gkzkit.errors import ScalarModeError
 from gkzkit.lattice import ParameterVector, validate_config
 from gkzkit.laurent import (ConeSupport, HalfSupport, LambdaPoly,
-                            LaurentPoly, WSupport, apply_D, build_f,
-                            build_f_symbolic, check_closure, divide_exact,
-                            support_restrict, toric_derivative)
-from gkzkit.lattice import cone_facets
+                            LaurentPoly, apply_D, build_f, build_f_symbolic,
+                            divide_exact, toric_derivative)
 from oracles import brute_positive_combination
 
 
@@ -121,32 +119,16 @@ def test_apply_D_stability_under_closed_supports():
     cfg = validate_config([(0, 1), (1, 1), (-1, 1)])
     alpha = ParameterVector.of("1/3", "1/5")
     f = build_f(cfg, [1, 2, 3])
-    supports = [ConeSupport(cfg), HalfSupport(2),
-                WSupport((0, 0), (1, 2), cone_facets(cfg))]
-    for S in supports:
-        assert check_closure(S, cfg, 3)
+    for S in (ConeSupport(cfg), HalfSupport(2)):
         for u in itertools.product(range(-3, 4), repeat=2):
             if not S.contains(u):
                 continue
+            # closed: every point shift of a member is a member
+            for a in cfg.points:
+                assert S.contains(tuple(x + y for x, y in zip(u, a))), (S.name, u, a)
             for i in (1, 2):
                 image = apply_D(i, alpha, f, mono(u))
-                inside, residue = support_restrict(image, S)
-                assert residue.is_zero()
-
-
-def test_support_restrict_examples():
-    S = HalfSupport(1)
-    p = mono((1,)) + mono((-1,))
-    inside, outside = support_restrict(p, S)
-    assert inside == mono((1,)) and outside == mono((-1,))
-
-    inside, outside = support_restrict(mono((2,), 5), S)
-    assert outside.is_zero()
-
-    cfg = validate_config([(1,), (2,)])
-    U0 = ConeSupport(cfg)
-    inside, outside = support_restrict(mono((3,)), U0)
-    assert outside.is_zero() and inside == mono((3,))
+                assert all(S.contains(w) for w in image.terms), (S.name, u, i)
 
 
 def test_cone_support_matches_bounded_enumeration():
@@ -181,19 +163,6 @@ def test_divide_exact_roundtrip(p, q):
     prod = p * q
     got = divide_exact(prod, q)
     assert got == p
-
-
-def test_laurent_json_roundtrip():
-    from gkzkit.jsonio import laurent_from_json, laurent_to_json
-
-    p = LaurentPoly(2, {(1, -2): Fraction(3, 7), (0, 0): Fraction(-5)})
-    data = laurent_to_json(p)
-    assert laurent_from_json(data, 2) == p
-
-    cfg = validate_config([(0, 1), (1, 1), (-1, 1)])
-    sym = build_f_symbolic(cfg) * build_f_symbolic(cfg)
-    data = laurent_to_json(sym)
-    assert laurent_from_json(data, 2, nlam=3) == sym
 
 
 def test_json_rejects_floats():

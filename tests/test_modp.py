@@ -9,12 +9,11 @@ from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
 from gkzkit.errors import ResonantError, SkippedPrimeError
 from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
-from gkzkit.laurent import LambdaPoly
 from gkzkit.modp import (_lattice_points_in_box, full_set_sweep, make_instance,
                          modp_solution_dim, recurrence_rows,
                          solution_dim_on_support, solution_support)
-from gkzkit.weyl import apply_box_to_lambda_poly, box_operator
-from oracles import modp_recurrence_dim
+from gkzkit.weyl import box_operator
+from oracles import apply_box_to_lambda_poly, modp_recurrence_dim
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PLANE2 = [(0, 1), (1, 1), (-1, 1), (2, 1)]
@@ -116,12 +115,11 @@ def test_recurrence_rows_match_weyl_oracle():
     box = box_operator(bessel, (1, 1))
     rows = recurrence_rows(inst, support, relations=[(1, 1)])
     # oracle: separately apply the box to each basis monomial and read off
-    # the column of每 coefficient mod p
+    # the column of each coefficient mod p
     by_w = {}
     for v in support:
-        mono = LambdaPoly(bessel.N, {v: Fraction(1)})
-        image = apply_box_to_lambda_poly(box, mono)
-        for w, c in image.terms.items():
+        image = apply_box_to_lambda_poly(box.terms, {v: Fraction(1)})
+        for w, c in image.items():
             num = c.numerator * pow(c.denominator, -1, p) % p
             if num:
                 by_w.setdefault(w, {})[v] = num
