@@ -182,8 +182,6 @@ def cmd_modp(args) -> int:
     config, label = _resolve_config(args.config)
     alpha = _parse_alpha_arg(args.alpha)
     primes = [int(p.strip()) for p in args.primes.split(",") if p.strip()]
-    if not primes:
-        raise ValueError("--primes lists no prime")
     try:
         report = full_set_sweep(config, alpha, primes, bound=args.bound,
                                 seed=args.seed)

@@ -2,9 +2,13 @@
 
 Solutions are sought among polynomials in the parameters with exponents in
 the box [0, p)^N.  The Euler operators pin the admissible exponents to a
-single congruence class family; the box operators impose falling-factorial
-recurrences between coefficients.  The solution dimension is the nullspace
-dimension of the combined system over the prime field, compared against the
+single congruence class; the box operators of the relations with sup norm
+below p impose falling-factorial recurrences between coefficients.  After
+rescaling each coefficient by v!, a unit mod p on the box, a recurrence
+either equates two coefficients in one integer fiber {v : Av = b} or kills
+one whose partner exponent leaves the box, so a spanning set of them has at
+most one row per exponent.  The solution dimension is the nullspace
+dimension of that system over the prime field, compared against the
 characteristic-zero rank.
 """
 
@@ -12,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
-from typing import Iterable, Sequence
+from math import isqrt, prod
+from typing import Sequence
 
 from .derham import generic_rank
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
-from .intmat import rational_inverse, solve_integer
+from .intmat import matvec, rational_inverse, solve_integer
 from .laurent import FullSupport
 from .lattice import (ParameterVector, PointConfig, RelationLattice,
                       is_nonresonant, relation_lattice)
@@ -106,81 +110,64 @@ def _lattice_points_in_box(lattice: RelationLattice, bound: int) -> list[IntVec]
     return kept
 
 
-def _falling_product(w: int, steps: int, p: int) -> int:
-    """(w+1)(w+2)...(w+steps) mod p."""
-    out = 1
-    for k in range(1, steps + 1):
-        out = (out * (w + k)) % p
-    return out
+def _ratio(w: IntVec, v: IntVec, p: int) -> int:
+    """v! / w! mod p for w <= v, where v! is the product of the v_j!."""
+    return prod(k for a, b in zip(w, v) for k in range(a + 1, b + 1)) % p
 
 
-def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec],
-                    relations: Iterable[IntVec] | None = None) -> list[dict]:
-    """Linear constraints on the support coefficients from the box operators.
+def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec]) -> list[dict]:
+    """A spanning set of the box-operator recurrences on the support.
 
-    For each relation l and each shifted exponent w the operator equates the
-    falling-factorial multiple of c_{w + l+} with that of c_{w + l-};
-    coefficients outside the support are absent (zero).  Relations with an
-    entry of magnitude at least p contribute rows that vanish identically
-    mod p, so the enumeration box [1-p, p-1]^N loses nothing.
+    Let S be the support, a congruence class in [0, p)^N, and f the sum of
+    c_v lambda^v over S.  For a relation l with sup norm at most p - 1 the box
+    operator gives at each exponent w the row
+    c_{w+l+} (w+l+)!/w! - c_{w+l-} (w+l-)!/w!, where v! is the product of
+    the v_j! and a coefficient outside S is absent.  On [0, p)^N, v! is a
+    unit mod p, so in d_v = c_v v! each row says one of two things: d_x = d_y
+    when both ends are in S, and d_x = 0 when the other end leaves the box
+    (it is still >= 0 and in the same congruence class, so a coordinate is
+    at least p).  Two points of S are joined by a row exactly when they lie
+    in the same integer fiber {v : Av = b}: their difference is in L with sup
+    norm at most p - 1, and _lattice_points_in_box returns every such
+    relation.  Hence these rows span all of them: the row of each pair of
+    consecutive members of a fiber (relation x - y at w = min(x, y)), and
+    one single-entry row for each fiber with a leaking member v, one with
+    v - l >= 0 and max(v - l) >= p for some relation l.  At most |S| rows.
+
+    Relations with an entry of magnitude at least p are left out.  Their
+    rows do not vanish mod p: each joins a point of S to an exponent outside
+    the box, so it is a single-entry row d_x = 0.  Adding them left the
+    dimension unchanged on bessel, trinomial and plane2 at p = 7, 11 and 13,
+    but not everywhere: on the points 1 and 5 at p = 3 the relation (-5, 1)
+    lowers it from 3 to 1.
     """
     p = instance.p
-    supp = set(support)
-    if relations is None:
-        lattice = relation_lattice(instance.config)
-        spread = max((max(abs(x) for x in v) for v in support), default=0)
-        relations = _lattice_points_in_box(lattice, max(p - 1, spread))
+    matrix = instance.config.matrix()
+    fibers: dict[IntVec, list[IntVec]] = {}
+    for v in support:
+        fibers.setdefault(tuple(matvec(matrix, v)), []).append(v)
+    relations = _lattice_points_in_box(relation_lattice(instance.config), p - 1)
+    steps = relations + [tuple(-x for x in l) for l in relations]
     rows = []
-    seen_rows = set()
-    for l in relations:
-        lp = tuple(max(x, 0) for x in l)
-        lm = tuple(max(-x, 0) for x in l)
-        ws = set()
-        for v in supp:
-            w_plus = tuple(a - b for a, b in zip(v, lp))
-            if all(x >= 0 for x in w_plus):
-                ws.add(w_plus)
-            w_minus = tuple(a - b for a, b in zip(v, lm))
-            if all(x >= 0 for x in w_minus):
-                ws.add(w_minus)
-        for w in ws:
-            row: dict[IntVec, int] = {}
-            vp = tuple(a + b for a, b in zip(w, lp))
-            if vp in supp:
-                coeff = 1
-                for wj, steps in zip(w, lp):
-                    coeff = (coeff * _falling_product(wj, steps, p)) % p
-                if coeff:
-                    row[vp] = coeff
-            vm = tuple(a + b for a, b in zip(w, lm))
-            if vm in supp:
-                coeff = 1
-                for wj, steps in zip(w, lm):
-                    coeff = (coeff * _falling_product(wj, steps, p)) % p
-                if coeff:
-                    row[vm] = (row.get(vm, 0) - coeff) % p
-            row = {k: c % p for k, c in row.items() if c % p}
-            if row:
-                key = tuple(sorted(row.items()))
-                if key not in seen_rows:
-                    seen_rows.add(key)
-                    rows.append(row)
+    for members in fibers.values():
+        for x, y in zip(members, members[1:]):
+            w = tuple(map(min, x, y))
+            rows.append({x: _ratio(w, x, p), y: -_ratio(w, y, p) % p})
+        for v in members:
+            shifted = ([a - b for a, b in zip(v, l)] for l in steps)
+            if any(min(u) >= 0 and max(u) >= p for u in shifted):
+                rows.append({v: 1})
+                break
     return rows
-
-
-def solution_dim_on_support(instance: ModpInstance,
-                            support: Sequence[IntVec]) -> int:
-    """Nullspace dimension of the recurrence system on an explicit support."""
-    rows = recurrence_rows(instance, support)
-    ech = ModpEchelon(instance.p)
-    for row in rows:
-        ech.insert(row)
-    return len(support) - ech.rank
 
 
 def modp_solution_dim(instance: ModpInstance) -> int:
     """Dimension of the space of box-supported polynomial solutions mod p."""
-    return solution_dim_on_support(instance, solution_support(instance))
+    support = solution_support(instance)
+    ech = ModpEchelon(instance.p)
+    for row in recurrence_rows(instance, support):
+        ech.insert(row)
+    return len(support) - ech.rank
 
 
 @dataclass
@@ -219,8 +206,11 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
     Requires a nonresonant parameter.  Primes dividing a denominator of the
     parameter are skipped with a reason, never silently dropped.  A solution
     dimension exceeding the rank would falsify the truncation rank and is
-    surfaced as a hard failure.
+    surfaced as a hard failure.  An empty prime list is refused, and a sweep
+    whose every prime is skipped says that no good prime was tested.
     """
+    if not primes:
+        raise ValueError("the prime list is empty")
     verdict = is_nonresonant(config, alpha)
     if not verdict.nonresonant:
         form, value = verdict.witness
@@ -243,7 +233,11 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
                 f"solution dimension {dim} exceeds rank {rank} at p={p}")
         results.append(PrimeResult(p=p, dim=dim, full=dim == rank))
     bad = [r.p for r in results if not r.full]
-    verdict_text = ("full for all tested good primes" if not bad
-                    else "not full at {" + ", ".join(str(p) for p in bad) + "}")
+    if not results:
+        verdict_text = "no good prime tested"
+    elif not bad:
+        verdict_text = "full for all tested good primes"
+    else:
+        verdict_text = "not full at {" + ", ".join(str(p) for p in bad) + "}"
     return ModpReport(alpha=alpha, rank=rank, primes=results,
                       skipped=skipped, verdict=verdict_text)

@@ -1,7 +1,11 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Everything here is deliberately naive and shares no code path with the
-package internals it checks.
+package internals it checks.  The one exception is all_recurrence_rows, the
+package's former mod-p row assembler (every row of every relation), kept as
+the reference for the fiber reduction in gkzkit.modp.recurrence_rows; it
+enumerates relations with gkzkit.modp._lattice_points_in_box, which
+test_lattice_points_in_box_match_brute_scan checks by a box scan.
 """
 
 from __future__ import annotations
@@ -9,6 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from typing import Iterable, Sequence
+
+from gkzkit.lattice import relation_lattice
+from gkzkit.modp import _lattice_points_in_box
 
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
@@ -273,3 +281,69 @@ def apply_box_to_lambda_poly(box_terms: dict, poly_terms: dict) -> dict:
                 tgt = tuple(x + y for x, y in zip(new, e))
                 out[tgt] = out.get(tgt, Fraction(0)) + val
     return {w: c for w, c in out.items() if c}
+
+
+def _falling_product(w: int, steps: int, p: int) -> int:
+    """(w+1)(w+2)...(w+steps) mod p."""
+    out = 1
+    for k in range(1, steps + 1):
+        out = (out * (w + k)) % p
+    return out
+
+
+def all_recurrence_rows(instance, support: Sequence[tuple[int, ...]],
+                        relations: Iterable[tuple[int, ...]] | None = None) -> list[dict]:
+    """Linear constraints on the support coefficients from the box operators.
+
+    For each relation l and each shifted exponent w the operator equates the
+    falling-factorial multiple of c_{w + l+} with that of c_{w + l-};
+    coefficients outside the support are absent (zero).  By default the
+    relations are those of sup norm at most max(p - 1, spread of the
+    support).  A relation with an entry of magnitude at least p does not give
+    rows that vanish mod p: each of its rows joins a support point to an
+    exponent outside the box, a single-entry row.  Adding them left the
+    dimension unchanged on bessel, trinomial and plane2 at p = 7, 11 and 13
+    (test_long_relations_leave_dimension_unchanged).
+    """
+    p = instance.p
+    supp = set(support)
+    if relations is None:
+        lattice = relation_lattice(instance.config)
+        spread = max((max(abs(x) for x in v) for v in support), default=0)
+        relations = _lattice_points_in_box(lattice, max(p - 1, spread))
+    rows = []
+    seen_rows = set()
+    for l in relations:
+        lp = tuple(max(x, 0) for x in l)
+        lm = tuple(max(-x, 0) for x in l)
+        ws = set()
+        for v in supp:
+            w_plus = tuple(a - b for a, b in zip(v, lp))
+            if all(x >= 0 for x in w_plus):
+                ws.add(w_plus)
+            w_minus = tuple(a - b for a, b in zip(v, lm))
+            if all(x >= 0 for x in w_minus):
+                ws.add(w_minus)
+        for w in ws:
+            row: dict[tuple[int, ...], int] = {}
+            vp = tuple(a + b for a, b in zip(w, lp))
+            if vp in supp:
+                coeff = 1
+                for wj, steps in zip(w, lp):
+                    coeff = (coeff * _falling_product(wj, steps, p)) % p
+                if coeff:
+                    row[vp] = coeff
+            vm = tuple(a + b for a, b in zip(w, lm))
+            if vm in supp:
+                coeff = 1
+                for wj, steps in zip(w, lm):
+                    coeff = (coeff * _falling_product(wj, steps, p)) % p
+                if coeff:
+                    row[vm] = (row.get(vm, 0) - coeff) % p
+            row = {k: c % p for k, c in row.items() if c % p}
+            if row:
+                key = tuple(sorted(row.items()))
+                if key not in seen_rows:
+                    seen_rows.add(key)
+                    rows.append(row)
+    return rows

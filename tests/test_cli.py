@@ -182,6 +182,22 @@ def test_modp_sweep_and_skip(capsys):
         assert "must be a prime" in captured.err
 
 
+def test_modp_every_prime_skipped(capsys):
+    code, report = run(capsys, "modp", "--config", "single", "--alpha=1/6",
+                       "--primes", "2,3")
+    assert code == 0
+    result = report["result"]
+    assert result["primes"] == []
+    assert [s["p"] for s in result["skipped"]] == [2, 3]
+    assert result["verdict"] == "no good prime tested"
+
+    code = main(["modp", "--config", "single", "--alpha=1/6", "--primes="])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "bad input: the prime list is empty\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--config", '{"points": 5}'],
     ["analyze", "--config", '{"points": [5]}'],

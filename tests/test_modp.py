@@ -1,22 +1,62 @@
 import itertools
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
-from gkzkit.errors import ResonantError, SkippedPrimeError
+from gkzkit.errors import NotGeneratingError, ResonantError, SkippedPrimeError
 from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
+from gkzkit.linalg import ModpEchelon
 from gkzkit.modp import (_lattice_points_in_box, full_set_sweep, make_instance,
-                         modp_solution_dim, recurrence_rows,
-                         solution_dim_on_support, solution_support)
+                         modp_solution_dim, recurrence_rows, solution_support)
 from gkzkit.weyl import box_operator
-from oracles import apply_box_to_lambda_poly, modp_recurrence_dim
+from oracles import (all_recurrence_rows, apply_box_to_lambda_poly,
+                     modp_recurrence_dim)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PLANE2 = [(0, 1), (1, 1), (-1, 1), (2, 1)]
+PYRAMID = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+def rank_modp(rows, p):
+    ech = ModpEchelon(p)
+    for row in rows:
+        ech.insert(row)
+    return ech.rank
+
+
+def all_rows_dim(inst, support, relations=None):
+    """Nullspace dimension of every row of every relation on the support."""
+    rows = all_recurrence_rows(inst, support, relations)
+    return len(support) - rank_modp(rows, inst.p)
+
+
+def random_configs(count, seed=8):
+    """Configurations with n <= 3 and N - n <= 2 that generate Z^n, drawn
+    from a fixed seed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 3)
+        points = {tuple(rng.randint(-2, 2) for _ in range(n))
+                  for _ in range(n + rng.randint(1, 2))}
+        points.discard((0,) * n)
+        try:
+            out.append(validate_config(sorted(points)))
+        except (NotGeneratingError, ValueError):
+            continue
+    return out
+
+
+def random_alpha(rng, n, p):
+    """A parameter whose denominators avoid p."""
+    dens = [d for d in (2, 3, 5, 7, 11, 13) if d != p]
+    return ParameterVector.of(*(Fraction(rng.randint(1, 12), rng.choice(dens))
+                                for _ in range(n)))
 
 
 def test_solution_support_examples():
@@ -87,7 +127,8 @@ def test_forced_dimension_single_point():
             inst = make_instance(c1, pv, p)
             assert modp_solution_dim(inst) == 1, (alpha, p)
     inst = make_instance(c1, ParameterVector.of("1/2"), 5)
-    assert solution_dim_on_support(inst, []) == 0
+    assert all_rows_dim(inst, []) == 0
+    assert recurrence_rows(inst, []) == []
 
 
 def test_bessel_dimensions_match_oracle_and_fixture():
@@ -113,7 +154,7 @@ def test_recurrence_rows_match_weyl_oracle():
     inst = make_instance(bessel, ParameterVector.of("1/2"), p)
     support = solution_support(inst)
     box = box_operator(bessel, (1, 1))
-    rows = recurrence_rows(inst, support, relations=[(1, 1)])
+    rows = all_recurrence_rows(inst, support, relations=[(1, 1)])
     # oracle: separately apply the box to each basis monomial and read off
     # the column of each coefficient mod p
     by_w = {}
@@ -143,13 +184,95 @@ def test_box_restriction_no_information_loss():
     for p in (3, 5, 7):
         inst = make_instance(bessel, ParameterVector.of("1/2"), p)
         base = solution_support(inst)
-        d0 = solution_dim_on_support(inst, base)
+        d0 = all_rows_dim(inst, base)
         for j in range(bessel.N):
             shifted = [tuple(v[k] + (p if k == j else 0) for k in range(bessel.N))
                        for v in base]
             extended = sorted(set(base) | set(shifted))
-            d1 = solution_dim_on_support(inst, extended)
+            d1 = all_rows_dim(inst, extended)
             assert d1 <= d0, (p, j)
+
+
+def normalized(rows, p):
+    """Each row scaled to coefficient 1 at its smallest exponent."""
+    out = set()
+    for row in rows:
+        inv = pow(row[min(row)], -1, p)
+        out.add(tuple(sorted((k, (inv * c) % p) for k, c in row.items())))
+    return out
+
+
+def test_recurrence_rows_span_all_rows():
+    # the fiber rows are rows of the full system, up to a nonzero scalar,
+    # and they span it: their rank is that of the full system and of the union
+    rng = random.Random(3)
+    cases = [(validate_config(PLANE2), ParameterVector.of("1/3", "1/5"), 7),
+             (builtin_config("gauss"), builtin_alpha("gauss"), 7)]
+    for cfg in random_configs(12, seed=5):
+        p = rng.choice([3, 5, 7])
+        cases.append((cfg, random_alpha(rng, cfg.n, p), p))
+    for cfg, alpha, p in cases:
+        inst = make_instance(cfg, alpha, p)
+        support = solution_support(inst)
+        rows = recurrence_rows(inst, support)
+        oracle = all_recurrence_rows(inst, support)
+        assert len(rows) <= len(support)
+        assert normalized(rows, p) <= normalized(oracle, p), (cfg.points, p)
+        rank = rank_modp(rows, p)
+        assert rank == rank_modp(oracle, p) == rank_modp(rows + oracle, p), (
+            cfg.points, p)
+
+
+def test_modp_dim_matches_dense_oracle():
+    rng = random.Random(11)
+    configs = [builtin_config(name) for name in BUILTIN_POINTS]
+    configs += [validate_config(PLANE2), validate_config(PYRAMID)]
+    configs += random_configs(20)
+    checked = 0
+    for cfg in configs:
+        basis = [tuple(l) for l in relation_lattice(cfg).basis]
+        for p in (3, 5, 7, 11):
+            # the dense oracle scans [0, p)^N once per relation
+            if p ** cfg.N * (2 * p - 1) ** len(basis) > 400_000:
+                continue
+            inst = make_instance(cfg, random_alpha(rng, cfg.n, p), p)
+            want = modp_recurrence_dim(list(cfg.points), basis, inst.alpha_bar, p)
+            assert modp_solution_dim(inst) == want, (cfg.points, inst.alpha, p)
+            checked += 1
+    assert checked >= 60
+    plane2 = validate_config(PLANE2)
+    for p in (17, 19, 23):
+        inst = make_instance(plane2, ParameterVector.of("2/3", "-1/5"), p)
+        want = all_rows_dim(inst, solution_support(inst))
+        assert modp_solution_dim(inst) == want, p
+
+
+def test_long_relations_leave_dimension_unchanged():
+    # relations with an entry of magnitude >= p give nonzero single-entry
+    # rows, yet adding them does not change these dimensions.  With bound
+    # N p every such row is present: bessel's relations beyond p repeat the
+    # rows of (p, p), and on trinomial and plane2 (all points at height 1) a
+    # relation with a row on the box has |l| <= (N - 1)(p - 1).
+    cases = [(builtin_config("bessel"), builtin_alpha("bessel")),
+             (builtin_config("trinomial"), builtin_alpha("trinomial")),
+             (validate_config(PLANE2), ParameterVector.of("1/3", "1/5"))]
+    for (cfg, alpha), p in itertools.product(cases, (7, 11, 13)):
+        inst = make_instance(cfg, alpha, p)
+        support = solution_support(inst)
+        lattice = relation_lattice(cfg)
+        long = [l for l in _lattice_points_in_box(lattice, cfg.N * p)
+                if max(map(abs, l)) >= p]
+        assert any(all_recurrence_rows(inst, support, long)), (cfg.points, p)
+        full = _lattice_points_in_box(lattice, cfg.N * p)
+        assert all_rows_dim(inst, support, full) == modp_solution_dim(inst), (
+            cfg.points, p)
+    # the invariance is not general: on [(1,), (5,)] the relation (-5, 1)
+    # kills coefficients that no relation inside the box reaches
+    cfg = validate_config([(1,), (5,)])
+    inst = make_instance(cfg, ParameterVector.of("1/2"), 3)
+    full = _lattice_points_in_box(relation_lattice(cfg), 6 * 3)
+    assert modp_solution_dim(inst) == 3
+    assert all_rows_dim(inst, solution_support(inst), full) == 1
 
 
 def test_invariance_under_permutation_and_unimodular():
@@ -188,6 +311,16 @@ def test_full_set_sweep_reports():
     assert rep.rank == 2
     assert all(r.dim <= 2 for r in rep.primes)
     assert rep.verdict.startswith("not full at")
+
+
+def test_full_set_sweep_needs_a_tested_prime():
+    c1 = validate_config([(1,)])
+    with pytest.raises(ValueError, match="prime list is empty"):
+        full_set_sweep(c1, ParameterVector.of("1/6"), [])
+    rep = full_set_sweep(c1, ParameterVector.of("1/6"), [2, 3])
+    assert rep.primes == []
+    assert [p for p, _ in rep.skipped] == [2, 3]
+    assert rep.verdict == "no good prime tested"
 
 
 def test_resonant_refused():
