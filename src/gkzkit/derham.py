@@ -119,24 +119,37 @@ def wedge_insert(i: int, idx: IndexTuple) -> tuple[int, IndexTuple] | None:
     return sign, tuple(sorted(idx + (i,)))
 
 
+def _add_scaled(out: dict[IntVec, object], p: LaurentPoly, factor) -> None:
+    """Add factor times p into the term map out; factor is a nonzero rational."""
+    symbolic = p.nlam is not None
+    for u, c in p.terms.items():
+        if factor != 1:
+            c = c.scale(factor) if symbolic else c * factor
+        out[u] = out[u] + c if u in out else c
+
+
+def _form(n: int, degree: int, acc: dict[IndexTuple, dict[IntVec, object]],
+          nlam: int | None) -> LogForm:
+    """The form whose components have the accumulated term maps of acc."""
+    return LogForm(n, degree, {idx: LaurentPoly(n, terms, nlam)
+                               for idx, terms in acc.items()}, nlam)
+
+
 def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm) -> LogForm:
     """The twisted differential in the logarithmic basis."""
     n = omega.n
     if omega.degree == n:
         # there are no forms of degree n + 1
         return LogForm.zero(n, n, omega.nlam)
-    out = LogForm.zero(n, omega.degree + 1, omega.nlam)
+    acc: dict[IndexTuple, dict[IntVec, object]] = {}
     for idx, xi in omega.components.items():
         for i in range(1, n + 1):
             ins = wedge_insert(i, idx)
             if ins is None:
                 continue
             sign, target = ins
-            piece = apply_D(i, alpha, f, xi)
-            if sign < 0:
-                piece = -piece
-            out = out + LogForm(n, omega.degree + 1, {target: piece}, omega.nlam)
-    return out
+            _add_scaled(acc.setdefault(target, {}), apply_D(i, alpha, f, xi), sign)
+    return _form(n, omega.degree + 1, acc, omega.nlam)
 
 
 def check_complex(alpha: ParameterVector, f: LaurentPoly,
@@ -166,56 +179,67 @@ def homotopy_rho(ell: FacetForm, omega: LogForm) -> LogForm:
     n = omega.n
     if omega.degree == 0:
         return LogForm.zero(n, 0, omega.nlam)
-    out = LogForm.zero(n, omega.degree - 1, omega.nlam)
+    acc: dict[IndexTuple, dict[IntVec, object]] = {}
     for idx, xi in omega.components.items():
         for pos, i in enumerate(idx):
             c = ell.coeffs[i - 1]
             if c == 0:
                 continue
             coeff = Fraction(c) if pos % 2 == 0 else Fraction(-c)
-            reduced = idx[:pos] + idx[pos + 1:]
-            out = out + LogForm(n, omega.degree - 1, {reduced: xi.scalar_mul(coeff)},
-                                omega.nlam)
-    return out
+            _add_scaled(acc.setdefault(idx[:pos] + idx[pos + 1:], {}), xi, coeff)
+    return _form(n, omega.degree - 1, acc, omega.nlam)
 
 
-def homotopy_identity_check(ell: FacetForm, alpha: ParameterVector,
+def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
                             config: PointConfig,
-                            samples: Sequence[LogForm]) -> bool:
-    """The contraction is a homotopy for multiplication by the facet value.
+                            samples: Sequence[LogForm]) -> FacetForm | None:
+    """The contraction against each facet form is a homotopy for
+    multiplication by the facet value.
 
     On a monomial form with exponent u the anticommutator of the twisted
-    differential and the contraction multiplies by ell(alpha + u) and shifts
-    by each point weighted with lambda_j ell(a(j)); checked exactly with
-    symbolic parameters.
+    differential and the contraction against ell multiplies by
+    ell(alpha + u) and shifts by each point weighted with lambda_j ell(a(j));
+    checked exactly with symbolic parameters.  One pass over the samples
+    computes the differential of each sample once and checks every facet
+    against it.  Returns the first facet, in the given order, on which the
+    identity fails, or None.
     """
+    facets = list(facets)
     f = build_f_symbolic(config)
+    N = config.N
+    # per facet: ell(alpha) and the shifts by each point with lambda_j ell(a(j))
+    sides = [(Fraction(ell.evaluate(alpha.entries)),
+              [(point, LambdaPoly.gen(j, N).scale(ell.evaluate(point)))
+               for j, point in enumerate(config.points, start=1)
+               if ell.evaluate(point) != 0])
+             for ell in facets]
+    # facets[:live] have held on every sample so far; a failure cuts the rest
+    live = len(facets)
     for omega in samples:
-        if omega.nlam != config.N:
+        if not live:
+            break
+        if omega.nlam != N:
             raise ValueError("samples must carry symbolic coefficients")
-        if omega.degree < omega.n:
-            lhs = homotopy_rho(ell, nabla(alpha, f, omega))
-        else:
-            lhs = LogForm.zero(omega.n, omega.degree, omega.nlam)
-        if omega.degree > 0:
-            lhs = lhs + nabla(alpha, f, homotopy_rho(ell, omega))
-        rhs = LogForm.zero(omega.n, omega.degree, omega.nlam)
-        for idx, xi in omega.components.items():
-            acc = LaurentPoly.zero(omega.n, omega.nlam)
-            for u, c in xi.terms.items():
-                scale = Fraction(ell.evaluate(alpha.entries)) + ell.evaluate(u)
-                acc = acc + LaurentPoly(omega.n, {u: c.scale(scale)}, omega.nlam)
-                for j, point in enumerate(config.points, start=1):
-                    ell_a = ell.evaluate(point)
-                    if ell_a == 0:
-                        continue
-                    shifted = tuple(x + y for x, y in zip(u, point))
-                    lam_c = c * LambdaPoly.gen(j, config.N).scale(ell_a)
-                    acc = acc + LaurentPoly(omega.n, {shifted: lam_c}, omega.nlam)
-            rhs = rhs + LogForm(omega.n, omega.degree, {idx: acc}, omega.nlam)
-        if lhs != rhs:
-            return False
-    return True
+        n, k = omega.n, omega.degree
+        d_omega = nabla(alpha, f, omega) if k < n else None
+        for pos, (ell, (ell_alpha, shifts)) in enumerate(zip(facets[:live], sides)):
+            lhs = LogForm.zero(n, k, N) if d_omega is None else homotopy_rho(ell, d_omega)
+            if k > 0:
+                lhs = lhs + nabla(alpha, f, homotopy_rho(ell, omega))
+            acc: dict[IndexTuple, dict[IntVec, object]] = {}
+            for idx, xi in omega.components.items():
+                out = acc[idx] = {}
+                for u, c in xi.terms.items():
+                    t = c.scale(ell_alpha + ell.evaluate(u))
+                    out[u] = out[u] + t if u in out else t
+                    for point, lam in shifts:
+                        w = tuple(x + y for x, y in zip(u, point))
+                        t = c * lam
+                        out[w] = out[w] + t if w in out else t
+            if lhs != _form(n, k, acc, N):
+                live = pos
+                break
+    return facets[live] if live < len(facets) else None
 
 
 @dataclass

@@ -9,6 +9,7 @@ ScalarModeError on a mismatch.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -29,8 +30,9 @@ class LambdaPoly:
         self.terms: dict[IntVec, Fraction] = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if type(c) is not Fraction:
+                    c = Fraction(c)
+                if c:
                     self.terms[tuple(e)] = c
 
     @staticmethod
@@ -80,7 +82,8 @@ class LambdaPoly:
         return LambdaPoly(self.nvars, out)
 
     def scale(self, c) -> "LambdaPoly":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         return LambdaPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def derivative(self, j: int) -> "LambdaPoly":
@@ -139,7 +142,7 @@ class LaurentPoly:
                 u = tuple(u)
                 if len(u) != n:
                     raise ValueError("exponent length mismatch")
-                if nlam is None:
+                if nlam is None and type(c) is not Fraction:
                     c = Fraction(c)
                 if not _scalar_is_zero(c):
                     self.terms[u] = c
@@ -213,7 +216,8 @@ class LaurentPoly:
             if self.nlam != c.nvars:
                 raise ScalarModeError("symbolic scalar on a rational-mode polynomial")
             return LaurentPoly(self.n, {u: v * c for u, v in self.terms.items()}, self.nlam)
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if c == 0:
             return LaurentPoly.zero(self.n, self.nlam)
         if self.nlam is None:
@@ -287,12 +291,26 @@ def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly) -> 
 
     Acts as x_i d/dx_i + alpha_i + (x_i df/dx_i) in the logarithmic basis; on
     a monomial with exponent u it gives (u_i + alpha_i) times the monomial
-    plus the shifts by each point with its coefficient from f.
+    plus the shifts by each point with its coefficient from f.  One pass over
+    the terms of xi.
     """
-    out = toric_derivative(i, xi)
-    out = out + xi.scalar_mul(alpha.entries[i - 1])
-    out = out + toric_derivative(i, f) * xi
-    return out
+    if not 1 <= i <= xi.n:
+        raise ValueError("derivative index out of range")
+    f._check_mode(xi)
+    k = i - 1
+    a = alpha.entries[k]
+    scale = operator.mul if xi.nlam is None else LambdaPoly.scale
+    # the terms of x_i df/dx_i
+    df = [(v, scale(c, v[k])) for v, c in f.terms.items() if v[k]]
+    out: dict[IntVec, Scalar] = {}
+    for u, c in xi.terms.items():
+        t = scale(c, u[k] + a)
+        out[u] = out[u] + t if u in out else t
+        for v, d in df:
+            w = tuple(x + y for x, y in zip(u, v))
+            t = d * c
+            out[w] = out[w] + t if w in out else t
+    return LaurentPoly(xi.n, out, xi.nlam)
 
 
 def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:

@@ -79,6 +79,10 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     if alpha.n != config.n:
         raise ValueError(f"parameter has {alpha.n} entries, the configuration "
                          f"needs {config.n}")
+    if exponent_bound < 0:
+        raise ValueError(f"sample exponent bound {exponent_bound} is negative")
+    if del_degree < 0:
+        raise ValueError(f"derivative degree {del_degree} is negative")
     report = BatteryReport()
     n, N = config.n, config.N
     lattice = relation_lattice(config)
@@ -144,17 +148,14 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     ok = check_complex(alpha, f, forms)
     report.add(CheckResult("nabla_squared", ok, len(forms)))
 
-    # contraction homotopy identity, per facet
-    count = 0
-    ok = True
-    detail = ""
-    for ell in facets:
-        if not homotopy_identity_check(ell, alpha, config, forms):
-            ok = False
-            detail = f"facet={ell.coeffs}"
-            break
-        count += len(forms)
-    report.add(CheckResult("homotopy_identity", ok, count, detail=detail))
+    # contraction homotopy identity, every facet in one pass over the samples
+    failed = homotopy_identity_check(facets, alpha, config, forms)
+    if failed is None:
+        report.add(CheckResult("homotopy_identity", True, len(forms) * len(facets)))
+    else:
+        report.add(CheckResult("homotopy_identity", False,
+                               len(forms) * facets.index(failed),
+                               detail=f"facet={failed.coeffs}"))
 
     # monomial twist conjugation
     twists = [tuple(1 if k == 0 else 0 for k in range(n))]

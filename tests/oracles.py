@@ -1,11 +1,16 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Everything here is deliberately naive and shares no code path with the
-package internals it checks.  The one exception is all_recurrence_rows, the
-package's former mod-p row assembler (every row of every relation), kept as
-the reference for the fiber reduction in gkzkit.modp.recurrence_rows; it
-enumerates relations with gkzkit.modp._lattice_points_in_box, which
-test_lattice_points_in_box_match_brute_scan checks by a box scan.
+package internals it checks.  The exceptions are former package code kept
+as references for what replaced it:
+
+- all_recurrence_rows, the former mod-p row assembler (every row of every
+  relation), for the fiber reduction in gkzkit.modp.recurrence_rows; it
+  enumerates relations with gkzkit.modp._lattice_points_in_box, which
+  test_lattice_points_in_box_match_brute_scan checks by a box scan.
+- apply_D_by_parts and nabla_by_parts, the twisted derivation composed from
+  the Laurent ring operations and the differential summed one piece at a
+  time, for the one-pass gkzkit.laurent.apply_D and gkzkit.derham.nabla.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from gkzkit.derham import LogForm
 from gkzkit.lattice import relation_lattice
+from gkzkit.laurent import toric_derivative
 from gkzkit.modp import _lattice_points_in_box
 
 
@@ -347,3 +354,27 @@ def all_recurrence_rows(instance, support: Sequence[tuple[int, ...]],
                     seen_rows.add(key)
                     rows.append(row)
     return rows
+
+
+def apply_D_by_parts(i: int, alpha, f, xi):
+    """x_i d/dx_i + alpha_i + (x_i df/dx_i), one ring operation at a time."""
+    return (toric_derivative(i, xi) + xi.scalar_mul(alpha.entries[i - 1])
+            + toric_derivative(i, f) * xi)
+
+
+def nabla_by_parts(alpha, f, omega):
+    """The twisted differential, adding dx_i/x_i ^ D_i(xi) one piece at a time."""
+    n, k = omega.n, omega.degree
+    if k == n:
+        return LogForm.zero(n, n, omega.nlam)
+    out = LogForm.zero(n, k + 1, omega.nlam)
+    for idx, xi in omega.components.items():
+        for i in range(1, n + 1):
+            if i in idx:
+                continue
+            piece = apply_D_by_parts(i, alpha, f, xi)
+            if sum(1 for j in idx if j < i) % 2:
+                piece = -piece
+            out = out + LogForm(n, k + 1, {tuple(sorted(idx + (i,))): piece},
+                                omega.nlam)
+    return out

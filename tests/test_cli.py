@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 from collections import Counter
 
 import pytest
@@ -11,6 +12,8 @@ from gkzkit.cli import main
 from gkzkit.derham import CohomologyWindow
 from gkzkit.lattice import newton_polytope
 from gkzkit.linalg import RationalEchelon
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -151,16 +154,26 @@ def test_verify_perturbed_beta_fails(capsys):
 
 def test_verify_vacuous_flagged(capsys):
     # the single-point configuration has no relations, so the commutation
-    # section runs on zero samples and says so; degree -1 leaves no Weyl
-    # monomial to transport
-    for config, extra, name in (("single", [], "commutation"),
-                                ("trinomial", ["--degree", "-1"], "phi_intertwines")):
-        code, report = run(capsys, "verify", "--config", config, *extra)
+    # section runs on zero samples and says so; the Bessel cone is the whole
+    # line, so there is no facet to contract against
+    for config, name in (("single", "commutation"), ("bessel", "homotopy_identity")):
+        code, report = run(capsys, "verify", "--config", config)
         assert code == 0
         checks = report["result"]["batteries"][0]["checks"]
         check = next(c for c in checks if c["name"] == name)
         assert check["vacuous"] is True and check["samples"] == 0, name
         assert all(c["vacuous"] == (c["ok"] and c["samples"] == 0) for c in checks)
+
+
+@pytest.mark.parametrize("fixture, argv, exit_code", [
+    ("verify_builtins.json", [], 0),
+    ("verify_gauss_alpha.json", ["--config", "gauss", "--alpha=3/7,-5/3,1/2"], 0),
+    ("verify_cusp_perturb_beta.json", ["--config", "cusp", "--perturb-beta"], 1),
+])
+def test_verify_reproduces_golden_output(capsys, fixture, argv, exit_code):
+    code = main(["verify", *argv])
+    assert code == exit_code
+    assert capsys.readouterr().out == (FIXTURES / fixture).read_text(encoding="utf-8")
 
 
 def test_modp_sweep_and_skip(capsys):
@@ -210,6 +223,9 @@ def test_modp_every_prime_skipped(capsys):
     ["rank", "--config", "trinomial", "--alpha=1/3,1/5", "--lambda=1,2"],
     ["modp", "--config", "single", "--alpha=1/2", "--primes="],
     ["modp", "--config", "single", "--alpha=1/2", "--primes=,"],
+    # a negative size leaves no sample, so its checks would pass vacuously
+    ["verify", "--config", "gauss", "--window", "-1"],
+    ["verify", "--config", "trinomial", "--degree", "-2"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code = main(argv)

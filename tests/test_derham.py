@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from gkzkit import derham
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.derham import (CohomologyWindow, LogForm, check_complex,
                            enumerate_monomial_forms, generic_rank,
@@ -18,8 +19,10 @@ from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
 from gkzkit.laurent import (ConeSupport, FullSupport, LambdaPoly, LaurentPoly,
-                            build_f, build_f_symbolic)
-from oracles import brute_newton_window, dense_rank, shoelace_volume
+                            apply_D, build_f, build_f_symbolic, toric_derivative)
+from gkzkit.verify import run_battery
+from oracles import (apply_D_by_parts, brute_newton_window, dense_rank,
+                     nabla_by_parts, shoelace_volume)
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 LAM4 = LAM3 + [Fraction(7, 13)]
@@ -85,7 +88,7 @@ def test_homotopy_identity_example_hand():
         (3,): LambdaPoly.const(Fraction(7, 2), 1),
         (4,): LambdaPoly.gen(1, 1)}, nlam=1)}, nlam=1)
     assert lhs == want
-    assert homotopy_identity_check(ell, alpha, cfg, [omega])
+    assert homotopy_identity_check([ell], alpha, cfg, [omega]) is None
 
 
 def test_homotopy_identity_all_builtins():
@@ -93,8 +96,88 @@ def test_homotopy_identity_all_builtins():
         cfg = builtin_config(name)
         alpha = builtin_alpha(name)
         forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-        for ell in cone_facets(cfg):
-            assert homotopy_identity_check(ell, alpha, cfg, forms), (name, ell)
+        assert homotopy_identity_check(cone_facets(cfg), alpha, cfg, forms) is None, name
+
+
+@pytest.mark.parametrize("bad", [(1,), (2, 0)])
+def test_homotopy_failure_reports_the_first_failing_facet(monkeypatch, bad):
+    # a contraction that is wrong only against the listed facets of gauss:
+    # the facets before the first of them hold on every sample, it is reported
+    cfg = builtin_config("gauss")
+    alpha = builtin_alpha("gauss")
+    facets = cone_facets(cfg)
+    wrong = [facets[k] for k in bad]
+    first = min(bad)
+    rho = derham.homotopy_rho
+    monkeypatch.setattr(derham, "homotopy_rho", lambda ell, omega:
+                        rho(ell, omega).scale(2) if ell in wrong else rho(ell, omega))
+    forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+    assert homotopy_identity_check(facets, alpha, cfg, forms) == facets[first]
+    right = [ell for ell in facets if ell not in wrong]
+    assert homotopy_identity_check(right, alpha, cfg, forms) is None
+    check = next(c for c in run_battery(cfg, alpha).checks
+                 if c.name == "homotopy_identity")
+    assert not check.ok
+    assert check.samples == len(forms) * first
+    assert check.detail == f"facet={facets[first].coeffs}"
+
+
+FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def derivation_cases(draw):
+    """(i, alpha, f, xi, omega, cancel) in rational or symbolic mode (two
+    parameters); xi is a component of omega.
+
+    When x_i df/dx_i has two terms, g_v x^v and g_w x^w, xi is at times
+    g_w x^u - g_v x^(u + v - w), whose shifted terms cancel at cancel = u + v.
+    """
+    n = draw(st.sampled_from([2, 3, 1]))
+    nlam = draw(st.sampled_from([None, 2]))
+    if nlam is None:
+        coeffs = FRAC
+    else:
+        coeffs = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                                 FRAC, min_size=1, max_size=2).map(
+            lambda t: LambdaPoly(2, t))
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+
+    def poly(min_size=1):
+        return LaurentPoly(n, draw(st.dictionaries(exps, coeffs, min_size=min_size,
+                                                   max_size=3)), nlam)
+    f = poly(min_size=2)
+    i = draw(st.integers(1, n))
+    alpha = ParameterVector(tuple(draw(FRAC) for _ in range(n)))
+    g = toric_derivative(i, f)
+    xi = poly()
+    cancel = None
+    if len(g.terms) >= 2 and draw(st.booleans()):
+        v, w = draw(st.permutations(sorted(g.terms)))[:2]
+        u = draw(exps)
+        cancel = tuple(a + b for a, b in zip(u, v))
+        xi = LaurentPoly(n, {u: g.terms[w],
+                             tuple(a + b - c for a, b, c in zip(u, v, w)): -g.terms[v]},
+                         nlam)
+    # middle degrees first: there pieces of several components share a target
+    k = draw(st.sampled_from(list(range(1, n)) + [0, n]))
+    combos = list(itertools.combinations(range(1, n + 1), k))
+    omega = LogForm(n, k, {idx: xi if m == 0 else poly()
+                           for m, idx in enumerate(combos)}, nlam)
+    return i, alpha, f, xi, omega, cancel
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(derivation_cases())
+def test_one_pass_derivation_matches_by_parts(case):
+    i, alpha, f, xi, omega, cancel = case
+    if cancel is not None:
+        assert cancel not in (toric_derivative(i, f) * xi).terms
+    assert apply_D(i, alpha, f, xi) == apply_D_by_parts(i, alpha, f, xi)
+    for j in range(1, f.n + 1):
+        for eta in omega.components.values():
+            assert apply_D(j, alpha, f, eta) == apply_D_by_parts(j, alpha, f, eta)
+    assert nabla(alpha, f, omega) == nabla_by_parts(alpha, f, omega)
 
 
 def test_filtration_compatibility():
