@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .lattice import (FacetForm, ParameterVector, PointConfig, RelationLattice,
                       ResonanceVerdict, cone_facets, is_nonresonant,
                       relation_lattice, validate_config)
-from .laurent import (ConeSupport, FullSupport, HalfSupport, LambdaPoly,
-                      LaurentPoly, Support, apply_D, build_f, build_f_symbolic,
+from .laurent import (ConeSupport, FullSupport, HalfSupport, LaurentPoly,
+                      Support, apply_D, build_f, build_f_symbolic,
                       toric_derivative)
 from .weyl import (WeylElement, box_operator, check_commutation,
                    check_phi_intertwines, euler_operator, phi_map, weyl_mul)

@@ -21,8 +21,7 @@ from .errors import NotStabilizedError
 from .intmat import integer_kernel
 from .lattice import (FacetForm, ParameterVector, PointConfig, is_nonresonant,
                       newton_polytope)
-from .laurent import (LambdaPoly, LaurentPoly, Support, apply_D,
-                      build_f_symbolic)
+from .laurent import LaurentPoly, Support, apply_D, build_f_symbolic
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -31,13 +30,13 @@ IndexTuple = tuple[int, ...]
 
 class LogForm:
     """Degree-k form: map from strictly increasing 1-based index tuples to
-    coefficient Laurent polynomials."""
+    coefficient Laurent polynomials, all with ``nlam`` symbolic parameters."""
 
     __slots__ = ("n", "degree", "nlam", "components")
 
     def __init__(self, n: int, degree: int,
                  components: dict[IndexTuple, LaurentPoly] | None = None,
-                 nlam: int | None = None):
+                 nlam: int = 0):
         if not 0 <= degree <= n:
             raise ValueError("degree out of range")
         self.n = n
@@ -57,15 +56,13 @@ class LogForm:
                     self.components[idx] = poly
 
     @staticmethod
-    def zero(n: int, degree: int, nlam: int | None = None) -> "LogForm":
+    def zero(n: int, degree: int, nlam: int = 0) -> "LogForm":
         return LogForm(n, degree, {}, nlam)
 
     @staticmethod
     def from_monomial(u: Sequence[int], idx: Sequence[int], n: int,
-                      coeff=Fraction(1), nlam: int | None = None) -> "LogForm":
-        if nlam is not None and not isinstance(coeff, LambdaPoly):
-            coeff = LambdaPoly.const(coeff, nlam)
-        poly = LaurentPoly(n, {tuple(int(x) for x in u): coeff}, nlam)
+                      coeff=Fraction(1), nlam: int = 0) -> "LogForm":
+        poly = LaurentPoly.monomial(u, coeff, nlam)
         return LogForm(n, len(tuple(idx)), {tuple(idx): poly}, nlam)
 
     def is_zero(self) -> bool:
@@ -119,17 +116,16 @@ def wedge_insert(i: int, idx: IndexTuple) -> tuple[int, IndexTuple] | None:
     return sign, tuple(sorted(idx + (i,)))
 
 
-def _add_scaled(out: dict[IntVec, object], p: LaurentPoly, factor) -> None:
+def _add_scaled(out: dict[IntVec, Fraction], p: LaurentPoly, factor) -> None:
     """Add factor times p into the term map out; factor is a nonzero rational."""
-    symbolic = p.nlam is not None
     for u, c in p.terms.items():
         if factor != 1:
-            c = c.scale(factor) if symbolic else c * factor
+            c = c * factor
         out[u] = out[u] + c if u in out else c
 
 
-def _form(n: int, degree: int, acc: dict[IndexTuple, dict[IntVec, object]],
-          nlam: int | None) -> LogForm:
+def _form(n: int, degree: int, acc: dict[IndexTuple, dict[IntVec, Fraction]],
+          nlam: int) -> LogForm:
     """The form whose components have the accumulated term maps of acc."""
     return LogForm(n, degree, {idx: LaurentPoly(n, terms, nlam)
                                for idx, terms in acc.items()}, nlam)
@@ -141,7 +137,7 @@ def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm) -> LogForm:
     if omega.degree == n:
         # there are no forms of degree n + 1
         return LogForm.zero(n, n, omega.nlam)
-    acc: dict[IndexTuple, dict[IntVec, object]] = {}
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in omega.components.items():
         for i in range(1, n + 1):
             ins = wedge_insert(i, idx)
@@ -179,7 +175,7 @@ def homotopy_rho(ell: FacetForm, omega: LogForm) -> LogForm:
     n = omega.n
     if omega.degree == 0:
         return LogForm.zero(n, 0, omega.nlam)
-    acc: dict[IndexTuple, dict[IntVec, object]] = {}
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in omega.components.items():
         for pos, i in enumerate(idx):
             c = ell.coeffs[i - 1]
@@ -207,11 +203,10 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
     facets = list(facets)
     f = build_f_symbolic(config)
     N = config.N
-    # per facet: ell(alpha) and the shifts by each point with lambda_j ell(a(j))
+    # per facet: ell(alpha) and the shifts by each term lambda_j x^a(j) of f
+    # with weight ell(a(j)); ell reads the first n coordinates of a key
     sides = [(Fraction(ell.evaluate(alpha.entries)),
-              [(point, LambdaPoly.gen(j, N).scale(ell.evaluate(point)))
-               for j, point in enumerate(config.points, start=1)
-               if ell.evaluate(point) != 0])
+              [(key, ell.evaluate(key)) for key in f.terms if ell.evaluate(key)])
              for ell in facets]
     # facets[:live] have held on every sample so far; a failure cuts the rest
     live = len(facets)
@@ -226,15 +221,15 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
             lhs = LogForm.zero(n, k, N) if d_omega is None else homotopy_rho(ell, d_omega)
             if k > 0:
                 lhs = lhs + nabla(alpha, f, homotopy_rho(ell, omega))
-            acc: dict[IndexTuple, dict[IntVec, object]] = {}
+            acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
             for idx, xi in omega.components.items():
                 out = acc[idx] = {}
                 for u, c in xi.terms.items():
-                    t = c.scale(ell_alpha + ell.evaluate(u))
+                    t = c * (ell_alpha + ell.evaluate(u))
                     out[u] = out[u] + t if u in out else t
-                    for point, lam in shifts:
-                        w = tuple(x + y for x, y in zip(u, point))
-                        t = c * lam
+                    for key, weight in shifts:
+                        w = tuple(x + y for x, y in zip(u, key))
+                        t = c * weight
                         out[w] = out[w] + t if w in out else t
             if lhs != _form(n, k, acc, N):
                 live = pos
@@ -502,7 +497,7 @@ def quasi_iso_check(config: PointConfig, alpha: ParameterVector,
 
 
 def enumerate_monomial_forms(n: int, bound: int, degrees: Sequence[int],
-                             nlam: int | None = None) -> list[LogForm]:
+                             nlam: int = 0) -> list[LogForm]:
     """Every monomial form with exponents in the centered box, all index tuples."""
     out = []
     for u in itertools.product(range(-bound, bound + 1), repeat=n):

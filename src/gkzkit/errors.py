@@ -28,7 +28,8 @@ class NotARelationError(GkzError):
 
 
 class ScalarModeError(GkzError):
-    """Rational-coefficient and symbolic-coefficient polynomials were mixed."""
+    """Polynomials with different torus dimensions or numbers of symbolic
+    parameters were mixed."""
 
 
 class StructureError(GkzError):

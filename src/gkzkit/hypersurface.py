@@ -305,22 +305,25 @@ def split(form: LogForm) -> SplitForm:
                      LogForm(n, deg1, comp1, form.nlam))
 
 
-def _embed_g(g: LaurentPoly, nlam: int | None) -> LaurentPoly:
+def _embed_g(g: LaurentPoly) -> LaurentPoly:
     """View g inside the full torus ring (zero last exponent)."""
-    terms = {u + (0,): c for u, c in g.terms.items()}
-    out = LaurentPoly(g.n + 1, terms)
-    return out.as_symbolic(nlam) if nlam is not None else out
+    return LaurentPoly(g.n + 1, {u + (0,): c for u, c in g.terms.items()})
 
 
 def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm) -> LogForm:
     """Horizontal boundary: logarithmic derivations in the first n-1
-    directions plus x_n times the corresponding derivative of g."""
+    directions plus x_n times the corresponding derivative of g.
+
+    Composed by parts rather than through ``apply_D``: with ``d_v`` it is
+    the independent side of ``check_split_matches_nabla``, which would
+    otherwise compare ``apply_D`` with itself.
+    """
     n = part.n
     if part.degree >= n:
         # only the empty form has this nominal degree among split rows
-        return LogForm.zero(n, n, part.nlam)
-    gn = _embed_g(g, part.nlam)
-    out = LogForm.zero(n, part.degree + 1, part.nlam)
+        return LogForm.zero(n, n)
+    gn = _embed_g(g)
+    out = LogForm.zero(n, part.degree + 1)
     for idx, xi in part.components.items():
         for i in range(1, n):
             ins = wedge_insert(i, idx)
@@ -332,22 +335,21 @@ def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm) -> LogForm:
                 + xi.scalar_mul(alpha.entries[i - 1]) + dg_i * xi
             if sign < 0:
                 piece = -piece
-            out = out + LogForm(n, part.degree + 1, {target: piece}, part.nlam)
+            out = out + LogForm(n, part.degree + 1, {target: piece})
     return out
 
 
 def d_v(alpha: ParameterVector, g: LaurentPoly, part0: LogForm) -> LogForm:
     """Vertical boundary into the dx_n/x_n row, with the trailing-basis sign."""
     n = part0.n
-    gn = _embed_g(g, part0.nlam)
-    xn_g = gn.shift((0,) * (n - 1) + (1,))
-    out = LogForm.zero(n, part0.degree, part0.nlam)
+    xn_g = _embed_g(g).shift((0,) * (n - 1) + (1,))
+    out = LogForm.zero(n, part0.degree)
     for idx, xi in part0.components.items():
         piece = toric_derivative(n, xi) + xi.scalar_mul(alpha.entries[-1]) \
             + xn_g * xi
         if len(idx) % 2:
             piece = -piece
-        out = out + LogForm(n, part0.degree, {idx: piece}, part0.nlam)
+        out = out + LogForm(n, part0.degree, {idx: piece})
     return out
 
 
@@ -382,7 +384,7 @@ def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
     parameter entry to avoid the corresponding poles.
     """
     n = part1.n
-    if part1.nlam is not None:
+    if part1.nlam:
         raise ValueError("comparison map needs specialized coefficients")
     alpha_n = alpha.entries[-1]
     out = UForm.zero(g, part1.degree)

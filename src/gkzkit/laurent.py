@@ -1,15 +1,18 @@
-"""Sparse Laurent polynomials over exact rationals, with two coefficient modes.
+"""Sparse Laurent polynomials over exact rationals.
 
-Coefficients are either plain Fractions ("rational mode", the deformation
-parameters specialized to numbers) or sparse polynomials in the parameters
-lambda_1..lambda_N with Fraction coefficients ("symbolic mode").  The two
-modes never mix inside one polynomial; binary operations raise
-ScalarModeError on a mismatch.
+A LaurentPoly maps exponent keys to nonzero Fractions.  ``n`` is the torus
+dimension.  With the deformation parameters lambda_1..lambda_N kept as
+symbols (``nlam = N``) it is an element of Q[lambda_1..lambda_N][x^{+-1}],
+and each key is the flat tuple (u_1..u_n, e_1..e_N) of the monomial
+lambda^e x^u: the x exponents, then the nonnegative lambda exponents.  With
+``nlam = 0`` the parameters are specialized to numbers and a key is just u.
+Products add whole keys, so they multiply the lambda monomials too; the
+derivations x_i d/dx_i read only the first n coordinates.  Polynomials of
+different (n, nlam) never mix; binary operations raise ScalarModeError.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,154 +23,47 @@ from .lattice import ParameterVector, PointConfig, newton_polytope
 IntVec = tuple[int, ...]
 
 
-class LambdaPoly:
-    """Polynomial in the parameters lambda_1..lambda_N over the rationals."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict[IntVec, Fraction] | None = None):
-        self.nvars = nvars
-        self.terms: dict[IntVec, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                if type(c) is not Fraction:
-                    c = Fraction(c)
-                if c:
-                    self.terms[tuple(e)] = c
-
-    @staticmethod
-    def const(value, nvars: int) -> "LambdaPoly":
-        return LambdaPoly(nvars, {(0,) * nvars: Fraction(value)})
-
-    @staticmethod
-    def gen(j: int, nvars: int) -> "LambdaPoly":
-        """The generator lambda_j (1-based)."""
-        e = [0] * nvars
-        e[j - 1] = 1
-        return LambdaPoly(nvars, {tuple(e): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LambdaPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LambdaPoly(self.nvars, out)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out: dict[IntVec, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LambdaPoly(self.nvars, out)
-
-    def scale(self, c) -> "LambdaPoly":
-        if type(c) is not Fraction:
-            c = Fraction(c)
-        return LambdaPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def derivative(self, j: int) -> "LambdaPoly":
-        """Formal derivative with respect to lambda_j (1-based)."""
-        out: dict[IntVec, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[j - 1]:
-                e2 = list(e)
-                e2[j - 1] -= 1
-                out[tuple(e2)] = c * e[j - 1]
-        return LambdaPoly(self.nvars, out)
-
-    def evaluate(self, values: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, p in zip(values, e):
-                term *= Fraction(v) ** p
-            total += term
-        return total
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(f"l{j + 1}^{p}" if p > 1 else f"l{j + 1}"
-                            for j, p in enumerate(e) if p)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(bits)
-
-
-Scalar = object  # Fraction in rational mode, LambdaPoly in symbolic mode
-
-
-def _scalar_is_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, LambdaPoly) else c == 0
-
-
 class LaurentPoly:
-    """Finite map from integer exponent vectors to nonzero coefficients.
-
-    ``nlam`` is None in rational mode, or the number of lambda variables in
-    symbolic mode.
-    """
+    """Finite map from exponent keys of length n + nlam to nonzero Fractions."""
 
     __slots__ = ("n", "nlam", "terms")
 
-    def __init__(self, n: int, terms: dict[IntVec, Scalar] | None = None,
-                 nlam: int | None = None):
+    def __init__(self, n: int, terms: dict[IntVec, Fraction] | None = None,
+                 nlam: int = 0):
         self.n = n
         self.nlam = nlam
-        self.terms: dict[IntVec, Scalar] = {}
+        self.terms: dict[IntVec, Fraction] = {}
         if terms:
+            width = n + nlam
             for u, c in terms.items():
                 u = tuple(u)
-                if len(u) != n:
+                if len(u) != width:
                     raise ValueError("exponent length mismatch")
-                if nlam is None and type(c) is not Fraction:
+                if type(c) is not Fraction:
                     c = Fraction(c)
-                if not _scalar_is_zero(c):
+                if c:
                     self.terms[u] = c
 
     @staticmethod
-    def zero(n: int, nlam: int | None = None) -> "LaurentPoly":
+    def zero(n: int, nlam: int = 0) -> "LaurentPoly":
         return LaurentPoly(n, {}, nlam)
 
     @staticmethod
-    def monomial(u: Sequence[int], coeff=Fraction(1), nlam: int | None = None) -> "LaurentPoly":
-        return LaurentPoly(len(u), {tuple(int(x) for x in u): coeff}, nlam)
+    def monomial(u: Sequence[int], coeff=Fraction(1), nlam: int = 0) -> "LaurentPoly":
+        """coeff times x^u, constant in the parameters."""
+        return LaurentPoly(len(u), {tuple(int(x) for x in u) + (0,) * nlam: coeff}, nlam)
 
     @staticmethod
-    def one(n: int, nlam: int | None = None) -> "LaurentPoly":
-        coeff = LambdaPoly.const(1, nlam) if nlam is not None else Fraction(1)
-        return LaurentPoly(n, {(0,) * n: coeff}, nlam)
+    def one(n: int, nlam: int = 0) -> "LaurentPoly":
+        return LaurentPoly(n, {(0,) * (n + nlam): Fraction(1)}, nlam)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def _check_mode(self, other: "LaurentPoly") -> None:
-        if self.n != other.n:
-            raise ScalarModeError("ambient dimension mismatch")
-        if self.nlam != other.nlam:
-            raise ScalarModeError("rational and symbolic coefficients mixed")
+        if (self.n, self.nlam) != (other.n, other.nlam):
+            raise ScalarModeError(f"polynomials with (n, nlam) = {(self.n, self.nlam)} "
+                                  f"and {(other.n, other.nlam)} mixed")
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentPoly) and self.n == other.n
@@ -177,14 +73,7 @@ class LaurentPoly:
         self._check_mode(other)
         out = dict(self.terms)
         for u, c in other.terms.items():
-            if u in out:
-                s = out[u] + c
-                if _scalar_is_zero(s):
-                    del out[u]
-                else:
-                    out[u] = s
-            else:
-                out[u] = c
+            out[u] = out[u] + c if u in out else c
         return LaurentPoly(self.n, out, self.nlam)
 
     def __neg__(self) -> "LaurentPoly":
@@ -195,57 +84,34 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_mode(other)
-        out: dict[IntVec, Scalar] = {}
+        out: dict[IntVec, Fraction] = {}
         for u1, c1 in self.terms.items():
             for u2, c2 in other.terms.items():
                 u = tuple(a + b for a, b in zip(u1, u2))
                 c = c1 * c2
-                if u in out:
-                    s = out[u] + c
-                    if _scalar_is_zero(s):
-                        del out[u]
-                    else:
-                        out[u] = s
-                elif not _scalar_is_zero(c):
-                    out[u] = c
+                out[u] = out[u] + c if u in out else c
         return LaurentPoly(self.n, out, self.nlam)
 
     def scalar_mul(self, c) -> "LaurentPoly":
-        """Multiply by a Fraction (valid in both modes) or a LambdaPoly."""
-        if isinstance(c, LambdaPoly):
-            if self.nlam != c.nvars:
-                raise ScalarModeError("symbolic scalar on a rational-mode polynomial")
-            return LaurentPoly(self.n, {u: v * c for u, v in self.terms.items()}, self.nlam)
+        """Multiply by a rational number."""
         if type(c) is not Fraction:
             c = Fraction(c)
-        if c == 0:
-            return LaurentPoly.zero(self.n, self.nlam)
-        if self.nlam is None:
-            return LaurentPoly(self.n, {u: v * c for u, v in self.terms.items()}, None)
-        return LaurentPoly(self.n, {u: v.scale(c) for u, v in self.terms.items()}, self.nlam)
+        return LaurentPoly(self.n, {u: v * c for u, v in self.terms.items()}, self.nlam)
 
     def shift(self, u: Sequence[int]) -> "LaurentPoly":
-        """Multiply by the monomial with exponent u."""
-        u = tuple(int(x) for x in u)
+        """Multiply by the monomial x^u."""
+        u = tuple(int(x) for x in u) + (0,) * self.nlam
         return LaurentPoly(self.n, {tuple(a + b for a, b in zip(w, u)): c
                                     for w, c in self.terms.items()}, self.nlam)
-
-    def as_symbolic(self, nlam: int) -> "LaurentPoly":
-        """Lift a rational-mode polynomial to symbolic mode with constant coefficients."""
-        if self.nlam is not None:
-            if self.nlam != nlam:
-                raise ScalarModeError("already symbolic in a different number of parameters")
-            return self
-        return LaurentPoly(self.n, {u: LambdaPoly.const(c, nlam)
-                                    for u, c in self.terms.items()}, nlam)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         bits = []
-        for u, c in sorted(self.terms.items()):
-            mono = "*".join(f"x{i + 1}^{p}" for i, p in enumerate(u) if p)
-            bits.append(f"({c})" + (f"*{mono}" if mono else ""))
+        for key, c in sorted(self.terms.items()):
+            mono = [f"x{i + 1}^{p}" for i, p in enumerate(key[:self.n]) if p]
+            mono += [f"l{j + 1}^{p}" for j, p in enumerate(key[self.n:]) if p]
+            bits.append(f"({c})" + ("*" + "*".join(mono) if mono else ""))
         return " + ".join(bits)
 
 
@@ -253,37 +119,29 @@ def build_f(config: PointConfig, lam: Sequence) -> LaurentPoly:
     """The Laurent polynomial sum of lam_j times the j-th point monomial."""
     if len(lam) != config.N:
         raise ValueError("need one coefficient per point")
-    terms: dict[IntVec, Scalar] = {}
+    terms: dict[IntVec, Fraction] = {}
     for point, c in zip(config.points, lam):
         c = Fraction(c)
         if c == 0:
             continue
         terms[point] = terms.get(point, Fraction(0)) + c
-    return LaurentPoly(config.n, terms, None)
+    return LaurentPoly(config.n, terms)
 
 
 def build_f_symbolic(config: PointConfig) -> LaurentPoly:
-    """The same polynomial with the parameters kept as symbols."""
-    terms: dict[IntVec, Scalar] = {}
-    for j, point in enumerate(config.points, start=1):
-        gen = LambdaPoly.gen(j, config.N)
-        terms[point] = terms[point] + gen if point in terms else gen
-    return LaurentPoly(config.n, terms, config.N)
+    """The same polynomial with the parameters kept as symbols: the j-th
+    point a_j gives the term lambda_j x^{a_j}, the key a_j + e_j."""
+    N = config.N
+    return LaurentPoly(config.n, {point + tuple(int(k == j) for k in range(N)): 1
+                                  for j, point in enumerate(config.points)}, N)
 
 
 def toric_derivative(i: int, p: LaurentPoly) -> LaurentPoly:
     """x_i d/dx_i in the exponent encoding: each term scales by its i-th exponent."""
     if not 1 <= i <= p.n:
         raise ValueError("derivative index out of range")
-    out: dict[IntVec, Scalar] = {}
-    for u, c in p.terms.items():
-        k = u[i - 1]
-        if k:
-            if isinstance(c, LambdaPoly):
-                out[u] = c.scale(k)
-            else:
-                out[u] = c * k
-    return LaurentPoly(p.n, out, p.nlam)
+    k = i - 1
+    return LaurentPoly(p.n, {u: c * u[k] for u, c in p.terms.items() if u[k]}, p.nlam)
 
 
 def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly) -> LaurentPoly:
@@ -299,12 +157,11 @@ def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly) -> 
     f._check_mode(xi)
     k = i - 1
     a = alpha.entries[k]
-    scale = operator.mul if xi.nlam is None else LambdaPoly.scale
     # the terms of x_i df/dx_i
-    df = [(v, scale(c, v[k])) for v, c in f.terms.items() if v[k]]
-    out: dict[IntVec, Scalar] = {}
+    df = [(v, c * v[k]) for v, c in f.terms.items() if v[k]]
+    out: dict[IntVec, Fraction] = {}
     for u, c in xi.terms.items():
-        t = scale(c, u[k] + a)
+        t = c * (u[k] + a)
         out[u] = out[u] + t if u in out else t
         for v, d in df:
             w = tuple(x + y for x, y in zip(u, v))
@@ -315,14 +172,14 @@ def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly) -> 
 
 def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
     """Exact quotient p / q among Laurent polynomials, or None if q does not
-    divide p.  Rational coefficient mode only.
+    divide p.  Specialized parameters (nlam = 0) only.
 
     Monomials are units, so divisibility is decided after shifting both
     operands to ordinary polynomials; leading-term reduction under the
     lexicographic order then either terminates at zero or certifies
     non-divisibility.
     """
-    if p.nlam is not None or q.nlam is not None:
+    if p.nlam or q.nlam:
         raise ScalarModeError("exact division needs specialized coefficients")
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import NotARelationError
 from .lattice import ParameterVector, PointConfig
-from .laurent import LambdaPoly, LaurentPoly, apply_D, build_f_symbolic
+from .laurent import LaurentPoly, apply_D, build_f_symbolic
 
 IntVec = tuple[int, ...]
 TermKey = tuple[IntVec, IntVec]
@@ -203,45 +203,29 @@ def check_commutation(config: PointConfig, l: Sequence[int], i: int,
     return CommutationCheck(ok=residual.is_zero(), beta=beta, residual=residual)
 
 
-def phi_map(w: WeylElement, config: PointConfig, lam: Sequence | None = None) -> LaurentPoly:
+def phi_map(w: WeylElement, config: PointConfig) -> LaurentPoly:
     """Parameter-linear image of a Weyl element among Laurent polynomials.
 
-    Each normal-ordered term lambda^e del^b maps to lambda^e times the
-    monomial with exponent sum_j b_j a(j).  With lam given, the lambda part
-    is evaluated at those rationals; otherwise it stays symbolic.
+    Each normal-ordered term c lambda^e del^b maps to c lambda^e x^u with
+    u = sum_j b_j a(j): the key u + e, the parameters kept as symbols.
     """
     if w.nvars != config.N:
         raise ValueError("parameter count mismatch")
-    n = config.n
-    if lam is None:
-        out = LaurentPoly.zero(n, nlam=config.N)
-        for (e, b), c in w.terms.items():
-            u = tuple(sum(b[j] * config.points[j][i] for j in range(config.N))
-                      for i in range(n))
-            out = out + LaurentPoly(n, {u: LambdaPoly(config.N, {e: c})}, config.N)
-        return out
-    values = [Fraction(v) for v in lam]
-    out = LaurentPoly.zero(n)
+    terms: dict[IntVec, Fraction] = {}
     for (e, b), c in w.terms.items():
-        u = tuple(sum(b[j] * config.points[j][i] for j in range(config.N))
-                  for i in range(n))
-        coeff = c
-        for v, p in zip(values, e):
-            coeff *= v ** p
-        out = out + LaurentPoly(n, {u: coeff})
-    return out
+        key = tuple(sum(bj * a[i] for bj, a in zip(b, config.points))
+                    for i in range(config.n)) + e
+        terms[key] = terms[key] + c if key in terms else c
+    return LaurentPoly(config.n, terms, config.N)
 
 
 def lambda_derivative(p: LaurentPoly, j: int) -> LaurentPoly:
-    """Differentiate the symbolic coefficients of p with respect to lambda_j."""
-    if p.nlam is None:
-        raise ValueError("rational-mode polynomial has no lambda dependence")
-    out = {}
-    for u, c in p.terms.items():
-        d = c.derivative(j)
-        if not d.is_zero():
-            out[u] = d
-    return LaurentPoly(p.n, out, p.nlam)
+    """d/dlambda_j of p: lowers key coordinate n + j - 1."""
+    if not 1 <= j <= p.nlam:
+        raise ValueError("parameter index out of range")
+    k = p.n + j - 1
+    return LaurentPoly(p.n, {u[:k] + (u[k] - 1,) + u[k + 1:]: c * u[k]
+                             for u, c in p.terms.items() if u[k]}, p.nlam)
 
 
 def check_phi_kills_box(config: PointConfig, t: WeylElement, l: Sequence[int]) -> bool:

@@ -290,6 +290,19 @@ def apply_box_to_lambda_poly(box_terms: dict, poly_terms: dict) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
+def specialize(poly: dict, r: Sequence) -> dict:
+    """A polynomial in x and the parameters, as its terms {u + e: c} for
+    c x^u lambda^e, at lambda = r: the terms {u: c r^e}, nonzero ones only."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, c in poly.items():
+        u, e = key[:len(key) - len(r)], key[len(key) - len(r):]
+        val = Fraction(c)
+        for v, p in zip(r, e):
+            val *= Fraction(v) ** p
+        out[u] = out.get(u, Fraction(0)) + val
+    return {u: c for u, c in out.items() if c}
+
+
 def _falling_product(w: int, steps: int, p: int) -> int:
     """(w+1)(w+2)...(w+steps) mod p."""
     out = 1

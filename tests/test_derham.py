@@ -18,11 +18,11 @@ from gkzkit.errors import GkzError, NotStabilizedError
 from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
-from gkzkit.laurent import (ConeSupport, FullSupport, LambdaPoly, LaurentPoly,
-                            apply_D, build_f, build_f_symbolic, toric_derivative)
+from gkzkit.laurent import (ConeSupport, FullSupport, LaurentPoly, apply_D,
+                            build_f, build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
 from oracles import (apply_D_by_parts, brute_newton_window, dense_rank,
-                     nabla_by_parts, shoelace_volume)
+                     nabla_by_parts, shoelace_volume, specialize)
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 LAM4 = LAM3 + [Fraction(7, 13)]
@@ -84,9 +84,9 @@ def test_homotopy_identity_example_hand():
     omega = LogForm.from_monomial((3,), (1,), 1, nlam=1)
     f = build_f_symbolic(cfg)
     lhs = nabla(alpha, f, homotopy_rho(ell, omega))
-    want = LogForm(1, 1, {(1,): LaurentPoly(1, {
-        (3,): LambdaPoly.const(Fraction(7, 2), 1),
-        (4,): LambdaPoly.gen(1, 1)}, nlam=1)}, nlam=1)
+    # keys (u, e) of lambda^e x^u: (7/2) x^3 + lambda x^4
+    want = LogForm(1, 1, {(1,): LaurentPoly(1, {(3, 0): Fraction(7, 2), (4, 1): 1},
+                                            nlam=1)}, nlam=1)
     assert lhs == want
     assert homotopy_identity_check([ell], alpha, cfg, [omega]) is None
 
@@ -127,24 +127,20 @@ FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 @st.composite
 def derivation_cases(draw):
-    """(i, alpha, f, xi, omega, cancel) in rational or symbolic mode (two
-    parameters); xi is a component of omega.
+    """(i, alpha, f, xi, omega, cancel) with rational coefficients or two
+    symbolic parameters; xi is a component of omega.
 
     When x_i df/dx_i has two terms, g_v x^v and g_w x^w, xi is at times
-    g_w x^u - g_v x^(u + v - w), whose shifted terms cancel at cancel = u + v.
+    g_w x^u - g_v x^(u + v - w), whose shifted terms cancel at cancel = u + v;
+    with symbolic parameters u carries the lambda exponents of w, so those of
+    u + v - w stay nonnegative.
     """
     n = draw(st.sampled_from([2, 3, 1]))
-    nlam = draw(st.sampled_from([None, 2]))
-    if nlam is None:
-        coeffs = FRAC
-    else:
-        coeffs = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                                 FRAC, min_size=1, max_size=2).map(
-            lambda t: LambdaPoly(2, t))
-    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    nlam = draw(st.sampled_from([0, 2]))
+    exps = st.tuples(*[st.integers(-2, 2)] * n, *[st.integers(0, 1)] * nlam)
 
     def poly(min_size=1):
-        return LaurentPoly(n, draw(st.dictionaries(exps, coeffs, min_size=min_size,
+        return LaurentPoly(n, draw(st.dictionaries(exps, FRAC, min_size=min_size,
                                                    max_size=3)), nlam)
     f = poly(min_size=2)
     i = draw(st.integers(1, n))
@@ -155,6 +151,7 @@ def derivation_cases(draw):
     if len(g.terms) >= 2 and draw(st.booleans()):
         v, w = draw(st.permutations(sorted(g.terms)))[:2]
         u = draw(exps)
+        u = u[:n] + tuple(a + b for a, b in zip(u[n:], w[n:]))
         cancel = tuple(a + b for a, b in zip(u, v))
         xi = LaurentPoly(n, {u: g.terms[w],
                              tuple(a + b - c for a, b, c in zip(u, v, w)): -g.terms[v]},
@@ -178,6 +175,48 @@ def test_one_pass_derivation_matches_by_parts(case):
         for eta in omega.components.values():
             assert apply_D(j, alpha, f, eta) == apply_D_by_parts(j, alpha, f, eta)
     assert nabla(alpha, f, omega) == nabla_by_parts(alpha, f, omega)
+
+
+@st.composite
+def specialization_cases(draw):
+    """(alpha, config, r, omega): a form whose coefficients carry lambda
+    exponents, on a configuration of the unit vectors and up to two more
+    points, and a nonzero specialization r of the parameters."""
+    n = draw(st.integers(1, 3))
+    units = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    extra = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=2,
+                          unique=True))
+    cfg = validate_config(draw(st.permutations(
+        units + [a for a in extra if a not in units])))
+    r = tuple(draw(FRAC.filter(bool)) for _ in range(cfg.N))
+    alpha = ParameterVector(tuple(draw(FRAC) for _ in range(n)))
+    keys = st.tuples(*[st.integers(-2, 2)] * n, *[st.integers(0, 2)] * cfg.N)
+    k = draw(st.integers(0, n))
+    omega = LogForm(n, k, {idx: LaurentPoly(n, draw(st.dictionaries(
+        keys, FRAC, max_size=3)), cfg.N)
+        for idx in itertools.combinations(range(1, n + 1), k)}, cfg.N)
+    return alpha, cfg, r, omega
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(specialization_cases())
+def test_specializing_lambda_commutes_with_the_symbolic_path(case):
+    # a lambda exponent read as an x exponent (or the reverse) breaks this
+    alpha, cfg, r, omega = case
+    f, f_r = build_f_symbolic(cfg), build_f(cfg, r)
+    for xi in omega.components.values():
+        xi_r = LaurentPoly(cfg.n, specialize(xi.terms, r))
+        for i in range(1, cfg.n + 1):
+            got = specialize(apply_D(i, alpha, f, xi).terms, r)
+            assert got == apply_D(i, alpha, f_r, xi_r).terms
+    omega_r = LogForm(cfg.n, omega.degree, {
+        idx: LaurentPoly(cfg.n, specialize(xi.terms, r))
+        for idx, xi in omega.components.items()})
+    got = {idx: specialize(p.terms, r)
+           for idx, p in nabla(alpha, f, omega).components.items()}
+    want = nabla(alpha, f_r, omega_r)
+    assert {idx: t for idx, t in got.items() if t} == \
+        {idx: p.terms for idx, p in want.components.items()}
 
 
 def test_filtration_compatibility():

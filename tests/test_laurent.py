@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from gkzkit.errors import ScalarModeError
 from gkzkit.lattice import ParameterVector, validate_config
-from gkzkit.laurent import (ConeSupport, HalfSupport, LambdaPoly,
-                            LaurentPoly, apply_D, build_f, build_f_symbolic,
-                            divide_exact, toric_derivative)
+from gkzkit.laurent import (ConeSupport, HalfSupport, LaurentPoly, apply_D,
+                            build_f, build_f_symbolic, divide_exact,
+                            toric_derivative)
 from oracles import brute_positive_combination
 
 
@@ -25,9 +25,9 @@ def test_build_f_examples():
 
     cfg3 = validate_config([(0, 1), (1, 1), (-1, 1)])
     f = build_f_symbolic(cfg3)
-    assert f.terms[(0, 1)] == LambdaPoly.gen(1, 3)
-    assert f.terms[(1, 1)] == LambdaPoly.gen(2, 3)
-    assert f.terms[(-1, 1)] == LambdaPoly.gen(3, 3)
+    # lambda_j x^(a_j) is the key a_j + e_j
+    assert f == LaurentPoly(2, {(0, 1, 1, 0, 0): 1, (1, 1, 0, 1, 0): 1,
+                                (-1, 1, 0, 0, 1): 1}, nlam=3)
 
     assert build_f(validate_config([(1,)]), [0]).is_zero()
 
@@ -49,8 +49,10 @@ def test_mode_mismatch_raises():
         _ = sym + rat
     with pytest.raises(ScalarModeError):
         _ = sym * rat
-    lifted = sym + rat.as_symbolic(cfg.N)
-    assert lifted.terms[(1,)] == LambdaPoly.gen(1, 1) + LambdaPoly.const(2, 1)
+    with pytest.raises(ScalarModeError):
+        apply_D(1, ParameterVector.of("1/2"), sym, rat)
+    with pytest.raises(ScalarModeError):
+        _ = sym + LaurentPoly(2, {(1, 0): 1})  # keys of the same width
 
 
 coeff_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -108,7 +110,8 @@ def test_apply_D_commutes():
         terms = {}
         for _ in range(3):
             u = (rng.randint(-2, 2), rng.randint(-2, 2))
-            terms[u] = LambdaPoly.const(Fraction(rng.randint(-5, 5)), 3)
+            e = tuple(rng.randint(0, 1) for _ in range(3))
+            terms[u + e] = Fraction(rng.randint(-5, 5))
         xi = LaurentPoly(2, terms, nlam=3)
         d12 = apply_D(1, alpha, f, apply_D(2, alpha, f, xi))
         d21 = apply_D(2, alpha, f, apply_D(1, alpha, f, xi))
