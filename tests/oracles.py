@@ -146,18 +146,8 @@ def brute_facets(points: list[tuple[int, ...]], coeff_bound: int) -> set[tuple[i
     return out
 
 
-def brute_positive_combination(points: list[tuple[int, ...]], u: tuple[int, ...],
-                               coeff_bound: int) -> bool:
-    """Is u a nonnegative integer combination with coefficients <= bound?"""
-    for coeffs in itertools.product(range(coeff_bound + 1), repeat=len(points)):
-        if all(sum(c * p[i] for c, p in zip(coeffs, points)) == u[i]
-               for i in range(len(u))):
-            return True
-    return False
-
-
 def brute_newton_window(points: list[tuple[int, ...]], B: int, coeff_bound: int,
-                        cone_coeff_bound: int | None = None) -> set[tuple[int, ...]]:
+                        cone_only: bool = False) -> set[tuple[int, ...]]:
     """Every lattice point u with w(u) + 2 D(u) <= B, where w(u) is the
     largest -g.u / e and D(u) the sum of max(0, -g.u) over the facet normals
     (g, e) of the homogenized configuration (a, 1), (0, 1) with e > 0 and
@@ -168,9 +158,9 @@ def brute_newton_window(points: list[tuple[int, ...]], B: int, coeff_bound: int,
     facet f takes at least -f(u) / max f(a) such steps, so the window lies
     in the polytope with w <= B and each f(u) >= -B max f(a); the scanned
     box holds its vertices, the feasible solutions of n of its equations
-    (Cramer's rule).  With cone_coeff_bound, only nonnegative integer
-    combinations of the points with coefficients up to that bound are kept
-    (each lies in the cone, where D = 0).
+    (Cramer's rule).  With cone_only, only the points on which every cone
+    normal is nonnegative are kept: the lattice points of the real cone,
+    where D = 0.
     """
     n = len(points[0])
     normals = brute_facets([(*a, 1) for a in points] + [(0,) * n + (1,)], coeff_bound)
@@ -191,9 +181,7 @@ def brute_newton_window(points: list[tuple[int, ...]], B: int, coeff_bound: int,
     for u in itertools.product(range(-box, box + 1), repeat=n):
         depth = sum(max(0, -sum(c * x for c, x in zip(f, u))) for f in cone)
         if all(-sum(c * x for c, x in zip(g, u)) + 2 * depth * e <= B * e
-               for g, e in weights) and (
-                cone_coeff_bound is None or depth == 0
-                and brute_positive_combination(points, u, cone_coeff_bound)):
+               for g, e in weights) and not (cone_only and depth):
             out.add(u)
     return out
 

@@ -21,7 +21,8 @@ from gkzkit.errors import ResonantError
 from gkzkit.hypersurface import (SplitForm, build_g, check_gamma_chain_map,
                                  cohomology_U_dim, kernel_equals_dv_image)
 from gkzkit.derham import LogForm
-from gkzkit.lattice import ParameterVector, cone_facets, relation_lattice
+from gkzkit.lattice import (ParameterVector, cone_facets, relation_lattice,
+                            validate_config)
 from gkzkit.laurent import ConeSupport, FullSupport, build_f_symbolic
 from gkzkit.modp import full_set_sweep
 from gkzkit.weyl import (box_shift, check_commutation, check_phi_intertwines,
@@ -36,6 +37,10 @@ RANK_CASES = [
     ("gauss", ParameterVector.of("1/2", "1/3", "1/5"), 2),
 ]
 BOUNDS = {"single": 4, "cusp": 4, "trinomial": 4, "gauss": 3}
+# N.A is not saturated here: its window quotient reads 11, 15 at B = 3, 4,
+# while the lattice points of the cone read the volume 27, as Z^n does
+NON_SATURATED = validate_config([(2, 1, 1), (-1, 2, 1), (2, 2, -1), (3, 2, -1),
+                                 (-2, 1, 0)])
 
 
 def report(criterion: str, ok: bool, extra: str = "") -> None:
@@ -95,10 +100,12 @@ def test_criterion_2_complex_and_homotopy_identities():
 def test_criterion_3_rank_across_supports():
     ok = True
     details = []
-    for name, alpha, expected in RANK_CASES:
+    cases = [(name, builtin_config(name), alpha, BOUNDS[name], expected)
+             for name, alpha, expected in RANK_CASES]
+    cases.append(("non-saturated", NON_SATURATED,
+                  ParameterVector.of("1/2", "1/3", "1/5"), 4, 27))
+    for name, cfg, alpha, bound, expected in cases:
         t0 = time.monotonic()
-        cfg = builtin_config(name)
-        bound = BOUNDS[name]
         rep_full = generic_rank(cfg, alpha, FullSupport(cfg.n), bound, seed=101)
         rep_cone = generic_rank(cfg, alpha, ConeSupport(cfg), bound, seed=202)
         qi = quasi_iso_check(cfg, alpha, ConeSupport(cfg), FullSupport(cfg.n),

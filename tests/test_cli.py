@@ -81,11 +81,14 @@ def test_rank_not_stabilized_exits_3(capsys):
 @pytest.mark.parametrize("points, supports, bound, volume", [
     # n! vol(conv(0 u A)) by the shoelace formula on the hull of 0 and the
     # points; the 3-D points lie at height 1 over a quadrilateral of area
-    # 5/2, so 3! * (1/3) * 5/2 = 5 (at bound 2 the window pair reads 4, 5)
+    # 5/2, so 3! * (1/3) * 5/2 = 5 (at bound 2 the window pair reads 4, 5);
+    # the semigroup of the last misses lattice points of its cone, such as
+    # (0, 1), and U0 is the saturated cone, whose quotient reads the volume
     ([[1, 0], [0, 1], [-1, -1]], "zn,u0", 4, 3),
     ([[1, 0], [0, 1], [1, 1], [2, 1]], "zn,u0", 4, 3),
     ([[1, 0], [0, 1], [2, 3]], "zn", 4, 5),
     ([[0, 0, 1], [1, 0, 1], [0, 1, 1], [2, 3, 1]], "zn", 3, 5),
+    ([[-2, 2], [-1, 3], [2, 1]], "zn,u0", 4, 11),
 ])
 def test_rank_is_the_normalized_volume(capsys, points, supports, bound, volume):
     alpha = ",".join(["1/3", "1/5", "1/7"][:len(points[0])])

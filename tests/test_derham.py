@@ -257,7 +257,7 @@ def assert_newton_window(cfg, bound, coeff_bound=3):
         (points, bound)
     cone = CohomologyWindow(cfg, ConeSupport(cfg), bound)
     assert set(cone.points) == brute_newton_window(points, bound, coeff_bound,
-                                                   2 * bound + 1), (points, bound)
+                                                   cone_only=True), (points, bound)
 
 
 def test_newton_window_on_builtins():
@@ -280,7 +280,8 @@ def test_cone_window_matches_brute_newton_window():
       (-1, 2, 1), (-2, 1, 1), (0, 0, 1)], 3)])
 def test_uneven_3d_windows_match_brute_newton_window(points, coeff_bound):
     # the scan box is B max|a|, far smaller than the oracle's vertex box
-    assert_newton_window(validate_config(points), 1, coeff_bound)
+    for b in (1, 2, 3):
+        assert_newton_window(validate_config(points), b, coeff_bound)
 
 
 def test_lineality_window_matches_brute_newton_window():
@@ -304,11 +305,10 @@ def small_configs(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(config=small_configs())
 def test_newton_window_matches_brute_oracle_on_small_configs(config):
-    # the U0 oracle's coefficient scan is too slow for random cones with
-    # lineality, so random draws check the window shape on Z^n
+    # a facet normal of the homogenized points is the cross product of two
+    # (a, 1), whose entries are at most 2 * 2 * 2 = 8 in size
     for b in (1, 2):
-        win = CohomologyWindow(config, FullSupport(config.n), b)
-        assert set(win.points) == brute_newton_window(list(config.points), b, 5)
+        assert_newton_window(config, b, 8)
 
 
 def dense_quotient_dim(config, alpha, lam, support, bound):
@@ -464,10 +464,15 @@ def plane_configs(draw):
 @given(config=plane_configs())
 def test_generic_rank_is_the_volume_in_the_plane(config):
     # a primitive facet normal (f1, f2) takes an integer value on (1/7, 1/11)
-    # only when 7 | f1 and 11 | f2, which no normal of these points does
+    # only when 7 | f1 and 11 | f2, which no normal of these points does;
+    # U0 is the saturated cone, so it reads the volume even where N.A is
+    # not saturated
     alpha = ParameterVector.of("1/7", "1/11")
-    rep = generic_rank(config, alpha, FullSupport(2), 4)
-    assert rep.dim == shoelace_volume(config.points), config.points
+    full = generic_rank(config, alpha, FullSupport(2), 4)
+    cone = generic_rank(config, alpha, ConeSupport(config), 4)
+    assert full.dim == cone.dim == shoelace_volume(config.points), config.points
+    assert quasi_iso_check(config, alpha, ConeSupport(config), FullSupport(2),
+                           cone, full).verdict, config.points
 
 
 def test_not_stabilized_surfaces():

@@ -11,7 +11,7 @@ from gkzkit.lattice import ParameterVector, validate_config
 from gkzkit.laurent import (ConeSupport, HalfSupport, LaurentPoly, apply_D,
                             build_f, build_f_symbolic, divide_exact,
                             toric_derivative)
-from oracles import brute_positive_combination
+from oracles import brute_facets
 
 
 def mono(u, c=1):
@@ -135,18 +135,26 @@ def test_apply_D_stability_under_closed_supports():
 
 
 def test_cone_support_matches_bounded_enumeration():
-    # (points, box, coefficient bound); the last four cones have lineality
-    cases = [([(1,), (2,)], 4, 10), ([(0, 1), (1, 1), (-1, 1)], 4, 10),
-             ([(2,), (3,)], 4, 10),
-             ([(1, 0), (-1, 0), (0, 2), (1, 3)], 3, 6),
-             ([(1, 0), (0, 1), (-1, -1)], 4, 10), ([(1,), (-1,)], 4, 10),
-             ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, -1)], 2, 4)]
+    # (points, box, coefficient bound of the normal scan); U0 is the lattice
+    # points of the real cone, so membership is every brute-force facet
+    # normal being >= 0; the last four cones have lineality
+    cases = [([(1,), (2,)], 4, 2), ([(0, 1), (1, 1), (-1, 1)], 4, 3),
+             ([(2,), (3,)], 4, 2),
+             ([(1, 0), (-1, 0), (0, 2), (1, 3)], 3, 3),
+             ([(1, 0), (0, 1), (-1, -1)], 4, 3), ([(1,), (-1,)], 4, 2),
+             ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, -1)], 2, 3)]
     for points, box, coeff_bound in cases:
         cfg = validate_config(points)
         S = ConeSupport(cfg)
+        normals = brute_facets(list(cfg.points), coeff_bound)
         for u in itertools.product(range(-box, box + 1), repeat=cfg.n):
-            want = brute_positive_combination(cfg.points, tuple(u), coeff_bound)
+            want = all(sum(c * x for c, x in zip(f, u)) >= 0 for f in normals)
             assert S.contains(u) == want, (points, u)
+    # the saturation of N.A: 1 is not a sum of 2s and 3s, and no point of
+    # the row y = 1 is a sum of the four points, but both lie in the cone
+    assert ConeSupport(validate_config([(2,), (3,)])).contains((1,))
+    lineal = ConeSupport(validate_config([(1, 0), (-1, 0), (0, 2), (1, 3)]))
+    assert all(lineal.contains((x, 1)) for x in range(-3, 4))
 
 
 def test_divide_exact():
