@@ -5,6 +5,10 @@ rerunning a job with the same seed reproduces byte-identical output.  Exit
 codes: 0 success, 1 identity-check failure, 2 invalid configuration or
 arguments, 3 dimension not stabilized, 4 resonant parameter where
 nonresonance is required.
+
+Each ``cmd_*`` imports the modules it runs, so a process loads only the
+code of its subcommand; the module scope holds what ``analyze`` and the
+error handling of ``main`` need.
 """
 
 from __future__ import annotations
@@ -15,16 +19,10 @@ import sys
 
 from . import __version__
 from .catalog import BUILTIN_POINTS, builtin_alpha, builtin_config, builtin_names
-from .derham import (generic_rank, quasi_iso_check, require_stabilized,
-                     top_cohomology_dim)
 from .errors import (DuplicatePointError, GkzError, NotGeneratingError,
                      NotStabilizedError, ResonantError, StructureError)
-from .hypersurface import cohomology_U_dim
 from .jsonio import dump_json, load_config, parse_alpha, parse_fraction
 from .lattice import (cone_facets, is_nonresonant, relation_lattice)
-from .laurent import ConeSupport, FullSupport
-from .modp import full_set_sweep
-from .verify import run_battery
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -102,6 +100,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from .derham import (generic_rank, quasi_iso_check, require_stabilized,
+                         top_cohomology_dim)
+    from .laurent import ConeSupport, FullSupport
+
     config, label = _resolve_config(args.config)
     alpha = _parse_alpha_arg(args.alpha)
     supports = []
@@ -132,6 +134,7 @@ def cmd_rank(args) -> int:
                                  reports[1], reports[0])
             result["quasi_iso"] = qi.to_json()
         if args.hypersurface:
+            from .hypersurface import cohomology_U_dim
             rep = cohomology_U_dim(config, alpha, reports[0].lam, args.bound)
             result["U"] = require_stabilized(rep).to_json()
     except NotStabilizedError as exc:
@@ -144,6 +147,8 @@ def cmd_rank(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_battery
+
     names = [args.config] if args.config else builtin_names()
     overall_ok = True
     sections = []
@@ -179,6 +184,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_modp(args) -> int:
+    from .modp import full_set_sweep
+
     config, label = _resolve_config(args.config)
     alpha = _parse_alpha_arg(args.alpha)
     primes = [int(p.strip()) for p in args.primes.split(",") if p.strip()]

@@ -172,13 +172,18 @@ def twist_conjugation_check(alpha: ParameterVector, u: Sequence[int],
 
 def homotopy_rho(ell: FacetForm, omega: LogForm) -> LogForm:
     """Contraction against the facet form: alternating sum over dropped indices."""
+    return _contract(ell.coeffs, omega)
+
+
+def _contract(weights: Sequence[int], omega: LogForm) -> LogForm:
+    """Contraction against the linear form with coefficients weights."""
     n = omega.n
     if omega.degree == 0:
         return LogForm.zero(n, 0, omega.nlam)
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in omega.components.items():
         for pos, i in enumerate(idx):
-            c = ell.coeffs[i - 1]
+            c = weights[i - 1]
             if c == 0:
                 continue
             coeff = Fraction(c) if pos % 2 == 0 else Fraction(-c)
@@ -197,12 +202,16 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
     ell(alpha + u) and shifts by each point weighted with lambda_j ell(a(j));
     checked exactly with symbolic parameters.  One pass over the samples
     computes the differential of each sample once and checks every facet
-    against it.  Returns the first facet, in the given order, on which the
-    identity fails, or None.
+    against it.  The contraction is linear in the facet form, so the
+    differential of the contraction against ell is the ell_i-weighted sum of
+    the differentials of the contractions against the unit forms e_i, each
+    computed once per sample.  Returns the first facet, in the given order,
+    on which the identity fails, or None.
     """
     facets = list(facets)
     f = build_f_symbolic(config)
-    N = config.N
+    n, N = config.n, config.N
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     # per facet: ell(alpha) and the shifts by each term lambda_j x^a(j) of f
     # with weight ell(a(j)); ell reads the first n coordinates of a key
     sides = [(Fraction(ell.evaluate(alpha.entries)),
@@ -215,23 +224,32 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
             break
         if omega.nlam != N:
             raise ValueError("samples must carry symbolic coefficients")
-        n, k = omega.n, omega.degree
+        k = omega.degree
         d_omega = nabla(alpha, f, omega) if k < n else None
+        # nabla of the contraction against e_i, for each index i of omega
+        indices = sorted({i for idx in omega.components for i in idx})
+        d_dropped = [(i - 1, nabla(alpha, f, _contract(units[i - 1], omega)))
+                     for i in indices]
         for pos, (ell, (ell_alpha, shifts)) in enumerate(zip(facets[:live], sides)):
-            lhs = LogForm.zero(n, k, N) if d_omega is None else homotopy_rho(ell, d_omega)
-            if k > 0:
-                lhs = lhs + nabla(alpha, f, homotopy_rho(ell, omega))
+            # lhs minus rhs, accumulated term by term
             acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
+            if d_omega is not None:
+                for idx, p in homotopy_rho(ell, d_omega).components.items():
+                    _add_scaled(acc.setdefault(idx, {}), p, 1)
+            for i, d_form in d_dropped:
+                if ell.coeffs[i]:
+                    for idx, p in d_form.components.items():
+                        _add_scaled(acc.setdefault(idx, {}), p, ell.coeffs[i])
             for idx, xi in omega.components.items():
-                out = acc[idx] = {}
+                out = acc.setdefault(idx, {})
                 for u, c in xi.terms.items():
                     t = c * (ell_alpha + ell.evaluate(u))
-                    out[u] = out[u] + t if u in out else t
+                    out[u] = out[u] - t if u in out else -t
                     for key, weight in shifts:
                         w = tuple(x + y for x, y in zip(u, key))
                         t = c * weight
-                        out[w] = out[w] + t if w in out else t
-            if lhs != _form(n, k, acc, N):
+                        out[w] = out[w] - t if w in out else -t
+            if any(c for terms in acc.values() for c in terms.values()):
                 live = pos
                 break
     return facets[live] if live < len(facets) else None

@@ -15,6 +15,7 @@ as references for what replaced it:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -119,9 +120,16 @@ def residue_subgroup_covers(points: list[tuple[int, ...]], m: int) -> bool:
     return len(seen) == m ** n
 
 
-def brute_facets(points: list[tuple[int, ...]], coeff_bound: int) -> set[tuple[int, ...]]:
+def brute_facets(points: Sequence[Sequence[int]],
+                 coeff_bound: int) -> frozenset[tuple[int, ...]]:
     """All primitive one-sided normals with a spanning equality set, found by
-    scanning an integer coefficient box."""
+    scanning an integer coefficient box; remembered per points and bound."""
+    return _brute_facets(tuple(map(tuple, points)), coeff_bound)
+
+
+@functools.lru_cache(maxsize=64)
+def _brute_facets(points: tuple[tuple[int, ...], ...],
+                  coeff_bound: int) -> frozenset[tuple[int, ...]]:
     n = len(points[0])
     out = set()
     for c in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
@@ -143,7 +151,7 @@ def brute_facets(points: list[tuple[int, ...]], coeff_bound: int) -> set[tuple[i
             continue
         if on_face and dense_rank([[Fraction(x) for x in p] for p in on_face]) == n - 1:
             out.add(c)
-    return out
+    return frozenset(out)
 
 
 def brute_newton_window(points: list[tuple[int, ...]], B: int, coeff_bound: int,

@@ -1,19 +1,25 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gkzkit
 from gkzkit.cli import main
 from gkzkit.derham import CohomologyWindow
 from gkzkit.lattice import newton_polytope
 from gkzkit.linalg import RationalEchelon
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+ROOT = pathlib.Path(__file__).parent.parent
 
 
 def run(capsys, *argv):
@@ -311,3 +317,81 @@ def test_reproducible_reports(tmp_path, capsys):
                      "--bound", "3", "--seed", "42", "--out", str(out)])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run Python code on the package sources in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+# the gkz entry point, then the package modules listed in sys.modules when
+# it returns and those of them whose code ran (a pending module is still of
+# the lazy module type)
+LOADED_BY_MAIN = ("import json, sys, types\n"
+                  "from gkzkit.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "listed = sorted(m for m in sys.modules if m.startswith('gkzkit'))\n"
+                  "ran = [m for m in listed if type(sys.modules[m]) is types.ModuleType]\n"
+                  "print(json.dumps([code, listed, ran]))\n")
+ALL_MODULES = sorted(["gkzkit", *(f"gkzkit.{p.stem}" for p in
+                                   (ROOT / "src" / "gkzkit").glob("*.py")
+                                   if p.stem != "__init__")])
+ANALYZE_MODULES = ["gkzkit", "gkzkit.catalog", "gkzkit.cli", "gkzkit.errors",
+                   "gkzkit.intmat", "gkzkit.jsonio", "gkzkit.lattice"]
+RANK_MODULES = sorted(ANALYZE_MODULES + ["gkzkit.derham", "gkzkit.laurent",
+                                         "gkzkit.linalg"])
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["analyze", "--config", "single", "--alpha", "1/2"], ANALYZE_MODULES),
+    (["rank", "--config", "single", "--alpha", "1/2", "--supports", "zn",
+      "--bound", "2"], RANK_MODULES),
+    (["rank", "--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3",
+      "--hypersurface"], sorted(RANK_MODULES + ["gkzkit.hypersurface"])),
+    (["verify", "--config", "single"],
+     sorted(RANK_MODULES + ["gkzkit.hypersurface", "gkzkit.verify", "gkzkit.weyl"])),
+    (["modp", "--config", "single", "--alpha", "1/2", "--primes", "5"],
+     sorted(RANK_MODULES + ["gkzkit.modp"])),
+])
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
+    proc = run_fresh(LOADED_BY_MAIN, *argv)
+    assert proc.stderr == ""
+    # every module is listed from the start, so code that patches functions
+    # in the listed modules reaches those that load later
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, ALL_MODULES, modules]
+
+
+def test_package_exports_resolve_on_first_access():
+    assert gkzkit.__all__ == [
+        "ConeSupport", "FacetForm", "FullSupport", "HalfSupport", "LaurentPoly",
+        "LocalizedElement", "LogForm", "ModpInstance", "ModpReport",
+        "ParameterVector", "PointConfig", "RankReport", "RelationLattice",
+        "ResonanceVerdict", "SplitForm", "Support", "UForm", "WeylElement",
+        "apply_D", "box_operator", "build_f", "build_f_symbolic", "build_g",
+        "check_commutation", "check_complex", "check_gamma_chain_map",
+        "check_phi_intertwines", "cohomology_U_dim", "cone_facets", "derham",
+        "errors", "euler_operator", "full_set_sweep", "gamma", "generic_rank",
+        "homotopy_identity_check", "homotopy_rho", "hypersurface", "intmat",
+        "is_nonresonant", "kernel_equals_dv_image", "lattice", "laurent",
+        "linalg", "make_instance", "modp", "modp_solution_dim", "nabla",
+        "phi_map", "pochhammer", "quasi_iso_check", "relation_lattice",
+        "solution_support", "tilde_nabla", "top_cohomology_dim",
+        "toric_derivative", "twist_conjugation_check", "validate_config",
+        "weyl", "weyl_mul"]
+    namespace = {}
+    exec("from gkzkit import *", namespace)
+    assert all(namespace[name] is getattr(gkzkit, name) for name in gkzkit.__all__)
+    assert gkzkit.derham is sys.modules["gkzkit.derham"]
+    assert gkzkit.nabla is gkzkit.derham.nabla
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gkzkit.no_such_name
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S)
+    proc = run_fresh(sketch.group(1))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["2", "True"]

@@ -99,10 +99,50 @@ def test_homotopy_identity_all_builtins():
         assert homotopy_identity_check(cone_facets(cfg), alpha, cfg, forms) is None, name
 
 
+def test_homotopy_identity_on_sums_of_monomial_forms():
+    # forms with several components, whose index sets differ, so the check
+    # combines the contractions against several unit forms per sample
+    for name in ("trinomial", "gauss"):
+        cfg = builtin_config(name)
+        forms = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
+        by_degree = {}
+        for omega in forms:
+            by_degree.setdefault(omega.degree, []).append(omega)
+        sums = [group[k] + group[-1 - 2 * k].scale(3) + group[len(group) // 2]
+                for group in by_degree.values() for k in range(len(group) // 3)]
+        assert any(len(omega.components) > 1 for omega in sums)
+        assert homotopy_identity_check(cone_facets(cfg), builtin_alpha(name), cfg,
+                                       sums) is None, name
+
+
+@pytest.mark.parametrize("name, calls", [
+    # nabla of each sample below top degree, and of each form that drops one
+    # index of a sample: gauss has 1,000 samples, 875 below degree 3 and
+    # 1,500 (sample, index) pairs; trinomial 100 samples, 75 and 100
+    ("gauss", 875 + 1500),
+    ("trinomial", 75 + 100),
+])
+def test_homotopy_check_takes_nabla_once_per_dropped_index(monkeypatch, name, calls):
+    cfg = builtin_config(name)
+    forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+    seen = []
+
+    def counting(*args, _nabla=derham.nabla):
+        seen.append(args)
+        return _nabla(*args)
+    monkeypatch.setattr(derham, "nabla", counting)
+    assert homotopy_identity_check(cone_facets(cfg), builtin_alpha(name), cfg,
+                                   forms) is None
+    assert len(seen) == calls
+
+
 @pytest.mark.parametrize("bad", [(1,), (2, 0)])
 def test_homotopy_failure_reports_the_first_failing_facet(monkeypatch, bad):
     # a contraction that is wrong only against the listed facets of gauss:
-    # the facets before the first of them hold on every sample, it is reported
+    # the facets before the first of them hold on every sample, it is reported.
+    # The check contracts the differential through homotopy_rho but takes the
+    # differential of the contraction from the unit forms, so only the rho
+    # nabla omega term is faked
     cfg = builtin_config("gauss")
     alpha = builtin_alpha("gauss")
     facets = cone_facets(cfg)

@@ -3,13 +3,18 @@ lists must resolve, or a traced benchmark run silently loses its spans."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from gkzkit.catalog import builtin_config
 from gkzkit.derham import CohomologyWindow
 from gkzkit.laurent import ConeSupport
 
-TRACER = pathlib.Path(__file__).parent.parent / "bench" / "traced_job.py"
+ROOT = pathlib.Path(__file__).parent.parent
+TRACER = ROOT / "bench" / "traced_job.py"
 
 
 def load_tracer():
@@ -37,3 +42,46 @@ def test_tracer_window_value_on_a_cone_window():
     tri = builtin_config("trinomial")
     win = CohomologyWindow(tri, ConeSupport(tri), 2)
     assert value((win,), None) == [len(win.points), True]
+
+
+# one job per subcommand that loads modules of its own
+TRACED_JOBS = [
+    ["rank", "--config", "trinomial", "--alpha=1/3,1/5", "--bound", "3",
+     "--hypersurface"],
+    ["verify", "--config", "cusp"],
+    ["modp", "--config", "single", "--alpha=1/2", "--primes", "5"],
+]
+
+
+def traced_spans(argv: list[str]) -> tuple[int, set[str]]:
+    """Exit code and span names of one job run under the benchmark's tracer."""
+    read, write = os.pipe()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, str(TRACER), str(write), *argv],
+                            stdout=subprocess.DEVNULL, env=env, pass_fds=(write,))
+    os.close(write)
+    with os.fdopen(read) as fh:
+        trace = json.load(fh)
+    return proc.wait(timeout=300), {span[0] for span in trace["spans"]}
+
+
+def test_traced_jobs_answer_with_spans():
+    names = set()
+    for argv in TRACED_JOBS:
+        code, spans = traced_spans(argv)
+        assert code == 0, argv
+        assert "cli.main" in spans, argv
+        names |= spans
+    assert {"derham.CohomologyWindow", "linalg.RationalEchelon.insert",
+            "lattice.cone_facets"} <= names
+
+
+def test_traced_jobs_keep_entry_point_spans():
+    # the tracer patches the modules listed in sys.modules after importing
+    # gkzkit.cli; the package enters every module there before it runs, so
+    # functions of the modules a subcommand loads on demand are wrapped too
+    names = set()
+    for argv in TRACED_JOBS:
+        names |= traced_spans(argv)[1]
+    assert {"derham.generic_rank", "hypersurface.cohomology_U_dim",
+            "verify.run_battery", "modp.modp_solution_dim"} <= names
