@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -21,7 +22,8 @@ from .errors import NotStabilizedError
 from .intmat import integer_kernel
 from .lattice import (FacetForm, ParameterVector, PointConfig, is_nonresonant,
                       newton_polytope)
-from .laurent import LaurentPoly, Support, apply_D, build_f_symbolic
+from .laurent import (LaurentPoly, Support, apply_D, build_f_symbolic,
+                      int_if_integral)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -61,7 +63,7 @@ class LogForm:
 
     @staticmethod
     def from_monomial(u: Sequence[int], idx: Sequence[int], n: int,
-                      coeff=Fraction(1), nlam: int = 0) -> "LogForm":
+                      coeff=1, nlam: int = 0) -> "LogForm":
         poly = LaurentPoly.monomial(u, coeff, nlam)
         return LogForm(n, len(tuple(idx)), {tuple(idx): poly}, nlam)
 
@@ -117,7 +119,8 @@ def wedge_insert(i: int, idx: IndexTuple) -> tuple[int, IndexTuple] | None:
 
 
 def _add_scaled(out: dict[IntVec, Fraction], p: LaurentPoly, factor) -> None:
-    """Add factor times p into the term map out; factor is a nonzero rational."""
+    """Add factor times p into the term map out; factor is a nonzero integer
+    or Fraction."""
     for u, c in p.terms.items():
         if factor != 1:
             c = c * factor
@@ -131,8 +134,9 @@ def _form(n: int, degree: int, acc: dict[IndexTuple, dict[IntVec, Fraction]],
                                for idx, terms in acc.items()}, nlam)
 
 
-def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm) -> LogForm:
-    """The twisted differential in the logarithmic basis."""
+def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm,
+          scale: int = 1) -> LogForm:
+    """scale times the twisted differential in the logarithmic basis."""
     n = omega.n
     if omega.degree == n:
         # there are no forms of degree n + 1
@@ -144,15 +148,29 @@ def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm) -> LogForm:
             if ins is None:
                 continue
             sign, target = ins
-            _add_scaled(acc.setdefault(target, {}), apply_D(i, alpha, f, xi), sign)
+            _add_scaled(acc.setdefault(target, {}), apply_D(i, alpha, f, xi, scale),
+                        sign)
     return _form(n, omega.degree + 1, acc, omega.nlam)
+
+
+def clearing_scale(alpha: ParameterVector, f: LaurentPoly) -> int:
+    """The least common multiple of the denominators of alpha and of the
+    coefficients of f.
+
+    Scaled by it, the twisted derivations have integer coefficients, so the
+    identity checks, each homogeneous in nabla, compute over the integers
+    on integer samples and reach the verdicts of the unscaled operator.
+    """
+    return math.lcm(*(a.denominator for a in alpha.entries),
+                    *(c.denominator for c in f.terms.values()))
 
 
 def check_complex(alpha: ParameterVector, f: LaurentPoly,
                   samples: Sequence[LogForm]) -> bool:
     """nabla composed with itself vanishes on every sample."""
+    d = clearing_scale(alpha, f)
     for omega in samples:
-        if not nabla(alpha, f, nabla(alpha, f, omega)).is_zero():
+        if not nabla(alpha, f, nabla(alpha, f, omega, d), d).is_zero():
             return False
     return True
 
@@ -162,9 +180,11 @@ def twist_conjugation_check(alpha: ParameterVector, u: Sequence[int],
     """Multiplication by the monomial x^u conjugates the shifted twist to the
     original one."""
     shifted = alpha.shift(u)
+    # an integer shift keeps the denominators of alpha
+    d = clearing_scale(alpha, f)
     for omega in samples:
-        lhs = nabla(shifted, f, omega).mul_monomial(u)
-        rhs = nabla(alpha, f, omega.mul_monomial(u))
+        lhs = nabla(shifted, f, omega, d).mul_monomial(u)
+        rhs = nabla(alpha, f, omega.mul_monomial(u), d)
         if lhs != rhs:
             return False
     return True
@@ -186,8 +206,8 @@ def _contract(weights: Sequence[int], omega: LogForm) -> LogForm:
             c = weights[i - 1]
             if c == 0:
                 continue
-            coeff = Fraction(c) if pos % 2 == 0 else Fraction(-c)
-            _add_scaled(acc.setdefault(idx[:pos] + idx[pos + 1:], {}), xi, coeff)
+            _add_scaled(acc.setdefault(idx[:pos] + idx[pos + 1:], {}), xi,
+                        c if pos % 2 == 0 else -c)
     return _form(n, omega.degree - 1, acc, omega.nlam)
 
 
@@ -205,17 +225,20 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
     against it.  The contraction is linear in the facet form, so the
     differential of the contraction against ell is the ell_i-weighted sum of
     the differentials of the contractions against the unit forms e_i, each
-    computed once per sample.  Returns the first facet, in the given order,
-    on which the identity fails, or None.
+    computed once per sample.  Both sides are scaled by the clearing scale
+    d of alpha: (d nabla) rho + rho (d nabla) is d times the right-hand side,
+    and every coefficient is an integer on integer samples.  Returns the
+    first facet, in the given order, on which the identity fails, or None.
     """
     facets = list(facets)
     f = build_f_symbolic(config)
     n, N = config.n, config.N
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    # per facet: ell(alpha) and the shifts by each term lambda_j x^a(j) of f
-    # with weight ell(a(j)); ell reads the first n coordinates of a key
-    sides = [(Fraction(ell.evaluate(alpha.entries)),
-              [(key, ell.evaluate(key)) for key in f.terms if ell.evaluate(key)])
+    d = clearing_scale(alpha, f)
+    # per facet: d ell(alpha) and the shifts by each term lambda_j x^a(j) of
+    # f with weight d ell(a(j)); ell reads the first n coordinates of a key
+    sides = [(int_if_integral(d * ell.evaluate(alpha.entries)),
+              [(key, d * ell.evaluate(key)) for key in f.terms if ell.evaluate(key)])
              for ell in facets]
     # facets[:live] have held on every sample so far; a failure cuts the rest
     live = len(facets)
@@ -225,10 +248,10 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
         if omega.nlam != N:
             raise ValueError("samples must carry symbolic coefficients")
         k = omega.degree
-        d_omega = nabla(alpha, f, omega) if k < n else None
+        d_omega = nabla(alpha, f, omega, d) if k < n else None
         # nabla of the contraction against e_i, for each index i of omega
         indices = sorted({i for idx in omega.components for i in idx})
-        d_dropped = [(i - 1, nabla(alpha, f, _contract(units[i - 1], omega)))
+        d_dropped = [(i - 1, nabla(alpha, f, _contract(units[i - 1], omega), d))
                      for i in indices]
         for pos, (ell, (ell_alpha, shifts)) in enumerate(zip(facets[:live], sides)):
             # lhs minus rhs, accumulated term by term
@@ -243,7 +266,7 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
             for idx, xi in omega.components.items():
                 out = acc.setdefault(idx, {})
                 for u, c in xi.terms.items():
-                    t = c * (ell_alpha + ell.evaluate(u))
+                    t = c * (ell_alpha + d * ell.evaluate(u))
                     out[u] = out[u] - t if u in out else -t
                     for key, weight in shifts:
                         w = tuple(x + y for x, y in zip(u, key))

@@ -46,7 +46,7 @@ def pochhammer(a: Fraction, m: int) -> Fraction:
             raise PochhammerPoleError(
                 f"rising factorial undefined: {a} - {k} vanishes")
         out *= factor
-    return 1 / out
+    return Fraction(1) / out
 
 
 def check_structure(config: PointConfig) -> None:

@@ -1,8 +1,10 @@
 """Sparse Laurent polynomials over exact rationals.
 
-A LaurentPoly maps exponent keys to nonzero Fractions.  ``n`` is the torus
-dimension.  With the deformation parameters lambda_1..lambda_N kept as
-symbols (``nlam = N``) it is an element of Q[lambda_1..lambda_N][x^{+-1}],
+A LaurentPoly maps exponent keys to nonzero exact rationals: ints, kept as
+ints so that integer polynomials compute over Z, or Fractions; every other
+number is converted to a Fraction.  ``n`` is the torus dimension.  With
+the deformation parameters lambda_1..lambda_N kept as symbols
+(``nlam = N``) it is an element of Q[lambda_1..lambda_N][x^{+-1}],
 and each key is the flat tuple (u_1..u_n, e_1..e_N) of the monomial
 lambda^e x^u: the x exponents, then the nonnegative lambda exponents.  With
 ``nlam = 0`` the parameters are specialized to numbers and a key is just u.
@@ -23,7 +25,8 @@ IntVec = tuple[int, ...]
 
 
 class LaurentPoly:
-    """Finite map from exponent keys of length n + nlam to nonzero Fractions."""
+    """Finite map from exponent keys of length n + nlam to nonzero ints or
+    Fractions."""
 
     __slots__ = ("n", "nlam", "terms")
 
@@ -38,7 +41,7 @@ class LaurentPoly:
                 u = tuple(u)
                 if len(u) != width:
                     raise ValueError("exponent length mismatch")
-                if type(c) is not Fraction:
+                if type(c) is not int and type(c) is not Fraction:
                     c = Fraction(c)
                 if c:
                     self.terms[u] = c
@@ -48,13 +51,13 @@ class LaurentPoly:
         return LaurentPoly(n, {}, nlam)
 
     @staticmethod
-    def monomial(u: Sequence[int], coeff=Fraction(1), nlam: int = 0) -> "LaurentPoly":
+    def monomial(u: Sequence[int], coeff=1, nlam: int = 0) -> "LaurentPoly":
         """coeff times x^u, constant in the parameters."""
         return LaurentPoly(len(u), {tuple(int(x) for x in u) + (0,) * nlam: coeff}, nlam)
 
     @staticmethod
     def one(n: int, nlam: int = 0) -> "LaurentPoly":
-        return LaurentPoly(n, {(0,) * (n + nlam): Fraction(1)}, nlam)
+        return LaurentPoly(n, {(0,) * (n + nlam): 1}, nlam)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -93,7 +96,7 @@ class LaurentPoly:
 
     def scalar_mul(self, c) -> "LaurentPoly":
         """Multiply by a rational number."""
-        if type(c) is not Fraction:
+        if type(c) is not int and type(c) is not Fraction:
             c = Fraction(c)
         return LaurentPoly(self.n, {u: v * c for u, v in self.terms.items()}, self.nlam)
 
@@ -143,24 +146,32 @@ def toric_derivative(i: int, p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.n, {u: c * u[k] for u, c in p.terms.items() if u[k]}, p.nlam)
 
 
-def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly) -> LaurentPoly:
-    """The twisted derivation in direction i applied to xi.
+def int_if_integral(c):
+    """c as an int when its value is an integer, else c itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly,
+            scale: int = 1) -> LaurentPoly:
+    """scale times the twisted derivation in direction i, applied to xi.
 
     Acts as x_i d/dx_i + alpha_i + (x_i df/dx_i) in the logarithmic basis; on
     a monomial with exponent u it gives (u_i + alpha_i) times the monomial
     plus the shifts by each point with its coefficient from f.  One pass over
-    the terms of xi.
+    the terms of xi.  When scale clears the denominators of alpha_i and of
+    f, the scaled operator has integer coefficients and maps integer
+    polynomials to integer polynomials.
     """
     if not 1 <= i <= xi.n:
         raise ValueError("derivative index out of range")
     f._check_mode(xi)
     k = i - 1
-    a = alpha.entries[k]
-    # the terms of x_i df/dx_i
-    df = [(v, c * v[k]) for v, c in f.terms.items() if v[k]]
+    a = int_if_integral(alpha.entries[k] * scale)
+    # the terms of scale times x_i df/dx_i
+    df = [(v, int_if_integral(c * v[k] * scale)) for v, c in f.terms.items() if v[k]]
     out: dict[IntVec, Fraction] = {}
     for u, c in xi.terms.items():
-        t = c * (u[k] + a)
+        t = c * (u[k] * scale + a)
         out[u] = out[u] + t if u in out else t
         for v, d in df:
             w = tuple(x + y for x, y in zip(u, v))
@@ -197,7 +208,7 @@ def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
         diff = tuple(a - b for a, b in zip(lead_p, lead_q))
         if any(d < 0 for d in diff):
             return None
-        coeff = num[lead_p] / lead_qc
+        coeff = Fraction(num[lead_p]) / lead_qc
         quot[diff] = coeff
         for u, c in den.items():
             tgt = tuple(a + b for a, b in zip(u, diff))

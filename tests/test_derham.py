@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -215,6 +216,72 @@ def test_one_pass_derivation_matches_by_parts(case):
         for eta in omega.components.values():
             assert apply_D(j, alpha, f, eta) == apply_D_by_parts(j, alpha, f, eta)
     assert nabla(alpha, f, omega) == nabla_by_parts(alpha, f, omega)
+
+
+def _denominator(values) -> int:
+    return math.lcm(*(c.denominator for c in values))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(derivation_cases(), st.integers(1, 4))
+def test_scaled_derivation_is_the_scaled_oracle(case, k):
+    # scale d times the operator, for a d that clears the denominators of
+    # alpha and f and for one that need not; with a clearing d, an integer
+    # form (omega times the lcm of its denominators) maps to ints only
+    i, alpha, f, xi, omega, _ = case
+    clear = _denominator(alpha.entries + tuple(f.terms.values()))
+    for d in (k, clear * k):
+        assert apply_D(i, alpha, f, xi, d) == \
+            apply_D_by_parts(i, alpha, f, xi).scalar_mul(d)
+        assert nabla(alpha, f, omega, d) == nabla_by_parts(alpha, f, omega).scale(d)
+    m = _denominator(c for p in omega.components.values() for c in p.terms.values())
+    omega_z = LogForm(omega.n, omega.degree, {
+        idx: LaurentPoly(p.n, {u: int(c * m) for u, c in p.terms.items()}, p.nlam)
+        for idx, p in omega.components.items()}, omega.nlam)
+    d = clear * k
+    image = nabla(alpha, f, omega_z, d)
+    assert image == nabla_by_parts(alpha, f, omega_z).scale(d)
+    images = list(image.components.values())
+    for j in range(1, f.n + 1):
+        images += [apply_D(j, alpha, f, eta, d) for eta in omega_z.components.values()]
+    assert all(type(c) is int for p in images for c in p.terms.values())
+
+
+@pytest.mark.parametrize("name", ["gauss", "trinomial"])
+def test_scale_dropped_from_the_exponent_term_is_caught(monkeypatch, name):
+    # d x_i d/dx_i lost to x_i d/dx_i: the mis-scaled derivations still
+    # commute, so nabla squared vanishes, but the homotopy identity and the
+    # twist conjugation fail
+    cfg, alpha = builtin_config(name), builtin_alpha(name)
+    assert derham.clearing_scale(alpha, build_f_symbolic(cfg)) > 1
+
+    def misscaled(i, alpha, f, xi, scale=1, _apply_D=derham.apply_D):
+        return _apply_D(i, alpha, f, xi, scale) - \
+            toric_derivative(i, xi).scalar_mul(scale - 1)
+    monkeypatch.setattr(derham, "apply_D", misscaled)
+    verdicts = {c.name: c.ok for c in run_battery(cfg, alpha).checks}
+    assert verdicts["nabla_squared"]
+    assert not verdicts["homotopy_identity"]
+    assert not verdicts["twist_conjugation"]
+
+
+@pytest.mark.parametrize("d, entries", [
+    # on fewer coordinates the trailing entries are summed into the last one,
+    # which keeps the lcm of the denominators
+    (1, ("2", "-1", "3")),
+    (7, ("1/7", "-3/7", "4/7")),
+    (1001, ("5/7", "3/11", "2/13")),
+])
+def test_scaled_battery_reaches_the_unscaled_verdicts(monkeypatch, d, entries):
+    values = [Fraction(e) for e in entries]
+    for name in builtin_names():
+        cfg = builtin_config(name)
+        alpha = ParameterVector(tuple(values[:cfg.n - 1]) + (sum(values[cfg.n - 1:]),))
+        assert derham.clearing_scale(alpha, build_f_symbolic(cfg)) == d
+        scaled = run_battery(cfg, alpha).to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(derham, "clearing_scale", lambda alpha, f: 1)
+            assert run_battery(cfg, alpha).to_json() == scaled, name
 
 
 @st.composite

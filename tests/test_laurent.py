@@ -176,6 +176,28 @@ def test_divide_exact_roundtrip(p, q):
     assert got == p
 
 
+int_poly_st = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                              st.integers(-4, 4), max_size=4).map(
+    lambda d: LaurentPoly(2, d))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(p=int_poly_st, q=int_poly_st)
+def test_divide_exact_on_integer_coefficients_stays_exact(p, q):
+    # int / int is a float, and 1/3 as a float is an inexact Fraction: the
+    # quotient of integer operands must be exact
+    x, one = LaurentPoly.monomial((1, 0)), LaurentPoly.one(2)
+    cases = [((x + one) * (x + one), (x + one).scalar_mul(3))]  # quotient (x + 1)/3
+    if not q.is_zero():
+        cases.append((p * q, q))
+    for dividend, divisor in cases:
+        assert all(type(c) is int for c in dividend.terms.values())
+        got = divide_exact(dividend, divisor)
+        assert all(type(c) in (int, Fraction) for c in got.terms.values())
+        assert got * divisor == dividend
+    assert divide_exact(*cases[0]) == (x + one).scalar_mul(Fraction(1, 3))
+
+
 def test_json_rejects_floats():
     import pytest as _pytest
     from gkzkit.jsonio import load_config, parse_fraction

@@ -1,5 +1,6 @@
 """Every top-level function and class of the package is reached from the
-package itself, not only from tests or from ``__init__``'s export list."""
+package itself, not only from tests or from ``__init__``'s export list, and
+no line of the package can make a float."""
 
 import ast
 import pathlib
@@ -56,3 +57,44 @@ def test_scan_flags_a_definition_only_itself_mentions(tmp_path):
         "from . import a\nfrom .a import used\n\n"
         "VALUE = used() + a.via_module()\nPARTS = 'x,y'.split(',')\n")
     assert unreferenced_definitions(tmp_path) == ["a.dead", "a.split"]
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """node is a call of the bare name."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == name
+
+
+def float_sources(package: pathlib.Path) -> list[str]:
+    """file:line of each float literal, ``float(...)`` call, and true division
+    whose left operand is not a ``Fraction(...)`` call: int / int is a float,
+    and coefficients may be ints."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            bad = (isinstance(node, ast.Constant) and type(node.value) is float
+                   or _calls(node, "float")
+                   or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                   and not _calls(node.left, "Fraction")
+                   or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div))
+            if bad:
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_no_float_arithmetic_in_the_package():
+    assert float_sources(PACKAGE) == []
+
+
+def test_float_scan_flags_each_source(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from fractions import Fraction\n"
+        "HALF = Fraction(1) / 2\n"
+        "THIRD = Fraction(1, 3) // 1\n"
+        "x = 1 / 2\n"
+        "y = 0.5\n"
+        "z = float('1')\n"
+        "w = HALF\n"
+        "w /= 2\n"
+        "v = Fraction(1) * 3 / 4\n")
+    assert float_sources(tmp_path) == ["a.py:4", "a.py:5", "a.py:6", "a.py:8", "a.py:9"]
