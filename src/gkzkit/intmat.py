@@ -6,8 +6,6 @@ floating point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b) and g >= 0."""
@@ -188,19 +186,6 @@ def solve_integer(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
                 return None
             y[i] = c[i] // d
     return matvec(V, y)
-
-
-def rational_inverse(mat: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse over the rationals of a nonsingular square matrix.
-
-    With U @ mat @ V = D from the Smith form, the inverse is V @ D^-1 @ U.
-    """
-    D, U, V = smith_normal_form(mat)
-    k = len(mat)
-    if any(D[t][t] == 0 for t in range(k)):
-        raise ValueError("matrix is singular")
-    return [[sum(Fraction(V[i][t] * U[t][j], D[t][t]) for t in range(k))
-             for j in range(k)] for i in range(k)]
 
 
 def unimodular_inverse(mat: list[list[int]]) -> list[list[int]]:

@@ -42,6 +42,9 @@ class LaurentPoly:
                 if len(u) != width:
                     raise ValueError("exponent length mismatch")
                 if type(c) is not int and type(c) is not Fraction:
+                    if isinstance(c, float):
+                        raise TypeError(f"float coefficient {c!r}: use an int, "
+                                        "a Fraction or a string")
                     c = Fraction(c)
                 if c:
                     self.terms[u] = c

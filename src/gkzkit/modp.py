@@ -21,10 +21,10 @@ from typing import Sequence
 
 from .derham import generic_rank
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
-from .intmat import matvec, rational_inverse, solve_integer
+from .intmat import matvec, solve_integer
 from .laurent import FullSupport
-from .lattice import (ParameterVector, PointConfig, RelationLattice,
-                      is_nonresonant, relation_lattice)
+from .lattice import (ParameterVector, PointConfig, is_nonresonant,
+                      relation_lattice)
 from .linalg import ModpEchelon
 
 IntVec = tuple[int, ...]
@@ -73,43 +73,6 @@ def solution_support(instance: ModpInstance) -> list[IntVec]:
     return sorted(support)
 
 
-def _lattice_points_in_box(lattice: RelationLattice, bound: int) -> list[IntVec]:
-    """All nonzero relation vectors with sup-norm at most the bound.
-
-    Coefficients against the saturated basis are recovered by an exact
-    rational pseudo-inverse, which bounds the search box for combinations.
-    """
-    if lattice.rank == 0:
-        return []
-    basis = [list(l) for l in lattice.basis]
-    r = len(basis)
-    N = len(basis[0])
-    # pseudo-inverse P with P @ basis^T = identity
-    gram = [[sum(basis[i][k] * basis[j][k] for k in range(N)) for j in range(r)]
-            for i in range(r)]
-    gram_inv = rational_inverse(gram)
-    # t = gram_inv @ basis @ l for l in the lattice; bound each |t_k|
-    proj = [[sum(gram_inv[i][j] * basis[j][k] for j in range(r)) for k in range(N)]
-            for i in range(r)]
-    t_bounds = [int(sum(abs(x) for x in proj[i]) * bound) for i in range(r)]
-    out = []
-    for t in itertools.product(*[range(-tb, tb + 1) for tb in t_bounds]):
-        if all(x == 0 for x in t):
-            continue
-        l = tuple(sum(t[i] * basis[i][k] for i in range(r)) for k in range(N))
-        if max(abs(x) for x in l) <= bound:
-            out.append(l)
-    # keep one of each +-pair
-    seen = set()
-    kept = []
-    for l in sorted(out):
-        if tuple(-x for x in l) in seen:
-            continue
-        seen.add(l)
-        kept.append(l)
-    return kept
-
-
 def _ratio(w: IntVec, v: IntVec, p: int) -> int:
     """v! / w! mod p for w <= v, where v! is the product of the v_j!."""
     return prod(k for a, b in zip(w, v) for k in range(a + 1, b + 1)) % p
@@ -127,12 +90,20 @@ def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec]) -> list[d
     when both ends are in S, and d_x = 0 when the other end leaves the box
     (it is still >= 0 and in the same congruence class, so a coordinate is
     at least p).  Two points of S are joined by a row exactly when they lie
-    in the same integer fiber {v : Av = b}: their difference is in L with sup
-    norm at most p - 1, and _lattice_points_in_box returns every such
-    relation.  Hence these rows span all of them: the row of each pair of
-    consecutive members of a fiber (relation x - y at w = min(x, y)), and
-    one single-entry row for each fiber with a leaking member v, one with
-    v - l >= 0 and max(v - l) >= p for some relation l.  At most |S| rows.
+    in the same integer fiber F_b = {v in S : Av = b}: their difference is
+    in L with sup norm at most p - 1.  Hence these rows span all of them:
+    the row of each pair of consecutive members of a fiber (relation x - y
+    at w = min(x, y)), and one single-entry row for each fiber with a
+    leaking member v, one with u = v - l >= 0 and max u >= p for some
+    relation l of sup norm at most p - 1.  At most |S| rows.
+
+    A leak is found by lifting fibers by p, not by scanning relations.  Such
+    a u has Au = b and every u_k <= 2p - 2, so u = s + p e for a point s of
+    S and a nonzero e in {0, 1}^N, and s lies in the fiber b - p Ae.
+    Conversely, for s in that fiber, v - (s + p e) is a relation, and its
+    sup norm is at most p - 1 exactly when v_k > s_k wherever e_k = 1.  So v
+    leaks exactly when, for some nonzero e, it exceeds on the support of e
+    some member of F_{b - p Ae}: at most |fibers| (2^N - 1) lookups.
 
     Relations with an entry of magnitude at least p are left out.  Their
     rows do not vanish mod p: each joins a point of S to an exponent outside
@@ -146,16 +117,21 @@ def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec]) -> list[d
     fibers: dict[IntVec, list[IntVec]] = {}
     for v in support:
         fibers.setdefault(tuple(matvec(matrix, v)), []).append(v)
-    relations = _lattice_points_in_box(relation_lattice(instance.config), p - 1)
-    steps = relations + [tuple(-x for x in l) for l in relations]
+    # (support of e, p Ae) for each nonzero e in {0, 1}^N
+    lifts = [([k for k, x in enumerate(e) if x], [p * x for x in matvec(matrix, e)])
+             for e in itertools.product((0, 1), repeat=instance.config.N) if any(e)]
     rows = []
-    for members in fibers.values():
+    for b, members in fibers.items():
         for x, y in zip(members, members[1:]):
             w = tuple(map(min, x, y))
             rows.append({x: _ratio(w, x, p), y: -_ratio(w, y, p) % p})
+        below = []
+        for on, shift in lifts:
+            lower = fibers.get(tuple(a - d for a, d in zip(b, shift)))
+            if lower:
+                below.append((on, lower))
         for v in members:
-            shifted = ([a - b for a, b in zip(v, l)] for l in steps)
-            if any(min(u) >= 0 and max(u) >= p for u in shifted):
+            if any(all(v[k] > s[k] for k in on) for on, lower in below for s in lower):
                 rows.append({v: 1})
                 break
     return rows

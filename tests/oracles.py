@@ -5,9 +5,13 @@ package internals it checks.  The exceptions are former package code kept
 as references for what replaced it:
 
 - all_recurrence_rows, the former mod-p row assembler (every row of every
-  relation), for the fiber reduction in gkzkit.modp.recurrence_rows; it
-  enumerates relations with gkzkit.modp._lattice_points_in_box, which
-  test_lattice_points_in_box_match_brute_scan checks by a box scan.
+  relation), for the fiber reduction in gkzkit.modp.recurrence_rows.
+- relation_scan_killed_fibers, the former leak test of
+  gkzkit.modp.recurrence_rows (every fiber member shifted by every relation
+  of sup norm below p), for the lift of fibers by p that replaced it.
+- lattice_points_in_box, the relation enumerator both of them use, with
+  its exact rational_inverse; test_lattice_points_in_box_match_brute_scan
+  checks it by a box scan.
 - apply_D_by_parts and nabla_by_parts, the twisted derivation composed from
   the Laurent ring operations and the differential summed one piece at a
   time, for the one-pass gkzkit.laurent.apply_D and gkzkit.derham.nabla.
@@ -22,9 +26,9 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from gkzkit.derham import LogForm
-from gkzkit.lattice import relation_lattice
+from gkzkit.intmat import matvec, smith_normal_form
+from gkzkit.lattice import RelationLattice, relation_lattice
 from gkzkit.laurent import toric_derivative
-from gkzkit.modp import _lattice_points_in_box
 
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
@@ -299,12 +303,86 @@ def specialize(poly: dict, r: Sequence) -> dict:
     return {u: c for u, c in out.items() if c}
 
 
-def _falling_product(w: int, steps: int, p: int) -> int:
+def falling_product(w: int, steps: int, p: int) -> int:
     """(w+1)(w+2)...(w+steps) mod p."""
     out = 1
     for k in range(1, steps + 1):
         out = (out * (w + k)) % p
     return out
+
+
+def rational_inverse(mat: list[list[int]]) -> list[list[Fraction]]:
+    """Exact inverse over the rationals of a nonsingular square matrix.
+
+    With U @ mat @ V = D from the Smith form, the inverse is V @ D^-1 @ U.
+    """
+    D, U, V = smith_normal_form(mat)
+    k = len(mat)
+    if any(D[t][t] == 0 for t in range(k)):
+        raise ValueError("matrix is singular")
+    return [[sum(Fraction(V[i][t] * U[t][j], D[t][t]) for t in range(k))
+             for j in range(k)] for i in range(k)]
+
+
+def lattice_points_in_box(lattice: RelationLattice, bound: int) -> list[tuple[int, ...]]:
+    """All nonzero relation vectors with sup-norm at most the bound, one of
+    each +- pair.
+
+    Coefficients against the saturated basis are recovered by an exact
+    rational pseudo-inverse, which bounds the search box for combinations.
+    """
+    if lattice.rank == 0:
+        return []
+    basis = [list(l) for l in lattice.basis]
+    r = len(basis)
+    N = len(basis[0])
+    # pseudo-inverse P with P @ basis^T = identity
+    gram = [[sum(basis[i][k] * basis[j][k] for k in range(N)) for j in range(r)]
+            for i in range(r)]
+    gram_inv = rational_inverse(gram)
+    # t = gram_inv @ basis @ l for l in the lattice; bound each |t_k|
+    proj = [[sum(gram_inv[i][j] * basis[j][k] for j in range(r)) for k in range(N)]
+            for i in range(r)]
+    t_bounds = [int(sum(abs(x) for x in proj[i]) * bound) for i in range(r)]
+    out = []
+    for t in itertools.product(*[range(-tb, tb + 1) for tb in t_bounds]):
+        if all(x == 0 for x in t):
+            continue
+        l = tuple(sum(t[i] * basis[i][k] for i in range(r)) for k in range(N))
+        if max(abs(x) for x in l) <= bound:
+            out.append(l)
+    # keep one of each +-pair
+    seen = set()
+    kept = []
+    for l in sorted(out):
+        if tuple(-x for x in l) in seen:
+            continue
+        seen.add(l)
+        kept.append(l)
+    return kept
+
+
+def relation_scan_killed_fibers(instance, support: Sequence[tuple[int, ...]]
+                                ) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each fiber b = Av of the support that leaks, mapped to its first
+    member v (in support order) with u = v - l >= 0 and max u >= p for some
+    nonzero relation l of sup norm at most p - 1, found by shifting every
+    member by every such relation, taken with both signs."""
+    p = instance.p
+    matrix = instance.config.matrix()
+    fibers: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for v in support:
+        fibers.setdefault(tuple(matvec(matrix, v)), []).append(v)
+    relations = lattice_points_in_box(relation_lattice(instance.config), p - 1)
+    steps = relations + [tuple(-x for x in l) for l in relations]
+    killed = {}
+    for key, members in fibers.items():
+        for v in members:
+            shifted = ([a - b for a, b in zip(v, l)] for l in steps)
+            if any(min(u) >= 0 and max(u) >= p for u in shifted):
+                killed[key] = v
+                break
+    return killed
 
 
 def all_recurrence_rows(instance, support: Sequence[tuple[int, ...]],
@@ -326,7 +404,7 @@ def all_recurrence_rows(instance, support: Sequence[tuple[int, ...]],
     if relations is None:
         lattice = relation_lattice(instance.config)
         spread = max((max(abs(x) for x in v) for v in support), default=0)
-        relations = _lattice_points_in_box(lattice, max(p - 1, spread))
+        relations = lattice_points_in_box(lattice, max(p - 1, spread))
     rows = []
     seen_rows = set()
     for l in relations:
@@ -346,14 +424,14 @@ def all_recurrence_rows(instance, support: Sequence[tuple[int, ...]],
             if vp in supp:
                 coeff = 1
                 for wj, steps in zip(w, lp):
-                    coeff = (coeff * _falling_product(wj, steps, p)) % p
+                    coeff = (coeff * falling_product(wj, steps, p)) % p
                 if coeff:
                     row[vp] = coeff
             vm = tuple(a + b for a, b in zip(w, lm))
             if vm in supp:
                 coeff = 1
                 for wj, steps in zip(w, lm):
-                    coeff = (coeff * _falling_product(wj, steps, p)) % p
+                    coeff = (coeff * falling_product(wj, steps, p)) % p
                 if coeff:
                     row[vm] = (row.get(vm, 0) - coeff) % p
             row = {k: c % p for k, c in row.items() if c % p}

@@ -185,6 +185,17 @@ def test_verify_reproduces_golden_output(capsys, fixture, argv, exit_code):
     assert capsys.readouterr().out == (FIXTURES / fixture).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fixture, argv", [
+    ("modp_plane2.json", ["--config", '{"points": [[0,1],[1,1],[-1,1],[2,1]]}',
+                          "--bound", "2", "--primes", "17,19,23", "--alpha=1/3,1/5"]),
+    ("modp_trinomial.json", ["--config", "trinomial", "--primes", "29,31,37,41,43",
+                             "--alpha=1/3,1/5"]),
+])
+def test_modp_reproduces_golden_output(capsys, fixture, argv):
+    assert main(["modp", *argv]) == 0
+    assert capsys.readouterr().out == (FIXTURES / fixture).read_text(encoding="utf-8")
+
+
 def test_modp_sweep_and_skip(capsys):
     code, report = run(capsys, "modp", "--config", "single", "--alpha", "1/2",
                        "--primes", "2,3,5,7,11,13,17,19,23")

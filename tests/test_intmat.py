@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from gkzkit.intmat import (complete_primitive_vector, identity_matrix,
                            integer_kernel, invariant_factors, matmul,
-                           rational_inverse, smith_normal_form,
-                           solve_integer, unimodular_inverse, xgcd)
-from oracles import dense_rank
+                           smith_normal_form, solve_integer,
+                           unimodular_inverse, xgcd)
+from oracles import dense_rank, rational_inverse
 
 
 def is_unimodular(mat):

@@ -208,3 +208,15 @@ def test_json_rejects_floats():
         parse_fraction("0.5")
     with _pytest.raises(ValueError):
         load_config('{"points": [[1.0]]}')
+
+
+def test_laurent_poly_rejects_float_coefficients():
+    # a float would become its binary value (1 / 3 is not Fraction(1, 3)),
+    # so it is refused; a string is still read exactly
+    for c in (0.5, 1 / 3):
+        with pytest.raises(TypeError, match="float coefficient"):
+            LaurentPoly(1, {(1,): c})
+        with pytest.raises(TypeError, match="float coefficient"):
+            LaurentPoly.monomial((0, 1), c)
+    assert LaurentPoly(1, {(1,): "1/3"}).terms == {(1,): Fraction(1, 3)}
+    assert LaurentPoly(1, {(1,): "0"}).is_zero()

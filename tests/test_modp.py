@@ -3,19 +3,22 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
 from gkzkit.errors import NotGeneratingError, ResonantError, SkippedPrimeError
 from gkzkit.hypersurface import apply_unimodular
+from gkzkit.intmat import matvec
 from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
 from gkzkit.linalg import ModpEchelon
-from gkzkit.modp import (_lattice_points_in_box, full_set_sweep, make_instance,
-                         modp_solution_dim, recurrence_rows, solution_support)
+from gkzkit.modp import (full_set_sweep, make_instance, modp_solution_dim,
+                         recurrence_rows, solution_support)
 from gkzkit.weyl import box_operator
 from oracles import (all_recurrence_rows, apply_box_to_lambda_poly,
-                     modp_recurrence_dim)
+                     falling_product, lattice_points_in_box,
+                     modp_recurrence_dim, relation_scan_killed_fibers)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PLANE2 = [(0, 1), (1, 1), (-1, 1), (2, 1)]
@@ -111,7 +114,7 @@ def test_lattice_points_in_box_match_brute_scan():
             brute = {v for v in itertools.product(range(-b, b + 1), repeat=cfg.N)
                      if any(v) and all(sum(vj * a[i] for vj, a in zip(v, points)) == 0
                                        for i in range(cfg.n))}
-            got = _lattice_points_in_box(lattice, b)
+            got = lattice_points_in_box(lattice, b)
             assert len(got) * 2 == len(brute), (points, b)
             assert set(got) | {tuple(-x for x in l) for l in got} == brute
 
@@ -223,6 +226,58 @@ def test_recurrence_rows_span_all_rows():
             cfg.points, p)
 
 
+def fiber_rows(inst, support, killed):
+    """The rows recurrence_rows must emit, fiber by fiber in support order:
+    a chain row for each pair of consecutive members, with the falling
+    factorials (w+1)...(x) of w = min(x, y), then {v: 1} for the killed
+    member v of a fiber that leaks."""
+    p = inst.p
+    matrix = inst.config.matrix()
+    fibers = {}
+    for v in support:
+        fibers.setdefault(tuple(matvec(matrix, v)), []).append(v)
+
+    def ratio(w, x):
+        return prod(falling_product(a, b - a, p) for a, b in zip(w, x)) % p
+
+    rows = []
+    for key, members in fibers.items():
+        for x, y in zip(members, members[1:]):
+            w = tuple(map(min, x, y))
+            rows.append({x: ratio(w, x), y: -ratio(w, y) % p})
+        if key in killed:
+            rows.append({killed[key]: 1})
+    return rows
+
+
+def test_lifted_fibers_kill_what_the_relation_scan_kills():
+    # the lift of fibers by p finds a leaking member exactly when shifting
+    # every member by every relation of sup norm below p does, and the row
+    # names the member the scan finds first
+    rng = random.Random(14)
+    plane2 = validate_config(PLANE2)
+    trinomial = builtin_config("trinomial")
+    cases = [(plane2, ParameterVector.of("2/3", "-1/5"), p) for p in (17, 19, 23, 47)]
+    cases += [(trinomial, builtin_alpha("trinomial"), p) for p in (29, 31, 37, 41, 43)]
+    cases += [(builtin_config("bessel"), builtin_alpha("bessel"), p)
+              for p in (3, 5, 7, 11, 13)]
+    cases += [(validate_config(PYRAMID), ParameterVector.of("1/2", "1/3", "1/5"), p)
+              for p in (7, 11, 13)]
+    cases.append((validate_config([(1,), (5,)]), ParameterVector.of("1/2"), 3))
+    for cfg in random_configs(12, seed=14):
+        for p in (3, 5, 7, 11):
+            cases.append((cfg, random_alpha(rng, cfg.n, p), p))
+    kills = 0
+    for cfg, alpha, p in cases:
+        inst = make_instance(cfg, alpha, p)
+        support = solution_support(inst)
+        killed = relation_scan_killed_fibers(inst, support)
+        assert recurrence_rows(inst, support) == fiber_rows(inst, support, killed), (
+            cfg.points, alpha, p)
+        kills += len(killed)
+    assert kills > len(cases)
+
+
 def test_modp_dim_matches_dense_oracle():
     rng = random.Random(11)
     configs = [builtin_config(name) for name in BUILTIN_POINTS]
@@ -260,17 +315,17 @@ def test_long_relations_leave_dimension_unchanged():
         inst = make_instance(cfg, alpha, p)
         support = solution_support(inst)
         lattice = relation_lattice(cfg)
-        long = [l for l in _lattice_points_in_box(lattice, cfg.N * p)
+        long = [l for l in lattice_points_in_box(lattice, cfg.N * p)
                 if max(map(abs, l)) >= p]
         assert any(all_recurrence_rows(inst, support, long)), (cfg.points, p)
-        full = _lattice_points_in_box(lattice, cfg.N * p)
+        full = lattice_points_in_box(lattice, cfg.N * p)
         assert all_rows_dim(inst, support, full) == modp_solution_dim(inst), (
             cfg.points, p)
     # the invariance is not general: on [(1,), (5,)] the relation (-5, 1)
     # kills coefficients that no relation inside the box reaches
     cfg = validate_config([(1,), (5,)])
     inst = make_instance(cfg, ParameterVector.of("1/2"), 3)
-    full = _lattice_points_in_box(relation_lattice(cfg), 6 * 3)
+    full = lattice_points_in_box(relation_lattice(cfg), 6 * 3)
     assert modp_solution_dim(inst) == 3
     assert all_rows_dim(inst, solution_support(inst), full) == 1
 
