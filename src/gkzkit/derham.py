@@ -57,6 +57,20 @@ class LogForm:
                 if not poly.is_zero():
                     self.components[idx] = poly
 
+    @classmethod
+    def _of(cls, n: int, degree: int, components: dict[IndexTuple, LaurentPoly],
+            nlam: int = 0) -> "LogForm":
+        """The form with the nonzero components of a map the package built
+        itself: sorted index tuples of length degree, coefficients with
+        ``nlam`` parameters.  Only zero components are dropped; nothing is
+        re-checked, so user input goes through the constructor."""
+        form = cls.__new__(cls)
+        form.n = n
+        form.degree = degree
+        form.nlam = nlam
+        form.components = {idx: p for idx, p in components.items() if p.terms}
+        return form
+
     @staticmethod
     def zero(n: int, degree: int, nlam: int = 0) -> "LogForm":
         return LogForm(n, degree, {}, nlam)
@@ -85,23 +99,24 @@ class LogForm:
                 out.pop(idx, None)
             else:
                 out[idx] = s
-        return LogForm(self.n, self.degree, out, self.nlam)
+        return LogForm._of(self.n, self.degree, out, self.nlam)
 
     def __neg__(self) -> "LogForm":
-        return LogForm(self.n, self.degree,
-                       {idx: -p for idx, p in self.components.items()}, self.nlam)
+        return LogForm._of(self.n, self.degree,
+                           {idx: -p for idx, p in self.components.items()}, self.nlam)
 
     def __sub__(self, other: "LogForm") -> "LogForm":
         return self + (-other)
 
     def scale(self, c) -> "LogForm":
-        return LogForm(self.n, self.degree,
-                       {idx: p.scalar_mul(c) for idx, p in self.components.items()},
-                       self.nlam)
+        return LogForm._of(self.n, self.degree,
+                           {idx: p.scalar_mul(c) for idx, p in self.components.items()},
+                           self.nlam)
 
     def mul_monomial(self, u: Sequence[int]) -> "LogForm":
-        return LogForm(self.n, self.degree,
-                       {idx: p.shift(u) for idx, p in self.components.items()}, self.nlam)
+        return LogForm._of(self.n, self.degree,
+                           {idx: p.shift(u) for idx, p in self.components.items()},
+                           self.nlam)
 
     def __repr__(self) -> str:
         if not self.components:
@@ -130,8 +145,8 @@ def _add_scaled(out: dict[IntVec, Fraction], p: LaurentPoly, factor) -> None:
 def _form(n: int, degree: int, acc: dict[IndexTuple, dict[IntVec, Fraction]],
           nlam: int) -> LogForm:
     """The form whose components have the accumulated term maps of acc."""
-    return LogForm(n, degree, {idx: LaurentPoly(n, terms, nlam)
-                               for idx, terms in acc.items()}, nlam)
+    return LogForm._of(n, degree, {idx: LaurentPoly._of(n, terms, nlam)
+                                   for idx, terms in acc.items()}, nlam)
 
 
 def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm,

@@ -21,9 +21,9 @@ from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
 from .laurent import (HalfSupport, LaurentPoly, build_f, divide_exact,
                       toric_derivative)
-from .derham import (CohomologyWindow, LogForm, RankReport, nabla,
-                     staying_combinations,
-                     stabilization_report, wedge_insert)
+from .derham import (CohomologyWindow, LogForm, RankReport, _add_scaled, _form,
+                     nabla, stabilization_report, staying_combinations,
+                     wedge_insert)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -114,7 +114,11 @@ class LocalizedElement:
 
     Negative powers of g are folded into the numerator, so m >= 0 always and
     g does not divide num unless m = 0; with that normalization the pair
-    (num, m) is a canonical form and equality is termwise.
+    (num, m) is a canonical form and equality is termwise.  The constructor
+    normalizes, one exact division by g per factor stripped, and so does
+    every operation below.  ``gamma`` and ``tilde_nabla`` therefore add
+    their terms as numerators over one power of g and construct one element
+    per form component (``_localize``).
     """
 
     __slots__ = ("g", "num", "gpow")
@@ -246,30 +250,68 @@ class UForm:
                           for idx, v in sorted(self.components.items()))
 
 
+def _powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
+    """g^0, g^1, ..., g^top."""
+    pows = [LaurentPoly.one(g.n)]
+    for _ in range(top):
+        pows.append(pows[-1] * g)
+    return pows
+
+
+def _localize(g: LaurentPoly, degree: int,
+              parts: dict[IndexTuple, list[tuple[LaurentPoly, int]]]) -> UForm:
+    """The form whose component at idx is the sum of num / g^m over the
+    pairs (num, m) of parts[idx].
+
+    Each sum is taken over the largest m (at least 0), M, as one numerator:
+    the sum of num times g^(M - m).  A LocalizedElement is built once per
+    component, so the factors of g are stripped once.
+    """
+    tops = {idx: max([0] + [m for _, m in pairs]) for idx, pairs in parts.items()}
+    pows = _powers(g, max([0] + [tops[idx] - m for idx, pairs in parts.items()
+                                 for _, m in pairs]))
+    comps = {}
+    for idx, pairs in parts.items():
+        M = tops[idx]
+        acc: dict[IntVec, Fraction] = {}
+        for num, m in pairs:
+            _add_scaled(acc, num if m == M else num * pows[M - m], 1)
+        comps[idx] = LocalizedElement(g, LaurentPoly._of(g.n, acc), M)
+    return UForm(g, degree, comps)
+
+
 def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
     """Twisted differential on the complement: logarithmic part in the first
-    n-1 directions minus the last parameter entry times dg/g."""
+    n-1 directions minus the last parameter entry times dg/g.
+
+    By the quotient rule, direction i sends num / g^m to
+    ((x_i d/dx_i + alpha_i) num g - (m + alpha_n) num x_i dg/dx_i) / g^(m+1),
+    one numerator per (component, direction); ``_localize`` adds them per
+    target and normalizes each target once.
+    """
     nprime = g.n
     if alpha.n != nprime + 1:
         raise ValueError("parameter must have one more entry than g has variables")
     if omega.degree == nprime:
         return UForm.zero(g, nprime)
     alpha_n = alpha.entries[-1]
-    out = UForm.zero(g, omega.degree + 1)
+    dg = [toric_derivative(i, g) for i in range(1, nprime + 1)]
+    parts: dict[IndexTuple, list[tuple[LaurentPoly, int]]] = {}
     for idx, eta in omega.components.items():
+        num, m = eta.num, eta.gpow
         for i in range(1, nprime + 1):
             ins = wedge_insert(i, idx)
             if ins is None:
                 continue
             sign, target = ins
-            piece = eta.toric_derivative(i) + eta.scale(alpha.entries[i - 1])
-            correction = LocalizedElement(
-                g, eta.num * toric_derivative(i, g), eta.gpow + 1)
-            piece = piece + correction.scale(-alpha_n)
+            a_i = alpha.entries[i - 1]
+            d_num = LaurentPoly._of(nprime, {u: c * (u[i - 1] + a_i)
+                                             for u, c in num.terms.items()})
+            piece = d_num * g + (num * dg[i - 1]).scalar_mul(-(m + alpha_n))
             if sign < 0:
                 piece = -piece
-            out = out + UForm(g, omega.degree + 1, {target: piece})
-    return out
+            parts.setdefault(target, []).append((piece, m + 1))
+    return _localize(g, omega.degree + 1, parts)
 
 
 @dataclass
@@ -323,34 +365,32 @@ def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm) -> LogForm:
         # only the empty form has this nominal degree among split rows
         return LogForm.zero(n, n)
     gn = _embed_g(g)
-    out = LogForm.zero(n, part.degree + 1)
+    xn = (0,) * (n - 1) + (1,)
+    # x_n times x_i dg/dx_i, for each direction i < n
+    dg = [toric_derivative(i, gn).shift(xn) for i in range(1, n)]
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part.components.items():
         for i in range(1, n):
             ins = wedge_insert(i, idx)
             if ins is None:
                 continue
             sign, target = ins
-            dg_i = toric_derivative(i, gn).shift((0,) * (n - 1) + (1,))
             piece = toric_derivative(i, xi) \
-                + xi.scalar_mul(alpha.entries[i - 1]) + dg_i * xi
-            if sign < 0:
-                piece = -piece
-            out = out + LogForm(n, part.degree + 1, {target: piece})
-    return out
+                + xi.scalar_mul(alpha.entries[i - 1]) + dg[i - 1] * xi
+            _add_scaled(acc.setdefault(target, {}), piece, sign)
+    return _form(n, part.degree + 1, acc, 0)
 
 
 def d_v(alpha: ParameterVector, g: LaurentPoly, part0: LogForm) -> LogForm:
     """Vertical boundary into the dx_n/x_n row, with the trailing-basis sign."""
     n = part0.n
     xn_g = _embed_g(g).shift((0,) * (n - 1) + (1,))
-    out = LogForm.zero(n, part0.degree)
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part0.components.items():
         piece = toric_derivative(n, xi) + xi.scalar_mul(alpha.entries[-1]) \
             + xn_g * xi
-        if len(idx) % 2:
-            piece = -piece
-        out = out + LogForm(n, part0.degree, {idx: piece})
-    return out
+        _add_scaled(acc.setdefault(idx, {}), piece, -1 if len(idx) % 2 else 1)
+    return _form(n, part0.degree, acc, 0)
 
 
 def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
@@ -381,32 +421,26 @@ def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
     A monomial with last exponent m maps to its first n-1 coordinates over
     g^m, weighted by (-1)^m times the rising factorial of the last parameter
     entry; negative m uses the reciprocal convention and requires the last
-    parameter entry to avoid the corresponding poles.
+    parameter entry to avoid the corresponding poles.  The monomials of a
+    component are gathered by m, and ``_localize`` brings them to one power
+    of g and normalizes the component once.
     """
-    n = part1.n
     if part1.nlam:
         raise ValueError("comparison map needs specialized coefficients")
     alpha_n = alpha.entries[-1]
-    out = UForm.zero(g, part1.degree)
+    weights: dict[int, Fraction] = {}
+    parts: dict[IndexTuple, list[tuple[LaurentPoly, int]]] = {}
     for idx, xi in part1.components.items():
-        acc = LocalizedElement.zero(g)
+        by_m: dict[int, dict[IntVec, Fraction]] = {}
         for u, c in xi.terms.items():
             m = u[-1]
-            weight = pochhammer(alpha_n, m) * c
-            if m % 2:
-                weight = -weight
-            if weight == 0:
-                continue
-            num = LaurentPoly.monomial(u[:-1], weight)
-            if m >= 0:
-                acc = acc + LocalizedElement(g, num, m)
-            else:
-                gp = LaurentPoly.one(g.n)
-                for _ in range(-m):
-                    gp = gp * g
-                acc = acc + LocalizedElement(g, num * gp, 0)
-        out = out + UForm(g, part1.degree, {idx: acc})
-    return out
+            if m not in weights:
+                weights[m] = -pochhammer(alpha_n, m) if m % 2 else pochhammer(alpha_n, m)
+            weight = weights[m] * c
+            if weight:
+                by_m.setdefault(m, {})[u[:-1]] = weight
+        parts[idx] = [(LaurentPoly._of(g.n, terms), m) for m, terms in by_m.items()]
+    return _localize(g, part1.degree, parts)
 
 
 def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
@@ -450,9 +484,7 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
 
     # gamma matrix: columns indexed by basis, target keyed by numerator
     # monomials at the common denominator g^{m_bound}
-    g_pows = [LaurentPoly.one(nprime)]
-    for _ in range(m_bound):
-        g_pows.append(g_pows[-1] * g)
+    g_pows = _powers(g, m_bound)
     gamma_cols = []
     for up, m, idx in basis:
         weight = pochhammer(alpha_n, m)
@@ -526,14 +558,11 @@ def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
     the torus rule of ``staying_combinations``.  The quotient dimension is
     the difference of two ranks.
     """
-    nprime = g.n
     alpha_n = alpha.entries[-1]
     win = CohomologyWindow(config, HalfSupport(config.n), bound)
     points = win.points
     M = max((pt[-1] for pt in points), default=0)
-    g_pows = [LaurentPoly.one(nprime)]
-    for _ in range(M):
-        g_pows.append(g_pows[-1] * g)
+    g_pows = _powers(g, M)
 
     cache: dict[tuple, dict] = {}
 

@@ -11,6 +11,11 @@ lambda^e x^u: the x exponents, then the nonnegative lambda exponents.  With
 Products add whole keys, so they multiply the lambda monomials too; the
 derivations x_i d/dx_i read only the first n coordinates.  Polynomials of
 different (n, nlam) never mix; binary operations raise ScalarModeError.
+
+The constructor checks what it is given: key lengths, and coefficients
+(floats are refused, strings parsed).  Results the module computes from
+polynomials, which are already checked, go through ``LaurentPoly._of``,
+which only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -49,6 +54,18 @@ class LaurentPoly:
                 if c:
                     self.terms[u] = c
 
+    @classmethod
+    def _of(cls, n: int, terms: dict[IntVec, Fraction], nlam: int = 0) -> "LaurentPoly":
+        """The polynomial with the nonzero terms of a map the package built
+        itself: tuple keys of length n + nlam, int or Fraction values.  Only
+        zero coefficients are dropped; keys and types are not re-checked, so
+        user input goes through the constructor."""
+        p = cls.__new__(cls)
+        p.n = n
+        p.nlam = nlam
+        p.terms = {u: c for u, c in terms.items() if c}
+        return p
+
     @staticmethod
     def zero(n: int, nlam: int = 0) -> "LaurentPoly":
         return LaurentPoly(n, {}, nlam)
@@ -79,10 +96,10 @@ class LaurentPoly:
         out = dict(self.terms)
         for u, c in other.terms.items():
             out[u] = out[u] + c if u in out else c
-        return LaurentPoly(self.n, out, self.nlam)
+        return LaurentPoly._of(self.n, out, self.nlam)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.n, {u: -c for u, c in self.terms.items()}, self.nlam)
+        return LaurentPoly._of(self.n, {u: -c for u, c in self.terms.items()}, self.nlam)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -95,19 +112,23 @@ class LaurentPoly:
                 u = tuple(a + b for a, b in zip(u1, u2))
                 c = c1 * c2
                 out[u] = out[u] + c if u in out else c
-        return LaurentPoly(self.n, out, self.nlam)
+        return LaurentPoly._of(self.n, out, self.nlam)
 
     def scalar_mul(self, c) -> "LaurentPoly":
         """Multiply by a rational number."""
         if type(c) is not int and type(c) is not Fraction:
             c = Fraction(c)
-        return LaurentPoly(self.n, {u: v * c for u, v in self.terms.items()}, self.nlam)
+        return LaurentPoly._of(self.n, {u: v * c for u, v in self.terms.items()},
+                               self.nlam)
 
     def shift(self, u: Sequence[int]) -> "LaurentPoly":
         """Multiply by the monomial x^u."""
-        u = tuple(int(x) for x in u) + (0,) * self.nlam
-        return LaurentPoly(self.n, {tuple(a + b for a, b in zip(w, u)): c
-                                    for w, c in self.terms.items()}, self.nlam)
+        u = tuple(int(x) for x in u)
+        if len(u) != self.n:
+            raise ValueError("exponent length mismatch")
+        u += (0,) * self.nlam
+        return LaurentPoly._of(self.n, {tuple(a + b for a, b in zip(w, u)): c
+                                        for w, c in self.terms.items()}, self.nlam)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -146,7 +167,7 @@ def toric_derivative(i: int, p: LaurentPoly) -> LaurentPoly:
     if not 1 <= i <= p.n:
         raise ValueError("derivative index out of range")
     k = i - 1
-    return LaurentPoly(p.n, {u: c * u[k] for u, c in p.terms.items() if u[k]}, p.nlam)
+    return LaurentPoly._of(p.n, {u: c * u[k] for u, c in p.terms.items() if u[k]}, p.nlam)
 
 
 def int_if_integral(c):
@@ -180,7 +201,7 @@ def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly,
             w = tuple(x + y for x, y in zip(u, v))
             t = d * c
             out[w] = out[w] + t if w in out else t
-    return LaurentPoly(xi.n, out, xi.nlam)
+    return LaurentPoly._of(xi.n, out, xi.nlam)
 
 
 def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
@@ -221,8 +242,8 @@ def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
             else:
                 num.pop(tgt, None)
     out_shift = tuple(a - b for a, b in zip(shift_p, shift_q))
-    return LaurentPoly(n, {tuple(a + b for a, b in zip(u, out_shift)): c
-                           for u, c in quot.items()})
+    return LaurentPoly._of(n, {tuple(a + b for a, b in zip(u, out_shift)): c
+                               for u, c in quot.items()})
 
 
 class Support:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .derham import generic_rank
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
@@ -73,9 +73,21 @@ def solution_support(instance: ModpInstance) -> list[IntVec]:
     return sorted(support)
 
 
-def _ratio(w: IntVec, v: IntVec, p: int) -> int:
-    """v! / w! mod p for w <= v, where v! is the product of the v_j!."""
-    return prod(k for a, b in zip(w, v) for k in range(a + 1, b + 1)) % p
+def _factorial_ratio(p: int) -> Callable[[IntVec, IntVec], int]:
+    """The map (w, v) -> v! / w! mod p for w <= v in [0, p)^N, where v! is
+    the product of the v_j!.
+
+    Below p every factorial is a unit mod p, so the map reads a table of k!
+    and of its inverse, built once for the prime.
+    """
+    fact = [1] * p
+    for k in range(1, p):
+        fact[k] = fact[k - 1] * k % p
+    inv = [1] * p
+    inv[-1] = pow(fact[-1], -1, p)
+    for k in range(p - 1, 0, -1):
+        inv[k - 1] = inv[k] * k % p
+    return lambda w, v: prod(map(fact.__getitem__, v)) * prod(map(inv.__getitem__, w)) % p
 
 
 def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec]) -> list[dict]:
@@ -120,11 +132,12 @@ def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec]) -> list[d
     # (support of e, p Ae) for each nonzero e in {0, 1}^N
     lifts = [([k for k, x in enumerate(e) if x], [p * x for x in matvec(matrix, e)])
              for e in itertools.product((0, 1), repeat=instance.config.N) if any(e)]
+    ratio = _factorial_ratio(p)
     rows = []
     for b, members in fibers.items():
         for x, y in zip(members, members[1:]):
             w = tuple(map(min, x, y))
-            rows.append({x: _ratio(w, x, p), y: -_ratio(w, y, p) % p})
+            rows.append({x: ratio(w, x), y: -ratio(w, y) % p})
         below = []
         for on, shift in lifts:
             lower = fibers.get(tuple(a - d for a, d in zip(b, shift)))

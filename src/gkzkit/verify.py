@@ -11,12 +11,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+# hypersurface is read through its module, so a process that checks only
+# one-dimensional configurations never runs its code (the package loads
+# modules on first attribute access)
+from . import hypersurface
 from .derham import (LogForm, check_complex, enumerate_monomial_forms,
                      homotopy_identity_check, twist_conjugation_check)
 from .errors import StructureError
-from .hypersurface import (SplitForm, build_g, check_gamma_chain_map,
-                           check_split_matches_nabla, kernel_equals_dv_image,
-                           normalize_structure)
 from .lattice import (ParameterVector, PointConfig, cone_facets,
                       relation_lattice)
 from .laurent import build_f_symbolic
@@ -175,29 +176,29 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     # hypersurface-structure checks, when the configuration admits them
     if n >= 2:
         try:
-            cfg_h, alpha_h, _ = normalize_structure(config, alpha)
+            cfg_h, alpha_h, _ = hypersurface.normalize_structure(config, alpha)
         except StructureError:
             cfg_h = None
         if cfg_h is not None:
             lam = tuple(Fraction(k + 2, 2 * k + 1) for k in range(N))
-            g = build_g(cfg_h, lam)
+            g = hypersurface.build_g(cfg_h, lam)
             splits = []
             for u in itertools.product(range(-1, 2), repeat=n - 1):
                 for m in range(0, 3):
                     full = u + (m,)
                     for k in range(n):
                         for idx in itertools.combinations(range(1, n), k):
-                            splits.append(SplitForm(
+                            splits.append(hypersurface.SplitForm(
                                 LogForm.from_monomial(full, idx, n),
                                 LogForm.from_monomial(full, idx, n)))
-            ok = check_gamma_chain_map(alpha_h, g, splits)
+            ok = hypersurface.check_gamma_chain_map(alpha_h, g, splits)
             report.add(CheckResult("gamma_chain_map", ok, len(splits)))
             total_forms = enumerate_monomial_forms(n, 1, range(n + 1))
-            ok = check_split_matches_nabla(cfg_h, alpha_h, lam, total_forms)
+            ok = hypersurface.check_split_matches_nabla(cfg_h, alpha_h, lam, total_forms)
             report.add(CheckResult("split_consistency", ok, len(total_forms)))
             alpha_n = alpha_h.entries[-1]
             if not (alpha_n.denominator == 1 and alpha_n <= 0):
-                ok = all(kernel_equals_dv_image(alpha_h, g, k, 2, 3)
+                ok = all(hypersurface.kernel_equals_dv_image(alpha_h, g, k, 2, 3)
                          for k in range(n))
                 report.add(CheckResult("gamma_kernel", ok, n))
     return report

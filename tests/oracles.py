@@ -15,6 +15,11 @@ as references for what replaced it:
 - apply_D_by_parts and nabla_by_parts, the twisted derivation composed from
   the Laurent ring operations and the differential summed one piece at a
   time, for the one-pass gkzkit.laurent.apply_D and gkzkit.derham.nabla.
+- gamma_per_monomial and tilde_nabla_per_piece, the former comparison map
+  and complement differential, which build and normalize one
+  LocalizedElement per monomial or per piece and add them up, for
+  gkzkit.hypersurface.gamma and tilde_nabla, which normalize each
+  component once at a common power of g.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from gkzkit.derham import LogForm
+from gkzkit.derham import LogForm, wedge_insert
+from gkzkit.hypersurface import LocalizedElement, UForm, pochhammer
 from gkzkit.intmat import matvec, smith_normal_form
 from gkzkit.lattice import RelationLattice, relation_lattice
-from gkzkit.laurent import toric_derivative
+from gkzkit.laurent import LaurentPoly, toric_derivative
 
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
@@ -464,4 +470,64 @@ def nabla_by_parts(alpha, f, omega):
                 piece = -piece
             out = out + LogForm(n, k + 1, {tuple(sorted(idx + (i,))): piece},
                                 omega.nlam)
+    return out
+
+
+def gamma_per_monomial(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
+    """Comparison map dropping the trailing dx_n/x_n.
+
+    A monomial with last exponent m maps to its first n-1 coordinates over
+    g^m, weighted by (-1)^m times the rising factorial of the last parameter
+    entry; negative m uses the reciprocal convention and requires the last
+    parameter entry to avoid the corresponding poles.
+    """
+    n = part1.n
+    if part1.nlam:
+        raise ValueError("comparison map needs specialized coefficients")
+    alpha_n = alpha.entries[-1]
+    out = UForm.zero(g, part1.degree)
+    for idx, xi in part1.components.items():
+        acc = LocalizedElement.zero(g)
+        for u, c in xi.terms.items():
+            m = u[-1]
+            weight = pochhammer(alpha_n, m) * c
+            if m % 2:
+                weight = -weight
+            if weight == 0:
+                continue
+            num = LaurentPoly.monomial(u[:-1], weight)
+            if m >= 0:
+                acc = acc + LocalizedElement(g, num, m)
+            else:
+                gp = LaurentPoly.one(g.n)
+                for _ in range(-m):
+                    gp = gp * g
+                acc = acc + LocalizedElement(g, num * gp, 0)
+        out = out + UForm(g, part1.degree, {idx: acc})
+    return out
+
+
+def tilde_nabla_per_piece(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
+    """Twisted differential on the complement: logarithmic part in the first
+    n-1 directions minus the last parameter entry times dg/g."""
+    nprime = g.n
+    if alpha.n != nprime + 1:
+        raise ValueError("parameter must have one more entry than g has variables")
+    if omega.degree == nprime:
+        return UForm.zero(g, nprime)
+    alpha_n = alpha.entries[-1]
+    out = UForm.zero(g, omega.degree + 1)
+    for idx, eta in omega.components.items():
+        for i in range(1, nprime + 1):
+            ins = wedge_insert(i, idx)
+            if ins is None:
+                continue
+            sign, target = ins
+            piece = eta.toric_derivative(i) + eta.scale(alpha.entries[i - 1])
+            correction = LocalizedElement(
+                g, eta.num * toric_derivative(i, g), eta.gpow + 1)
+            piece = piece + correction.scale(-alpha_n)
+            if sign < 0:
+                piece = -piece
+            out = out + UForm(g, omega.degree + 1, {target: piece})
     return out

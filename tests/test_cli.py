@@ -186,6 +186,17 @@ def test_verify_reproduces_golden_output(capsys, fixture, argv, exit_code):
 
 
 @pytest.mark.parametrize("fixture, argv", [
+    ("rank_trinomial_hypersurface.json", ["--config", "trinomial", "--alpha=1/3,1/5",
+                                          "--bound", "5", "--hypersurface"]),
+    ("rank_gauss_zn.json", ["--config", "gauss", "--alpha=1/3,1/5,1/7", "--bound", "3",
+                            "--supports", "zn"]),
+])
+def test_rank_reproduces_golden_output(capsys, fixture, argv):
+    assert main(["rank", *argv]) == 0
+    assert capsys.readouterr().out == (FIXTURES / fixture).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fixture, argv", [
     ("modp_plane2.json", ["--config", '{"points": [[0,1],[1,1],[-1,1],[2,1]]}',
                           "--bound", "2", "--primes", "17,19,23", "--alpha=1/3,1/5"]),
     ("modp_trinomial.json", ["--config", "trinomial", "--primes", "29,31,37,41,43",
@@ -362,9 +373,11 @@ RANK_MODULES = sorted(ANALYZE_MODULES + ["gkzkit.derham", "gkzkit.laurent",
     (["rank", "--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3",
       "--hypersurface"], sorted(RANK_MODULES + ["gkzkit.hypersurface"])),
     (["verify", "--config", "single"],
-     sorted(RANK_MODULES + ["gkzkit.hypersurface", "gkzkit.verify", "gkzkit.weyl"])),
+     sorted(RANK_MODULES + ["gkzkit.verify", "gkzkit.weyl"])),
     (["modp", "--config", "single", "--alpha", "1/2", "--primes", "5"],
      sorted(RANK_MODULES + ["gkzkit.modp"])),
+    (["verify", "--config", "trinomial"],
+     sorted(RANK_MODULES + ["gkzkit.hypersurface", "gkzkit.verify", "gkzkit.weyl"])),
 ])
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
     proc = run_fresh(LOADED_BY_MAIN, *argv)

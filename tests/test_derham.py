@@ -247,6 +247,38 @@ def test_scaled_derivation_is_the_scaled_oracle(case, k):
     assert all(type(c) is int for p in images for c in p.terms.values())
 
 
+def _canonical(p: LaurentPoly) -> bool:
+    """Every key of p is a tuple of n + nlam ints and every coefficient a
+    nonzero int or Fraction: what the constructor checks and what
+    ``LaurentPoly._of`` trusts the package to build."""
+    return all(type(u) is tuple and len(u) == p.n + p.nlam
+               and all(type(x) is int for x in u)
+               and type(c) in (int, Fraction) and c != 0
+               for u, c in p.terms.items())
+
+
+def _canonical_form(form: LogForm) -> bool:
+    return all(len(idx) == form.degree and not p.is_zero() and p.nlam == form.nlam
+               and _canonical(p) for idx, p in form.components.items())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(derivation_cases(), st.integers(-2, 2), FRAC, st.integers(1, 6))
+def test_results_the_package_builds_are_canonical(case, s, c, d):
+    # sums, products and derivations whose terms cancel, in part or in whole
+    i, alpha, f, xi, omega, _ = case
+    n = f.n
+    polys = [apply_D(i, alpha, f, xi), apply_D(i, alpha, f, xi, d), xi + f,
+             xi + (-xi), (xi + f) - f, f * xi, (f + xi) * (f - xi), xi.shift((s,) * n),
+             xi.scalar_mul(c), xi.scalar_mul(0), toric_derivative(i, xi)]
+    forms = [nabla(alpha, f, omega), nabla(alpha, f, omega, d), omega + omega.scale(-1),
+             omega.scale(c), omega.mul_monomial((s,) * n),
+             derham._contract([s + k for k in range(n)], omega)]
+    assert all(_canonical(p) for p in polys)
+    assert all(_canonical_form(w) for w in forms)
+    assert polys[3].is_zero() and forms[2].is_zero()
+
+
 @pytest.mark.parametrize("name", ["gauss", "trinomial"])
 def test_scale_dropped_from_the_exponent_term_is_caught(monkeypatch, name):
     # d x_i d/dx_i lost to x_i d/dx_i: the mis-scaled derivations still

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from gkzkit.hypersurface import (LocalizedElement, SplitForm, UForm,
 from gkzkit.lattice import ParameterVector, validate_config
 from gkzkit.laurent import FullSupport, LaurentPoly
 from gkzkit.verify import run_battery
+from oracles import gamma_per_monomial, tilde_nabla_per_piece
 
 TRI = builtin_config("trinomial")
 ALPHA = builtin_alpha("trinomial")
@@ -171,6 +173,58 @@ def test_gamma_chain_map_window():
                     LogForm.from_monomial((u1, m), idx, 2),
                     LogForm.from_monomial((u1, m), idx, 2)))
     assert check_gamma_chain_map(ALPHA, g, samples)
+
+
+# configurations with the last-coordinate structure, each with its g in 1
+# or 2 variables
+COMPLEMENTS = [TRI, normalize_structure(builtin_config("gauss"), builtin_alpha("gauss"))[0],
+               validate_config([(0, 1), (1, 1), (-1, 1), (2, 1)])]
+SMALL_FRAC = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def comparison_cases(draw):
+    """(alpha, g, part1, part0) on the dx_n/x_n row: g with nonzero Fraction
+    coefficients, last exponents from -2 to 3, and a last parameter entry
+    that is at times 1 or 2, a pole of the reciprocal rising factorial."""
+    cfg = draw(st.sampled_from(COMPLEMENTS))
+    n = cfg.n
+    lam = [draw(SMALL_FRAC.filter(bool)) for _ in range(cfg.N)]
+    alpha_n = draw(st.one_of(SMALL_FRAC, st.sampled_from([Fraction(1), Fraction(2)])))
+    alpha = ParameterVector(tuple(draw(SMALL_FRAC) for _ in range(n - 1)) + (alpha_n,))
+    k = draw(st.integers(0, n - 1))
+    keys = st.tuples(*[st.integers(-2, 2)] * (n - 1), st.integers(-2, 3))
+
+    def form():
+        return LogForm(n, k, {idx: LaurentPoly(n, draw(st.dictionaries(
+            keys, SMALL_FRAC, max_size=4)))
+            for idx in itertools.combinations(range(1, n), k)})
+    return alpha, build_g(cfg, lam), form(), form()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(comparison_cases())
+def test_gamma_and_tilde_nabla_match_the_per_monomial_oracles(case):
+    # part1 plus the vertical image of part0: gamma kills that image, so its
+    # numerators cancel to zero, in part or in whole
+    alpha, g, part1, part0 = case
+    image = d_v(alpha, g, part0)
+    inputs = [part1 + image, image]
+    try:
+        want = [gamma_per_monomial(alpha, g, p) for p in inputs]
+    except PochhammerPoleError as exc:
+        with pytest.raises(PochhammerPoleError, match=f"^{re.escape(str(exc))}$"):
+            [gamma(alpha, g, p) for p in inputs]
+        return
+    assert [gamma(alpha, g, p) for p in inputs] == want
+    # away from the poles; at last parameter entry a, d_v sends a monomial
+    # with last exponent -a to g times one with last exponent 1 - a
+    assert want[1].is_zero() or alpha.entries[-1] in (1, 2)
+    # the differential on a gamma image and on its own image, which is zero
+    d_want = tilde_nabla_per_piece(alpha, g, want[0])
+    assert tilde_nabla(alpha, g, want[0]) == d_want
+    assert tilde_nabla(alpha, g, d_want) == tilde_nabla_per_piece(alpha, g, d_want)
+    assert tilde_nabla(alpha, g, d_want).is_zero()
 
 
 def test_gamma_surjectivity_within_window():
