@@ -30,6 +30,9 @@ EXIT_BAD_CONFIG = 2
 EXIT_NOT_STABILIZED = 3
 EXIT_RESONANT = 4
 
+# the names ``rank --supports`` accepts, by the support they stand for
+SUPPORT_NAMES = {"zn": "Z^n", "z^n": "Z^n", "full": "Z^n", "u0": "U0", "cone": "U0"}
+
 
 def _resolve_config(text: str):
     """Builtin name, inline JSON, or a path to a JSON file."""
@@ -106,36 +109,37 @@ def cmd_rank(args) -> int:
 
     config, label = _resolve_config(args.config)
     alpha = _parse_alpha_arg(args.alpha)
-    supports = []
+    chosen = set()
     for name in args.supports.split(","):
         name = name.strip().lower()
-        if name in ("zn", "z^n", "full"):
-            supports.append(("Z^n", FullSupport(config.n)))
-        elif name in ("u0", "cone"):
-            supports.append(("U0", ConeSupport(config)))
-        else:
+        if name not in SUPPORT_NAMES:
             raise ValueError(f"unknown support {name!r}")
+        chosen.add(SUPPORT_NAMES[name])
     if args.lam != "random":
         lam = tuple(parse_fraction(part.strip()) for part in args.lam.split(","))
     result: dict = {"supports": {}}
-    reports = []
+    reports = {}
     try:
-        for name, support in supports:
+        # a set of supports, run in nesting order whatever order it was given in
+        for name in [name for name in ("Z^n", "U0") if name in chosen]:
+            support = FullSupport(config.n) if name == "Z^n" else ConeSupport(config)
             if args.lam == "random":
                 rep = generic_rank(config, alpha, support, args.bound,
                                    seed=args.seed)
             else:
                 rep = require_stabilized(top_cohomology_dim(
                     config, alpha, lam, support, args.bound))
-            reports.append(rep)
+            reports[name] = rep
             result["supports"][name] = rep.to_json()
-        if len(supports) == 2:
-            qi = quasi_iso_check(config, alpha, supports[1][1], supports[0][1],
-                                 reports[1], reports[0])
-            result["quasi_iso"] = qi.to_json()
+        if len(reports) == 2:
+            result["quasi_iso"] = quasi_iso_check(reports["U0"], reports["Z^n"]).to_json()
+        # the complement side takes the first support's specialization; the
+        # reports' windows and echelons are let go before it runs
+        u_lam = next(iter(reports.values())).lam
+        del rep, reports
         if args.hypersurface:
             from .hypersurface import cohomology_U_dim
-            rep = cohomology_U_dim(config, alpha, reports[0].lam, args.bound)
+            rep = cohomology_U_dim(config, alpha, u_lam, args.bound)
             result["U"] = require_stabilized(rep).to_json()
     except NotStabilizedError as exc:
         result["error"] = {"kind": "NotStabilized", "dims": list(exc.dims),

@@ -10,13 +10,14 @@ stabilize is an explicit outcome.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotStabilizedError
 from .intmat import integer_kernel
@@ -295,16 +296,31 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
 
 @dataclass
 class RankReport:
-    """Outcome of a truncated top-cohomology dimension computation."""
+    """Outcome of a truncated top-cohomology dimension computation.
+
+    dims are the window quotient dimensions at bounds B-1 and B.  The result
+    counts as stabilized when the two agree; the reported dimension is the
+    one at B.
+    """
 
     complex_id: str
     alpha: ParameterVector
     lam: tuple[Fraction, ...]
     bound: int
     dims: tuple[int, int]
-    stabilized: bool
-    dim: int
     warnings: tuple[str, ...] = ()
+    # the bound-B window and its echelon, which quasi_iso_check reduces
+    # against; None on the complement side and on hand-built reports
+    top: tuple[CohomologyWindow, RationalEchelon] | None = field(
+        default=None, repr=False, compare=False)
+
+    @property
+    def stabilized(self) -> bool:
+        return self.dims[0] == self.dims[1]
+
+    @property
+    def dim(self) -> int:
+        return self.dims[1]
 
     def to_json(self) -> dict:
         return {
@@ -377,14 +393,19 @@ def staying_combinations(steps: Sequence[Sequence[int]], n: int):
     return basis
 
 
-def _generator_vectors(config: PointConfig, alpha: ParameterVector,
-                       lam: Sequence[Fraction], win: CohomologyWindow) -> list[dict]:
+def window_generators(win: CohomologyWindow, alpha: ParameterVector,
+                      lam: Sequence[Fraction]) -> Iterator[tuple[int, dict]]:
     """Images of window monomials under the twisted derivation combinations
-    that stay inside the window, as sparse vectors keyed by window column."""
+    that stay inside the window, as sparse vectors keyed by window column.
+
+    Yields (column, vector) for each window point u and each combination c
+    of ``staying_combinations`` with a nonzero image: the entry at u's own
+    column is c.(u + alpha), and the entry at u + a is lambda_a c.a for
+    each point a.
+    """
     index = win.index
-    steps = [(a, v) for a, v in zip(config.points, lam) if v and any(a)]
-    basis = staying_combinations([a for a, _ in steps], config.n)
-    vecs = []
+    steps = [(a, v) for a, v in zip(win.config.points, lam) if v and any(a)]
+    basis = staying_combinations([a for a, _ in steps], win.config.n)
     for col, u in enumerate(win.points):
         targets = [index.get(tuple(x + y for x, y in zip(u, a))) for a, _ in steps]
         for c in basis(tuple(k for k, t in enumerate(targets) if t is None)):
@@ -397,40 +418,34 @@ def _generator_vectors(config: PointConfig, alpha: ParameterVector,
                 if coeff:
                     vec[t] = v * coeff
             if vec:
-                vecs.append(vec)
-    return vecs
+                yield col, vec
 
 
-def _window_quotient_dim(config: PointConfig, alpha: ParameterVector,
-                         lam: Sequence[Fraction], win: CohomologyWindow) -> int:
-    ech = RationalEchelon()
-    for vec in _generator_vectors(config, alpha, lam, win):
-        ech.insert(vec)
-    return len(win.points) - ech.rank
-
-
-def stabilization_report(complex_id: str, alpha: ParameterVector,
-                         lam: tuple[Fraction, ...], bound: int,
-                         warnings: Sequence[str],
-                         quotient_dim: Callable[[int], int]) -> RankReport:
-    """Window quotient dimensions at bounds B-1 and B, as a report.
-
-    The result counts as stabilized when the two agree; the reported
-    dimension is the one at B.
-    """
+def window_pair(config: PointConfig, support: Support,
+                bound: int) -> tuple[CohomologyWindow, CohomologyWindow]:
+    """The windows of a support at bounds B-1 and B."""
     if bound < 1:
         raise ValueError("need bound at least 1 for the stabilization pair")
-    dims = (quotient_dim(bound - 1), quotient_dim(bound))
-    return RankReport(
-        complex_id=complex_id,
-        alpha=alpha,
-        lam=lam,
-        bound=bound,
-        dims=dims,
-        stabilized=dims[0] == dims[1],
-        dim=dims[1],
-        warnings=tuple(warnings),
-    )
+    return (CohomologyWindow(config, support, bound - 1),
+            CohomologyWindow(config, support, bound))
+
+
+def _torus_report(alpha: ParameterVector, lam: tuple[Fraction, ...],
+                  windows: tuple[CohomologyWindow, CohomologyWindow],
+                  warnings: Sequence[str]) -> RankReport:
+    """The report of one specialization on a window pair.
+
+    The bound-B window and its echelon stay on the report for
+    ``quasi_iso_check``; the B-1 echelon is let go before the B one fills.
+    """
+    dims = []
+    for win in windows:
+        ech = RationalEchelon()
+        for _, vec in window_generators(win, alpha, lam):
+            ech.insert(vec)
+        dims.append(len(win.points) - ech.rank)
+    return RankReport(f"torus/{win.support.name}", alpha, lam, win.bound,
+                      tuple(dims), tuple(warnings), (win, ech))
 
 
 def _resonance_warnings(config: PointConfig, alpha: ParameterVector) -> tuple[str, ...]:
@@ -454,11 +469,8 @@ def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
         raise ValueError(f"need {config.N} coefficients, got {len(lam)}")
     if any(v == 0 for v in lam):
         raise ValueError("parameter specialization must be nonzero")
-    return stabilization_report(
-        f"torus/{support.name}", alpha, lam, bound,
-        _resonance_warnings(config, alpha),
-        lambda b: _window_quotient_dim(config, alpha, lam,
-                                       CohomologyWindow(config, support, b)))
+    return _torus_report(alpha, lam, window_pair(config, support, bound),
+                         _resonance_warnings(config, alpha))
 
 
 def random_specialization(rng: random.Random, count: int) -> tuple[Fraction, ...]:
@@ -478,22 +490,17 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
     specialization that did not stabilize, else of the last one drawn.
     """
     warnings = _resonance_warnings(config, alpha)
-    if bound < 1:
-        raise ValueError("need bound at least 1 for the stabilization pair")
-    windows = {b: CohomologyWindow(config, support, b) for b in (bound - 1, bound)}
-
-    def report(lam: tuple[Fraction, ...]) -> RankReport:
-        return stabilization_report(
-            f"torus/{support.name}", alpha, lam, bound, warnings,
-            lambda b: _window_quotient_dim(config, alpha, lam, windows[b]))
-
+    windows = window_pair(config, support, bound)
     rng = random.Random(seed)
     unstable = None
     for _ in range(3):
         lam1 = lam2 = random_specialization(rng, config.N)
         while lam2 == lam1:
             lam2 = random_specialization(rng, config.N)
-        rep1, rep2 = report(lam1), report(lam2)
+        # the second specialization only confirms the first: its echelon is
+        # let go before the first one's, which the report keeps, is built
+        rep2 = replace(_torus_report(alpha, lam2, windows, warnings), top=None)
+        rep1 = _torus_report(alpha, lam1, windows, warnings)
         if rep1.stabilized and rep2.stabilized and rep1.dim == rep2.dim:
             return replace(rep1, warnings=warnings + (
                 f"agreed with second specialization {list(map(str, lam2))}",))
@@ -517,30 +524,33 @@ class QuasiIsoReport:
         return asdict(self)
 
 
-def quasi_iso_check(config: PointConfig, alpha: ParameterVector,
-                    S_small: Support, S_big: Support,
-                    small: RankReport, big: RankReport) -> QuasiIsoReport:
+def quasi_iso_check(small: RankReport, big: RankReport) -> QuasiIsoReport:
     """Inclusion of the small-support subcomplex induces the same top quotient.
 
     Given stabilized reports of both supports at one bound, checks (a) equal
     dimensions and (b) surjectivity at ``big.lam``: every window monomial of
     the big support is congruent, modulo the twisted-derivation image inside
-    the window, to something supported in the small window.  Raises
-    ValueError when the bounds differ or the supports do not nest.
+    the window, to something supported in the small window.  The windows
+    and the echelon of that image come from the reports; only the unit
+    vectors of the small window are reduced, in a copy of the row map.
+    Raises ValueError when the bounds differ, a report carries no window,
+    or the supports do not nest.
     """
     require_stabilized(small)
     require_stabilized(big)
     bound = big.bound
     if small.bound != bound:
         raise ValueError(f"reports at bounds {small.bound} and {bound} do not compare")
-    win_big = CohomologyWindow(config, S_big, bound)
-    win_small = CohomologyWindow(config, S_small, bound)
+    if small.top is None or big.top is None:
+        raise ValueError("a report without its window does not compare")
+    win_small, _ = small.top
+    win_big, kept = big.top
     if any(u not in win_big.index for u in win_small.points):
-        raise ValueError(f"support {S_small.name} is not inside {S_big.name} "
-                         f"at bound {bound}")
-    ech = RationalEchelon()
-    for vec in _generator_vectors(config, alpha, big.lam, win_big):
-        ech.insert(vec)
+        raise ValueError(f"support {win_small.support.name} is not inside "
+                         f"{win_big.support.name} at bound {bound}")
+    # insert never changes a stored row, so the report's echelon stays as it was
+    ech = copy.copy(kept)
+    ech.rows = dict(kept.rows)
     for u in win_small.points:
         ech.insert({win_big.index[u]: 1})
     surjective = ech.rank == len(win_big.points)

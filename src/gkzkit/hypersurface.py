@@ -22,8 +22,7 @@ from .lattice import ParameterVector, PointConfig, validate_config
 from .laurent import (HalfSupport, LaurentPoly, build_f, divide_exact,
                       toric_derivative)
 from .derham import (CohomologyWindow, LogForm, RankReport, _add_scaled, _form,
-                     nabla, stabilization_report, staying_combinations,
-                     wedge_insert)
+                     nabla, wedge_insert, window_generators, window_pair)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -541,56 +540,39 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
         alpha = alpha.shift(shift)
         warnings.append(f"pre-twisted last parameter entry by {shift[-1]}")
     g = build_g(config, lam)
-    return stabilization_report("U", alpha, lam, bound, warnings,
-                                lambda b: _u_quotient_dim(config, alpha, g, b))
+    dims = tuple(_u_quotient_dim(alpha, lam, g, win)
+                 for win in window_pair(config, HalfSupport(config.n), bound))
+    return RankReport("U", alpha, lam, bound, dims, tuple(warnings))
 
 
-def _u_quotient_dim(config: PointConfig, alpha: ParameterVector,
-                    g: LaurentPoly, bound: int) -> int:
+def _u_quotient_dim(alpha: ParameterVector, lam: tuple[Fraction, ...],
+                    g: LaurentPoly, win: CohomologyWindow) -> int:
     """Window quotient of top-degree forms on the complement by the image of
     the twisted differential.
 
     The window elements are x'^{u'} / g^m for u = (u', m) in the Newton
-    window with m >= 0, written as numerators at the common denominator
-    g^M.  As D_n acts as the identity g / g^{m+1} = 1 / g^m, the combination
-    sum_i c_i D_i (c in Q^n) sends u to c.(u + alpha) times u minus
-    (m + alpha_n) times the sum of (c.a) lambda_a (u + a) over the points a:
-    the torus rule of ``staying_combinations``.  The quotient dimension is
-    the difference of two ranks.
+    window with m >= 0, written as numerators x'^{u'} g^(M-m) at the common
+    denominator g^M.  As D_n acts as the identity g / g^{m+1} = 1 / g^m, the
+    combination sum_i c_i D_i (c in Q^n) sends u to c.(u + alpha) times u
+    minus (m + alpha_n) times the sum of (c.a) lambda_a (u + a) over the
+    points a.  That is the torus generator of ``window_generators`` at u
+    with each entry off u's own column scaled by -(m + alpha_n), and each
+    column read as its numerator.  The quotient dimension is the rank of the
+    numerators minus the rank of the generators.
     """
     alpha_n = alpha.entries[-1]
-    win = CohomologyWindow(config, HalfSupport(config.n), bound)
     points = win.points
     M = max((pt[-1] for pt in points), default=0)
     g_pows = _powers(g, M)
-
-    cache: dict[tuple, dict] = {}
-
-    def numvec(pt) -> dict:
-        if pt not in cache:
-            up, m = pt[:-1], pt[-1]
-            cache[pt] = dict((LaurentPoly.monomial(up) * g_pows[M - m]).terms)
-        return cache[pt]
-
+    nums = [g_pows[M - pt[-1]].shift(pt[:-1]) for pt in points]
     span_ech = RationalEchelon()
-    for pt in points:
-        span_ech.insert(numvec(pt))
-
-    # x^{u'} / g^m is the monomial (u', m); its shifts are the points (w, 1)
-    steps = [((*w, 1), c) for w, c in g.terms.items()]
-    basis = staying_combinations([a for a, _ in steps], config.n)
+    for num in nums:
+        span_ech.insert(num.terms)
     gen_ech = RationalEchelon()
-    for pt in points:
-        targets = [tuple(x + y for x, y in zip(pt, a)) for a, _ in steps]
-        for c in basis(tuple(k for k, t in enumerate(targets) if t not in win.index)):
-            vec: dict = {}
-            terms = [(pt, sum(ci * (x + a) for ci, x, a in zip(c, pt, alpha.entries)))]
-            terms += [(tgt, -(pt[-1] + alpha_n) * cw * sum(ci * x for ci, x in zip(c, a)))
-                      for (a, cw), tgt in zip(steps, targets)]
-            for tgt, coeff in terms:
-                # a shift that leaves the window has coefficient 0 and no numerator
-                for wkey, cv in (numvec(tgt).items() if coeff else ()):
-                    vec[wkey] = vec.get(wkey, Fraction(0)) + coeff * cv
-            if any(vec.values()):
-                gen_ech.insert(vec)
+    for col, vec in window_generators(win, alpha, lam):
+        scale = -(points[col][-1] + alpha_n)
+        out: dict[IntVec, Fraction] = {}
+        for key, coeff in vec.items():
+            _add_scaled(out, nums[key], coeff if key == col else coeff * scale)
+        gen_ech.insert(out)
     return span_ech.rank - gen_ech.rank

@@ -60,17 +60,18 @@ def solution_support(instance: ModpInstance) -> list[IntVec]:
     Z^n and its relation lattice L is a direct summand; hence L tensored
     with F_p is the mod-p kernel.  The support is the coset of one integer
     solution by all combinations of the basis of L with coefficients in
-    [0, p): exactly p^(N-n) exponents.
+    [0, p): exactly p^(N-n) exponents.  The coset grows by one basis vector
+    at a time, from the p multiples of that vector reduced mod p.
     """
     p = instance.p
     config = instance.config
     v0 = solve_integer(config.matrix(), list(instance.alpha_bar))
-    basis = relation_lattice(config).basis
-    support = []
-    for t in itertools.product(range(p), repeat=len(basis)):
-        support.append(tuple((x + sum(ti * l[k] for ti, l in zip(t, basis))) % p
-                             for k, x in enumerate(v0)))
-    return sorted(support)
+    coset = [tuple(x % p for x in v0)]
+    for l in relation_lattice(config).basis:
+        multiples = [[t * x % p for x in l] for t in range(p)]
+        coset = [tuple([(x + y) % p for x, y in zip(v, m)])
+                 for v in coset for m in multiples]
+    return sorted(coset)
 
 
 def _factorial_ratio(p: int) -> Callable[[IntVec, IntVec], int]:

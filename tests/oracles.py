@@ -20,6 +20,10 @@ as references for what replaced it:
   LocalizedElement per monomial or per piece and add them up, for
   gkzkit.hypersurface.gamma and tilde_nabla, which normalize each
   component once at a common power of g.
+- generator_vectors and u_quotient_dim, the former window generators of
+  the torus and the former complement-side quotient, each with its own
+  loop over window points and staying combinations, for
+  gkzkit.derham.window_generators, which both sides now share.
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from gkzkit.derham import LogForm, wedge_insert
+from gkzkit.derham import CohomologyWindow, LogForm, wedge_insert
 from gkzkit.hypersurface import LocalizedElement, UForm, pochhammer
-from gkzkit.intmat import matvec, smith_normal_form
+from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
 from gkzkit.lattice import RelationLattice, relation_lattice
-from gkzkit.laurent import LaurentPoly, toric_derivative
+from gkzkit.laurent import HalfSupport, LaurentPoly, toric_derivative
+from gkzkit.linalg import RationalEchelon
 
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
@@ -531,3 +536,88 @@ def tilde_nabla_per_piece(alpha: ParameterVector, g: LaurentPoly, omega: UForm) 
                 piece = -piece
             out = out + UForm(g, omega.degree + 1, {target: piece})
     return out
+
+
+def _staying_basis(steps, n: int):
+    """The combinations c of the derivations with c.a = 0 for each step a
+    whose shift leaves the window, keyed by the positions of those steps."""
+    units = [[int(i == k) for k in range(n)] for i in range(n)]
+
+    @functools.cache
+    def basis(out: tuple[int, ...]) -> list[list[int]]:
+        return integer_kernel([list(steps[k]) for k in out]) if out else units
+    return basis
+
+
+def generator_vectors(config, alpha, lam, win: CohomologyWindow) -> list[dict]:
+    """Images of window monomials under the twisted derivation combinations
+    that stay inside the window, as sparse vectors keyed by window column."""
+    index = win.index
+    steps = [(a, v) for a, v in zip(config.points, lam) if v and any(a)]
+    basis = _staying_basis([a for a, _ in steps], config.n)
+    vecs = []
+    for col, u in enumerate(win.points):
+        targets = [index.get(tuple(x + y for x, y in zip(u, a))) for a, _ in steps]
+        for c in basis(tuple(k for k, t in enumerate(targets) if t is None)):
+            vec: dict[int, Fraction] = {}
+            diag = sum(ci * (a + x) for ci, a, x in zip(c, alpha.entries, u))
+            if diag:
+                vec[col] = diag
+            for (a, v), t in zip(steps, targets):
+                coeff = sum(ci * x for ci, x in zip(c, a))
+                if coeff:
+                    vec[t] = v * coeff
+            if vec:
+                vecs.append(vec)
+    return vecs
+
+
+def u_quotient_dim(config, alpha, g: LaurentPoly, bound: int) -> int:
+    """Window quotient of top-degree forms on the complement by the image of
+    the twisted differential, for a configuration with last coordinate 1 and
+    a last parameter entry that is not a nonpositive integer.
+
+    The window elements are x'^{u'} / g^m for u = (u', m) in the Newton
+    window with m >= 0, written as numerators at the common denominator
+    g^M.  The combination sum_i c_i D_i sends u to c.(u + alpha) times u
+    minus (m + alpha_n) times the sum of (c.a) lambda_a (u + a) over the
+    points a, read through the numerators.
+    """
+    alpha_n = alpha.entries[-1]
+    win = CohomologyWindow(config, HalfSupport(config.n), bound)
+    points = win.points
+    M = max((pt[-1] for pt in points), default=0)
+    g_pows = [LaurentPoly.one(g.n)]
+    for _ in range(M):
+        g_pows.append(g_pows[-1] * g)
+
+    cache: dict[tuple, dict] = {}
+
+    def numvec(pt) -> dict:
+        if pt not in cache:
+            up, m = pt[:-1], pt[-1]
+            cache[pt] = dict((LaurentPoly.monomial(up) * g_pows[M - m]).terms)
+        return cache[pt]
+
+    span_ech = RationalEchelon()
+    for pt in points:
+        span_ech.insert(numvec(pt))
+
+    # x^{u'} / g^m is the monomial (u', m); its shifts are the points (w, 1)
+    steps = [((*w, 1), c) for w, c in g.terms.items()]
+    basis = _staying_basis([a for a, _ in steps], config.n)
+    gen_ech = RationalEchelon()
+    for pt in points:
+        targets = [tuple(x + y for x, y in zip(pt, a)) for a, _ in steps]
+        for c in basis(tuple(k for k, t in enumerate(targets) if t not in win.index)):
+            vec: dict = {}
+            terms = [(pt, sum(ci * (x + a) for ci, x, a in zip(c, pt, alpha.entries)))]
+            terms += [(tgt, -(pt[-1] + alpha_n) * cw * sum(ci * x for ci, x in zip(c, a)))
+                      for (a, cw), tgt in zip(steps, targets)]
+            for tgt, coeff in terms:
+                # a shift that leaves the window has coefficient 0 and no numerator
+                for wkey, cv in (numvec(tgt).items() if coeff else ()):
+                    vec[wkey] = vec.get(wkey, Fraction(0)) + coeff * cv
+            if any(vec.values()):
+                gen_ech.insert(vec)
+    return span_ech.rank - gen_ech.rank

@@ -108,8 +108,7 @@ def test_criterion_3_rank_across_supports():
         t0 = time.monotonic()
         rep_full = generic_rank(cfg, alpha, FullSupport(cfg.n), bound, seed=101)
         rep_cone = generic_rank(cfg, alpha, ConeSupport(cfg), bound, seed=202)
-        qi = quasi_iso_check(cfg, alpha, ConeSupport(cfg), FullSupport(cfg.n),
-                             rep_cone, rep_full)
+        qi = quasi_iso_check(rep_cone, rep_full)
         case_ok = (rep_full.stabilized and rep_cone.stabilized
                    and rep_full.dim == expected and rep_cone.dim == expected
                    and qi.verdict and qi.surjective)
@@ -214,8 +213,7 @@ def test_criterion_7_negative_controls():
     rep = top_cohomology_dim(single, resonant, [1], FullSupport(1), 4)
     ok = ok and any("resonant" in w for w in rep.warnings)
     cone = top_cohomology_dim(single, resonant, [1], ConeSupport(single), 4)
-    comparison = quasi_iso_check(single, resonant, ConeSupport(single),
-                                 FullSupport(1), cone, rep)
+    comparison = quasi_iso_check(cone, rep)
     ok = ok and isinstance(comparison.verdict, bool)
 
     # the sweep refuses resonance outright

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkzkit
+from gkzkit.catalog import builtin_config
 from gkzkit.cli import main
 from gkzkit.derham import CohomologyWindow
 from gkzkit.lattice import newton_polytope
+from gkzkit.laurent import ConeSupport
 from gkzkit.linalg import RationalEchelon
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -123,10 +125,10 @@ TRINOMIAL_JOB = ["rank", "--config", "trinomial", "--alpha", "1/3,1/5",
 
 @pytest.mark.parametrize("argv, windows, echelons", [
     # per support: one window at each of B-1 and B, one echelon per window
-    # and specialization; quasi_iso_check: two windows, one echelon;
-    # the U side: two windows, two echelons each
-    (TRINOMIAL_JOB, 8, 13),
-    (TRINOMIAL_JOB + ["--lambda", "3/7,5/11,2/9"], 8, 9),
+    # and specialization; quasi_iso_check reads the reports' windows and
+    # echelon and builds none; the U side: two windows, two echelons each
+    (TRINOMIAL_JOB, 6, 12),
+    (TRINOMIAL_JOB + ["--lambda", "3/7,5/11,2/9"], 6, 8),
     (["rank", "--config", "gauss", "--alpha", "1/2,1/3,1/5", "--bound", "3",
       "--supports", "u0"], 2, 4),
 ])
@@ -140,6 +142,47 @@ def test_rank_builds_each_window_once(monkeypatch, capsys, argv, windows, echelo
     code, _ = run(capsys, *argv)
     assert code == 0
     assert built == {"CohomologyWindow": windows, "RationalEchelon": echelons}
+
+
+def test_quasi_iso_check_inserts_only_the_small_window(monkeypatch, capsys):
+    # it reduces the unit vectors of the bound-B cone window against the
+    # Z^n report's echelon, and eliminates no generator again
+    from gkzkit import derham
+    check, insert = derham.quasi_iso_check, RationalEchelon.insert
+    inserts = Counter()
+    seen = []
+
+    def counting_insert(self, vec):
+        inserts["calls"] += 1
+        return insert(self, vec)
+
+    def counting_check(small, big):
+        before = inserts["calls"]
+        result = check(small, big)
+        seen.append(inserts["calls"] - before)
+        return result
+    monkeypatch.setattr(RationalEchelon, "insert", counting_insert)
+    monkeypatch.setattr(derham, "quasi_iso_check", counting_check)
+    code, report = run(capsys, *TRINOMIAL_JOB)
+    assert code == 0 and report["result"]["quasi_iso"]["verdict"] is True
+    trinomial = builtin_config("trinomial")
+    assert seen == [len(CohomologyWindow(trinomial, ConeSupport(trinomial), 4).points)]
+
+
+@pytest.mark.parametrize("supports, same_as", [
+    ("u0,zn", "zn,u0"),
+    ("zn,u0,zn", "zn,u0"),
+    (" U0,cone, Z^n", "zn,u0"),
+    # one support named twice runs once and is compared with nothing
+    ("zn,zn", "zn"),
+])
+def test_rank_supports_are_a_set(capsys, supports, same_as):
+    # each support runs once, in nesting order (U0 inside Z^n), however listed
+    assert main([*TRINOMIAL_JOB, "--supports", same_as]) == 0
+    expected = capsys.readouterr().out
+    assert main([*TRINOMIAL_JOB, "--supports", supports]) == 0
+    assert capsys.readouterr().out == expected
+    assert ("quasi_iso" in json.loads(expected)["result"]) == ("u0" in same_as)
 
 
 def test_verify_single_config(capsys):

@@ -13,8 +13,7 @@ from gkzkit.derham import (CohomologyWindow, LogForm, check_complex,
                            enumerate_monomial_forms, generic_rank,
                            homotopy_identity_check, homotopy_rho, nabla,
                            quasi_iso_check, require_stabilized,
-                           top_cohomology_dim, twist_conjugation_check,
-                           _generator_vectors)
+                           top_cohomology_dim, twist_conjugation_check)
 from gkzkit.errors import GkzError, NotStabilizedError
 from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
@@ -23,7 +22,8 @@ from gkzkit.laurent import (ConeSupport, FullSupport, LaurentPoly, apply_D,
                             build_f, build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
 from oracles import (apply_D_by_parts, brute_newton_window, dense_rank,
-                     nabla_by_parts, shoelace_volume, specialize)
+                     generator_vectors, nabla_by_parts, shoelace_volume,
+                     specialize)
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 LAM4 = LAM3 + [Fraction(7, 13)]
@@ -453,7 +453,7 @@ def test_newton_window_matches_brute_oracle_on_small_configs(config):
 def dense_quotient_dim(config, alpha, lam, support, bound):
     """Dense-matrix reimplementation of the window quotient."""
     win = CohomologyWindow(config, support, bound)
-    cols = _generator_vectors(config, alpha, lam, win)
+    cols = generator_vectors(config, alpha, lam, win)
     rows = [[vec.get(k, Fraction(0)) for vec in cols]
             for k in range(len(win.points))]
     return len(win.points) - dense_rank(rows)
@@ -511,12 +511,16 @@ def test_quasi_iso_and_warnings():
     alpha = builtin_alpha("trinomial")
     full = top_cohomology_dim(tri, alpha, LAM3, FullSupport(2), 4)
     cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 4)
-    q = quasi_iso_check(tri, alpha, ConeSupport(tri), FullSupport(2), cone, full)
+    kept = full.top[1]
+    rows = {lead: dict(row) for lead, row in kept.rows.items()}
+    q = quasi_iso_check(cone, full)
     assert q.verdict and q.surjective and q.dim_small == q.dim_big == 2
+    # the check reduces in a copy: the report's echelon is left as it was
+    assert kept.rows == rows and full.top[1] is kept
 
     # identical supports trivially agree
     full3 = top_cohomology_dim(tri, alpha, LAM3, FullSupport(2), 3)
-    q = quasi_iso_check(tri, alpha, FullSupport(2), FullSupport(2), full3, full3)
+    q = quasi_iso_check(full3, full3)
     assert q.verdict
 
     # resonant parameter: computation proceeds with the flag set; at the
@@ -527,7 +531,7 @@ def test_quasi_iso_and_warnings():
     one = ParameterVector.of(1)
     cone, full = (top_cohomology_dim(c1, one, [1], S, 4)
                   for S in (ConeSupport(c1), FullSupport(1)))
-    q = quasi_iso_check(c1, one, ConeSupport(c1), FullSupport(1), cone, full)
+    q = quasi_iso_check(cone, full)
     assert not q.surjective and not q.verdict
 
 
@@ -537,7 +541,7 @@ def test_quasi_iso_rejects_supports_that_are_not_nested():
     full = top_cohomology_dim(tri, alpha, LAM3, FullSupport(2), 3)
     cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 3)
     with pytest.raises(ValueError, match="not inside"):
-        quasi_iso_check(tri, alpha, FullSupport(2), ConeSupport(tri), full, cone)
+        quasi_iso_check(full, cone)
 
 
 def test_quasi_iso_rejects_reports_that_do_not_compare():
@@ -546,12 +550,14 @@ def test_quasi_iso_rejects_reports_that_do_not_compare():
     full = top_cohomology_dim(tri, alpha, LAM3, FullSupport(2), 4)
     cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 3)
     with pytest.raises(ValueError, match="bounds 3 and 4"):
-        quasi_iso_check(tri, alpha, ConeSupport(tri), FullSupport(2), cone, full)
-    unstable = replace(full, dims=(1, 2), stabilized=False)
+        quasi_iso_check(cone, full)
+    unstable = replace(full, dims=(1, 2))
     with pytest.raises(NotStabilizedError) as err:
-        quasi_iso_check(tri, alpha, ConeSupport(tri), FullSupport(2),
-                        replace(cone, bound=4), unstable)
+        quasi_iso_check(replace(cone, bound=4), unstable)
     assert err.value.dims == (1, 2)
+    # a report built by hand carries no window to compare
+    with pytest.raises(ValueError, match="without its window"):
+        quasi_iso_check(replace(full, top=None), full)
 
 
 def test_twist_invariance_of_dimension():
@@ -610,8 +616,7 @@ def test_generic_rank_is_the_volume_in_the_plane(config):
     full = generic_rank(config, alpha, FullSupport(2), 4)
     cone = generic_rank(config, alpha, ConeSupport(config), 4)
     assert full.dim == cone.dim == shoelace_volume(config.points), config.points
-    assert quasi_iso_check(config, alpha, ConeSupport(config), FullSupport(2),
-                           cone, full).verdict, config.points
+    assert quasi_iso_check(cone, full).verdict, config.points
 
 
 def test_not_stabilized_surfaces():
@@ -621,8 +626,7 @@ def test_not_stabilized_surfaces():
     # healthy case stabilizes; force the error path through the helper
     require_stabilized(bad)
     from gkzkit.derham import RankReport
-    fake = RankReport("t", builtin_alpha("cusp"), (Fraction(1),), 3, (3, 4),
-                      False, 4)
+    fake = RankReport("t", builtin_alpha("cusp"), (Fraction(1),), 3, (3, 4))
     with pytest.raises(NotStabilizedError) as err:
         require_stabilized(fake)
     assert err.value.dims == (3, 4)

@@ -20,7 +20,7 @@ from gkzkit.hypersurface import (LocalizedElement, SplitForm, UForm,
 from gkzkit.lattice import ParameterVector, validate_config
 from gkzkit.laurent import FullSupport, LaurentPoly
 from gkzkit.verify import run_battery
-from oracles import gamma_per_monomial, tilde_nabla_per_piece
+from oracles import gamma_per_monomial, tilde_nabla_per_piece, u_quotient_dim
 
 TRI = builtin_config("trinomial")
 ALPHA = builtin_alpha("trinomial")
@@ -325,6 +325,33 @@ def test_cohomology_U_pretwist_and_gauss():
     rep = cohomology_U_dim(gauss, builtin_alpha("gauss"), lam, 3)
     assert any("unimodular" in w for w in rep.warnings)
     assert rep.stabilized and rep.dim == 2
+
+
+@pytest.mark.parametrize("points, alpha", [
+    (TRI.points, ("1/3", "1/5")),
+    (builtin_config("gauss").points, ("1/2", "1/3", "1/5")),
+    (builtin_config("gauss").points, ("1/3", "1/5", "1/7")),
+    ([(0, 1), (1, 1), (-1, 1), (2, 1)], ("1/3", "1/7")),
+    ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], ("1/2", "1/3", "1/5")),
+    # an integer last entry below 1 is pre-twisted
+    (TRI.points, ("1/3", -2)),
+])
+def test_cohomology_U_matches_the_per_point_oracle(points, alpha):
+    # the former complement-side loop, on the normalized configuration and
+    # the pre-twisted parameter that cohomology_U_dim computes on
+    config, alpha = validate_config(points), ParameterVector.of(*alpha)
+    normal, twisted, _ = normalize_structure(config, alpha)
+    last = twisted.entries[-1]
+    if last.denominator == 1 and last < 1:
+        twisted = twisted.shift((0,) * (config.n - 1) + (int(1 - last),))
+    rng = random.Random(len(points))
+    for _ in range(2):
+        lam = [Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in points]
+        g = build_g(normal, lam)
+        for bound in (2, 4):
+            rep = cohomology_U_dim(config, alpha, lam, bound)
+            assert rep.dims == tuple(u_quotient_dim(normal, twisted, g, b)
+                                     for b in (bound - 1, bound)), (lam, bound)
 
 
 def test_minimal_two_point_case_matches():
