@@ -15,9 +15,8 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import NotStabilizedError
 from .intmat import integer_kernel
@@ -294,25 +293,51 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
     return facets[live] if live < len(facets) else None
 
 
-@dataclass
 class RankReport:
     """Outcome of a truncated top-cohomology dimension computation.
 
     dims are the window quotient dimensions at bounds B-1 and B.  The result
     counts as stabilized when the two agree; the reported dimension is the
     one at B.
+
+    ``top`` holds the bound-B window and its echelon, which quasi_iso_check
+    reduces against; it is None on the complement side and on hand-built
+    reports, and equality and repr leave it out.
     """
 
-    complex_id: str
-    alpha: ParameterVector
-    lam: tuple[Fraction, ...]
-    bound: int
-    dims: tuple[int, int]
-    warnings: tuple[str, ...] = ()
-    # the bound-B window and its echelon, which quasi_iso_check reduces
-    # against; None on the complement side and on hand-built reports
-    top: tuple[CohomologyWindow, RationalEchelon] | None = field(
-        default=None, repr=False, compare=False)
+    __slots__ = ("complex_id", "alpha", "lam", "bound", "dims", "warnings", "top")
+
+    def __init__(self, complex_id: str, alpha: ParameterVector,
+                 lam: tuple[Fraction, ...], bound: int, dims: tuple[int, int],
+                 warnings: tuple[str, ...] = (),
+                 top: tuple[CohomologyWindow, RationalEchelon] | None = None):
+        self.complex_id = complex_id
+        self.alpha = alpha
+        self.lam = lam
+        self.bound = bound
+        self.dims = dims
+        self.warnings = warnings
+        self.top = top
+
+    def _compared(self) -> tuple:
+        return (self.complex_id, self.alpha, self.lam, self.bound, self.dims,
+                self.warnings)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RankReport:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._compared()))
+        return f"RankReport({fields})"
+
+    def replace(self, **changes) -> "RankReport":
+        """A copy with the given fields changed; ``top`` is kept unless given."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return RankReport(**values)
 
     @property
     def stabilized(self) -> bool:
@@ -499,10 +524,10 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
             lam2 = random_specialization(rng, config.N)
         # the second specialization only confirms the first: its echelon is
         # let go before the first one's, which the report keeps, is built
-        rep2 = replace(_torus_report(alpha, lam2, windows, warnings), top=None)
+        rep2 = _torus_report(alpha, lam2, windows, warnings).replace(top=None)
         rep1 = _torus_report(alpha, lam1, windows, warnings)
         if rep1.stabilized and rep2.stabilized and rep1.dim == rep2.dim:
-            return replace(rep1, warnings=warnings + (
+            return rep1.replace(warnings=warnings + (
                 f"agreed with second specialization {list(map(str, lam2))}",))
         unstable = next((rep for rep in (rep2, rep1) if not rep.stabilized), unstable)
     if unstable is not None:
@@ -511,8 +536,7 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
                              f"{bound}: {rep1.dim} vs {rep2.dim}")
 
 
-@dataclass
-class QuasiIsoReport:
+class QuasiIsoReport(NamedTuple):
     """Comparison of the truncated complexes over nested supports."""
 
     verdict: bool
@@ -521,7 +545,7 @@ class QuasiIsoReport:
     surjective: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def quasi_iso_check(small: RankReport, big: RankReport) -> QuasiIsoReport:

@@ -12,7 +12,6 @@ top cohomology on the complement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,9 +19,10 @@ from .errors import PochhammerPoleError, StructureError
 from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
 from .laurent import (HalfSupport, LaurentPoly, build_f, divide_exact,
-                      toric_derivative)
+                      int_if_integral, toric_derivative)
 from .derham import (CohomologyWindow, LogForm, RankReport, _add_scaled, _form,
-                     nabla, wedge_insert, window_generators, window_pair)
+                     clearing_scale, nabla, wedge_insert, window_generators,
+                     window_pair)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -313,22 +313,22 @@ def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
     return _localize(g, omega.degree + 1, parts)
 
 
-@dataclass
 class SplitForm:
     """Pair of logarithmic forms over the full torus with indices drawn from
     the first n-1 variables; part1 carries an implicit trailing dx_n/x_n."""
 
-    part0: LogForm
-    part1: LogForm
+    __slots__ = ("part0", "part1")
 
-    def __post_init__(self):
-        n = self.part0.n
-        if self.part1.n != n:
+    def __init__(self, part0: LogForm, part1: LogForm):
+        n = part0.n
+        if part1.n != n:
             raise ValueError("parts live on different tori")
-        for part in (self.part0, self.part1):
+        for part in (part0, part1):
             for idx in part.components:
                 if any(i >= n for i in idx):
                     raise ValueError("split index tuples must avoid the last variable")
+        self.part0 = part0
+        self.part1 = part1
 
 
 def split(form: LogForm) -> SplitForm:
@@ -346,14 +346,16 @@ def split(form: LogForm) -> SplitForm:
                      LogForm(n, deg1, comp1, form.nlam))
 
 
-def _embed_g(g: LaurentPoly) -> LaurentPoly:
-    """View g inside the full torus ring (zero last exponent)."""
-    return LaurentPoly(g.n + 1, {u + (0,): c for u, c in g.terms.items()})
+def _embed_g(g: LaurentPoly, scale: int = 1) -> LaurentPoly:
+    """View scale times g inside the full torus ring (zero last exponent)."""
+    return LaurentPoly._of(g.n + 1, {u + (0,): int_if_integral(c * scale)
+                                     for u, c in g.terms.items()})
 
 
-def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm) -> LogForm:
-    """Horizontal boundary: logarithmic derivations in the first n-1
-    directions plus x_n times the corresponding derivative of g.
+def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm,
+        scale: int = 1) -> LogForm:
+    """scale times the horizontal boundary: logarithmic derivations in the
+    first n-1 directions plus x_n times the corresponding derivative of g.
 
     Composed by parts rather than through ``apply_D``: with ``d_v`` it is
     the independent side of ``check_split_matches_nabla``, which would
@@ -363,9 +365,9 @@ def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm) -> LogForm:
     if part.degree >= n:
         # only the empty form has this nominal degree among split rows
         return LogForm.zero(n, n)
-    gn = _embed_g(g)
+    gn = _embed_g(g, scale)
     xn = (0,) * (n - 1) + (1,)
-    # x_n times x_i dg/dx_i, for each direction i < n
+    # scale times x_n times x_i dg/dx_i, for each direction i < n
     dg = [toric_derivative(i, gn).shift(xn) for i in range(1, n)]
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part.components.items():
@@ -374,19 +376,23 @@ def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm) -> LogForm:
             if ins is None:
                 continue
             sign, target = ins
-            piece = toric_derivative(i, xi) \
-                + xi.scalar_mul(alpha.entries[i - 1]) + dg[i - 1] * xi
+            piece = toric_derivative(i, xi).scalar_mul(scale) \
+                + xi.scalar_mul(int_if_integral(alpha.entries[i - 1] * scale)) \
+                + dg[i - 1] * xi
             _add_scaled(acc.setdefault(target, {}), piece, sign)
     return _form(n, part.degree + 1, acc, 0)
 
 
-def d_v(alpha: ParameterVector, g: LaurentPoly, part0: LogForm) -> LogForm:
-    """Vertical boundary into the dx_n/x_n row, with the trailing-basis sign."""
+def d_v(alpha: ParameterVector, g: LaurentPoly, part0: LogForm,
+        scale: int = 1) -> LogForm:
+    """scale times the vertical boundary into the dx_n/x_n row, with the
+    trailing-basis sign."""
     n = part0.n
-    xn_g = _embed_g(g).shift((0,) * (n - 1) + (1,))
+    xn_g = _embed_g(g, scale).shift((0,) * (n - 1) + (1,))
+    a_n = int_if_integral(alpha.entries[-1] * scale)
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part0.components.items():
-        piece = toric_derivative(n, xi) + xi.scalar_mul(alpha.entries[-1]) \
+        piece = toric_derivative(n, xi).scalar_mul(scale) + xi.scalar_mul(a_n) \
             + xn_g * xi
         _add_scaled(acc.setdefault(idx, {}), piece, -1 if len(idx) % 2 else 1)
     return _form(n, part0.degree, acc, 0)
@@ -397,16 +403,22 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     """The twisted differential on the full torus decomposes along the rows:
     the horizontal boundary on each row plus the vertical boundary feeding
     the dx_n/x_n row.  Compared componentwise, so empty rows of differing
-    nominal degree still agree."""
+    nominal degree still agree.
+
+    Every operator is scaled by ``clearing_scale``, which clears the
+    denominators of alpha and lambda, so integer samples compute over the
+    integers; the decomposition is linear in the scale, so the verdict is
+    that of the unscaled operators."""
     f = build_f(config, lam)
     g = build_g(config, lam)
+    d = clearing_scale(alpha, f)
     for form in samples:
         sp = split(form)
-        spn = split(nabla(alpha, f, form))
-        want0 = d_h(alpha, g, sp.part0)
-        want1 = d_v(alpha, g, sp.part0)
+        spn = split(nabla(alpha, f, form, d))
+        want0 = d_h(alpha, g, sp.part0, d)
+        want1 = d_v(alpha, g, sp.part0, d)
         if sp.part1.components:
-            want1 = want1 + d_h(alpha, g, sp.part1)
+            want1 = want1 + d_h(alpha, g, sp.part1, d)
         if spn.part0.components != want0.components:
             return False
         if spn.part1.components != want1.components:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicatePointError, NotARelationError, NotGeneratingError
 from .intmat import integer_kernel, invariant_factors, matvec
@@ -22,8 +21,7 @@ from .intmat import integer_kernel, invariant_factors, matvec
 IntVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PointConfig:
+class PointConfig(NamedTuple):
     """A finite set of lattice points generating the full lattice.
 
     n is the ambient dimension, N the number of points.  Points are stored
@@ -40,16 +38,14 @@ class PointConfig:
         return [[self.points[j][i] for j in range(self.N)] for i in range(self.n)]
 
 
-@dataclass(frozen=True)
-class RelationLattice:
+class RelationLattice(NamedTuple):
     """Saturated basis of the integer vectors annihilating the points."""
 
     basis: tuple[IntVec, ...]
     rank: int
 
 
-@dataclass(frozen=True)
-class FacetForm:
+class FacetForm(NamedTuple):
     """Primitive linear form, nonnegative on the cone of the configuration."""
 
     coeffs: IntVec
@@ -59,8 +55,7 @@ class FacetForm:
         return sum(c * x for c, x in zip(self.coeffs, u))
 
 
-@dataclass(frozen=True)
-class ParameterVector:
+class ParameterVector(NamedTuple):
     """Rational parameter vector; entries are Fractions in lowest terms."""
 
     entries: tuple[Fraction, ...]
@@ -80,8 +75,7 @@ class ParameterVector:
         return ParameterVector(tuple(Fraction(v) for v in values))
 
 
-@dataclass(frozen=True)
-class ResonanceVerdict:
+class ResonanceVerdict(NamedTuple):
     """Outcome of the nonresonance test.
 
     ``witness`` is the offending facet form together with the integer value
@@ -145,8 +139,7 @@ def relation_lattice(config: PointConfig) -> RelationLattice:
     return RelationLattice(basis=tuple(basis), rank=len(basis))
 
 
-@dataclass(frozen=True)
-class NewtonPolytope:
+class NewtonPolytope(NamedTuple):
     """The facets of Delta = conv(0 u A) and the windows they cut out.
 
     ``cone`` holds the inner normals f of the facets through the origin

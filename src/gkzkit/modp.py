@@ -15,9 +15,8 @@ characteristic-zero rank.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import isqrt, prod
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .derham import generic_rank
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
@@ -30,8 +29,7 @@ from .linalg import ModpEchelon
 IntVec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ModpInstance:
+class ModpInstance(NamedTuple):
     config: PointConfig
     alpha: ParameterVector
     p: int
@@ -160,18 +158,16 @@ def modp_solution_dim(instance: ModpInstance) -> int:
     return len(support) - ech.rank
 
 
-@dataclass
-class PrimeResult:
+class PrimeResult(NamedTuple):
     p: int
     dim: int
     full: bool
 
     def to_json(self) -> dict:
-        return {"p": self.p, "dim": self.dim, "full": self.full}
+        return self._asdict()
 
 
-@dataclass
-class ModpReport:
+class ModpReport(NamedTuple):
     alpha: ParameterVector
     rank: int
     primes: list[PrimeResult]

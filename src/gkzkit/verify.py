@@ -8,8 +8,8 @@ report a vacuous pass explicitly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 # hypersurface is read through its module, so a process that checks only
 # one-dimensional configurations never runs its code (the package loads
@@ -25,8 +25,7 @@ from .weyl import (WeylElement, box_shift, check_commutation,
                    check_phi_intertwines, check_phi_kills_box)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     samples: int
@@ -45,9 +44,13 @@ class CheckResult:
         return out
 
 
-@dataclass
 class BatteryReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    """The checks of one battery, in the order they ran."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self):
+        self.checks: list[CheckResult] = []
 
     @property
     def ok(self) -> bool:

@@ -10,10 +10,9 @@ through the commutator rule [del_j, lambda_j] = 1, applied per index:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotARelationError
 from .lattice import ParameterVector, PointConfig
@@ -168,8 +167,7 @@ def euler_operator(config: PointConfig, i: int, alpha: ParameterVector) -> WeylE
     return out
 
 
-@dataclass(frozen=True)
-class CommutationCheck:
+class CommutationCheck(NamedTuple):
     ok: bool
     beta: ParameterVector
     residual: WeylElement

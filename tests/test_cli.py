@@ -392,14 +392,16 @@ def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 # the gkz entry point, then the package modules listed in sys.modules when
-# it returns and those of them whose code ran (a pending module is still of
-# the lazy module type)
+# it returns, those of them whose code ran (a pending module is still of
+# the lazy module type), and which of the slow-to-import standard modules
+# dataclasses and inspect were loaded
 LOADED_BY_MAIN = ("import json, sys, types\n"
                   "from gkzkit.cli import main\n"
                   "code = main(sys.argv[1:])\n"
                   "listed = sorted(m for m in sys.modules if m.startswith('gkzkit'))\n"
                   "ran = [m for m in listed if type(sys.modules[m]) is types.ModuleType]\n"
-                  "print(json.dumps([code, listed, ran]))\n")
+                  "slow = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+                  "print(json.dumps([code, listed, ran, slow]))\n")
 ALL_MODULES = sorted(["gkzkit", *(f"gkzkit.{p.stem}" for p in
                                    (ROOT / "src" / "gkzkit").glob("*.py")
                                    if p.stem != "__init__")])
@@ -427,7 +429,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
     assert proc.stderr == ""
     # every module is listed from the start, so code that patches functions
     # in the listed modules reaches those that load later
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, ALL_MODULES, modules]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, ALL_MODULES, modules, []]
 
 
 def test_package_exports_resolve_on_first_access():

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -551,13 +550,29 @@ def test_quasi_iso_rejects_reports_that_do_not_compare():
     cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 3)
     with pytest.raises(ValueError, match="bounds 3 and 4"):
         quasi_iso_check(cone, full)
-    unstable = replace(full, dims=(1, 2))
+    unstable = full.replace(dims=(1, 2))
     with pytest.raises(NotStabilizedError) as err:
-        quasi_iso_check(replace(cone, bound=4), unstable)
+        quasi_iso_check(cone.replace(bound=4), unstable)
     assert err.value.dims == (1, 2)
     # a report built by hand carries no window to compare
     with pytest.raises(ValueError, match="without its window"):
-        quasi_iso_check(replace(full, top=None), full)
+        quasi_iso_check(full.replace(top=None), full)
+
+
+def test_rank_report_compares_and_prints_without_its_window():
+    tri = builtin_config("trinomial")
+    rep = top_cohomology_dim(tri, builtin_alpha("trinomial"), LAM3, FullSupport(2), 3)
+    bare = rep.replace(top=None)
+    assert rep.top is not None and bare.top is None
+    assert bare == rep and repr(bare) == repr(rep)
+    assert repr(rep).startswith("RankReport(complex_id='torus/Z^n', alpha=")
+    assert "top=" not in repr(rep)
+    # replace keeps the window unless it is given
+    changed = rep.replace(dims=(1, 2))
+    assert changed.top is rep.top and changed != rep
+    assert changed.dims == (1, 2) and rep.dims == (2, 2)
+    with pytest.raises(TypeError):
+        rep.replace(no_such_field=1)
 
 
 def test_twist_invariance_of_dimension():

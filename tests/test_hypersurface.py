@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkzkit import hypersurface
 from gkzkit.catalog import builtin_alpha, builtin_config
-from gkzkit.derham import LogForm, top_cohomology_dim
+from gkzkit.derham import (LogForm, clearing_scale, enumerate_monomial_forms,
+                           top_cohomology_dim)
 from gkzkit.errors import PochhammerPoleError, StructureError
 from gkzkit.hypersurface import (LocalizedElement, SplitForm, UForm,
                                  apply_unimodular, build_g,
@@ -18,14 +20,15 @@ from gkzkit.hypersurface import (LocalizedElement, SplitForm, UForm,
                                  kernel_equals_dv_image, normalize_structure,
                                  pochhammer, tilde_nabla)
 from gkzkit.lattice import ParameterVector, validate_config
-from gkzkit.laurent import FullSupport, LaurentPoly
-from gkzkit.verify import run_battery
+from gkzkit.laurent import FullSupport, LaurentPoly, build_f
+from gkzkit.verify import BatteryReport, CheckResult, run_battery
 from oracles import gamma_per_monomial, tilde_nabla_per_piece, u_quotient_dim
 
 TRI = builtin_config("trinomial")
 ALPHA = builtin_alpha("trinomial")
 LAM1 = [Fraction(1), Fraction(1), Fraction(1)]
 LAMR = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
+PLANE2 = [(0, 1), (1, 1), (-1, 1), (2, 1)]
 
 
 def loc_mono(g, u, m=0, c=1):
@@ -148,6 +151,59 @@ def test_total_complex_consistency():
         for idx in [(), (1,), (2,), (1, 2)]:
             samples.append(LogForm.from_monomial(u, idx, 2))
     assert check_split_matches_nabla(TRI, ALPHA, LAM1, samples)
+
+
+SPLIT_CONFIGS = {"trinomial": builtin_config("trinomial"),
+                 "gauss": builtin_config("gauss"),
+                 "plane2": validate_config(PLANE2)}
+FRACTIONS = st.fractions(-4, 4, max_denominator=9).filter(lambda q: q.denominator > 1)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(SPLIT_CONFIGS)), data=st.data())
+def test_scaled_split_check_reaches_the_unscaled_verdict(name, data):
+    cfg = SPLIT_CONFIGS[name]
+    n = cfg.n
+    alpha = ParameterVector(tuple(data.draw(FRACTIONS) for _ in range(n)))
+    cfg, alpha, _ = normalize_structure(cfg, alpha)
+    lam = tuple(data.draw(FRACTIONS) for _ in range(cfg.N))
+    forms = enumerate_monomial_forms(n, 1, range(n + 1))
+    # the constant 0-form moves in the first direction, where a wrong alpha shows
+    samples = data.draw(st.lists(st.sampled_from(forms), max_size=12))
+    samples.append(LogForm.from_monomial((0,) * n, (), n))
+    d = clearing_scale(alpha, build_f(cfg, lam))
+    assert d > 1
+    # on integer samples the scaled boundaries have integer coefficients
+    g = build_g(cfg, lam)
+    for form in samples:
+        part0 = hypersurface.split(form).part0
+        for image in (d_h(alpha, g, part0, d), d_v(alpha, g, part0, d)):
+            assert all(type(c) is int for p in image.components.values()
+                       for c in p.terms.values())
+    wrong = alpha.shift((1,) + (0,) * (n - 1))
+    verdicts = []
+    for scaled in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not scaled:
+                patch.setattr(hypersurface, "clearing_scale", lambda alpha, f: 1)
+            right = check_split_matches_nabla(cfg, alpha, lam, samples)
+            patch.setattr(hypersurface, "d_h", lambda alpha, g, part, scale=1:
+                          d_h(wrong, g, part, scale))
+            verdicts.append((right, check_split_matches_nabla(cfg, alpha, lam, samples)))
+    assert verdicts == [(True, False), (True, False)]
+
+
+def test_split_form_keeps_its_validation():
+    with pytest.raises(ValueError, match="different tori"):
+        SplitForm(LogForm.zero(2, 0), LogForm.zero(3, 0))
+    with pytest.raises(ValueError, match="avoid the last variable"):
+        SplitForm(LogForm.from_monomial((0, 1), (2,), 2), LogForm.zero(2, 0))
+
+
+def test_each_battery_report_owns_its_checks():
+    first, second = BatteryReport(), BatteryReport()
+    first.add(CheckResult("a", False, 1))
+    assert not first.ok and second.ok and second.checks == []
 
 
 def test_gamma_examples():

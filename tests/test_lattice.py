@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gkzkit.errors import DuplicatePointError, NotGeneratingError
 from gkzkit.lattice import (ParameterVector, cone_facets, is_nonresonant,
-                            relation_lattice, validate_config)
+                            newton_polytope, relation_lattice, validate_config)
 from oracles import brute_facets, minor_gcd, residue_subgroup_covers
 
 
@@ -120,6 +120,14 @@ def test_facets_nonnegative_on_points_and_primitive():
     interior = tuple(sum(p[i] for p in cfg.points) for i in range(cfg.n))
     for form in cone_facets(cfg):
         assert form.evaluate(interior) >= 0
+
+
+def test_newton_polytope_cache_hits_an_equal_config_built_separately():
+    points = [(0, 1), (1, 1), (-1, 1), (2, 1)]
+    first = newton_polytope(validate_config(points))
+    hits = newton_polytope.cache_info().hits
+    assert newton_polytope(validate_config(points)) is first
+    assert newton_polytope.cache_info().hits == hits + 1
 
 
 def test_is_nonresonant_examples():
