@@ -1,11 +1,11 @@
 """Twisted logarithmic de Rham complexes on the torus and their truncations.
 
 Forms are written in the logarithmic basis dx_{i1}/x_{i1} ^ ... ^
-dx_{ik}/x_{ik}, so the twisted differential acts through the derivations of
-``apply_D`` with wedge-sign bookkeeping.  Top cohomology dimensions are
-computed by exact linear algebra on Newton windows, one shape for every
-support and every cone, checked at two consecutive bounds; a failure to
-stabilize is an explicit outcome.
+dx_{ik}/x_{ik}, so the twisted differential acts through
+``TwistedDerivations`` with wedge-sign bookkeeping.  Top cohomology
+dimensions are computed by exact linear algebra on Newton windows, one shape
+for every support and every cone, checked at two consecutive bounds; a
+failure to stabilize is an explicit outcome.
 """
 
 from __future__ import annotations
@@ -14,16 +14,17 @@ import copy
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import NotStabilizedError
+from .errors import NotStabilizedError, ScalarModeError
 from .intmat import integer_kernel
 from .lattice import (FacetForm, ParameterVector, PointConfig, is_nonresonant,
                       newton_polytope)
-from .laurent import (LaurentPoly, Support, apply_D, build_f_symbolic,
-                      int_if_integral)
+from .laurent import (LaurentPoly, Support, TwistedDerivations,
+                      build_f_symbolic, int_if_integral)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -150,9 +151,14 @@ def _form(n: int, degree: int, acc: dict[IndexTuple, dict[IntVec, Fraction]],
 
 
 def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm,
-          scale: int = 1) -> LogForm:
-    """scale times the twisted differential in the logarithmic basis."""
+          scale: int = 1, derivations: TwistedDerivations | None = None) -> LogForm:
+    """scale times the twisted differential in the logarithmic basis.  A
+    check that applies it to many forms builds ``derivations``, the
+    ``TwistedDerivations(alpha, f, scale)``, once and passes it."""
     n = omega.n
+    derivations = derivations or TwistedDerivations(alpha, f, scale)
+    if (derivations.n, derivations.nlam) != (n, omega.nlam):
+        raise ScalarModeError("a form and f of different (n, nlam)")
     if omega.degree == n:
         # there are no forms of degree n + 1
         return LogForm.zero(n, n, omega.nlam)
@@ -160,11 +166,9 @@ def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm,
     for idx, xi in omega.components.items():
         for i in range(1, n + 1):
             ins = wedge_insert(i, idx)
-            if ins is None:
-                continue
-            sign, target = ins
-            _add_scaled(acc.setdefault(target, {}), apply_D(i, alpha, f, xi, scale),
-                        sign)
+            if ins is not None:
+                sign, target = ins
+                derivations.add_to(acc.setdefault(target, {}), i, xi, sign)
     return _form(n, omega.degree + 1, acc, omega.nlam)
 
 
@@ -184,8 +188,9 @@ def check_complex(alpha: ParameterVector, f: LaurentPoly,
                   samples: Sequence[LogForm]) -> bool:
     """nabla composed with itself vanishes on every sample."""
     d = clearing_scale(alpha, f)
+    dd = TwistedDerivations(alpha, f, d)
     for omega in samples:
-        if not nabla(alpha, f, nabla(alpha, f, omega, d), d).is_zero():
+        if not nabla(alpha, f, nabla(alpha, f, omega, d, dd), d, dd).is_zero():
             return False
     return True
 
@@ -197,9 +202,11 @@ def twist_conjugation_check(alpha: ParameterVector, u: Sequence[int],
     shifted = alpha.shift(u)
     # an integer shift keeps the denominators of alpha
     d = clearing_scale(alpha, f)
+    dd_shifted = TwistedDerivations(shifted, f, d)
+    dd = TwistedDerivations(alpha, f, d)
     for omega in samples:
-        lhs = nabla(shifted, f, omega, d).mul_monomial(u)
-        rhs = nabla(alpha, f, omega.mul_monomial(u), d)
+        lhs = nabla(shifted, f, omega, d, dd_shifted).mul_monomial(u)
+        rhs = nabla(alpha, f, omega.mul_monomial(u), d, dd)
         if lhs != rhs:
             return False
     return True
@@ -250,11 +257,11 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
     n, N = config.n, config.N
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     d = clearing_scale(alpha, f)
-    # per facet: d ell(alpha) and the shifts by each term lambda_j x^a(j) of
-    # f with weight d ell(a(j)); ell reads the first n coordinates of a key
+    dd = TwistedDerivations(alpha, f, d)
+    # per facet: d ell(alpha) and, for each term lambda_j x^a(j) of f, the
+    # weight d ell(a(j)) of its shift; ell reads the first n coordinates of a key
     sides = [(int_if_integral(d * ell.evaluate(alpha.entries)),
-              [(key, d * ell.evaluate(key)) for key in f.terms if ell.evaluate(key)])
-             for ell in facets]
+              [d * ell.evaluate(key) for key in f.terms]) for ell in facets]
     # facets[:live] have held on every sample so far; a failure cuts the rest
     live = len(facets)
     for omega in samples:
@@ -263,12 +270,15 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
         if omega.nlam != N:
             raise ValueError("samples must carry symbolic coefficients")
         k = omega.degree
-        d_omega = nabla(alpha, f, omega, d) if k < n else None
+        d_omega = nabla(alpha, f, omega, d, dd) if k < n else None
         # nabla of the contraction against e_i, for each index i of omega
         indices = sorted({i for idx in omega.components for i in idx})
-        d_dropped = [(i - 1, nabla(alpha, f, _contract(units[i - 1], omega), d))
+        d_dropped = [(i - 1, nabla(alpha, f, _contract(units[i - 1], omega), d, dd))
                      for i in indices]
-        for pos, (ell, (ell_alpha, shifts)) in enumerate(zip(facets[:live], sides)):
+        # each term of omega with its shifts by the terms of f, for every facet
+        terms = [(idx, u, c, [tuple(map(operator.add, u, key)) for key in f.terms])
+                 for idx, xi in omega.components.items() for u, c in xi.terms.items()]
+        for pos, (ell, (ell_alpha, weights)) in enumerate(zip(facets[:live], sides)):
             # lhs minus rhs, accumulated term by term
             acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
             if d_omega is not None:
@@ -278,13 +288,12 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
                 if ell.coeffs[i]:
                     for idx, p in d_form.components.items():
                         _add_scaled(acc.setdefault(idx, {}), p, ell.coeffs[i])
-            for idx, xi in omega.components.items():
+            for idx, u, c, shifted in terms:
                 out = acc.setdefault(idx, {})
-                for u, c in xi.terms.items():
-                    t = c * (ell_alpha + d * ell.evaluate(u))
-                    out[u] = out[u] - t if u in out else -t
-                    for key, weight in shifts:
-                        w = tuple(x + y for x, y in zip(u, key))
+                t = c * (ell_alpha + d * ell.evaluate(u))
+                out[u] = out[u] - t if u in out else -t
+                for w, weight in zip(shifted, weights):
+                    if weight:
                         t = c * weight
                         out[w] = out[w] - t if w in out else -t
             if any(c for terms in acc.values() for c in terms.values()):

@@ -12,14 +12,16 @@ top cohomology on the complement.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import PochhammerPoleError, StructureError
 from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
-from .laurent import (HalfSupport, LaurentPoly, build_f, divide_exact,
-                      int_if_integral, toric_derivative)
+from .laurent import (HalfSupport, LaurentPoly, TwistedDerivations, build_f,
+                      divide_exact, int_if_integral, toric_derivative)
 from .derham import (CohomologyWindow, LogForm, RankReport, _add_scaled, _form,
                      clearing_scale, nabla, wedge_insert, window_generators,
                      window_pair)
@@ -346,40 +348,34 @@ def split(form: LogForm) -> SplitForm:
                      LogForm(n, deg1, comp1, form.nlam))
 
 
-def _embed_g(g: LaurentPoly, scale: int = 1) -> LaurentPoly:
-    """View scale times g inside the full torus ring (zero last exponent)."""
-    return LaurentPoly._of(g.n + 1, {u + (0,): int_if_integral(c * scale)
-                                     for u, c in g.terms.items()})
+def _derivations_by_parts(alpha: ParameterVector, g: LaurentPoly, scale: int):
+    """xi -> scale D_i xi on the full torus, for f = x_n g, composed by parts
+    from the ring operations: with them ``d_h`` and ``d_v`` are the side of
+    ``check_split_matches_nabla`` independent of ``TwistedDerivations``."""
+    f = LaurentPoly._of(g.n + 1, {u + (1,): int_if_integral(c * scale)
+                                  for u, c in g.terms.items()})
+    df = [toric_derivative(i, f) for i in range(1, f.n + 1)]
+    return lambda i, xi: (toric_derivative(i, xi).scalar_mul(scale)
+                          + xi.scalar_mul(int_if_integral(alpha.entries[i - 1] * scale))
+                          + df[i - 1] * xi)
 
 
 def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm,
         scale: int = 1) -> LogForm:
     """scale times the horizontal boundary: logarithmic derivations in the
-    first n-1 directions plus x_n times the corresponding derivative of g.
-
-    Composed by parts rather than through ``apply_D``: with ``d_v`` it is
-    the independent side of ``check_split_matches_nabla``, which would
-    otherwise compare ``apply_D`` with itself.
-    """
+    first n-1 directions plus x_n times the corresponding derivative of g."""
     n = part.n
     if part.degree >= n:
         # only the empty form has this nominal degree among split rows
         return LogForm.zero(n, n)
-    gn = _embed_g(g, scale)
-    xn = (0,) * (n - 1) + (1,)
-    # scale times x_n times x_i dg/dx_i, for each direction i < n
-    dg = [toric_derivative(i, gn).shift(xn) for i in range(1, n)]
+    D = _derivations_by_parts(alpha, g, scale)
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part.components.items():
         for i in range(1, n):
             ins = wedge_insert(i, idx)
-            if ins is None:
-                continue
-            sign, target = ins
-            piece = toric_derivative(i, xi).scalar_mul(scale) \
-                + xi.scalar_mul(int_if_integral(alpha.entries[i - 1] * scale)) \
-                + dg[i - 1] * xi
-            _add_scaled(acc.setdefault(target, {}), piece, sign)
+            if ins is not None:
+                sign, target = ins
+                _add_scaled(acc.setdefault(target, {}), D(i, xi), sign)
     return _form(n, part.degree + 1, acc, 0)
 
 
@@ -387,15 +383,11 @@ def d_v(alpha: ParameterVector, g: LaurentPoly, part0: LogForm,
         scale: int = 1) -> LogForm:
     """scale times the vertical boundary into the dx_n/x_n row, with the
     trailing-basis sign."""
-    n = part0.n
-    xn_g = _embed_g(g, scale).shift((0,) * (n - 1) + (1,))
-    a_n = int_if_integral(alpha.entries[-1] * scale)
+    D = _derivations_by_parts(alpha, g, scale)
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part0.components.items():
-        piece = toric_derivative(n, xi).scalar_mul(scale) + xi.scalar_mul(a_n) \
-            + xn_g * xi
-        _add_scaled(acc.setdefault(idx, {}), piece, -1 if len(idx) % 2 else 1)
-    return _form(n, part0.degree, acc, 0)
+        _add_scaled(acc.setdefault(idx, {}), D(part0.n, xi), -1 if len(idx) % 2 else 1)
+    return _form(part0.n, part0.degree, acc, 0)
 
 
 def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
@@ -412,9 +404,10 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     f = build_f(config, lam)
     g = build_g(config, lam)
     d = clearing_scale(alpha, f)
+    dd = TwistedDerivations(alpha, f, d)
     for form in samples:
         sp = split(form)
-        spn = split(nabla(alpha, f, form, d))
+        spn = split(nabla(alpha, f, form, d, dd))
         want0 = d_h(alpha, g, sp.part0, d)
         want1 = d_v(alpha, g, sp.part0, d)
         if sp.part1.components:
@@ -482,7 +475,11 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
     The vertical image always lies in the kernel (chain-map identity), so
     the subspaces agree exactly when the two dimensions match.  Requires the
     last parameter entry to avoid nonpositive integers, which makes the
-    rising factorials nonzero.
+    rising factorials nonzero.  Both matrices are integer, and neither rank
+    changes, as each vector is only rescaled by a nonzero constant: the
+    gamma image (-1)^m (alpha_n)_m x^{u'} g^(M-m) / g^M of x^{u'} / g^m
+    enters as x^{u'} G^(M-m), with G = c g for the lcm c of the denominators
+    of g, and each vertical row is multiplied by lcm(c, den alpha_n).
     """
     alpha_n = alpha.entries[-1]
     if alpha_n.denominator == 1 and alpha_n <= 0:
@@ -490,23 +487,19 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
             "last parameter entry is a nonpositive integer")
     nprime = g.n
     idx_tuples = list(itertools.combinations(range(1, nprime + 1), k))
+    c = math.lcm(*(v.denominator for v in g.terms.values()))
+    G = LaurentPoly._of(nprime, {w: int_if_integral(v * c) for w, v in g.terms.items()})
+
     basis = [(up, m, idx) for idx in idx_tuples
              for up in _box(nprime, u_bound) for m in range(m_bound + 1)]
 
     # gamma matrix: columns indexed by basis, target keyed by numerator
-    # monomials at the common denominator g^{m_bound}
-    g_pows = _powers(g, m_bound)
-    gamma_cols = []
-    for up, m, idx in basis:
-        weight = pochhammer(alpha_n, m)
-        if m % 2:
-            weight = -weight
-        num = LaurentPoly.monomial(up, weight) * g_pows[m_bound - m]
-        gamma_cols.append({(w, idx): c for w, c in num.terms.items()})
-    # kernel dimension of the matrix whose columns are gamma images
+    # monomials at the common denominator G^{m_bound}
+    G_pows = _powers(G, m_bound)
     col_ech = RationalEchelon()
-    for col in gamma_cols:
-        col_ech.insert(col)
+    for up, m, idx in basis:
+        col_ech.insert({(tuple(map(add, w, up)), idx): v
+                        for w, v in G_pows[m_bound - m].terms.items()})
     ker_dim = len(basis) - col_ech.rank
 
     # vertical-image generators confined to the window: the numerator box
@@ -514,21 +507,17 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
     eroded = [up for up in _box(nprime, u_bound)
               if all(max(abs(a + b) for a, b in zip(up, w)) <= u_bound
                      for w in g.terms)]
+    L = math.lcm(alpha_n.denominator, c)
+    diags = [int_if_integral((alpha_n + m) * L) for m in range(m_bound)]
+    steps = [(w, int_if_integral(v * L)) for w, v in g.terms.items()]
     ech_v = RationalEchelon()
     for idx in idx_tuples:
-        sign = -1 if k % 2 else 1
         for up in eroded:
-            for m in range(m_bound):
-                vec: dict = {}
-                diag = alpha_n + m
-                if diag:
-                    vec[(up, m, idx)] = diag * sign
-                for w, c in g.terms.items():
-                    tgt = tuple(a + b for a, b in zip(up, w))
-                    key = (tgt, m + 1, idx)
-                    vec[key] = vec.get(key, Fraction(0)) + c * sign
-                if vec:
-                    ech_v.insert(vec)
+            for m, diag in enumerate(diags):
+                # diag is nonzero, as alpha_n is no integer <= 0
+                vec = {(tuple(map(add, up, w)), m + 1, idx): v for w, v in steps}
+                vec[(up, m, idx)] = diag
+                ech_v.insert(vec)
     return ker_dim == ech_v.rank
 
 

@@ -21,6 +21,7 @@ which only drops zero coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .errors import ScalarModeError
@@ -175,32 +176,51 @@ def int_if_integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
+class TwistedDerivations:
+    """scale times the twisted derivations D_i = x_i d/dx_i + alpha_i +
+    (x_i df/dx_i) of one (alpha, f), with the table of each direction built
+    once: scale alpha_i and the terms of scale x_i df/dx_i.  On x^u, D_i
+    gives (u_i + alpha_i) x^u plus the shifts by the terms of f.  When scale
+    clears the denominators of alpha and f, the tables are ints and integer
+    polynomials map to integer polynomials."""
+
+    __slots__ = ("n", "nlam", "scale", "tables")
+
+    def __init__(self, alpha: ParameterVector, f: LaurentPoly, scale: int = 1):
+        self.n = f.n
+        self.nlam = f.nlam
+        self.scale = scale
+        self.tables = [(int_if_integral(a * scale),
+                        [(v, int_if_integral(c * v[k] * scale))
+                         for v, c in f.terms.items() if v[k]])
+                       for k, a in enumerate(alpha.entries[:f.n])]
+
+    def add_to(self, out: dict[IntVec, Fraction], i: int, xi: LaurentPoly,
+               sign: int = 1) -> None:
+        """Add sign (+1 or -1) times D_i xi into the term map out."""
+        k = i - 1
+        a, df = self.tables[k]
+        s = self.scale
+        for u, c in xi.terms.items():
+            if sign < 0:
+                c = -c
+            t = c * (u[k] * s + a)
+            out[u] = out[u] + t if u in out else t
+            for v, d in df:
+                w = tuple(map(add, u, v))
+                t = d * c
+                out[w] = out[w] + t if w in out else t
+
+
 def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly,
             scale: int = 1) -> LaurentPoly:
-    """scale times the twisted derivation in direction i, applied to xi.
-
-    Acts as x_i d/dx_i + alpha_i + (x_i df/dx_i) in the logarithmic basis; on
-    a monomial with exponent u it gives (u_i + alpha_i) times the monomial
-    plus the shifts by each point with its coefficient from f.  One pass over
-    the terms of xi.  When scale clears the denominators of alpha_i and of
-    f, the scaled operator has integer coefficients and maps integer
-    polynomials to integer polynomials.
-    """
+    """scale times the twisted derivation in direction i, applied to xi
+    (``TwistedDerivations``)."""
     if not 1 <= i <= xi.n:
         raise ValueError("derivative index out of range")
     f._check_mode(xi)
-    k = i - 1
-    a = int_if_integral(alpha.entries[k] * scale)
-    # the terms of scale times x_i df/dx_i
-    df = [(v, int_if_integral(c * v[k] * scale)) for v, c in f.terms.items() if v[k]]
     out: dict[IntVec, Fraction] = {}
-    for u, c in xi.terms.items():
-        t = c * (u[k] * scale + a)
-        out[u] = out[u] + t if u in out else t
-        for v, d in df:
-            w = tuple(x + y for x, y in zip(u, v))
-            t = d * c
-            out[w] = out[w] + t if w in out else t
+    TwistedDerivations(alpha, f, scale).add_to(out, i, xi)
     return LaurentPoly._of(xi.n, out, xi.nlam)
 
 

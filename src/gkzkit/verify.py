@@ -72,6 +72,17 @@ def _del_monomials(N: int, max_degree: int) -> list[WeylElement]:
     return out
 
 
+def _up_to_first_failure(name: str, cases: list[tuple], failure) -> CheckResult:
+    """The check that runs the cases in order up to the first that fails:
+    failure(*case) is None on a pass and the detail of a failure.  The
+    failing case counts as a sample."""
+    for count, case in enumerate(cases, 1):
+        detail = failure(*case)
+        if detail is not None:
+            return CheckResult(name, False, count, detail)
+    return CheckResult(name, True, len(cases))
+
+
 def run_battery(config: PointConfig, alpha: ParameterVector,
                 exponent_bound: int = 2, del_degree: int = 3,
                 perturb_beta: bool = False) -> BatteryReport:
@@ -93,58 +104,33 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     facets = cone_facets(config)
 
     # box and Euler operators interleave up to the parameter shift
-    count = 0
-    ok = True
-    detail = ""
-    for l in lattice.basis:
-        for i in range(1, n + 1):
-            count += 1
-            beta = None
-            if perturb_beta:
-                shift = box_shift(config, l)
-                beta = ParameterVector(tuple(
-                    a - s + (1 if k == i - 1 else 0)
-                    for k, (a, s) in enumerate(zip(alpha.entries, shift))))
-            result = check_commutation(config, l, i, alpha, beta=beta)
-            if not result.ok:
-                ok = False
-                detail = (f"l={l}, i={i}, beta={[str(b) for b in result.beta.entries]}, "
-                          f"residual={result.residual}")
-                break
-        if not ok:
-            break
-    report.add(CheckResult("commutation", ok, count, detail=detail))
+    def commutation_failure(l, i):
+        beta = None
+        if perturb_beta:
+            shift = box_shift(config, l)
+            beta = ParameterVector(tuple(
+                a - s + (1 if k == i - 1 else 0)
+                for k, (a, s) in enumerate(zip(alpha.entries, shift))))
+        result = check_commutation(config, l, i, alpha, beta=beta)
+        if not result.ok:
+            return (f"l={l}, i={i}, beta={[str(b) for b in result.beta.entries]}, "
+                    f"residual={result.residual}")
+    report.add(_up_to_first_failure(
+        "commutation", [(l, i) for l in lattice.basis for i in range(1, n + 1)],
+        commutation_failure))
 
     # the parameter-linear map annihilates left multiples of box operators
-    count = 0
-    ok = True
-    detail = ""
     tees = _del_monomials(N, 2)
-    for l in lattice.basis:
-        for t in tees:
-            count += 1
-            if not check_phi_kills_box(config, t, l):
-                ok = False
-                detail = f"t={t}, l={l}"
-                break
-        if not ok:
-            break
-    report.add(CheckResult("phi_kills_boxes", ok, count, detail=detail))
+    report.add(_up_to_first_failure(
+        "phi_kills_boxes", [(t, l) for l in lattice.basis for t in tees],
+        lambda t, l: None if check_phi_kills_box(config, t, l) else f"t={t}, l={l}"))
 
     # transport of the Euler action and the parameter derivatives
-    count = 0
-    ok = True
-    detail = ""
-    for w in _del_monomials(N, del_degree):
-        for i in range(1, n + 1):
-            count += 1
-            if not check_phi_intertwines(w, i, alpha, config):
-                ok = False
-                detail = f"w={w}, i={i}"
-                break
-        if not ok:
-            break
-    report.add(CheckResult("phi_intertwines", ok, count, detail=detail))
+    report.add(_up_to_first_failure(
+        "phi_intertwines",
+        [(w, i) for w in _del_monomials(N, del_degree) for i in range(1, n + 1)],
+        lambda w, i: (None if check_phi_intertwines(w, i, alpha, config)
+                      else f"w={w}, i={i}")))
 
     # the twisted differential squares to zero
     f = build_f_symbolic(config)
@@ -167,14 +153,10 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
         twists.append(tuple(-1 if k == 1 else 0 for k in range(n)))
         twists.append(tuple(1 if k <= 1 else 0 for k in range(n)))
     small_forms = enumerate_monomial_forms(n, 1, range(min(n, 2)), nlam=N)
-    count = 0
-    ok = True
-    for u in twists:
-        if not twist_conjugation_check(alpha, u, f, small_forms):
-            ok = False
-            break
-        count += len(small_forms)
-    report.add(CheckResult("twist_conjugation", ok, count))
+    held = list(itertools.takewhile(
+        lambda u: twist_conjugation_check(alpha, u, f, small_forms), twists))
+    report.add(CheckResult("twist_conjugation", held == twists,
+                           len(held) * len(small_forms)))
 
     # hypersurface-structure checks, when the configuration admits them
     if n >= 2:

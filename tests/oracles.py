@@ -24,6 +24,10 @@ as references for what replaced it:
   the torus and the former complement-side quotient, each with its own
   loop over window points and staying combinations, for
   gkzkit.derham.window_generators, which both sides now share.
+- kernel_equals_dv_image, the former gamma-kernel check over Q (gamma
+  columns weighted by rising factorials, vertical rows with Fraction
+  entries), for gkzkit.hypersurface.kernel_equals_dv_image, which builds
+  the same matrices with every row rescaled to integers.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from gkzkit.derham import CohomologyWindow, LogForm, wedge_insert
-from gkzkit.hypersurface import LocalizedElement, UForm, pochhammer
+from gkzkit.errors import PochhammerPoleError
+from gkzkit.hypersurface import LocalizedElement, UForm, _box, _powers, pochhammer
 from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
 from gkzkit.lattice import RelationLattice, relation_lattice
 from gkzkit.laurent import HalfSupport, LaurentPoly, toric_derivative
@@ -621,3 +626,61 @@ def u_quotient_dim(config, alpha, g: LaurentPoly, bound: int) -> int:
             if any(vec.values()):
                 gen_ech.insert(vec)
     return span_ech.rank - gen_ech.rank
+
+
+def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
+                           u_bound: int, m_bound: int) -> bool:
+    """Within a window, the kernel of the comparison map on the dx_n/x_n row
+    coincides with the vertical image of the other row.
+
+    The vertical image always lies in the kernel (chain-map identity), so
+    the subspaces agree exactly when the two dimensions match.  Requires the
+    last parameter entry to avoid nonpositive integers, which makes the
+    rising factorials nonzero.
+    """
+    alpha_n = alpha.entries[-1]
+    if alpha_n.denominator == 1 and alpha_n <= 0:
+        raise PochhammerPoleError(
+            "last parameter entry is a nonpositive integer")
+    nprime = g.n
+    idx_tuples = list(itertools.combinations(range(1, nprime + 1), k))
+    basis = [(up, m, idx) for idx in idx_tuples
+             for up in _box(nprime, u_bound) for m in range(m_bound + 1)]
+
+    # gamma matrix: columns indexed by basis, target keyed by numerator
+    # monomials at the common denominator g^{m_bound}
+    g_pows = _powers(g, m_bound)
+    gamma_cols = []
+    for up, m, idx in basis:
+        weight = pochhammer(alpha_n, m)
+        if m % 2:
+            weight = -weight
+        num = LaurentPoly.monomial(up, weight) * g_pows[m_bound - m]
+        gamma_cols.append({(w, idx): c for w, c in num.terms.items()})
+    # kernel dimension of the matrix whose columns are gamma images
+    col_ech = RationalEchelon()
+    for col in gamma_cols:
+        col_ech.insert(col)
+    ker_dim = len(basis) - col_ech.rank
+
+    # vertical-image generators confined to the window: the numerator box
+    # eroded by the support of g, so every image term stays inside
+    eroded = [up for up in _box(nprime, u_bound)
+              if all(max(abs(a + b) for a, b in zip(up, w)) <= u_bound
+                     for w in g.terms)]
+    ech_v = RationalEchelon()
+    for idx in idx_tuples:
+        sign = -1 if k % 2 else 1
+        for up in eroded:
+            for m in range(m_bound):
+                vec: dict = {}
+                diag = alpha_n + m
+                if diag:
+                    vec[(up, m, idx)] = diag * sign
+                for w, c in g.terms.items():
+                    tgt = tuple(a + b for a, b in zip(up, w))
+                    key = (tgt, m + 1, idx)
+                    vec[key] = vec.get(key, Fraction(0)) + c * sign
+                if vec:
+                    ech_v.insert(vec)
+    return ker_dim == ech_v.rank

@@ -221,6 +221,12 @@ def test_verify_vacuous_flagged(capsys):
     ("verify_builtins.json", [], 0),
     ("verify_gauss_alpha.json", ["--config", "gauss", "--alpha=3/7,-5/3,1/2"], 0),
     ("verify_cusp_perturb_beta.json", ["--config", "cusp", "--perturb-beta"], 1),
+    # a 4-term g, and a gamma kernel in 3 dimensions outside the builtins
+    ("verify_plane2.json", ["--config", '{"points": [[0,1],[1,1],[-1,1],[2,1]]}',
+                            "--alpha=1/3,-2/5"], 0),
+    ("verify_pyramid.json", ["--config",
+                             '{"points": [[0,0,1],[1,0,1],[0,1,1],[1,1,1]]}',
+                             "--alpha=1/2,-1/3,3/7"], 0),
 ])
 def test_verify_reproduces_golden_output(capsys, fixture, argv, exit_code):
     code = main(["verify", *argv])

@@ -17,8 +17,9 @@ from gkzkit.errors import GkzError, NotStabilizedError
 from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
-from gkzkit.laurent import (ConeSupport, FullSupport, LaurentPoly, apply_D,
-                            build_f, build_f_symbolic, toric_derivative)
+from gkzkit.laurent import (ConeSupport, FullSupport, LaurentPoly,
+                            TwistedDerivations, apply_D, build_f,
+                            build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
 from oracles import (apply_D_by_parts, brute_newton_window, dense_rank,
                      generator_vectors, nabla_by_parts, shoelace_volume,
@@ -123,17 +124,27 @@ def test_homotopy_identity_on_sums_of_monomial_forms():
     ("trinomial", 75 + 100),
 ])
 def test_homotopy_check_takes_nabla_once_per_dropped_index(monkeypatch, name, calls):
+    # the derivation tables are built once per check, and every differential
+    # the check takes applies them
     cfg = builtin_config(name)
     forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-    seen = []
+    built, applied = [], []
 
-    def counting(*args, _nabla=derham.nabla):
-        seen.append(args)
-        return _nabla(*args)
+    class Counting(TwistedDerivations):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def counting(alpha, f, omega, scale=1, derivations=None, _nabla=derham.nabla):
+        applied.append(derivations)
+        return _nabla(alpha, f, omega, scale, derivations)
+    monkeypatch.setattr(derham, "TwistedDerivations", Counting)
     monkeypatch.setattr(derham, "nabla", counting)
     assert homotopy_identity_check(cone_facets(cfg), builtin_alpha(name), cfg,
                                    forms) is None
-    assert len(seen) == calls
+    assert len(built) == 1
+    assert len(applied) == calls
+    assert all(derivations is built[0] for derivations in applied)
 
 
 @pytest.mark.parametrize("bad", [(1,), (2, 0)])
@@ -280,16 +291,17 @@ def test_results_the_package_builds_are_canonical(case, s, c, d):
 
 @pytest.mark.parametrize("name", ["gauss", "trinomial"])
 def test_scale_dropped_from_the_exponent_term_is_caught(monkeypatch, name):
-    # d x_i d/dx_i lost to x_i d/dx_i: the mis-scaled derivations still
-    # commute, so nabla squared vanishes, but the homotopy identity and the
-    # twist conjugation fail
+    # d x_i d/dx_i lost to x_i d/dx_i, injected where the tables are built:
+    # they keep d alpha_i and d x_i df/dx_i.  The mis-scaled derivations
+    # still commute, so nabla squared vanishes, but the homotopy identity
+    # and the twist conjugation fail
     cfg, alpha = builtin_config(name), builtin_alpha(name)
     assert derham.clearing_scale(alpha, build_f_symbolic(cfg)) > 1
 
-    def misscaled(i, alpha, f, xi, scale=1, _apply_D=derham.apply_D):
-        return _apply_D(i, alpha, f, xi, scale) - \
-            toric_derivative(i, xi).scalar_mul(scale - 1)
-    monkeypatch.setattr(derham, "apply_D", misscaled)
+    def misscaled(self, alpha, f, scale=1, _build=TwistedDerivations.__init__):
+        _build(self, alpha, f, scale)
+        self.scale = 1
+    monkeypatch.setattr(TwistedDerivations, "__init__", misscaled)
     verdicts = {c.name: c.ok for c in run_battery(cfg, alpha).checks}
     assert verdicts["nabla_squared"]
     assert not verdicts["homotopy_identity"]

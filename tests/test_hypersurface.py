@@ -21,8 +21,11 @@ from gkzkit.hypersurface import (LocalizedElement, SplitForm, UForm,
                                  pochhammer, tilde_nabla)
 from gkzkit.lattice import ParameterVector, validate_config
 from gkzkit.laurent import FullSupport, LaurentPoly, build_f
+from gkzkit.linalg import RationalEchelon
 from gkzkit.verify import BatteryReport, CheckResult, run_battery
+import oracles
 from oracles import gamma_per_monomial, tilde_nabla_per_piece, u_quotient_dim
+from oracles import kernel_equals_dv_image as kernel_equals_dv_image_over_q
 
 TRI = builtin_config("trinomial")
 ALPHA = builtin_alpha("trinomial")
@@ -300,6 +303,77 @@ def test_kernel_equals_dv_image_and_pole_guard():
     assert kernel_equals_dv_image(ALPHA, g, 1, 3, 3)
     with pytest.raises(PochhammerPoleError):
         kernel_equals_dv_image(ParameterVector.of("1/3", 0), g, 0, 2, 2)
+
+
+# with the last-coordinate structure: trinomial, gauss after its unimodular
+# normalization, plane2 (a 4-term g) and the square pyramid (g in 2 variables)
+GAMMA_KERNEL_CONFIGS = [
+    TRI,
+    normalize_structure(builtin_config("gauss"), builtin_alpha("gauss"))[0],
+    validate_config(PLANE2),
+    validate_config([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]),
+]
+
+
+@st.composite
+def gamma_kernel_cases(draw):
+    """(alpha, g, k, u_bound, m_bound) on a configuration with the
+    last-coordinate structure: lambda nonzero Fractions, alpha_n a
+    non-integer or a positive integer, every degree k of the complement."""
+    cfg = draw(st.sampled_from(GAMMA_KERNEL_CONFIGS))
+    lam = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=7)
+                .filter(bool)) for _ in range(cfg.N)]
+    alpha_n = draw(st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=7)
+        .filter(lambda a: a.denominator > 1),
+        st.integers(1, 3).map(Fraction)))
+    alpha = ParameterVector((Fraction(1, 3),) * (cfg.n - 1) + (alpha_n,))
+    k = draw(st.integers(0, cfg.n - 1))
+    return alpha, build_g(cfg, lam), k, draw(st.integers(1, 2)), draw(st.integers(1, 3))
+
+
+def _inserted(module, fn, *args):
+    """fn(*args), and for each echelon it builds in module the vectors
+    inserted into it, in order."""
+    echelons = []
+
+    class Recording(RationalEchelon):
+        def __init__(self):
+            super().__init__()
+            self.vectors = []
+            echelons.append(self.vectors)
+
+        def insert(self, vec):
+            self.vectors.append(vec)
+            return super().insert(vec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "RationalEchelon", Recording)
+        return fn(*args), echelons
+
+
+def _proportional(a: dict, b: dict) -> bool:
+    """b is a nonzero multiple of a."""
+    a = {k: c for k, c in a.items() if c}
+    b = {k: c for k, c in b.items() if c}
+    ratios = {Fraction(b[k]) / a[k] for k in a} if a.keys() == b.keys() else set()
+    return len(ratios) == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gamma_kernel_cases())
+def test_integer_gamma_kernel_matches_the_rational_oracle(case):
+    # each gamma column, without its rising-factorial weight and over the
+    # integer multiple of g, and each vertical row cleared of denominators
+    # is a nonzero multiple of the rational one, so the verdict is the same.
+    # The verdict alone reads True on every case here, so the vectors are
+    # compared one by one
+    got, ours = _inserted(hypersurface, kernel_equals_dv_image, *case)
+    want, theirs = _inserted(oracles, kernel_equals_dv_image_over_q, *case)
+    assert got == want
+    assert [len(vectors) for vectors in ours] == [len(vectors) for vectors in theirs]
+    pairs = list(zip(itertools.chain(*ours), itertools.chain(*theirs)))
+    assert all(_proportional(a, b) for a, b in pairs)
+    assert all(type(c) is int for vec, _ in pairs for c in vec.values())
 
 
 def times(factor: LocalizedElement, omega: UForm) -> UForm:
