@@ -31,8 +31,8 @@ _EXPORTS = {
     "weyl": ("WeylElement", "box_operator", "check_commutation",
              "check_phi_intertwines", "euler_operator", "phi_map", "weyl_mul"),
     "derham": ("LogForm", "RankReport", "check_complex", "generic_rank",
-               "homotopy_identity_check", "homotopy_rho", "nabla",
-               "quasi_iso_check", "top_cohomology_dim", "twist_conjugation_check"),
+               "homotopy_identity_check", "nabla", "quasi_iso_check",
+               "top_cohomology_dim", "twist_conjugation_check"),
     "hypersurface": ("LocalizedElement", "SplitForm", "UForm", "build_g",
                      "check_gamma_chain_map", "cohomology_U_dim", "gamma",
                      "kernel_equals_dv_image", "pochhammer", "tilde_nabla"),

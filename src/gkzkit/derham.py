@@ -212,27 +212,6 @@ def twist_conjugation_check(alpha: ParameterVector, u: Sequence[int],
     return True
 
 
-def homotopy_rho(ell: FacetForm, omega: LogForm) -> LogForm:
-    """Contraction against the facet form: alternating sum over dropped indices."""
-    return _contract(ell.coeffs, omega)
-
-
-def _contract(weights: Sequence[int], omega: LogForm) -> LogForm:
-    """Contraction against the linear form with coefficients weights."""
-    n = omega.n
-    if omega.degree == 0:
-        return LogForm.zero(n, 0, omega.nlam)
-    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
-    for idx, xi in omega.components.items():
-        for pos, i in enumerate(idx):
-            c = weights[i - 1]
-            if c == 0:
-                continue
-            _add_scaled(acc.setdefault(idx[:pos] + idx[pos + 1:], {}), xi,
-                        c if pos % 2 == 0 else -c)
-    return _form(n, omega.degree - 1, acc, omega.nlam)
-
-
 def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
                             config: PointConfig,
                             samples: Sequence[LogForm]) -> FacetForm | None:
@@ -240,28 +219,34 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
     multiplication by the facet value.
 
     On a monomial form with exponent u the anticommutator of the twisted
-    differential and the contraction against ell multiplies by
+    differential and the contraction rho_ell against ell multiplies by
     ell(alpha + u) and shifts by each point weighted with lambda_j ell(a(j));
-    checked exactly with symbolic parameters.  One pass over the samples
-    computes the differential of each sample once and checks every facet
-    against it.  The contraction is linear in the facet form, so the
-    differential of the contraction against ell is the ell_i-weighted sum of
-    the differentials of the contractions against the unit forms e_i, each
-    computed once per sample.  Both sides are scaled by the clearing scale
-    d of alpha: (d nabla) rho + rho (d nabla) is d times the right-hand side,
-    and every coefficient is an integer on integer samples.  Returns the
-    first facet, in the given order, on which the identity fails, or None.
+    checked exactly with symbolic parameters.  Both sides are scaled by the
+    clearing scale d of alpha: (d nabla) rho + rho (d nabla) is d times the
+    right-hand side, and every coefficient is an integer on integer samples.
+
+    Every term of the residual, lhs minus rhs, is linear in ell, so one pass
+    per sample builds the unit residuals R_i of ell = e_i, and the residual
+    of a facet is the ell_i-weighted sum of the R_i.  The differential of the
+    sample is taken once and contracted against every e_i; the differentials
+    of the forms that drop one index of the sample go straight into the term
+    maps of the R_i.  The right-hand side is read off alpha and the keys of
+    f, not off the derivation tables the differential runs on.  When every
+    R_i vanishes, every facet holds on the sample; otherwise the live facets
+    are combined in order.  Returns the first facet, in the given order, on
+    which the identity fails, or None.
     """
     facets = list(facets)
     f = build_f_symbolic(config)
     n, N = config.n, config.N
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     d = clearing_scale(alpha, f)
     dd = TwistedDerivations(alpha, f, d)
-    # per facet: d ell(alpha) and, for each term lambda_j x^a(j) of f, the
-    # weight d ell(a(j)) of its shift; ell reads the first n coordinates of a key
-    sides = [(int_if_integral(d * ell.evaluate(alpha.entries)),
-              [d * ell.evaluate(key) for key in f.terms]) for ell in facets]
+    # per direction i: d alpha_i and, for each term lambda_j x^a(j) of f with
+    # a(j)_i != 0, its position j and the weight d a(j)_i of its shift; the
+    # first n coordinates of a key are a(j)
+    rhs = [(int_if_integral(d * a),
+            [(j, d * key[i]) for j, key in enumerate(f.terms) if key[i]])
+           for i, a in enumerate(alpha.entries)]
     # facets[:live] have held on every sample so far; a failure cuts the rest
     live = len(facets)
     for omega in samples:
@@ -269,34 +254,46 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
             break
         if omega.nlam != N:
             raise ValueError("samples must carry symbolic coefficients")
-        k = omega.degree
-        d_omega = nabla(alpha, f, omega, d, dd) if k < n else None
-        # nabla of the contraction against e_i, for each index i of omega
-        indices = sorted({i for idx in omega.components for i in idx})
-        d_dropped = [(i - 1, nabla(alpha, f, _contract(units[i - 1], omega), d, dd))
-                     for i in indices]
-        # each term of omega with its shifts by the terms of f, for every facet
-        terms = [(idx, u, c, [tuple(map(operator.add, u, key)) for key in f.terms])
-                 for idx, xi in omega.components.items() for u, c in xi.terms.items()]
-        for pos, (ell, (ell_alpha, weights)) in enumerate(zip(facets[:live], sides)):
-            # lhs minus rhs, accumulated term by term
-            acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
-            if d_omega is not None:
-                for idx, p in homotopy_rho(ell, d_omega).components.items():
-                    _add_scaled(acc.setdefault(idx, {}), p, 1)
-            for i, d_form in d_dropped:
-                if ell.coeffs[i]:
-                    for idx, p in d_form.components.items():
-                        _add_scaled(acc.setdefault(idx, {}), p, ell.coeffs[i])
-            for idx, u, c, shifted in terms:
-                out = acc.setdefault(idx, {})
-                t = c * (ell_alpha + d * ell.evaluate(u))
-                out[u] = out[u] - t if u in out else -t
-                for w, weight in zip(shifted, weights):
-                    if weight:
+        units: list[dict[IndexTuple, dict[IntVec, Fraction]]] = [{} for _ in range(n)]
+        if omega.degree < n:
+            # rho_{e_i} nabla omega
+            for idx, p in nabla(alpha, f, omega, d, dd).components.items():
+                for pos, i in enumerate(idx):
+                    _add_scaled(units[i - 1].setdefault(idx[:pos] + idx[pos + 1:], {}),
+                                p, -1 if pos % 2 else 1)
+        for idx, xi in omega.components.items():
+            # nabla rho_{e_i} omega, one dropped index at a time
+            for pos, i in enumerate(idx):
+                dropped = idx[:pos] + idx[pos + 1:]
+                out = units[i - 1]
+                for j in range(1, n + 1):
+                    ins = wedge_insert(j, dropped)
+                    if ins is not None:
+                        sign, target = ins
+                        dd.add_to(out.setdefault(target, {}), j, xi,
+                                  -sign if pos % 2 else sign)
+            # minus e_i(alpha + u) x^u and the shifts by the terms of f
+            for u, c in xi.terms.items():
+                shifted = [tuple(map(operator.add, u, key)) for key in f.terms]
+                for i, (d_alpha, weights) in enumerate(rhs):
+                    out = units[i].setdefault(idx, {})
+                    t = c * (d_alpha + d * u[i])
+                    out[u] = out[u] - t if u in out else -t
+                    for j, weight in weights:
+                        w = shifted[j]
                         t = c * weight
                         out[w] = out[w] - t if w in out else -t
-            if any(c for terms in acc.values() for c in terms.values()):
+        if not any(any(terms.values()) for acc in units for terms in acc.values()):
+            continue
+        for pos, ell in enumerate(facets[:live]):
+            residual: dict[tuple[IndexTuple, IntVec], Fraction] = {}
+            for weight, acc in zip(ell.coeffs, units):
+                if weight:
+                    for idx, terms in acc.items():
+                        for u, c in terms.items():
+                            key = (idx, u)
+                            residual[key] = residual.get(key, 0) + weight * c
+            if any(residual.values()):
                 live = pos
                 break
     return facets[live] if live < len(facets) else None

@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import PochhammerPoleError, StructureError
 from .intmat import complete_primitive_vector, matvec, solve_integer
@@ -29,6 +29,8 @@ from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
 IndexTuple = tuple[int, ...]
+# xi -> scale D_i xi, for i = 1..n
+Derivations = Callable[[int, LaurentPoly], LaurentPoly]
 
 
 def pochhammer(a: Fraction, m: int) -> Fraction:
@@ -348,10 +350,13 @@ def split(form: LogForm) -> SplitForm:
                      LogForm(n, deg1, comp1, form.nlam))
 
 
-def _derivations_by_parts(alpha: ParameterVector, g: LaurentPoly, scale: int):
+def _derivations_by_parts(alpha: ParameterVector, g: LaurentPoly,
+                          scale: int) -> Derivations:
     """xi -> scale D_i xi on the full torus, for f = x_n g, composed by parts
     from the ring operations: with them ``d_h`` and ``d_v`` are the side of
-    ``check_split_matches_nabla`` independent of ``TwistedDerivations``."""
+    ``check_split_matches_nabla`` independent of ``TwistedDerivations``.  A
+    check that applies them to many forms builds them once and passes them
+    to ``d_h`` and ``d_v``."""
     f = LaurentPoly._of(g.n + 1, {u + (1,): int_if_integral(c * scale)
                                   for u, c in g.terms.items()})
     df = [toric_derivative(i, f) for i in range(1, f.n + 1)]
@@ -361,14 +366,15 @@ def _derivations_by_parts(alpha: ParameterVector, g: LaurentPoly, scale: int):
 
 
 def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm,
-        scale: int = 1) -> LogForm:
+        scale: int = 1, derivations: Derivations | None = None) -> LogForm:
     """scale times the horizontal boundary: logarithmic derivations in the
-    first n-1 directions plus x_n times the corresponding derivative of g."""
+    first n-1 directions plus x_n times the corresponding derivative of g.
+    ``derivations`` is the prebuilt ``_derivations_by_parts(alpha, g, scale)``."""
     n = part.n
     if part.degree >= n:
         # only the empty form has this nominal degree among split rows
         return LogForm.zero(n, n)
-    D = _derivations_by_parts(alpha, g, scale)
+    D = derivations or _derivations_by_parts(alpha, g, scale)
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part.components.items():
         for i in range(1, n):
@@ -380,10 +386,10 @@ def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm,
 
 
 def d_v(alpha: ParameterVector, g: LaurentPoly, part0: LogForm,
-        scale: int = 1) -> LogForm:
+        scale: int = 1, derivations: Derivations | None = None) -> LogForm:
     """scale times the vertical boundary into the dx_n/x_n row, with the
-    trailing-basis sign."""
-    D = _derivations_by_parts(alpha, g, scale)
+    trailing-basis sign; ``derivations`` as for ``d_h``."""
+    D = derivations or _derivations_by_parts(alpha, g, scale)
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part0.components.items():
         _add_scaled(acc.setdefault(idx, {}), D(part0.n, xi), -1 if len(idx) % 2 else 1)
@@ -405,13 +411,14 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     g = build_g(config, lam)
     d = clearing_scale(alpha, f)
     dd = TwistedDerivations(alpha, f, d)
+    D = _derivations_by_parts(alpha, g, d)
     for form in samples:
         sp = split(form)
         spn = split(nabla(alpha, f, form, d, dd))
-        want0 = d_h(alpha, g, sp.part0, d)
-        want1 = d_v(alpha, g, sp.part0, d)
+        want0 = d_h(alpha, g, sp.part0, d, D)
+        want1 = d_v(alpha, g, sp.part0, d, D)
         if sp.part1.components:
-            want1 = want1 + d_h(alpha, g, sp.part1, d)
+            want1 = want1 + d_h(alpha, g, sp.part1, d, D)
         if spn.part0.components != want0.components:
             return False
         if spn.part1.components != want1.components:
@@ -452,13 +459,14 @@ def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
     """The comparison map intertwines the boundaries and kills the vertical
     image: gamma(d_h w) = tilde_nabla(gamma(w)) on the dx_n/x_n row and
     gamma(d_v v) = 0 for the other row."""
+    D = _derivations_by_parts(alpha, g, 1)
     for sf in samples:
         if sf.part1.degree < g.n:
-            lhs = gamma(alpha, g, d_h(alpha, g, sf.part1))
+            lhs = gamma(alpha, g, d_h(alpha, g, sf.part1, 1, D))
             rhs = tilde_nabla(alpha, g, gamma(alpha, g, sf.part1))
             if lhs != rhs:
                 return False
-        if not gamma(alpha, g, d_v(alpha, g, sf.part0)).is_zero():
+        if not gamma(alpha, g, d_v(alpha, g, sf.part0, 1, D)).is_zero():
             return False
     return True
 
@@ -480,6 +488,14 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
     gamma image (-1)^m (alpha_n)_m x^{u'} g^(M-m) / g^M of x^{u'} / g^m
     enters as x^{u'} G^(M-m), with G = c g for the lcm c of the denominators
     of g, and each vertical row is multiplied by lcm(c, den alpha_n).
+
+    One index block decides every degree.  Each column and each row is keyed
+    by a single index tuple of length k, in the basis, the targets and the
+    vertical generators alike, and is built the same way for every tuple:
+    the index only labels it.  Both matrices are therefore block diagonal
+    with C(n', k) copies of the block of the empty tuple, so at degree k
+    the kernel dimension and the vertical rank are C(n', k) times those at
+    k = 0, and the verdict is the same.
     """
     alpha_n = alpha.entries[-1]
     if alpha_n.denominator == 1 and alpha_n <= 0:

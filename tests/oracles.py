@@ -28,22 +28,32 @@ as references for what replaced it:
   columns weighted by rising factorials, vertical rows with Fraction
   entries), for gkzkit.hypersurface.kernel_equals_dv_image, which builds
   the same matrices with every row rescaled to integers.
+- homotopy_identity_per_facet, the former homotopy check, which adds the
+  contraction of the differential, the differentials of the contractions
+  and the right-hand side into one term map per facet, with its
+  contraction (contract, homotopy_rho), for
+  gkzkit.derham.homotopy_identity_check, which builds the residual of each
+  unit form once per sample and combines them per facet.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from gkzkit.derham import CohomologyWindow, LogForm, wedge_insert
+from gkzkit.derham import (CohomologyWindow, IndexTuple, IntVec, LogForm,
+                           _add_scaled, _form, clearing_scale, nabla, wedge_insert)
 from gkzkit.errors import PochhammerPoleError
 from gkzkit.hypersurface import LocalizedElement, UForm, _box, _powers, pochhammer
 from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
-from gkzkit.lattice import RelationLattice, relation_lattice
-from gkzkit.laurent import HalfSupport, LaurentPoly, toric_derivative
+from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
+                            RelationLattice, relation_lattice)
+from gkzkit.laurent import (HalfSupport, LaurentPoly, TwistedDerivations,
+                            build_f_symbolic, int_if_integral, toric_derivative)
 from gkzkit.linalg import RationalEchelon
 
 
@@ -684,3 +694,93 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
                 if vec:
                     ech_v.insert(vec)
     return ker_dim == ech_v.rank
+
+
+def homotopy_rho(ell: FacetForm, omega: LogForm) -> LogForm:
+    """Contraction against the facet form: alternating sum over dropped indices."""
+    return contract(ell.coeffs, omega)
+
+
+def contract(weights: Sequence[int], omega: LogForm) -> LogForm:
+    """Contraction against the linear form with coefficients weights."""
+    n = omega.n
+    if omega.degree == 0:
+        return LogForm.zero(n, 0, omega.nlam)
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
+    for idx, xi in omega.components.items():
+        for pos, i in enumerate(idx):
+            c = weights[i - 1]
+            if c == 0:
+                continue
+            _add_scaled(acc.setdefault(idx[:pos] + idx[pos + 1:], {}), xi,
+                        c if pos % 2 == 0 else -c)
+    return _form(n, omega.degree - 1, acc, omega.nlam)
+
+
+def homotopy_identity_per_facet(facets: Sequence[FacetForm], alpha: ParameterVector,
+                                config: PointConfig,
+                                samples: Sequence[LogForm]) -> FacetForm | None:
+    """The contraction against each facet form is a homotopy for
+    multiplication by the facet value.
+
+    On a monomial form with exponent u the anticommutator of the twisted
+    differential and the contraction against ell multiplies by
+    ell(alpha + u) and shifts by each point weighted with lambda_j ell(a(j));
+    checked exactly with symbolic parameters.  One pass over the samples
+    computes the differential of each sample once and checks every facet
+    against it.  The contraction is linear in the facet form, so the
+    differential of the contraction against ell is the ell_i-weighted sum of
+    the differentials of the contractions against the unit forms e_i, each
+    computed once per sample.  Both sides are scaled by the clearing scale
+    d of alpha: (d nabla) rho + rho (d nabla) is d times the right-hand side,
+    and every coefficient is an integer on integer samples.  Returns the
+    first facet, in the given order, on which the identity fails, or None.
+    """
+    facets = list(facets)
+    f = build_f_symbolic(config)
+    n, N = config.n, config.N
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    d = clearing_scale(alpha, f)
+    dd = TwistedDerivations(alpha, f, d)
+    # per facet: d ell(alpha) and, for each term lambda_j x^a(j) of f, the
+    # weight d ell(a(j)) of its shift; ell reads the first n coordinates of a key
+    sides = [(int_if_integral(d * ell.evaluate(alpha.entries)),
+              [d * ell.evaluate(key) for key in f.terms]) for ell in facets]
+    # facets[:live] have held on every sample so far; a failure cuts the rest
+    live = len(facets)
+    for omega in samples:
+        if not live:
+            break
+        if omega.nlam != N:
+            raise ValueError("samples must carry symbolic coefficients")
+        k = omega.degree
+        d_omega = nabla(alpha, f, omega, d, dd) if k < n else None
+        # nabla of the contraction against e_i, for each index i of omega
+        indices = sorted({i for idx in omega.components for i in idx})
+        d_dropped = [(i - 1, nabla(alpha, f, contract(units[i - 1], omega), d, dd))
+                     for i in indices]
+        # each term of omega with its shifts by the terms of f, for every facet
+        terms = [(idx, u, c, [tuple(map(operator.add, u, key)) for key in f.terms])
+                 for idx, xi in omega.components.items() for u, c in xi.terms.items()]
+        for pos, (ell, (ell_alpha, weights)) in enumerate(zip(facets[:live], sides)):
+            # lhs minus rhs, accumulated term by term
+            acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
+            if d_omega is not None:
+                for idx, p in homotopy_rho(ell, d_omega).components.items():
+                    _add_scaled(acc.setdefault(idx, {}), p, 1)
+            for i, d_form in d_dropped:
+                if ell.coeffs[i]:
+                    for idx, p in d_form.components.items():
+                        _add_scaled(acc.setdefault(idx, {}), p, ell.coeffs[i])
+            for idx, u, c, shifted in terms:
+                out = acc.setdefault(idx, {})
+                t = c * (ell_alpha + d * ell.evaluate(u))
+                out[u] = out[u] - t if u in out else -t
+                for w, weight in zip(shifted, weights):
+                    if weight:
+                        t = c * weight
+                        out[w] = out[w] - t if w in out else -t
+            if any(c for terms in acc.values() for c in terms.values()):
+                live = pos
+                break
+    return facets[live] if live < len(facets) else None

@@ -448,7 +448,7 @@ def test_package_exports_resolve_on_first_access():
         "check_commutation", "check_complex", "check_gamma_chain_map",
         "check_phi_intertwines", "cohomology_U_dim", "cone_facets", "derham",
         "errors", "euler_operator", "full_set_sweep", "gamma", "generic_rank",
-        "homotopy_identity_check", "homotopy_rho", "hypersurface", "intmat",
+        "homotopy_identity_check", "hypersurface", "intmat",
         "is_nonresonant", "kernel_equals_dv_image", "lattice", "laurent",
         "linalg", "make_instance", "modp", "modp_solution_dim", "nabla",
         "phi_map", "pochhammer", "quasi_iso_check", "relation_lattice",

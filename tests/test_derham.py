@@ -10,8 +10,7 @@ from gkzkit import derham
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.derham import (CohomologyWindow, LogForm, check_complex,
                            enumerate_monomial_forms, generic_rank,
-                           homotopy_identity_check, homotopy_rho, nabla,
-                           quasi_iso_check, require_stabilized,
+                           homotopy_identity_check, nabla, quasi_iso_check, require_stabilized,
                            top_cohomology_dim, twist_conjugation_check)
 from gkzkit.errors import GkzError, NotStabilizedError
 from gkzkit.hypersurface import apply_unimodular
@@ -21,9 +20,9 @@ from gkzkit.laurent import (ConeSupport, FullSupport, LaurentPoly,
                             TwistedDerivations, apply_D, build_f,
                             build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
-from oracles import (apply_D_by_parts, brute_newton_window, dense_rank,
-                     generator_vectors, nabla_by_parts, shoelace_volume,
-                     specialize)
+from oracles import (apply_D_by_parts, brute_newton_window, contract, dense_rank,
+                     generator_vectors, homotopy_identity_per_facet,
+                     homotopy_rho, nabla_by_parts, shoelace_volume, specialize)
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 LAM4 = LAM3 + [Fraction(7, 13)]
@@ -117,13 +116,14 @@ def test_homotopy_identity_on_sums_of_monomial_forms():
 
 
 @pytest.mark.parametrize("name, calls", [
-    # nabla of each sample below top degree, and of each form that drops one
-    # index of a sample: gauss has 1,000 samples, 875 below degree 3 and
-    # 1,500 (sample, index) pairs; trinomial 100 samples, 75 and 100
-    ("gauss", 875 + 1500),
-    ("trinomial", 75 + 100),
+    # nabla of each sample below top degree: gauss has 1,000 samples, 875
+    # below degree 3; trinomial 100 samples, 75 below degree 2.  The forms
+    # that drop one index of a sample go through the derivation tables
+    # without a nabla call
+    ("gauss", 875),
+    ("trinomial", 75),
 ])
-def test_homotopy_check_takes_nabla_once_per_dropped_index(monkeypatch, name, calls):
+def test_homotopy_check_takes_nabla_once_per_sample(monkeypatch, name, calls):
     # the derivation tables are built once per check, and every differential
     # the check takes applies them
     cfg = builtin_config(name)
@@ -147,21 +147,45 @@ def test_homotopy_check_takes_nabla_once_per_dropped_index(monkeypatch, name, ca
     assert all(derivations is built[0] for derivations in applied)
 
 
-@pytest.mark.parametrize("bad", [(1,), (2, 0)])
+def _wrong_tables(monkeypatch, directions, kind: str = "alpha") -> None:
+    """Every TwistedDerivations built from now on has a wrong table in each
+    of the directions: scale alpha_i off by one, or its first term of scale
+    x_i df/dx_i doubled.  Then D_i is off by a nonzero multiplication M_i,
+    and the homotopy residual of a facet ell is the sum of ell_i M_i omega:
+    with one wrong direction it fails exactly on the facets with ell_i != 0."""
+    build = TwistedDerivations.__init__
+
+    def wrong(self, alpha, f, scale=1):
+        build(self, alpha, f, scale)
+        for i in directions:
+            a, df = self.tables[i - 1]
+            if kind == "alpha":
+                a += 1
+            else:
+                (v, c), *rest = df
+                df = [(v, 2 * c), *rest]
+            self.tables[i - 1] = (a, df)
+    monkeypatch.setattr(TwistedDerivations, "__init__", wrong)
+
+
+@pytest.mark.parametrize("bad", [
+    # (direction with a wrong table, the facets of gauss with a nonzero
+    # coefficient there)
+    (1, (2, 3)),
+    (3, (1, 3)),
+])
 def test_homotopy_failure_reports_the_first_failing_facet(monkeypatch, bad):
-    # a contraction that is wrong only against the listed facets of gauss:
-    # the facets before the first of them hold on every sample, it is reported.
-    # The check contracts the differential through homotopy_rho but takes the
-    # differential of the contraction from the unit forms, so only the rho
-    # nabla omega term is faked
+    # a derivation table that is wrong in one direction fails the facets
+    # listed: the facets before the first of them hold on every sample, it
+    # is reported
     cfg = builtin_config("gauss")
     alpha = builtin_alpha("gauss")
     facets = cone_facets(cfg)
-    wrong = [facets[k] for k in bad]
-    first = min(bad)
-    rho = derham.homotopy_rho
-    monkeypatch.setattr(derham, "homotopy_rho", lambda ell, omega:
-                        rho(ell, omega).scale(2) if ell in wrong else rho(ell, omega))
+    direction, positions = bad
+    wrong = [facets[k] for k in positions]
+    assert wrong == [ell for ell in facets if ell.coeffs[direction - 1]]
+    first = min(positions)
+    _wrong_tables(monkeypatch, [direction])
     forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
     assert homotopy_identity_check(facets, alpha, cfg, forms) == facets[first]
     right = [ell for ell in facets if ell not in wrong]
@@ -174,6 +198,57 @@ def test_homotopy_failure_reports_the_first_failing_facet(monkeypatch, bad):
 
 
 FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+HOMOTOPY_CONFIGS = {name: builtin_config(name) for name in builtin_names()}
+HOMOTOPY_CONFIGS["plane2"] = validate_config([(0, 1), (1, 1), (-1, 1), (2, 1)])
+HOMOTOPY_CONFIGS["pyramid"] = validate_config([(0, 0, 1), (1, 0, 1), (0, 1, 1),
+                                               (1, 1, 1)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(HOMOTOPY_CONFIGS)), data=st.data())
+def test_homotopy_check_matches_the_per_facet_oracle(name, data):
+    # the unit residuals combined per facet and the per-facet accumulation
+    # reach the same facet: none on the true derivations, and the same one
+    # with the tables of some directions wrong (patched into both).  With
+    # one wrong direction, the facets with a nonzero coefficient there fail,
+    # each alone, and the first of them is reported
+    cfg = HOMOTOPY_CONFIGS[name]
+    n = cfg.n
+    facets = cone_facets(cfg)
+    alpha = ParameterVector(tuple(data.draw(FRAC) for _ in range(n)))
+    forms = enumerate_monomial_forms(n, 1, range(n + 1), nlam=cfg.N)
+    sums = [omega + forms[-1 - k].scale(2) for k, omega in enumerate(forms)
+            if omega.degree == forms[-1 - k].degree]
+    samples = data.draw(st.permutations(forms + sums))
+    assert homotopy_identity_check(facets, alpha, cfg, samples) is None
+    assert homotopy_identity_per_facet(facets, alpha, cfg, samples) is None
+    directions = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
+                                    unique=True))
+    kind = data.draw(st.sampled_from(["alpha", "df"]))
+    with pytest.MonkeyPatch.context() as patch:
+        _wrong_tables(patch, directions, kind)
+        got = homotopy_identity_check(facets, alpha, cfg, samples)
+        assert got == homotopy_identity_per_facet(facets, alpha, cfg, samples)
+        if len(directions) == 1:
+            failing = [ell for ell in facets if ell.coeffs[directions[0] - 1]]
+            assert got == (failing[0] if failing else None)
+            for ell in facets:
+                alone = homotopy_identity_check([ell], alpha, cfg, samples)
+                assert (alone is not None) == (ell in failing)
+
+
+def test_homotopy_check_weights_the_unit_residuals(monkeypatch):
+    # scale alpha_i off by one in both directions of trinomial: each unit
+    # residual is omega itself, so the facet (-1, 1) holds and (1, 1) fails
+    cfg, alpha = builtin_config("trinomial"), builtin_alpha("trinomial")
+    facets = cone_facets(cfg)
+    assert [ell.coeffs for ell in facets] == [(-1, 1), (1, 1)]
+    forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+    _wrong_tables(monkeypatch, [1, 2])
+    assert homotopy_identity_check(facets, alpha, cfg, forms) == facets[1]
+    assert homotopy_identity_per_facet(facets, alpha, cfg, forms) == facets[1]
 
 
 @st.composite
@@ -283,7 +358,8 @@ def test_results_the_package_builds_are_canonical(case, s, c, d):
              xi.scalar_mul(c), xi.scalar_mul(0), toric_derivative(i, xi)]
     forms = [nabla(alpha, f, omega), nabla(alpha, f, omega, d), omega + omega.scale(-1),
              omega.scale(c), omega.mul_monomial((s,) * n),
-             derham._contract([s + k for k in range(n)], omega)]
+             # built by the package's _form from a term map with cancellations
+             contract([s + k for k in range(n)], omega)]
     assert all(_canonical(p) for p in polys)
     assert all(_canonical_form(w) for w in forms)
     assert polys[3].is_zero() and forms[2].is_zero()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -190,10 +191,48 @@ def test_scaled_split_check_reaches_the_unscaled_verdict(name, data):
             if not scaled:
                 patch.setattr(hypersurface, "clearing_scale", lambda alpha, f: 1)
             right = check_split_matches_nabla(cfg, alpha, lam, samples)
-            patch.setattr(hypersurface, "d_h", lambda alpha, g, part, scale=1:
+            # the stub ignores the derivations the check built for alpha
+            patch.setattr(hypersurface, "d_h",
+                          lambda alpha, g, part, scale=1, derivations=None:
                           d_h(wrong, g, part, scale))
             verdicts.append((right, check_split_matches_nabla(cfg, alpha, lam, samples)))
     assert verdicts == [(True, False), (True, False)]
+
+
+def test_each_split_check_builds_the_derivations_once(monkeypatch):
+    # the battery's samples on gauss, normalized: the derivations by parts
+    # are built once per check and reach every d_h and d_v call
+    cfg, alpha, _ = normalize_structure(builtin_config("gauss"), builtin_alpha("gauss"))
+    lam = tuple(Fraction(k + 2, 2 * k + 1) for k in range(cfg.N))
+    g = build_g(cfg, lam)
+    splits = [SplitForm(LogForm.from_monomial(u + (m,), idx, cfg.n),
+                        LogForm.from_monomial(u + (m,), idx, cfg.n))
+              for u in itertools.product(range(-1, 2), repeat=cfg.n - 1)
+              for m in range(3) for k in range(cfg.n)
+              for idx in itertools.combinations(range(1, cfg.n), k)]
+    forms = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1))
+    built, passed = [], []
+    by_parts = hypersurface._derivations_by_parts
+
+    def counting(*args):
+        built.append(by_parts(*args))
+        return built[-1]
+
+    def recording(boundary):
+        def call(alpha, g, part, scale=1, derivations=None):
+            passed.append(derivations)
+            return boundary(alpha, g, part, scale, derivations)
+        return call
+    monkeypatch.setattr(hypersurface, "_derivations_by_parts", counting)
+    monkeypatch.setattr(hypersurface, "d_h", recording(d_h))
+    monkeypatch.setattr(hypersurface, "d_v", recording(d_v))
+    for check, args in ((check_gamma_chain_map, (alpha, g, splits)),
+                        (check_split_matches_nabla, (cfg, alpha, lam, forms))):
+        built.clear()
+        passed.clear()
+        assert check(*args)
+        assert len(built) == 1
+        assert passed and all(derivations is built[0] for derivations in passed)
 
 
 def test_split_form_keeps_its_validation():
@@ -374,6 +413,31 @@ def test_integer_gamma_kernel_matches_the_rational_oracle(case):
     pairs = list(zip(itertools.chain(*ours), itertools.chain(*theirs)))
     assert all(_proportional(a, b) for a, b in pairs)
     assert all(type(c) is int for vec, _ in pairs for c in vec.values())
+
+
+def _rank(vectors) -> int:
+    ech = RationalEchelon()
+    for vec in vectors:
+        ech.insert(vec)
+    return ech.rank
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(gamma_kernel_cases())
+def test_one_index_block_decides_every_gamma_kernel_degree(case):
+    # the battery checks the gamma kernel at k = 0 only: at each k the
+    # oracle's kernel dimension and vertical rank are C(n', k) times those
+    # of the one block at k = 0
+    alpha, g, _, u_bound, m_bound = case
+    dims = []
+    for k in range(g.n + 1):
+        verdict, (columns, rows) = _inserted(oracles, kernel_equals_dv_image_over_q,
+                                             alpha, g, k, u_bound, m_bound)
+        dims.append((len(columns) - _rank(columns), _rank(rows), verdict))
+    ker0, rank0, verdict0 = dims[0]
+    assert dims == [(math.comb(g.n, k) * ker0, math.comb(g.n, k) * rank0, verdict0)
+                    for k in range(g.n + 1)]
+    assert verdict0 == kernel_equals_dv_image(alpha, g, 0, u_bound, m_bound)
 
 
 def times(factor: LocalizedElement, omega: UForm) -> UForm:
