@@ -355,8 +355,7 @@ def _derivations_by_parts(alpha: ParameterVector, g: LaurentPoly,
     """xi -> scale D_i xi on the full torus, for f = x_n g, composed by parts
     from the ring operations: with them ``d_h`` and ``d_v`` are the side of
     ``check_split_matches_nabla`` independent of ``TwistedDerivations``.  A
-    check that applies them to many forms builds them once and passes them
-    to ``d_h`` and ``d_v``."""
+    check builds them once and passes them to every ``d_h`` and ``d_v``."""
     f = LaurentPoly._of(g.n + 1, {u + (1,): int_if_integral(c * scale)
                                   for u, c in g.terms.items()})
     df = [toric_derivative(i, f) for i in range(1, f.n + 1)]
@@ -365,16 +364,14 @@ def _derivations_by_parts(alpha: ParameterVector, g: LaurentPoly,
                           + df[i - 1] * xi)
 
 
-def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm,
-        scale: int = 1, derivations: Derivations | None = None) -> LogForm:
-    """scale times the horizontal boundary: logarithmic derivations in the
-    first n-1 directions plus x_n times the corresponding derivative of g.
-    ``derivations`` is the prebuilt ``_derivations_by_parts(alpha, g, scale)``."""
+def d_h(D: Derivations, part: LogForm) -> LogForm:
+    """The horizontal boundary, scaled as D = _derivations_by_parts(alpha, g,
+    scale) is: logarithmic derivations in the first n-1 directions plus x_n
+    times the corresponding derivative of g."""
     n = part.n
     if part.degree >= n:
         # only the empty form has this nominal degree among split rows
         return LogForm.zero(n, n)
-    D = derivations or _derivations_by_parts(alpha, g, scale)
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part.components.items():
         for i in range(1, n):
@@ -385,11 +382,9 @@ def d_h(alpha: ParameterVector, g: LaurentPoly, part: LogForm,
     return _form(n, part.degree + 1, acc, 0)
 
 
-def d_v(alpha: ParameterVector, g: LaurentPoly, part0: LogForm,
-        scale: int = 1, derivations: Derivations | None = None) -> LogForm:
-    """scale times the vertical boundary into the dx_n/x_n row, with the
-    trailing-basis sign; ``derivations`` as for ``d_h``."""
-    D = derivations or _derivations_by_parts(alpha, g, scale)
+def d_v(D: Derivations, part0: LogForm) -> LogForm:
+    """The vertical boundary into the dx_n/x_n row, with the trailing-basis
+    sign, scaled as D is for ``d_h``."""
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, xi in part0.components.items():
         _add_scaled(acc.setdefault(idx, {}), D(part0.n, xi), -1 if len(idx) % 2 else 1)
@@ -415,10 +410,10 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     for form in samples:
         sp = split(form)
         spn = split(nabla(alpha, f, form, d, dd))
-        want0 = d_h(alpha, g, sp.part0, d, D)
-        want1 = d_v(alpha, g, sp.part0, d, D)
+        want0 = d_h(D, sp.part0)
+        want1 = d_v(D, sp.part0)
         if sp.part1.components:
-            want1 = want1 + d_h(alpha, g, sp.part1, d, D)
+            want1 = want1 + d_h(D, sp.part1)
         if spn.part0.components != want0.components:
             return False
         if spn.part1.components != want1.components:
@@ -462,11 +457,11 @@ def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
     D = _derivations_by_parts(alpha, g, 1)
     for sf in samples:
         if sf.part1.degree < g.n:
-            lhs = gamma(alpha, g, d_h(alpha, g, sf.part1, 1, D))
+            lhs = gamma(alpha, g, d_h(D, sf.part1))
             rhs = tilde_nabla(alpha, g, gamma(alpha, g, sf.part1))
             if lhs != rhs:
                 return False
-        if not gamma(alpha, g, d_v(alpha, g, sf.part0, 1, D)).is_zero():
+        if not gamma(alpha, g, d_v(D, sf.part0)).is_zero():
             return False
     return True
 
@@ -475,7 +470,7 @@ def _box(nprime: int, bound: int):
     return itertools.product(range(-bound, bound + 1), repeat=nprime)
 
 
-def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
+def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
                            u_bound: int, m_bound: int) -> bool:
     """Within a window, the kernel of the comparison map on the dx_n/x_n row
     coincides with the vertical image of the other row.
@@ -489,32 +484,30 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
     enters as x^{u'} G^(M-m), with G = c g for the lcm c of the denominators
     of g, and each vertical row is multiplied by lcm(c, den alpha_n).
 
-    One index block decides every degree.  Each column and each row is keyed
-    by a single index tuple of length k, in the basis, the targets and the
-    vertical generators alike, and is built the same way for every tuple:
-    the index only labels it.  Both matrices are therefore block diagonal
-    with C(n', k) copies of the block of the empty tuple, so at degree k
-    the kernel dimension and the vertical rank are C(n', k) times those at
-    k = 0, and the verdict is the same.
+    One index block decides every degree, so only the block of degree 0 is
+    built.  At degree k each column and each row is keyed by a single index
+    tuple of length k, in the basis, the targets and the vertical generators
+    alike, and is built the same way for every tuple: the index only labels
+    it.  Both matrices are therefore block diagonal with C(n', k) copies of
+    the block of the empty tuple, so the kernel dimension and the vertical
+    rank are C(n', k) times those at degree 0, and the verdict is the same.
     """
     alpha_n = alpha.entries[-1]
     if alpha_n.denominator == 1 and alpha_n <= 0:
         raise PochhammerPoleError(
             "last parameter entry is a nonpositive integer")
     nprime = g.n
-    idx_tuples = list(itertools.combinations(range(1, nprime + 1), k))
     c = math.lcm(*(v.denominator for v in g.terms.values()))
     G = LaurentPoly._of(nprime, {w: int_if_integral(v * c) for w, v in g.terms.items()})
 
-    basis = [(up, m, idx) for idx in idx_tuples
-             for up in _box(nprime, u_bound) for m in range(m_bound + 1)]
+    basis = [(up, m) for up in _box(nprime, u_bound) for m in range(m_bound + 1)]
 
     # gamma matrix: columns indexed by basis, target keyed by numerator
     # monomials at the common denominator G^{m_bound}
     G_pows = _powers(G, m_bound)
     col_ech = RationalEchelon()
-    for up, m, idx in basis:
-        col_ech.insert({(tuple(map(add, w, up)), idx): v
+    for up, m in basis:
+        col_ech.insert({tuple(map(add, w, up)): v
                         for w, v in G_pows[m_bound - m].terms.items()})
     ker_dim = len(basis) - col_ech.rank
 
@@ -527,13 +520,12 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
     diags = [int_if_integral((alpha_n + m) * L) for m in range(m_bound)]
     steps = [(w, int_if_integral(v * L)) for w, v in g.terms.items()]
     ech_v = RationalEchelon()
-    for idx in idx_tuples:
-        for up in eroded:
-            for m, diag in enumerate(diags):
-                # diag is nonzero, as alpha_n is no integer <= 0
-                vec = {(tuple(map(add, up, w)), m + 1, idx): v for w, v in steps}
-                vec[(up, m, idx)] = diag
-                ech_v.insert(vec)
+    for up in eroded:
+        for m, diag in enumerate(diags):
+            # diag is nonzero, as alpha_n is no integer <= 0
+            vec = {(tuple(map(add, up, w)), m + 1): v for w, v in steps}
+            vec[(up, m)] = diag
+            ech_v.insert(vec)
     return ker_dim == ech_v.rank
 
 

@@ -183,7 +183,7 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
             report.add(CheckResult("split_consistency", ok, len(total_forms)))
             alpha_n = alpha_h.entries[-1]
             if not (alpha_n.denominator == 1 and alpha_n <= 0):
-                # the index block of degree 0 decides every degree k < n
-                ok = hypersurface.kernel_equals_dv_image(alpha_h, g, 0, 2, 3)
+                # one index block decides every degree k < n
+                ok = hypersurface.kernel_equals_dv_image(alpha_h, g, 2, 3)
                 report.add(CheckResult("gamma_kernel", ok, n))
     return report

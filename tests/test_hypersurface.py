@@ -14,7 +14,7 @@ from gkzkit.derham import (LogForm, clearing_scale, enumerate_monomial_forms,
                            top_cohomology_dim)
 from gkzkit.errors import PochhammerPoleError, StructureError
 from gkzkit.hypersurface import (LocalizedElement, SplitForm, UForm,
-                                 apply_unimodular, build_g,
+                                 _derivations_by_parts, apply_unimodular, build_g,
                                  check_gamma_chain_map,
                                  check_split_matches_nabla, cohomology_U_dim,
                                  d_h, d_v, find_unimodular_normalizer, gamma,
@@ -141,12 +141,13 @@ def test_split_boundaries_and_injectivity():
     g = build_g(TRI, LAM1)
     part0 = LogForm.from_monomial((1, 0), (), 2)
     part1 = LogForm.from_monomial((0, 2), (1,), 2)
-    assert d_h(ALPHA, g, part0).degree == 1 and d_h(ALPHA, g, part1).degree == 2
+    D = _derivations_by_parts(ALPHA, g, 1)
+    assert d_h(D, part0).degree == 1 and d_h(D, part1).degree == 2
     # the vertical boundary is injective on the half-Laurent row
     for u in itertools.product(range(-2, 3), range(0, 3)):
         for idx in [(), (1,)]:
-            assert not d_v(ALPHA, g, LogForm.from_monomial(u, idx, 2)).is_zero(), (u, idx)
-    assert d_v(ALPHA, g, LogForm.zero(2, 0)).is_zero()
+            assert not d_v(D, LogForm.from_monomial(u, idx, 2)).is_zero(), (u, idx)
+    assert d_v(D, LogForm.zero(2, 0)).is_zero()
 
 
 def test_total_complex_consistency():
@@ -179,9 +180,10 @@ def test_scaled_split_check_reaches_the_unscaled_verdict(name, data):
     assert d > 1
     # on integer samples the scaled boundaries have integer coefficients
     g = build_g(cfg, lam)
+    D = _derivations_by_parts(alpha, g, d)
     for form in samples:
         part0 = hypersurface.split(form).part0
-        for image in (d_h(alpha, g, part0, d), d_v(alpha, g, part0, d)):
+        for image in (d_h(D, part0), d_v(D, part0)):
             assert all(type(c) is int for p in image.components.values()
                        for c in p.terms.values())
     wrong = alpha.shift((1,) + (0,) * (n - 1))
@@ -191,10 +193,10 @@ def test_scaled_split_check_reaches_the_unscaled_verdict(name, data):
             if not scaled:
                 patch.setattr(hypersurface, "clearing_scale", lambda alpha, f: 1)
             right = check_split_matches_nabla(cfg, alpha, lam, samples)
-            # the stub ignores the derivations the check built for alpha
-            patch.setattr(hypersurface, "d_h",
-                          lambda alpha, g, part, scale=1, derivations=None:
-                          d_h(wrong, g, part, scale))
+            # derivations built for the wrong alpha_1: of the two boundaries
+            # only d_h, which moves in the first n-1 directions, sees it
+            patch.setattr(hypersurface, "_derivations_by_parts",
+                          lambda alpha, g, scale: _derivations_by_parts(wrong, g, scale))
             verdicts.append((right, check_split_matches_nabla(cfg, alpha, lam, samples)))
     assert verdicts == [(True, False), (True, False)]
 
@@ -212,16 +214,15 @@ def test_each_split_check_builds_the_derivations_once(monkeypatch):
               for idx in itertools.combinations(range(1, cfg.n), k)]
     forms = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1))
     built, passed = [], []
-    by_parts = hypersurface._derivations_by_parts
 
     def counting(*args):
-        built.append(by_parts(*args))
+        built.append(_derivations_by_parts(*args))
         return built[-1]
 
     def recording(boundary):
-        def call(alpha, g, part, scale=1, derivations=None):
-            passed.append(derivations)
-            return boundary(alpha, g, part, scale, derivations)
+        def call(D, part):
+            passed.append(D)
+            return boundary(D, part)
         return call
     monkeypatch.setattr(hypersurface, "_derivations_by_parts", counting)
     monkeypatch.setattr(hypersurface, "d_h", recording(d_h))
@@ -306,7 +307,7 @@ def test_gamma_and_tilde_nabla_match_the_per_monomial_oracles(case):
     # part1 plus the vertical image of part0: gamma kills that image, so its
     # numerators cancel to zero, in part or in whole
     alpha, g, part1, part0 = case
-    image = d_v(alpha, g, part0)
+    image = d_v(_derivations_by_parts(alpha, g, 1), part0)
     inputs = [part1 + image, image]
     try:
         want = [gamma_per_monomial(alpha, g, p) for p in inputs]
@@ -338,10 +339,9 @@ def test_gamma_surjectivity_within_window():
 
 def test_kernel_equals_dv_image_and_pole_guard():
     g = build_g(TRI, LAMR)
-    assert kernel_equals_dv_image(ALPHA, g, 0, 3, 3)
-    assert kernel_equals_dv_image(ALPHA, g, 1, 3, 3)
+    assert kernel_equals_dv_image(ALPHA, g, 3, 3)
     with pytest.raises(PochhammerPoleError):
-        kernel_equals_dv_image(ParameterVector.of("1/3", 0), g, 0, 2, 2)
+        kernel_equals_dv_image(ParameterVector.of("1/3", 0), g, 2, 2)
 
 
 # with the last-coordinate structure: trinomial, gauss after its unimodular
@@ -356,9 +356,9 @@ GAMMA_KERNEL_CONFIGS = [
 
 @st.composite
 def gamma_kernel_cases(draw):
-    """(alpha, g, k, u_bound, m_bound) on a configuration with the
+    """(alpha, g, u_bound, m_bound) on a configuration with the
     last-coordinate structure: lambda nonzero Fractions, alpha_n a
-    non-integer or a positive integer, every degree k of the complement."""
+    non-integer or a positive integer."""
     cfg = draw(st.sampled_from(GAMMA_KERNEL_CONFIGS))
     lam = [draw(st.fractions(min_value=-3, max_value=3, max_denominator=7)
                 .filter(bool)) for _ in range(cfg.N)]
@@ -367,8 +367,7 @@ def gamma_kernel_cases(draw):
         .filter(lambda a: a.denominator > 1),
         st.integers(1, 3).map(Fraction)))
     alpha = ParameterVector((Fraction(1, 3),) * (cfg.n - 1) + (alpha_n,))
-    k = draw(st.integers(0, cfg.n - 1))
-    return alpha, build_g(cfg, lam), k, draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    return alpha, build_g(cfg, lam), draw(st.integers(1, 2)), draw(st.integers(1, 3))
 
 
 def _inserted(module, fn, *args):
@@ -405,10 +404,15 @@ def test_integer_gamma_kernel_matches_the_rational_oracle(case):
     # integer multiple of g, and each vertical row cleared of denominators
     # is a nonzero multiple of the rational one, so the verdict is the same.
     # The verdict alone reads True on every case here, so the vectors are
-    # compared one by one
+    # compared one by one, against the oracle's block of degree 0
+    alpha, g, u_bound, m_bound = case
     got, ours = _inserted(hypersurface, kernel_equals_dv_image, *case)
-    want, theirs = _inserted(oracles, kernel_equals_dv_image_over_q, *case)
+    want, (columns, rows) = _inserted(oracles, kernel_equals_dv_image_over_q,
+                                      alpha, g, 0, u_bound, m_bound)
     assert got == want
+    # the oracle keys every vector by the empty index tuple as well
+    theirs = [[{w: c for (w, _), c in vec.items()} for vec in columns],
+              [{key[:-1]: c for key, c in vec.items()} for vec in rows]]
     assert [len(vectors) for vectors in ours] == [len(vectors) for vectors in theirs]
     pairs = list(zip(itertools.chain(*ours), itertools.chain(*theirs)))
     assert all(_proportional(a, b) for a, b in pairs)
@@ -425,10 +429,10 @@ def _rank(vectors) -> int:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(gamma_kernel_cases())
 def test_one_index_block_decides_every_gamma_kernel_degree(case):
-    # the battery checks the gamma kernel at k = 0 only: at each k the
-    # oracle's kernel dimension and vertical rank are C(n', k) times those
-    # of the one block at k = 0
-    alpha, g, _, u_bound, m_bound = case
+    # the package builds the gamma kernel's one block only: at each degree k
+    # the oracle's kernel dimension and vertical rank are C(n', k) times
+    # those of the one block at k = 0
+    alpha, g, u_bound, m_bound = case
     dims = []
     for k in range(g.n + 1):
         verdict, (columns, rows) = _inserted(oracles, kernel_equals_dv_image_over_q,
@@ -437,7 +441,7 @@ def test_one_index_block_decides_every_gamma_kernel_degree(case):
     ker0, rank0, verdict0 = dims[0]
     assert dims == [(math.comb(g.n, k) * ker0, math.comb(g.n, k) * rank0, verdict0)
                     for k in range(g.n + 1)]
-    assert verdict0 == kernel_equals_dv_image(alpha, g, 0, u_bound, m_bound)
+    assert verdict0 == kernel_equals_dv_image(*case)
 
 
 def times(factor: LocalizedElement, omega: UForm) -> UForm:
