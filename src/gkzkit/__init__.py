@@ -33,9 +33,9 @@ _EXPORTS = {
     "derham": ("LogForm", "RankReport", "check_complex", "generic_rank",
                "homotopy_identity_check", "nabla", "quasi_iso_check",
                "top_cohomology_dim", "twist_conjugation_check"),
-    "hypersurface": ("LocalizedElement", "SplitForm", "UForm", "build_g",
-                     "check_gamma_chain_map", "cohomology_U_dim", "gamma",
-                     "kernel_equals_dv_image", "pochhammer", "tilde_nabla"),
+    "hypersurface": ("SplitForm", "UForm", "build_g", "check_gamma_chain_map",
+                     "cohomology_U_dim", "gamma", "kernel_equals_dv_image",
+                     "pochhammer", "tilde_nabla"),
     "modp": ("ModpInstance", "ModpReport", "full_set_sweep", "make_instance",
              "modp_solution_dim", "solution_support"),
 }

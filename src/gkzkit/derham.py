@@ -495,13 +495,19 @@ def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
     stabilized when the two agree.  A resonant parameter is not an error:
     the computation proceeds with a warning flag set.
     """
+    return _torus_report(alpha, specialization(config, lam),
+                         window_pair(config, support, bound),
+                         _resonance_warnings(config, alpha))
+
+
+def specialization(config: PointConfig, lam: Sequence) -> tuple[Fraction, ...]:
+    """lam as Fractions, refused unless it has one nonzero entry per point."""
     lam = tuple(Fraction(v) for v in lam)
     if len(lam) != config.N:
         raise ValueError(f"need {config.N} coefficients, got {len(lam)}")
     if any(v == 0 for v in lam):
         raise ValueError("parameter specialization must be nonzero")
-    return _torus_report(alpha, lam, window_pair(config, support, bound),
-                         _resonance_warnings(config, alpha))
+    return lam
 
 
 def random_specialization(rng: random.Random, count: int) -> tuple[Fraction, ...]:

@@ -6,7 +6,8 @@ variables.  This module houses the twisted complex on the complement of
 g = 0 in the (n-1)-torus, the two-row double complex that splits logarithmic
 forms by their dx_n/x_n part, the comparison chain map weighted by rising
 factorials of the last parameter entry, and the truncated dimension of the
-top cohomology on the complement.
+top cohomology on the complement.  A form on the complement is one
+numerator form over one power of g, not reduced (``UForm``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .errors import PochhammerPoleError, StructureError
 from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
 from .laurent import (HalfSupport, LaurentPoly, TwistedDerivations, build_f,
-                      divide_exact, int_if_integral, toric_derivative)
+                      int_if_integral, toric_derivative)
 from .derham import (CohomologyWindow, LogForm, RankReport, _add_scaled, _form,
-                     clearing_scale, nabla, wedge_insert, window_generators,
-                     window_pair)
+                     clearing_scale, nabla, specialization, wedge_insert,
+                     window_generators, window_pair)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -112,145 +113,39 @@ def build_g(config: PointConfig, lam: Sequence) -> LaurentPoly:
     return LaurentPoly(config.n - 1, terms)
 
 
-class LocalizedElement:
-    """num / g^m with a Laurent numerator, kept in lowest g-terms.
+class UForm:
+    """A form on the complement of g = 0: num / g^gpow, with num a
+    logarithmic form in the first n-1 variables.
 
-    Negative powers of g are folded into the numerator, so m >= 0 always and
-    g does not divide num unless m = 0; with that normalization the pair
-    (num, m) is a canonical form and equality is termwise.  The constructor
-    normalizes, one exact division by g per factor stripped, and so does
-    every operation below.  ``gamma`` and ``tilde_nabla`` therefore add
-    their terms as numerators over one power of g and construct one element
-    per form component (``_localize``).
+    The pair is kept over one power of g, not reduced: no factor of g is
+    divided out, and gpow may be any integer.  Laurent polynomials have no
+    zero divisors, so two pairs are equal exactly when their numerators agree
+    once both are multiplied up to the larger power, and a pair is zero
+    exactly when its numerator is.
     """
 
     __slots__ = ("g", "num", "gpow")
 
-    def __init__(self, g: LaurentPoly, num: LaurentPoly, gpow: int):
+    def __init__(self, g: LaurentPoly, num: LogForm, gpow: int):
         if g.is_zero():
             raise ZeroDivisionError("localization at the zero polynomial")
+        if num.n != g.n:
+            raise ValueError("numerator and g live on different tori")
         self.g = g
-        if num.is_zero():
-            self.num = num
-            self.gpow = 0
-            return
-        while gpow < 0:
-            num = num * g
-            gpow += 1
-        while gpow > 0:
-            q = divide_exact(num, g)
-            if q is None:
-                break
-            num = q
-            gpow -= 1
         self.num = num
         self.gpow = gpow
-
-    @staticmethod
-    def zero(g: LaurentPoly) -> "LocalizedElement":
-        return LocalizedElement(g, LaurentPoly.zero(g.n), 0)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LocalizedElement) and self.g == other.g
-                and self.gpow == other.gpow and self.num == other.num)
-
-    def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
-        if self.g != other.g:
-            raise ValueError("localized elements over different denominators")
-        m = max(self.gpow, other.gpow)
-        a = self.num
-        for _ in range(m - self.gpow):
-            a = a * self.g
-        b = other.num
-        for _ in range(m - other.gpow):
-            b = b * self.g
-        return LocalizedElement(self.g, a + b, m)
-
-    def __neg__(self) -> "LocalizedElement":
-        return LocalizedElement(self.g, -self.num, self.gpow)
-
-    def __sub__(self, other: "LocalizedElement") -> "LocalizedElement":
-        return self + (-other)
-
-    def scale(self, c) -> "LocalizedElement":
-        return LocalizedElement(self.g, self.num.scalar_mul(c), self.gpow)
-
-    def toric_derivative(self, i: int) -> "LocalizedElement":
-        """x_i d/dx_i via the quotient rule."""
-        first = LocalizedElement(self.g, toric_derivative(i, self.num), self.gpow)
-        if self.gpow == 0:
-            return first
-        second = LocalizedElement(
-            self.g, self.num * toric_derivative(i, self.g), self.gpow + 1)
-        return first + second.scale(-self.gpow)
-
-    def __repr__(self) -> str:
-        return f"({self.num})/g^{self.gpow}"
-
-
-class UForm:
-    """Form on the complement of g = 0: localized coefficients indexed by
-    strictly increasing tuples from the first n-1 variables."""
-
-    __slots__ = ("g", "nprime", "degree", "components")
-
-    def __init__(self, g: LaurentPoly, degree: int,
-                 components: dict[IndexTuple, LocalizedElement] | None = None):
-        self.g = g
-        self.nprime = g.n
-        if not 0 <= degree <= self.nprime:
-            raise ValueError("degree out of range")
-        self.degree = degree
-        self.components: dict[IndexTuple, LocalizedElement] = {}
-        if components:
-            for idx, val in components.items():
-                idx = tuple(idx)
-                if len(idx) != degree or list(idx) != sorted(set(idx)):
-                    raise ValueError(f"bad index tuple {idx}")
-                if any(not 1 <= i <= self.nprime for i in idx):
-                    raise ValueError(f"index out of range in {idx}")
-                if not val.is_zero():
-                    self.components[idx] = val
-
-    @staticmethod
-    def zero(g: LaurentPoly, degree: int) -> "UForm":
-        return UForm(g, degree, {})
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UForm) and self.g == other.g
-                and self.degree == other.degree
-                and self.components == other.components)
-
-    def __add__(self, other: "UForm") -> "UForm":
-        if self.g != other.g or self.degree != other.degree:
-            raise ValueError("form shape mismatch")
-        out = dict(self.components)
-        for idx, val in other.components.items():
-            s = out[idx] + val if idx in out else val
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return UForm(self.g, self.degree, out)
-
-    def __neg__(self) -> "UForm":
-        return UForm(self.g, self.degree,
-                     {idx: -v for idx, v in self.components.items()})
-
-    def __sub__(self, other: "UForm") -> "UForm":
-        return self + (-other)
-
-    def __repr__(self) -> str:
-        if not self.components:
-            return "0"
-        return " + ".join(f"[{v}] w{list(idx)}"
-                          for idx, v in sorted(self.components.items()))
+        if not isinstance(other, UForm) or self.g != other.g:
+            return False
+        low, high = sorted((self, other), key=lambda w: w.gpow)
+        up = _powers(self.g, high.gpow - low.gpow)[-1]
+        num = low.num
+        return LogForm._of(num.n, num.degree, {idx: p * up for idx, p
+                                               in num.components.items()}) == high.num
 
 
 def _powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
@@ -261,47 +156,25 @@ def _powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
     return pows
 
 
-def _localize(g: LaurentPoly, degree: int,
-              parts: dict[IndexTuple, list[tuple[LaurentPoly, int]]]) -> UForm:
-    """The form whose component at idx is the sum of num / g^m over the
-    pairs (num, m) of parts[idx].
-
-    Each sum is taken over the largest m (at least 0), M, as one numerator:
-    the sum of num times g^(M - m).  A LocalizedElement is built once per
-    component, so the factors of g are stripped once.
-    """
-    tops = {idx: max([0] + [m for _, m in pairs]) for idx, pairs in parts.items()}
-    pows = _powers(g, max([0] + [tops[idx] - m for idx, pairs in parts.items()
-                                 for _, m in pairs]))
-    comps = {}
-    for idx, pairs in parts.items():
-        M = tops[idx]
-        acc: dict[IntVec, Fraction] = {}
-        for num, m in pairs:
-            _add_scaled(acc, num if m == M else num * pows[M - m], 1)
-        comps[idx] = LocalizedElement(g, LaurentPoly._of(g.n, acc), M)
-    return UForm(g, degree, comps)
-
-
 def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
     """Twisted differential on the complement: logarithmic part in the first
     n-1 directions minus the last parameter entry times dg/g.
 
     By the quotient rule, direction i sends num / g^m to
     ((x_i d/dx_i + alpha_i) num g - (m + alpha_n) num x_i dg/dx_i) / g^(m+1),
-    one numerator per (component, direction); ``_localize`` adds them per
-    target and normalizes each target once.
+    so the image is one numerator over g^(m+1), not reduced.
     """
     nprime = g.n
     if alpha.n != nprime + 1:
         raise ValueError("parameter must have one more entry than g has variables")
-    if omega.degree == nprime:
-        return UForm.zero(g, nprime)
+    degree = omega.num.degree
+    if degree == nprime:
+        return UForm(g, LogForm.zero(nprime, nprime), 0)
+    m = omega.gpow
     alpha_n = alpha.entries[-1]
     dg = [toric_derivative(i, g) for i in range(1, nprime + 1)]
-    parts: dict[IndexTuple, list[tuple[LaurentPoly, int]]] = {}
-    for idx, eta in omega.components.items():
-        num, m = eta.num, eta.gpow
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
+    for idx, num in omega.num.components.items():
         for i in range(1, nprime + 1):
             ins = wedge_insert(i, idx)
             if ins is None:
@@ -311,10 +184,8 @@ def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
             d_num = LaurentPoly._of(nprime, {u: c * (u[i - 1] + a_i)
                                              for u, c in num.terms.items()})
             piece = d_num * g + (num * dg[i - 1]).scalar_mul(-(m + alpha_n))
-            if sign < 0:
-                piece = -piece
-            parts.setdefault(target, []).append((piece, m + 1))
-    return _localize(g, omega.degree + 1, parts)
+            _add_scaled(acc.setdefault(target, {}), piece, sign)
+    return UForm(g, _form(nprime, degree + 1, acc, 0), m + 1)
 
 
 class SplitForm:
@@ -427,26 +298,29 @@ def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
     A monomial with last exponent m maps to its first n-1 coordinates over
     g^m, weighted by (-1)^m times the rising factorial of the last parameter
     entry; negative m uses the reciprocal convention and requires the last
-    parameter entry to avoid the corresponding poles.  The monomials of a
-    component are gathered by m, and ``_localize`` brings them to one power
-    of g and normalizes the component once.
+    parameter entry to avoid the corresponding poles.  Every term is put
+    over g^M, M the larger of 0 and the largest last exponent, as one
+    numerator, not reduced.
     """
     if part1.nlam:
         raise ValueError("comparison map needs specialized coefficients")
     alpha_n = alpha.entries[-1]
     weights: dict[int, Fraction] = {}
-    parts: dict[IndexTuple, list[tuple[LaurentPoly, int]]] = {}
+    by_m: dict[tuple[IndexTuple, int], dict[IntVec, Fraction]] = {}
     for idx, xi in part1.components.items():
-        by_m: dict[int, dict[IntVec, Fraction]] = {}
         for u, c in xi.terms.items():
             m = u[-1]
             if m not in weights:
                 weights[m] = -pochhammer(alpha_n, m) if m % 2 else pochhammer(alpha_n, m)
-            weight = weights[m] * c
-            if weight:
-                by_m.setdefault(m, {})[u[:-1]] = weight
-        parts[idx] = [(LaurentPoly._of(g.n, terms), m) for m, terms in by_m.items()]
-    return _localize(g, part1.degree, parts)
+            by_m.setdefault((idx, m), {})[u[:-1]] = weights[m] * c
+    ms = [m for _, m in by_m]
+    M = max([0, *ms])
+    pows = _powers(g, M - min(ms, default=M))
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
+    for (idx, m), terms in by_m.items():
+        num = LaurentPoly._of(g.n, terms)
+        _add_scaled(acc.setdefault(idx, {}), num if m == M else num * pows[M - m], 1)
+    return UForm(g, _form(g.n, part1.degree, acc, 0), M)
 
 
 def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
@@ -536,9 +410,10 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
     Requires the last-coordinate structure (a unimodular normalization is
     applied automatically when available).  A last parameter entry that is a
     nonpositive integer is shifted to 1 beforehand; the shift is an
-    isomorphism of the complex, so dimensions are unaffected.
+    isomorphism of the complex, so dimensions are unaffected.  As on the
+    torus, lam needs one nonzero entry per point.
     """
-    lam = tuple(Fraction(v) for v in lam)
+    lam = specialization(config, lam)
     warnings = []
     config, alpha, changed = normalize_structure(config, alpha)
     if changed:

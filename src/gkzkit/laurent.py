@@ -224,48 +224,6 @@ def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly,
     return LaurentPoly._of(xi.n, out, xi.nlam)
 
 
-def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
-    """Exact quotient p / q among Laurent polynomials, or None if q does not
-    divide p.  Specialized parameters (nlam = 0) only.
-
-    Monomials are units, so divisibility is decided after shifting both
-    operands to ordinary polynomials; leading-term reduction under the
-    lexicographic order then either terminates at zero or certifies
-    non-divisibility.
-    """
-    if p.nlam or q.nlam:
-        raise ScalarModeError("exact division needs specialized coefficients")
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return LaurentPoly.zero(p.n)
-    n = p.n
-    shift_p = tuple(min(u[i] for u in p.terms) for i in range(n))
-    shift_q = tuple(min(u[i] for u in q.terms) for i in range(n))
-    num = {tuple(a - b for a, b in zip(u, shift_p)): c for u, c in p.terms.items()}
-    den = {tuple(a - b for a, b in zip(u, shift_q)): c for u, c in q.terms.items()}
-    lead_q = max(den)
-    lead_qc = den[lead_q]
-    quot: dict[IntVec, Fraction] = {}
-    while num:
-        lead_p = max(num)
-        diff = tuple(a - b for a, b in zip(lead_p, lead_q))
-        if any(d < 0 for d in diff):
-            return None
-        coeff = Fraction(num[lead_p]) / lead_qc
-        quot[diff] = coeff
-        for u, c in den.items():
-            tgt = tuple(a + b for a, b in zip(u, diff))
-            s = num.get(tgt, Fraction(0)) - coeff * c
-            if s:
-                num[tgt] = s
-            else:
-                num.pop(tgt, None)
-    out_shift = tuple(a - b for a, b in zip(shift_p, shift_q))
-    return LaurentPoly._of(n, {tuple(a + b for a, b in zip(u, out_shift)): c
-                               for u, c in quot.items()})
-
-
 class Support:
     """The exponents u with f(u) >= 0 for every form f: the monomials a
     module is allowed to use, cut out by facet inequalities."""

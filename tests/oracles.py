@@ -15,11 +15,16 @@ as references for what replaced it:
 - apply_D_by_parts and nabla_by_parts, the twisted derivation composed from
   the Laurent ring operations and the differential summed one piece at a
   time, for the one-pass gkzkit.laurent.apply_D and gkzkit.derham.nabla.
+- LocalizedElement, a Laurent numerator over a power of g kept in lowest
+  g-terms, with its exact division divide_exact: the former package
+  representation of a function on the complement of g = 0, kept as the
+  lowest-terms reference for gkzkit.hypersurface.UForm, which keeps one
+  numerator form over one power of g, not reduced.
 - gamma_per_monomial and tilde_nabla_per_piece, the former comparison map
-  and complement differential, which build and normalize one
-  LocalizedElement per monomial or per piece and add them up, for
-  gkzkit.hypersurface.gamma and tilde_nabla, which normalize each
-  component once at a common power of g.
+  and complement differential, which build one LocalizedElement per
+  monomial or per piece, add them up and return the nonzero components in
+  lowest g-terms, for gkzkit.hypersurface.gamma and tilde_nabla, which put
+  every term over one power of g and divide nothing out.
 - generator_vectors and u_quotient_dim, the former window generators of
   the torus and the former complement-side quotient, each with its own
   loop over window points and staying combinations, for
@@ -47,8 +52,8 @@ from typing import Iterable, Sequence
 
 from gkzkit.derham import (CohomologyWindow, IndexTuple, IntVec, LogForm,
                            _add_scaled, _form, clearing_scale, nabla, wedge_insert)
-from gkzkit.errors import PochhammerPoleError
-from gkzkit.hypersurface import LocalizedElement, UForm, _box, _powers, pochhammer
+from gkzkit.errors import PochhammerPoleError, ScalarModeError
+from gkzkit.hypersurface import _box, _powers, pochhammer
 from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, relation_lattice)
@@ -493,19 +498,149 @@ def nabla_by_parts(alpha, f, omega):
     return out
 
 
-def gamma_per_monomial(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
-    """Comparison map dropping the trailing dx_n/x_n.
+def divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly | None:
+    """Exact quotient p / q among Laurent polynomials, or None if q does not
+    divide p.  Specialized parameters (nlam = 0) only.
+
+    Monomials are units, so divisibility is decided after shifting both
+    operands to ordinary polynomials; leading-term reduction under the
+    lexicographic order then either terminates at zero or certifies
+    non-divisibility.
+    """
+    if p.nlam or q.nlam:
+        raise ScalarModeError("exact division needs specialized coefficients")
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return LaurentPoly.zero(p.n)
+    n = p.n
+    shift_p = tuple(min(u[i] for u in p.terms) for i in range(n))
+    shift_q = tuple(min(u[i] for u in q.terms) for i in range(n))
+    num = {tuple(a - b for a, b in zip(u, shift_p)): c for u, c in p.terms.items()}
+    den = {tuple(a - b for a, b in zip(u, shift_q)): c for u, c in q.terms.items()}
+    lead_q = max(den)
+    lead_qc = den[lead_q]
+    quot: dict[IntVec, Fraction] = {}
+    while num:
+        lead_p = max(num)
+        diff = tuple(a - b for a, b in zip(lead_p, lead_q))
+        if any(d < 0 for d in diff):
+            return None
+        coeff = Fraction(num[lead_p]) / lead_qc
+        quot[diff] = coeff
+        for u, c in den.items():
+            tgt = tuple(a + b for a, b in zip(u, diff))
+            s = num.get(tgt, Fraction(0)) - coeff * c
+            if s:
+                num[tgt] = s
+            else:
+                num.pop(tgt, None)
+    out_shift = tuple(a - b for a, b in zip(shift_p, shift_q))
+    return LaurentPoly._of(n, {tuple(a + b for a, b in zip(u, out_shift)): c
+                               for u, c in quot.items()})
+
+
+class LocalizedElement:
+    """num / g^m with a Laurent numerator, kept in lowest g-terms.
+
+    Negative powers of g are folded into the numerator, so m >= 0 always and
+    g does not divide num unless m = 0; with that normalization the pair
+    (num, m) is a canonical form and equality is termwise.  The constructor
+    normalizes, one exact division by g per factor stripped, and so does
+    every operation below.
+    """
+
+    __slots__ = ("g", "num", "gpow")
+
+    def __init__(self, g: LaurentPoly, num: LaurentPoly, gpow: int):
+        if g.is_zero():
+            raise ZeroDivisionError("localization at the zero polynomial")
+        self.g = g
+        if num.is_zero():
+            self.num = num
+            self.gpow = 0
+            return
+        while gpow < 0:
+            num = num * g
+            gpow += 1
+        while gpow > 0:
+            q = divide_exact(num, g)
+            if q is None:
+                break
+            num = q
+            gpow -= 1
+        self.num = num
+        self.gpow = gpow
+
+    @staticmethod
+    def zero(g: LaurentPoly) -> "LocalizedElement":
+        return LocalizedElement(g, LaurentPoly.zero(g.n), 0)
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LocalizedElement) and self.g == other.g
+                and self.gpow == other.gpow and self.num == other.num)
+
+    def __add__(self, other: "LocalizedElement") -> "LocalizedElement":
+        if self.g != other.g:
+            raise ValueError("localized elements over different denominators")
+        m = max(self.gpow, other.gpow)
+        a = self.num
+        for _ in range(m - self.gpow):
+            a = a * self.g
+        b = other.num
+        for _ in range(m - other.gpow):
+            b = b * self.g
+        return LocalizedElement(self.g, a + b, m)
+
+    def __neg__(self) -> "LocalizedElement":
+        return LocalizedElement(self.g, -self.num, self.gpow)
+
+    def __sub__(self, other: "LocalizedElement") -> "LocalizedElement":
+        return self + (-other)
+
+    def scale(self, c) -> "LocalizedElement":
+        return LocalizedElement(self.g, self.num.scalar_mul(c), self.gpow)
+
+    def toric_derivative(self, i: int) -> "LocalizedElement":
+        """x_i d/dx_i via the quotient rule."""
+        first = LocalizedElement(self.g, toric_derivative(i, self.num), self.gpow)
+        if self.gpow == 0:
+            return first
+        second = LocalizedElement(
+            self.g, self.num * toric_derivative(i, self.g), self.gpow + 1)
+        return first + second.scale(-self.gpow)
+
+    def __repr__(self) -> str:
+        return f"({self.num})/g^{self.gpow}"
+
+
+def _add_component(out: dict[IndexTuple, LocalizedElement], idx: IndexTuple,
+                   elem: LocalizedElement) -> None:
+    """Add elem into the component idx of out, dropping it if it cancels."""
+    s = out[idx] + elem if idx in out else elem
+    if s.is_zero():
+        out.pop(idx, None)
+    else:
+        out[idx] = s
+
+
+def gamma_per_monomial(alpha: ParameterVector, g: LaurentPoly,
+                       part1: LogForm) -> dict[IndexTuple, LocalizedElement]:
+    """Comparison map dropping the trailing dx_n/x_n, as its nonzero
+    components in lowest g-terms.
 
     A monomial with last exponent m maps to its first n-1 coordinates over
     g^m, weighted by (-1)^m times the rising factorial of the last parameter
     entry; negative m uses the reciprocal convention and requires the last
     parameter entry to avoid the corresponding poles.
     """
-    n = part1.n
     if part1.nlam:
         raise ValueError("comparison map needs specialized coefficients")
     alpha_n = alpha.entries[-1]
-    out = UForm.zero(g, part1.degree)
+    out: dict[IndexTuple, LocalizedElement] = {}
     for idx, xi in part1.components.items():
         acc = LocalizedElement.zero(g)
         for u, c in xi.terms.items():
@@ -523,21 +658,22 @@ def gamma_per_monomial(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -
                 for _ in range(-m):
                     gp = gp * g
                 acc = acc + LocalizedElement(g, num * gp, 0)
-        out = out + UForm(g, part1.degree, {idx: acc})
+        _add_component(out, idx, acc)
     return out
 
 
-def tilde_nabla_per_piece(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
+def tilde_nabla_per_piece(alpha: ParameterVector, g: LaurentPoly,
+                          omega: dict[IndexTuple, LocalizedElement]
+                          ) -> dict[IndexTuple, LocalizedElement]:
     """Twisted differential on the complement: logarithmic part in the first
-    n-1 directions minus the last parameter entry times dg/g."""
+    n-1 directions minus the last parameter entry times dg/g, on a form given
+    by its nonzero components, each in lowest g-terms."""
     nprime = g.n
     if alpha.n != nprime + 1:
         raise ValueError("parameter must have one more entry than g has variables")
-    if omega.degree == nprime:
-        return UForm.zero(g, nprime)
     alpha_n = alpha.entries[-1]
-    out = UForm.zero(g, omega.degree + 1)
-    for idx, eta in omega.components.items():
+    out: dict[IndexTuple, LocalizedElement] = {}
+    for idx, eta in omega.items():
         for i in range(1, nprime + 1):
             ins = wedge_insert(i, idx)
             if ins is None:
@@ -549,7 +685,7 @@ def tilde_nabla_per_piece(alpha: ParameterVector, g: LaurentPoly, omega: UForm) 
             piece = piece + correction.scale(-alpha_n)
             if sign < 0:
                 piece = -piece
-            out = out + UForm(g, omega.degree + 1, {target: piece})
+            _add_component(out, target, piece)
     return out
 
 

@@ -441,7 +441,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
 def test_package_exports_resolve_on_first_access():
     assert gkzkit.__all__ == [
         "ConeSupport", "FacetForm", "FullSupport", "HalfSupport", "LaurentPoly",
-        "LocalizedElement", "LogForm", "ModpInstance", "ModpReport",
+        "LogForm", "ModpInstance", "ModpReport",
         "ParameterVector", "PointConfig", "RankReport", "RelationLattice",
         "ResonanceVerdict", "SplitForm", "Support", "UForm", "WeylElement",
         "apply_D", "box_operator", "build_f", "build_f_symbolic", "build_g",

@@ -13,8 +13,8 @@ from gkzkit.catalog import builtin_alpha, builtin_config
 from gkzkit.derham import (LogForm, clearing_scale, enumerate_monomial_forms,
                            top_cohomology_dim)
 from gkzkit.errors import PochhammerPoleError, StructureError
-from gkzkit.hypersurface import (LocalizedElement, SplitForm, UForm,
-                                 _derivations_by_parts, apply_unimodular, build_g,
+from gkzkit.hypersurface import (SplitForm, UForm, _derivations_by_parts,
+                                 apply_unimodular, build_g,
                                  check_gamma_chain_map,
                                  check_split_matches_nabla, cohomology_U_dim,
                                  d_h, d_v, find_unimodular_normalizer, gamma,
@@ -25,7 +25,8 @@ from gkzkit.laurent import FullSupport, LaurentPoly, build_f
 from gkzkit.linalg import RationalEchelon
 from gkzkit.verify import BatteryReport, CheckResult, run_battery
 import oracles
-from oracles import gamma_per_monomial, tilde_nabla_per_piece, u_quotient_dim
+from oracles import (LocalizedElement, gamma_per_monomial, tilde_nabla_per_piece,
+                     u_quotient_dim)
 from oracles import kernel_equals_dv_image as kernel_equals_dv_image_over_q
 
 TRI = builtin_config("trinomial")
@@ -37,6 +38,32 @@ PLANE2 = [(0, 1), (1, 1), (-1, 1), (2, 1)]
 
 def loc_mono(g, u, m=0, c=1):
     return LocalizedElement(g, LaurentPoly.monomial(u, Fraction(c)), m)
+
+
+def u_mono(g, u, m=0, c=1, idx=()):
+    """c x^u dx_idx/x_idx / g^m on the complement of g = 0."""
+    return UForm(g, LogForm.from_monomial(u, idx, g.n, Fraction(c)), m)
+
+
+def g_power(g, k):
+    out = LaurentPoly.one(g.n)
+    for _ in range(k):
+        out = out * g
+    return out
+
+
+def lowest_terms(omega: UForm) -> dict:
+    """The nonzero components of omega, each in lowest g-terms."""
+    return {idx: LocalizedElement(omega.g, p, omega.gpow)
+            for idx, p in omega.num.components.items()}
+
+
+def over_one_power(g, degree: int, comps: dict) -> UForm:
+    """The form with the components comps, each a LocalizedElement, put over
+    their largest power of g."""
+    M = max([0] + [e.gpow for e in comps.values()])
+    return UForm(g, LogForm(g.n, degree, {idx: e.num * g_power(g, M - e.gpow)
+                                          for idx, e in comps.items()}), M)
 
 
 def test_pochhammer_values_and_poles():
@@ -104,17 +131,37 @@ def test_localized_arithmetic_against_evaluation():
         assert ev(d, x) == want
 
 
+def test_uform_compares_numerators_at_the_larger_power():
+    g = build_g(TRI, LAMR)
+    num = LogForm(1, 1, {(1,): LaurentPoly.monomial((2,), 3) + LaurentPoly.one(1)})
+    num_g = LogForm(1, 1, {(1,): num.components[(1,)] * g})
+    for m in (-1, 0, 2):
+        assert UForm(g, num_g, m + 1) == UForm(g, num, m)
+        assert UForm(g, num, m) == UForm(g, num_g, m + 1)
+        assert UForm(g, num.mul_monomial((1,)), m) != UForm(g, num, m)
+        assert UForm(g, num, m + 1) != UForm(g, num, m)
+    # another degree or another g is another form
+    assert UForm(g, LogForm.zero(1, 0), 0) != UForm(g, LogForm.zero(1, 1), 0)
+    assert UForm(build_g(TRI, LAM1), num, 0) != UForm(g, num, 0)
+    zero = UForm(g, LogForm.zero(1, 1), 5)
+    assert zero.is_zero() and zero == UForm(g, LogForm.zero(1, 1), 0)
+    with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+        UForm(LaurentPoly.zero(1), num, 0)
+    with pytest.raises(ValueError, match="different tori"):
+        UForm(g, LogForm.zero(2, 0), 0)
+
+
 def test_tilde_nabla_matches_hand_example():
     g = build_g(TRI, LAM1)
-    one = UForm(g, 0, {(): LocalizedElement(g, LaurentPoly.one(1), 0)})
-    got = tilde_nabla(ALPHA, g, one)
+    got = tilde_nabla(ALPHA, g, u_mono(g, (0,)))
     # alpha_1 dx1/x1 minus alpha_2 (x - 1/x)/g dx1/x1, over the common
     # denominator g
     num = LaurentPoly(1, {(-1,): Fraction(8, 15), (0,): Fraction(1, 3),
                           (1,): Fraction(2, 15)})
-    want = UForm(g, 1, {(1,): LocalizedElement(g, num, 1)})
-    assert got == want
-    assert tilde_nabla(ALPHA, g, UForm.zero(g, 0)).is_zero()
+    assert (got.num, got.gpow) == (LogForm(1, 1, {(1,): num}), 1)
+    assert tilde_nabla(ALPHA, g, UForm(g, LogForm.zero(1, 0), 0)).is_zero()
+    with pytest.raises(ValueError, match="one more entry"):
+        tilde_nabla(ParameterVector.of("1/3"), g, u_mono(g, (0,)))
 
 
 def test_tilde_nabla_squares_to_zero():
@@ -127,13 +174,8 @@ def test_tilde_nabla_squares_to_zero():
         g = build_g(cfg, lam)
         rng = random.Random(7)
         for _ in range(10):
-            comp = {}
-            for idx in [(), *[(i,) for i in range(1, g.n + 1)]]:
-                if len(idx) == 0:
-                    comp[idx] = loc_mono(g, tuple(rng.randint(-2, 2)
-                                                  for _ in range(g.n)),
-                                         rng.randint(0, 2), rng.randint(-3, 3))
-            omega = UForm(g, 0, {(): comp[()]})
+            omega = u_mono(g, tuple(rng.randint(-2, 2) for _ in range(g.n)),
+                           rng.randint(0, 2), rng.randint(-3, 3))
             assert tilde_nabla(alpha, g, tilde_nabla(alpha, g, omega)).is_zero()
 
 
@@ -253,13 +295,62 @@ def test_gamma_examples():
     g = build_g(TRI, LAM1)
     a2 = ALPHA.entries[1]
     got = gamma(ALPHA, g, LogForm.from_monomial((3, 0), (), 2))
-    assert got == UForm(g, 0, {(): loc_mono(g, (3,), 0)})
+    assert got == u_mono(g, (3,))
     got = gamma(ALPHA, g, LogForm.from_monomial((3, 1), (), 2))
-    assert got == UForm(g, 0, {(): loc_mono(g, (3,), 1, -a2)})
+    assert got == u_mono(g, (3,), 1, -a2)
+    # a negative last exponent multiplies the numerator by g instead
     got = gamma(ALPHA, g, LogForm.from_monomial((3, -1), (), 2))
-    want = UForm(g, 0, {(): LocalizedElement(
-        g, LaurentPoly.monomial((3,), -1 / (a2 - 1)) * g, 0)})
-    assert got == want
+    want = LaurentPoly.monomial((3,), -1 / (a2 - 1)) * g
+    assert (got.num, got.gpow) == (LogForm(1, 0, {(): want}), 0)
+    # every term over the largest power of g, nothing divided out
+    got = gamma(ALPHA, g, LogForm(2, 0, {(): LaurentPoly(2, {(3, 1): 1, (0, -1): 1})}))
+    want = (LaurentPoly.monomial((3,), -a2)
+            + LaurentPoly.monomial((0,), -1 / (a2 - 1)) * g * g)
+    assert (got.num, got.gpow) == (LogForm(1, 0, {(): want}), 1)
+    with pytest.raises(PochhammerPoleError):
+        gamma(ParameterVector.of("1/3", 1), g, LogForm.from_monomial((3, -1), (), 2))
+    with pytest.raises(ValueError, match="specialized"):
+        gamma(ALPHA, g, LogForm.from_monomial((3, 1), (), 2, nlam=1))
+
+
+def battery_gamma_case(name):
+    """The parameter, g and split samples ``run_battery`` checks the
+    comparison map on, for a builtin configuration."""
+    config, alpha, _ = normalize_structure(builtin_config(name), builtin_alpha(name))
+    n = config.n
+    g = build_g(config, [Fraction(k + 2, 2 * k + 1) for k in range(config.N)])
+    splits = [SplitForm(LogForm.from_monomial(u + (m,), idx, n),
+                        LogForm.from_monomial(u + (m,), idx, n))
+              for u in itertools.product(range(-1, 2), repeat=n - 1)
+              for m in range(3) for k in range(n)
+              for idx in itertools.combinations(range(1, n), k)]
+    return alpha, g, splits
+
+
+@pytest.mark.parametrize("name", ["trinomial", "gauss"])
+def test_gamma_chain_map_check_fails_for_a_wrong_twist(name, monkeypatch):
+    # tilde_nabla run on alpha + e_1 or alpha + e_n no longer intertwines
+    alpha, g, splits = battery_gamma_case(name)
+    n = alpha.n
+    verdicts = [check_gamma_chain_map(alpha, g, splits)]
+    for k in (0, n - 1):
+        wrong = alpha.shift(tuple(int(i == k) for i in range(n)))
+        monkeypatch.setattr(hypersurface, "tilde_nabla",
+                            lambda _, g, omega, wrong=wrong: tilde_nabla(wrong, g, omega))
+        verdicts.append(check_gamma_chain_map(alpha, g, splits))
+    assert verdicts == [True, False, False]
+
+
+def test_gamma_chain_map_check_sees_a_vertical_image_gamma_keeps():
+    # at alpha_n = 1, d_v sends x_n^{-1} to g alone, as its own term has
+    # weight u_n + alpha_n = 0, and gamma sends g / g^0 to a nonzero form;
+    # from x_n^0 the vertical image 1 + x_n g maps to 1 - g / g = 0
+    g = build_g(TRI, LAM1)
+    alpha = ParameterVector.of("1/3", 1)
+    empty = LogForm.zero(2, 0)
+    for m, verdict in ((-1, False), (0, True)):
+        part0 = LogForm.from_monomial((0, m), (), 2)
+        assert check_gamma_chain_map(alpha, g, [SplitForm(part0, empty)]) is verdict
 
 
 def test_gamma_chain_map_window():
@@ -315,15 +406,22 @@ def test_gamma_and_tilde_nabla_match_the_per_monomial_oracles(case):
         with pytest.raises(PochhammerPoleError, match=f"^{re.escape(str(exc))}$"):
             [gamma(alpha, g, p) for p in inputs]
         return
-    assert [gamma(alpha, g, p) for p in inputs] == want
+    got = [gamma(alpha, g, p) for p in inputs]
+    # each numerator component, brought to lowest g-terms, is the oracle's
+    assert [lowest_terms(w) for w in got] == want
     # away from the poles; at last parameter entry a, d_v sends a monomial
     # with last exponent -a to g times one with last exponent 1 - a
-    assert want[1].is_zero() or alpha.entries[-1] in (1, 2)
+    assert got[1].is_zero() or alpha.entries[-1] in (1, 2)
     # the differential on a gamma image and on its own image, which is zero
+    d_got = tilde_nabla(alpha, g, got[0])
     d_want = tilde_nabla_per_piece(alpha, g, want[0])
-    assert tilde_nabla(alpha, g, want[0]) == d_want
-    assert tilde_nabla(alpha, g, d_want) == tilde_nabla_per_piece(alpha, g, d_want)
-    assert tilde_nabla(alpha, g, d_want).is_zero()
+    assert lowest_terms(d_got) == d_want
+    # the oracle's lowest terms over one power of g are the same form
+    d_same = over_one_power(g, d_got.num.degree, d_want)
+    assert d_same == d_got
+    dd = tilde_nabla(alpha, g, d_same)
+    assert lowest_terms(dd) == tilde_nabla_per_piece(alpha, g, d_want) == {}
+    assert tilde_nabla(alpha, g, d_got).is_zero()
 
 
 def test_gamma_surjectivity_within_window():
@@ -333,8 +431,7 @@ def test_gamma_surjectivity_within_window():
     M = 3
     for u1 in range(-2, 3):
         got = gamma(ALPHA, g, LogForm.from_monomial((u1, M), (), 2))
-        val = got.components[()]
-        assert val.gpow == M and not val.is_zero()
+        assert got.gpow == M and not got.is_zero()
 
 
 def test_kernel_equals_dv_image_and_pole_guard():
@@ -444,18 +541,20 @@ def test_one_index_block_decides_every_gamma_kernel_degree(case):
     assert verdict0 == kernel_equals_dv_image(*case)
 
 
-def times(factor: LocalizedElement, omega: UForm) -> UForm:
-    """A form on the complement times a localized function, componentwise."""
-    return UForm(omega.g, omega.degree,
-                 {idx: LocalizedElement(omega.g, v.num * factor.num, v.gpow + factor.gpow)
-                  for idx, v in omega.components.items()})
+def times(factor: tuple[LaurentPoly, int], omega: UForm) -> UForm:
+    """A form on the complement times the function num / g^m, factor =
+    (num, m), componentwise."""
+    num, m = factor
+    return UForm(omega.g, LogForm(omega.g.n, omega.num.degree,
+                                  {idx: p * num for idx, p in omega.num.components.items()}),
+                 omega.gpow + m)
 
 
 def twist_iso_U_check(alpha, u, g, samples) -> bool:
     """Multiplication by x'^{u'} / g^{u_n} conjugates the shifted twist to the
     original twist on the complement: the isomorphism behind the pre-twist of
     the last parameter entry in cohomology_U_dim."""
-    factor = LocalizedElement(g, LaurentPoly.monomial(u[:-1]), u[-1])
+    factor = (LaurentPoly.monomial(u[:-1]), u[-1])
     shifted = alpha.shift(u)
     return all(times(factor, tilde_nabla(shifted, g, omega))
                == tilde_nabla(alpha, g, times(factor, omega)) for omega in samples)
@@ -463,16 +562,17 @@ def twist_iso_U_check(alpha, u, g, samples) -> bool:
 
 def test_twist_iso_U():
     g = build_g(TRI, LAMR)
-    samples = [UForm(g, 0, {(): loc_mono(g, (1,), 1)}),
-               UForm(g, 0, {(): loc_mono(g, (0,), 0)}),
-               UForm(g, 1, {(1,): loc_mono(g, (-1,), 2)})]
+    samples = [u_mono(g, (1,), 1), u_mono(g, (0,), 0), u_mono(g, (-1,), 2, idx=(1,))]
+    # (1, -1) multiplies by a negative power of g
     for u in ((0, 0), (0, 1), (1, 0), (1, -1), (-2, 2)):
         assert twist_iso_U_check(ALPHA, u, g, samples), u
-    # composing a shift with its negative returns the original operator
-    factor = LocalizedElement(g, LaurentPoly.monomial((2,)), 1)
-    inverse = LocalizedElement(g, LaurentPoly.monomial((-2,)), -1)
-    one = UForm(g, 0, {(): LocalizedElement(g, LaurentPoly.one(1), 0)})
-    assert times(inverse, times(factor, one)) == one
+    # composing a shift with its negative returns the original operator,
+    # whether the inverse carries g^-1 or g in its numerator
+    factor = (LaurentPoly.monomial((2,)), 1)
+    one = u_mono(g, (0,))
+    for inverse in ((LaurentPoly.monomial((-2,)), -1),
+                    (LaurentPoly.monomial((-2,)) * g, 0)):
+        assert times(inverse, times(factor, one)) == one
 
 
 def test_structure_normalization():
@@ -509,6 +609,16 @@ def test_cohomology_U_matches_torus_dim():
     assert rep.stabilized and rep.dim == 2
     torus = top_cohomology_dim(TRI, ALPHA, LAMR, FullSupport(2), 4)
     assert torus.dim == rep.dim
+
+
+def test_cohomology_U_refuses_the_specializations_the_torus_refuses():
+    # lambda = 0 would make g identically zero, and the torus side refuses it
+    for lam, message in (([0, 0, 0], "must be nonzero"), ([1, 0, 1], "must be nonzero"),
+                         ([1, 1], "need 3 coefficients, got 2")):
+        with pytest.raises(ValueError, match=message):
+            cohomology_U_dim(TRI, ALPHA, lam, 3)
+        with pytest.raises(ValueError, match=message):
+            top_cohomology_dim(TRI, ALPHA, lam, FullSupport(2), 3)
 
 
 def test_cohomology_U_pretwist_and_gauss():

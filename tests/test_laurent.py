@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from gkzkit.errors import ScalarModeError
 from gkzkit.lattice import ParameterVector, validate_config
 from gkzkit.laurent import (ConeSupport, HalfSupport, LaurentPoly, apply_D,
-                            build_f, build_f_symbolic, divide_exact,
-                            toric_derivative)
-from oracles import brute_facets
+                            build_f, build_f_symbolic, toric_derivative)
+from oracles import brute_facets, divide_exact
 
 
 def mono(u, c=1):
