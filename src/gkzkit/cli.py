@@ -79,6 +79,13 @@ def _job_block(args, config, config_label: str) -> dict:
     return job
 
 
+def _not_stabilized(exc: NotStabilizedError) -> dict:
+    error = {"kind": "NotStabilized", "dims": list(exc.dims), "bound": exc.bound}
+    if exc.disagree is not None:
+        error["specializations"] = list(exc.disagree)
+    return error
+
+
 def cmd_analyze(args) -> int:
     config, label = _resolve_config(args.config)
     alpha = _parse_alpha_arg(args.alpha) if args.alpha else None
@@ -142,8 +149,7 @@ def cmd_rank(args) -> int:
             rep = cohomology_U_dim(config, alpha, u_lam, args.bound)
             result["U"] = require_stabilized(rep).to_json()
     except NotStabilizedError as exc:
-        result["error"] = {"kind": "NotStabilized", "dims": list(exc.dims),
-                           "bound": exc.bound}
+        result["error"] = _not_stabilized(exc)
         _emit({"job": _job_block(args, config, label), "result": result}, args.out)
         return EXIT_NOT_STABILIZED
     _emit({"job": _job_block(args, config, label), "result": result}, args.out)
@@ -203,8 +209,7 @@ def cmd_modp(args) -> int:
         return EXIT_RESONANT
     except NotStabilizedError as exc:
         _emit({"job": _job_block(args, config, label),
-               "result": {"error": {"kind": "NotStabilized", "dims": list(exc.dims),
-                                    "bound": exc.bound}}}, args.out)
+               "result": {"error": _not_stabilized(exc)}}, args.out)
         return EXIT_NOT_STABILIZED
     _emit({"job": _job_block(args, config, label), "result": report.to_json()},
           args.out)

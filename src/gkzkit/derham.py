@@ -386,9 +386,12 @@ class CohomologyWindow:
 
     ``points`` lists the window in elimination order (h(u), u), and
     ``index`` maps each point to its position there, the column it keys.
+    Given ``within``, a larger window of the same support, which V_B lies
+    inside, its points are filtered: no box scan and no support test.
     """
 
-    def __init__(self, config: PointConfig, support: Support, bound: int):
+    def __init__(self, config: PointConfig, support: Support, bound: int,
+                 within: CohomologyWindow | None = None):
         if bound < 0:
             raise ValueError("window bound must be nonnegative")
         self.config = config
@@ -396,11 +399,14 @@ class CohomologyWindow:
         self.bound = bound
         polytope = newton_polytope(config)
         self.hvec = polytope.h
-        radius = bound * polytope.radius
-        box = itertools.product(range(-radius, radius + 1), repeat=config.n)
-        self.points = sorted((u for u in box if polytope.contains(u, bound)
-                              and support.contains(u)),
-                             key=lambda u: (self.weight(u), u))
+        if within is not None:
+            self.points = [u for u in within.points if polytope.contains(u, bound)]
+        else:
+            radius = bound * polytope.radius
+            box = itertools.product(range(-radius, radius + 1), repeat=config.n)
+            self.points = sorted((u for u in box if polytope.contains(u, bound)
+                                  and support.contains(u)),
+                                 key=lambda u: (self.weight(u), u))
         self.index = {u: k for k, u in enumerate(self.points)}
 
     def weight(self, u: Sequence[int]) -> int:
@@ -424,24 +430,45 @@ def staying_combinations(steps: Sequence[Sequence[int]], n: int):
     return basis
 
 
-def window_generators(win: CohomologyWindow, alpha: ParameterVector,
-                      lam: Sequence[Fraction]) -> Iterator[tuple[int, dict]]:
+def window_generators(windows: tuple[CohomologyWindow, CohomologyWindow],
+                      alpha: ParameterVector, lam: Sequence[Fraction]
+                      ) -> tuple[Iterator[tuple[int, dict]], Iterator[tuple[int, dict]]]:
     """Images of window monomials under the twisted derivation combinations
-    that stay inside the window, as sparse vectors keyed by window column.
+    that stay inside the window, for a ``window_pair``, as integer sparse
+    vectors keyed by the bound-B window's columns.
 
-    Yields (column, vector) for each window point u and each combination c
-    of ``staying_combinations`` with a nonzero image: the entry at u's own
-    column is c.(u + alpha), and the entry at u + a is lambda_a c.a for
-    each point a.
+    Returns two iterators of (column, vector), read in turn.  The first
+    yields, for each point u of the B-1 window and each combination c of
+    ``staying_combinations`` with a nonzero image, D c.(u + alpha) at u's
+    own column and D lambda_a c.a at u + a, for each point a; D, the lcm of
+    the denominators of alpha and lambda, makes them integers and changes
+    no rank.  The second yields the B window's generators at the points of
+    V_B outside V_{B-1} and where the steps leaving the two windows differ.
+    A step that leaves V_B leaves V_{B-1}, so each c staying in the B-1
+    window lies in the Q-span of the B basis at u, and the generator is
+    linear in c; where the leaving steps agree, so do the generators.  Both
+    together span the B window's image.
     """
+    small, win = windows
     index = win.index
-    steps = [(a, v) for a, v in zip(win.config.points, lam) if v and any(a)]
+    scale = math.lcm(*(a.denominator for a in alpha.entries),
+                     *(v.denominator for v in lam))
+    d_alpha = [int(a * scale) for a in alpha.entries]
+    steps = [(a, int(v * scale)) for a, v in zip(win.config.points, lam) if v and any(a)]
     basis = staying_combinations([a for a, _ in steps], win.config.n)
-    for col, u in enumerate(win.points):
-        targets = [index.get(tuple(x + y for x, y in zip(u, a))) for a, _ in steps]
-        for c in basis(tuple(k for k, t in enumerate(targets) if t is None)):
-            vec: dict[int, Fraction] = {}
-            diag = sum(ci * (a + x) for ci, a, x in zip(c, alpha.entries, u))
+    leaving: dict[int, tuple[int, ...]] = {}
+
+    def generators(col: int, u: IntVec, small_side: bool):
+        targets = [index.get(tuple(map(operator.add, u, a))) for a, _ in steps]
+        out = tuple(k for k, t in enumerate(targets)
+                    if t is None or (small_side and win.points[t] not in small.index))
+        if small_side:
+            leaving[col] = out
+        elif leaving.get(col) == out:
+            return
+        for c in basis(out):
+            vec: dict[int, int] = {}
+            diag = sum(ci * (scale * x + a) for ci, a, x in zip(c, d_alpha, u))
             if diag:
                 vec[col] = diag
             for (a, v), t in zip(steps, targets):
@@ -451,28 +478,31 @@ def window_generators(win: CohomologyWindow, alpha: ParameterVector,
             if vec:
                 yield col, vec
 
+    return ((g for u in small.points for g in generators(index[u], u, True)),
+            (g for col, u in enumerate(win.points) for g in generators(col, u, False)))
+
 
 def window_pair(config: PointConfig, support: Support,
                 bound: int) -> tuple[CohomologyWindow, CohomologyWindow]:
-    """The windows of a support at bounds B-1 and B."""
+    """The windows of a support at bounds B-1 and B; only the B one scans
+    the box, and the B-1 one is its points in V_{B-1}, in the same order."""
     if bound < 1:
         raise ValueError("need bound at least 1 for the stabilization pair")
-    return (CohomologyWindow(config, support, bound - 1),
-            CohomologyWindow(config, support, bound))
+    top = CohomologyWindow(config, support, bound)
+    return CohomologyWindow(config, support, bound - 1, top), top
 
 
 def _torus_report(alpha: ParameterVector, lam: tuple[Fraction, ...],
                   windows: tuple[CohomologyWindow, CohomologyWindow],
                   warnings: Sequence[str]) -> RankReport:
-    """The report of one specialization on a window pair.
-
-    The bound-B window and its echelon stay on the report for
-    ``quasi_iso_check``; the B-1 echelon is let go before the B one fills.
-    """
+    """The report of one specialization on a window pair, from one echelon
+    that takes the B-1 generators, is read for dims[0], then takes the B
+    generators that differ and is read for dims[1] (``window_generators``).
+    Its span is the B image, all ``quasi_iso_check`` reads of the report."""
+    ech = RationalEchelon()
     dims = []
-    for win in windows:
-        ech = RationalEchelon()
-        for _, vec in window_generators(win, alpha, lam):
+    for win, gens in zip(windows, window_generators(windows, alpha, lam)):
+        for _, vec in gens:
             ech.insert(vec)
         dims.append(len(win.points) - ech.rank)
     return RankReport(f"torus/{win.support.name}", alpha, lam, win.bound,
@@ -545,7 +575,7 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
     if unstable is not None:
         raise NotStabilizedError(unstable.dims, bound)
     raise NotStabilizedError(rep2.dims, bound, f"specializations disagree at bound "
-                             f"{bound}: {rep1.dim} vs {rep2.dim}")
+                             f"{bound}: {rep1.dim} vs {rep2.dim}", (rep1.dim, rep2.dim))
 
 
 class QuasiIsoReport(NamedTuple):

@@ -42,11 +42,14 @@ class PochhammerPoleError(GkzError):
 
 
 class NotStabilizedError(GkzError):
-    """A truncated dimension did not agree at two consecutive window bounds."""
+    """A truncated dimension did not agree at two consecutive window bounds,
+    or, with ``disagree``, stabilized at two dimensions on two specializations."""
 
-    def __init__(self, dims: tuple[int, int], bound: int, message: str = ""):
+    def __init__(self, dims: tuple[int, int], bound: int, message: str = "",
+                 disagree: tuple[int, int] | None = None):
         self.dims = dims
         self.bound = bound
+        self.disagree = disagree
         text = message or f"dimension not stabilized at bound {bound}: {dims[0]} vs {dims[1]}"
         super().__init__(text)
 

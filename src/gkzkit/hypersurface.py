@@ -23,9 +23,8 @@ from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
 from .laurent import (HalfSupport, LaurentPoly, TwistedDerivations, build_f,
                       int_if_integral, toric_derivative)
-from .derham import (CohomologyWindow, LogForm, RankReport, _add_scaled, _form,
-                     clearing_scale, nabla, specialization, wedge_insert,
-                     window_generators, window_pair)
+from .derham import (LogForm, RankReport, _add_scaled, _form, clearing_scale, nabla,
+                     specialization, wedge_insert, window_generators, window_pair)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -154,6 +153,12 @@ def _powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
     for _ in range(top):
         pows.append(pows[-1] * g)
     return pows
+
+
+def _cleared(g: LaurentPoly) -> tuple[int, LaurentPoly]:
+    """c and the integral G = c g, for c the lcm of the denominators of g."""
+    c = math.lcm(*(v.denominator for v in g.terms.values()))
+    return c, LaurentPoly._of(g.n, {w: int_if_integral(v * c) for w, v in g.terms.items()})
 
 
 def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
@@ -371,8 +376,7 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
         raise PochhammerPoleError(
             "last parameter entry is a nonpositive integer")
     nprime = g.n
-    c = math.lcm(*(v.denominator for v in g.terms.values()))
-    G = LaurentPoly._of(nprime, {w: int_if_integral(v * c) for w, v in g.terms.items()})
+    c, G = _cleared(g)
 
     basis = [(up, m) for up in _box(nprime, u_bound) for m in range(m_bound + 1)]
 
@@ -412,6 +416,18 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
     nonpositive integer is shifted to 1 beforehand; the shift is an
     isomorphism of the complex, so dimensions are unaffected.  As on the
     torus, lam needs one nonzero entry per point.
+
+    The window elements are x'^{u'} / g^m for u = (u', m) in the window,
+    m >= 0, read as numerators over the bound-B window's g^M in both
+    windows: multiplying by a power of g is injective, as Laurent
+    polynomials have no zero divisors, so the B-1 ranks are those over its
+    own power.  With G = c g integral, the numerator c^m G^(M-m) x'^{u'} is
+    c^M g^(M-m) x'^{u'}, one scale for all.  As D_n acts as the identity
+    g / g^{m+1} = 1 / g^m, a generator is that of ``window_generators`` at
+    u with each entry off u's own column scaled by -(m + alpha_n); with
+    alpha_n = a / e, both scales are multiplied by e, so rows are integral.
+    The quotient is the rank of the numerators minus that of the
+    generators, each echelon read after the B-1 rows and after the rest.
     """
     lam = specialization(config, lam)
     warnings = []
@@ -423,40 +439,25 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
         shift = (0,) * (config.n - 1) + (int(1 - alpha_n),)
         alpha = alpha.shift(shift)
         warnings.append(f"pre-twisted last parameter entry by {shift[-1]}")
-    g = build_g(config, lam)
-    dims = tuple(_u_quotient_dim(alpha, lam, g, win)
-                 for win in window_pair(config, HalfSupport(config.n), bound))
-    return RankReport("U", alpha, lam, bound, dims, tuple(warnings))
-
-
-def _u_quotient_dim(alpha: ParameterVector, lam: tuple[Fraction, ...],
-                    g: LaurentPoly, win: CohomologyWindow) -> int:
-    """Window quotient of top-degree forms on the complement by the image of
-    the twisted differential.
-
-    The window elements are x'^{u'} / g^m for u = (u', m) in the Newton
-    window with m >= 0, written as numerators x'^{u'} g^(M-m) at the common
-    denominator g^M.  As D_n acts as the identity g / g^{m+1} = 1 / g^m, the
-    combination sum_i c_i D_i (c in Q^n) sends u to c.(u + alpha) times u
-    minus (m + alpha_n) times the sum of (c.a) lambda_a (u + a) over the
-    points a.  That is the torus generator of ``window_generators`` at u
-    with each entry off u's own column scaled by -(m + alpha_n), and each
-    column read as its numerator.  The quotient dimension is the rank of the
-    numerators minus the rank of the generators.
-    """
-    alpha_n = alpha.entries[-1]
+    windows = small, win = window_pair(config, HalfSupport(config.n), bound)
+    a, e = alpha.entries[-1].as_integer_ratio()
     points = win.points
     M = max((pt[-1] for pt in points), default=0)
-    g_pows = _powers(g, M)
-    nums = [g_pows[M - pt[-1]].shift(pt[:-1]) for pt in points]
-    span_ech = RationalEchelon()
-    for num in nums:
-        span_ech.insert(num.terms)
-    gen_ech = RationalEchelon()
-    for col, vec in window_generators(win, alpha, lam):
-        scale = -(points[col][-1] + alpha_n)
-        out: dict[IntVec, Fraction] = {}
-        for key, coeff in vec.items():
-            _add_scaled(out, nums[key], coeff if key == col else coeff * scale)
-        gen_ech.insert(out)
-    return span_ech.rank - gen_ech.rank
+    c, G = _cleared(build_g(config, lam))
+    G_pows = _powers(G, M)
+    nums = [G_pows[M - pt[-1]].scalar_mul(c ** pt[-1]).shift(pt[:-1]) for pt in points]
+    span_ech, gen_ech = RationalEchelon(), RationalEchelon()
+    dims = []
+    for cols, gens in zip(([win.index[u] for u in small.points],
+                           [k for k, u in enumerate(points) if u not in small.index]),
+                          window_generators(windows, alpha, lam)):
+        for col in cols:
+            span_ech.insert(nums[col].terms)
+        for col, vec in gens:
+            scale = -(points[col][-1] * e + a)
+            out: dict[IntVec, int] = {}
+            for key, coeff in vec.items():
+                _add_scaled(out, nums[key], coeff * (e if key == col else scale))
+            gen_ech.insert(out)
+        dims.append(span_ech.rank - gen_ech.rank)
+    return RankReport("U", alpha, lam, bound, tuple(dims), tuple(warnings))

@@ -32,11 +32,11 @@ class RationalEchelon:
             return {}
         denom = 1
         for c in vec.values():
-            if isinstance(c, Fraction):
+            if type(c) is Fraction:
                 denom = lcm(denom, c.denominator)
         out = {}
         for k, c in vec.items():
-            v = int(c * denom) if isinstance(c, Fraction) else int(c) * denom
+            v = int(c * denom) if type(c) is Fraction else int(c) * denom
             if v:
                 out[k] = v
         return _normalize_content(out)

@@ -25,10 +25,16 @@ as references for what replaced it:
   monomial or per piece, add them up and return the nonzero components in
   lowest g-terms, for gkzkit.hypersurface.gamma and tilde_nabla, which put
   every term over one power of g and divide nothing out.
-- generator_vectors and u_quotient_dim, the former window generators of
-  the torus and the former complement-side quotient, each with its own
-  loop over window points and staying combinations, for
+- u_quotient_dim, the former complement-side quotient, with its own loop
+  over window points and staying combinations, for
   gkzkit.derham.window_generators, which both sides now share.
+- window_generators_per_window, torus_window_dims,
+  u_quotient_dim_per_window and u_window_dims, the former per-window path
+  of the (B-1, B) pair: two box scans, one echelon of Fraction rows per
+  window on the torus, and two echelons per window on the complement, each
+  window's numerators over its own power of g, for gkzkit.derham.window_pair,
+  _torus_report and gkzkit.hypersurface.cohomology_U_dim, which scan once
+  and run one elimination per specialization on integer rows.
 - kernel_equals_dv_image, the former gamma-kernel check over Q (gamma
   columns weighted by rising factorials, vertical rows with Fraction
   entries), for gkzkit.hypersurface.kernel_equals_dv_image, which builds
@@ -48,12 +54,13 @@ import itertools
 import operator
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from gkzkit.derham import (CohomologyWindow, IndexTuple, IntVec, LogForm,
                            _add_scaled, _form, clearing_scale, nabla, wedge_insert)
 from gkzkit.errors import PochhammerPoleError, ScalarModeError
-from gkzkit.hypersurface import _box, _powers, pochhammer
+from gkzkit.hypersurface import (_box, _powers, build_g, normalize_structure,
+                                 pochhammer)
 from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, relation_lattice)
@@ -700,13 +707,19 @@ def _staying_basis(steps, n: int):
     return basis
 
 
-def generator_vectors(config, alpha, lam, win: CohomologyWindow) -> list[dict]:
+def window_generators_per_window(win: CohomologyWindow, alpha: ParameterVector,
+                                 lam: Sequence[Fraction]) -> Iterator[tuple[int, dict]]:
     """Images of window monomials under the twisted derivation combinations
-    that stay inside the window, as sparse vectors keyed by window column."""
+    that stay inside the window, as sparse vectors keyed by window column.
+
+    Yields (column, vector) for each window point u and each combination c
+    of ``staying_combinations`` with a nonzero image: the entry at u's own
+    column is c.(u + alpha), and the entry at u + a is lambda_a c.a for
+    each point a.
+    """
     index = win.index
-    steps = [(a, v) for a, v in zip(config.points, lam) if v and any(a)]
-    basis = _staying_basis([a for a, _ in steps], config.n)
-    vecs = []
+    steps = [(a, v) for a, v in zip(win.config.points, lam) if v and any(a)]
+    basis = _staying_basis([a for a, _ in steps], win.config.n)
     for col, u in enumerate(win.points):
         targets = [index.get(tuple(x + y for x, y in zip(u, a))) for a, _ in steps]
         for c in basis(tuple(k for k, t in enumerate(targets) if t is None)):
@@ -719,8 +732,69 @@ def generator_vectors(config, alpha, lam, win: CohomologyWindow) -> list[dict]:
                 if coeff:
                     vec[t] = v * coeff
             if vec:
-                vecs.append(vec)
-    return vecs
+                yield col, vec
+
+
+def torus_window_dims(config: PointConfig, alpha: ParameterVector, lam: Sequence,
+                      support, bound: int) -> tuple[int, int]:
+    """The (B-1, B) window quotient dimensions on the torus: each window
+    scans its own box and eliminates its own generators."""
+    dims = []
+    for win in (CohomologyWindow(config, support, bound - 1),
+                CohomologyWindow(config, support, bound)):
+        ech = RationalEchelon()
+        for _, vec in window_generators_per_window(win, alpha, lam):
+            ech.insert(vec)
+        dims.append(len(win.points) - ech.rank)
+    return tuple(dims)
+
+
+def u_quotient_dim_per_window(alpha: ParameterVector, lam: tuple[Fraction, ...],
+                              g: LaurentPoly, win: CohomologyWindow) -> int:
+    """Window quotient of top-degree forms on the complement by the image of
+    the twisted differential.
+
+    The window elements are x'^{u'} / g^m for u = (u', m) in the Newton
+    window with m >= 0, written as numerators x'^{u'} g^(M-m) at the common
+    denominator g^M.  As D_n acts as the identity g / g^{m+1} = 1 / g^m, the
+    combination sum_i c_i D_i (c in Q^n) sends u to c.(u + alpha) times u
+    minus (m + alpha_n) times the sum of (c.a) lambda_a (u + a) over the
+    points a.  That is the torus generator of ``window_generators`` at u
+    with each entry off u's own column scaled by -(m + alpha_n), and each
+    column read as its numerator.  The quotient dimension is the rank of the
+    numerators minus the rank of the generators.
+    """
+    alpha_n = alpha.entries[-1]
+    points = win.points
+    M = max((pt[-1] for pt in points), default=0)
+    g_pows = _powers(g, M)
+    nums = [g_pows[M - pt[-1]].shift(pt[:-1]) for pt in points]
+    span_ech = RationalEchelon()
+    for num in nums:
+        span_ech.insert(num.terms)
+    gen_ech = RationalEchelon()
+    for col, vec in window_generators_per_window(win, alpha, lam):
+        scale = -(points[col][-1] + alpha_n)
+        out: dict[IntVec, Fraction] = {}
+        for key, coeff in vec.items():
+            _add_scaled(out, nums[key], coeff if key == col else coeff * scale)
+        gen_ech.insert(out)
+    return span_ech.rank - gen_ech.rank
+
+
+def u_window_dims(config: PointConfig, alpha: ParameterVector, lam: Sequence,
+                  bound: int) -> tuple[int, int]:
+    """The (B-1, B) window quotient dimensions on the complement, on the
+    normalized configuration and pre-twisted parameter, one window at a
+    time."""
+    lam = tuple(Fraction(v) for v in lam)
+    config, alpha, _ = normalize_structure(config, alpha)
+    alpha_n = alpha.entries[-1]
+    if alpha_n.denominator == 1 and alpha_n < 1:
+        alpha = alpha.shift((0,) * (config.n - 1) + (int(1 - alpha_n),))
+    g = build_g(config, lam)
+    return tuple(u_quotient_dim_per_window(alpha, lam, g, CohomologyWindow(
+        config, HalfSupport(config.n), b)) for b in (bound - 1, bound))
 
 
 def u_quotient_dim(config, alpha, g: LaurentPoly, bound: int) -> int:

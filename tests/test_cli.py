@@ -86,6 +86,29 @@ def test_rank_not_stabilized_exits_3(capsys):
                                              "dims": [1, 2], "bound": 1}, argv
 
 
+def test_disagreeing_specializations_report_both_dimensions(monkeypatch, capsys):
+    # a stand-in torus report reads (3, 3) on the report each pair builds
+    # first, the second specialization's, and (2, 2) on the first's: every
+    # one stabilizes and no pair agrees; the error keeps the second one's
+    # dims and names both dimensions, the first specialization's first
+    from gkzkit import derham
+    torus_report = derham._torus_report
+    calls = []
+
+    def forced(alpha, lam, windows, warnings):
+        calls.append(lam)
+        rep = torus_report(alpha, lam, windows, warnings)
+        return rep.replace(dims=(3, 3) if len(calls) % 2 else (2, 2))
+    monkeypatch.setattr(derham, "_torus_report", forced)
+    job = ["--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3"]
+    for argv in (["rank", *job, "--supports", "zn"], ["modp", *job, "--primes", "7"]):
+        calls.clear()
+        code, report = run(capsys, *argv)
+        assert code == 3 and len(calls) == 6, argv
+        assert report["result"]["error"] == {"kind": "NotStabilized", "dims": [3, 3],
+                                             "bound": 3, "specializations": [2, 3]}, argv
+
+
 @pytest.mark.parametrize("points, supports, bound, volume", [
     # n! vol(conv(0 u A)) by the shoelace formula on the hull of 0 and the
     # points; the 3-D points lie at height 1 over a quadrilateral of area
@@ -124,24 +147,39 @@ TRINOMIAL_JOB = ["rank", "--config", "trinomial", "--alpha", "1/3,1/5",
 
 
 @pytest.mark.parametrize("argv, windows, echelons", [
-    # per support: one window at each of B-1 and B, one echelon per window
-    # and specialization; quasi_iso_check reads the reports' windows and
-    # echelon and builds none; the U side: two windows, two echelons each
-    (TRINOMIAL_JOB, 6, 12),
-    (TRINOMIAL_JOB + ["--lambda", "3/7,5/11,2/9"], 6, 8),
+    # per support: one window at each of B-1 and B, the B-1 one read off the
+    # B one's points; one echelon per specialization, which takes the B-1
+    # generators and then the B ones that differ from them; quasi_iso_check
+    # reads the reports' windows and echelon and builds none; the U side:
+    # two windows, one echelon of numerators and one of generators
+    (TRINOMIAL_JOB, 6, 6),
+    (TRINOMIAL_JOB + ["--lambda", "3/7,5/11,2/9"], 6, 4),
     (["rank", "--config", "gauss", "--alpha", "1/2,1/3,1/5", "--bound", "3",
-      "--supports", "u0"], 2, 4),
+      "--supports", "u0"], 2, 2),
 ])
 def test_rank_builds_each_window_once(monkeypatch, capsys, argv, windows, echelons):
     built = Counter()
+    # ConeSupport.contains calls made while each window is built, by bound
+    tests = Counter()
+    contains = ConeSupport.contains
+
+    def counting_contains(self, u):
+        tests["now"] += 1
+        return contains(self, u)
+    monkeypatch.setattr(ConeSupport, "contains", counting_contains)
     for cls in (CohomologyWindow, RationalEchelon):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
             built[_name] += 1
+            before = tests["now"]
             _init(self, *args)
+            if _name == "CohomologyWindow":
+                tests[self.bound] += tests["now"] - before
         monkeypatch.setattr(cls, "__init__", counting)
     code, _ = run(capsys, *argv)
     assert code == 0
     assert built == {"CohomologyWindow": windows, "RationalEchelon": echelons}
+    bound = int(argv[argv.index("--bound") + 1])
+    assert tests[bound] > 0 and tests[bound - 1] == 0
 
 
 def test_quasi_iso_check_inserts_only_the_small_window(monkeypatch, capsys):

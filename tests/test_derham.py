@@ -21,8 +21,8 @@ from gkzkit.laurent import (ConeSupport, FullSupport, LaurentPoly,
                             build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
 from oracles import (apply_D_by_parts, brute_newton_window, contract, dense_rank,
-                     generator_vectors, homotopy_identity_per_facet,
-                     homotopy_rho, nabla_by_parts, shoelace_volume, specialize)
+                     homotopy_identity_per_facet, homotopy_rho, nabla_by_parts,
+                     shoelace_volume, specialize, window_generators_per_window)
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 LAM4 = LAM3 + [Fraction(7, 13)]
@@ -540,7 +540,7 @@ def test_newton_window_matches_brute_oracle_on_small_configs(config):
 def dense_quotient_dim(config, alpha, lam, support, bound):
     """Dense-matrix reimplementation of the window quotient."""
     win = CohomologyWindow(config, support, bound)
-    cols = generator_vectors(config, alpha, lam, win)
+    cols = [vec for _, vec in window_generators_per_window(win, alpha, lam)]
     rows = [[vec.get(k, Fraction(0)) for vec in cols]
             for k in range(len(win.points))]
     return len(win.points) - dense_rank(rows)
