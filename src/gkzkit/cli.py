@@ -159,6 +159,10 @@ def cmd_rank(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_battery
 
+    if args.alpha and not args.config:
+        dims = sorted({len(points[0]) for points in BUILTIN_POINTS.values()})
+        raise ValueError(f"--alpha needs --config: no parameter fits builtins "
+                         f"of dimensions {', '.join(map(str, dims))}")
     names = [args.config] if args.config else builtin_names()
     overall_ok = True
     sections = []
@@ -170,9 +174,7 @@ def cmd_verify(args) -> int:
             alpha = _parse_alpha_arg(args.alpha)
         else:
             raise ValueError("--alpha is required for a non-builtin configuration")
-        battery = run_battery(config, alpha,
-                              exponent_bound=args.window,
-                              del_degree=args.degree,
+        battery = run_battery(config, alpha, del_degree=args.degree,
                               perturb_beta=args.perturb_beta)
         sections.append({"config": label, "alpha": [str(a) for a in alpha.entries],
                          **battery.to_json()})
@@ -181,7 +183,6 @@ def cmd_verify(args) -> int:
         "job": {
             "command": "verify",
             "configs": names,
-            "window": args.window,
             "degree": args.degree,
             "perturb_beta": args.perturb_beta,
             "seed": args.seed,
@@ -244,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exact identity battery")
     common(p)
-    p.add_argument("--window", type=int, default=2,
-                   help="sup-norm bound for sample exponents")
     p.add_argument("--degree", type=int, default=3,
                    help="max partial-derivative degree for transport checks")
     p.add_argument("--perturb-beta", action="store_true",

@@ -186,7 +186,21 @@ def clearing_scale(alpha: ParameterVector, f: LaurentPoly) -> int:
 
 def check_complex(alpha: ParameterVector, f: LaurentPoly,
                   samples: Sequence[LogForm]) -> bool:
-    """nabla composed with itself vanishes on every sample."""
+    """nabla composed with itself vanishes on every sample.
+
+    The samples that decide it for every Laurent form are the monomial
+    forms with exponents in {-1, 0, 1}^n.  A derivation D_i takes x^u to
+    (u_i + alpha_i) x^u plus the shifts x^(u + v) by the terms of f, each
+    coefficient affine in u; so nabla squared takes x^u dx_I to a sum over
+    finitely many shifts v, fixed by f, of P_v(u) x^(u + v), each P_v a
+    polynomial of degree at most 2 in each coordinate of u.  Distinct shifts
+    give distinct monomials, so a residual that vanishes on the box makes
+    every P_v vanish on {-1, 0, 1}^n, and a polynomial of degree at most 2 in
+    each variable that vanishes on a grid of three values per variable is
+    zero (Alon, Combinatorial Nullstellensatz, Combin. Probab. Comput. 8,
+    1999, Lemma 2.1).  The identity then holds on every monomial form, and,
+    nabla being linear, on every Laurent form.
+    """
     d = clearing_scale(alpha, f)
     dd = TwistedDerivations(alpha, f, d)
     for omega in samples:
@@ -198,7 +212,12 @@ def check_complex(alpha: ParameterVector, f: LaurentPoly,
 def twist_conjugation_check(alpha: ParameterVector, u: Sequence[int],
                             f: LaurentPoly, samples: Sequence[LogForm]) -> bool:
     """Multiplication by the monomial x^u conjugates the shifted twist to the
-    original one."""
+    original one.
+
+    Each side applies one derivation, so on x^v dx_I the residual has, per
+    target monomial, a coefficient of degree at most 1 in each coordinate
+    of v: the samples with v in {-1, 0, 1}^n decide the identity for the
+    twist u on every form of their degrees (``check_complex``)."""
     shifted = alpha.shift(u)
     # an integer shift keeps the denominators of alpha
     d = clearing_scale(alpha, f)
@@ -235,6 +254,16 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
     R_i vanishes, every facet holds on the sample; otherwise the live facets
     are combined in order.  Returns the first facet, in the given order, on
     which the identity fails, or None.
+
+    As for ``check_complex``, the monomial forms with exponents in
+    {-1, 0, 1}^n decide the identity for every Laurent form.  The residual
+    applies one derivation, with coefficients affine in u, and subtracts
+    ell(alpha + u) and the weights of the shifts, so on x^u dx_I its
+    coefficient at each shift x^(u + v) is a polynomial in u of degree at
+    most 1 in each coordinate.  Such a polynomial that vanishes on the box
+    is zero (Alon, Combinatorial Nullstellensatz, Combin. Probab. Comput. 8,
+    1999, Lemma 2.1; two values per coordinate already suffice), and both
+    sides are linear in the form.
     """
     facets = list(facets)
     f = build_f_symbolic(config)

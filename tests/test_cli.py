@@ -341,17 +341,26 @@ def test_modp_every_prime_skipped(capsys):
     ["rank", "--config", "trinomial", "--alpha=1/3,1/5", "--lambda=1,2"],
     ["modp", "--config", "single", "--alpha=1/2", "--primes="],
     ["modp", "--config", "single", "--alpha=1/2", "--primes=,"],
-    # a negative size leaves no sample, so its checks would pass vacuously
-    ["verify", "--config", "gauss", "--window", "-1"],
+    # the builtins have dimensions 1, 2 and 3, so no one parameter fits them
+    # all: refused before any battery runs
+    ["verify", "--alpha=1/2"],
     ["verify", "--config", "trinomial", "--degree", "-2"],
 ])
-def test_malformed_input_exits_2(capsys, argv):
+def test_malformed_input_exits_2(monkeypatch, capsys, argv):
+    batteries = []
+
+    def recording(config, *args, _run=gkzkit.verify.run_battery, **kwargs):
+        batteries.append(config)
+        return _run(config, *args, **kwargs)
+    monkeypatch.setattr(gkzkit.verify, "run_battery", recording)
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("bad input: ")
     assert captured.err.count("\n") == 1
+    if argv[0] == "verify" and "--config" not in argv:
+        assert batteries == []
 
 
 def test_no_last_coordinate_normalizer_exits_2(capsys):
@@ -394,8 +403,7 @@ def cli_jobs(draw):
         argv += ["--bound", str(draw(st.integers(0, 2))),
                  "--primes=" + ",".join(map(str, primes))]
     elif command == "verify":
-        argv += ["--window", str(draw(st.integers(0, 1))),
-                 "--degree", str(draw(st.integers(0, 2)))]
+        argv += ["--degree", str(draw(st.integers(0, 2)))]
     return argv
 
 

@@ -193,8 +193,34 @@ def test_homotopy_failure_reports_the_first_failing_facet(monkeypatch, bad):
     check = next(c for c in run_battery(cfg, alpha).checks
                  if c.name == "homotopy_identity")
     assert not check.ok
-    assert check.samples == len(forms) * first
+    # the battery samples the box {-1, 0, 1}^n, every facet before the
+    # failing one on each of its forms
+    box = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
+    assert check.samples == len(box) * first
     assert check.detail == f"facet={facets[first].coeffs}"
+
+
+@pytest.mark.parametrize("name", ["trinomial", "gauss", "cusp"])
+def test_box_of_the_battery_cannot_shrink(monkeypatch, name):
+    # the homotopy residual is affine in each coordinate of the exponent, so
+    # one value per coordinate cannot decide it: D_1 with its u-coefficient
+    # doubled, (2 u_1 + alpha_1) x^u plus the shifts, is a fault that is 0 at
+    # u_1 = 0, invisible on the box {0}^n and caught on the battery's
+    # {-1, 0, 1}^n
+    cfg, alpha = builtin_config(name), builtin_alpha(name)
+    facets = cone_facets(cfg)
+
+    def doubled(self, out, i, xi, sign=1, _add_to=TwistedDerivations.add_to):
+        _add_to(self, out, i, xi, sign)
+        if i == 1:
+            for u, c in xi.terms.items():
+                t = sign * c * u[0] * self.scale
+                out[u] = out[u] + t if u in out else t
+    monkeypatch.setattr(TwistedDerivations, "add_to", doubled)
+    verdicts = {c.name: c.ok for c in run_battery(cfg, alpha).checks}
+    assert not verdicts["homotopy_identity"]
+    origin = enumerate_monomial_forms(cfg.n, 0, range(cfg.n + 1), nlam=cfg.N)
+    assert homotopy_identity_check(facets, alpha, cfg, origin) is None
 
 
 FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -378,10 +404,14 @@ def test_scale_dropped_from_the_exponent_term_is_caught(monkeypatch, name):
         _build(self, alpha, f, scale)
         self.scale = 1
     monkeypatch.setattr(TwistedDerivations, "__init__", misscaled)
-    verdicts = {c.name: c.ok for c in run_battery(cfg, alpha).checks}
-    assert verdicts["nabla_squared"]
-    assert not verdicts["homotopy_identity"]
-    assert not verdicts["twist_conjugation"]
+    checks = {c.name: c for c in run_battery(cfg, alpha).checks}
+    assert checks["nabla_squared"].ok
+    assert not checks["homotopy_identity"].ok
+    # the first twist, x_1, fails at once, so no twist counts as sampled
+    twist = checks["twist_conjugation"]
+    assert not twist.ok
+    assert twist.detail == f"u={(1,) + (0,) * (cfg.n - 1)}"
+    assert twist.samples == 0
 
 
 @pytest.mark.parametrize("d, entries", [
