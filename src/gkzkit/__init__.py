@@ -25,24 +25,24 @@ _EXPORTS = {
     "lattice": ("FacetForm", "ParameterVector", "PointConfig", "RelationLattice",
                 "ResonanceVerdict", "cone_facets", "is_nonresonant",
                 "relation_lattice", "validate_config"),
-    "laurent": ("ConeSupport", "FullSupport", "HalfSupport", "LaurentPoly",
-                "Support", "apply_D", "build_f", "build_f_symbolic",
+    "laurent": ("LaurentPoly", "apply_D", "build_f", "build_f_symbolic",
                 "toric_derivative"),
+    "window": ("ConeSupport", "FullSupport", "HalfSupport", "RankReport", "Support",
+               "generic_rank", "quasi_iso_check", "top_cohomology_dim"),
     "weyl": ("WeylElement", "box_operator", "check_commutation",
              "check_phi_intertwines", "euler_operator", "phi_map", "weyl_mul"),
-    "derham": ("LogForm", "RankReport", "check_complex", "generic_rank",
-               "homotopy_identity_check", "nabla", "quasi_iso_check",
-               "top_cohomology_dim", "twist_conjugation_check"),
-    "hypersurface": ("SplitForm", "UForm", "build_g", "check_gamma_chain_map",
-                     "cohomology_U_dim", "gamma", "kernel_equals_dv_image",
-                     "pochhammer", "tilde_nabla"),
+    "derham": ("LogForm", "check_complex", "homotopy_identity_check", "nabla",
+               "twist_conjugation_check"),
+    "complement": ("build_g", "cohomology_U_dim"),
+    "hypersurface": ("SplitForm", "UForm", "check_gamma_chain_map", "gamma",
+                     "kernel_equals_dv_image", "pochhammer", "tilde_nabla"),
     "modp": ("ModpInstance", "ModpReport", "full_set_sweep", "make_instance",
              "modp_solution_dim", "solution_support"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 # modules the package exports by name
-_SUBMODULES = ("derham", "errors", "hypersurface", "intmat", "lattice", "laurent",
-               "linalg", "modp", "weyl")
+_SUBMODULES = ("complement", "derham", "errors", "hypersurface", "intmat", "lattice",
+               "laurent", "linalg", "modp", "weyl", "window")
 
 __all__ = sorted([*_MODULE_OF, *_SUBMODULES])
 

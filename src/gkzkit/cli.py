@@ -110,9 +110,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .derham import (generic_rank, quasi_iso_check, require_stabilized,
-                         top_cohomology_dim)
-    from .laurent import ConeSupport, FullSupport
+    from .window import (ConeSupport, FullSupport, generic_rank, quasi_iso_check,
+                         require_stabilized, top_cohomology_dim)
 
     config, label = _resolve_config(args.config)
     alpha = _parse_alpha_arg(args.alpha)
@@ -145,7 +144,7 @@ def cmd_rank(args) -> int:
         u_lam = next(iter(reports.values())).lam
         del rep, reports
         if args.hypersurface:
-            from .hypersurface import cohomology_U_dim
+            from .complement import cohomology_U_dim
             rep = cohomology_U_dim(config, alpha, u_lam, args.bound)
             result["U"] = require_stabilized(rep).to_json()
     except NotStabilizedError as exc:

@@ -15,7 +15,9 @@ different (n, nlam) never mix; binary operations raise ScalarModeError.
 The constructor checks what it is given: key lengths, and coefficients
 (floats are refused, strings parsed).  Results the module computes from
 polynomials, which are already checked, go through ``LaurentPoly._of``,
-which only drops zero coefficients.
+which only drops zero coefficients.  The identity battery and the
+complement rank compute with these polynomials; the torus rank
+(``window``) does not.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from operator import add
 from typing import Sequence
 
 from .errors import ScalarModeError
-from .lattice import FacetForm, ParameterVector, PointConfig, newton_polytope
+from .lattice import ParameterVector, PointConfig
+# the benchmark tracer (bench/traced_job.py) finds this name in this module
+from .window import ConeSupport  # noqa: F401
 
 IntVec = tuple[int, ...]
 
@@ -176,6 +180,15 @@ def int_if_integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _add_scaled(out: dict[IntVec, Fraction], p: LaurentPoly, factor) -> None:
+    """Add factor times p into the term map out; factor is a nonzero integer
+    or Fraction."""
+    for u, c in p.terms.items():
+        if factor != 1:
+            c = c * factor
+        out[u] = out[u] + c if u in out else c
+
+
 class TwistedDerivations:
     """scale times the twisted derivations D_i = x_i d/dx_i + alpha_i +
     (x_i df/dx_i) of one (alpha, f), with the table of each direction built
@@ -222,46 +235,3 @@ def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly,
     out: dict[IntVec, Fraction] = {}
     TwistedDerivations(alpha, f, scale).add_to(out, i, xi)
     return LaurentPoly._of(xi.n, out, xi.nlam)
-
-
-class Support:
-    """The exponents u with f(u) >= 0 for every form f: the monomials a
-    module is allowed to use, cut out by facet inequalities."""
-
-    def __init__(self, name: str, forms: Sequence[FacetForm]):
-        self.name = name
-        self.forms = tuple(forms)
-
-    def contains(self, u: Sequence[int]) -> bool:
-        return all(f.evaluate(u) >= 0 for f in self.forms)
-
-
-class FullSupport(Support):
-    """All of the exponent lattice: no inequality."""
-
-    def __init__(self, n: int):
-        super().__init__("Z^n", ())
-
-
-class HalfSupport(Support):
-    """Exponents with nonnegative last coordinate."""
-
-    def __init__(self, n: int):
-        super().__init__("R+", (FacetForm((0,) * (n - 1) + (1,)),))
-
-
-class ConeSupport(Support):
-    """U0 = C(A) ∩ Z^n, the lattice points of the real cone of the points.
-
-    This is the normalization of the semigroup N·A, the ring over which
-    Adolphson and Sperber work (Nagoya Math. J. 146, 1997), cut out by the
-    cone facets f(u) >= 0.  N·A itself is the wrong support when it is not
-    saturated: for A = (-2,2), (-1,3), (2,1) (volume 11) its window
-    quotient reads 2, 4, 6, 7, 9, 11 at B = 1..6 without stabilizing, and
-    for (2,1,1), (-1,2,1), (2,2,-1), (3,2,-1), (-2,1,0) (volume 27) it
-    reads 3, 7, 11, 15, 19, 29, past the volume.  On both the saturated
-    cone reads the Z^n sequence (7, 11, 11, ... and 7, 24, 27, 27, ...).
-    """
-
-    def __init__(self, config: PointConfig):
-        super().__init__("U0", newton_polytope(config).cone)

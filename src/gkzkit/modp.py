@@ -18,13 +18,12 @@ import itertools
 from math import isqrt, prod
 from typing import Callable, NamedTuple, Sequence
 
-from .derham import generic_rank
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
 from .intmat import matvec, solve_integer
-from .laurent import FullSupport
 from .lattice import (ParameterVector, PointConfig, is_nonresonant,
                       relation_lattice)
 from .linalg import ModpEchelon
+from .window import FullSupport, generic_rank
 
 IntVec = tuple[int, ...]
 
@@ -193,7 +192,8 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
     parameter are skipped with a reason, never silently dropped.  A solution
     dimension exceeding the rank would falsify the truncation rank and is
     surfaced as a hard failure.  An empty prime list is refused, and a sweep
-    whose every prime is skipped says that no good prime was tested.
+    whose every prime is skipped says that no good prime was tested.  A prime
+    given twice runs once, in the place it was first given.
     """
     if not primes:
         raise ValueError("the prime list is empty")
@@ -207,7 +207,7 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
                             seed=seed).dim
     results = []
     skipped = []
-    for p in primes:
+    for p in dict.fromkeys(primes):
         try:
             instance = make_instance(config, alpha, p)
         except SkippedPrimeError as exc:

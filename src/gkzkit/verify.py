@@ -11,10 +11,10 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-# hypersurface is read through its module, so a process that checks only
-# one-dimensional configurations never runs its code (the package loads
-# modules on first attribute access)
-from . import hypersurface
+# complement and hypersurface are read through their modules, so a process
+# that checks only one-dimensional configurations never runs their code (the
+# package loads modules on first attribute access)
+from . import complement, hypersurface
 from .derham import (LogForm, check_complex, enumerate_monomial_forms,
                      homotopy_identity_check, twist_conjugation_check)
 from .errors import StructureError
@@ -168,12 +168,12 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     # hypersurface-structure checks, when the configuration admits them
     if n >= 2:
         try:
-            cfg_h, alpha_h, _ = hypersurface.normalize_structure(config, alpha)
+            cfg_h, alpha_h, _ = complement.normalize_structure(config, alpha)
         except StructureError:
             cfg_h = None
         if cfg_h is not None:
             lam = tuple(Fraction(k + 2, 2 * k + 1) for k in range(N))
-            g = hypersurface.build_g(cfg_h, lam)
+            g = complement.build_g(cfg_h, lam)
             splits = []
             for u in itertools.product(range(-1, 2), repeat=n - 1):
                 for m in range(0, 3):

@@ -27,13 +27,13 @@ as references for what replaced it:
   every term over one power of g and divide nothing out.
 - u_quotient_dim, the former complement-side quotient, with its own loop
   over window points and staying combinations, for
-  gkzkit.derham.window_generators, which both sides now share.
+  gkzkit.window.window_generators, which both sides now share.
 - window_generators_per_window, torus_window_dims,
   u_quotient_dim_per_window and u_window_dims, the former per-window path
   of the (B-1, B) pair: two box scans, one echelon of Fraction rows per
   window on the torus, and two echelons per window on the complement, each
-  window's numerators over its own power of g, for gkzkit.derham.window_pair,
-  _torus_report and gkzkit.hypersurface.cohomology_U_dim, which scan once
+  window's numerators over its own power of g, for gkzkit.window.window_pair,
+  _torus_report and gkzkit.complement.cohomology_U_dim, which scan once
   and run one elimination per specialization on integer rows.
 - kernel_equals_dv_image, the former gamma-kernel check over Q (gamma
   columns weighted by rising factorials, vertical rows with Fraction
@@ -56,17 +56,18 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
-from gkzkit.derham import (CohomologyWindow, IndexTuple, IntVec, LogForm,
-                           _add_scaled, _form, clearing_scale, nabla, wedge_insert)
+from gkzkit.complement import _powers, build_g, normalize_structure
+from gkzkit.derham import (IndexTuple, IntVec, LogForm, _form, clearing_scale,
+                           nabla, wedge_insert)
 from gkzkit.errors import PochhammerPoleError, ScalarModeError
-from gkzkit.hypersurface import (_box, _powers, build_g, normalize_structure,
-                                 pochhammer)
+from gkzkit.hypersurface import _box, pochhammer
 from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, relation_lattice)
-from gkzkit.laurent import (HalfSupport, LaurentPoly, TwistedDerivations,
+from gkzkit.laurent import (LaurentPoly, TwistedDerivations, _add_scaled,
                             build_f_symbolic, int_if_integral, toric_derivative)
 from gkzkit.linalg import RationalEchelon
+from gkzkit.window import CohomologyWindow, HalfSupport
 
 
 def dense_rank(rows: list[list[Fraction]]) -> int:

@@ -13,20 +13,20 @@ from fractions import Fraction
 import pytest
 
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
-from gkzkit.derham import (enumerate_monomial_forms, check_complex,
-                           generic_rank, homotopy_identity_check,
-                           quasi_iso_check, random_specialization,
-                           top_cohomology_dim)
+from gkzkit.complement import build_g, cohomology_U_dim
+from gkzkit.derham import (LogForm, check_complex, enumerate_monomial_forms,
+                           homotopy_identity_check)
 from gkzkit.errors import ResonantError
-from gkzkit.hypersurface import (SplitForm, build_g, check_gamma_chain_map,
-                                 cohomology_U_dim, kernel_equals_dv_image)
-from gkzkit.derham import LogForm
+from gkzkit.hypersurface import (SplitForm, check_gamma_chain_map,
+                                 kernel_equals_dv_image)
 from gkzkit.lattice import (ParameterVector, cone_facets, relation_lattice,
                             validate_config)
-from gkzkit.laurent import ConeSupport, FullSupport, build_f_symbolic
+from gkzkit.laurent import build_f_symbolic
 from gkzkit.modp import full_set_sweep
 from gkzkit.weyl import (box_shift, check_commutation, check_phi_intertwines,
                          check_phi_kills_box, WeylElement)
+from gkzkit.window import (ConeSupport, FullSupport, generic_rank, quasi_iso_check,
+                           random_specialization, top_cohomology_dim)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 import gkzkit
 from gkzkit.catalog import builtin_config
 from gkzkit.cli import main
-from gkzkit.derham import CohomologyWindow
 from gkzkit.lattice import newton_polytope
-from gkzkit.laurent import ConeSupport
 from gkzkit.linalg import RationalEchelon
+from gkzkit.window import CohomologyWindow, ConeSupport
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 ROOT = pathlib.Path(__file__).parent.parent
@@ -91,15 +90,15 @@ def test_disagreeing_specializations_report_both_dimensions(monkeypatch, capsys)
     # first, the second specialization's, and (2, 2) on the first's: every
     # one stabilizes and no pair agrees; the error keeps the second one's
     # dims and names both dimensions, the first specialization's first
-    from gkzkit import derham
-    torus_report = derham._torus_report
+    from gkzkit import window
+    torus_report = window._torus_report
     calls = []
 
     def forced(alpha, lam, windows, warnings):
         calls.append(lam)
         rep = torus_report(alpha, lam, windows, warnings)
         return rep.replace(dims=(3, 3) if len(calls) % 2 else (2, 2))
-    monkeypatch.setattr(derham, "_torus_report", forced)
+    monkeypatch.setattr(window, "_torus_report", forced)
     job = ["--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3"]
     for argv in (["rank", *job, "--supports", "zn"], ["modp", *job, "--primes", "7"]):
         calls.clear()
@@ -185,8 +184,8 @@ def test_rank_builds_each_window_once(monkeypatch, capsys, argv, windows, echelo
 def test_quasi_iso_check_inserts_only_the_small_window(monkeypatch, capsys):
     # it reduces the unit vectors of the bound-B cone window against the
     # Z^n report's echelon, and eliminates no generator again
-    from gkzkit import derham
-    check, insert = derham.quasi_iso_check, RationalEchelon.insert
+    from gkzkit import window
+    check, insert = window.quasi_iso_check, RationalEchelon.insert
     inserts = Counter()
     seen = []
 
@@ -200,7 +199,7 @@ def test_quasi_iso_check_inserts_only_the_small_window(monkeypatch, capsys):
         seen.append(inserts["calls"] - before)
         return result
     monkeypatch.setattr(RationalEchelon, "insert", counting_insert)
-    monkeypatch.setattr(derham, "quasi_iso_check", counting_check)
+    monkeypatch.setattr(window, "quasi_iso_check", counting_check)
     code, report = run(capsys, *TRINOMIAL_JOB)
     assert code == 0 and report["result"]["quasi_iso"]["verdict"] is True
     trinomial = builtin_config("trinomial")
@@ -311,6 +310,21 @@ def test_modp_sweep_and_skip(capsys):
         assert code == 2, primes
         assert captured.out == ""
         assert "must be a prime" in captured.err
+
+
+@pytest.mark.parametrize("primes, distinct", [("7,7", "7"), ("11,7,11,7", "11,7")])
+def test_modp_runs_each_distinct_prime_once(capsys, primes, distinct):
+    # a prime given again is not computed again: the report is that of the
+    # distinct primes in the order first given, and only the job block
+    # keeps the list as it was typed
+    outputs = []
+    for arg in (primes, distinct):
+        assert main(["modp", "--config", "trinomial", "--alpha=1/3,1/5",
+                     "--primes", arg]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert f'"primes": "{primes}"' in outputs[0]
+    assert outputs[0].replace(f'"primes": "{primes}"',
+                              f'"primes": "{distinct}"') == outputs[1]
 
 
 def test_modp_every_prime_skipped(capsys):
@@ -459,8 +473,9 @@ ALL_MODULES = sorted(["gkzkit", *(f"gkzkit.{p.stem}" for p in
                                    if p.stem != "__init__")])
 ANALYZE_MODULES = ["gkzkit", "gkzkit.catalog", "gkzkit.cli", "gkzkit.errors",
                    "gkzkit.intmat", "gkzkit.jsonio", "gkzkit.lattice"]
-RANK_MODULES = sorted(ANALYZE_MODULES + ["gkzkit.derham", "gkzkit.laurent",
-                                         "gkzkit.linalg"])
+# rank and modp jobs run the windows, not the identity battery
+RANK_MODULES = sorted(ANALYZE_MODULES + ["gkzkit.linalg", "gkzkit.window"])
+BATTERY_MODULES = ["gkzkit.derham", "gkzkit.laurent", "gkzkit.verify", "gkzkit.weyl"]
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -468,13 +483,15 @@ RANK_MODULES = sorted(ANALYZE_MODULES + ["gkzkit.derham", "gkzkit.laurent",
     (["rank", "--config", "single", "--alpha", "1/2", "--supports", "zn",
       "--bound", "2"], RANK_MODULES),
     (["rank", "--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3",
-      "--hypersurface"], sorted(RANK_MODULES + ["gkzkit.hypersurface"])),
-    (["verify", "--config", "single"],
-     sorted(RANK_MODULES + ["gkzkit.verify", "gkzkit.weyl"])),
+      "--hypersurface"], sorted(RANK_MODULES + ["gkzkit.complement", "gkzkit.laurent"])),
+    (["verify", "--config", "single"], sorted(RANK_MODULES + BATTERY_MODULES)),
     (["modp", "--config", "single", "--alpha", "1/2", "--primes", "5"],
      sorted(RANK_MODULES + ["gkzkit.modp"])),
     (["verify", "--config", "trinomial"],
-     sorted(RANK_MODULES + ["gkzkit.hypersurface", "gkzkit.verify", "gkzkit.weyl"])),
+     sorted(RANK_MODULES + BATTERY_MODULES + ["gkzkit.complement", "gkzkit.hypersurface"])),
+    # the path of the benchmark's rank_cone jobs: cone windows in 3-D
+    (["rank", "--config", "gauss", "--alpha", "1/3,1/5,1/7", "--bound", "2",
+      "--supports", "u0"], RANK_MODULES),
 ])
 def test_each_subcommand_loads_only_the_modules_it_runs(argv, modules):
     proc = run_fresh(LOADED_BY_MAIN, *argv)
@@ -492,15 +509,15 @@ def test_package_exports_resolve_on_first_access():
         "ResonanceVerdict", "SplitForm", "Support", "UForm", "WeylElement",
         "apply_D", "box_operator", "build_f", "build_f_symbolic", "build_g",
         "check_commutation", "check_complex", "check_gamma_chain_map",
-        "check_phi_intertwines", "cohomology_U_dim", "cone_facets", "derham",
-        "errors", "euler_operator", "full_set_sweep", "gamma", "generic_rank",
+        "check_phi_intertwines", "cohomology_U_dim", "complement", "cone_facets",
+        "derham", "errors", "euler_operator", "full_set_sweep", "gamma", "generic_rank",
         "homotopy_identity_check", "hypersurface", "intmat",
         "is_nonresonant", "kernel_equals_dv_image", "lattice", "laurent",
         "linalg", "make_instance", "modp", "modp_solution_dim", "nabla",
         "phi_map", "pochhammer", "quasi_iso_check", "relation_lattice",
         "solution_support", "tilde_nabla", "top_cohomology_dim",
         "toric_derivative", "twist_conjugation_check", "validate_config",
-        "weyl", "weyl_mul"]
+        "weyl", "weyl_mul", "window"]
     namespace = {}
     exec("from gkzkit import *", namespace)
     assert all(namespace[name] is getattr(gkzkit, name) for name in gkzkit.__all__)

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 
 from gkzkit import derham
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
-from gkzkit.derham import (CohomologyWindow, LogForm, check_complex,
-                           enumerate_monomial_forms, generic_rank,
-                           homotopy_identity_check, nabla, quasi_iso_check, require_stabilized,
-                           top_cohomology_dim, twist_conjugation_check)
+from gkzkit.complement import apply_unimodular
+from gkzkit.derham import (LogForm, check_complex, enumerate_monomial_forms,
+                           homotopy_identity_check, nabla, twist_conjugation_check)
 from gkzkit.errors import GkzError, NotStabilizedError
-from gkzkit.hypersurface import apply_unimodular
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
-from gkzkit.laurent import (ConeSupport, FullSupport, LaurentPoly,
-                            TwistedDerivations, apply_D, build_f,
+from gkzkit.laurent import (LaurentPoly, TwistedDerivations, apply_D, build_f,
                             build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
+from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, generic_rank,
+                           quasi_iso_check, require_stabilized, top_cohomology_dim)
 from oracles import (apply_D_by_parts, brute_newton_window, contract, dense_rank,
                      homotopy_identity_per_facet, homotopy_rho, nabla_by_parts,
                      shoelace_volume, specialize, window_generators_per_window)
@@ -758,7 +757,7 @@ def test_not_stabilized_surfaces():
                              [Fraction(3, 7), Fraction(5, 11)], FullSupport(1), 4)
     # healthy case stabilizes; force the error path through the helper
     require_stabilized(bad)
-    from gkzkit.derham import RankReport
+    from gkzkit.window import RankReport
     fake = RankReport("t", builtin_alpha("cusp"), (Fraction(1),), 3, (3, 4))
     with pytest.raises(NotStabilizedError) as err:
         require_stabilized(fake)

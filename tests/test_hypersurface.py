@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 
 from gkzkit import hypersurface
 from gkzkit.catalog import builtin_alpha, builtin_config
-from gkzkit.derham import (LogForm, clearing_scale, enumerate_monomial_forms,
-                           top_cohomology_dim)
+from gkzkit.complement import (apply_unimodular, build_g, cohomology_U_dim,
+                               find_unimodular_normalizer, normalize_structure)
+from gkzkit.derham import LogForm, clearing_scale, enumerate_monomial_forms
 from gkzkit.errors import PochhammerPoleError, StructureError
 from gkzkit.hypersurface import (SplitForm, UForm, _derivations_by_parts,
-                                 apply_unimodular, build_g,
-                                 check_gamma_chain_map,
-                                 check_split_matches_nabla, cohomology_U_dim,
-                                 d_h, d_v, find_unimodular_normalizer, gamma,
-                                 kernel_equals_dv_image, normalize_structure,
+                                 check_gamma_chain_map, check_split_matches_nabla,
+                                 d_h, d_v, gamma, kernel_equals_dv_image,
                                  pochhammer, tilde_nabla)
 from gkzkit.lattice import ParameterVector, validate_config
-from gkzkit.laurent import FullSupport, LaurentPoly, build_f
+from gkzkit.laurent import LaurentPoly, build_f
 from gkzkit.linalg import RationalEchelon
 from gkzkit.verify import BatteryReport, CheckResult, run_battery
+from gkzkit.window import FullSupport, top_cohomology_dim
 import oracles
 from oracles import (LocalizedElement, gamma_per_monomial, tilde_nabla_per_piece,
                      u_quotient_dim)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from gkzkit.errors import ScalarModeError
 from gkzkit.lattice import ParameterVector, validate_config
-from gkzkit.laurent import (ConeSupport, HalfSupport, LaurentPoly, apply_D,
-                            build_f, build_f_symbolic, toric_derivative)
+from gkzkit.laurent import (LaurentPoly, apply_D, build_f, build_f_symbolic,
+                            toric_derivative)
+from gkzkit.window import ConeSupport, HalfSupport
 from oracles import brute_facets, divide_exact
 
 

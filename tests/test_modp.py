@@ -8,8 +8,8 @@ from math import prod
 import pytest
 
 from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
+from gkzkit.complement import apply_unimodular
 from gkzkit.errors import NotGeneratingError, ResonantError, SkippedPrimeError
-from gkzkit.hypersurface import apply_unimodular
 from gkzkit.intmat import matvec
 from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
 from gkzkit.linalg import ModpEchelon

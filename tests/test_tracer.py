@@ -10,8 +10,7 @@ import subprocess
 import sys
 
 from gkzkit.catalog import builtin_config
-from gkzkit.derham import CohomologyWindow
-from gkzkit.laurent import ConeSupport
+from gkzkit.window import CohomologyWindow, ConeSupport
 
 ROOT = pathlib.Path(__file__).parent.parent
 TRACER = ROOT / "bench" / "traced_job.py"
@@ -83,5 +82,6 @@ def test_traced_jobs_keep_entry_point_spans():
     names = set()
     for argv in TRACED_JOBS:
         names |= traced_spans(argv)[1]
-    assert {"derham.generic_rank", "hypersurface.cohomology_U_dim",
+    assert {"derham.generic_rank", "derham.quasi_iso_check",
+            "hypersurface.cohomology_U_dim", "laurent.ConeSupport.contains",
             "verify.run_battery", "modp.modp_solution_dim"} <= names

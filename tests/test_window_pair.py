@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from gkzkit.catalog import builtin_config
-from gkzkit.derham import top_cohomology_dim
-from gkzkit.hypersurface import cohomology_U_dim
+from gkzkit.complement import cohomology_U_dim
 from gkzkit.lattice import ParameterVector, validate_config
-from gkzkit.laurent import ConeSupport, FullSupport
+from gkzkit.window import ConeSupport, FullSupport, top_cohomology_dim
 
 from oracles import torus_window_dims, u_window_dims
 
