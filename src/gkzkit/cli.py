@@ -163,8 +163,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--alpha needs --config: no parameter fits builtins "
                          f"of dimensions {', '.join(map(str, dims))}")
     names = [args.config] if args.config else builtin_names()
-    overall_ok = True
-    sections = []
+    jobs = []
     for name in names:
         config, label = _resolve_config(name)
         if name in BUILTIN_POINTS and not args.alpha:
@@ -173,6 +172,14 @@ def cmd_verify(args) -> int:
             alpha = _parse_alpha_arg(args.alpha)
         else:
             raise ValueError("--alpha is required for a non-builtin configuration")
+        jobs.append((config, label, alpha))
+    # the relations have rank N - n; without one the perturbed commutation
+    # check has no sample, and a negative control that cannot fail would pass
+    if args.perturb_beta and all(config.N == config.n for config, _, _ in jobs):
+        raise ValueError("--perturb-beta needs a configuration with a relation")
+    overall_ok = True
+    sections = []
+    for config, label, alpha in jobs:
         battery = run_battery(config, alpha, del_degree=args.degree,
                               perturb_beta=args.perturb_beta)
         sections.append({"config": label, "alpha": [str(a) for a in alpha.entries],

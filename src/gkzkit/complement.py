@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import StructureError
 from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
 from .laurent import LaurentPoly, _add_scaled, build_f, int_if_integral
-from .linalg import RationalEchelon
-from .window import (HalfSupport, RankReport, specialization, window_generators,
-                     window_pair)
+
+if TYPE_CHECKING:
+    from .window import RankReport
 
 IntVec = tuple[int, ...]
 
@@ -111,6 +111,12 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
     The quotient is the rank of the numerators minus that of the
     generators, each echelon read after the B-1 rows and after the rest.
     """
+    # imported here, so the identity battery, which uses only the helpers
+    # above, loads neither
+    from .linalg import RationalEchelon
+    from .window import (HalfSupport, RankReport, specialization, window_generators,
+                         window_pair)
+
     lam = specialization(config, lam)
     warnings = []
     config, alpha, changed = normalize_structure(config, alpha)

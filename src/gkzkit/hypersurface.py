@@ -80,32 +80,86 @@ class UForm:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, UForm) or self.g != other.g:
-            return False
-        low, high = sorted((self, other), key=lambda w: w.gpow)
-        up = _powers(self.g, high.gpow - low.gpow)[-1]
-        num = low.num
-        return LogForm._of(num.n, num.degree, {idx: p * up for idx, p
-                                               in num.components.items()}) == high.num
+        return (isinstance(other, UForm) and self.g == other.g
+                and _same_form(self, other, lambda k: _powers(self.g, k)[-1]))
 
 
-def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
+def _same_form(a: UForm, b: UForm, power: Callable[[int], LaurentPoly]) -> bool:
+    """a and b, over powers of one polynomial, are the same form: the
+    numerator over the lower power, times power(k) for k the difference of
+    the powers, is the other numerator."""
+    low, high = sorted((a, b), key=lambda w: w.gpow)
+    up = power(high.gpow - low.gpow)
+    num = low.num
+    return LogForm._of(num.n, num.degree, {idx: p * up for idx, p
+                                           in num.components.items()}) == high.num
+
+
+class ComplementTables:
+    """What ``gamma`` and ``tilde_nabla`` share for one (alpha, g), built
+    once by a check that applies them to many forms, with every form
+    written over powers of h = scale g: the powers of h, the weight of each
+    last exponent and, per direction i, scale alpha_i and x_i dh/dx_i.
+
+    Over h, num / g^m is scale^m num / h^m, so the comparison map weights a
+    monomial with last exponent m by (-1)^m (alpha_n)_m scale^m over h^m;
+    and as dh/h = dg/g, the differential of num / h^m is the quotient-rule
+    formula with h in place of g.  Read off these tables, ``gamma`` gives
+    the form the unscaled map gives and ``tilde_nabla`` scale times it,
+    each written over powers of h; with scale 1, h is g."""
+
+    __slots__ = ("alpha", "scale", "h", "pows", "weights", "directions", "last")
+
+    def __init__(self, alpha: ParameterVector, g: LaurentPoly, scale: int = 1):
+        self.alpha = alpha
+        self.scale = scale
+        h = self.h = LaurentPoly._of(g.n, {u: int_if_integral(c * scale)
+                                           for u, c in g.terms.items()})
+        self.pows = [LaurentPoly.one(g.n), h]
+        self.weights: dict[int, Fraction] = {}
+        self.directions = [(int_if_integral(a * scale), toric_derivative(i, h))
+                           for i, a in zip(range(1, g.n + 1), alpha.entries)]
+        self.last = int_if_integral(alpha.entries[-1] * scale)
+
+    def power(self, k: int) -> LaurentPoly:
+        """h^k, for k >= 0."""
+        pows = self.pows
+        while len(pows) <= k:
+            pows.append(pows[-1] * self.h)
+        return pows[k]
+
+    def weight(self, m: int) -> Fraction:
+        """(-1)^m (alpha_n)_m scale^m."""
+        if m not in self.weights:
+            w = pochhammer(self.alpha.entries[-1], m) * Fraction(self.scale) ** m
+            self.weights[m] = int_if_integral(-w if m % 2 else w)
+        return self.weights[m]
+
+
+def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm,
+                tables: ComplementTables | None = None) -> UForm:
     """Twisted differential on the complement: logarithmic part in the first
     n-1 directions minus the last parameter entry times dg/g.
 
     By the quotient rule, direction i sends num / g^m to
     ((x_i d/dx_i + alpha_i) num g - (m + alpha_n) num x_i dg/dx_i) / g^(m+1),
-    so the image is one numerator over g^(m+1), not reduced.
+    so the image is one numerator over g^(m+1), not reduced.  Given
+    ``tables``, the ``ComplementTables(alpha, g, scale)``, omega and its
+    image are over powers of h = scale g and the image is scaled.  A check
+    that applies the differential to many forms builds them once.
     """
-    nprime = g.n
+    tables = tables or ComplementTables(alpha, g)
+    h = tables.h
+    nprime = h.n
     if alpha.n != nprime + 1:
         raise ValueError("parameter must have one more entry than g has variables")
     degree = omega.num.degree
     if degree == nprime:
-        return UForm(g, LogForm.zero(nprime, nprime), 0)
+        return UForm(h, LogForm.zero(nprime, nprime), 0)
     m = omega.gpow
-    alpha_n = alpha.entries[-1]
-    dg = [toric_derivative(i, g) for i in range(1, nprime + 1)]
+    s = tables.scale
+    # scale (m + alpha_n), the factor of num x_i dh/dx_i
+    s_m = s * m + tables.last
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for idx, num in omega.num.components.items():
         for i in range(1, nprime + 1):
@@ -113,12 +167,12 @@ def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
             if ins is None:
                 continue
             sign, target = ins
-            a_i = alpha.entries[i - 1]
-            d_num = LaurentPoly._of(nprime, {u: c * (u[i - 1] + a_i)
+            a_i, dh = tables.directions[i - 1]
+            d_num = LaurentPoly._of(nprime, {u: c * (u[i - 1] * s + a_i)
                                              for u, c in num.terms.items()})
-            piece = d_num * g + (num * dg[i - 1]).scalar_mul(-(m + alpha_n))
+            piece = d_num * h + (num * dh).scalar_mul(-s_m)
             _add_scaled(acc.setdefault(target, {}), piece, sign)
-    return UForm(g, _form(nprime, degree + 1, acc, 0), m + 1)
+    return UForm(h, _form(nprime, degree + 1, acc, 0), m + 1)
 
 
 class SplitForm:
@@ -163,9 +217,9 @@ def _derivations_by_parts(alpha: ParameterVector, g: LaurentPoly,
     f = LaurentPoly._of(g.n + 1, {u + (1,): int_if_integral(c * scale)
                                   for u, c in g.terms.items()})
     df = [toric_derivative(i, f) for i in range(1, f.n + 1)]
+    shifts = [int_if_integral(a * scale) for a in alpha.entries]
     return lambda i, xi: (toric_derivative(i, xi).scalar_mul(scale)
-                          + xi.scalar_mul(int_if_integral(alpha.entries[i - 1] * scale))
-                          + df[i - 1] * xi)
+                          + xi.scalar_mul(shifts[i - 1]) + df[i - 1] * xi)
 
 
 def d_h(D: Derivations, part: LogForm) -> LogForm:
@@ -229,7 +283,8 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     return True
 
 
-def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
+def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm,
+          tables: ComplementTables | None = None) -> UForm:
     """Comparison map dropping the trailing dx_n/x_n.
 
     A monomial with last exponent m maps to its first n-1 coordinates over
@@ -237,42 +292,56 @@ def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
     entry; negative m uses the reciprocal convention and requires the last
     parameter entry to avoid the corresponding poles.  Every term is put
     over g^M, M the larger of 0 and the largest last exponent, as one
-    numerator, not reduced.
+    numerator, not reduced.  Given ``tables``, the
+    ``ComplementTables(alpha, g, scale)``, the image is the same form
+    written over h^M, h = scale g.
     """
     if part1.nlam:
         raise ValueError("comparison map needs specialized coefficients")
-    alpha_n = alpha.entries[-1]
-    weights: dict[int, Fraction] = {}
+    tables = tables or ComplementTables(alpha, g)
     by_m: dict[tuple[IndexTuple, int], dict[IntVec, Fraction]] = {}
     for idx, xi in part1.components.items():
         for u, c in xi.terms.items():
             m = u[-1]
-            if m not in weights:
-                weights[m] = -pochhammer(alpha_n, m) if m % 2 else pochhammer(alpha_n, m)
-            by_m.setdefault((idx, m), {})[u[:-1]] = weights[m] * c
-    ms = [m for _, m in by_m]
-    M = max([0, *ms])
-    pows = _powers(g, M - min(ms, default=M))
+            by_m.setdefault((idx, m), {})[u[:-1]] = tables.weight(m) * c
+    M = max([0, *(m for _, m in by_m)])
+    nprime = g.n
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for (idx, m), terms in by_m.items():
-        num = LaurentPoly._of(g.n, terms)
-        _add_scaled(acc.setdefault(idx, {}), num if m == M else num * pows[M - m], 1)
-    return UForm(g, _form(g.n, part1.degree, acc, 0), M)
+        num = LaurentPoly._of(nprime, terms)
+        _add_scaled(acc.setdefault(idx, {}),
+                    num if m == M else num * tables.power(M - m), 1)
+    return UForm(tables.h, _form(nprime, part1.degree, acc, 0), M)
 
 
 def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
                           samples: Sequence[SplitForm]) -> bool:
     """The comparison map intertwines the boundaries and kills the vertical
     image: gamma(d_h w) = tilde_nabla(gamma(w)) on the dx_n/x_n row and
-    gamma(d_v v) = 0 for the other row."""
-    D = _derivations_by_parts(alpha, g, 1)
+    gamma(d_v v) = 0 for the other row.
+
+    Both identities are checked scaled by L = ``clearing_scale(alpha, g)``,
+    the lcm of the denominators of alpha and of g, with every form written
+    over powers of h = L g (``ComplementTables``): gamma(L d_h w) =
+    L tilde_nabla(gamma(w)) and gamma(L d_v v) = 0.  Every map is linear,
+    so each scaled side is L times the unscaled one, and as L is nonzero
+    the scaled identities hold exactly when the unscaled ones do; writing a
+    form over h instead of g does not change the form.  With alpha_n = a/e,
+    e divides L, so the weight (-1)^m (alpha_n)_m L^m of a last exponent
+    m >= 0 is the integer (-1)^m (a)(a + e)...(a + (m-1) e) (L/e)^m; the
+    boundaries scaled by L and h are integral too, so on integer samples
+    with last exponents m >= 0 every coefficient is an integer.
+    """
+    scale = clearing_scale(alpha, g)
+    tables = ComplementTables(alpha, g, scale)
+    D = _derivations_by_parts(alpha, g, scale)
     for sf in samples:
         if sf.part1.degree < g.n:
-            lhs = gamma(alpha, g, d_h(D, sf.part1))
-            rhs = tilde_nabla(alpha, g, gamma(alpha, g, sf.part1))
-            if lhs != rhs:
+            lhs = gamma(alpha, g, d_h(D, sf.part1), tables)
+            rhs = tilde_nabla(alpha, g, gamma(alpha, g, sf.part1, tables), tables)
+            if not _same_form(lhs, rhs, tables.power):
                 return False
-        if not gamma(alpha, g, d_v(D, sf.part0)).is_zero():
+        if not gamma(alpha, g, d_v(D, sf.part0), tables).is_zero():
             return False
     return True
 

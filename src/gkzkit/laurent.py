@@ -22,16 +22,31 @@ complement rank compute with these polynomials; the torus rank
 
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
 from operator import add
 from typing import Sequence
 
 from .errors import ScalarModeError
 from .lattice import ParameterVector, PointConfig
-# the benchmark tracer (bench/traced_job.py) finds this name in this module
-from .window import ConeSupport  # noqa: F401
 
 IntVec = tuple[int, ...]
+
+
+def lazy_exports(owner: str, module: str, names: Sequence[str]):
+    """A module ``__getattr__`` (PEP 562) for the module named owner that
+    reads names from the package module ``module`` on first access, so a
+    process that never asks for them never loads that module."""
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f".{module}", __package__), name)
+    return __getattr__
+
+
+# the benchmark tracer (bench/traced_job.py) finds ConeSupport in this
+# module; the identity battery never asks for it, so it loads no window code
+__getattr__ = lazy_exports(__name__, "window", ("ConeSupport",))
 
 
 class LaurentPoly:
@@ -226,12 +241,15 @@ class TwistedDerivations:
 
 
 def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly,
-            scale: int = 1) -> LaurentPoly:
+            scale: int = 1, derivations: TwistedDerivations | None = None
+            ) -> LaurentPoly:
     """scale times the twisted derivation in direction i, applied to xi
-    (``TwistedDerivations``)."""
+    (``TwistedDerivations``).  A check that applies it to many polynomials
+    builds ``derivations``, the ``TwistedDerivations(alpha, f, scale)``,
+    once and passes it."""
     if not 1 <= i <= xi.n:
         raise ValueError("derivative index out of range")
     f._check_mode(xi)
     out: dict[IntVec, Fraction] = {}
-    TwistedDerivations(alpha, f, scale).add_to(out, i, xi)
+    (derivations or TwistedDerivations(alpha, f, scale)).add_to(out, i, xi)
     return LaurentPoly._of(xi.n, out, xi.nlam)

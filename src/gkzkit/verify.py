@@ -21,7 +21,7 @@ from .errors import StructureError
 from .lattice import (ParameterVector, PointConfig, cone_facets,
                       relation_lattice)
 from .laurent import build_f_symbolic
-from .weyl import (WeylElement, box_shift, check_commutation,
+from .weyl import (PhiTables, WeylElement, box_shift, check_commutation,
                    check_phi_intertwines, check_phi_kills_box)
 
 
@@ -131,10 +131,11 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
         lambda t, l: None if check_phi_kills_box(config, t, l) else f"t={t}, l={l}"))
 
     # transport of the Euler action and the parameter derivatives
+    tables = PhiTables(config, alpha)
     report.add(_up_to_first_failure(
         "phi_intertwines",
         [(w, i) for w in _del_monomials(N, del_degree) for i in range(1, n + 1)],
-        lambda w, i: (None if check_phi_intertwines(w, i, alpha, config)
+        lambda w, i: (None if check_phi_intertwines(w, i, alpha, config, tables)
                       else f"w={w}, i={i}")))
 
     # the twisted differential squares to zero, decided by the box {-1, 0, 1}^n

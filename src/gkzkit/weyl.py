@@ -1,8 +1,10 @@
 """Normal-ordered Weyl algebra in the parameters and their partials.
 
 Elements are finite sums of c * lambda^e * del^b with exact rational c, all
-lambda factors to the left of all del factors.  Products are normal ordered
-through the commutator rule [del_j, lambda_j] = 1, applied per index:
+lambda factors to the left of all del factors; integer coefficients are
+kept as ints, so integer elements multiply over Z.  Products are normal
+ordered through the commutator rule [del_j, lambda_j] = 1, applied per
+index:
 
     del_j^b lambda_j^e = sum_k k! C(b,k) C(e,k) lambda_j^{e-k} del_j^{b-k}.
 """
@@ -12,17 +14,23 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
+from .derham import clearing_scale
 from .errors import NotARelationError
 from .lattice import ParameterVector, PointConfig
-from .laurent import LaurentPoly, apply_D, build_f_symbolic
+from .laurent import (LaurentPoly, TwistedDerivations, apply_D, build_f_symbolic,
+                      int_if_integral)
 
 IntVec = tuple[int, ...]
 TermKey = tuple[IntVec, IntVec]
 
 
 class WeylElement:
+    """Finite map from (e, b) to the nonzero int or Fraction coefficient of
+    lambda^e del^b; any other number is converted to a Fraction."""
+
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[TermKey, Fraction] | None = None):
@@ -30,8 +38,9 @@ class WeylElement:
         self.terms: dict[TermKey, Fraction] = {}
         if terms:
             for (e, b), c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                if type(c) is not int and type(c) is not Fraction:
+                    c = Fraction(c)
+                if c:
                     self.terms[(tuple(e), tuple(b))] = c
 
     @staticmethod
@@ -41,25 +50,25 @@ class WeylElement:
     @staticmethod
     def const(value, nvars: int) -> "WeylElement":
         z = (0,) * nvars
-        return WeylElement(nvars, {(z, z): Fraction(value)})
+        return WeylElement(nvars, {(z, z): value})
 
     @staticmethod
     def lam(j: int, nvars: int) -> "WeylElement":
         e = [0] * nvars
         e[j - 1] = 1
-        return WeylElement(nvars, {(tuple(e), (0,) * nvars): Fraction(1)})
+        return WeylElement(nvars, {(tuple(e), (0,) * nvars): 1})
 
     @staticmethod
     def partial(j: int, nvars: int) -> "WeylElement":
         b = [0] * nvars
         b[j - 1] = 1
-        return WeylElement(nvars, {((0,) * nvars, tuple(b)): Fraction(1)})
+        return WeylElement(nvars, {((0,) * nvars, tuple(b)): 1})
 
     @staticmethod
-    def monomial(e: Sequence[int], b: Sequence[int], coeff=Fraction(1)) -> "WeylElement":
+    def monomial(e: Sequence[int], b: Sequence[int], coeff=1) -> "WeylElement":
         e = tuple(int(x) for x in e)
         b = tuple(int(x) for x in b)
-        return WeylElement(len(e), {(e, b): Fraction(coeff)})
+        return WeylElement(len(e), {(e, b): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -71,11 +80,7 @@ class WeylElement:
     def __add__(self, other: "WeylElement") -> "WeylElement":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = out[k] + c if k in out else c
         return WeylElement(self.nvars, out)
 
     def __neg__(self) -> "WeylElement":
@@ -88,7 +93,8 @@ class WeylElement:
         return weyl_mul(self, other)
 
     def scale(self, c) -> "WeylElement":
-        c = Fraction(c)
+        if type(c) is not int and type(c) is not Fraction:
+            c = Fraction(c)
         return WeylElement(self.nvars, {k: c * v for k, v in self.terms.items()})
 
     def __repr__(self) -> str:
@@ -108,31 +114,38 @@ class WeylElement:
         return " + ".join(bits)
 
 
+def _mul_terms(left: dict[TermKey, Fraction],
+               right: dict[TermKey, Fraction]) -> dict[TermKey, Fraction]:
+    """The term map of the normal-ordered product, zeros not yet dropped."""
+    out: dict[TermKey, Fraction] = {}
+    for (e1, b1), c1 in left.items():
+        for (e2, b2), c2 in right.items():
+            base = c1 * c2
+            e = tuple(map(add, e1, e2))
+            b = tuple(map(add, b1, b2))
+            # commute del^{b1} past lambda^{e2} on the indices where both occur
+            both = [(j, p, q) for j, (p, q) in enumerate(zip(b1, e2)) if p and q]
+            if not both:
+                out[(e, b)] = out[(e, b)] + base if (e, b) in out else base
+                continue
+            for ks in itertools.product(*(range(min(p, q) + 1) for _, p, q in both)):
+                coeff = base
+                ek, bk = list(e), list(b)
+                for kj, (j, p, q) in zip(ks, both):
+                    if kj:
+                        coeff *= factorial(kj) * comb(p, kj) * comb(q, kj)
+                        ek[j] -= kj
+                        bk[j] -= kj
+                key = (tuple(ek), tuple(bk))
+                out[key] = out[key] + coeff if key in out else coeff
+    return out
+
+
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     """Exact product in normal order."""
     if a.nvars != b.nvars:
         raise ValueError("parameter count mismatch")
-    n = a.nvars
-    out: dict[TermKey, Fraction] = {}
-    for (e1, b1), c1 in a.terms.items():
-        for (e2, b2), c2 in b.terms.items():
-            base = c1 * c2
-            # commute del^{b1} past lambda^{e2}, one index at a time
-            ranges = [range(min(p, q) + 1) for p, q in zip(b1, e2)]
-            for k in itertools.product(*ranges):
-                coeff = base
-                for kj, pj, qj in zip(k, b1, e2):
-                    if kj:
-                        coeff *= factorial(kj) * comb(pj, kj) * comb(qj, kj)
-                e = tuple(x + y - z for x, y, z in zip(e1, e2, k))
-                d = tuple(x + y - z for x, y, z in zip(b1, b2, k))
-                key = (e, d)
-                s = out.get(key, Fraction(0)) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return WeylElement(n, out)
+    return WeylElement(a.nvars, _mul_terms(a.terms, b.terms))
 
 
 def box_operator(config: PointConfig, l: Sequence[int]) -> WeylElement:
@@ -146,8 +159,7 @@ def box_operator(config: PointConfig, l: Sequence[int]) -> WeylElement:
     plus = tuple(max(x, 0) for x in l)
     minus = tuple(max(-x, 0) for x in l)
     z = (0,) * config.N
-    out = WeylElement(config.N, {(z, plus): Fraction(1)})
-    return out - WeylElement(config.N, {(z, minus): Fraction(1)})
+    return WeylElement(config.N, {(z, plus): 1}) - WeylElement(config.N, {(z, minus): 1})
 
 
 def euler_operator(config: PointConfig, i: int, alpha: ParameterVector) -> WeylElement:
@@ -163,7 +175,7 @@ def euler_operator(config: PointConfig, i: int, alpha: ParameterVector) -> WeylE
             b = [0] * n
             e[j - 1] = 1
             b[j - 1] = 1
-            out = out + WeylElement(n, {(tuple(e), tuple(b)): Fraction(coeff)})
+            out = out + WeylElement(n, {(tuple(e), tuple(b)): coeff})
     return out
 
 
@@ -209,12 +221,19 @@ def phi_map(w: WeylElement, config: PointConfig) -> LaurentPoly:
     """
     if w.nvars != config.N:
         raise ValueError("parameter count mismatch")
-    terms: dict[IntVec, Fraction] = {}
-    for (e, b), c in w.terms.items():
-        key = tuple(sum(bj * a[i] for bj, a in zip(b, config.points))
-                    for i in range(config.n)) + e
-        terms[key] = terms[key] + c if key in terms else c
-    return LaurentPoly(config.n, terms, config.N)
+    return LaurentPoly._of(config.n, _phi_terms(w.terms, list(zip(*config.points))),
+                           config.N)
+
+
+def _phi_terms(terms: dict[TermKey, Fraction],
+               columns: list[IntVec]) -> dict[IntVec, Fraction]:
+    """The nonzero terms of the image under phi, for the columns
+    (a_i(1), ..., a_i(N)), i = 1..n, of the configuration."""
+    out: dict[IntVec, Fraction] = {}
+    for (e, b), c in terms.items():
+        key = tuple(sum(map(mul, b, col)) for col in columns) + e
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
 
 
 def lambda_derivative(p: LaurentPoly, j: int) -> LaurentPoly:
@@ -222,8 +241,8 @@ def lambda_derivative(p: LaurentPoly, j: int) -> LaurentPoly:
     if not 1 <= j <= p.nlam:
         raise ValueError("parameter index out of range")
     k = p.n + j - 1
-    return LaurentPoly(p.n, {u[:k] + (u[k] - 1,) + u[k + 1:]: c * u[k]
-                             for u, c in p.terms.items() if u[k]}, p.nlam)
+    return LaurentPoly._of(p.n, {u[:k] + (u[k] - 1,) + u[k + 1:]: c * u[k]
+                                 for u, c in p.terms.items() if u[k]}, p.nlam)
 
 
 def check_phi_kills_box(config: PointConfig, t: WeylElement, l: Sequence[int]) -> bool:
@@ -231,8 +250,30 @@ def check_phi_kills_box(config: PointConfig, t: WeylElement, l: Sequence[int]) -
     return phi_map(weyl_mul(t, box_operator(config, l)), config).is_zero()
 
 
+class PhiTables:
+    """The operators of ``check_phi_intertwines`` for one (config, alpha),
+    built once by a check that runs on many elements: the symbolic f, the
+    lcm d of the denominators of alpha, the term maps of d Z_{i,-alpha},
+    i = 1..n, and of del_j, j = 1..N, and the twisted derivations
+    ``TwistedDerivations(alpha, f, d)``.  The tables are integral, so
+    integer elements have integer images on both sides."""
+
+    __slots__ = ("f", "scale", "columns", "euler", "partials", "derivations")
+
+    def __init__(self, config: PointConfig, alpha: ParameterVector):
+        f = self.f = build_f_symbolic(config)
+        d = self.scale = clearing_scale(alpha, f)
+        self.columns = list(zip(*config.points))
+        self.euler = [{k: int_if_integral(c * d) for k, c in
+                       euler_operator(config, i, alpha.negate()).terms.items()}
+                      for i in range(1, config.n + 1)]
+        self.partials = [WeylElement.partial(j, config.N).terms
+                         for j in range(1, config.N + 1)]
+        self.derivations = TwistedDerivations(alpha, f, d)
+
+
 def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
-                          config: PointConfig) -> bool:
+                          config: PointConfig, tables: PhiTables | None = None) -> bool:
     """The two transport identities for phi, checked with symbolic parameters.
 
     (a) Right multiplication by the Euler operator (with the parameter sign
@@ -240,19 +281,28 @@ def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
         derivation:  phi(w . Z_{i,-alpha}) = D_{i,alpha}(phi(w)).
     (b) Left multiplication by del_j maps to the parameter derivative plus
         multiplication by the j-th point monomial.
-    """
-    f = build_f_symbolic(config)
-    img = phi_map(w, config)
 
-    lhs_a = phi_map(weyl_mul(w, euler_operator(config, i, alpha.negate())), config)
-    rhs_a = apply_D(i, alpha, f, img)
-    if lhs_a != rhs_a:
+    Identity (a) is checked scaled by d, the lcm of the denominators of
+    alpha: phi(w . d Z_{i,-alpha}) = d D_{i,alpha}(phi(w)).  phi and the
+    product are linear, so the scaled sides are d times the unscaled ones,
+    and as d is nonzero they agree exactly when those do; on an integer w
+    every coefficient is an integer.  A check that runs on many elements
+    builds ``tables``, the ``PhiTables(config, alpha)``, once and passes it.
+    """
+    tables = tables or PhiTables(config, alpha)
+    img = phi_map(w, config)
+    if not 1 <= i <= config.n:
+        raise ValueError("index out of range")
+
+    columns = tables.columns
+    lhs_a = _phi_terms(_mul_terms(w.terms, tables.euler[i - 1]), columns)
+    rhs_a = apply_D(i, alpha, tables.f, img, tables.scale, tables.derivations)
+    if lhs_a != rhs_a.terms:
         return False
 
-    for j in range(1, config.N + 1):
-        lhs_b = phi_map(weyl_mul(WeylElement.partial(j, config.N), w), config)
-        rhs_b = lambda_derivative(img, j) + img.shift(config.points[j - 1])
-        if lhs_b != rhs_b:
+    for j, (partial, point) in enumerate(zip(tables.partials, config.points), 1):
+        lhs_b = _phi_terms(_mul_terms(partial, w.terms), columns)
+        rhs_b = lambda_derivative(img, j) + img.shift(point)
+        if lhs_b != rhs_b.terms:
             return False
     return True
-

@@ -45,6 +45,19 @@ as references for what replaced it:
   contraction (contract, homotopy_rho), for
   gkzkit.derham.homotopy_identity_check, which builds the residual of each
   unit form once per sample and combines them per facet.
+- weyl_mul and check_phi_intertwines, the former Weyl product over Q
+  (every coefficient a Fraction) and the former transport check, which
+  rebuilds f, the Euler operator and the twisted derivation on every call,
+  for gkzkit.weyl.weyl_mul, which keeps integer coefficients as ints, and
+  gkzkit.weyl.check_phi_intertwines, which checks identity (a) scaled by
+  the lcm of the denominators of alpha on integer tables built once per
+  battery (gkzkit.weyl.PhiTables).
+- gamma, tilde_nabla and check_gamma_chain_map, the former comparison map,
+  complement differential and chain-map check over Q, which recompute the
+  powers of g, the rising factorials and the derivatives of g on every
+  call, for gkzkit.hypersurface.ComplementTables, which builds them once
+  per check, and gkzkit.hypersurface.check_gamma_chain_map, which clears
+  the denominators of alpha and g.
 """
 
 from __future__ import annotations
@@ -53,19 +66,22 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
 from gkzkit.complement import _powers, build_g, normalize_structure
 from gkzkit.derham import (IndexTuple, IntVec, LogForm, _form, clearing_scale,
                            nabla, wedge_insert)
 from gkzkit.errors import PochhammerPoleError, ScalarModeError
-from gkzkit.hypersurface import _box, pochhammer
+from gkzkit.hypersurface import (SplitForm, UForm, _box, _derivations_by_parts,
+                                 d_h, d_v, pochhammer)
 from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, relation_lattice)
-from gkzkit.laurent import (LaurentPoly, TwistedDerivations, _add_scaled,
+from gkzkit.laurent import (LaurentPoly, TwistedDerivations, _add_scaled, apply_D,
                             build_f_symbolic, int_if_integral, toric_derivative)
+from gkzkit.weyl import (TermKey, WeylElement, euler_operator, lambda_derivative,
+                         phi_map)
 from gkzkit.linalg import RationalEchelon
 from gkzkit.window import CohomologyWindow, HalfSupport
 
@@ -995,3 +1011,137 @@ def homotopy_identity_per_facet(facets: Sequence[FacetForm], alpha: ParameterVec
                 live = pos
                 break
     return facets[live] if live < len(facets) else None
+
+
+def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
+    """Exact product in normal order."""
+    if a.nvars != b.nvars:
+        raise ValueError("parameter count mismatch")
+    n = a.nvars
+    out: dict[TermKey, Fraction] = {}
+    for (e1, b1), c1 in a.terms.items():
+        for (e2, b2), c2 in b.terms.items():
+            base = c1 * c2
+            # commute del^{b1} past lambda^{e2}, one index at a time
+            ranges = [range(min(p, q) + 1) for p, q in zip(b1, e2)]
+            for k in itertools.product(*ranges):
+                coeff = base
+                for kj, pj, qj in zip(k, b1, e2):
+                    if kj:
+                        coeff *= factorial(kj) * comb(pj, kj) * comb(qj, kj)
+                e = tuple(x + y - z for x, y, z in zip(e1, e2, k))
+                d = tuple(x + y - z for x, y, z in zip(b1, b2, k))
+                key = (e, d)
+                s = out.get(key, Fraction(0)) + coeff
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return WeylElement(n, out)
+
+
+def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
+                          config: PointConfig) -> bool:
+    """The two transport identities for phi, checked with symbolic parameters.
+
+    (a) Right multiplication by the Euler operator (with the parameter sign
+        flipped, matching the Euler sign convention) maps to the twisted
+        derivation:  phi(w . Z_{i,-alpha}) = D_{i,alpha}(phi(w)).
+    (b) Left multiplication by del_j maps to the parameter derivative plus
+        multiplication by the j-th point monomial.
+    """
+    f = build_f_symbolic(config)
+    img = phi_map(w, config)
+
+    lhs_a = phi_map(weyl_mul(w, euler_operator(config, i, alpha.negate())), config)
+    rhs_a = apply_D(i, alpha, f, img)
+    if lhs_a != rhs_a:
+        return False
+
+    for j in range(1, config.N + 1):
+        lhs_b = phi_map(weyl_mul(WeylElement.partial(j, config.N), w), config)
+        rhs_b = lambda_derivative(img, j) + img.shift(config.points[j - 1])
+        if lhs_b != rhs_b:
+            return False
+    return True
+
+
+
+def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
+    """Twisted differential on the complement: logarithmic part in the first
+    n-1 directions minus the last parameter entry times dg/g.
+
+    By the quotient rule, direction i sends num / g^m to
+    ((x_i d/dx_i + alpha_i) num g - (m + alpha_n) num x_i dg/dx_i) / g^(m+1),
+    so the image is one numerator over g^(m+1), not reduced.
+    """
+    nprime = g.n
+    if alpha.n != nprime + 1:
+        raise ValueError("parameter must have one more entry than g has variables")
+    degree = omega.num.degree
+    if degree == nprime:
+        return UForm(g, LogForm.zero(nprime, nprime), 0)
+    m = omega.gpow
+    alpha_n = alpha.entries[-1]
+    dg = [toric_derivative(i, g) for i in range(1, nprime + 1)]
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
+    for idx, num in omega.num.components.items():
+        for i in range(1, nprime + 1):
+            ins = wedge_insert(i, idx)
+            if ins is None:
+                continue
+            sign, target = ins
+            a_i = alpha.entries[i - 1]
+            d_num = LaurentPoly._of(nprime, {u: c * (u[i - 1] + a_i)
+                                             for u, c in num.terms.items()})
+            piece = d_num * g + (num * dg[i - 1]).scalar_mul(-(m + alpha_n))
+            _add_scaled(acc.setdefault(target, {}), piece, sign)
+    return UForm(g, _form(nprime, degree + 1, acc, 0), m + 1)
+
+
+def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
+    """Comparison map dropping the trailing dx_n/x_n.
+
+    A monomial with last exponent m maps to its first n-1 coordinates over
+    g^m, weighted by (-1)^m times the rising factorial of the last parameter
+    entry; negative m uses the reciprocal convention and requires the last
+    parameter entry to avoid the corresponding poles.  Every term is put
+    over g^M, M the larger of 0 and the largest last exponent, as one
+    numerator, not reduced.
+    """
+    if part1.nlam:
+        raise ValueError("comparison map needs specialized coefficients")
+    alpha_n = alpha.entries[-1]
+    weights: dict[int, Fraction] = {}
+    by_m: dict[tuple[IndexTuple, int], dict[IntVec, Fraction]] = {}
+    for idx, xi in part1.components.items():
+        for u, c in xi.terms.items():
+            m = u[-1]
+            if m not in weights:
+                weights[m] = -pochhammer(alpha_n, m) if m % 2 else pochhammer(alpha_n, m)
+            by_m.setdefault((idx, m), {})[u[:-1]] = weights[m] * c
+    ms = [m for _, m in by_m]
+    M = max([0, *ms])
+    pows = _powers(g, M - min(ms, default=M))
+    acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
+    for (idx, m), terms in by_m.items():
+        num = LaurentPoly._of(g.n, terms)
+        _add_scaled(acc.setdefault(idx, {}), num if m == M else num * pows[M - m], 1)
+    return UForm(g, _form(g.n, part1.degree, acc, 0), M)
+
+
+def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
+                          samples: Sequence[SplitForm]) -> bool:
+    """The comparison map intertwines the boundaries and kills the vertical
+    image: gamma(d_h w) = tilde_nabla(gamma(w)) on the dx_n/x_n row and
+    gamma(d_v v) = 0 for the other row."""
+    D = _derivations_by_parts(alpha, g, 1)
+    for sf in samples:
+        if sf.part1.degree < g.n:
+            lhs = gamma(alpha, g, d_h(D, sf.part1))
+            rhs = tilde_nabla(alpha, g, gamma(alpha, g, sf.part1))
+            if lhs != rhs:
+                return False
+        if not gamma(alpha, g, d_v(D, sf.part0)).is_zero():
+            return False
+    return True

@@ -241,6 +241,20 @@ def test_verify_perturbed_beta_fails(capsys):
     assert "residual" in failing[0]["detail"]
 
 
+def test_perturb_beta_without_a_relation_is_refused(capsys):
+    # single has no relation, so the perturbed commutation check has no
+    # sample and the negative control cannot fail: refused, not passed
+    code = main(["verify", "--config", "single", "--perturb-beta"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "bad input: --perturb-beta needs a configuration with a relation\n"
+    # one selected configuration with a relation is enough
+    code, report = run(capsys, "verify", "--perturb-beta")
+    assert code == 1
+    assert [b["config"] for b in report["result"]["batteries"]] == [
+        "single", "cusp", "bessel", "trinomial", "gauss"]
+
+
 def test_verify_vacuous_flagged(capsys):
     # the single-point configuration has no relations, so the commutation
     # section runs on zero samples and says so; the Bessel cone is the whole
@@ -359,6 +373,10 @@ def test_modp_every_prime_skipped(capsys):
     # all: refused before any battery runs
     ["verify", "--alpha=1/2"],
     ["verify", "--config", "trinomial", "--degree", "-2"],
+    # a negative control without a relation could not fail
+    ["verify", "--config", "single", "--perturb-beta"],
+    ["verify", "--config", '{"points": [[1, 0], [0, 1]]}', "--alpha=1/2,1/3",
+     "--perturb-beta"],
 ])
 def test_malformed_input_exits_2(monkeypatch, capsys, argv):
     batteries = []
@@ -373,7 +391,7 @@ def test_malformed_input_exits_2(monkeypatch, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("bad input: ")
     assert captured.err.count("\n") == 1
-    if argv[0] == "verify" and "--config" not in argv:
+    if argv[0] == "verify" and ("--config" not in argv or "--perturb-beta" in argv):
         assert batteries == []
 
 
@@ -484,11 +502,14 @@ BATTERY_MODULES = ["gkzkit.derham", "gkzkit.laurent", "gkzkit.verify", "gkzkit.w
       "--bound", "2"], RANK_MODULES),
     (["rank", "--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3",
       "--hypersurface"], sorted(RANK_MODULES + ["gkzkit.complement", "gkzkit.laurent"])),
-    (["verify", "--config", "single"], sorted(RANK_MODULES + BATTERY_MODULES)),
+    # verify jobs run the identity battery and no window; in one dimension
+    # there is no gamma kernel, whose echelon needs linalg
+    (["verify", "--config", "single"], sorted(ANALYZE_MODULES + BATTERY_MODULES)),
     (["modp", "--config", "single", "--alpha", "1/2", "--primes", "5"],
      sorted(RANK_MODULES + ["gkzkit.modp"])),
     (["verify", "--config", "trinomial"],
-     sorted(RANK_MODULES + BATTERY_MODULES + ["gkzkit.complement", "gkzkit.hypersurface"])),
+     sorted(ANALYZE_MODULES + BATTERY_MODULES
+            + ["gkzkit.complement", "gkzkit.hypersurface", "gkzkit.linalg"])),
     # the path of the benchmark's rank_cone jobs: cone windows in 3-D
     (["rank", "--config", "gauss", "--alpha", "1/3,1/5,1/7", "--bound", "2",
       "--supports", "u0"], RANK_MODULES),

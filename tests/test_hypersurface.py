@@ -14,7 +14,8 @@ from gkzkit.complement import (apply_unimodular, build_g, cohomology_U_dim,
                                find_unimodular_normalizer, normalize_structure)
 from gkzkit.derham import LogForm, clearing_scale, enumerate_monomial_forms
 from gkzkit.errors import PochhammerPoleError, StructureError
-from gkzkit.hypersurface import (SplitForm, UForm, _derivations_by_parts,
+from gkzkit.hypersurface import (ComplementTables, SplitForm, UForm,
+                                 _derivations_by_parts,
                                  check_gamma_chain_map, check_split_matches_nabla,
                                  d_h, d_v, gamma, kernel_equals_dv_image,
                                  pochhammer, tilde_nabla)
@@ -312,10 +313,13 @@ def test_gamma_examples():
         gamma(ALPHA, g, LogForm.from_monomial((3, 1), (), 2, nlam=1))
 
 
-def battery_gamma_case(name):
+def battery_gamma_case(name, alpha=None):
     """The parameter, g and split samples ``run_battery`` checks the
-    comparison map on, for a builtin configuration."""
-    config, alpha, _ = normalize_structure(builtin_config(name), builtin_alpha(name))
+    comparison map on, for a configuration of SPLIT_CONFIGS and, by
+    default, its builtin parameter."""
+    config = SPLIT_CONFIGS[name]
+    config, alpha, _ = normalize_structure(
+        config, builtin_alpha(name) if alpha is None else alpha)
     n = config.n
     g = build_g(config, [Fraction(k + 2, 2 * k + 1) for k in range(config.N)])
     splits = [SplitForm(LogForm.from_monomial(u + (m,), idx, n),
@@ -326,18 +330,69 @@ def battery_gamma_case(name):
     return alpha, g, splits
 
 
+def wrong_twists(alpha: ParameterVector) -> list[ParameterVector]:
+    """alpha + e_1 and alpha + e_n."""
+    n = alpha.n
+    return [alpha.shift(tuple(int(i == k) for i in range(n))) for k in (0, n - 1)]
+
+
+def twisted_by(wrong: ParameterVector):
+    """tilde_nabla run on the parameter wrong, with tables of the same scale."""
+    return lambda _, g, omega, tables: tilde_nabla(
+        wrong, g, omega, ComplementTables(wrong, g, tables.scale))
+
+
 @pytest.mark.parametrize("name", ["trinomial", "gauss"])
 def test_gamma_chain_map_check_fails_for_a_wrong_twist(name, monkeypatch):
-    # tilde_nabla run on alpha + e_1 or alpha + e_n no longer intertwines
+    # the check's complement differential run on alpha + e_1 or alpha + e_n
+    # no longer intertwines
     alpha, g, splits = battery_gamma_case(name)
-    n = alpha.n
     verdicts = [check_gamma_chain_map(alpha, g, splits)]
-    for k in (0, n - 1):
-        wrong = alpha.shift(tuple(int(i == k) for i in range(n)))
-        monkeypatch.setattr(hypersurface, "tilde_nabla",
-                            lambda _, g, omega, wrong=wrong: tilde_nabla(wrong, g, omega))
+    for wrong in wrong_twists(alpha):
+        monkeypatch.setattr(hypersurface, "tilde_nabla", twisted_by(wrong))
         verdicts.append(check_gamma_chain_map(alpha, g, splits))
     assert verdicts == [True, False, False]
+
+
+@pytest.mark.parametrize("name, alpha", [
+    ("trinomial", None), ("gauss", None),
+    ("plane2", ParameterVector.of("1/3", "-2/5")),
+    # an integral last entry: the weights are integers before scaling
+    ("plane2", ParameterVector.of("2/3", "3")),
+])
+def test_gamma_chain_map_check_matches_the_check_over_q(name, alpha, monkeypatch):
+    # the integer check over h = L g and the former check over Q reach the
+    # same verdicts on the battery's samples, and on a wrong twist
+    alpha, g, splits = battery_gamma_case(name, alpha)
+    assert clearing_scale(alpha, g) > 1
+    assert check_gamma_chain_map(alpha, g, splits)
+    assert oracles.check_gamma_chain_map(alpha, g, splits)
+    over_q = oracles.tilde_nabla
+    for wrong in wrong_twists(alpha):
+        monkeypatch.setattr(hypersurface, "tilde_nabla", twisted_by(wrong))
+        monkeypatch.setattr(oracles, "tilde_nabla", lambda _, g, omega, wrong=wrong:
+                            over_q(wrong, g, omega))
+        assert not check_gamma_chain_map(alpha, g, splits)
+        assert not oracles.check_gamma_chain_map(alpha, g, splits)
+
+
+def test_complement_tables_write_the_unscaled_forms_over_h():
+    # gamma and the differential over h = L g with integer coefficients are
+    # the unscaled forms over g, the differential multiplied by L
+    alpha, g, splits = battery_gamma_case("gauss")
+    L = clearing_scale(alpha, g)
+    tables = ComplementTables(alpha, g, L)
+    for sf in splits:
+        got = gamma(alpha, g, sf.part1, tables)
+        want = oracles.gamma(alpha, g, sf.part1)
+        assert all(type(c) is int for p in got.num.components.values()
+                   for c in p.terms.values())
+        # num / h^M is num / (L^M g^M)
+        assert UForm(g, got.num.scale(Fraction(1, L ** got.gpow)), got.gpow) == want
+        d_got = tilde_nabla(alpha, g, got, tables)
+        d_want = oracles.tilde_nabla(alpha, g, want).num.scale(L)
+        assert UForm(g, d_got.num.scale(Fraction(1, L ** d_got.gpow)), d_got.gpow) \
+            == UForm(g, d_want, want.gpow + 1)
 
 
 def test_gamma_chain_map_check_sees_a_vertical_image_gamma_keeps():

@@ -9,6 +9,9 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from gkzkit import derham, laurent, window
 from gkzkit.catalog import builtin_config
 from gkzkit.window import CohomologyWindow, ConeSupport
 
@@ -32,6 +35,17 @@ def test_tracer_names_resolve():
     for mod_name, cls_name, meth, *_ in tracer.METHODS:
         cls = getattr(importlib.import_module(f"gkzkit.{mod_name}"), cls_name, None)
         assert callable(getattr(cls, meth, None)), (mod_name, cls_name, meth)
+
+
+def test_tracer_names_in_battery_modules_are_the_window_objects():
+    # derham and laurent resolve the tracer's window names on first access,
+    # so a battery process, which never asks for them, loads no window code
+    assert laurent.ConeSupport is window.ConeSupport
+    for name in ("CohomologyWindow", "generic_rank", "quasi_iso_check",
+                 "top_cohomology_dim"):
+        assert getattr(derham, name) is getattr(window, name)
+    with pytest.raises(AttributeError, match="'gkzkit.derham' has no attribute 'nope'"):
+        derham.nope
 
 
 def test_tracer_window_value_on_a_cone_window():

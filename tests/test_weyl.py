@@ -1,15 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from gkzkit import verify, weyl
+from gkzkit.catalog import builtin_alpha, builtin_config
 from gkzkit.errors import NotARelationError
 from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
 from gkzkit.laurent import LaurentPoly
-from gkzkit.weyl import (WeylElement, box_operator, box_shift,
+from gkzkit.verify import _del_monomials
+from gkzkit.weyl import (PhiTables, WeylElement, box_operator, box_shift,
                          check_commutation, check_phi_intertwines,
                          check_phi_kills_box, euler_operator, lambda_derivative,
                          phi_map, weyl_mul)
+import oracles
 from oracles import apply_box_to_lambda_poly
 
 D = WeylElement.partial
@@ -174,3 +179,103 @@ def test_apply_box_to_lambda_poly_matches_phi_route():
             value = sum(c * l1 ** e1 * l2 ** e2 for (e1, e2), c in got.items())
             assert value == 30 * l1 * l2 - 5 * l1 ** 3 + 4 * l2
 
+
+
+def test_weyl_mul_matches_the_product_over_q():
+    rng = random.Random(23)
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        a = random_weyl(rng, nvars)
+        b = random_weyl(rng, nvars).scale(Fraction(rng.randint(1, 5), rng.randint(1, 4)))
+        got = weyl_mul(a, b)
+        assert got == oracles.weyl_mul(a, b)
+        assert all(c for c in got.terms.values())
+    # integer coefficients stay ints
+    a = WeylElement(a.nvars, {k: int(c) for k, c in a.terms.items()})
+    assert all(type(c) is int for c in weyl_mul(a, a).terms.values())
+
+
+def lambda_carrying(N: int) -> list[WeylElement]:
+    """lambda^e del^b with e in {0, 1, 2}^N, |e| <= 2, and b in {0, 1}^N."""
+    return [WeylElement.monomial(e, b)
+            for e in itertools.product(range(3), repeat=N) if sum(e) <= 2
+            for b in itertools.product(range(2), repeat=N)]
+
+
+def dropping_the_factor(p: LaurentPoly, j: int) -> LaurentPoly:
+    """A faulty parameter derivative: lowers the exponent of lambda_j but
+    keeps the coefficient, dropping the factor u[k]."""
+    k = p.n + j - 1
+    return LaurentPoly._of(p.n, {u[:k] + (u[k] - 1,) + u[k + 1:]: c
+                                 for u, c in p.terms.items() if u[k]}, p.nlam)
+
+
+@pytest.mark.parametrize("name, count", [("trinomial", 80), ("gauss", 240)])
+def test_identity_b_needs_lambda_carrying_elements(name, count, monkeypatch):
+    # the battery's del-monomials carry no lambda, so del_j w never commutes
+    # past a lambda and identity (b) reduces to the additivity of phi; a
+    # parameter derivative that drops its factor passes them all, and the
+    # elements that carry lambda^e with an exponent 2 catch it
+    cfg, alpha = builtin_config(name), builtin_alpha(name)
+    tables = PhiTables(cfg, alpha)
+    battery = [(w, i) for w in _del_monomials(cfg.N, 3) for i in range(1, cfg.n + 1)]
+    elements = lambda_carrying(cfg.N)
+    assert len(elements) == count
+    inputs = [(w, i) for w in elements for i in range(1, cfg.n + 1)]
+    assert all(check_phi_intertwines(w, i, alpha, cfg, tables) for w, i in battery + inputs)
+    monkeypatch.setattr(weyl, "lambda_derivative", dropping_the_factor)
+    assert all(check_phi_intertwines(w, i, alpha, cfg, tables) for w, i in battery)
+    assert not all(check_phi_intertwines(w, i, alpha, cfg, tables) for w, i in inputs)
+
+
+@pytest.mark.parametrize("name", ["cusp", "trinomial", "gauss"])
+def test_phi_intertwines_matches_the_check_over_q(name, monkeypatch):
+    # the integer tables and the former check over Q reach the same verdict
+    # on every lambda-carrying element and on random elements, some with
+    # fractional coefficients, for the right parameter derivative and for
+    # the faulty one
+    cfg, alpha = builtin_config(name), builtin_alpha(name)
+    tables = PhiTables(cfg, alpha)
+    assert all(type(c) is int for op in tables.euler for c in op.values())
+    rng = random.Random(31)
+    elements = lambda_carrying(cfg.N) + [
+        random_weyl(rng, cfg.N, terms=3, deg=2).scale(Fraction(1, rng.randint(1, 3)))
+        for _ in range(20)]
+    for faulty in (False, True):
+        if faulty:
+            monkeypatch.setattr(weyl, "lambda_derivative", dropping_the_factor)
+            monkeypatch.setattr(oracles, "lambda_derivative", dropping_the_factor)
+        verdicts = [(check_phi_intertwines(w, i, alpha, cfg, tables),
+                     check_phi_intertwines(w, i, alpha, cfg),
+                     oracles.check_phi_intertwines(w, i, alpha, cfg))
+                    for w in elements for i in range(1, cfg.n + 1)]
+        assert all(len(set(v)) == 1 for v in verdicts)
+        assert any(v[0] for v in verdicts)
+        assert all(v[0] for v in verdicts) is not faulty
+
+
+def test_phi_intertwines_keeps_its_argument_checks():
+    cfg, alpha = builtin_config("cusp"), builtin_alpha("cusp")
+    for i in (0, 2):
+        with pytest.raises(ValueError, match="index out of range"):
+            check_phi_intertwines(D(1, 2), i, alpha, cfg, PhiTables(cfg, alpha))
+    with pytest.raises(ValueError, match="parameter count"):
+        check_phi_intertwines(D(1, 3), 1, alpha, cfg)
+
+
+def test_battery_builds_the_phi_tables_once(monkeypatch):
+    built, passed = [], []
+
+    def building(*args):
+        built.append(PhiTables(*args))
+        return built[-1]
+
+    def recording(w, i, alpha, config, tables=None):
+        passed.append(tables)
+        return check_phi_intertwines(w, i, alpha, config, tables)
+    monkeypatch.setattr(verify, "PhiTables", building)
+    monkeypatch.setattr(verify, "check_phi_intertwines", recording)
+    report = verify.run_battery(builtin_config("gauss"), builtin_alpha("gauss"))
+    check = next(c for c in report.checks if c.name == "phi_intertwines")
+    assert check.ok and check.samples == len(passed) == 105
+    assert len(built) == 1 and all(tables is built[0] for tables in passed)
