@@ -174,9 +174,22 @@ def clearing_scale(alpha: ParameterVector, f: LaurentPoly) -> int:
                     *(c.denominator for c in f.terms.values()))
 
 
+def differentials(alpha: ParameterVector, f: LaurentPoly,
+                  samples: Sequence[LogForm]) -> list[LogForm]:
+    """d nabla omega for each sample omega, d = ``clearing_scale(alpha, f)``:
+    the first differential both ``check_complex`` and
+    ``homotopy_identity_check`` take of each sample.  A caller that runs
+    both on the same samples computes it once and passes it to each."""
+    d = clearing_scale(alpha, f)
+    dd = TwistedDerivations(alpha, f, d)
+    return [nabla(alpha, f, omega, d, dd) for omega in samples]
+
+
 def check_complex(alpha: ParameterVector, f: LaurentPoly,
-                  samples: Sequence[LogForm]) -> bool:
-    """nabla composed with itself vanishes on every sample.
+                  samples: Sequence[LogForm],
+                  first: Sequence[LogForm] | None = None) -> bool:
+    """nabla composed with itself vanishes on every sample; ``first`` holds
+    the samples' ``differentials`` when the caller has them.
 
     The samples that decide it for every Laurent form are the monomial
     forms with exponents in {-1, 0, 1}^n.  A derivation D_i takes x^u to
@@ -193,8 +206,9 @@ def check_complex(alpha: ParameterVector, f: LaurentPoly,
     """
     d = clearing_scale(alpha, f)
     dd = TwistedDerivations(alpha, f, d)
-    for omega in samples:
-        if not nabla(alpha, f, nabla(alpha, f, omega, d, dd), d, dd).is_zero():
+    for k, omega in enumerate(samples):
+        eta = nabla(alpha, f, omega, d, dd) if first is None else first[k]
+        if not nabla(alpha, f, eta, d, dd).is_zero():
             return False
     return True
 
@@ -222,10 +236,13 @@ def twist_conjugation_check(alpha: ParameterVector, u: Sequence[int],
 
 
 def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
-                            config: PointConfig,
-                            samples: Sequence[LogForm]) -> FacetForm | None:
+                            config: PointConfig, samples: Sequence[LogForm],
+                            first: Sequence[LogForm] | None = None
+                            ) -> FacetForm | None:
     """The contraction against each facet form is a homotopy for
-    multiplication by the facet value.
+    multiplication by the facet value; ``first`` holds the samples'
+    ``differentials`` over ``build_f_symbolic(config)`` when the caller has
+    them.
 
     On a monomial form with exponent u the anticommutator of the twisted
     differential and the contraction rho_ell against ell multiplies by
@@ -268,7 +285,7 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
            for i, a in enumerate(alpha.entries)]
     # facets[:live] have held on every sample so far; a failure cuts the rest
     live = len(facets)
-    for omega in samples:
+    for k, omega in enumerate(samples):
         if not live:
             break
         if omega.nlam != N:
@@ -276,7 +293,8 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
         units: list[dict[IndexTuple, dict[IntVec, Fraction]]] = [{} for _ in range(n)]
         if omega.degree < n:
             # rho_{e_i} nabla omega
-            for idx, p in nabla(alpha, f, omega, d, dd).components.items():
+            eta = nabla(alpha, f, omega, d, dd) if first is None else first[k]
+            for idx, p in eta.components.items():
                 for pos, i in enumerate(idx):
                     _add_scaled(units[i - 1].setdefault(idx[:pos] + idx[pos + 1:], {}),
                                 p, -1 if pos % 2 else 1)

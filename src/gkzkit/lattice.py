@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicatePointError, NotARelationError, NotGeneratingError
@@ -52,7 +53,7 @@ class FacetForm(NamedTuple):
 
     def evaluate(self, u: Sequence) -> object:
         """Value of the form at an integer or rational vector."""
-        return sum(c * x for c, x in zip(self.coeffs, u))
+        return sum(map(mul, self.coeffs, u))
 
 
 class ParameterVector(NamedTuple):
@@ -157,6 +158,10 @@ class NewtonPolytope(NamedTuple):
     reaches the cone, where w >= 0, so V_B is empty for B < 0; on the cone
     V_B = B Delta.  Induction on B, with |u|_inf <= |u + a|_inf + radius,
     gives the bound.  As V_1 contains Delta, no smaller radius bounds V_1.
+
+    ``extent`` is the bounding box of Delta: per coordinate i, the least
+    and the largest of 0 and the a_i.  On the cone D = 0, so V_B meets it in
+    B Delta = conv(0, B a), whose points lie in B times that box.
     """
 
     n: int
@@ -164,11 +169,16 @@ class NewtonPolytope(NamedTuple):
     weights: tuple[tuple[IntVec, int], ...]
     h: IntVec       # the sum of the cone facet forms
     radius: int
+    extent: tuple[tuple[int, int], ...]
 
     def contains(self, u: Sequence[int], bound: int) -> bool:
         """Is u in V_B for B = bound?"""
-        depth = sum(max(0, -f.evaluate(u)) for f in self.cone)
-        return all(sum(ci * x for ci, x in zip(c, u)) + 2 * depth * d <= bound * d
+        depth = 0
+        for f in self.cone:
+            value = sum(map(mul, f.coeffs, u))
+            if value < 0:
+                depth -= value
+        return all(sum(map(mul, c, u)) + 2 * depth * d <= bound * d
                    for c, d in self.weights)
 
 
@@ -198,7 +208,9 @@ def newton_polytope(config: PointConfig) -> NewtonPolytope:
     return NewtonPolytope(n=n, cone=cone,
                           weights=tuple(sorted((c, d) for c, d in found if d > 0)),
                           h=tuple(sum(f.coeffs[i] for f in cone) for i in range(n)),
-                          radius=max(abs(x) for a in config.points for x in a))
+                          radius=max(abs(x) for a in config.points for x in a),
+                          extent=tuple((min(0, *column), max(0, *column))
+                                       for column in zip(*config.points)))
 
 
 def cone_facets(config: PointConfig) -> tuple[FacetForm, ...]:

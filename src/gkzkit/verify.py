@@ -15,8 +15,9 @@ from typing import NamedTuple
 # that checks only one-dimensional configurations never runs their code (the
 # package loads modules on first attribute access)
 from . import complement, hypersurface
-from .derham import (LogForm, check_complex, enumerate_monomial_forms,
-                     homotopy_identity_check, twist_conjugation_check)
+from .derham import (LogForm, check_complex, differentials,
+                     enumerate_monomial_forms, homotopy_identity_check,
+                     twist_conjugation_check)
 from .errors import StructureError
 from .lattice import (ParameterVector, PointConfig, cone_facets,
                       relation_lattice)
@@ -141,11 +142,13 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     # the twisted differential squares to zero, decided by the box {-1, 0, 1}^n
     f = build_f_symbolic(config)
     forms = enumerate_monomial_forms(n, 1, range(n + 1), nlam=N)
-    ok = check_complex(alpha, f, forms)
+    # the first differential of each sample, which both checks below take
+    first = differentials(alpha, f, forms)
+    ok = check_complex(alpha, f, forms, first)
     report.add(CheckResult("nabla_squared", ok, len(forms)))
 
     # contraction homotopy identity, every facet in one pass over the samples
-    failed = homotopy_identity_check(facets, alpha, config, forms)
+    failed = homotopy_identity_check(facets, alpha, config, forms, first)
     if failed is None:
         report.add(CheckResult("homotopy_identity", True, len(forms) * len(facets)))
     else:

@@ -17,8 +17,9 @@ from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
 from gkzkit.laurent import (LaurentPoly, TwistedDerivations, apply_D, build_f,
                             build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
-from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, generic_rank,
-                           quasi_iso_check, require_stabilized, top_cohomology_dim)
+from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, HalfSupport,
+                           generic_rank, quasi_iso_check, require_stabilized,
+                           top_cohomology_dim)
 from oracles import (apply_D_by_parts, brute_newton_window, contract, dense_rank,
                      homotopy_identity_per_facet, homotopy_rho, nabla_by_parts,
                      shoelace_volume, specialize, window_generators_per_window)
@@ -46,6 +47,24 @@ def test_check_complex_builtin_configs():
         f = build_f_symbolic(cfg)
         forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
         assert check_complex(alpha, f, forms), name
+
+
+@pytest.mark.parametrize("name", ["cusp", "trinomial", "gauss"])
+def test_battery_takes_each_first_differential_once(monkeypatch, name):
+    # nabla_squared and homotopy_identity share the differential of each
+    # sample, so no form goes through nabla twice at the battery's alpha
+    cfg, alpha = builtin_config(name), builtin_alpha(name)
+    seen = []
+
+    def recording(a, f, omega, *args, _nabla=derham.nabla):
+        if a is alpha:
+            seen.append(omega)
+        return _nabla(a, f, omega, *args)
+    monkeypatch.setattr(derham, "nabla", recording)
+    assert run_battery(cfg, alpha).ok
+    box = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
+    assert len(seen) >= 2 * len(box)
+    assert len({id(omega) for omega in seen}) == len(seen)
 
 
 def test_twist_conjugation_example():
@@ -505,14 +524,40 @@ def test_window_points_in_elimination_order():
 
 
 def assert_newton_window(cfg, bound, coeff_bound=3):
-    """Both the Z^n and the U0 window equal the brute-force Newton window."""
+    """The Z^n, R+ and U0 windows equal the brute-force Newton window, the
+    R+ one its points with u_n >= 0."""
     points = list(cfg.points)
+    window = brute_newton_window(points, bound, coeff_bound)
     full = CohomologyWindow(cfg, FullSupport(cfg.n), bound)
-    assert set(full.points) == brute_newton_window(points, bound, coeff_bound), \
-        (points, bound)
+    assert set(full.points) == window, (points, bound)
+    half = CohomologyWindow(cfg, HalfSupport(cfg.n), bound)
+    assert set(half.points) == {u for u in window if u[-1] >= 0}, (points, bound)
     cone = CohomologyWindow(cfg, ConeSupport(cfg), bound)
     assert set(cone.points) == brute_newton_window(points, bound, coeff_bound,
                                                    cone_only=True), (points, bound)
+
+
+@pytest.mark.parametrize("bound", range(1, 6))
+@pytest.mark.parametrize("points, coeff_bound", [
+    ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 3),
+    ([(0, 1), (1, 1), (-1, 1), (2, 1)], 3),
+    # N.A is not saturated; the facet 2x + 3y <= 7 of Delta needs normals
+    # up to 7 in the oracle's homogenized search
+    ([(-2, 2), (-1, 3), (2, 1)], 7),
+    ([(1,), (-1,)], 3),                 # bessel: the cone is a line
+    ([(0, 1), (1, 1), (0, 0)], 3),      # 0 among the points
+])
+def test_every_support_scan_box_holds_its_window(points, coeff_bound, bound):
+    # each support scans its own box (Support.scan): up to B = 5 no window
+    # point falls outside it
+    assert_newton_window(validate_config(points), bound, coeff_bound)
+
+
+def test_every_support_scan_box_holds_the_uneven_3d_window_at_bound_4():
+    # B <= 3 is in test_uneven_3d_windows_match_brute_newton_window; at B = 4
+    # the oracle alone takes about 0.7 s
+    assert_newton_window(validate_config(
+        [(-2, 2, 2), (-2, 1, -2), (2, 0, -2), (-2, -1, 1), (1, -1, -2)]), 4, 5)
 
 
 def test_newton_window_on_builtins():

@@ -1,15 +1,20 @@
 """The (B-1, B) window pair read off one scan and one elimination per
-specialization gives the dimensions of the per-window path it replaced."""
+specialization gives the dimensions of the per-window path it replaced; each
+support scans only its own box, and every specialization shares one
+generator shape."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from gkzkit import window
 from gkzkit.catalog import builtin_config
+from gkzkit.cli import main
 from gkzkit.complement import cohomology_U_dim
-from gkzkit.lattice import ParameterVector, validate_config
-from gkzkit.window import ConeSupport, FullSupport, top_cohomology_dim
+from gkzkit.lattice import NewtonPolytope, ParameterVector, newton_polytope, validate_config
+from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, top_cohomology_dim,
+                           window_pair)
 
 from oracles import torus_window_dims, u_window_dims
 
@@ -52,3 +57,58 @@ def test_window_pair_dims_match_the_per_window_oracle(name, alpha_kind):
             if hypersurface:
                 got = cohomology_U_dim(config, alpha, lam, bound).dims
                 assert got == u_window_dims(config, alpha, lam, bound), ("U", lam, bound)
+
+
+PYRAMID = CASES["pyramid"][0]
+
+
+def counting(monkeypatch, owner, name: str) -> list:
+    """Count the calls of owner.name, through its module or class binding."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("points, polytope_tests, cone_tests", [
+    # the box of B Delta: [0, 4]^2 x [-4, 4] for gauss, [0, 4]^3 for the
+    # pyramid; then 55 tests filter the B-1 window out of the B one.  The
+    # sup-norm box of radius 4 made 9^3 + 55 = 784 tests and 91 cone tests.
+    (builtin_config("gauss").points, 5 * 5 * 9 + 55, 71),
+    (PYRAMID, 5 ** 3 + 55, 70),
+])
+def test_cone_window_pair_scans_the_box_of_b_delta(monkeypatch, points,
+                                                   polytope_tests, cone_tests):
+    config = validate_config(points)
+    polytope = counting(monkeypatch, NewtonPolytope, "contains")
+    cone = counting(monkeypatch, ConeSupport, "contains")
+    small, top = window_pair(config, ConeSupport(config), 4)
+    assert (len(small.points), len(top.points)) == (30, 55)
+    assert (len(polytope), len(cone)) == (polytope_tests, cone_tests)
+
+
+@pytest.mark.parametrize("name, bound", [("gauss", 2), ("trinomial", 3)])
+def test_full_window_scans_the_sup_norm_box(monkeypatch, name, bound):
+    config = builtin_config(name)
+    polytope = counting(monkeypatch, NewtonPolytope, "contains")
+    CohomologyWindow(config, FullSupport(config.n), bound)
+    assert len(polytope) == (2 * bound * newton_polytope(config).radius + 1) ** config.n
+
+
+@pytest.mark.parametrize("argv, kernels", [
+    # one staying_combinations basis per set of leaving steps, for both
+    # specializations of generic_rank (each built its own: 18 and 11)
+    (["--config", "gauss", "--alpha", "1/3,1/5,1/7", "--supports", "zn",
+      "--bound", "3"], 9),
+    (["--config", "trinomial", "--alpha", "1/3,1/5", "--hypersurface",
+      "--bound", "5"], 7),
+])
+def test_each_window_pair_builds_its_generator_shape_once(monkeypatch, capsys,
+                                                           argv, kernels):
+    calls = counting(monkeypatch, window, "integer_kernel")
+    assert main(["rank", *argv]) == 0
+    assert len(calls) == kernels
