@@ -105,7 +105,7 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
     polynomials have no zero divisors, so the B-1 ranks are those over its
     own power.  With G = c g integral, the numerator c^m G^(M-m) x'^{u'} is
     c^M g^(M-m) x'^{u'}, one scale for all.  As D_n acts as the identity
-    g / g^{m+1} = 1 / g^m, a generator is that of ``GeneratorShape`` at
+    g / g^{m+1} = 1 / g^m, a generator is that of ``window_generators`` at
     u with each entry off u's own column scaled by -(m + alpha_n); with
     alpha_n = a / e, both scales are multiplied by e, so rows are integral.
     The quotient is the rank of the numerators minus that of the
@@ -114,7 +114,7 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
     # imported here, so the identity battery, which uses only the helpers
     # above, loads neither
     from .linalg import RationalEchelon
-    from .window import (GeneratorShape, HalfSupport, RankReport, specialization,
+    from .window import (HalfSupport, RankReport, specialization, window_generators,
                          window_pair)
 
     lam = specialization(config, lam)
@@ -138,7 +138,7 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
     dims = []
     for cols, gens in zip(([win.index[u] for u in small.points],
                            [k for k, u in enumerate(points) if u not in small.index]),
-                          GeneratorShape(windows, alpha).generators(lam)):
+                          window_generators(windows, alpha, lam)):
         for col in cols:
             span_ech.insert(nums[col].terms)
         for col, vec in gens:

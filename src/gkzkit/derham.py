@@ -177,19 +177,18 @@ def clearing_scale(alpha: ParameterVector, f: LaurentPoly) -> int:
 def differentials(alpha: ParameterVector, f: LaurentPoly,
                   samples: Sequence[LogForm]) -> list[LogForm]:
     """d nabla omega for each sample omega, d = ``clearing_scale(alpha, f)``:
-    the first differential both ``check_complex`` and
-    ``homotopy_identity_check`` take of each sample.  A caller that runs
-    both on the same samples computes it once and passes it to each."""
+    the first differential of each sample, which ``check_complex`` and
+    ``homotopy_identity_check`` take as given, so a caller that runs both
+    on the same samples computes it once."""
     d = clearing_scale(alpha, f)
     dd = TwistedDerivations(alpha, f, d)
     return [nabla(alpha, f, omega, d, dd) for omega in samples]
 
 
 def check_complex(alpha: ParameterVector, f: LaurentPoly,
-                  samples: Sequence[LogForm],
-                  first: Sequence[LogForm] | None = None) -> bool:
-    """nabla composed with itself vanishes on every sample; ``first`` holds
-    the samples' ``differentials`` when the caller has them.
+                  first: Sequence[LogForm]) -> bool:
+    """nabla composed with itself vanishes on every sample: nabla vanishes
+    on each form of ``first``, the samples' ``differentials``.
 
     The samples that decide it for every Laurent form are the monomial
     forms with exponents in {-1, 0, 1}^n.  A derivation D_i takes x^u to
@@ -206,8 +205,7 @@ def check_complex(alpha: ParameterVector, f: LaurentPoly,
     """
     d = clearing_scale(alpha, f)
     dd = TwistedDerivations(alpha, f, d)
-    for k, omega in enumerate(samples):
-        eta = nabla(alpha, f, omega, d, dd) if first is None else first[k]
+    for eta in first:
         if not nabla(alpha, f, eta, d, dd).is_zero():
             return False
     return True
@@ -237,12 +235,10 @@ def twist_conjugation_check(alpha: ParameterVector, u: Sequence[int],
 
 def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
                             config: PointConfig, samples: Sequence[LogForm],
-                            first: Sequence[LogForm] | None = None
-                            ) -> FacetForm | None:
+                            first: Sequence[LogForm]) -> FacetForm | None:
     """The contraction against each facet form is a homotopy for
     multiplication by the facet value; ``first`` holds the samples'
-    ``differentials`` over ``build_f_symbolic(config)`` when the caller has
-    them.
+    ``differentials`` over ``build_f_symbolic(config)``.
 
     On a monomial form with exponent u the anticommutator of the twisted
     differential and the contraction rho_ell against ell multiplies by
@@ -253,10 +249,10 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
 
     Every term of the residual, lhs minus rhs, is linear in ell, so one pass
     per sample builds the unit residuals R_i of ell = e_i, and the residual
-    of a facet is the ell_i-weighted sum of the R_i.  The differential of the
-    sample is taken once and contracted against every e_i; the differentials
-    of the forms that drop one index of the sample go straight into the term
-    maps of the R_i.  The right-hand side is read off alpha and the keys of
+    of a facet is the ell_i-weighted sum of the R_i.  The given differential
+    of the sample is contracted against every e_i; the differentials of the
+    forms that drop one index of the sample go straight into the term maps
+    of the R_i.  The right-hand side is read off alpha and the keys of
     f, not off the derivation tables the differential runs on.  When every
     R_i vanishes, every facet holds on the sample; otherwise the live facets
     are combined in order.  Returns the first facet, in the given order, on
@@ -293,8 +289,7 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
         units: list[dict[IndexTuple, dict[IntVec, Fraction]]] = [{} for _ in range(n)]
         if omega.degree < n:
             # rho_{e_i} nabla omega
-            eta = nabla(alpha, f, omega, d, dd) if first is None else first[k]
-            for idx, p in eta.components.items():
+            for idx, p in first[k].components.items():
                 for pos, i in enumerate(idx):
                     _add_scaled(units[i - 1].setdefault(idx[:pos] + idx[pos + 1:], {}),
                                 p, -1 if pos % 2 else 1)

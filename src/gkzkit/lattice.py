@@ -158,10 +158,6 @@ class NewtonPolytope(NamedTuple):
     reaches the cone, where w >= 0, so V_B is empty for B < 0; on the cone
     V_B = B Delta.  Induction on B, with |u|_inf <= |u + a|_inf + radius,
     gives the bound.  As V_1 contains Delta, no smaller radius bounds V_1.
-
-    ``extent`` is the bounding box of Delta: per coordinate i, the least
-    and the largest of 0 and the a_i.  On the cone D = 0, so V_B meets it in
-    B Delta = conv(0, B a), whose points lie in B times that box.
     """
 
     n: int
@@ -169,7 +165,6 @@ class NewtonPolytope(NamedTuple):
     weights: tuple[tuple[IntVec, int], ...]
     h: IntVec       # the sum of the cone facet forms
     radius: int
-    extent: tuple[tuple[int, int], ...]
 
     def contains(self, u: Sequence[int], bound: int) -> bool:
         """Is u in V_B for B = bound?"""
@@ -208,9 +203,7 @@ def newton_polytope(config: PointConfig) -> NewtonPolytope:
     return NewtonPolytope(n=n, cone=cone,
                           weights=tuple(sorted((c, d) for c, d in found if d > 0)),
                           h=tuple(sum(f.coeffs[i] for f in cone) for i in range(n)),
-                          radius=max(abs(x) for a in config.points for x in a),
-                          extent=tuple((min(0, *column), max(0, *column))
-                                       for column in zip(*config.points)))
+                          radius=max(abs(x) for a in config.points for x in a))
 
 
 def cone_facets(config: PointConfig) -> tuple[FacetForm, ...]:

@@ -144,7 +144,7 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     forms = enumerate_monomial_forms(n, 1, range(n + 1), nlam=N)
     # the first differential of each sample, which both checks below take
     first = differentials(alpha, f, forms)
-    ok = check_complex(alpha, f, forms, first)
+    ok = check_complex(alpha, f, first)
     report.add(CheckResult("nabla_squared", ok, len(forms)))
 
     # contraction homotopy identity, every facet in one pass over the samples

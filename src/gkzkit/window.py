@@ -81,11 +81,14 @@ class ConeSupport(Support):
 
     def __init__(self, config: PointConfig):
         super().__init__("U0", newton_polytope(config).cone)
+        # the bounding box of Delta = conv(0 u A): per coordinate, the least
+        # and the largest of 0 and the a_i
+        self.extent = [(min(0, *column), max(0, *column)) for column in zip(*config.points)]
 
     def scan(self, polytope: NewtonPolytope, bound: int) -> list[range]:
         """B times the bounding box of Delta: on the cone the depth is 0, so
         V_B meets it in B Delta = conv(0, B a), inside that box."""
-        return [range(bound * low, bound * high + 1) for low, high in polytope.extent]
+        return [range(bound * low, bound * high + 1) for low, high in self.extent]
 
 
 class RankReport:
@@ -222,90 +225,56 @@ def staying_combinations(steps: Sequence[Sequence[int]], n: int):
     return basis
 
 
-class GeneratorShape:
-    """The generators of a ``window_pair`` up to the weight lambda_a of each
-    step a, which is all they read of lambda: built once per window pair
-    and filled in for each specialization by ``generators``.
+def window_generators(windows: tuple[CohomologyWindow, CohomologyWindow],
+                      alpha: ParameterVector, lam: Sequence[Fraction]
+                      ) -> tuple[Iterator[tuple[int, dict]], Iterator[tuple[int, dict]]]:
+    """Images of window monomials under the twisted derivation combinations
+    that stay inside the window, for a ``window_pair``, as integer sparse
+    vectors keyed by the bound-B window's columns.
 
-    The images of window monomials under the twisted derivation
-    combinations that stay inside the window: for each point u of the B-1
-    window and each combination c of ``staying_combinations`` with a
-    nonzero image, c.(u + alpha) at u's own column and lambda_a c.a at
-    u + a, for each nonzero point a.  The B window's generators are kept at
-    the points of V_B outside V_{B-1} and where the steps leaving the two
-    windows differ.  A step that leaves V_B leaves V_{B-1}, so each c
-    staying in the B-1 window lies in the Q-span of the B basis at u, and
-    the generator is linear in c; where the leaving steps agree, so do the
-    generators.  Both together span the B window's image.
-
-    The target columns, the leaving steps, the combinations, c.u and c.a
-    depend on the windows and the points only, and so does whether an
-    image is zero, as every lambda_a is nonzero: every specialization
-    shares the shape.  ``rows`` holds two lists, for the B-1 window and for
-    the B window, of (column, e c.(u + alpha), [(target column, position in
-    ``steps``, c.a), ...]), with e = ``denominator``, the lcm of the
-    denominators of alpha, and ``steps`` the positions of the nonzero
-    points.
+    Returns two iterators of (column, vector), read in turn.  The first
+    yields, for each point u of the B-1 window and each combination c of
+    ``staying_combinations`` with a nonzero image, D c.(u + alpha) at u's
+    own column and D lambda_a c.a at u + a, for each point a; D, the lcm of
+    the denominators of alpha and lambda, makes them integers and changes
+    no rank.  The second yields the B window's generators at the points of
+    V_B outside V_{B-1} and where the steps leaving the two windows differ.
+    A step that leaves V_B leaves V_{B-1}, so each c staying in the B-1
+    window lies in the Q-span of the B basis at u, and the generator is
+    linear in c; where the leaving steps agree, so do the generators.  Both
+    together span the B window's image.
     """
+    small, win = windows
+    index = win.index
+    scale = math.lcm(*(a.denominator for a in alpha.entries),
+                     *(v.denominator for v in lam))
+    d_alpha = [int(a * scale) for a in alpha.entries]
+    steps = [(a, int(v * scale)) for a, v in zip(win.config.points, lam) if v and any(a)]
+    basis = staying_combinations([a for a, _ in steps], win.config.n)
+    leaving: dict[int, tuple[int, ...]] = {}
 
-    __slots__ = ("windows", "alpha", "denominator", "steps", "rows")
-
-    def __init__(self, windows: tuple[CohomologyWindow, CohomologyWindow],
-                 alpha: ParameterVector):
-        self.windows = small, win = windows
-        self.alpha = alpha
-        self.denominator = e = math.lcm(*(a.denominator for a in alpha.entries))
-        e_alpha = [int(a * e) for a in alpha.entries]
-        self.steps = [j for j, a in enumerate(win.config.points) if any(a)]
-        shifts = [win.config.points[j] for j in self.steps]
-        basis = staying_combinations(shifts, win.config.n)
-        index = win.index
-        leaving: dict[int, tuple[int, ...]] = {}
-        self.rows: tuple[list, list] = ([], [])
-
-        def add(col: int, u: IntVec, small_side: bool):
-            targets = [index.get(tuple(map(operator.add, u, a))) for a in shifts]
-            out = tuple(k for k, t in enumerate(targets)
-                        if t is None or (small_side and win.points[t] not in small.index))
-            if small_side:
-                leaving[col] = out
-            elif leaving.get(col) == out:
-                return
-            for c in basis(out):
-                diag = e * sum(map(operator.mul, c, u)) + sum(map(operator.mul, c, e_alpha))
-                entries = []
-                for k, (a, t) in enumerate(zip(shifts, targets)):
-                    coeff = sum(map(operator.mul, c, a))
-                    if coeff:
-                        entries.append((t, k, coeff))
-                if diag or entries:
-                    self.rows[not small_side].append((col, diag, entries))
-
-        for u in small.points:
-            add(index[u], u, True)
-        for col, u in enumerate(win.points):
-            add(col, u, False)
-
-    def generators(self, lam: Sequence[Fraction]
-                   ) -> tuple[Iterator[tuple[int, dict]], Iterator[tuple[int, dict]]]:
-        """The generators at one specialization lambda, as integer sparse
-        vectors keyed by the bound-B window's columns: two iterators of
-        (column, vector), read in turn, over the B-1 window's generators and
-        the B window's that differ.  Each is D times the image, D the lcm of
-        the denominators of alpha and lambda, which makes it integral and
-        changes no rank."""
-        scale = math.lcm(self.denominator, *(v.denominator for v in lam))
-        ratio = scale // self.denominator
-        weights = [int(lam[j] * scale) for j in self.steps]
-
-        def fill(rows):
-            for col, diag, entries in rows:
-                vec = {col: ratio * diag} if diag else {}
-                for t, k, coeff in entries:
-                    vec[t] = weights[k] * coeff
+    def generators(col: int, u: IntVec, small_side: bool):
+        targets = [index.get(tuple(map(operator.add, u, a))) for a, _ in steps]
+        out = tuple(k for k, t in enumerate(targets)
+                    if t is None or (small_side and win.points[t] not in small.index))
+        if small_side:
+            leaving[col] = out
+        elif leaving.get(col) == out:
+            return
+        for c in basis(out):
+            vec: dict[int, int] = {}
+            diag = sum(ci * (scale * x + a) for ci, a, x in zip(c, d_alpha, u))
+            if diag:
+                vec[col] = diag
+            for (a, v), t in zip(steps, targets):
+                coeff = sum(ci * x for ci, x in zip(c, a))
+                if coeff:
+                    vec[t] = v * coeff
+            if vec:
                 yield col, vec
 
-        return fill(self.rows[0]), fill(self.rows[1])
+    return ((g for u in small.points for g in generators(index[u], u, True)),
+            (g for col, u in enumerate(win.points) for g in generators(col, u, False)))
 
 
 def window_pair(config: PointConfig, support: Support,
@@ -318,19 +287,20 @@ def window_pair(config: PointConfig, support: Support,
     return CohomologyWindow(config, support, bound - 1, top), top
 
 
-def _torus_report(lam: tuple[Fraction, ...], shape: GeneratorShape,
+def _torus_report(alpha: ParameterVector, lam: tuple[Fraction, ...],
+                  windows: tuple[CohomologyWindow, CohomologyWindow],
                   warnings: Sequence[str]) -> RankReport:
     """The report of one specialization on a window pair, from one echelon
     that takes the B-1 generators, is read for dims[0], then takes the B
-    generators that differ and is read for dims[1] (``GeneratorShape``).
+    generators that differ and is read for dims[1] (``window_generators``).
     Its span is the B image, all ``quasi_iso_check`` reads of the report."""
     ech = RationalEchelon()
     dims = []
-    for win, gens in zip(shape.windows, shape.generators(lam)):
+    for win, gens in zip(windows, window_generators(windows, alpha, lam)):
         for _, vec in gens:
             ech.insert(vec)
         dims.append(len(win.points) - ech.rank)
-    return RankReport(f"torus/{win.support.name}", shape.alpha, lam, win.bound,
+    return RankReport(f"torus/{win.support.name}", alpha, lam, win.bound,
                       tuple(dims), tuple(warnings), (win, ech))
 
 
@@ -350,8 +320,8 @@ def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
     stabilized when the two agree.  A resonant parameter is not an error:
     the computation proceeds with a warning flag set.
     """
-    return _torus_report(specialization(config, lam),
-                         GeneratorShape(window_pair(config, support, bound), alpha),
+    return _torus_report(alpha, specialization(config, lam),
+                         window_pair(config, support, bound),
                          _resonance_warnings(config, alpha))
 
 
@@ -376,14 +346,13 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
     """Stabilized dimension at generic parameters.
 
     Evaluates up to three pairs of distinct random specializations on one
-    pair of windows (bounds B-1 and B) and one ``GeneratorShape`` of it,
-    until a pair agrees on a stabilized dimension, and reports the first of
-    that pair.  Otherwise raises NotStabilizedError with the (B-1, B)
-    dimensions of the last specialization that did not stabilize, else of
-    the last one drawn.
+    pair of windows (bounds B-1 and B) until a pair agrees on a stabilized
+    dimension, and reports the first of that pair.  Otherwise raises
+    NotStabilizedError with the (B-1, B) dimensions of the last
+    specialization that did not stabilize, else of the last one drawn.
     """
     warnings = _resonance_warnings(config, alpha)
-    shape = GeneratorShape(window_pair(config, support, bound), alpha)
+    windows = window_pair(config, support, bound)
     rng = random.Random(seed)
     unstable = None
     for _ in range(3):
@@ -392,8 +361,8 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
             lam2 = random_specialization(rng, config.N)
         # the second specialization only confirms the first: its echelon is
         # let go before the first one's, which the report keeps, is built
-        rep2 = _torus_report(lam2, shape, warnings).replace(top=None)
-        rep1 = _torus_report(lam1, shape, warnings)
+        rep2 = _torus_report(alpha, lam2, windows, warnings).replace(top=None)
+        rep1 = _torus_report(alpha, lam1, windows, warnings)
         if rep1.stabilized and rep2.stabilized and rep1.dim == rep2.dim:
             return rep1.replace(warnings=warnings + (
                 f"agreed with second specialization {list(map(str, lam2))}",))

@@ -27,7 +27,7 @@ as references for what replaced it:
   every term over one power of g and divide nothing out.
 - u_quotient_dim, the former complement-side quotient, with its own loop
   over window points and staying combinations, for
-  gkzkit.window.GeneratorShape, which both sides now share.
+  gkzkit.window.window_generators, which both sides now share.
 - window_generators_per_window, torus_window_dims,
   u_quotient_dim_per_window and u_window_dims, the former per-window path
   of the (B-1, B) pair: two box scans, one echelon of Fraction rows per
@@ -776,7 +776,7 @@ def u_quotient_dim_per_window(alpha: ParameterVector, lam: tuple[Fraction, ...],
     denominator g^M.  As D_n acts as the identity g / g^{m+1} = 1 / g^m, the
     combination sum_i c_i D_i (c in Q^n) sends u to c.(u + alpha) times u
     minus (m + alpha_n) times the sum of (c.a) lambda_a (u + a) over the
-    points a.  That is the torus generator of ``GeneratorShape`` at u
+    points a.  That is the torus generator of ``window_generators`` at u
     with each entry off u's own column scaled by -(m + alpha_n), and each
     column read as its numerator.  The quotient dimension is the rank of the
     numerators minus the rank of the generators.

@@ -14,8 +14,8 @@ import pytest
 
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.complement import build_g, cohomology_U_dim
-from gkzkit.derham import (LogForm, check_complex, enumerate_monomial_forms,
-                           homotopy_identity_check)
+from gkzkit.derham import (LogForm, check_complex, differentials,
+                           enumerate_monomial_forms, homotopy_identity_check)
 from gkzkit.errors import ResonantError
 from gkzkit.hypersurface import (SplitForm, check_gamma_chain_map,
                                  kernel_equals_dv_image)
@@ -90,8 +90,10 @@ def test_criterion_2_complex_and_homotopy_identities():
         alpha = builtin_alpha(name)
         f = build_f_symbolic(cfg)
         forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-        ok = ok and check_complex(alpha, f, forms)
-        ok = ok and homotopy_identity_check(cone_facets(cfg), alpha, cfg, forms) is None
+        first = differentials(alpha, f, forms)
+        ok = ok and check_complex(alpha, f, first)
+        ok = ok and homotopy_identity_check(cone_facets(cfg), alpha, cfg, forms,
+                                            first) is None
     elapsed = time.monotonic() - t0
     report("criterion 2: complex and homotopy identities", ok and elapsed < 60,
            f"{elapsed:.1f}s")

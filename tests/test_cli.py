@@ -94,9 +94,9 @@ def test_disagreeing_specializations_report_both_dimensions(monkeypatch, capsys)
     torus_report = window._torus_report
     calls = []
 
-    def forced(lam, shape, warnings):
+    def forced(alpha, lam, windows, warnings):
         calls.append(lam)
-        rep = torus_report(lam, shape, warnings)
+        rep = torus_report(alpha, lam, windows, warnings)
         return rep.replace(dims=(3, 3) if len(calls) % 2 else (2, 2))
     monkeypatch.setattr(window, "_torus_report", forced)
     job = ["--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3"]

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from gkzkit import derham
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.complement import apply_unimodular
-from gkzkit.derham import (LogForm, check_complex, enumerate_monomial_forms,
-                           homotopy_identity_check, nabla, twist_conjugation_check)
+from gkzkit.derham import (LogForm, check_complex, differentials,
+                           enumerate_monomial_forms, homotopy_identity_check, nabla,
+                           twist_conjugation_check)
 from gkzkit.errors import GkzError, NotStabilizedError
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
@@ -46,7 +47,14 @@ def test_check_complex_builtin_configs():
         alpha = builtin_alpha(name)
         f = build_f_symbolic(cfg)
         forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-        assert check_complex(alpha, f, forms), name
+        assert check_complex(alpha, f, differentials(alpha, f, forms)), name
+
+
+def homotopy_check(facets, alpha, cfg, samples):
+    """``homotopy_identity_check`` on the samples' first differentials, taken
+    here on the derivation tables in force, as ``run_battery`` takes them."""
+    first = differentials(alpha, build_f_symbolic(cfg), samples)
+    return homotopy_identity_check(facets, alpha, cfg, samples, first)
 
 
 @pytest.mark.parametrize("name", ["cusp", "trinomial", "gauss"])
@@ -106,7 +114,7 @@ def test_homotopy_identity_example_hand():
     want = LogForm(1, 1, {(1,): LaurentPoly(1, {(3, 0): Fraction(7, 2), (4, 1): 1},
                                             nlam=1)}, nlam=1)
     assert lhs == want
-    assert homotopy_identity_check([ell], alpha, cfg, [omega]) is None
+    assert homotopy_check([ell], alpha, cfg, [omega]) is None
 
 
 def test_homotopy_identity_all_builtins():
@@ -114,7 +122,7 @@ def test_homotopy_identity_all_builtins():
         cfg = builtin_config(name)
         alpha = builtin_alpha(name)
         forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-        assert homotopy_identity_check(cone_facets(cfg), alpha, cfg, forms) is None, name
+        assert homotopy_check(cone_facets(cfg), alpha, cfg, forms) is None, name
 
 
 def test_homotopy_identity_on_sums_of_monomial_forms():
@@ -129,40 +137,43 @@ def test_homotopy_identity_on_sums_of_monomial_forms():
         sums = [group[k] + group[-1 - 2 * k].scale(3) + group[len(group) // 2]
                 for group in by_degree.values() for k in range(len(group) // 3)]
         assert any(len(omega.components) > 1 for omega in sums)
-        assert homotopy_identity_check(cone_facets(cfg), builtin_alpha(name), cfg,
-                                       sums) is None, name
+        assert homotopy_check(cone_facets(cfg), builtin_alpha(name), cfg,
+                              sums) is None, name
 
 
 @pytest.mark.parametrize("name, calls", [
-    # nabla of each sample below top degree: gauss has 1,000 samples, 875
-    # below degree 3; trinomial 100 samples, 75 below degree 2.  The forms
-    # that drop one index of a sample go through the derivation tables
-    # without a nabla call
+    # the differential of each sample below top degree: gauss has 1,000
+    # samples, 875 below degree 3; trinomial 100 samples, 75 below degree 2.
+    # The forms that drop one index of a sample go through the derivation
+    # tables without a nabla call
     ("gauss", 875),
     ("trinomial", 75),
 ])
 def test_homotopy_check_takes_nabla_once_per_sample(monkeypatch, name, calls):
-    # the derivation tables are built once per check, and every differential
-    # the check takes applies them
-    cfg = builtin_config(name)
+    # the check reads the given differential of each sample below top degree
+    # once, takes none of its own, and builds its derivation tables once
+    cfg, alpha = builtin_config(name), builtin_alpha(name)
     forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-    built, applied = [], []
+    built, applied, read = [], [], []
+
+    class Reads(list):
+        def __getitem__(self, k):
+            read.append(k)
+            return super().__getitem__(k)
 
     class Counting(TwistedDerivations):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-    def counting(alpha, f, omega, scale=1, derivations=None, _nabla=derham.nabla):
-        applied.append(derivations)
-        return _nabla(alpha, f, omega, scale, derivations)
+    first = Reads(differentials(alpha, build_f_symbolic(cfg), forms))
     monkeypatch.setattr(derham, "TwistedDerivations", Counting)
-    monkeypatch.setattr(derham, "nabla", counting)
-    assert homotopy_identity_check(cone_facets(cfg), builtin_alpha(name), cfg,
-                                   forms) is None
+    monkeypatch.setattr(derham, "nabla", lambda *args: applied.append(args))
+    assert homotopy_identity_check(cone_facets(cfg), alpha, cfg, forms, first) is None
     assert len(built) == 1
-    assert len(applied) == calls
-    assert all(derivations is built[0] for derivations in applied)
+    assert applied == []
+    assert sorted(read) == [k for k, omega in enumerate(forms) if omega.degree < cfg.n]
+    assert len(read) == calls
 
 
 def _wrong_tables(monkeypatch, directions, kind: str = "alpha") -> None:
@@ -205,9 +216,9 @@ def test_homotopy_failure_reports_the_first_failing_facet(monkeypatch, bad):
     first = min(positions)
     _wrong_tables(monkeypatch, [direction])
     forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-    assert homotopy_identity_check(facets, alpha, cfg, forms) == facets[first]
+    assert homotopy_check(facets, alpha, cfg, forms) == facets[first]
     right = [ell for ell in facets if ell not in wrong]
-    assert homotopy_identity_check(right, alpha, cfg, forms) is None
+    assert homotopy_check(right, alpha, cfg, forms) is None
     check = next(c for c in run_battery(cfg, alpha).checks
                  if c.name == "homotopy_identity")
     assert not check.ok
@@ -238,7 +249,7 @@ def test_box_of_the_battery_cannot_shrink(monkeypatch, name):
     verdicts = {c.name: c.ok for c in run_battery(cfg, alpha).checks}
     assert not verdicts["homotopy_identity"]
     origin = enumerate_monomial_forms(cfg.n, 0, range(cfg.n + 1), nlam=cfg.N)
-    assert homotopy_identity_check(facets, alpha, cfg, origin) is None
+    assert homotopy_check(facets, alpha, cfg, origin) is None
 
 
 FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -266,20 +277,20 @@ def test_homotopy_check_matches_the_per_facet_oracle(name, data):
     sums = [omega + forms[-1 - k].scale(2) for k, omega in enumerate(forms)
             if omega.degree == forms[-1 - k].degree]
     samples = data.draw(st.permutations(forms + sums))
-    assert homotopy_identity_check(facets, alpha, cfg, samples) is None
+    assert homotopy_check(facets, alpha, cfg, samples) is None
     assert homotopy_identity_per_facet(facets, alpha, cfg, samples) is None
     directions = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
                                     unique=True))
     kind = data.draw(st.sampled_from(["alpha", "df"]))
     with pytest.MonkeyPatch.context() as patch:
         _wrong_tables(patch, directions, kind)
-        got = homotopy_identity_check(facets, alpha, cfg, samples)
+        got = homotopy_check(facets, alpha, cfg, samples)
         assert got == homotopy_identity_per_facet(facets, alpha, cfg, samples)
         if len(directions) == 1:
             failing = [ell for ell in facets if ell.coeffs[directions[0] - 1]]
             assert got == (failing[0] if failing else None)
             for ell in facets:
-                alone = homotopy_identity_check([ell], alpha, cfg, samples)
+                alone = homotopy_check([ell], alpha, cfg, samples)
                 assert (alone is not None) == (ell in failing)
 
 
@@ -291,7 +302,7 @@ def test_homotopy_check_weights_the_unit_residuals(monkeypatch):
     assert [ell.coeffs for ell in facets] == [(-1, 1), (1, 1)]
     forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
     _wrong_tables(monkeypatch, [1, 2])
-    assert homotopy_identity_check(facets, alpha, cfg, forms) == facets[1]
+    assert homotopy_check(facets, alpha, cfg, forms) == facets[1]
     assert homotopy_identity_per_facet(facets, alpha, cfg, forms) == facets[1]
 
 

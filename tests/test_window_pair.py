@@ -1,16 +1,13 @@
 """The (B-1, B) window pair read off one scan and one elimination per
-specialization gives the dimensions of the per-window path it replaced; each
-support scans only its own box, and every specialization shares one
-generator shape."""
+specialization gives the dimensions of the per-window path it replaced, and
+each support scans only its own box."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from gkzkit import window
 from gkzkit.catalog import builtin_config
-from gkzkit.cli import main
 from gkzkit.complement import cohomology_U_dim
 from gkzkit.lattice import NewtonPolytope, ParameterVector, newton_polytope, validate_config
 from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, top_cohomology_dim,
@@ -97,18 +94,3 @@ def test_full_window_scans_the_sup_norm_box(monkeypatch, name, bound):
     polytope = counting(monkeypatch, NewtonPolytope, "contains")
     CohomologyWindow(config, FullSupport(config.n), bound)
     assert len(polytope) == (2 * bound * newton_polytope(config).radius + 1) ** config.n
-
-
-@pytest.mark.parametrize("argv, kernels", [
-    # one staying_combinations basis per set of leaving steps, for both
-    # specializations of generic_rank (each built its own: 18 and 11)
-    (["--config", "gauss", "--alpha", "1/3,1/5,1/7", "--supports", "zn",
-      "--bound", "3"], 9),
-    (["--config", "trinomial", "--alpha", "1/3,1/5", "--hypersurface",
-      "--bound", "5"], 7),
-])
-def test_each_window_pair_builds_its_generator_shape_once(monkeypatch, capsys,
-                                                           argv, kernels):
-    calls = counting(monkeypatch, window, "integer_kernel")
-    assert main(["rank", *argv]) == 0
-    assert len(calls) == kernels
