@@ -30,6 +30,8 @@ EXIT_BAD_CONFIG = 2
 EXIT_NOT_STABILIZED = 3
 EXIT_RESONANT = 4
 
+BOUND_HELP = "window bound; default max(4, n + 1) for points in Z^n"
+
 # the names ``rank --supports`` accepts, by the support they stand for
 SUPPORT_NAMES = {"zn": "Z^n", "z^n": "Z^n", "full": "Z^n", "u0": "U0", "cone": "U0"}
 
@@ -79,6 +81,13 @@ def _job_block(args, config, config_label: str) -> dict:
     return job
 
 
+def _default_bound(args, config) -> None:
+    """Fill in --bound when it was not given: max(4, n + 1), so the window
+    pair reads (n, n + 1), and 4, as before, for n <= 3 (README)."""
+    if args.bound is None:
+        args.bound = max(4, config.n + 1)
+
+
 def _not_stabilized(exc: NotStabilizedError) -> dict:
     error = {"kind": "NotStabilized", "dims": list(exc.dims), "bound": exc.bound}
     if exc.disagree is not None:
@@ -114,6 +123,7 @@ def cmd_rank(args) -> int:
                          require_stabilized, top_cohomology_dim)
 
     config, label = _resolve_config(args.config)
+    _default_bound(args, config)
     alpha = _parse_alpha_arg(args.alpha)
     chosen = set()
     for name in args.supports.split(","):
@@ -204,6 +214,7 @@ def cmd_modp(args) -> int:
     from .modp import full_set_sweep
 
     config, label = _resolve_config(args.config)
+    _default_bound(args, config)
     alpha = _parse_alpha_arg(args.alpha)
     primes = [int(p.strip()) for p in args.primes.split(",") if p.strip()]
     try:
@@ -244,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--lambda", dest="lam", default="random",
                    help='"random" or comma-separated rationals')
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, help=BOUND_HELP)
     p.add_argument("--supports", default="zn,u0")
     p.add_argument("--hypersurface", action="store_true",
                    help="also compute the complement-side dimension")
@@ -259,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modp", help="mod-p solution dimensions against the rank")
     common(p)
     p.add_argument("--primes", default="3,5,7,11,13,17,19,23")
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=int, help=BOUND_HELP)
     return parser
 
 

@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ScalarModeError
-from .lattice import FacetForm, ParameterVector, PointConfig
-from .laurent import (LaurentPoly, TwistedDerivations, _add_scaled,
-                      build_f_symbolic, int_if_integral, lazy_exports)
+from .lattice import FacetForm, ParameterVector
+from .laurent import (LaurentPoly, TwistedDerivations, _add_scaled, int_if_integral,
+                      lazy_exports)
 
 IntVec = tuple[int, ...]
 IndexTuple = tuple[int, ...]
@@ -140,14 +140,12 @@ def _form(n: int, degree: int, acc: dict[IndexTuple, dict[IntVec, Fraction]],
                                    for idx, terms in acc.items()}, nlam)
 
 
-def nabla(alpha: ParameterVector, f: LaurentPoly, omega: LogForm,
-          scale: int = 1, derivations: TwistedDerivations | None = None) -> LogForm:
-    """scale times the twisted differential in the logarithmic basis.  A
-    check that applies it to many forms builds ``derivations``, the
-    ``TwistedDerivations(alpha, f, scale)``, once and passes it."""
+def nabla(derivations: TwistedDerivations, omega: LogForm) -> LogForm:
+    """The twisted differential of ``derivations`` in the logarithmic basis,
+    scaled as they are."""
     n = omega.n
-    derivations = derivations or TwistedDerivations(alpha, f, scale)
-    if (derivations.n, derivations.nlam) != (n, omega.nlam):
+    f = derivations.f
+    if (f.n, f.nlam) != (n, omega.nlam):
         raise ScalarModeError("a form and f of different (n, nlam)")
     if omega.degree == n:
         # there are no forms of degree n + 1
@@ -174,21 +172,19 @@ def clearing_scale(alpha: ParameterVector, f: LaurentPoly) -> int:
                     *(c.denominator for c in f.terms.values()))
 
 
-def differentials(alpha: ParameterVector, f: LaurentPoly,
+def differentials(derivations: TwistedDerivations,
                   samples: Sequence[LogForm]) -> list[LogForm]:
-    """d nabla omega for each sample omega, d = ``clearing_scale(alpha, f)``:
-    the first differential of each sample, which ``check_complex`` and
+    """nabla omega on ``derivations`` for each sample omega: the first
+    differential of each sample, which ``check_complex`` and
     ``homotopy_identity_check`` take as given, so a caller that runs both
     on the same samples computes it once."""
-    d = clearing_scale(alpha, f)
-    dd = TwistedDerivations(alpha, f, d)
-    return [nabla(alpha, f, omega, d, dd) for omega in samples]
+    return [nabla(derivations, omega) for omega in samples]
 
 
-def check_complex(alpha: ParameterVector, f: LaurentPoly,
-                  first: Sequence[LogForm]) -> bool:
-    """nabla composed with itself vanishes on every sample: nabla vanishes
-    on each form of ``first``, the samples' ``differentials``.
+def check_complex(derivations: TwistedDerivations, first: Sequence[LogForm]) -> bool:
+    """nabla composed with itself vanishes on every sample: nabla on
+    ``derivations`` vanishes on each form of ``first``, the samples'
+    ``differentials``.
 
     The samples that decide it for every Laurent form are the monomial
     forms with exponents in {-1, 0, 1}^n.  A derivation D_i takes x^u to
@@ -203,60 +199,52 @@ def check_complex(alpha: ParameterVector, f: LaurentPoly,
     1999, Lemma 2.1).  The identity then holds on every monomial form, and,
     nabla being linear, on every Laurent form.
     """
-    d = clearing_scale(alpha, f)
-    dd = TwistedDerivations(alpha, f, d)
-    for eta in first:
-        if not nabla(alpha, f, eta, d, dd).is_zero():
-            return False
-    return True
+    return all(nabla(derivations, eta).is_zero() for eta in first)
 
 
-def twist_conjugation_check(alpha: ParameterVector, u: Sequence[int],
-                            f: LaurentPoly, samples: Sequence[LogForm]) -> bool:
-    """Multiplication by the monomial x^u conjugates the shifted twist to the
-    original one.
+def twist_conjugation_check(derivations: TwistedDerivations, u: Sequence[int],
+                            samples: Sequence[LogForm]) -> bool:
+    """Multiplication by the monomial x^u conjugates the twist shifted by u
+    to the original one, the twist of ``derivations``.
 
     Each side applies one derivation, so on x^v dx_I the residual has, per
     target monomial, a coefficient of degree at most 1 in each coordinate
     of v: the samples with v in {-1, 0, 1}^n decide the identity for the
     twist u on every form of their degrees (``check_complex``)."""
-    shifted = alpha.shift(u)
-    # an integer shift keeps the denominators of alpha
-    d = clearing_scale(alpha, f)
-    dd_shifted = TwistedDerivations(shifted, f, d)
-    dd = TwistedDerivations(alpha, f, d)
-    for omega in samples:
-        lhs = nabla(shifted, f, omega, d, dd_shifted).mul_monomial(u)
-        rhs = nabla(alpha, f, omega.mul_monomial(u), d, dd)
-        if lhs != rhs:
-            return False
-    return True
+    # an integer shift keeps the denominators of alpha, so the scale clears them
+    shifted = TwistedDerivations(derivations.alpha.shift(u), derivations.f,
+                                 derivations.scale)
+    return all(nabla(shifted, omega).mul_monomial(u)
+               == nabla(derivations, omega.mul_monomial(u)) for omega in samples)
 
 
-def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
-                            config: PointConfig, samples: Sequence[LogForm],
+def homotopy_identity_check(facets: Sequence[FacetForm],
+                            derivations: TwistedDerivations,
+                            samples: Sequence[LogForm],
                             first: Sequence[LogForm]) -> FacetForm | None:
     """The contraction against each facet form is a homotopy for
     multiplication by the facet value; ``first`` holds the samples'
-    ``differentials`` over ``build_f_symbolic(config)``.
+    ``differentials`` on ``derivations``.
 
     On a monomial form with exponent u the anticommutator of the twisted
     differential and the contraction rho_ell against ell multiplies by
-    ell(alpha + u) and shifts by each point weighted with lambda_j ell(a(j));
-    checked exactly with symbolic parameters.  Both sides are scaled by the
-    clearing scale d of alpha: (d nabla) rho + rho (d nabla) is d times the
-    right-hand side, and every coefficient is an integer on integer samples.
+    ell(alpha + u) and shifts by each term c x^a of f weighted with
+    c ell(a); on ``build_f_symbolic(config)`` the term of the j-th point is
+    lambda_j x^a(j), so the identity is checked with symbolic parameters.
+    Both sides are scaled by the scale d of the derivations: (d nabla) rho
+    + rho (d nabla) is d times the right-hand side, and with d the
+    ``clearing_scale`` every coefficient is an integer on integer samples.
 
     Every term of the residual, lhs minus rhs, is linear in ell, so one pass
     per sample builds the unit residuals R_i of ell = e_i, and the residual
     of a facet is the ell_i-weighted sum of the R_i.  The given differential
     of the sample is contracted against every e_i; the differentials of the
     forms that drop one index of the sample go straight into the term maps
-    of the R_i.  The right-hand side is read off alpha and the keys of
-    f, not off the derivation tables the differential runs on.  When every
-    R_i vanishes, every facet holds on the sample; otherwise the live facets
-    are combined in order.  Returns the first facet, in the given order, on
-    which the identity fails, or None.
+    of the R_i.  The right-hand side is read off the alpha and the terms of
+    f the derivations were built from, not off the tables the differential
+    runs on.  When every R_i vanishes, every facet holds on the sample;
+    otherwise the live facets are combined in order.  Returns the first
+    facet, in the given order, on which the identity fails, or None.
 
     As for ``check_complex``, the monomial forms with exponents in
     {-1, 0, 1}^n decide the identity for every Laurent form.  The residual
@@ -269,23 +257,21 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
     sides are linear in the form.
     """
     facets = list(facets)
-    f = build_f_symbolic(config)
-    n, N = config.n, config.N
-    d = clearing_scale(alpha, f)
-    dd = TwistedDerivations(alpha, f, d)
-    # per direction i: d alpha_i and, for each term lambda_j x^a(j) of f with
-    # a(j)_i != 0, its position j and the weight d a(j)_i of its shift; the
-    # first n coordinates of a key are a(j)
+    f, d = derivations.f, derivations.scale
+    n, N = f.n, f.nlam
+    # per direction i: d alpha_i and, for the j-th term c x^a of f with
+    # a_i != 0, its position j and the weight d c a_i of its shift; the
+    # first n coordinates of a key are a
     rhs = [(int_if_integral(d * a),
-            [(j, d * key[i]) for j, key in enumerate(f.terms) if key[i]])
-           for i, a in enumerate(alpha.entries)]
+            [(j, d * key[i] * c) for j, (key, c) in enumerate(f.terms.items()) if key[i]])
+           for i, a in enumerate(derivations.alpha.entries[:n])]
     # facets[:live] have held on every sample so far; a failure cuts the rest
     live = len(facets)
     for k, omega in enumerate(samples):
         if not live:
             break
-        if omega.nlam != N:
-            raise ValueError("samples must carry symbolic coefficients")
+        if (omega.n, omega.nlam) != (n, N):
+            raise ScalarModeError("a form and f of different (n, nlam)")
         units: list[dict[IndexTuple, dict[IntVec, Fraction]]] = [{} for _ in range(n)]
         if omega.degree < n:
             # rho_{e_i} nabla omega
@@ -302,8 +288,8 @@ def homotopy_identity_check(facets: Sequence[FacetForm], alpha: ParameterVector,
                     ins = wedge_insert(j, dropped)
                     if ins is not None:
                         sign, target = ins
-                        dd.add_to(out.setdefault(target, {}), j, xi,
-                                  -sign if pos % 2 else sign)
+                        derivations.add_to(out.setdefault(target, {}), j, xi,
+                                           -sign if pos % 2 else sign)
             # minus e_i(alpha + u) x^u and the shifts by the terms of f
             for u, c in xi.terms.items():
                 shifted = [tuple(map(operator.add, u, key)) for key in f.terms]

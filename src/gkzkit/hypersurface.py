@@ -104,13 +104,16 @@ class ComplementTables:
     Over h, num / g^m is scale^m num / h^m, so the comparison map weights a
     monomial with last exponent m by (-1)^m (alpha_n)_m scale^m over h^m;
     and as dh/h = dg/g, the differential of num / h^m is the quotient-rule
-    formula with h in place of g.  Read off these tables, ``gamma`` gives
-    the form the unscaled map gives and ``tilde_nabla`` scale times it,
-    each written over powers of h; with scale 1, h is g."""
+    formula with h in place of g.  ``gamma`` and ``tilde_nabla`` take these
+    tables alone: read off them, ``gamma`` gives the form the unscaled map
+    gives and ``tilde_nabla`` scale times it, each written over powers of
+    h; with scale 1, h is g."""
 
     __slots__ = ("alpha", "scale", "h", "pows", "weights", "directions", "last")
 
     def __init__(self, alpha: ParameterVector, g: LaurentPoly, scale: int = 1):
+        if alpha.n != g.n + 1:
+            raise ValueError("parameter must have one more entry than g has variables")
         self.alpha = alpha
         self.scale = scale
         h = self.h = LaurentPoly._of(g.n, {u: int_if_integral(c * scale)
@@ -136,23 +139,18 @@ class ComplementTables:
         return self.weights[m]
 
 
-def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm,
-                tables: ComplementTables | None = None) -> UForm:
+def tilde_nabla(tables: ComplementTables, omega: UForm) -> UForm:
     """Twisted differential on the complement: logarithmic part in the first
     n-1 directions minus the last parameter entry times dg/g.
 
     By the quotient rule, direction i sends num / g^m to
     ((x_i d/dx_i + alpha_i) num g - (m + alpha_n) num x_i dg/dx_i) / g^(m+1),
-    so the image is one numerator over g^(m+1), not reduced.  Given
-    ``tables``, the ``ComplementTables(alpha, g, scale)``, omega and its
-    image are over powers of h = scale g and the image is scaled.  A check
-    that applies the differential to many forms builds them once.
+    so the image is one numerator over g^(m+1), not reduced.  With the
+    ``tables`` of (alpha, g, scale), omega and its image are over powers of
+    h = scale g and the image is scaled.
     """
-    tables = tables or ComplementTables(alpha, g)
     h = tables.h
     nprime = h.n
-    if alpha.n != nprime + 1:
-        raise ValueError("parameter must have one more entry than g has variables")
     degree = omega.num.degree
     if degree == nprime:
         return UForm(h, LogForm.zero(nprime, nprime), 0)
@@ -265,13 +263,11 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     {-1, 0, 1}^n decide the identity at lam for every form
     (``derham.check_complex``)."""
     f = build_f(config, lam)
-    g = build_g(config, lam)
-    d = clearing_scale(alpha, f)
-    dd = TwistedDerivations(alpha, f, d)
-    D = _derivations_by_parts(alpha, g, d)
+    dd = TwistedDerivations(alpha, f, clearing_scale(alpha, f))
+    D = _derivations_by_parts(alpha, build_g(config, lam), dd.scale)
     for form in samples:
         sp = split(form)
-        spn = split(nabla(alpha, f, form, d, dd))
+        spn = split(nabla(dd, form))
         want0 = d_h(D, sp.part0)
         want1 = d_v(D, sp.part0)
         if sp.part1.components:
@@ -283,8 +279,7 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     return True
 
 
-def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm,
-          tables: ComplementTables | None = None) -> UForm:
+def gamma(tables: ComplementTables, part1: LogForm) -> UForm:
     """Comparison map dropping the trailing dx_n/x_n.
 
     A monomial with last exponent m maps to its first n-1 coordinates over
@@ -292,20 +287,18 @@ def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm,
     entry; negative m uses the reciprocal convention and requires the last
     parameter entry to avoid the corresponding poles.  Every term is put
     over g^M, M the larger of 0 and the largest last exponent, as one
-    numerator, not reduced.  Given ``tables``, the
-    ``ComplementTables(alpha, g, scale)``, the image is the same form
-    written over h^M, h = scale g.
+    numerator, not reduced.  With the ``tables`` of (alpha, g, scale), the
+    image is the same form written over h^M, h = scale g.
     """
     if part1.nlam:
         raise ValueError("comparison map needs specialized coefficients")
-    tables = tables or ComplementTables(alpha, g)
     by_m: dict[tuple[IndexTuple, int], dict[IntVec, Fraction]] = {}
     for idx, xi in part1.components.items():
         for u, c in xi.terms.items():
             m = u[-1]
             by_m.setdefault((idx, m), {})[u[:-1]] = tables.weight(m) * c
     M = max([0, *(m for _, m in by_m)])
-    nprime = g.n
+    nprime = tables.h.n
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for (idx, m), terms in by_m.items():
         num = LaurentPoly._of(nprime, terms)
@@ -332,16 +325,15 @@ def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
     boundaries scaled by L and h are integral too, so on integer samples
     with last exponents m >= 0 every coefficient is an integer.
     """
-    scale = clearing_scale(alpha, g)
-    tables = ComplementTables(alpha, g, scale)
-    D = _derivations_by_parts(alpha, g, scale)
+    tables = ComplementTables(alpha, g, clearing_scale(alpha, g))
+    D = _derivations_by_parts(alpha, g, tables.scale)
     for sf in samples:
         if sf.part1.degree < g.n:
-            lhs = gamma(alpha, g, d_h(D, sf.part1), tables)
-            rhs = tilde_nabla(alpha, g, gamma(alpha, g, sf.part1, tables), tables)
+            lhs = gamma(tables, d_h(D, sf.part1))
+            rhs = tilde_nabla(tables, gamma(tables, sf.part1))
             if not _same_form(lhs, rhs, tables.power):
                 return False
-        if not gamma(alpha, g, d_v(D, sf.part0), tables).is_zero():
+        if not gamma(tables, d_v(D, sf.part0)).is_zero():
             return False
     return True
 

@@ -210,13 +210,15 @@ class TwistedDerivations:
     once: scale alpha_i and the terms of scale x_i df/dx_i.  On x^u, D_i
     gives (u_i + alpha_i) x^u plus the shifts by the terms of f.  When scale
     clears the denominators of alpha and f, the tables are ints and integer
-    polynomials map to integer polynomials."""
+    polynomials map to integer polynomials.  The identity battery's maps
+    (``apply_D``, ``derham.nabla`` and the checks on them) take these tables
+    alone and read alpha, f and scale off them."""
 
-    __slots__ = ("n", "nlam", "scale", "tables")
+    __slots__ = ("alpha", "f", "scale", "tables")
 
     def __init__(self, alpha: ParameterVector, f: LaurentPoly, scale: int = 1):
-        self.n = f.n
-        self.nlam = f.nlam
+        self.alpha = alpha
+        self.f = f
         self.scale = scale
         self.tables = [(int_if_integral(a * scale),
                         [(v, int_if_integral(c * v[k] * scale))
@@ -240,16 +242,12 @@ class TwistedDerivations:
                 out[w] = out[w] + t if w in out else t
 
 
-def apply_D(i: int, alpha: ParameterVector, f: LaurentPoly, xi: LaurentPoly,
-            scale: int = 1, derivations: TwistedDerivations | None = None
-            ) -> LaurentPoly:
-    """scale times the twisted derivation in direction i, applied to xi
-    (``TwistedDerivations``).  A check that applies it to many polynomials
-    builds ``derivations``, the ``TwistedDerivations(alpha, f, scale)``,
-    once and passes it."""
+def apply_D(derivations: TwistedDerivations, i: int, xi: LaurentPoly) -> LaurentPoly:
+    """The twisted derivation in direction i of ``derivations``, scaled as
+    they are, applied to xi."""
     if not 1 <= i <= xi.n:
         raise ValueError("derivative index out of range")
-    f._check_mode(xi)
+    derivations.f._check_mode(xi)
     out: dict[IntVec, Fraction] = {}
-    (derivations or TwistedDerivations(alpha, f, scale)).add_to(out, i, xi)
+    derivations.add_to(out, i, xi)
     return LaurentPoly._of(xi.n, out, xi.nlam)

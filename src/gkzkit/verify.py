@@ -21,7 +21,6 @@ from .derham import (LogForm, check_complex, differentials,
 from .errors import StructureError
 from .lattice import (ParameterVector, PointConfig, cone_facets,
                       relation_lattice)
-from .laurent import build_f_symbolic
 from .weyl import (PhiTables, WeylElement, box_shift, check_commutation,
                    check_phi_intertwines, check_phi_kills_box)
 
@@ -131,24 +130,25 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
         "phi_kills_boxes", [(t, l) for l in lattice.basis for t in tees],
         lambda t, l: None if check_phi_kills_box(config, t, l) else f"t={t}, l={l}"))
 
-    # transport of the Euler action and the parameter derivatives
+    # transport of the Euler action and the parameter derivatives; every
+    # torus check below runs on the same twisted derivations
     tables = PhiTables(config, alpha)
     report.add(_up_to_first_failure(
         "phi_intertwines",
         [(w, i) for w in _del_monomials(N, del_degree) for i in range(1, n + 1)],
-        lambda w, i: (None if check_phi_intertwines(w, i, alpha, config, tables)
+        lambda w, i: (None if check_phi_intertwines(w, i, tables)
                       else f"w={w}, i={i}")))
+    derivations = tables.derivations
 
     # the twisted differential squares to zero, decided by the box {-1, 0, 1}^n
-    f = build_f_symbolic(config)
     forms = enumerate_monomial_forms(n, 1, range(n + 1), nlam=N)
     # the first differential of each sample, which both checks below take
-    first = differentials(alpha, f, forms)
-    ok = check_complex(alpha, f, first)
+    first = differentials(derivations, forms)
+    ok = check_complex(derivations, first)
     report.add(CheckResult("nabla_squared", ok, len(forms)))
 
     # contraction homotopy identity, every facet in one pass over the samples
-    failed = homotopy_identity_check(facets, alpha, config, forms, first)
+    failed = homotopy_identity_check(facets, derivations, forms, first)
     if failed is None:
         report.add(CheckResult("homotopy_identity", True, len(forms) * len(facets)))
     else:
@@ -163,7 +163,7 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
         twists.append(tuple(1 if k <= 1 else 0 for k in range(n)))
     small_forms = [omega for omega in forms if omega.degree < min(n, 2)]
     held = list(itertools.takewhile(
-        lambda u: twist_conjugation_check(alpha, u, f, small_forms), twists))
+        lambda u: twist_conjugation_check(derivations, u, small_forms), twists))
     # a failure names its twist; the samples count the twists that held
     detail = "" if held == twists else f"u={twists[len(held)]}"
     report.add(CheckResult("twist_conjugation", held == twists,

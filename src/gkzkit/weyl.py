@@ -252,17 +252,19 @@ def check_phi_kills_box(config: PointConfig, t: WeylElement, l: Sequence[int]) -
 
 class PhiTables:
     """The operators of ``check_phi_intertwines`` for one (config, alpha),
-    built once by a check that runs on many elements: the symbolic f, the
-    lcm d of the denominators of alpha, the term maps of d Z_{i,-alpha},
-    i = 1..n, and of del_j, j = 1..N, and the twisted derivations
-    ``TwistedDerivations(alpha, f, d)``.  The tables are integral, so
-    integer elements have integer images on both sides."""
+    built once by a check that runs on many elements: the configuration,
+    the term maps of d Z_{i,-alpha}, i = 1..n, and of del_j, j = 1..N, and
+    the twisted derivations ``TwistedDerivations(alpha, f, d)`` of the
+    symbolic f, d the lcm of the denominators of alpha.  The tables are
+    integral, so integer elements have integer images on both sides.  The
+    identity battery runs its torus checks on the same derivations."""
 
-    __slots__ = ("f", "scale", "columns", "euler", "partials", "derivations")
+    __slots__ = ("config", "columns", "euler", "partials", "derivations")
 
     def __init__(self, config: PointConfig, alpha: ParameterVector):
-        f = self.f = build_f_symbolic(config)
-        d = self.scale = clearing_scale(alpha, f)
+        self.config = config
+        f = build_f_symbolic(config)
+        d = clearing_scale(alpha, f)
         self.columns = list(zip(*config.points))
         self.euler = [{k: int_if_integral(c * d) for k, c in
                        euler_operator(config, i, alpha.negate()).terms.items()}
@@ -272,8 +274,7 @@ class PhiTables:
         self.derivations = TwistedDerivations(alpha, f, d)
 
 
-def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
-                          config: PointConfig, tables: PhiTables | None = None) -> bool:
+def check_phi_intertwines(w: WeylElement, i: int, tables: PhiTables) -> bool:
     """The two transport identities for phi, checked with symbolic parameters.
 
     (a) Right multiplication by the Euler operator (with the parameter sign
@@ -286,17 +287,17 @@ def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
     alpha: phi(w . d Z_{i,-alpha}) = d D_{i,alpha}(phi(w)).  phi and the
     product are linear, so the scaled sides are d times the unscaled ones,
     and as d is nonzero they agree exactly when those do; on an integer w
-    every coefficient is an integer.  A check that runs on many elements
-    builds ``tables``, the ``PhiTables(config, alpha)``, once and passes it.
+    every coefficient is an integer.  ``tables`` are the
+    ``PhiTables(config, alpha)``.
     """
-    tables = tables or PhiTables(config, alpha)
+    config = tables.config
     img = phi_map(w, config)
     if not 1 <= i <= config.n:
         raise ValueError("index out of range")
 
     columns = tables.columns
     lhs_a = _phi_terms(_mul_terms(w.terms, tables.euler[i - 1]), columns)
-    rhs_a = apply_D(i, alpha, tables.f, img, tables.scale, tables.derivations)
+    rhs_a = apply_D(tables.derivations, i, img)
     if lhs_a != rhs_a.terms:
         return False
 

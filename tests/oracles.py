@@ -47,11 +47,12 @@ as references for what replaced it:
   unit form once per sample and combines them per facet.
 - weyl_mul and check_phi_intertwines, the former Weyl product over Q
   (every coefficient a Fraction) and the former transport check, which
-  rebuilds f, the Euler operator and the twisted derivation on every call,
-  for gkzkit.weyl.weyl_mul, which keeps integer coefficients as ints, and
-  gkzkit.weyl.check_phi_intertwines, which checks identity (a) scaled by
-  the lcm of the denominators of alpha on integer tables built once per
-  battery (gkzkit.weyl.PhiTables).
+  rebuilds f and the Euler operator on every call and applies the twisted
+  derivation by parts (apply_D_by_parts, not the gkzkit.laurent.apply_D it
+  is compared against), for gkzkit.weyl.weyl_mul, which keeps integer
+  coefficients as ints, and gkzkit.weyl.check_phi_intertwines, which
+  checks identity (a) scaled by the lcm of the denominators of alpha on
+  integer tables built once per battery (gkzkit.weyl.PhiTables).
 - gamma, tilde_nabla and check_gamma_chain_map, the former comparison map,
   complement differential and chain-map check over Q, which recompute the
   powers of g, the rising factorials and the derivatives of g on every
@@ -78,7 +79,7 @@ from gkzkit.hypersurface import (SplitForm, UForm, _box, _derivations_by_parts,
 from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, relation_lattice)
-from gkzkit.laurent import (LaurentPoly, TwistedDerivations, _add_scaled, apply_D,
+from gkzkit.laurent import (LaurentPoly, TwistedDerivations, _add_scaled,
                             build_f_symbolic, int_if_integral, toric_derivative)
 from gkzkit.weyl import (TermKey, WeylElement, euler_operator, lambda_derivative,
                          phi_map)
@@ -227,10 +228,13 @@ def brute_newton_window(points: list[tuple[int, ...]], B: int, coeff_bound: int,
     box holds its vertices, the feasible solutions of n of its equations
     (Cramer's rule).  With cone_only, only the points on which every cone
     normal is nonnegative are kept: the lattice points of the real cone,
-    where D = 0.
+    where D = 0.  Raises ValueError when coeff_bound is too small to find
+    every normal (``require_every_facet``).
     """
     n = len(points[0])
-    normals = brute_facets([(*a, 1) for a in points] + [(0,) * n + (1,)], coeff_bound)
+    homogenized = [(*a, 1) for a in points] + [(0,) * n + (1,)]
+    normals = brute_facets(homogenized, coeff_bound)
+    require_every_facet(homogenized, normals)
     weights = [(g[:n], g[n]) for g in normals if g[n] > 0]
     cone = [g[:n] for g in normals if g[n] == 0]
     rows = [(g, B * e) for g, e in weights]
@@ -251,6 +255,39 @@ def brute_newton_window(points: list[tuple[int, ...]], B: int, coeff_bound: int,
                for g, e in weights) and not (cone_only and depth):
             out.add(u)
     return out
+
+
+def require_every_facet(generators: Sequence[Sequence[int]],
+                        normals: Iterable[Sequence[int]]) -> None:
+    """Raise ValueError unless the normals found by ``brute_facets`` are
+    every facet normal of the cone of the generators, whose last
+    coordinates are all 1.
+
+    That cone C is pointed, as the last coordinate is positive on it, and
+    the normals cut out a cone C' that holds C.  When C' is pointed and each
+    of its extreme rays is parallel to a generator, C' lies in C, so C' = C
+    and every facet of C is among the normals.  A normal the scan missed
+    leaves C' larger: with a line in it, or with an extreme ray parallel to
+    no generator.  An extreme ray of C' is the direction on which dim - 1
+    independent normals vanish, their signed maximal minors, and on which
+    every normal is nonnegative."""
+    dim = len(generators[0])
+    normals = sorted(tuple(g) for g in normals)
+    if dense_rank([list(g) for g in normals]) < dim:
+        raise ValueError("the normals found cut out a cone with a line: "
+                         "raise coeff_bound")
+    for subset in itertools.combinations(normals, dim - 1):
+        ray = [(-1) ** k * int_det([list(g[:k] + g[k + 1:]) for g in subset])
+               for k in range(dim)]
+        values = [sum(map(operator.mul, g, ray)) for g in normals]
+        if not any(ray) or (min(values) < 0 < max(values)):
+            continue
+        if min(values) < 0:
+            ray = [-x for x in ray]
+        if not any(ray[-1] > 0 and all(x * ray[-1] == r for x, r in zip(p, ray))
+                   for p in generators):
+            raise ValueError(f"the normals found cut out a cone with the extreme "
+                             f"ray {ray}, through no point: raise coeff_bound")
 
 
 def shoelace_volume(points: list[tuple[int, int]]) -> int:
@@ -981,10 +1018,10 @@ def homotopy_identity_per_facet(facets: Sequence[FacetForm], alpha: ParameterVec
         if omega.nlam != N:
             raise ValueError("samples must carry symbolic coefficients")
         k = omega.degree
-        d_omega = nabla(alpha, f, omega, d, dd) if k < n else None
+        d_omega = nabla(dd, omega) if k < n else None
         # nabla of the contraction against e_i, for each index i of omega
         indices = sorted({i for idx in omega.components for i in idx})
-        d_dropped = [(i - 1, nabla(alpha, f, contract(units[i - 1], omega), d, dd))
+        d_dropped = [(i - 1, nabla(dd, contract(units[i - 1], omega)))
                      for i in indices]
         # each term of omega with its shifts by the terms of f, for every facet
         terms = [(idx, u, c, [tuple(map(operator.add, u, key)) for key in f.terms])
@@ -1054,7 +1091,7 @@ def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
     img = phi_map(w, config)
 
     lhs_a = phi_map(weyl_mul(w, euler_operator(config, i, alpha.negate())), config)
-    rhs_a = apply_D(i, alpha, f, img)
+    rhs_a = apply_D_by_parts(i, alpha, f, img)
     if lhs_a != rhs_a:
         return False
 

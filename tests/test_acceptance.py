@@ -14,17 +14,17 @@ import pytest
 
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.complement import build_g, cohomology_U_dim
-from gkzkit.derham import (LogForm, check_complex, differentials,
+from gkzkit.derham import (LogForm, check_complex, clearing_scale, differentials,
                            enumerate_monomial_forms, homotopy_identity_check)
 from gkzkit.errors import ResonantError
 from gkzkit.hypersurface import (SplitForm, check_gamma_chain_map,
                                  kernel_equals_dv_image)
 from gkzkit.lattice import (ParameterVector, cone_facets, relation_lattice,
                             validate_config)
-from gkzkit.laurent import build_f_symbolic
+from gkzkit.laurent import TwistedDerivations, build_f_symbolic
 from gkzkit.modp import full_set_sweep
-from gkzkit.weyl import (box_shift, check_commutation, check_phi_intertwines,
-                         check_phi_kills_box, WeylElement)
+from gkzkit.weyl import (PhiTables, box_shift, check_commutation,
+                         check_phi_intertwines, check_phi_kills_box, WeylElement)
 from gkzkit.window import (ConeSupport, FullSupport, generic_rank, quasi_iso_check,
                            random_specialization, top_cohomology_dim)
 
@@ -74,9 +74,10 @@ def test_criterion_1_operator_identities():
         for l in basis:
             for t in del_monomials(cfg.N, 2):
                 ok = ok and check_phi_kills_box(cfg, t, l)
+        tables = PhiTables(cfg, alpha)
         for w in monomials:
             for i in range(1, cfg.n + 1):
-                ok = ok and check_phi_intertwines(w, i, alpha, cfg)
+                ok = ok and check_phi_intertwines(w, i, tables)
     elapsed = time.monotonic() - t0
     report("criterion 1: exact operator identities", ok and elapsed < 30,
            f"{elapsed:.1f}s")
@@ -89,11 +90,11 @@ def test_criterion_2_complex_and_homotopy_identities():
         cfg = builtin_config(name)
         alpha = builtin_alpha(name)
         f = build_f_symbolic(cfg)
+        dd = TwistedDerivations(alpha, f, clearing_scale(alpha, f))
         forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-        first = differentials(alpha, f, forms)
-        ok = ok and check_complex(alpha, f, first)
-        ok = ok and homotopy_identity_check(cone_facets(cfg), alpha, cfg, forms,
-                                            first) is None
+        first = differentials(dd, forms)
+        ok = ok and check_complex(dd, first)
+        ok = ok and homotopy_identity_check(cone_facets(cfg), dd, forms, first) is None
     elapsed = time.monotonic() - t0
     report("criterion 2: complex and homotopy identities", ok and elapsed < 60,
            f"{elapsed:.1f}s")

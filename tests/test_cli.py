@@ -132,6 +132,24 @@ def test_rank_is_the_normalized_volume(capsys, points, supports, bound, volume):
         assert report["result"]["quasi_iso"]["verdict"] is True
 
 
+def test_default_bound_follows_the_dimension(capsys):
+    # without --bound, rank reads the window pair at max(4, n + 1) and the
+    # job block names it: 4 in one dimension, 5 in four, where the pair
+    # reads 7, 8 at bound 4 and the volume 8 at bound 5; --bound is kept
+    code, report = run(capsys, "rank", "--config", "cusp", "--alpha", "1/2",
+                       "--supports", "zn")
+    assert code == 0 and report["job"]["bound"] == 4
+    points = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -2, -1, -3]]
+    job = ["rank", "--config", json.dumps({"points": points}),
+           "--alpha", "1/2,1/3,1/5,1/7", "--supports", "u0"]
+    code, report = run(capsys, *job)
+    assert code == 0 and report["job"]["bound"] == 5
+    assert report["result"]["supports"]["U0"]["dims"] == [8, 8]
+    code, report = run(capsys, *job, "--bound", "4")
+    assert code == 3 and report["job"]["bound"] == 4
+    assert report["result"]["error"]["dims"] == [7, 8]
+
+
 def test_rank_enumerates_the_facets_once(capsys):
     newton_polytope.cache_clear()
     # both supports, four windows, the cone walk and the resonance check

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from gkzkit import derham
+from gkzkit import derham, weyl
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.complement import apply_unimodular
 from gkzkit.derham import (LogForm, check_complex, differentials,
@@ -32,29 +32,36 @@ LAM4 = LAM3 + [Fraction(7, 13)]
 def test_nabla_example():
     cfg = validate_config([(1,)])
     alpha = ParameterVector.of("1/2")
-    f = build_f(cfg, [2])
+    dd = TwistedDerivations(alpha, build_f(cfg, [2]))
     omega = LogForm.from_monomial((0,), (), 1)
-    got = nabla(alpha, f, omega)
+    got = nabla(dd, omega)
     want = LogForm(1, 1, {(1,): LaurentPoly(1, {(0,): Fraction(1, 2), (1,): 2})})
     assert got == want
-    assert nabla(alpha, f, LogForm.zero(1, 0)).is_zero()
-    assert nabla(alpha, f, got).is_zero()  # top degree maps to zero
+    assert nabla(dd, LogForm.zero(1, 0)).is_zero()
+    assert nabla(dd, got).is_zero()  # top degree maps to zero
 
 
 def test_check_complex_builtin_configs():
     for name in ("single", "cusp", "bessel", "trinomial", "gauss"):
         cfg = builtin_config(name)
-        alpha = builtin_alpha(name)
-        f = build_f_symbolic(cfg)
+        dd = battery_derivations(cfg, builtin_alpha(name))
         forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
-        assert check_complex(alpha, f, differentials(alpha, f, forms)), name
+        assert check_complex(dd, differentials(dd, forms)), name
+
+
+def battery_derivations(cfg, alpha) -> TwistedDerivations:
+    """The twisted derivations ``run_battery`` checks on: the symbolic f,
+    scaled by the clearing scale."""
+    f = build_f_symbolic(cfg)
+    return TwistedDerivations(alpha, f, derham.clearing_scale(alpha, f))
 
 
 def homotopy_check(facets, alpha, cfg, samples):
-    """``homotopy_identity_check`` on the samples' first differentials, taken
-    here on the derivation tables in force, as ``run_battery`` takes them."""
-    first = differentials(alpha, build_f_symbolic(cfg), samples)
-    return homotopy_identity_check(facets, alpha, cfg, samples, first)
+    """``homotopy_identity_check`` on the ``battery_derivations``, built at
+    the call so that a patched table builder applies, and on the samples'
+    first differentials, as ``run_battery`` takes them."""
+    dd = battery_derivations(cfg, alpha)
+    return homotopy_identity_check(facets, dd, samples, differentials(dd, samples))
 
 
 @pytest.mark.parametrize("name", ["cusp", "trinomial", "gauss"])
@@ -64,10 +71,10 @@ def test_battery_takes_each_first_differential_once(monkeypatch, name):
     cfg, alpha = builtin_config(name), builtin_alpha(name)
     seen = []
 
-    def recording(a, f, omega, *args, _nabla=derham.nabla):
-        if a is alpha:
+    def recording(derivations, omega, _nabla=derham.nabla):
+        if derivations.alpha is alpha:
             seen.append(omega)
-        return _nabla(a, f, omega, *args)
+        return _nabla(derivations, omega)
     monkeypatch.setattr(derham, "nabla", recording)
     assert run_battery(cfg, alpha).ok
     box = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
@@ -78,12 +85,12 @@ def test_battery_takes_each_first_differential_once(monkeypatch, name):
 def test_twist_conjugation_example():
     cfg = validate_config([(1,)])
     alpha = ParameterVector.of("1/2")
-    f = build_f(cfg, [2])
+    dd = TwistedDerivations(alpha, build_f(cfg, [2]))
     samples = [LogForm.from_monomial((0,), (), 1),
                LogForm.from_monomial((2,), (1,), 1)]
-    assert twist_conjugation_check(alpha, (0,), f, samples)
-    assert twist_conjugation_check(alpha, (1,), f, samples)
-    assert twist_conjugation_check(alpha, (-3,), f, samples)
+    assert twist_conjugation_check(dd, (0,), samples)
+    assert twist_conjugation_check(dd, (1,), samples)
+    assert twist_conjugation_check(dd, (-3,), samples)
 
 
 def test_homotopy_rho_examples():
@@ -109,12 +116,16 @@ def test_homotopy_identity_example_hand():
     ell = cone_facets(cfg)[0]
     omega = LogForm.from_monomial((3,), (1,), 1, nlam=1)
     f = build_f_symbolic(cfg)
-    lhs = nabla(alpha, f, homotopy_rho(ell, omega))
+    lhs = nabla(TwistedDerivations(alpha, f), homotopy_rho(ell, omega))
     # keys (u, e) of lambda^e x^u: (7/2) x^3 + lambda x^4
     want = LogForm(1, 1, {(1,): LaurentPoly(1, {(3, 0): Fraction(7, 2), (4, 1): 1},
                                             nlam=1)}, nlam=1)
     assert lhs == want
     assert homotopy_check([ell], alpha, cfg, [omega]) is None
+    # on a specialized f each shift is weighted by its coefficient, 3/7 here
+    dd = TwistedDerivations(alpha, build_f(cfg, [Fraction(3, 7)]))
+    samples = [LogForm.from_monomial((u,), idx, 1) for u in (-1, 0, 1) for idx in ((), (1,))]
+    assert homotopy_identity_check([ell], dd, samples, differentials(dd, samples)) is None
 
 
 def test_homotopy_identity_all_builtins():
@@ -151,8 +162,10 @@ def test_homotopy_identity_on_sums_of_monomial_forms():
 ])
 def test_homotopy_check_takes_nabla_once_per_sample(monkeypatch, name, calls):
     # the check reads the given differential of each sample below top degree
-    # once, takes none of its own, and builds its derivation tables once
+    # once, takes none of its own, and builds no derivation tables: it runs
+    # on the ones it is given
     cfg, alpha = builtin_config(name), builtin_alpha(name)
+    dd = battery_derivations(cfg, alpha)
     forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
     built, applied, read = [], [], []
 
@@ -166,11 +179,11 @@ def test_homotopy_check_takes_nabla_once_per_sample(monkeypatch, name, calls):
             super().__init__(*args)
             built.append(self)
 
-    first = Reads(differentials(alpha, build_f_symbolic(cfg), forms))
+    first = Reads(differentials(dd, forms))
     monkeypatch.setattr(derham, "TwistedDerivations", Counting)
     monkeypatch.setattr(derham, "nabla", lambda *args: applied.append(args))
-    assert homotopy_identity_check(cone_facets(cfg), alpha, cfg, forms, first) is None
-    assert len(built) == 1
+    assert homotopy_identity_check(cone_facets(cfg), dd, forms, first) is None
+    assert built == []
     assert applied == []
     assert sorted(read) == [k for k, omega in enumerate(forms) if omega.degree < cfg.n]
     assert len(read) == calls
@@ -306,6 +319,25 @@ def test_homotopy_check_weights_the_unit_residuals(monkeypatch):
     assert homotopy_identity_per_facet(facets, alpha, cfg, forms) == facets[1]
 
 
+@pytest.mark.parametrize("name", ["trinomial", "gauss"])
+def test_homotopy_check_reads_alpha_off_the_derivations_not_their_tables(name):
+    # derivations whose table entry for alpha_1 is off by one from their
+    # alpha field: D_1 is off by a constant multiplication, which commutes
+    # with every D_j, so nabla still squares to zero; the right-hand side,
+    # read off alpha and f, no longer matches the differential on the facets
+    # with a nonzero first coefficient
+    cfg, alpha = builtin_config(name), builtin_alpha(name)
+    dd = battery_derivations(cfg, alpha)
+    a, df = dd.tables[0]
+    dd.tables[0] = (a + 1, df)
+    facets = cone_facets(cfg)
+    forms = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
+    first = differentials(dd, forms)
+    assert check_complex(dd, first)
+    failing = [ell for ell in facets if ell.coeffs[0]]
+    assert homotopy_identity_check(facets, dd, forms, first) == failing[0]
+
+
 @st.composite
 def derivation_cases(draw):
     """(i, alpha, f, xi, omega, cancel) with rational coefficients or two
@@ -351,11 +383,12 @@ def test_one_pass_derivation_matches_by_parts(case):
     i, alpha, f, xi, omega, cancel = case
     if cancel is not None:
         assert cancel not in (toric_derivative(i, f) * xi).terms
-    assert apply_D(i, alpha, f, xi) == apply_D_by_parts(i, alpha, f, xi)
+    dd = TwistedDerivations(alpha, f)
+    assert apply_D(dd, i, xi) == apply_D_by_parts(i, alpha, f, xi)
     for j in range(1, f.n + 1):
         for eta in omega.components.values():
-            assert apply_D(j, alpha, f, eta) == apply_D_by_parts(j, alpha, f, eta)
-    assert nabla(alpha, f, omega) == nabla_by_parts(alpha, f, omega)
+            assert apply_D(dd, j, eta) == apply_D_by_parts(j, alpha, f, eta)
+    assert nabla(dd, omega) == nabla_by_parts(alpha, f, omega)
 
 
 def _denominator(values) -> int:
@@ -371,19 +404,20 @@ def test_scaled_derivation_is_the_scaled_oracle(case, k):
     i, alpha, f, xi, omega, _ = case
     clear = _denominator(alpha.entries + tuple(f.terms.values()))
     for d in (k, clear * k):
-        assert apply_D(i, alpha, f, xi, d) == \
-            apply_D_by_parts(i, alpha, f, xi).scalar_mul(d)
-        assert nabla(alpha, f, omega, d) == nabla_by_parts(alpha, f, omega).scale(d)
+        dd = TwistedDerivations(alpha, f, d)
+        assert apply_D(dd, i, xi) == apply_D_by_parts(i, alpha, f, xi).scalar_mul(d)
+        assert nabla(dd, omega) == nabla_by_parts(alpha, f, omega).scale(d)
     m = _denominator(c for p in omega.components.values() for c in p.terms.values())
     omega_z = LogForm(omega.n, omega.degree, {
         idx: LaurentPoly(p.n, {u: int(c * m) for u, c in p.terms.items()}, p.nlam)
         for idx, p in omega.components.items()}, omega.nlam)
     d = clear * k
-    image = nabla(alpha, f, omega_z, d)
+    dd = TwistedDerivations(alpha, f, d)
+    image = nabla(dd, omega_z)
     assert image == nabla_by_parts(alpha, f, omega_z).scale(d)
     images = list(image.components.values())
     for j in range(1, f.n + 1):
-        images += [apply_D(j, alpha, f, eta, d) for eta in omega_z.components.values()]
+        images += [apply_D(dd, j, eta) for eta in omega_z.components.values()]
     assert all(type(c) is int for p in images for c in p.terms.values())
 
 
@@ -408,10 +442,11 @@ def test_results_the_package_builds_are_canonical(case, s, c, d):
     # sums, products and derivations whose terms cancel, in part or in whole
     i, alpha, f, xi, omega, _ = case
     n = f.n
-    polys = [apply_D(i, alpha, f, xi), apply_D(i, alpha, f, xi, d), xi + f,
+    dd, dd_d = TwistedDerivations(alpha, f), TwistedDerivations(alpha, f, d)
+    polys = [apply_D(dd, i, xi), apply_D(dd_d, i, xi), xi + f,
              xi + (-xi), (xi + f) - f, f * xi, (f + xi) * (f - xi), xi.shift((s,) * n),
              xi.scalar_mul(c), xi.scalar_mul(0), toric_derivative(i, xi)]
-    forms = [nabla(alpha, f, omega), nabla(alpha, f, omega, d), omega + omega.scale(-1),
+    forms = [nabla(dd, omega), nabla(dd_d, omega), omega + omega.scale(-1),
              omega.scale(c), omega.mul_monomial((s,) * n),
              # built by the package's _form from a term map with cancellations
              contract([s + k for k in range(n)], omega)]
@@ -458,7 +493,8 @@ def test_scaled_battery_reaches_the_unscaled_verdicts(monkeypatch, d, entries):
         assert derham.clearing_scale(alpha, build_f_symbolic(cfg)) == d
         scaled = run_battery(cfg, alpha).to_json()
         with monkeypatch.context() as patch:
-            patch.setattr(derham, "clearing_scale", lambda alpha, f: 1)
+            # the battery's torus checks run on the derivations of its PhiTables
+            patch.setattr(weyl, "clearing_scale", lambda alpha, f: 1)
             assert run_battery(cfg, alpha).to_json() == scaled, name
 
 
@@ -488,18 +524,19 @@ def specialization_cases(draw):
 def test_specializing_lambda_commutes_with_the_symbolic_path(case):
     # a lambda exponent read as an x exponent (or the reverse) breaks this
     alpha, cfg, r, omega = case
-    f, f_r = build_f_symbolic(cfg), build_f(cfg, r)
+    dd = TwistedDerivations(alpha, build_f_symbolic(cfg))
+    dd_r = TwistedDerivations(alpha, build_f(cfg, r))
     for xi in omega.components.values():
         xi_r = LaurentPoly(cfg.n, specialize(xi.terms, r))
         for i in range(1, cfg.n + 1):
-            got = specialize(apply_D(i, alpha, f, xi).terms, r)
-            assert got == apply_D(i, alpha, f_r, xi_r).terms
+            got = specialize(apply_D(dd, i, xi).terms, r)
+            assert got == apply_D(dd_r, i, xi_r).terms
     omega_r = LogForm(cfg.n, omega.degree, {
         idx: LaurentPoly(cfg.n, specialize(xi.terms, r))
         for idx, xi in omega.components.items()})
     got = {idx: specialize(p.terms, r)
-           for idx, p in nabla(alpha, f, omega).components.items()}
-    want = nabla(alpha, f_r, omega_r)
+           for idx, p in nabla(dd, omega).components.items()}
+    want = nabla(dd_r, omega_r)
     assert {idx: t for idx, t in got.items() if t} == \
         {idx: p.terms for idx, p in want.components.items()}
 
@@ -509,13 +546,12 @@ def test_filtration_compatibility():
     # least that of the monomial
     for name in ("trinomial", "gauss"):
         cfg = builtin_config(name)
-        alpha = builtin_alpha(name)
-        f = build_f_symbolic(cfg)
+        dd = TwistedDerivations(builtin_alpha(name), build_f_symbolic(cfg))
         for ell in cone_facets(cfg):
             for u in itertools.product(range(-2, 3), repeat=cfg.n):
                 p = ell.evaluate(u)
                 omega = LogForm.from_monomial(u, (), cfg.n, nlam=cfg.N)
-                image = nabla(alpha, f, omega)
+                image = nabla(dd, omega)
                 for idx, poly in image.components.items():
                     for w in poly.terms:
                         assert ell.evaluate(w) >= p
@@ -546,6 +582,19 @@ def assert_newton_window(cfg, bound, coeff_bound=3):
     cone = CohomologyWindow(cfg, ConeSupport(cfg), bound)
     assert set(cone.points) == brute_newton_window(points, bound, coeff_bound,
                                                    cone_only=True), (points, bound)
+
+
+def test_brute_newton_window_refuses_a_normal_bound_that_misses_a_facet():
+    # the facet 2x + 3y <= 7 of Delta homogenizes to (-2, -3, 7); normals
+    # scanned up to 3 or 6 miss it, and the window read off the rest is a
+    # superset (81 and 23 points against 9)
+    points = [(-2, 2), (-1, 3), (2, 1)]
+    for coeff_bound in (3, 6):
+        with pytest.raises(ValueError, match="raise coeff_bound"):
+            brute_newton_window(points, 1, coeff_bound)
+    window = CohomologyWindow(validate_config(points), FullSupport(2), 1)
+    assert len(window.points) == 9
+    assert brute_newton_window(points, 1, 7) == set(window.points)
 
 
 @pytest.mark.parametrize("bound", range(1, 6))

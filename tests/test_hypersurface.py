@@ -153,15 +153,16 @@ def test_uform_compares_numerators_at_the_larger_power():
 
 def test_tilde_nabla_matches_hand_example():
     g = build_g(TRI, LAM1)
-    got = tilde_nabla(ALPHA, g, u_mono(g, (0,)))
+    tables = ComplementTables(ALPHA, g)
+    got = tilde_nabla(tables, u_mono(g, (0,)))
     # alpha_1 dx1/x1 minus alpha_2 (x - 1/x)/g dx1/x1, over the common
     # denominator g
     num = LaurentPoly(1, {(-1,): Fraction(8, 15), (0,): Fraction(1, 3),
                           (1,): Fraction(2, 15)})
     assert (got.num, got.gpow) == (LogForm(1, 1, {(1,): num}), 1)
-    assert tilde_nabla(ALPHA, g, UForm(g, LogForm.zero(1, 0), 0)).is_zero()
+    assert tilde_nabla(tables, UForm(g, LogForm.zero(1, 0), 0)).is_zero()
     with pytest.raises(ValueError, match="one more entry"):
-        tilde_nabla(ParameterVector.of("1/3"), g, u_mono(g, (0,)))
+        ComplementTables(ParameterVector.of("1/3"), g)
 
 
 def test_tilde_nabla_squares_to_zero():
@@ -172,11 +173,12 @@ def test_tilde_nabla_squares_to_zero():
                                   Fraction(7, 4)]))
     for cfg, alpha, lam in cfgs:
         g = build_g(cfg, lam)
+        tables = ComplementTables(alpha, g)
         rng = random.Random(7)
         for _ in range(10):
             omega = u_mono(g, tuple(rng.randint(-2, 2) for _ in range(g.n)),
                            rng.randint(0, 2), rng.randint(-3, 3))
-            assert tilde_nabla(alpha, g, tilde_nabla(alpha, g, omega)).is_zero()
+            assert tilde_nabla(tables, tilde_nabla(tables, omega)).is_zero()
 
 
 def test_split_boundaries_and_injectivity():
@@ -293,24 +295,26 @@ def test_each_battery_report_owns_its_checks():
 
 def test_gamma_examples():
     g = build_g(TRI, LAM1)
+    tables = ComplementTables(ALPHA, g)
     a2 = ALPHA.entries[1]
-    got = gamma(ALPHA, g, LogForm.from_monomial((3, 0), (), 2))
+    got = gamma(tables, LogForm.from_monomial((3, 0), (), 2))
     assert got == u_mono(g, (3,))
-    got = gamma(ALPHA, g, LogForm.from_monomial((3, 1), (), 2))
+    got = gamma(tables, LogForm.from_monomial((3, 1), (), 2))
     assert got == u_mono(g, (3,), 1, -a2)
     # a negative last exponent multiplies the numerator by g instead
-    got = gamma(ALPHA, g, LogForm.from_monomial((3, -1), (), 2))
+    got = gamma(tables, LogForm.from_monomial((3, -1), (), 2))
     want = LaurentPoly.monomial((3,), -1 / (a2 - 1)) * g
     assert (got.num, got.gpow) == (LogForm(1, 0, {(): want}), 0)
     # every term over the largest power of g, nothing divided out
-    got = gamma(ALPHA, g, LogForm(2, 0, {(): LaurentPoly(2, {(3, 1): 1, (0, -1): 1})}))
+    got = gamma(tables, LogForm(2, 0, {(): LaurentPoly(2, {(3, 1): 1, (0, -1): 1})}))
     want = (LaurentPoly.monomial((3,), -a2)
             + LaurentPoly.monomial((0,), -1 / (a2 - 1)) * g * g)
     assert (got.num, got.gpow) == (LogForm(1, 0, {(): want}), 1)
     with pytest.raises(PochhammerPoleError):
-        gamma(ParameterVector.of("1/3", 1), g, LogForm.from_monomial((3, -1), (), 2))
+        gamma(ComplementTables(ParameterVector.of("1/3", 1), g),
+              LogForm.from_monomial((3, -1), (), 2))
     with pytest.raises(ValueError, match="specialized"):
-        gamma(ALPHA, g, LogForm.from_monomial((3, 1), (), 2, nlam=1))
+        gamma(tables, LogForm.from_monomial((3, 1), (), 2, nlam=1))
 
 
 def battery_gamma_case(name, alpha=None):
@@ -336,10 +340,11 @@ def wrong_twists(alpha: ParameterVector) -> list[ParameterVector]:
     return [alpha.shift(tuple(int(i == k) for i in range(n))) for k in (0, n - 1)]
 
 
-def twisted_by(wrong: ParameterVector):
-    """tilde_nabla run on the parameter wrong, with tables of the same scale."""
-    return lambda _, g, omega, tables: tilde_nabla(
-        wrong, g, omega, ComplementTables(wrong, g, tables.scale))
+def twisted_by(wrong: ParameterVector, g: LaurentPoly):
+    """tilde_nabla run on the parameter wrong, with tables of the same g and
+    scale."""
+    return lambda tables, omega: tilde_nabla(ComplementTables(wrong, g, tables.scale),
+                                             omega)
 
 
 @pytest.mark.parametrize("name", ["trinomial", "gauss"])
@@ -349,7 +354,7 @@ def test_gamma_chain_map_check_fails_for_a_wrong_twist(name, monkeypatch):
     alpha, g, splits = battery_gamma_case(name)
     verdicts = [check_gamma_chain_map(alpha, g, splits)]
     for wrong in wrong_twists(alpha):
-        monkeypatch.setattr(hypersurface, "tilde_nabla", twisted_by(wrong))
+        monkeypatch.setattr(hypersurface, "tilde_nabla", twisted_by(wrong, g))
         verdicts.append(check_gamma_chain_map(alpha, g, splits))
     assert verdicts == [True, False, False]
 
@@ -369,7 +374,7 @@ def test_gamma_chain_map_check_matches_the_check_over_q(name, alpha, monkeypatch
     assert oracles.check_gamma_chain_map(alpha, g, splits)
     over_q = oracles.tilde_nabla
     for wrong in wrong_twists(alpha):
-        monkeypatch.setattr(hypersurface, "tilde_nabla", twisted_by(wrong))
+        monkeypatch.setattr(hypersurface, "tilde_nabla", twisted_by(wrong, g))
         monkeypatch.setattr(oracles, "tilde_nabla", lambda _, g, omega, wrong=wrong:
                             over_q(wrong, g, omega))
         assert not check_gamma_chain_map(alpha, g, splits)
@@ -383,13 +388,13 @@ def test_complement_tables_write_the_unscaled_forms_over_h():
     L = clearing_scale(alpha, g)
     tables = ComplementTables(alpha, g, L)
     for sf in splits:
-        got = gamma(alpha, g, sf.part1, tables)
+        got = gamma(tables, sf.part1)
         want = oracles.gamma(alpha, g, sf.part1)
         assert all(type(c) is int for p in got.num.components.values()
                    for c in p.terms.values())
         # num / h^M is num / (L^M g^M)
         assert UForm(g, got.num.scale(Fraction(1, L ** got.gpow)), got.gpow) == want
-        d_got = tilde_nabla(alpha, g, got, tables)
+        d_got = tilde_nabla(tables, got)
         d_want = oracles.tilde_nabla(alpha, g, want).num.scale(L)
         assert UForm(g, d_got.num.scale(Fraction(1, L ** d_got.gpow)), d_got.gpow) \
             == UForm(g, d_want, want.gpow + 1)
@@ -452,39 +457,40 @@ def test_gamma_and_tilde_nabla_match_the_per_monomial_oracles(case):
     # part1 plus the vertical image of part0: gamma kills that image, so its
     # numerators cancel to zero, in part or in whole
     alpha, g, part1, part0 = case
+    tables = ComplementTables(alpha, g)
     image = d_v(_derivations_by_parts(alpha, g, 1), part0)
     inputs = [part1 + image, image]
     try:
         want = [gamma_per_monomial(alpha, g, p) for p in inputs]
     except PochhammerPoleError as exc:
         with pytest.raises(PochhammerPoleError, match=f"^{re.escape(str(exc))}$"):
-            [gamma(alpha, g, p) for p in inputs]
+            [gamma(tables, p) for p in inputs]
         return
-    got = [gamma(alpha, g, p) for p in inputs]
+    got = [gamma(tables, p) for p in inputs]
     # each numerator component, brought to lowest g-terms, is the oracle's
     assert [lowest_terms(w) for w in got] == want
     # away from the poles; at last parameter entry a, d_v sends a monomial
     # with last exponent -a to g times one with last exponent 1 - a
     assert got[1].is_zero() or alpha.entries[-1] in (1, 2)
     # the differential on a gamma image and on its own image, which is zero
-    d_got = tilde_nabla(alpha, g, got[0])
+    d_got = tilde_nabla(tables, got[0])
     d_want = tilde_nabla_per_piece(alpha, g, want[0])
     assert lowest_terms(d_got) == d_want
     # the oracle's lowest terms over one power of g are the same form
     d_same = over_one_power(g, d_got.num.degree, d_want)
     assert d_same == d_got
-    dd = tilde_nabla(alpha, g, d_same)
+    dd = tilde_nabla(tables, d_same)
     assert lowest_terms(dd) == tilde_nabla_per_piece(alpha, g, d_want) == {}
-    assert tilde_nabla(alpha, g, d_got).is_zero()
+    assert tilde_nabla(tables, d_got).is_zero()
 
 
 def test_gamma_surjectivity_within_window():
     # every target monomial over g^M is hit when the last entry avoids
     # nonpositive integers
-    g = build_g(TRI, LAMR)
+    tables = ComplementTables(ALPHA, build_g(TRI, LAMR))
     M = 3
     for u1 in range(-2, 3):
-        got = gamma(ALPHA, g, LogForm.from_monomial((u1, M), (), 2))
+        got = gamma(tables, LogForm.from_monomial((u1, M), (), 2))
         assert got.gpow == M and not got.is_zero()
 
 
@@ -609,9 +615,9 @@ def twist_iso_U_check(alpha, u, g, samples) -> bool:
     original twist on the complement: the isomorphism behind the pre-twist of
     the last parameter entry in cohomology_U_dim."""
     factor = (LaurentPoly.monomial(u[:-1]), u[-1])
-    shifted = alpha.shift(u)
-    return all(times(factor, tilde_nabla(shifted, g, omega))
-               == tilde_nabla(alpha, g, times(factor, omega)) for omega in samples)
+    shifted, tables = ComplementTables(alpha.shift(u), g), ComplementTables(alpha, g)
+    return all(times(factor, tilde_nabla(shifted, omega))
+               == tilde_nabla(tables, times(factor, omega)) for omega in samples)
 
 
 def test_twist_iso_U():

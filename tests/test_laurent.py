@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from gkzkit.errors import ScalarModeError
 from gkzkit.lattice import ParameterVector, validate_config
-from gkzkit.laurent import (LaurentPoly, apply_D, build_f, build_f_symbolic,
-                            toric_derivative)
+from gkzkit.laurent import (LaurentPoly, TwistedDerivations, apply_D, build_f,
+                            build_f_symbolic, toric_derivative)
 from gkzkit.window import ConeSupport, HalfSupport
 from oracles import brute_facets, divide_exact
 
@@ -50,7 +50,7 @@ def test_mode_mismatch_raises():
     with pytest.raises(ScalarModeError):
         _ = sym * rat
     with pytest.raises(ScalarModeError):
-        apply_D(1, ParameterVector.of("1/2"), sym, rat)
+        apply_D(TwistedDerivations(ParameterVector.of("1/2"), sym), 1, rat)
     with pytest.raises(ScalarModeError):
         _ = sym + LaurentPoly(2, {(1, 0): 1})  # keys of the same width
 
@@ -93,18 +93,18 @@ def test_toric_derivative_examples():
 def test_apply_D_examples():
     cfg = validate_config([(1,)])
     alpha = ParameterVector.of("1/2")
-    f = build_f(cfg, [2])
-    assert apply_D(1, alpha, f, LaurentPoly.one(1)) == \
+    dd = TwistedDerivations(alpha, build_f(cfg, [2]))
+    assert apply_D(dd, 1, LaurentPoly.one(1)) == \
         LaurentPoly(1, {(0,): Fraction(1, 2), (1,): 2})
-    assert apply_D(1, alpha, f, LaurentPoly.zero(1)).is_zero()
-    assert apply_D(1, alpha, f, mono((-1,))) == \
+    assert apply_D(dd, 1, LaurentPoly.zero(1)).is_zero()
+    assert apply_D(dd, 1, mono((-1,))) == \
         LaurentPoly(1, {(-1,): Fraction(-1, 2), (0,): 2})
 
 
 def test_apply_D_commutes():
     cfg = validate_config([(0, 1), (1, 1), (-1, 1)])
     alpha = ParameterVector.of("1/3", "1/5")
-    f = build_f_symbolic(cfg)
+    dd = TwistedDerivations(alpha, build_f_symbolic(cfg))
     rng = random.Random(3)
     for _ in range(20):
         terms = {}
@@ -113,15 +113,15 @@ def test_apply_D_commutes():
             e = tuple(rng.randint(0, 1) for _ in range(3))
             terms[u + e] = Fraction(rng.randint(-5, 5))
         xi = LaurentPoly(2, terms, nlam=3)
-        d12 = apply_D(1, alpha, f, apply_D(2, alpha, f, xi))
-        d21 = apply_D(2, alpha, f, apply_D(1, alpha, f, xi))
+        d12 = apply_D(dd, 1, apply_D(dd, 2, xi))
+        d21 = apply_D(dd, 2, apply_D(dd, 1, xi))
         assert d12 == d21
 
 
 def test_apply_D_stability_under_closed_supports():
     cfg = validate_config([(0, 1), (1, 1), (-1, 1)])
     alpha = ParameterVector.of("1/3", "1/5")
-    f = build_f(cfg, [1, 2, 3])
+    dd = TwistedDerivations(alpha, build_f(cfg, [1, 2, 3]))
     for S in (ConeSupport(cfg), HalfSupport(2)):
         for u in itertools.product(range(-3, 4), repeat=2):
             if not S.contains(u):
@@ -130,7 +130,7 @@ def test_apply_D_stability_under_closed_supports():
             for a in cfg.points:
                 assert S.contains(tuple(x + y for x, y in zip(u, a))), (S.name, u, a)
             for i in (1, 2):
-                image = apply_D(i, alpha, f, mono(u))
+                image = apply_D(dd, i, mono(u))
                 assert all(S.contains(w) for w in image.terms), (S.name, u, i)
 
 

@@ -8,7 +8,7 @@ from gkzkit import verify, weyl
 from gkzkit.catalog import builtin_alpha, builtin_config
 from gkzkit.errors import NotARelationError
 from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
-from gkzkit.laurent import LaurentPoly
+from gkzkit.laurent import LaurentPoly, TwistedDerivations
 from gkzkit.verify import _del_monomials
 from gkzkit.weyl import (PhiTables, WeylElement, box_operator, box_shift,
                          check_commutation, check_phi_intertwines,
@@ -153,11 +153,12 @@ def test_phi_intertwines_examples():
     alpha = ParameterVector.of("1/2")
     # derivative monomial: both sides equal (3/2) x + lambda x^2
     w = D(1, 1)
-    assert check_phi_intertwines(w, 1, alpha, c1)
+    tables = PhiTables(c1, alpha)
+    assert check_phi_intertwines(w, 1, tables)
     lhs = phi_map(weyl_mul(w, euler_operator(c1, 1, alpha.negate())), c1)
     want = LaurentPoly(1, {(1, 0): Fraction(3, 2), (2, 1): 1}, nlam=1)
     assert lhs == want
-    assert check_phi_intertwines(WeylElement.zero(1), 1, alpha, c1)
+    assert check_phi_intertwines(WeylElement.zero(1), 1, tables)
 
 
 def test_lambda_derivative():
@@ -222,10 +223,10 @@ def test_identity_b_needs_lambda_carrying_elements(name, count, monkeypatch):
     elements = lambda_carrying(cfg.N)
     assert len(elements) == count
     inputs = [(w, i) for w in elements for i in range(1, cfg.n + 1)]
-    assert all(check_phi_intertwines(w, i, alpha, cfg, tables) for w, i in battery + inputs)
+    assert all(check_phi_intertwines(w, i, tables) for w, i in battery + inputs)
     monkeypatch.setattr(weyl, "lambda_derivative", dropping_the_factor)
-    assert all(check_phi_intertwines(w, i, alpha, cfg, tables) for w, i in battery)
-    assert not all(check_phi_intertwines(w, i, alpha, cfg, tables) for w, i in inputs)
+    assert all(check_phi_intertwines(w, i, tables) for w, i in battery)
+    assert not all(check_phi_intertwines(w, i, tables) for w, i in inputs)
 
 
 @pytest.mark.parametrize("name", ["cusp", "trinomial", "gauss"])
@@ -245,8 +246,7 @@ def test_phi_intertwines_matches_the_check_over_q(name, monkeypatch):
         if faulty:
             monkeypatch.setattr(weyl, "lambda_derivative", dropping_the_factor)
             monkeypatch.setattr(oracles, "lambda_derivative", dropping_the_factor)
-        verdicts = [(check_phi_intertwines(w, i, alpha, cfg, tables),
-                     check_phi_intertwines(w, i, alpha, cfg),
+        verdicts = [(check_phi_intertwines(w, i, tables),
                      oracles.check_phi_intertwines(w, i, alpha, cfg))
                     for w in elements for i in range(1, cfg.n + 1)]
         assert all(len(set(v)) == 1 for v in verdicts)
@@ -258,24 +258,39 @@ def test_phi_intertwines_keeps_its_argument_checks():
     cfg, alpha = builtin_config("cusp"), builtin_alpha("cusp")
     for i in (0, 2):
         with pytest.raises(ValueError, match="index out of range"):
-            check_phi_intertwines(D(1, 2), i, alpha, cfg, PhiTables(cfg, alpha))
+            check_phi_intertwines(D(1, 2), i, PhiTables(cfg, alpha))
     with pytest.raises(ValueError, match="parameter count"):
-        check_phi_intertwines(D(1, 3), 1, alpha, cfg)
+        check_phi_intertwines(D(1, 3), 1, PhiTables(cfg, alpha))
 
 
 def test_battery_builds_the_phi_tables_once(monkeypatch):
-    built, passed = [], []
+    built, passed, derivations = [], [], []
 
     def building(*args):
         built.append(PhiTables(*args))
         return built[-1]
 
-    def recording(w, i, alpha, config, tables=None):
+    def recording(w, i, tables):
         passed.append(tables)
-        return check_phi_intertwines(w, i, alpha, config, tables)
+        return check_phi_intertwines(w, i, tables)
+
+    def counting(self, *args, _build=TwistedDerivations.__init__):
+        _build(self, *args)
+        derivations.append(self)
     monkeypatch.setattr(verify, "PhiTables", building)
     monkeypatch.setattr(verify, "check_phi_intertwines", recording)
-    report = verify.run_battery(builtin_config("gauss"), builtin_alpha("gauss"))
+    monkeypatch.setattr(TwistedDerivations, "__init__", counting)
+    alpha = builtin_alpha("gauss")
+    report = verify.run_battery(builtin_config("gauss"), alpha)
+    assert report.ok
     check = next(c for c in report.checks if c.name == "phi_intertwines")
-    assert check.ok and check.samples == len(passed) == 105
+    assert check.samples == len(passed) == 105
     assert len(built) == 1 and all(tables is built[0] for tables in passed)
+    # the twisted derivations: one for (alpha, symbolic f), which every
+    # torus check runs on, one per twist shift, and one for the split check
+    # on its specialized f
+    shifts = [(1, 0, 0), (0, -1, 0), (1, 1, 0)]
+    assert len(derivations) == 2 + len(shifts)
+    assert derivations[0] is built[0].derivations
+    assert [dd.alpha for dd in derivations[1:4]] == [alpha.shift(u) for u in shifts]
+    assert [dd.f.nlam for dd in derivations] == [4, 4, 4, 4, 0]
