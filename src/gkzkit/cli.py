@@ -82,10 +82,11 @@ def _job_block(args, config, config_label: str) -> dict:
 
 
 def _default_bound(args, config) -> None:
-    """Fill in --bound when it was not given: max(4, n + 1), so the window
-    pair reads (n, n + 1), and 4, as before, for n <= 3 (README)."""
+    """Fill in --bound when it was not given, by ``window.default_bound``."""
+    from .window import default_bound
+
     if args.bound is None:
-        args.bound = max(4, config.n + 1)
+        args.bound = default_bound(config.n)
 
 
 def _not_stabilized(exc: NotStabilizedError) -> dict:

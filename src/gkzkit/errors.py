@@ -14,13 +14,13 @@ class DuplicatePointError(GkzError):
 class NotGeneratingError(GkzError):
     """The points do not generate the full integer lattice.
 
-    Carries the offending invariant factor (0 means the points do not even
-    span rationally).
+    Carries the index [Z^n : ZA] of the lattice the points generate (0 means
+    the points do not even span rationally).
     """
 
-    def __init__(self, factor: int):
-        self.factor = factor
-        super().__init__(f"points do not generate the lattice (invariant factor {factor})")
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"points do not generate the lattice (index {index})")
 
 
 class NotARelationError(GkzError):

@@ -1,10 +1,14 @@
-"""Exact integer matrix routines: gcd bookkeeping, Smith normal form, kernels.
+"""Exact integer matrix routines: gcd bookkeeping, the column Hermite form,
+and what is read off it (kernels, solutions, lattice indices, inverses).
 
 All matrices are lists of lists of Python ints; nothing here ever touches
 floating point.
 """
 
 from __future__ import annotations
+
+from math import prod
+from operator import mul
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -22,190 +26,112 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def identity_matrix(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
 def matvec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
-def smith_normal_form(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (D, U, V) with U @ mat @ V = D, U and V unimodular.
+def column_hermite(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Return (H, V, pivots) with mat @ V = H and V unimodular.
 
-    D is diagonal with nonnegative entries forming a divisibility chain
-    d_1 | d_2 | ... (zeros, if any, come last).
+    The first r = len(pivots) columns of H are in reduced column echelon
+    form: column t has its first nonzero entry, the pivot, positive and in
+    row pivots[t], the pivot rows increase, and the entries of row pivots[t]
+    left of its pivot lie in [0, pivot).  The later columns of H are zero.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
-    A = [list(row) for row in mat]
-    U = identity_matrix(m)
-    V = identity_matrix(n)
-
-    def row_op(i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        # rows i, j <- (x*row_i + y*row_j, z*row_i + w*row_j); det must be +-1
-        for M, width in ((A, n), (U, m)):
-            for c in range(width):
-                ri, rj = M[i][c], M[j][c]
-                M[i][c] = x * ri + y * rj
-                M[j][c] = z * ri + w * rj
+    H = [list(row) for row in mat]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def col_op(i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        # cols i, j <- (x*col_i + y*col_j, z*col_i + w*col_j); det must be +-1
-        for M, height in ((A, m), (V, n)):
-            for r in range(height):
-                ci, cj = M[r][i], M[r][j]
-                M[r][i] = x * ci + y * cj
-                M[r][j] = z * ci + w * cj
+        # cols i, j <- (x*col_i + y*col_j, z*col_i + w*col_j); xw - yz = 1
+        for row in H + V:
+            a, b = row[i], row[j]
+            row[i] = x * a + y * b
+            row[j] = z * a + w * b
 
-    t = 0
-    while t < min(m, n):
-        # locate a pivot of minimal absolute value in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = A[i][j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
+    pivots: list[int] = []
+    for i, hrow in enumerate(H):
+        r = len(pivots)
+        if r == n:
             break
-        pi, pj = pivot
-        if pi != t:
-            row_op(t, pi, 0, 1, 1, 0)
-        if pj != t:
-            col_op(t, pj, 0, 1, 1, 0)
-        # Clear column t and row t.  Plain subtraction when the pivot
-        # divides; an xgcd op otherwise, which strictly shrinks the pivot,
-        # so the loop terminates.
-        while True:
-            progressed = False
-            for i in range(t + 1, m):
-                b = A[i][t]
-                if b == 0:
-                    continue
-                a = A[t][t]
-                if b % a == 0:
-                    row_op(t, i, 1, 0, -(b // a), 1)
-                else:
-                    g, x, y = xgcd(a, b)
-                    row_op(t, i, x, y, -(b // g), a // g)
-                    progressed = True
-            for j in range(t + 1, n):
-                b = A[t][j]
-                if b == 0:
-                    continue
-                a = A[t][t]
-                if b % a == 0:
-                    col_op(t, j, 1, 0, -(b // a), 1)
-                else:
-                    g, x, y = xgcd(a, b)
-                    col_op(t, j, x, y, -(b // g), a // g)
-                    progressed = True
-            if not progressed and all(A[i][t] == 0 for i in range(t + 1, m)) \
-                    and all(A[t][j] == 0 for j in range(t + 1, n)):
-                break
-        if A[t][t] < 0:
-            # flip the sign of the row; pair it with a sign flip in U
-            for c in range(n):
-                A[t][c] = -A[t][c]
-            for c in range(m):
-                U[t][c] = -U[t][c]
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    k = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a == 0 and b != 0:
-                row_op(i, i + 1, 0, 1, 1, 0)
-                col_op(i, i + 1, 0, 1, 1, 0)
-                changed = True
-            elif a != 0 and b % a != 0:
-                # fold the pair (a, b) into (gcd, lcm)
-                col_op(i, i + 1, 1, 1, 0, 1)  # col_i += col_{i+1}
-                g, x, y = xgcd(a, b)
-                row_op(i, i + 1, x, y, -(b // g), a // g)
-                # A[i][i+1] is now y*b, a multiple of g
-                q = A[i][i + 1] // A[i][i]
-                col_op(i, i + 1, 1, 0, -q, 1)
-                changed = True
-    return A, U, V
-
-
-def invariant_factors(mat: list[list[int]]) -> list[int]:
-    """Diagonal of the Smith form, length min(m, n)."""
-    D, _, _ = smith_normal_form(mat)
-    k = min(len(mat), len(mat[0]) if mat else 0)
-    return [D[i][i] for i in range(k)]
+        for j in range(r + 1, n):
+            b = hrow[j]
+            if b:
+                g, x, y = xgcd(hrow[r], b)
+                col_op(r, j, x, y, -b // g, hrow[r] // g)
+        a = hrow[r]
+        if a == 0:
+            continue
+        if a < 0:
+            for row in H + V:
+                row[r] = -row[r]
+            a = -a
+        for k in range(r):
+            q = hrow[k] // a
+            if q:
+                col_op(k, r, 1, -q, 0, 1)
+        pivots.append(i)
+    return H, V, pivots
 
 
 def integer_kernel(mat: list[list[int]]) -> list[list[int]]:
     """Saturated basis of {x : mat @ x = 0} as a list of length-n vectors.
 
-    The basis extends to a basis of the ambient lattice because it is read
-    off the unimodular column transform of the Smith form.
+    These are the columns of the unimodular V of the Hermite form past the
+    rank, so the basis extends to a basis of the ambient lattice.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    D, _, V = smith_normal_form(mat)
-    basis = []
-    for j in range(n):
-        d = D[j][j] if j < min(m, n) else 0
-        if d == 0:
-            basis.append([V[i][j] for i in range(n)])
-    return basis
+    _, V, pivots = column_hermite(mat)
+    return [list(col) for col in zip(*V)][len(pivots):]
 
 
 def solve_integer(mat: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """One integer solution of mat @ x = rhs, or None if there is none."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    D, U, V = smith_normal_form(mat)
-    c = matvec(U, rhs)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if c[i] != 0:
+    """One integer solution of mat @ x = rhs, or None if there is none.
+
+    Writing x = V @ y, forward substitution solves H @ y = rhs row by row:
+    a pivot row fixes the next entry of y, every other row must already hold.
+    """
+    H, V, pivots = column_hermite(mat)
+    y: list[int] = []
+    for i, row in enumerate(H):
+        t = len(y)
+        rest = rhs[i] - sum(map(mul, row, y))
+        if t < len(pivots) and pivots[t] == i:
+            q, rem = divmod(rest, row[t])
+            if rem:
                 return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
+            y.append(q)
+        elif rest:
+            return None
     return matvec(V, y)
+
+
+def lattice_index(mat: list[list[int]]) -> int:
+    """The index in Z^m of the lattice the columns of mat generate, or 0
+    when they do not span: the product of the Hermite form's pivots."""
+    H, _, pivots = column_hermite(mat)
+    if len(pivots) < len(mat):
+        return 0
+    return prod(H[i][t] for t, i in enumerate(pivots))
 
 
 def unimodular_inverse(mat: list[list[int]]) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix.
 
-    With U @ mat @ V = D from the Smith form, mat is unimodular exactly when
-    D is the identity, and then its inverse is V @ U.
+    With mat @ V = H from the Hermite form, mat is unimodular exactly when H
+    is the identity, and then its inverse is V.
     """
-    D, U, V = smith_normal_form(mat)
-    if D != identity_matrix(len(mat)):
+    H, V, _ = column_hermite(mat)
+    if H != [[int(i == j) for j in range(len(V))] for i in range(len(V))]:
         raise ValueError("matrix is not unimodular")
-    return matmul(V, U)
+    return V
 
 
 def complete_primitive_vector(w: list[int]) -> list[list[int]]:
     """A unimodular matrix whose last row is the primitive vector w."""
-    D, U, V = smith_normal_form([list(w)])
-    if D[0][0] != 1:
+    H, V, _ = column_hermite([list(w)])
+    if H[0][0] != 1:
         raise ValueError("vector is not primitive")
-    # U = [[s]] with s = +-1 and s * w @ V = e_1, so w is s times the first
-    # row of V^{-1}
+    # w @ V = e_1, so w is the first row of V^{-1}
     vinv = unimodular_inverse(V)
-    return vinv[1:] + [[U[0][0] * x for x in vinv[0]]]
+    return vinv[1:] + vinv[:1]

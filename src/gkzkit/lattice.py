@@ -16,7 +16,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DuplicatePointError, NotARelationError, NotGeneratingError
-from .intmat import integer_kernel, invariant_factors, matvec
+from .intmat import integer_kernel, lattice_index, matvec
 
 
 IntVec = tuple[int, ...]
@@ -93,8 +93,8 @@ class ResonanceVerdict(NamedTuple):
 def validate_config(points: Iterable[Sequence[int]]) -> PointConfig:
     """Build a PointConfig, checking generation of the full lattice.
 
-    The points generate the lattice exactly when every invariant factor of
-    their matrix equals 1.
+    The points generate the lattice exactly when the lattice they span has
+    index 1 in it.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     if not pts:
@@ -108,12 +108,9 @@ def validate_config(points: Iterable[Sequence[int]]) -> PointConfig:
             raise DuplicatePointError(f"duplicate point {p}")
         seen.add(p)
     config = PointConfig(n=n, N=len(pts), points=tuple(pts))
-    factors = invariant_factors(config.matrix())
-    if len(factors) < n:
-        raise NotGeneratingError(0)
-    for d in factors:
-        if d != 1:
-            raise NotGeneratingError(d)
+    index = lattice_index(config.matrix())
+    if index != 1:
+        raise NotGeneratingError(index)
     return config
 
 
@@ -133,10 +130,9 @@ def relation_lattice(config: PointConfig) -> RelationLattice:
             raise NotARelationError(f"kernel vector {l} does not annihilate the points")
     if len(basis) != config.N - config.n:
         raise NotARelationError("kernel rank mismatch")
-    if basis:
-        for d in invariant_factors([list(l) for l in basis]):
-            if d != 1:
-                raise NotARelationError("kernel basis is not saturated")
+    # a k x N basis is saturated exactly when its columns generate Z^k
+    if basis and lattice_index([list(l) for l in basis]) != 1:
+        raise NotARelationError("kernel basis is not saturated")
     return RelationLattice(basis=tuple(basis), rank=len(basis))
 
 

@@ -8,16 +8,16 @@ in the inner loop.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Hashable
 
 
 class RationalEchelon:
     """Incremental row echelon over Q.
 
-    Each stored row is an integer dict whose pivot is its largest key; rows
-    are kept with content 1.
+    Vectors come in with integer coefficients (a caller clears its own
+    denominators).  Each stored row is an integer dict whose pivot is its
+    largest key; rows are kept with content 1.
     """
 
     def __init__(self):
@@ -27,23 +27,9 @@ class RationalEchelon:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _to_int_vec(self, vec: dict) -> dict:
-        if not vec:
-            return {}
-        denom = 1
-        for c in vec.values():
-            if type(c) is Fraction:
-                denom = lcm(denom, c.denominator)
-        out = {}
-        for k, c in vec.items():
-            v = int(c * denom) if type(c) is Fraction else int(c) * denom
-            if v:
-                out[k] = v
-        return _normalize_content(out)
-
     def reduce(self, vec: dict) -> dict:
         """Fully reduce a vector; the result has no pivot as leading key."""
-        v = self._to_int_vec(vec)
+        v = _normalize_content({k: c for k, c in vec.items() if c})
         while v:
             lead = max(v)
             row = self.rows.get(lead)

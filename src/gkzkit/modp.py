@@ -23,7 +23,7 @@ from .intmat import matvec, solve_integer
 from .lattice import (ParameterVector, PointConfig, is_nonresonant,
                       relation_lattice)
 from .linalg import ModpEchelon
-from .window import FullSupport, generic_rank
+from .window import FullSupport, default_bound, generic_rank
 
 IntVec = tuple[int, ...]
 
@@ -185,7 +185,7 @@ class ModpReport(NamedTuple):
 
 def full_set_sweep(config: PointConfig, alpha: ParameterVector,
                    primes: Sequence[int], rank: int | None = None,
-                   bound: int = 4, seed: int = 0) -> ModpReport:
+                   bound: int | None = None, seed: int = 0) -> ModpReport:
     """Per-prime solution dimensions against the characteristic-zero rank.
 
     Requires a nonresonant parameter.  Primes dividing a denominator of the
@@ -193,7 +193,8 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
     dimension exceeding the rank would falsify the truncation rank and is
     surfaced as a hard failure.  An empty prime list is refused, and a sweep
     whose every prime is skipped says that no good prime was tested.  A prime
-    given twice runs once, in the place it was first given.
+    given twice runs once, in the place it was first given.  Without a rank,
+    the generic rank is read at the bound, by default ``default_bound``.
     """
     if not primes:
         raise ValueError("the prime list is empty")
@@ -203,6 +204,7 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
         raise ResonantError(
             f"parameter is resonant: form {form.coeffs} gives integer {value}")
     if rank is None:
+        bound = default_bound(config.n) if bound is None else bound
         rank = generic_rank(config, alpha, FullSupport(config.n), bound,
                             seed=seed).dim
     results = []

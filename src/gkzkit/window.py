@@ -341,6 +341,13 @@ def random_specialization(rng: random.Random, count: int) -> tuple[Fraction, ...
                  for _ in range(count))
 
 
+def default_bound(n: int) -> int:
+    """The window bound of a job that names none, for points in Z^n:
+    max(4, n + 1), so the window pair reads (n, n + 1), and 4, as before,
+    for n <= 3 (README)."""
+    return max(4, n + 1)
+
+
 def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
                  bound: int, seed: int = 0) -> RankReport:
     """Stabilized dimension at generic parameters.

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Everything here is deliberately naive and shares no code path with the
-package internals it checks.  The exceptions are former package code kept
-as references for what replaced it:
+package internals it checks, apart from gkzkit.linalg.RationalEchelon,
+which ranks the oracles' rows over Q once ``cleared`` of denominators.
+The exceptions are former package code kept as references for what
+replaced it:
 
 - all_recurrence_rows, the former mod-p row assembler (every row of every
   relation), for the fiber reduction in gkzkit.modp.recurrence_rows.
@@ -67,7 +69,7 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from gkzkit.complement import _powers, build_g, normalize_structure
@@ -76,7 +78,7 @@ from gkzkit.derham import (IndexTuple, IntVec, LogForm, _form, clearing_scale,
 from gkzkit.errors import PochhammerPoleError, ScalarModeError
 from gkzkit.hypersurface import (SplitForm, UForm, _box, _derivations_by_parts,
                                  d_h, d_v, pochhammer)
-from gkzkit.intmat import integer_kernel, matvec, smith_normal_form
+from gkzkit.intmat import integer_kernel, matvec
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, relation_lattice)
 from gkzkit.laurent import (LaurentPoly, TwistedDerivations, _add_scaled,
@@ -404,16 +406,30 @@ def falling_product(w: int, steps: int, p: int) -> int:
 
 
 def rational_inverse(mat: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse over the rationals of a nonsingular square matrix.
-
-    With U @ mat @ V = D from the Smith form, the inverse is V @ D^-1 @ U.
-    """
-    D, U, V = smith_normal_form(mat)
+    """Exact inverse over the rationals of a nonsingular square matrix, by
+    Gauss-Jordan elimination on [mat | identity]."""
     k = len(mat)
-    if any(D[t][t] == 0 for t in range(k)):
-        raise ValueError("matrix is singular")
-    return [[sum(Fraction(V[i][t] * U[t][j], D[t][t]) for t in range(k))
-             for j in range(k)] for i in range(k)]
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
+            for i, row in enumerate(mat)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [row[k:] for row in rows]
+
+
+def cleared(vec: dict) -> dict:
+    """vec times the lcm of its denominators: the same line over Q with
+    integer coefficients, as RationalEchelon takes it."""
+    denom = lcm(*(Fraction(c).denominator for c in vec.values()))
+    return {key: int(c * denom) for key, c in vec.items()}
 
 
 def lattice_points_in_box(lattice: RelationLattice, bound: int) -> list[tuple[int, ...]]:
@@ -798,7 +814,7 @@ def torus_window_dims(config: PointConfig, alpha: ParameterVector, lam: Sequence
                 CohomologyWindow(config, support, bound)):
         ech = RationalEchelon()
         for _, vec in window_generators_per_window(win, alpha, lam):
-            ech.insert(vec)
+            ech.insert(cleared(vec))
         dims.append(len(win.points) - ech.rank)
     return tuple(dims)
 
@@ -825,14 +841,14 @@ def u_quotient_dim_per_window(alpha: ParameterVector, lam: tuple[Fraction, ...],
     nums = [g_pows[M - pt[-1]].shift(pt[:-1]) for pt in points]
     span_ech = RationalEchelon()
     for num in nums:
-        span_ech.insert(num.terms)
+        span_ech.insert(cleared(num.terms))
     gen_ech = RationalEchelon()
     for col, vec in window_generators_per_window(win, alpha, lam):
         scale = -(points[col][-1] + alpha_n)
         out: dict[IntVec, Fraction] = {}
         for key, coeff in vec.items():
             _add_scaled(out, nums[key], coeff if key == col else coeff * scale)
-        gen_ech.insert(out)
+        gen_ech.insert(cleared(out))
     return span_ech.rank - gen_ech.rank
 
 
@@ -880,7 +896,7 @@ def u_quotient_dim(config, alpha, g: LaurentPoly, bound: int) -> int:
 
     span_ech = RationalEchelon()
     for pt in points:
-        span_ech.insert(numvec(pt))
+        span_ech.insert(cleared(numvec(pt)))
 
     # x^{u'} / g^m is the monomial (u', m); its shifts are the points (w, 1)
     steps = [((*w, 1), c) for w, c in g.terms.items()]
@@ -898,7 +914,7 @@ def u_quotient_dim(config, alpha, g: LaurentPoly, bound: int) -> int:
                 for wkey, cv in (numvec(tgt).items() if coeff else ()):
                     vec[wkey] = vec.get(wkey, Fraction(0)) + coeff * cv
             if any(vec.values()):
-                gen_ech.insert(vec)
+                gen_ech.insert(cleared(vec))
     return span_ech.rank - gen_ech.rank
 
 
@@ -934,7 +950,7 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
     # kernel dimension of the matrix whose columns are gamma images
     col_ech = RationalEchelon()
     for col in gamma_cols:
-        col_ech.insert(col)
+        col_ech.insert(cleared(col))
     ker_dim = len(basis) - col_ech.rank
 
     # vertical-image generators confined to the window: the numerator box
@@ -956,7 +972,7 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
                     key = (tgt, m + 1, idx)
                     vec[key] = vec.get(key, Fraction(0)) + c * sign
                 if vec:
-                    ech_v.insert(vec)
+                    ech_v.insert(cleared(vec))
     return ker_dim == ech_v.rank
 
 

@@ -42,7 +42,10 @@ def test_analyze_invalid_config_exits_2(capsys):
     code = main(["analyze", "--config", '{"points": [[2]]}'])
     assert code == 2
     err = capsys.readouterr().err
-    assert "invariant factor 2" in err
+    assert "index 2" in err
+    # the message names the index [Z^n : ZA], 4 here, not an invariant factor
+    assert main(["analyze", "--config", '{"points": [[2, 0], [0, 2]]}']) == 2
+    assert "points do not generate the lattice (index 4)" in capsys.readouterr().err
 
 
 def test_analyze_vacuous(capsys):

@@ -652,6 +652,21 @@ def test_structure_normalization():
                             ParameterVector.of("1/2"))
 
 
+def test_normalizer_completes_through_the_hermite_form():
+    # the change of coordinates completes the solution w = (-1, 1) read off
+    # the Hermite form; the Smith form of earlier releases completed it
+    # differently and twisted the parameter to (1/5, 8/15).  The dimension
+    # does not depend on the completion
+    cfg = validate_config([(1, 0), (0, 1), (2, -1)])
+    alpha = ParameterVector.of("1/3", "1/5")
+    assert find_unimodular_normalizer(cfg) == [[-1, 0], [1, 1]]
+    cfg_h, alpha_h, changed = normalize_structure(cfg, alpha)
+    assert changed and cfg_h.points == ((-1, 1), (0, 1), (-2, 1))
+    assert alpha_h.entries == (Fraction(-1, 3), Fraction(8, 15))
+    rep = cohomology_U_dim(cfg, alpha, LAMR, 3)
+    assert rep.stabilized and rep.dim == 2 and rep.alpha == alpha_h
+
+
 def test_negated_trinomial_normalizes():
     # every point has last coordinate -1, so the normalizer must negate it
     cfg = validate_config([(0, -1), (1, -1), (-1, -1)])

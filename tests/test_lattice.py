@@ -16,18 +16,19 @@ def test_validate_examples():
     assert (cfg.n, cfg.N) == (1, 1)
     with pytest.raises(NotGeneratingError) as err:
         validate_config([(2,)])
-    assert err.value.factor == 2
+    assert err.value.index == 2
     cfg = validate_config([(1, 0), (0, 1), (1, 1)])
     assert cfg.N == 3
     with pytest.raises(DuplicatePointError):
         validate_config([(1, 0), (1, 0)])
     with pytest.raises(NotGeneratingError) as err:
         validate_config([(1, 1)])
-    assert err.value.factor == 0
+    assert err.value.index == 0
 
 
 def test_validation_agrees_with_brute_force():
     rng = random.Random(11)
+    cases = [[(2, 0), (0, 2)]]
     for _ in range(200):
         n = rng.randint(1, 3)
         N = rng.randint(1, 4)
@@ -40,12 +41,16 @@ def test_validation_agrees_with_brute_force():
                     seen.add(p)
                     points.append(p)
                     break
-        g = minor_gcd(points) if len(points) >= n else 0
+        cases.append(points)
+    for points in cases:
+        g = minor_gcd(points)
         try:
             validate_config(points)
             generated = True
-        except NotGeneratingError:
+        except NotGeneratingError as err:
             generated = False
+            # the index [Z^n : ZA], not one invariant factor of the points
+            assert err.index == g
         assert generated == (g == 1)
         # residue closure must match the invariant-factor picture modulus by modulus
         if generated:
@@ -59,6 +64,10 @@ def test_relation_lattice_examples():
     assert basis == ((2, -1),)
     gauss = validate_config([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])
     assert relation_lattice(gauss).basis == ((1, 1, -1, -1),)
+    # a basis of rank 2 read off the Hermite form; the Smith form of the
+    # earlier releases gave (1, -2, 0, 1), (2, -1, -1, 0) for the same lattice
+    plane2 = validate_config([(0, 1), (1, 1), (-1, 1), (2, 1)])
+    assert relation_lattice(plane2).basis == ((2, -1, -1, 0), (3, -3, -1, 1))
 
 
 def test_relation_lattice_annihilates():

@@ -4,9 +4,11 @@ import pathlib
 import random
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
+from gkzkit import modp
 from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
 from gkzkit.complement import apply_unimodular
 from gkzkit.errors import NotGeneratingError, ResonantError, SkippedPrimeError
@@ -366,6 +368,23 @@ def test_full_set_sweep_reports():
     assert rep.rank == 2
     assert all(r.dim <= 2 for r in rep.primes)
     assert rep.verdict.startswith("not full at")
+
+
+def test_full_set_sweep_default_bound_follows_the_dimension(monkeypatch):
+    # without a bound the sweep reads the rank where gkz modp does, at
+    # max(4, n + 1): at bound 4 the four-dimensional pair reads 7, 8
+    bounds = []
+
+    def recording(config, alpha, support, bound, seed=0):
+        bounds.append(bound)
+        return SimpleNamespace(dim=8)
+    monkeypatch.setattr(modp, "generic_rank", recording)
+    four = validate_config([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                            (-1, -2, -1, -3)])
+    full_set_sweep(four, ParameterVector.of("1/2", "1/3", "1/5", "1/7"), [11])
+    full_set_sweep(builtin_config("trinomial"), builtin_alpha("trinomial"), [7])
+    full_set_sweep(builtin_config("trinomial"), builtin_alpha("trinomial"), [7], bound=2)
+    assert bounds == [5, 4, 2]
 
 
 def test_full_set_sweep_needs_a_tested_prime():
