@@ -14,7 +14,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ScalarModeError
 from .lattice import FacetForm, ParameterVector
@@ -187,17 +187,16 @@ def check_complex(derivations: TwistedDerivations, first: Sequence[LogForm]) -> 
     ``differentials``.
 
     The samples that decide it for every Laurent form are the monomial
-    forms with exponents in {-1, 0, 1}^n.  A derivation D_i takes x^u to
-    (u_i + alpha_i) x^u plus the shifts x^(u + v) by the terms of f, each
-    coefficient affine in u; so nabla squared takes x^u dx_I to a sum over
-    finitely many shifts v, fixed by f, of P_v(u) x^(u + v), each P_v a
-    polynomial of degree at most 2 in each coordinate of u.  Distinct shifts
-    give distinct monomials, so a residual that vanishes on the box makes
-    every P_v vanish on {-1, 0, 1}^n, and a polynomial of degree at most 2 in
-    each variable that vanishes on a grid of three values per variable is
-    zero (Alon, Combinatorial Nullstellensatz, Combin. Probab. Comput. 8,
-    1999, Lemma 2.1).  The identity then holds on every monomial form, and,
-    nabla being linear, on every Laurent form.
+    forms with exponents in ``principal_lattice(n, 2)``, the u >= 0 with
+    |u|_1 <= 2.  A derivation D_i takes x^u to (u_i + alpha_i) x^u plus the
+    shifts x^(u + v) by the terms of f, each coefficient affine in u; so
+    nabla squared takes x^u dx_I to a sum over finitely many shifts v, fixed
+    by f, of P_v(u) x^(u + v), each P_v a sum of products of two affine
+    factors: a polynomial of total degree at most 2 in u.  Distinct shifts
+    give distinct monomials, so a residual that vanishes on the samples
+    makes every P_v vanish on the lattice, which is unisolvent for total
+    degree 2, so every P_v is zero.  The identity then holds on every
+    monomial form, and, nabla being linear, on every Laurent form.
     """
     return all(nabla(derivations, eta).is_zero() for eta in first)
 
@@ -207,10 +206,11 @@ def twist_conjugation_check(derivations: TwistedDerivations, u: Sequence[int],
     """Multiplication by the monomial x^u conjugates the twist shifted by u
     to the original one, the twist of ``derivations``.
 
-    Each side applies one derivation, so on x^v dx_I the residual has, per
-    target monomial, a coefficient of degree at most 1 in each coordinate
-    of v: the samples with v in {-1, 0, 1}^n decide the identity for the
-    twist u on every form of their degrees (``check_complex``)."""
+    Each side applies one derivation, with coefficients affine in v, so on
+    x^v dx_I the residual has, per target monomial, a coefficient of total
+    degree at most 1 in v: the samples with v in ``principal_lattice(n,
+    1)``, 0 and the unit vectors, decide the identity for the twist u on
+    every form of their degrees (``check_complex``)."""
     # an integer shift keeps the denominators of alpha, so the scale clears them
     shifted = TwistedDerivations(derivations.alpha.shift(u), derivations.f,
                                  derivations.scale)
@@ -247,14 +247,13 @@ def homotopy_identity_check(facets: Sequence[FacetForm],
     facet, in the given order, on which the identity fails, or None.
 
     As for ``check_complex``, the monomial forms with exponents in
-    {-1, 0, 1}^n decide the identity for every Laurent form.  The residual
-    applies one derivation, with coefficients affine in u, and subtracts
-    ell(alpha + u) and the weights of the shifts, so on x^u dx_I its
-    coefficient at each shift x^(u + v) is a polynomial in u of degree at
-    most 1 in each coordinate.  Such a polynomial that vanishes on the box
-    is zero (Alon, Combinatorial Nullstellensatz, Combin. Probab. Comput. 8,
-    1999, Lemma 2.1; two values per coordinate already suffice), and both
-    sides are linear in the form.
+    ``principal_lattice(n, 1)``, 0 and the unit vectors, decide the identity
+    for every Laurent form.  The residual applies one derivation, with
+    coefficients affine in u, and subtracts ell(alpha + u) and the weights
+    of the shifts, so on x^u dx_I its coefficient at each shift x^(u + v)
+    is a polynomial in u of total degree at most 1.  Distinct shifts give
+    distinct monomials, such a polynomial that vanishes on the lattice is
+    zero, and both sides are linear in the form.
     """
     facets = list(facets)
     f, d = derivations.f, derivations.scale
@@ -317,11 +316,31 @@ def homotopy_identity_check(facets: Sequence[FacetForm],
     return facets[live] if live < len(facets) else None
 
 
-def enumerate_monomial_forms(n: int, bound: int, degrees: Sequence[int],
+def principal_lattice(n: int, degree: int) -> list[IntVec]:
+    """The exponents u >= 0 with |u|_1 <= degree, listed by |u|_1, so the
+    lattice of a lower degree leads the list.
+
+    For degree <= 2 a polynomial in u of total degree at most ``degree``
+    that vanishes on it is zero (it is unisolvent; Nicolaides, SIAM J.
+    Numer. Anal. 9, 1972).  By induction on n: P(u', 0) vanishes on the
+    lattice in n - 1 variables, so it is zero and P = u_n Q; then Q(u', 1)
+    vanishes on the lattice of degree - 1 in n - 1 variables, so it is zero
+    too, and P = c u_n (u_n - 1) with c a constant, zero when degree is 1;
+    at u = 2 e_n, P = 2c, so c = 0.  The lattice has binomial(n +
+    degree, n) points: 3, 6, 10 for degree 2 and 2, 3, 4 for degree 1 in
+    one, two and three variables.
+    """
+    return sorted((u for u in itertools.product(range(degree + 1), repeat=n)
+                   if sum(u) <= degree), key=sum)
+
+
+def enumerate_monomial_forms(exponents: Iterable[IntVec], degrees: Sequence[int],
                              nlam: int = 0) -> list[LogForm]:
-    """Every monomial form with exponents in the centered box, all index tuples."""
+    """Every monomial form x^u dx_I with u in ``exponents`` and I of a degree
+    in ``degrees``, every index tuple of u before the next exponent."""
     out = []
-    for u in itertools.product(range(-bound, bound + 1), repeat=n):
+    for u in exponents:
+        n = len(u)
         for k in degrees:
             for idx in itertools.combinations(range(1, n + 1), k):
                 out.append(LogForm.from_monomial(u, idx, n, nlam=nlam))

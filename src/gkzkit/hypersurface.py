@@ -257,11 +257,11 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     Every operator is scaled by ``clearing_scale``, which clears the
     denominators of alpha and lambda, so integer samples compute over the
     integers; the decomposition is linear in the scale, so the verdict is
-    that of the unscaled operators.  Each side applies one derivation, so
-    on x^u dx_I the residual has, per target monomial, a coefficient of
-    degree at most 1 in each coordinate of u: the samples with u in
-    {-1, 0, 1}^n decide the identity at lam for every form
-    (``derham.check_complex``)."""
+    that of the unscaled operators.  Each side applies one derivation, with
+    coefficients affine in u, so on x^u dx_I the residual has, per target
+    monomial, a coefficient of total degree at most 1 in u: the samples
+    with u in ``derham.principal_lattice(n, 1)``, 0 and the unit vectors,
+    decide the identity at lam for every form (``derham.check_complex``)."""
     f = build_f(config, lam)
     dd = TwistedDerivations(alpha, f, clearing_scale(alpha, f))
     D = _derivations_by_parts(alpha, build_g(config, lam), dd.scale)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import complement, hypersurface
 from .derham import (LogForm, check_complex, differentials,
                      enumerate_monomial_forms, homotopy_identity_check,
-                     twist_conjugation_check)
+                     principal_lattice, twist_conjugation_check)
 from .errors import StructureError
 from .lattice import (ParameterVector, PointConfig, cone_facets,
                       relation_lattice)
@@ -87,13 +87,22 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
                 del_degree: int = 3, perturb_beta: bool = False) -> BatteryReport:
     """All exact identity checks for one configuration.
 
-    ``nabla_squared`` and ``homotopy_identity`` run on every monomial form
-    with exponents in the box {-1, 0, 1}^n, and ``twist_conjugation`` on
-    those of degree below min(n, 2).  The box is fixed, not a choice: each
-    residual has, per target monomial, a coefficient of degree at most 2 in
-    each coordinate of the exponent, so three values per coordinate decide
-    the identity for every Laurent form (``check_complex``,
-    ``homotopy_identity_check``).
+    Four checks run on the smallest exponent sets that decide them for
+    every Laurent form, fixed by an argument, not chosen.  Each derivation
+    takes x^u to (u_i + alpha_i) x^u plus shifts by the terms of f, with
+    coefficients affine in u, and distinct shifts give distinct monomials.
+    So each residual has, per target monomial, a coefficient of total
+    degree at most 2 in the exponent u for ``nabla_squared`` (products of
+    two affine factors) and at most 1 for ``homotopy_identity``,
+    ``twist_conjugation`` and ``split_consistency``.  ``nabla_squared``
+    runs on every monomial form with u in S_2 = ``principal_lattice(n,
+    2)``, the u >= 0 with |u|_1 <= 2, and the other three on S_1 = {0, e_1,
+    ..., e_n}: unisolvent for total degree 2 and 1, by induction on n
+    (``principal_lattice``).  ``twist_conjugation`` takes the forms of
+    degree below min(n, 2) for its three twists, and ``split_consistency``
+    decides at one fixed lambda.  S_1 leads S_2, so the homotopy check reads
+    the first differentials ``nabla_squared`` took, and no form goes through
+    nabla twice.
 
     With ``perturb_beta`` the commutation check runs against an off-by-one
     shift parameter, which must fail; this is the negative control.
@@ -140,12 +149,14 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
                       else f"w={w}, i={i}")))
     derivations = tables.derivations
 
-    # the twisted differential squares to zero, decided by the box {-1, 0, 1}^n
-    forms = enumerate_monomial_forms(n, 1, range(n + 1), nlam=N)
+    # the twisted differential squares to zero, decided by S_2
+    forms = enumerate_monomial_forms(principal_lattice(n, 2), range(n + 1), nlam=N)
     # the first differential of each sample, which both checks below take
     first = differentials(derivations, forms)
     ok = check_complex(derivations, first)
     report.add(CheckResult("nabla_squared", ok, len(forms)))
+    # S_1, the first n + 1 exponents of S_2, with 2^n index tuples each
+    forms, first = forms[:(n + 1) << n], first[:(n + 1) << n]
 
     # contraction homotopy identity, every facet in one pass over the samples
     failed = homotopy_identity_check(facets, derivations, forms, first)
@@ -189,7 +200,7 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
                                 LogForm.from_monomial(full, idx, n)))
             ok = hypersurface.check_gamma_chain_map(alpha_h, g, splits)
             report.add(CheckResult("gamma_chain_map", ok, len(splits)))
-            total_forms = enumerate_monomial_forms(n, 1, range(n + 1))
+            total_forms = enumerate_monomial_forms(principal_lattice(n, 1), range(n + 1))
             ok = hypersurface.check_split_matches_nabla(cfg_h, alpha_h, lam, total_forms)
             report.add(CheckResult("split_consistency", ok, len(total_forms)))
             alpha_n = alpha_h.entries[-1]

@@ -41,6 +41,9 @@ replaced it:
   columns weighted by rising factorials, vertical rows with Fraction
   entries), for gkzkit.hypersurface.kernel_equals_dv_image, which builds
   the same matrices with every row rescaled to integers.
+- centered_box, the box {-1, 0, 1}^n the identity battery sampled, which
+  decides each identity by a per-coordinate degree bound, for the smaller
+  gkzkit.derham.principal_lattice, which decides it by the total degree.
 - homotopy_identity_per_facet, the former homotopy check, which adds the
   contraction of the differential, the differentials of the contractions
   and the right-hand side into one term map per facet, with its
@@ -87,6 +90,11 @@ from gkzkit.weyl import (TermKey, WeylElement, euler_operator, lambda_derivative
                          phi_map)
 from gkzkit.linalg import RationalEchelon
 from gkzkit.window import CohomologyWindow, HalfSupport
+
+
+def centered_box(n: int, radius: int) -> list[IntVec]:
+    """The exponents in {-radius, ..., radius}^n."""
+    return list(itertools.product(range(-radius, radius + 1), repeat=n))
 
 
 def dense_rank(rows: list[list[Fraction]]) -> int:
@@ -195,23 +203,16 @@ def _brute_facets(points: tuple[tuple[int, ...], ...],
     n = len(points[0])
     out = set()
     for c in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=n):
-        if all(x == 0 for x in c):
+        if any(sum(map(operator.mul, c, p)) < 0 for p in points) or gcd(*c) != 1:
             continue
-        g = 0
-        for x in c:
-            g = gcd(g, abs(x))
-        if g != 1:
-            continue
-        values = [sum(ci * pi for ci, pi in zip(c, p)) for p in points]
-        if any(v < 0 for v in values):
-            continue
-        on_face = [p for p, v in zip(points, values) if v == 0]
+        on_face = [p for p in points if not sum(map(operator.mul, c, p))]
         if n == 1:
             # one-sidedness alone suffices: the equality set spans the
             # zero-dimensional space no matter what
             out.add(c)
             continue
-        if on_face and dense_rank([[Fraction(x) for x in p] for p in on_face]) == n - 1:
+        if (len(on_face) >= n - 1
+                and dense_rank([[Fraction(x) for x in p] for p in on_face]) == n - 1):
             out.add(c)
     return frozenset(out)
 
@@ -310,6 +311,37 @@ def shoelace_volume(points: list[tuple[int, int]]) -> int:
     hull = chains[0] + chains[1]
     return abs(sum(x1 * y2 - x2 * y1
                    for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1])))
+
+
+def ehrhart_volume(points: Sequence[Sequence[int]],
+                   max_coeff_bound: int | None = None) -> int:
+    """n! vol(conv(0 u A)), the n-th finite difference of the Ehrhart counts
+    |k Delta n Z^n| at k = 0, ..., n (Beck-Robins, Computing the Continuous
+    Discretely, ch. 3): the count is a polynomial in k of degree n with
+    leading coefficient vol(Delta), as Delta is a lattice polytope.
+
+    Delta is cut out by the facet normals (g, e) of the homogenized points
+    (a, 1), (0, 1), found by ``brute_facets`` with the least coefficient
+    bound ``require_every_facet`` accepts, and k Delta is the set of u with
+    g.u + k e >= 0, scanned in k times the bounding box of Delta.  Raises
+    ValueError when no bound up to ``max_coeff_bound`` finds every facet."""
+    n = len(points[0])
+    homogenized = [(*a, 1) for a in points] + [(0,) * n + (1,)]
+    for coeff_bound in itertools.count(1):
+        normals = brute_facets(homogenized, coeff_bound)
+        try:
+            require_every_facet(homogenized, normals)
+            break
+        except ValueError:
+            if coeff_bound == max_coeff_bound:
+                raise
+    facets = [(g[:n], g[n]) for g in normals]
+    extent = [(min(0, *column), max(0, *column)) for column in zip(*points)]
+    counts = [sum(all(sum(map(operator.mul, c, u)) + k * e >= 0 for c, e in facets)
+                  for u in itertools.product(*(range(k * low, k * high + 1)
+                                               for low, high in extent)))
+              for k in range(n + 1)]
+    return sum((-1) ** (n - k) * comb(n, k) * count for k, count in enumerate(counts))
 
 
 def modp_recurrence_dim(points: list[tuple[int, ...]],

@@ -27,6 +27,7 @@ from gkzkit.weyl import (PhiTables, box_shift, check_commutation,
                          check_phi_intertwines, check_phi_kills_box, WeylElement)
 from gkzkit.window import (ConeSupport, FullSupport, generic_rank, quasi_iso_check,
                            random_specialization, top_cohomology_dim)
+from oracles import centered_box
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -91,7 +92,8 @@ def test_criterion_2_complex_and_homotopy_identities():
         alpha = builtin_alpha(name)
         f = build_f_symbolic(cfg)
         dd = TwistedDerivations(alpha, f, clearing_scale(alpha, f))
-        forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+        forms = enumerate_monomial_forms(centered_box(cfg.n, 2), range(cfg.n + 1),
+                                         nlam=cfg.N)
         first = differentials(dd, forms)
         ok = ok and check_complex(dd, first)
         ok = ok and homotopy_identity_check(cone_facets(cfg), dd, forms, first) is None

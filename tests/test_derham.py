@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from gkzkit import derham, weyl
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
-from gkzkit.complement import apply_unimodular
+from gkzkit.complement import apply_unimodular, normalize_structure
 from gkzkit.derham import (LogForm, check_complex, differentials,
                            enumerate_monomial_forms, homotopy_identity_check, nabla,
-                           twist_conjugation_check)
-from gkzkit.errors import GkzError, NotStabilizedError
+                           principal_lattice, twist_conjugation_check)
+from gkzkit.errors import GkzError, NotStabilizedError, StructureError
+from gkzkit.hypersurface import check_split_matches_nabla
 from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
                             validate_config)
 from gkzkit.laurent import (LaurentPoly, TwistedDerivations, apply_D, build_f,
@@ -21,9 +22,10 @@ from gkzkit.verify import run_battery
 from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, HalfSupport,
                            generic_rank, quasi_iso_check, require_stabilized,
                            top_cohomology_dim)
-from oracles import (apply_D_by_parts, brute_newton_window, contract, dense_rank,
-                     homotopy_identity_per_facet, homotopy_rho, nabla_by_parts,
-                     shoelace_volume, specialize, window_generators_per_window)
+from oracles import (apply_D_by_parts, brute_newton_window, centered_box, contract,
+                     dense_rank, ehrhart_volume, homotopy_identity_per_facet,
+                     homotopy_rho, nabla_by_parts, shoelace_volume, specialize,
+                     window_generators_per_window)
 
 LAM3 = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 LAM4 = LAM3 + [Fraction(7, 13)]
@@ -45,7 +47,7 @@ def test_check_complex_builtin_configs():
     for name in ("single", "cusp", "bessel", "trinomial", "gauss"):
         cfg = builtin_config(name)
         dd = battery_derivations(cfg, builtin_alpha(name))
-        forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+        forms = enumerate_monomial_forms(centered_box(cfg.n, 2), range(cfg.n + 1), nlam=cfg.N)
         assert check_complex(dd, differentials(dd, forms)), name
 
 
@@ -77,8 +79,12 @@ def test_battery_takes_each_first_differential_once(monkeypatch, name):
         return _nabla(derivations, omega)
     monkeypatch.setattr(derham, "nabla", recording)
     assert run_battery(cfg, alpha).ok
-    box = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
-    assert len(seen) >= 2 * len(box)
+    # nabla_squared applies nabla twice to each form with exponent in S_2,
+    # the homotopy check reads the first differentials of S_1 among them
+    lattice = enumerate_monomial_forms(principal_lattice(cfg.n, 2), range(cfg.n + 1),
+                                       nlam=cfg.N)
+    assert seen[:len(lattice)] == lattice
+    assert len(seen) >= 2 * len(lattice)
     assert len({id(omega) for omega in seen}) == len(seen)
 
 
@@ -132,7 +138,7 @@ def test_homotopy_identity_all_builtins():
     for name in ("single", "cusp", "bessel", "trinomial", "gauss"):
         cfg = builtin_config(name)
         alpha = builtin_alpha(name)
-        forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+        forms = enumerate_monomial_forms(centered_box(cfg.n, 2), range(cfg.n + 1), nlam=cfg.N)
         assert homotopy_check(cone_facets(cfg), alpha, cfg, forms) is None, name
 
 
@@ -141,7 +147,7 @@ def test_homotopy_identity_on_sums_of_monomial_forms():
     # combines the contractions against several unit forms per sample
     for name in ("trinomial", "gauss"):
         cfg = builtin_config(name)
-        forms = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
+        forms = enumerate_monomial_forms(centered_box(cfg.n, 1), range(cfg.n + 1), nlam=cfg.N)
         by_degree = {}
         for omega in forms:
             by_degree.setdefault(omega.degree, []).append(omega)
@@ -166,7 +172,7 @@ def test_homotopy_check_takes_nabla_once_per_sample(monkeypatch, name, calls):
     # on the ones it is given
     cfg, alpha = builtin_config(name), builtin_alpha(name)
     dd = battery_derivations(cfg, alpha)
-    forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+    forms = enumerate_monomial_forms(centered_box(cfg.n, 2), range(cfg.n + 1), nlam=cfg.N)
     built, applied, read = [], [], []
 
     class Reads(list):
@@ -228,41 +234,51 @@ def test_homotopy_failure_reports_the_first_failing_facet(monkeypatch, bad):
     assert wrong == [ell for ell in facets if ell.coeffs[direction - 1]]
     first = min(positions)
     _wrong_tables(monkeypatch, [direction])
-    forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+    forms = enumerate_monomial_forms(centered_box(cfg.n, 2), range(cfg.n + 1), nlam=cfg.N)
     assert homotopy_check(facets, alpha, cfg, forms) == facets[first]
     right = [ell for ell in facets if ell not in wrong]
     assert homotopy_check(right, alpha, cfg, forms) is None
     check = next(c for c in run_battery(cfg, alpha).checks
                  if c.name == "homotopy_identity")
     assert not check.ok
-    # the battery samples the box {-1, 0, 1}^n, every facet before the
+    # the battery samples S_1 = {0, e_1, ..., e_n}, every facet before the
     # failing one on each of its forms
-    box = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
-    assert check.samples == len(box) * first
+    linear = enumerate_monomial_forms(principal_lattice(cfg.n, 1), range(cfg.n + 1),
+                                      nlam=cfg.N)
+    assert check.samples == len(linear) * first
     assert check.detail == f"facet={facets[first].coeffs}"
 
 
 @pytest.mark.parametrize("name", ["trinomial", "gauss", "cusp"])
 def test_box_of_the_battery_cannot_shrink(monkeypatch, name):
-    # the homotopy residual is affine in each coordinate of the exponent, so
-    # one value per coordinate cannot decide it: D_1 with its u-coefficient
-    # doubled, (2 u_1 + alpha_1) x^u plus the shifts, is a fault that is 0 at
-    # u_1 = 0, invisible on the box {0}^n and caught on the battery's
-    # {-1, 0, 1}^n
+    # the homotopy residual is affine in the exponent, so the one point 0
+    # cannot decide it: D_1 with its u-coefficient doubled, (2 u_1 +
+    # alpha_1) x^u plus the shifts, is a fault that is 0 at u_1 = 0,
+    # invisible on {0}^n and caught on the battery's S_1 = {0, e_1, ...,
+    # e_n}
     cfg, alpha = builtin_config(name), builtin_alpha(name)
     facets = cone_facets(cfg)
-
-    def doubled(self, out, i, xi, sign=1, _add_to=TwistedDerivations.add_to):
-        _add_to(self, out, i, xi, sign)
-        if i == 1:
-            for u, c in xi.terms.items():
-                t = sign * c * u[0] * self.scale
-                out[u] = out[u] + t if u in out else t
-    monkeypatch.setattr(TwistedDerivations, "add_to", doubled)
+    _doubled_u(monkeypatch, 1)
     verdicts = {c.name: c.ok for c in run_battery(cfg, alpha).checks}
     assert not verdicts["homotopy_identity"]
-    origin = enumerate_monomial_forms(cfg.n, 0, range(cfg.n + 1), nlam=cfg.N)
+    origin = enumerate_monomial_forms(centered_box(cfg.n, 0), range(cfg.n + 1),
+                                      nlam=cfg.N)
     assert homotopy_check(facets, alpha, cfg, origin) is None
+    linear = enumerate_monomial_forms(principal_lattice(cfg.n, 1), range(cfg.n + 1),
+                                      nlam=cfg.N)
+    assert homotopy_check(facets, alpha, cfg, linear) is not None
+
+
+def _doubled_u(monkeypatch, direction: int) -> None:
+    """Every D_i applied from now on in the given direction has its
+    u-coefficient doubled: (2 u_i + alpha_i) x^u plus the shifts."""
+    def doubled(self, out, i, xi, sign=1, _add_to=TwistedDerivations.add_to):
+        _add_to(self, out, i, xi, sign)
+        if i == direction:
+            for u, c in xi.terms.items():
+                t = sign * c * u[i - 1] * self.scale
+                out[u] = out[u] + t if u in out else t
+    monkeypatch.setattr(TwistedDerivations, "add_to", doubled)
 
 
 FRAC = st.fractions(min_value=-3, max_value=3, max_denominator=5)
@@ -286,7 +302,7 @@ def test_homotopy_check_matches_the_per_facet_oracle(name, data):
     n = cfg.n
     facets = cone_facets(cfg)
     alpha = ParameterVector(tuple(data.draw(FRAC) for _ in range(n)))
-    forms = enumerate_monomial_forms(n, 1, range(n + 1), nlam=cfg.N)
+    forms = enumerate_monomial_forms(centered_box(n, 1), range(n + 1), nlam=cfg.N)
     sums = [omega + forms[-1 - k].scale(2) for k, omega in enumerate(forms)
             if omega.degree == forms[-1 - k].degree]
     samples = data.draw(st.permutations(forms + sums))
@@ -307,13 +323,78 @@ def test_homotopy_check_matches_the_per_facet_oracle(name, data):
                 assert (alone is not None) == (ell in failing)
 
 
+BATTERY_ALPHAS = {name: builtin_alpha(name) for name in builtin_names()}
+BATTERY_ALPHAS["plane2"] = ParameterVector.of("1/3", "-2/5")
+BATTERY_ALPHAS["pyramid"] = ParameterVector.of("1/2", "-1/3", "3/7")
+
+
+def box_verdicts(cfg, alpha) -> dict[str, tuple[bool, str]]:
+    """The verdict and failure detail of each check ``run_battery`` decides
+    on S_1 and S_2, taken instead on every monomial form with exponents in
+    the box {-1, 0, 1}^n, which decides each residual by its degree in each
+    coordinate, at most 2: the same derivations, twists, facets and lambda."""
+    n, N = cfg.n, cfg.N
+    dd = battery_derivations(cfg, alpha)
+    forms = enumerate_monomial_forms(centered_box(n, 1), range(n + 1), nlam=N)
+    first = differentials(dd, forms)
+    out = {"nabla_squared": (check_complex(dd, first), "")}
+    failed = homotopy_identity_check(cone_facets(cfg), dd, forms, first)
+    out["homotopy_identity"] = ((True, "") if failed is None
+                                else (False, f"facet={failed.coeffs}"))
+    twists = [(1,) + (0,) * (n - 1)]
+    if n >= 2:
+        twists += [(0, -1) + (0,) * (n - 2), (1, 1) + (0,) * (n - 2)]
+    small = [omega for omega in forms if omega.degree < min(n, 2)]
+    wrong = [u for u in twists if not twist_conjugation_check(dd, u, small)]
+    out["twist_conjugation"] = (not wrong, f"u={wrong[0]}" if wrong else "")
+    if n >= 2:
+        try:
+            cfg_h, alpha_h, _ = normalize_structure(cfg, alpha)
+        except StructureError:
+            return out
+        lam = tuple(Fraction(k + 2, 2 * k + 1) for k in range(N))
+        specialized = enumerate_monomial_forms(centered_box(n, 1), range(n + 1))
+        out["split_consistency"] = (
+            check_split_matches_nabla(cfg_h, alpha_h, lam, specialized), "")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(HOMOTOPY_CONFIGS))
+def test_battery_sample_sets_reach_the_verdicts_of_the_box(name):
+    # S_2 for nabla_squared and S_1 for the other three checks reach the
+    # box's verdict and failure detail on the true derivations and on
+    # faults that keep each coefficient affine in u: a wrong alpha_i table
+    # entry, a wrong shift weight, and a doubled u_i, in each direction i
+    cfg, alpha = HOMOTOPY_CONFIGS[name], BATTERY_ALPHAS[name]
+    faults = [(None, 0)] + [(kind, i) for kind in ("alpha", "df", "u")
+                            for i in range(1, cfg.n + 1)]
+    caught = set()
+    for kind, direction in faults:
+        with pytest.MonkeyPatch.context() as patch:
+            if kind == "u":
+                _doubled_u(patch, direction)
+            elif kind:
+                _wrong_tables(patch, [direction], kind)
+            box = box_verdicts(cfg, alpha)
+            got = {c.name: (c.ok, c.detail) for c in run_battery(cfg, alpha).checks
+                   if c.name in box}
+        assert got == box, (kind, direction)
+        assert (kind is not None) or all(ok for ok, _ in box.values())
+        caught |= {check for check, (ok, _) in box.items() if not ok}
+    # every check fails under some fault, but nabla_squared in one
+    # dimension, where nabla twice lands past the top degree, and the
+    # homotopy check of a configuration without facets
+    assert caught == set(box) - ({"nabla_squared"} if cfg.n == 1 else set()) - (
+        set() if cone_facets(cfg) else {"homotopy_identity"}), caught
+
+
 def test_homotopy_check_weights_the_unit_residuals(monkeypatch):
     # scale alpha_i off by one in both directions of trinomial: each unit
     # residual is omega itself, so the facet (-1, 1) holds and (1, 1) fails
     cfg, alpha = builtin_config("trinomial"), builtin_alpha("trinomial")
     facets = cone_facets(cfg)
     assert [ell.coeffs for ell in facets] == [(-1, 1), (1, 1)]
-    forms = enumerate_monomial_forms(cfg.n, 2, range(cfg.n + 1), nlam=cfg.N)
+    forms = enumerate_monomial_forms(centered_box(cfg.n, 2), range(cfg.n + 1), nlam=cfg.N)
     _wrong_tables(monkeypatch, [1, 2])
     assert homotopy_check(facets, alpha, cfg, forms) == facets[1]
     assert homotopy_identity_per_facet(facets, alpha, cfg, forms) == facets[1]
@@ -331,7 +412,7 @@ def test_homotopy_check_reads_alpha_off_the_derivations_not_their_tables(name):
     a, df = dd.tables[0]
     dd.tables[0] = (a + 1, df)
     facets = cone_facets(cfg)
-    forms = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1), nlam=cfg.N)
+    forms = enumerate_monomial_forms(centered_box(cfg.n, 1), range(cfg.n + 1), nlam=cfg.N)
     first = differentials(dd, forms)
     assert check_complex(dd, first)
     failing = [ell for ell in facets if ell.coeffs[0]]
@@ -853,6 +934,55 @@ def test_generic_rank_is_the_volume_in_the_plane(config):
     full = generic_rank(config, alpha, FullSupport(2), 4)
     cone = generic_rank(config, alpha, ConeSupport(config), 4)
     assert full.dim == cone.dim == shoelace_volume(config.points), config.points
+    assert quasi_iso_check(cone, full).verdict, config.points
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=plane_configs())
+def test_ehrhart_volume_is_the_shoelace_volume_in_the_plane(config):
+    assert ehrhart_volume(config.points) == shoelace_volume(config.points), config.points
+
+
+@pytest.mark.parametrize("points, volume", [
+    (builtin_config("gauss").points, 2),
+    ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 2),
+    ([(0, 1), (1, 1), (-1, 1), (2, 1)], 3),
+    ([(1, 0), (0, 1), (2, 3)], 5),
+    # N.A is not saturated; the volume counts the lattice points of Delta
+    ([(-2, 2), (-1, 3), (2, 1)], 11),
+    # the ConeSupport docstring's configuration, whose facets need the
+    # normal coefficient 9
+    ([(2, 1, 1), (-1, 2, 1), (2, 2, -1), (3, 2, -1), (-2, 1, 0)], 27),
+])
+def test_ehrhart_volume_reads_the_pinned_volumes(points, volume):
+    assert ehrhart_volume(points) == volume
+
+
+@st.composite
+def space_configs(draw):
+    points = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * 3),
+                           min_size=4, max_size=5, unique=True))
+    try:
+        return validate_config(points)
+    except GkzError:
+        reject()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(config=space_configs())
+def test_generic_rank_is_the_volume_in_space(config):
+    # each draw's time is capped by the facets of Delta: a draw whose
+    # facets need a normal coefficient above 4 is not taken.  No cone
+    # facet normal, with coefficients at most 4, takes an integer value on
+    # (1/7, 1/11, 1/13); the bound is n + 1 = 4
+    try:
+        volume = ehrhart_volume(config.points, max_coeff_bound=4)
+    except ValueError:
+        reject()
+    alpha = ParameterVector.of("1/7", "1/11", "1/13")
+    full = generic_rank(config, alpha, FullSupport(3), 4)
+    cone = generic_rank(config, alpha, ConeSupport(config), 4)
+    assert full.dims == cone.dims == (volume, volume), config.points
     assert quasi_iso_check(cone, full).verdict, config.points
 
 

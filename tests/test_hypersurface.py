@@ -12,7 +12,8 @@ from gkzkit import hypersurface
 from gkzkit.catalog import builtin_alpha, builtin_config
 from gkzkit.complement import (apply_unimodular, build_g, cohomology_U_dim,
                                find_unimodular_normalizer, normalize_structure)
-from gkzkit.derham import LogForm, clearing_scale, enumerate_monomial_forms
+from gkzkit.derham import (LogForm, clearing_scale, enumerate_monomial_forms,
+                           principal_lattice)
 from gkzkit.errors import PochhammerPoleError, StructureError
 from gkzkit.hypersurface import (ComplementTables, SplitForm, UForm,
                                  _derivations_by_parts,
@@ -25,8 +26,8 @@ from gkzkit.linalg import RationalEchelon
 from gkzkit.verify import BatteryReport, CheckResult, run_battery
 from gkzkit.window import FullSupport, top_cohomology_dim
 import oracles
-from oracles import (LocalizedElement, gamma_per_monomial, tilde_nabla_per_piece,
-                     u_quotient_dim)
+from oracles import (LocalizedElement, centered_box, gamma_per_monomial,
+                     tilde_nabla_per_piece, u_quotient_dim)
 from oracles import kernel_equals_dv_image as kernel_equals_dv_image_over_q
 
 TRI = builtin_config("trinomial")
@@ -216,7 +217,7 @@ def test_scaled_split_check_reaches_the_unscaled_verdict(name, data):
     alpha = ParameterVector(tuple(data.draw(FRACTIONS) for _ in range(n)))
     cfg, alpha, _ = normalize_structure(cfg, alpha)
     lam = tuple(data.draw(FRACTIONS) for _ in range(cfg.N))
-    forms = enumerate_monomial_forms(n, 1, range(n + 1))
+    forms = enumerate_monomial_forms(centered_box(n, 1), range(n + 1))
     # the constant 0-form moves in the first direction, where a wrong alpha shows
     samples = data.draw(st.lists(st.sampled_from(forms), max_size=12))
     samples.append(LogForm.from_monomial((0,) * n, (), n))
@@ -256,7 +257,7 @@ def test_each_split_check_builds_the_derivations_once(monkeypatch):
               for u in itertools.product(range(-1, 2), repeat=cfg.n - 1)
               for m in range(3) for k in range(cfg.n)
               for idx in itertools.combinations(range(1, cfg.n), k)]
-    forms = enumerate_monomial_forms(cfg.n, 1, range(cfg.n + 1))
+    forms = enumerate_monomial_forms(principal_lattice(cfg.n, 1), range(cfg.n + 1))
     built, passed = [], []
 
     def counting(*args):
