@@ -1,7 +1,8 @@
 """Command-line front end: analyze, rank, verify, modp.
 
-Every report embeds the job description, the seed, and the toolkit version;
-rerunning a job with the same seed reproduces byte-identical output.  Exit
+Every report embeds the job description and the toolkit version; ``rank``
+and ``modp``, which draw random specializations, also embed their seed.
+Rerunning a job with the same arguments reproduces byte-identical output.  Exit
 codes: 0 success, 1 identity-check failure, 2 invalid configuration or
 arguments, 3 dimension not stabilized, 4 resonant parameter where
 nonresonance is required.
@@ -31,9 +32,10 @@ EXIT_NOT_STABILIZED = 3
 EXIT_RESONANT = 4
 
 BOUND_HELP = "window bound; default max(4, n + 1) for points in Z^n"
+SEED_HELP = "seed of the random parameter specializations"
 
 # the names ``rank --supports`` accepts, by the support they stand for
-SUPPORT_NAMES = {"zn": "Z^n", "z^n": "Z^n", "full": "Z^n", "u0": "U0", "cone": "U0"}
+SUPPORT_NAMES = {"zn": "Z^n", "u0": "U0"}
 
 
 def _resolve_config(text: str):
@@ -67,9 +69,11 @@ def _job_block(args, config, config_label: str) -> dict:
     job = {
         "command": args.command,
         "config": {"points": [list(p) for p in config.points], "label": config_label},
-        "seed": args.seed,
-        "version": __version__,
     }
+    # rank and modp draw their specializations from the seed; analyze has none
+    if hasattr(args, "seed"):
+        job["seed"] = args.seed
+    job["version"] = __version__
     if getattr(args, "alpha", None):
         job["alpha"] = args.alpha
     if getattr(args, "lam", None):
@@ -191,8 +195,7 @@ def cmd_verify(args) -> int:
     overall_ok = True
     sections = []
     for config, label, alpha in jobs:
-        battery = run_battery(config, alpha, del_degree=args.degree,
-                              perturb_beta=args.perturb_beta)
+        battery = run_battery(config, alpha, perturb_beta=args.perturb_beta)
         sections.append({"config": label, "alpha": [str(a) for a in alpha.entries],
                          **battery.to_json()})
         overall_ok = overall_ok and battery.ok
@@ -200,9 +203,7 @@ def cmd_verify(args) -> int:
         "job": {
             "command": "verify",
             "configs": names,
-            "degree": args.degree,
             "perturb_beta": args.perturb_beta,
-            "seed": args.seed,
             "version": __version__,
         },
         "result": {"ok": overall_ok, "batteries": sections},
@@ -246,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="builtin name, JSON file path, or inline JSON")
         p.add_argument("--alpha", help="comma-separated rational entries, e.g. 1/3,1/5")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report to this path")
 
     p = sub.add_parser("analyze", help="lattice of relations, facets, nonresonance")
@@ -257,20 +257,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="random",
                    help='"random" or comma-separated rationals')
     p.add_argument("--bound", type=int, help=BOUND_HELP)
-    p.add_argument("--supports", default="zn,u0")
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
+    p.add_argument("--supports", default="zn,u0", help="comma-separated: zn, u0")
     p.add_argument("--hypersurface", action="store_true",
                    help="also compute the complement-side dimension")
 
     p = sub.add_parser("verify", help="exact identity battery")
     common(p)
-    p.add_argument("--degree", type=int, default=3,
-                   help="max partial-derivative degree for transport checks")
     p.add_argument("--perturb-beta", action="store_true",
                    help="negative control: shift the commutation parameter off by one")
 
     p = sub.add_parser("modp", help="mod-p solution dimensions against the rank")
     common(p)
     p.add_argument("--primes", default="3,5,7,11,13,17,19,23")
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.add_argument("--bound", type=int, help=BOUND_HELP)
     return parser
 

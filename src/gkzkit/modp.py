@@ -184,8 +184,8 @@ class ModpReport(NamedTuple):
 
 
 def full_set_sweep(config: PointConfig, alpha: ParameterVector,
-                   primes: Sequence[int], rank: int | None = None,
-                   bound: int | None = None, seed: int = 0) -> ModpReport:
+                   primes: Sequence[int], bound: int | None = None,
+                   seed: int = 0) -> ModpReport:
     """Per-prime solution dimensions against the characteristic-zero rank.
 
     Requires a nonresonant parameter.  Primes dividing a denominator of the
@@ -193,8 +193,9 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
     dimension exceeding the rank would falsify the truncation rank and is
     surfaced as a hard failure.  An empty prime list is refused, and a sweep
     whose every prime is skipped says that no good prime was tested.  A prime
-    given twice runs once, in the place it was first given.  Without a rank,
-    the generic rank is read at the bound, by default ``default_bound``.
+    given twice runs once, in the place it was first given.  The rank is
+    ``generic_rank`` on Z^n at the bound, by default ``default_bound``, with
+    its specializations drawn from ``seed``.
     """
     if not primes:
         raise ValueError("the prime list is empty")
@@ -203,10 +204,8 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
         form, value = verdict.witness
         raise ResonantError(
             f"parameter is resonant: form {form.coeffs} gives integer {value}")
-    if rank is None:
-        bound = default_bound(config.n) if bound is None else bound
-        rank = generic_rank(config, alpha, FullSupport(config.n), bound,
-                            seed=seed).dim
+    bound = default_bound(config.n) if bound is None else bound
+    rank = generic_rank(config, alpha, FullSupport(config.n), bound, seed=seed).dim
     results = []
     skipped = []
     for p in dict.fromkeys(primes):

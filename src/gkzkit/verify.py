@@ -63,15 +63,6 @@ class BatteryReport:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
-def _del_monomials(N: int, max_degree: int) -> list[WeylElement]:
-    out = []
-    for total in range(max_degree + 1):
-        for b in itertools.product(range(total + 1), repeat=N):
-            if sum(b) == total:
-                out.append(WeylElement.monomial((0,) * N, b))
-    return out
-
-
 def _up_to_first_failure(name: str, cases: list[tuple], failure) -> CheckResult:
     """The check that runs the cases in order up to the first that fails:
     failure(*case) is None on a pass and the detail of a failure.  The
@@ -84,7 +75,7 @@ def _up_to_first_failure(name: str, cases: list[tuple], failure) -> CheckResult:
 
 
 def run_battery(config: PointConfig, alpha: ParameterVector,
-                del_degree: int = 3, perturb_beta: bool = False) -> BatteryReport:
+                perturb_beta: bool = False) -> BatteryReport:
     """All exact identity checks for one configuration.
 
     Four checks run on the smallest exponent sets that decide them for
@@ -104,14 +95,16 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     the first differentials ``nabla_squared`` took, and no form goes through
     nabla twice.
 
+    The Weyl-side checks sample the d-monomials d^b with b in
+    ``principal_lattice(N, d)``: degree at most 2 for ``phi_kills_boxes``
+    and at most 3 for ``phi_intertwines``.
+
     With ``perturb_beta`` the commutation check runs against an off-by-one
     shift parameter, which must fail; this is the negative control.
     """
     if alpha.n != config.n:
         raise ValueError(f"parameter has {alpha.n} entries, the configuration "
                          f"needs {config.n}")
-    if del_degree < 0:
-        raise ValueError(f"derivative degree {del_degree} is negative")
     report = BatteryReport()
     n, N = config.n, config.N
     lattice = relation_lattice(config)
@@ -134,7 +127,7 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
         commutation_failure))
 
     # the parameter-linear map annihilates left multiples of box operators
-    tees = _del_monomials(N, 2)
+    tees = [WeylElement.monomial((0,) * N, b) for b in principal_lattice(N, 2)]
     report.add(_up_to_first_failure(
         "phi_kills_boxes", [(t, l) for l in lattice.basis for t in tees],
         lambda t, l: None if check_phi_kills_box(config, t, l) else f"t={t}, l={l}"))
@@ -144,7 +137,8 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     tables = PhiTables(config, alpha)
     report.add(_up_to_first_failure(
         "phi_intertwines",
-        [(w, i) for w in _del_monomials(N, del_degree) for i in range(1, n + 1)],
+        [(WeylElement.monomial((0,) * N, b), i)
+         for b in principal_lattice(N, 3) for i in range(1, n + 1)],
         lambda w, i: (None if check_phi_intertwines(w, i, tables)
                       else f"w={w}, i={i}")))
     derivations = tables.derivations

@@ -352,32 +352,30 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
                  bound: int, seed: int = 0) -> RankReport:
     """Stabilized dimension at generic parameters.
 
-    Evaluates up to three pairs of distinct random specializations on one
-    pair of windows (bounds B-1 and B) until a pair agrees on a stabilized
-    dimension, and reports the first of that pair.  Otherwise raises
-    NotStabilizedError with the (B-1, B) dimensions of the last
-    specialization that did not stabilize, else of the last one drawn.
+    Draws a random specialization lam1 from ``random.Random(seed)`` and
+    then lam2 != lam1, evaluates both on one pair of windows (bounds B-1
+    and B), and reports lam1 when both stabilize on the same dimension.
+    Otherwise raises NotStabilizedError: with the (B-1, B) dimensions of
+    the first of lam2, lam1 that did not stabilize, else with both
+    dimensions of the disagreeing pair.
     """
     warnings = _resonance_warnings(config, alpha)
     windows = window_pair(config, support, bound)
     rng = random.Random(seed)
-    unstable = None
-    for _ in range(3):
-        lam1 = lam2 = random_specialization(rng, config.N)
-        while lam2 == lam1:
-            lam2 = random_specialization(rng, config.N)
-        # the second specialization only confirms the first: its echelon is
-        # let go before the first one's, which the report keeps, is built
-        rep2 = _torus_report(alpha, lam2, windows, warnings).replace(top=None)
-        rep1 = _torus_report(alpha, lam1, windows, warnings)
-        if rep1.stabilized and rep2.stabilized and rep1.dim == rep2.dim:
-            return rep1.replace(warnings=warnings + (
-                f"agreed with second specialization {list(map(str, lam2))}",))
-        unstable = next((rep for rep in (rep2, rep1) if not rep.stabilized), unstable)
-    if unstable is not None:
-        raise NotStabilizedError(unstable.dims, bound)
-    raise NotStabilizedError(rep2.dims, bound, f"specializations disagree at bound "
-                             f"{bound}: {rep1.dim} vs {rep2.dim}", (rep1.dim, rep2.dim))
+    lam1 = lam2 = random_specialization(rng, config.N)
+    while lam2 == lam1:
+        lam2 = random_specialization(rng, config.N)
+    # the second specialization only confirms the first: its echelon is let
+    # go before the first one's, which the report keeps, is built
+    rep2 = _torus_report(alpha, lam2, windows, warnings).replace(top=None)
+    rep1 = _torus_report(alpha, lam1, windows, warnings)
+    require_stabilized(rep2)
+    require_stabilized(rep1)
+    if rep1.dim != rep2.dim:
+        raise NotStabilizedError(rep2.dims, bound, f"specializations disagree at bound "
+                                 f"{bound}: {rep1.dim} vs {rep2.dim}", (rep1.dim, rep2.dim))
+    return rep1.replace(warnings=warnings + (
+        f"agreed with second specialization {list(map(str, lam2))}",))
 
 
 class QuasiIsoReport(NamedTuple):

@@ -183,7 +183,7 @@ def test_criterion_6_modp_criterion():
     for alpha_text in ("1/2", "1/3", "2/5"):
         cfg = builtin_config("single")
         alpha = ParameterVector.of(alpha_text)
-        rep = full_set_sweep(cfg, alpha, primes, rank=1)
+        rep = full_set_sweep(cfg, alpha, primes)
         den = Fraction(alpha_text).denominator
         good = [p for p in primes if den % p]
         ok = ok and [r.p for r in rep.primes] == good
@@ -223,7 +223,7 @@ def test_criterion_7_negative_controls():
 
     # the sweep refuses resonance outright
     with pytest.raises(ResonantError):
-        full_set_sweep(single, resonant, [3, 5], rank=1)
+        full_set_sweep(single, resonant, [3, 5])
     report("criterion 7: negative controls", ok,
            f"perturbed residual nonzero, resonant comparison verdict="
            f"{comparison.verdict}")

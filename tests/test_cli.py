@@ -75,24 +75,34 @@ def test_rank_explicit_lambda_and_hypersurface(capsys):
     assert report["result"]["U"]["dim"] == 2
 
 
-def test_rank_not_stabilized_exits_3(capsys):
+def test_rank_not_stabilized_exits_3(monkeypatch, capsys):
     # bound 1 gives a window too small for the cusp configuration; dims are
-    # the quotient dimensions at bounds 0 and 1, whichever way lambda is chosen
+    # the quotient dimensions at bounds 0 and 1, whichever way lambda is
+    # chosen; a random lambda evaluates one pair of specializations, not more
+    from gkzkit import window
+    torus_report = window._torus_report
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return torus_report(*args)
+    monkeypatch.setattr(window, "_torus_report", counting)
     job = ["--config", "cusp", "--alpha", "1/2", "--bound", "1"]
-    for argv in (["rank", *job, "--supports", "zn", "--lambda", "3/7,5/11"],
-                 ["rank", *job, "--supports", "zn"],
-                 ["modp", *job]):
+    for argv, reports in ((["rank", *job, "--supports", "zn", "--lambda", "3/7,5/11"], 1),
+                          (["rank", *job, "--supports", "zn"], 2),
+                          (["modp", *job], 2)):
+        calls.clear()
         code, report = run(capsys, *argv)
-        assert code == 3, argv
+        assert code == 3 and len(calls) == reports, argv
         assert report["result"]["error"] == {"kind": "NotStabilized",
                                              "dims": [1, 2], "bound": 1}, argv
 
 
 def test_disagreeing_specializations_report_both_dimensions(monkeypatch, capsys):
-    # a stand-in torus report reads (3, 3) on the report each pair builds
-    # first, the second specialization's, and (2, 2) on the first's: every
-    # one stabilizes and no pair agrees; the error keeps the second one's
-    # dims and names both dimensions, the first specialization's first
+    # a stand-in torus report reads (3, 3) on the report built first, the
+    # second specialization's, and (2, 2) on the first's: both stabilize and
+    # the one pair disagrees; the error keeps the second one's dims and names
+    # both dimensions, the first specialization's first
     from gkzkit import window
     torus_report = window._torus_report
     calls = []
@@ -106,7 +116,7 @@ def test_disagreeing_specializations_report_both_dimensions(monkeypatch, capsys)
     for argv in (["rank", *job, "--supports", "zn"], ["modp", *job, "--primes", "7"]):
         calls.clear()
         code, report = run(capsys, *argv)
-        assert code == 3 and len(calls) == 6, argv
+        assert code == 3 and len(calls) == 2, argv
         assert report["result"]["error"] == {"kind": "NotStabilized", "dims": [3, 3],
                                              "bound": 3, "specializations": [2, 3]}, argv
 
@@ -230,7 +240,7 @@ def test_quasi_iso_check_inserts_only_the_small_window(monkeypatch, capsys):
 @pytest.mark.parametrize("supports, same_as", [
     ("u0,zn", "zn,u0"),
     ("zn,u0,zn", "zn,u0"),
-    (" U0,cone, Z^n", "zn,u0"),
+    (" U0,u0, ZN", "zn,u0"),
     # one support named twice runs once and is compared with nothing
     ("zn,zn", "zn"),
 ])
@@ -393,11 +403,13 @@ def test_modp_every_prime_skipped(capsys):
     # the builtins have dimensions 1, 2 and 3, so no one parameter fits them
     # all: refused before any battery runs
     ["verify", "--alpha=1/2"],
-    ["verify", "--config", "trinomial", "--degree", "-2"],
     # a negative control without a relation could not fail
     ["verify", "--config", "single", "--perturb-beta"],
     ["verify", "--config", '{"points": [[1, 0], [0, 1]]}', "--alpha=1/2,1/3",
      "--perturb-beta"],
+    # the support names are zn and u0 only
+    *(["rank", "--config", "single", "--alpha=1/2", "--supports", name]
+      for name in ("cone", "full", "z^n")),
 ])
 def test_malformed_input_exits_2(monkeypatch, capsys, argv):
     batteries = []
@@ -414,6 +426,24 @@ def test_malformed_input_exits_2(monkeypatch, capsys, argv):
     assert captured.err.count("\n") == 1
     if argv[0] == "verify" and ("--config" not in argv or "--perturb-beta" in argv):
         assert batteries == []
+    if "--supports" in argv:
+        assert captured.err.startswith("bad input: unknown support")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--config", "single", "--seed", "1"],
+    ["verify", "--config", "single", "--seed", "1"],
+    ["verify", "--config", "single", "--degree", "3"],
+])
+def test_options_without_an_effect_are_refused(capsys, argv):
+    # analyze and verify draw nothing at random, and the battery's
+    # d-monomials have degree at most 3: argparse refuses these options
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[3:])}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_no_last_coordinate_normalizer_exits_2(capsys):
@@ -455,8 +485,6 @@ def cli_jobs(draw):
         primes = draw(st.lists(st.integers(-3, 23), min_size=1, max_size=3))
         argv += ["--bound", str(draw(st.integers(0, 2))),
                  "--primes=" + ",".join(map(str, primes))]
-    elif command == "verify":
-        argv += ["--degree", str(draw(st.integers(0, 2)))]
     return argv
 
 

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from gkzkit import verify, weyl
+from gkzkit.derham import principal_lattice
 from gkzkit.catalog import builtin_alpha, builtin_config
 from gkzkit.errors import NotARelationError
 from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
 from gkzkit.laurent import LaurentPoly, TwistedDerivations
-from gkzkit.verify import _del_monomials
 from gkzkit.weyl import (PhiTables, WeylElement, box_operator, box_shift,
                          check_commutation, check_phi_intertwines,
                          check_phi_kills_box, euler_operator, lambda_derivative,
@@ -219,7 +219,8 @@ def test_identity_b_needs_lambda_carrying_elements(name, count, monkeypatch):
     # elements that carry lambda^e with an exponent 2 catch it
     cfg, alpha = builtin_config(name), builtin_alpha(name)
     tables = PhiTables(cfg, alpha)
-    battery = [(w, i) for w in _del_monomials(cfg.N, 3) for i in range(1, cfg.n + 1)]
+    battery = [(WeylElement.monomial((0,) * cfg.N, b), i)
+               for b in principal_lattice(cfg.N, 3) for i in range(1, cfg.n + 1)]
     elements = lambda_carrying(cfg.N)
     assert len(elements) == count
     inputs = [(w, i) for w in elements for i in range(1, cfg.n + 1)]
