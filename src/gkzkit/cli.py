@@ -1,11 +1,12 @@
 """Command-line front end: analyze, rank, verify, modp.
 
-Every report embeds the job description and the toolkit version; ``rank``
-and ``modp``, which draw random specializations, also embed their seed.
-Rerunning a job with the same arguments reproduces byte-identical output.  Exit
-codes: 0 success, 1 identity-check failure, 2 invalid configuration or
-arguments, 3 dimension not stabilized, 4 resonant parameter where
-nonresonance is required.
+Every report embeds the job description and the toolkit version; ``rank
+--lambda random`` and ``modp``, which draw a random specialization, also
+embed its seed.  Rerunning a job with the same arguments reproduces
+byte-identical output.  Exit codes: 0 success, 1 identity-check failure or
+a generic rank at a nonresonant parameter that is not the normalized
+volume, 2 invalid configuration or arguments, 3 dimension not stabilized,
+4 resonant parameter where nonresonance is required.
 
 Each ``cmd_*`` imports the modules it runs, so a process loads only the
 code of its subcommand; the module scope holds what ``analyze`` and the
@@ -32,7 +33,7 @@ EXIT_NOT_STABILIZED = 3
 EXIT_RESONANT = 4
 
 BOUND_HELP = "window bound; default max(4, n + 1) for points in Z^n"
-SEED_HELP = "seed of the random parameter specializations"
+SEED_HELP = "seed of the random parameter specialization"
 
 # the names ``rank --supports`` accepts, by the support they stand for
 SUPPORT_NAMES = {"zn": "Z^n", "u0": "U0"}
@@ -70,8 +71,9 @@ def _job_block(args, config, config_label: str) -> dict:
         "command": args.command,
         "config": {"points": [list(p) for p in config.points], "label": config_label},
     }
-    # rank and modp draw their specializations from the seed; analyze has none
-    if hasattr(args, "seed"):
+    # rank with a random lambda and modp draw their specialization from the
+    # seed; analyze has none, and an explicit lambda draws nothing
+    if hasattr(args, "seed") and getattr(args, "lam", "random") == "random":
         job["seed"] = args.seed
     job["version"] = __version__
     if getattr(args, "alpha", None):
@@ -94,10 +96,7 @@ def _default_bound(args, config) -> None:
 
 
 def _not_stabilized(exc: NotStabilizedError) -> dict:
-    error = {"kind": "NotStabilized", "dims": list(exc.dims), "bound": exc.bound}
-    if exc.disagree is not None:
-        error["specializations"] = list(exc.disagree)
-    return error
+    return {"kind": "NotStabilized", "dims": list(exc.dims), "bound": exc.bound}
 
 
 def cmd_analyze(args) -> int:

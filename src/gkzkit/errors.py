@@ -42,16 +42,24 @@ class PochhammerPoleError(GkzError):
 
 
 class NotStabilizedError(GkzError):
-    """A truncated dimension did not agree at two consecutive window bounds,
-    or, with ``disagree``, stabilized at two dimensions on two specializations."""
+    """A truncated dimension did not agree at two consecutive window bounds."""
 
-    def __init__(self, dims: tuple[int, int], bound: int, message: str = "",
-                 disagree: tuple[int, int] | None = None):
+    def __init__(self, dims: tuple[int, int], bound: int):
         self.dims = dims
         self.bound = bound
-        self.disagree = disagree
-        text = message or f"dimension not stabilized at bound {bound}: {dims[0]} vs {dims[1]}"
-        super().__init__(text)
+        super().__init__(f"dimension not stabilized at bound {bound}: {dims[0]} vs {dims[1]}")
+
+
+class VolumeMismatchError(GkzError):
+    """A stabilized dimension at a nonresonant parameter is not the
+    normalized volume n! vol(conv(0 u A)), which the rank must equal."""
+
+    def __init__(self, dims: tuple[int, int], bound: int, volume: int):
+        self.dims = dims
+        self.bound = bound
+        self.volume = volume
+        super().__init__(f"dimension {dims[1]} stabilized at bound {bound} (dims {dims[0]}, "
+                         f"{dims[1]}) differs from the normalized volume {volume}")
 
 
 class ResonantError(GkzError):

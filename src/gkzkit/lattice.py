@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
@@ -154,6 +155,10 @@ class NewtonPolytope(NamedTuple):
     reaches the cone, where w >= 0, so V_B is empty for B < 0; on the cone
     V_B = B Delta.  Induction on B, with |u|_inf <= |u + a|_inf + radius,
     gives the bound.  As V_1 contains Delta, no smaller radius bounds V_1.
+
+    ``extent`` is the bounding box of Delta: per coordinate, the least and
+    the largest of 0 and the a_i.  On the cone V_B = B Delta lies in B
+    times it.
     """
 
     n: int
@@ -161,6 +166,7 @@ class NewtonPolytope(NamedTuple):
     weights: tuple[tuple[IntVec, int], ...]
     h: IntVec       # the sum of the cone facet forms
     radius: int
+    extent: tuple[tuple[int, int], ...]
 
     def contains(self, u: Sequence[int], bound: int) -> bool:
         """Is u in V_B for B = bound?"""
@@ -199,7 +205,31 @@ def newton_polytope(config: PointConfig) -> NewtonPolytope:
     return NewtonPolytope(n=n, cone=cone,
                           weights=tuple(sorted((c, d) for c, d in found if d > 0)),
                           h=tuple(sum(f.coeffs[i] for f in cone) for i in range(n)),
-                          radius=max(abs(x) for a in config.points for x in a))
+                          radius=max(abs(x) for a in config.points for x in a),
+                          extent=tuple((min(0, *column), max(0, *column))
+                                       for column in zip(*config.points)))
+
+
+@functools.cache
+def normalized_volume(config: PointConfig) -> int:
+    """n! vol(Delta) for Delta = conv(0 u A), without a window or an echelon.
+
+    The Ehrhart count |k Delta ∩ Z^n| of the lattice polytope Delta is a
+    polynomial of degree n in k with leading coefficient vol(Delta), so
+    n! vol(Delta) is its n-th finite difference, the sum over k = 0..n of
+    (-1)^(n-k) C(n, k) |k Delta ∩ Z^n| (Beck-Robins, Computing the
+    Continuous Discretely, ch. 3).  The counts come from one scan of n times
+    the bounding box of Delta: the points on the cone (every cone facet
+    >= 0) in V_n = n Delta are kept, and on the cone V_k = k Delta, so each
+    count is the number of them that ``NewtonPolytope.contains`` at k.
+    """
+    polytope = newton_polytope(config)
+    n = config.n
+    box = [range(n * low, n * high + 1) for low, high in polytope.extent]
+    kept = [u for u in itertools.product(*box)
+            if all(f.evaluate(u) >= 0 for f in polytope.cone) and polytope.contains(u, n)]
+    return sum((-1) ** (n - k) * math.comb(n, k) * sum(polytope.contains(u, k) for u in kept)
+               for k in range(n + 1))
 
 
 def cone_facets(config: PointConfig) -> tuple[FacetForm, ...]:

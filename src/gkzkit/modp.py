@@ -195,7 +195,8 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
     whose every prime is skipped says that no good prime was tested.  A prime
     given twice runs once, in the place it was first given.  The rank is
     ``generic_rank`` on Z^n at the bound, by default ``default_bound``, with
-    its specializations drawn from ``seed``.
+    its one specialization drawn from ``seed``; as alpha is nonresonant, it
+    raises VolumeMismatchError unless that rank is the normalized volume.
     """
     if not primes:
         raise ValueError("the prime list is empty")

@@ -4,7 +4,8 @@ A support is the set of exponents cut out by facet inequalities (Z^n, the
 half space, the saturated cone U0).  The rank of the twisted complex on the
 torus is the dimension of a window's monomials modulo the images of the
 twisted derivations that stay inside it, by exact linear algebra at two
-consecutive bounds; a failure to stabilize is an explicit outcome.
+consecutive bounds; a failure to stabilize is an explicit outcome, and so
+is a generic rank that is not the normalized volume.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import random
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import NotStabilizedError
+from .errors import NotStabilizedError, VolumeMismatchError
 from .intmat import integer_kernel
 from .lattice import (FacetForm, NewtonPolytope, ParameterVector, PointConfig,
-                      is_nonresonant, newton_polytope)
+                      is_nonresonant, newton_polytope, normalized_volume)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -81,14 +82,11 @@ class ConeSupport(Support):
 
     def __init__(self, config: PointConfig):
         super().__init__("U0", newton_polytope(config).cone)
-        # the bounding box of Delta = conv(0 u A): per coordinate, the least
-        # and the largest of 0 and the a_i
-        self.extent = [(min(0, *column), max(0, *column)) for column in zip(*config.points)]
 
     def scan(self, polytope: NewtonPolytope, bound: int) -> list[range]:
         """B times the bounding box of Delta: on the cone the depth is 0, so
         V_B meets it in B Delta = conv(0, B a), inside that box."""
-        return [range(bound * low, bound * high + 1) for low, high in self.extent]
+        return [range(bound * low, bound * high + 1) for low, high in polytope.extent]
 
 
 class RankReport:
@@ -130,12 +128,6 @@ class RankReport:
         fields = ", ".join(f"{name}={value!r}" for name, value
                            in zip(self.__slots__, self._compared()))
         return f"RankReport({fields})"
-
-    def replace(self, **changes) -> "RankReport":
-        """A copy with the given fields changed; ``top`` is kept unless given."""
-        values = {name: getattr(self, name) for name in self.__slots__}
-        values.update(changes)
-        return RankReport(**values)
 
     @property
     def stabilized(self) -> bool:
@@ -350,32 +342,31 @@ def default_bound(n: int) -> int:
 
 def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
                  bound: int, seed: int = 0) -> RankReport:
-    """Stabilized dimension at generic parameters.
+    """Stabilized dimension at a generic specialization, checked against
+    the normalized volume.
 
-    Draws a random specialization lam1 from ``random.Random(seed)`` and
-    then lam2 != lam1, evaluates both on one pair of windows (bounds B-1
-    and B), and reports lam1 when both stabilize on the same dimension.
-    Otherwise raises NotStabilizedError: with the (B-1, B) dimensions of
-    the first of lam2, lam1 that did not stabilize, else with both
-    dimensions of the disagreeing pair.
+    Draws one specialization lam from ``random.Random(seed)``, evaluates it
+    on one pair of windows (bounds B-1 and B) and raises NotStabilizedError
+    with its dims unless they agree.  For a nonresonant alpha the rank is
+    n! vol(conv(0 u A)) (Adolphson, Duke Math. J. 73, 1994), and a stabilized
+    dimension other than ``lattice.normalized_volume`` raises
+    VolumeMismatchError.  The volume stands in for a second specialization:
+    the generators' entries are polynomial in lam, so at a special lam their
+    rank can only drop and the window quotient can only grow.  A stable
+    reading equal to the volume is therefore the answer, and any other
+    stable reading is an error, not a retry.  A resonant alpha, which the
+    report warns of, is not checked.
     """
     warnings = _resonance_warnings(config, alpha)
-    windows = window_pair(config, support, bound)
-    rng = random.Random(seed)
-    lam1 = lam2 = random_specialization(rng, config.N)
-    while lam2 == lam1:
-        lam2 = random_specialization(rng, config.N)
-    # the second specialization only confirms the first: its echelon is let
-    # go before the first one's, which the report keeps, is built
-    rep2 = _torus_report(alpha, lam2, windows, warnings).replace(top=None)
-    rep1 = _torus_report(alpha, lam1, windows, warnings)
-    require_stabilized(rep2)
-    require_stabilized(rep1)
-    if rep1.dim != rep2.dim:
-        raise NotStabilizedError(rep2.dims, bound, f"specializations disagree at bound "
-                                 f"{bound}: {rep1.dim} vs {rep2.dim}", (rep1.dim, rep2.dim))
-    return rep1.replace(warnings=warnings + (
-        f"agreed with second specialization {list(map(str, lam2))}",))
+    lam = random_specialization(random.Random(seed), config.N)
+    report = require_stabilized(_torus_report(alpha, lam, window_pair(config, support, bound),
+                                              warnings))
+    # the resonance warning is the only one, so none means alpha is nonresonant
+    if not warnings:
+        volume = normalized_volume(config)
+        if report.dim != volume:
+            raise VolumeMismatchError(report.dims, bound, volume)
+    return report
 
 
 class QuasiIsoReport(NamedTuple):

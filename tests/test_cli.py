@@ -78,7 +78,7 @@ def test_rank_explicit_lambda_and_hypersurface(capsys):
 def test_rank_not_stabilized_exits_3(monkeypatch, capsys):
     # bound 1 gives a window too small for the cusp configuration; dims are
     # the quotient dimensions at bounds 0 and 1, whichever way lambda is
-    # chosen; a random lambda evaluates one pair of specializations, not more
+    # chosen; every path evaluates one specialization, not more
     from gkzkit import window
     torus_report = window._torus_report
     calls = []
@@ -88,37 +88,71 @@ def test_rank_not_stabilized_exits_3(monkeypatch, capsys):
         return torus_report(*args)
     monkeypatch.setattr(window, "_torus_report", counting)
     job = ["--config", "cusp", "--alpha", "1/2", "--bound", "1"]
-    for argv, reports in ((["rank", *job, "--supports", "zn", "--lambda", "3/7,5/11"], 1),
-                          (["rank", *job, "--supports", "zn"], 2),
-                          (["modp", *job], 2)):
+    for argv in (["rank", *job, "--supports", "zn", "--lambda", "3/7,5/11"],
+                 ["rank", *job, "--supports", "zn"],
+                 ["modp", *job]):
         calls.clear()
         code, report = run(capsys, *argv)
-        assert code == 3 and len(calls) == reports, argv
+        assert code == 3 and len(calls) == 1, argv
         assert report["result"]["error"] == {"kind": "NotStabilized",
                                              "dims": [1, 2], "bound": 1}, argv
 
 
-def test_disagreeing_specializations_report_both_dimensions(monkeypatch, capsys):
-    # a stand-in torus report reads (3, 3) on the report built first, the
-    # second specialization's, and (2, 2) on the first's: both stabilize and
-    # the one pair disagrees; the error keeps the second one's dims and names
-    # both dimensions, the first specialization's first
+def _reads_three(monkeypatch):
+    """A stand-in torus report that reads (3, 3) on any window pair; returns
+    the list of specializations it was called with."""
     from gkzkit import window
-    torus_report = window._torus_report
     calls = []
 
     def forced(alpha, lam, windows, warnings):
         calls.append(lam)
-        rep = torus_report(alpha, lam, windows, warnings)
-        return rep.replace(dims=(3, 3) if len(calls) % 2 else (2, 2))
+        return window.RankReport(f"torus/{windows[1].support.name}", alpha, lam,
+                                 windows[1].bound, (3, 3), tuple(warnings))
     monkeypatch.setattr(window, "_torus_report", forced)
+    return calls
+
+
+def test_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
+    # trinomial has volume 2; a stable reading of 3 at a nonresonant alpha
+    # is an error, found after the one specialization, with no retry
+    calls = _reads_three(monkeypatch)
     job = ["--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3"]
     for argv in (["rank", *job, "--supports", "zn"], ["modp", *job, "--primes", "7"]):
         calls.clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and len(calls) == 1, argv
+        assert captured.out == ""
+        assert ("error: dimension 3 stabilized at bound 3 (dims 3, 3) differs from "
+                "the normalized volume 2") in captured.err, argv
+        assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("extra", [
+    # an explicit lambda may be special and read more than the volume
+    ["--alpha", "1/3,1/5", "--lambda", "3/7,5/11,2/9"],
+    # at a resonant alpha the rank need not be the volume
+    ["--alpha", "1/2,1/2"],
+])
+def test_rank_is_not_checked_against_the_volume(monkeypatch, capsys, extra):
+    calls = _reads_three(monkeypatch)
+    code, report = run(capsys, "rank", "--config", "trinomial", "--bound", "3",
+                       "--supports", "zn", *extra)
+    assert code == 0 and len(calls) == 1
+    assert report["result"]["supports"]["Z^n"]["dims"] == [3, 3]
+
+
+def test_job_block_embeds_the_seed_only_where_it_draws(capsys):
+    # rank with a random lambda and modp draw their specialization from the
+    # seed; an explicit lambda draws nothing
+    job = ["--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3", "--seed", "5"]
+    for argv, seeded in ((["rank", *job, "--supports", "zn"], True),
+                         (["rank", *job, "--supports", "zn", "--lambda", "3/7,5/11,2/9"],
+                          False),
+                         (["modp", *job, "--primes", "7"], True)):
         code, report = run(capsys, *argv)
-        assert code == 3 and len(calls) == 2, argv
-        assert report["result"]["error"] == {"kind": "NotStabilized", "dims": [3, 3],
-                                             "bound": 3, "specializations": [2, 3]}, argv
+        assert code == 0, argv
+        assert report["job"].get("seed") == (5 if seeded else None), argv
 
 
 @pytest.mark.parametrize("points, supports, bound, volume", [
@@ -178,14 +212,15 @@ TRINOMIAL_JOB = ["rank", "--config", "trinomial", "--alpha", "1/3,1/5",
 
 @pytest.mark.parametrize("argv, windows, echelons", [
     # per support: one window at each of B-1 and B, the B-1 one read off the
-    # B one's points; one echelon per specialization, which takes the B-1
-    # generators and then the B ones that differ from them; quasi_iso_check
-    # reads the reports' windows and echelon and builds none; the U side:
-    # two windows, one echelon of numerators and one of generators
-    (TRINOMIAL_JOB, 6, 6),
+    # B one's points; one echelon per support for its one specialization,
+    # which takes the B-1 generators and then the B ones that differ from
+    # them; the normalized volume builds neither; quasi_iso_check reads the
+    # reports' windows and echelon and builds none; the U side: two
+    # windows, one echelon of numerators and one of generators
+    (TRINOMIAL_JOB, 6, 4),
     (TRINOMIAL_JOB + ["--lambda", "3/7,5/11,2/9"], 6, 4),
     (["rank", "--config", "gauss", "--alpha", "1/2,1/3,1/5", "--bound", "3",
-      "--supports", "u0"], 2, 2),
+      "--supports", "u0"], 2, 1),
 ])
 def test_rank_builds_each_window_once(monkeypatch, capsys, argv, windows, echelons):
     built = Counter()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,15 @@ from gkzkit.complement import apply_unimodular, normalize_structure
 from gkzkit.derham import (LogForm, check_complex, differentials,
                            enumerate_monomial_forms, homotopy_identity_check, nabla,
                            principal_lattice, twist_conjugation_check)
-from gkzkit.errors import GkzError, NotStabilizedError, StructureError
+from gkzkit.errors import GkzError, NotStabilizedError, StructureError, VolumeMismatchError
 from gkzkit.hypersurface import check_split_matches_nabla
-from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets,
+from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets, normalized_volume,
                             validate_config)
 from gkzkit.laurent import (LaurentPoly, TwistedDerivations, apply_D, build_f,
                             build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
 from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, HalfSupport,
-                           generic_rank, quasi_iso_check, require_stabilized,
+                           RankReport, generic_rank, quasi_iso_check, require_stabilized,
                            top_cohomology_dim)
 from oracles import (apply_D_by_parts, brute_newton_window, centered_box, contract,
                      dense_rank, ehrhart_volume, homotopy_identity_per_facet,
@@ -846,6 +847,14 @@ def test_quasi_iso_rejects_supports_that_are_not_nested():
         quasi_iso_check(full, cone)
 
 
+def changed(rep: RankReport, **changes) -> RankReport:
+    """A copy of a report with the given fields changed; ``top`` is kept
+    unless given."""
+    values = {name: getattr(rep, name) for name in RankReport.__slots__}
+    values.update(changes)
+    return RankReport(**values)
+
+
 def test_quasi_iso_rejects_reports_that_do_not_compare():
     tri = builtin_config("trinomial")
     alpha = builtin_alpha("trinomial")
@@ -853,29 +862,24 @@ def test_quasi_iso_rejects_reports_that_do_not_compare():
     cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 3)
     with pytest.raises(ValueError, match="bounds 3 and 4"):
         quasi_iso_check(cone, full)
-    unstable = full.replace(dims=(1, 2))
+    unstable = changed(full, dims=(1, 2))
     with pytest.raises(NotStabilizedError) as err:
-        quasi_iso_check(cone.replace(bound=4), unstable)
+        quasi_iso_check(changed(cone, bound=4), unstable)
     assert err.value.dims == (1, 2)
     # a report built by hand carries no window to compare
     with pytest.raises(ValueError, match="without its window"):
-        quasi_iso_check(full.replace(top=None), full)
+        quasi_iso_check(changed(full, top=None), full)
 
 
 def test_rank_report_compares_and_prints_without_its_window():
     tri = builtin_config("trinomial")
     rep = top_cohomology_dim(tri, builtin_alpha("trinomial"), LAM3, FullSupport(2), 3)
-    bare = rep.replace(top=None)
+    bare = changed(rep, top=None)
     assert rep.top is not None and bare.top is None
     assert bare == rep and repr(bare) == repr(rep)
     assert repr(rep).startswith("RankReport(complex_id='torus/Z^n', alpha=")
     assert "top=" not in repr(rep)
-    # replace keeps the window unless it is given
-    changed = rep.replace(dims=(1, 2))
-    assert changed.top is rep.top and changed != rep
-    assert changed.dims == (1, 2) and rep.dims == (2, 2)
-    with pytest.raises(TypeError):
-        rep.replace(no_such_field=1)
+    assert changed(rep, dims=(1, 2)) != rep
 
 
 def test_twist_invariance_of_dimension():
@@ -905,12 +909,36 @@ def test_relabeling_and_unimodular_invariance():
     assert got == base
 
 
-def test_generic_rank_two_specializations():
+def test_generic_rank_builds_one_echelon(monkeypatch):
+    # one specialization, the first draw of the seed's generator, on one
+    # echelon; the normalized volume confirms it in place of a second one
+    from gkzkit import window
     tri = builtin_config("trinomial")
     alpha = builtin_alpha("trinomial")
+    built = []
+    init = window.RationalEchelon.__init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+    monkeypatch.setattr(window.RationalEchelon, "__init__", counting)
     rep = generic_rank(tri, alpha, FullSupport(2), 4, seed=5)
-    assert rep.stabilized and rep.dim == 2
-    assert any("second specialization" in w for w in rep.warnings)
+    assert rep.stabilized and rep.dim == normalized_volume(tri) == 2
+    assert rep.warnings == () and len(built) == 1
+    assert rep.lam == window.random_specialization(random.Random(5), tri.N)
+
+
+def test_generic_rank_other_than_the_volume_raises(monkeypatch):
+    from gkzkit import window
+    tri = builtin_config("trinomial")
+    torus_report = window._torus_report
+
+    def reads_three(*args):
+        return changed(torus_report(*args), dims=(3, 3))
+    monkeypatch.setattr(window, "_torus_report", reads_three)
+    with pytest.raises(VolumeMismatchError) as err:
+        generic_rank(tri, builtin_alpha("trinomial"), FullSupport(2), 4)
+    assert (err.value.dims, err.value.bound, err.value.volume) == ((3, 3), 4, 2)
 
 
 @st.composite
@@ -943,7 +971,7 @@ def test_ehrhart_volume_is_the_shoelace_volume_in_the_plane(config):
     assert ehrhart_volume(config.points) == shoelace_volume(config.points), config.points
 
 
-@pytest.mark.parametrize("points, volume", [
+PINNED_VOLUMES = [
     (builtin_config("gauss").points, 2),
     ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 2),
     ([(0, 1), (1, 1), (-1, 1), (2, 1)], 3),
@@ -953,9 +981,39 @@ def test_ehrhart_volume_is_the_shoelace_volume_in_the_plane(config):
     # the ConeSupport docstring's configuration, whose facets need the
     # normal coefficient 9
     ([(2, 1, 1), (-1, 2, 1), (2, 2, -1), (3, 2, -1), (-2, 1, 0)], 27),
-])
+]
+
+
+@pytest.mark.parametrize("points, volume", PINNED_VOLUMES)
 def test_ehrhart_volume_reads_the_pinned_volumes(points, volume):
     assert ehrhart_volume(points) == volume
+
+
+@pytest.mark.parametrize("points, volume", PINNED_VOLUMES + [
+    *((builtin_config(name).points, volume) for name, volume
+      in (("single", 1), ("cusp", 2), ("bessel", 2), ("trinomial", 2))),
+    # an uneven 3-D configuration, not a pyramid over a lattice polygon
+    ([(-2, 2, 2), (-2, 1, -2), (2, 0, -2), (-2, -1, 1), (1, -1, -2)], 63),
+])
+def test_normalized_volume_is_the_ehrhart_volume(points, volume):
+    assert normalized_volume(validate_config(points)) == ehrhart_volume(points) == volume
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=plane_configs())
+def test_normalized_volume_is_the_shoelace_volume_in_the_plane(config):
+    assert normalized_volume(config) == shoelace_volume(config.points), config.points
+
+
+@pytest.mark.parametrize("points, volume", [
+    # the window quotients at one lambda read 2, 5, 7, 8, 8 and 5, 10, 10
+    # at B = 1, 2, ...; the oracle's facet search takes seconds here
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (-1, -2, -1, -3)], 8),
+    ([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (2, -1, 1, -2),
+      (-1, 2, -2, 1)], 10),
+])
+def test_normalized_volume_in_four_dimensions(points, volume):
+    assert normalized_volume(validate_config(points)) == volume
 
 
 @st.composite
