@@ -33,8 +33,8 @@ _EXPORTS = {
              "check_phi_intertwines", "euler_operator", "phi_map", "weyl_mul"),
     "derham": ("LogForm", "check_complex", "homotopy_identity_check", "nabla",
                "twist_conjugation_check"),
-    "complement": ("build_g", "cohomology_U_dim"),
-    "hypersurface": ("SplitForm", "UForm", "check_gamma_chain_map", "gamma",
+    "complement": ("cohomology_U_dim",),
+    "hypersurface": ("SplitForm", "UForm", "build_g", "check_gamma_chain_map", "gamma",
                      "kernel_equals_dv_image", "pochhammer", "tilde_nabla"),
     "modp": ("ModpInstance", "ModpReport", "full_set_sweep", "make_instance",
              "modp_solution_dim", "solution_support"),

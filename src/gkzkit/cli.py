@@ -124,7 +124,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_rank(args) -> int:
     from .window import (ConeSupport, FullSupport, generic_rank, quasi_iso_check,
-                         require_stabilized, top_cohomology_dim)
+                         require_stabilized, require_volume, top_cohomology_dim)
 
     config, label = _resolve_config(args.config)
     _default_bound(args, config)
@@ -160,7 +160,10 @@ def cmd_rank(args) -> int:
         if args.hypersurface:
             from .complement import cohomology_U_dim
             rep = cohomology_U_dim(config, alpha, u_lam, args.bound)
-            result["U"] = require_stabilized(rep).to_json()
+            # as on the torus, a random lambda at a nonresonant alpha must
+            # read the volume
+            checked = args.lam == "random" and is_nonresonant(config, alpha).nonresonant
+            result["U"] = require_volume(config, rep, checked).to_json()
     except NotStabilizedError as exc:
         result["error"] = _not_stabilized(exc)
         _emit({"job": _job_block(args, config, label), "result": result}, args.out)

@@ -1,25 +1,22 @@
 """The truncated top cohomology on the complement of a hypersurface g = 0.
 
 For points of last coordinate 1 (after a unimodular change of coordinates
-where one exists), f = x_n g.  Window elements over powers of g are read as
-numerators over one power, ranked against the generators of ``window``.
+where one exists), f = x_n g.  The window elements x'^{u'} / g^m rank as
+the torus window of the half space m >= 0 does (``window``), with no power
+of g: the comparison map's rising factorials carry one onto the other.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import StructureError
 from .intmat import complete_primitive_vector, matvec, solve_integer
 from .lattice import ParameterVector, PointConfig, validate_config
-from .laurent import LaurentPoly, _add_scaled, build_f, int_if_integral
 
 if TYPE_CHECKING:
     from .window import RankReport
-
-IntVec = tuple[int, ...]
 
 
 def check_structure(config: PointConfig) -> None:
@@ -67,28 +64,6 @@ def normalize_structure(config: PointConfig, alpha: ParameterVector
     return new_config, new_alpha, True
 
 
-def build_g(config: PointConfig, lam: Sequence) -> LaurentPoly:
-    """Drop the last coordinate: the polynomial whose x_n-multiple is f.
-    The points are distinct and all end in 1, so the keys stay distinct."""
-    check_structure(config)
-    f = build_f(config, lam)
-    return LaurentPoly._of(config.n - 1, {u[:-1]: c for u, c in f.terms.items()})
-
-
-def _powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
-    """g^0, g^1, ..., g^top."""
-    pows = [LaurentPoly.one(g.n)]
-    for _ in range(top):
-        pows.append(pows[-1] * g)
-    return pows
-
-
-def _cleared(g: LaurentPoly) -> tuple[int, LaurentPoly]:
-    """c and the integral G = c g, for c the lcm of the denominators of g."""
-    c = math.lcm(*(v.denominator for v in g.terms.values()))
-    return c, LaurentPoly._of(g.n, {w: int_if_integral(v * c) for w, v in g.terms.items()})
-
-
 def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
                      lam: Sequence, bound: int) -> RankReport:
     """Truncated dimension of the top cohomology on the complement of g = 0.
@@ -99,23 +74,30 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
     isomorphism of the complex, so dimensions are unaffected.  As on the
     torus, lam needs one nonzero entry per point.
 
-    The window elements are x'^{u'} / g^m for u = (u', m) in the window,
-    m >= 0, read as numerators over the bound-B window's g^M in both
-    windows: multiplying by a power of g is injective, as Laurent
-    polynomials have no zero divisors, so the B-1 ranks are those over its
-    own power.  With G = c g integral, the numerator c^m G^(M-m) x'^{u'} is
-    c^M g^(M-m) x'^{u'}, one scale for all.  As D_n acts as the identity
-    g / g^{m+1} = 1 / g^m, a generator is that of ``window_generators`` at
-    u with each entry off u's own column scaled by -(m + alpha_n); with
-    alpha_n = a / e, both scales are multiplied by e, so rows are integral.
-    The quotient is the rank of the numerators minus that of the
-    generators, each echelon read after the B-1 rows and after the rest.
+    The window elements are x'^{u'} / g^m for u = (u', m) in the window of
+    the half space m >= 0.  As D_n acts as the identity g / g^{m+1} =
+    1 / g^m, a generator is that of ``window_generators`` at u with each
+    entry off u's own column scaled by -(m + alpha_n).  Every a_j ends in 1,
+    so those entries lie at level m + 1, and scaling the columns of level m
+    by (-1)^m / (alpha_n)_m, the inverse of the comparison map's weight
+    (``hypersurface.ComplementTables``; nonzero after the pre-twist), makes
+    each generator that of the torus at u.  So the generators have the rank
+    of the torus window pair of the half space, read by the torus's one
+    echelon (``window._torus_report``) as |window| - rank.
+
+    That reading takes the x'^{u'} / g^m as independent.  Between them the
+    relations g x'^{u'} / g^{m+1} = x'^{u'} / g^m, i.e. e_u - sum_j
+    lambda_j e_{u+a_j}, hold wherever every u + a_j lies in the window, and
+    each is the generator of D_n at u divided by m + alpha_n, so it adds
+    nothing.  A relation outside their span, or a special lam, at which the
+    generators' rank (polynomial entries in lam) can only drop, could only
+    make the reading an over-count.  At a random lam and a nonresonant
+    alpha the rank is the normalized volume, and ``rank --hypersurface``
+    checks it (``window.require_volume``).
     """
-    # imported here, so the identity battery, which uses only the helpers
-    # above, loads neither
-    from .linalg import RationalEchelon
-    from .window import (HalfSupport, RankReport, specialization, window_generators,
-                         window_pair)
+    # imported here, so the identity battery, which uses only the
+    # normalization above, loads no window code
+    from .window import HalfSupport, RankReport, _torus_report, specialization, window_pair
 
     lam = specialization(config, lam)
     warnings = []
@@ -127,25 +109,5 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
         shift = (0,) * (config.n - 1) + (int(1 - alpha_n),)
         alpha = alpha.shift(shift)
         warnings.append(f"pre-twisted last parameter entry by {shift[-1]}")
-    windows = small, win = window_pair(config, HalfSupport(config.n), bound)
-    a, e = alpha.entries[-1].as_integer_ratio()
-    points = win.points
-    M = max((pt[-1] for pt in points), default=0)
-    c, G = _cleared(build_g(config, lam))
-    G_pows = _powers(G, M)
-    nums = [G_pows[M - pt[-1]].scalar_mul(c ** pt[-1]).shift(pt[:-1]) for pt in points]
-    span_ech, gen_ech = RationalEchelon(), RationalEchelon()
-    dims = []
-    for cols, gens in zip(([win.index[u] for u in small.points],
-                           [k for k, u in enumerate(points) if u not in small.index]),
-                          window_generators(windows, alpha, lam)):
-        for col in cols:
-            span_ech.insert(nums[col].terms)
-        for col, vec in gens:
-            scale = -(points[col][-1] * e + a)
-            out: dict[IntVec, int] = {}
-            for key, coeff in vec.items():
-                _add_scaled(out, nums[key], coeff * (e if key == col else scale))
-            gen_ech.insert(out)
-        dims.append(span_ech.rank - gen_ech.rank)
-    return RankReport("U", alpha, lam, bound, tuple(dims), tuple(warnings))
+    torus = _torus_report(alpha, lam, window_pair(config, HalfSupport(config.n), bound), ())
+    return RankReport("U", alpha, lam, bound, torus.dims, tuple(warnings))

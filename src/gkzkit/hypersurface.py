@@ -2,13 +2,14 @@
 
 When every point of the configuration has last coordinate 1, the defining
 polynomial factors as x_n times a Laurent polynomial g in the first n-1
-variables.  This module houses the twisted complex on the complement of
-g = 0 in the (n-1)-torus, the two-row double complex that splits logarithmic
-forms by their dx_n/x_n part, and the comparison chain map weighted by
-rising factorials of the last parameter entry, with the identity-battery
-checks on them; the truncated dimension of the top cohomology on the
-complement is in ``complement``.  A form on the complement is one
-numerator form over one power of g, not reduced (``UForm``).
+variables (``build_g``).  This module houses the twisted complex on the
+complement of g = 0 in the (n-1)-torus, the two-row double complex that
+splits logarithmic forms by their dx_n/x_n part, and the comparison chain
+map weighted by rising factorials of the last parameter entry, with the
+identity-battery checks on them; the truncated dimension of the top
+cohomology on the complement is in ``complement``.  A form on the
+complement is one numerator form over one power of g, not reduced
+(``UForm``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Sequence
 
-from .complement import _cleared, _powers, build_g
+from .complement import check_structure
 # the benchmark tracer (bench/traced_job.py) finds this name in this module
 from .complement import cohomology_U_dim  # noqa: F401
 from .derham import LogForm, _form, clearing_scale, nabla, wedge_insert
@@ -33,6 +34,28 @@ IntVec = tuple[int, ...]
 IndexTuple = tuple[int, ...]
 # xi -> scale D_i xi, for i = 1..n
 Derivations = Callable[[int, LaurentPoly], LaurentPoly]
+
+
+def build_g(config: PointConfig, lam: Sequence) -> LaurentPoly:
+    """Drop the last coordinate: the polynomial whose x_n-multiple is f.
+    The points are distinct and all end in 1, so the keys stay distinct."""
+    check_structure(config)
+    f = build_f(config, lam)
+    return LaurentPoly._of(config.n - 1, {u[:-1]: c for u, c in f.terms.items()})
+
+
+def _powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
+    """g^0, g^1, ..., g^top."""
+    pows = [LaurentPoly.one(g.n)]
+    for _ in range(top):
+        pows.append(pows[-1] * g)
+    return pows
+
+
+def _cleared(g: LaurentPoly) -> tuple[int, LaurentPoly]:
+    """c and the integral G = c g, for c the lcm of the denominators of g."""
+    c = math.lcm(*(v.denominator for v in g.terms.values()))
+    return c, LaurentPoly._of(g.n, {w: int_if_integral(v * c) for w, v in g.terms.items()})
 
 
 def pochhammer(a: Fraction, m: int) -> Fraction:

@@ -15,9 +15,9 @@ different (n, nlam) never mix; binary operations raise ScalarModeError.
 The constructor checks what it is given: key lengths, and coefficients
 (floats are refused, strings parsed).  Results the module computes from
 polynomials, which are already checked, go through ``LaurentPoly._of``,
-which only drops zero coefficients.  The identity battery and the
-complement rank compute with these polynomials; the torus rank
-(``window``) does not.
+which only drops zero coefficients.  The identity battery computes with
+these polynomials; the ranks on the torus and on the complement
+(``window``, ``complement``) do not.
 """
 
 from __future__ import annotations

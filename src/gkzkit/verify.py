@@ -182,7 +182,7 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
             cfg_h = None
         if cfg_h is not None:
             lam = tuple(Fraction(k + 2, 2 * k + 1) for k in range(N))
-            g = complement.build_g(cfg_h, lam)
+            g = hypersurface.build_g(cfg_h, lam)
             splits = []
             for u in itertools.product(range(-1, 2), repeat=n - 1):
                 for m in range(0, 3):

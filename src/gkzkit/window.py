@@ -359,13 +359,21 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
     """
     warnings = _resonance_warnings(config, alpha)
     lam = random_specialization(random.Random(seed), config.N)
-    report = require_stabilized(_torus_report(alpha, lam, window_pair(config, support, bound),
-                                              warnings))
     # the resonance warning is the only one, so none means alpha is nonresonant
-    if not warnings:
+    return require_volume(config, _torus_report(alpha, lam, window_pair(config, support, bound),
+                                                warnings), not warnings)
+
+
+def require_volume(config: PointConfig, report: RankReport, checked: bool) -> RankReport:
+    """The report, once stabilized (``require_stabilized``) and, when
+    checked, equal to ``lattice.normalized_volume``: a checked report is
+    one at a nonresonant alpha and a random specialization, whose rank is
+    the volume, and any other stable reading raises VolumeMismatchError."""
+    require_stabilized(report)
+    if checked:
         volume = normalized_volume(config)
         if report.dim != volume:
-            raise VolumeMismatchError(report.dims, bound, volume)
+            raise VolumeMismatchError(report.dims, report.bound, volume)
     return report
 
 

@@ -28,15 +28,21 @@ replaced it:
   lowest g-terms, for gkzkit.hypersurface.gamma and tilde_nabla, which put
   every term over one power of g and divide nothing out.
 - u_quotient_dim, the former complement-side quotient, with its own loop
-  over window points and staying combinations, for
-  gkzkit.window.window_generators, which both sides now share.
+  over window points and staying combinations, which ranks the window
+  elements as numerators over one power of g, for
+  gkzkit.window.window_generators, which both sides now share, and
+  gkzkit.complement.cohomology_U_dim, which ranks no numerator: it reads
+  the half-space torus window pair, whose relations include every
+  g-relation x'^{u'} / g^m = sum_j lambda_j x'^{u'+a'_j} / g^{m+1} inside
+  the window.
 - window_generators_per_window, torus_window_dims,
   u_quotient_dim_per_window and u_window_dims, the former per-window path
   of the (B-1, B) pair: two box scans, one echelon of Fraction rows per
   window on the torus, and two echelons per window on the complement, each
-  window's numerators over its own power of g, for gkzkit.window.window_pair,
-  _torus_report and gkzkit.complement.cohomology_U_dim, which scan once
-  and run one elimination per specialization on integer rows.
+  window's numerators over its own power of g, for gkzkit.window.window_pair
+  and _torus_report, which scan once and run one elimination per
+  specialization on integer rows, and for the same reading of
+  gkzkit.complement.cohomology_U_dim, with no power of g.
 - kernel_equals_dv_image, the former gamma-kernel check over Q (gamma
   columns weighted by rising factorials, vertical rows with Fraction
   entries), for gkzkit.hypersurface.kernel_equals_dv_image, which builds
@@ -75,12 +81,12 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from gkzkit.complement import _powers, build_g, normalize_structure
+from gkzkit.complement import normalize_structure
 from gkzkit.derham import (IndexTuple, IntVec, LogForm, _form, clearing_scale,
                            nabla, wedge_insert)
 from gkzkit.errors import PochhammerPoleError, ScalarModeError
 from gkzkit.hypersurface import (SplitForm, UForm, _box, _derivations_by_parts,
-                                 d_h, d_v, pochhammer)
+                                 _powers, build_g, d_h, d_v, pochhammer)
 from gkzkit.intmat import integer_kernel, matvec
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, relation_lattice)

@@ -13,11 +13,11 @@ from fractions import Fraction
 import pytest
 
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
-from gkzkit.complement import build_g, cohomology_U_dim
+from gkzkit.complement import cohomology_U_dim
 from gkzkit.derham import (LogForm, check_complex, clearing_scale, differentials,
                            enumerate_monomial_forms, homotopy_identity_check)
 from gkzkit.errors import ResonantError
-from gkzkit.hypersurface import (SplitForm, check_gamma_chain_map,
+from gkzkit.hypersurface import (SplitForm, build_g, check_gamma_chain_map,
                                  kernel_equals_dv_image)
 from gkzkit.lattice import (ParameterVector, cone_facets, relation_lattice,
                             validate_config)

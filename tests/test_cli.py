@@ -142,6 +142,41 @@ def test_rank_is_not_checked_against_the_volume(monkeypatch, capsys, extra):
     assert report["result"]["supports"]["Z^n"]["dims"] == [3, 3]
 
 
+def _u_reads_three(monkeypatch):
+    """A stand-in complement rank that reads (3, 3) on any job."""
+    from gkzkit import complement, window
+
+    def forced(config, alpha, lam, bound):
+        return window.RankReport("U", alpha, tuple(lam), bound, (3, 3))
+    monkeypatch.setattr(complement, "cohomology_U_dim", forced)
+
+
+def test_u_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
+    # as on the torus: trinomial has volume 2, so a reading of 3 on the
+    # complement at a random lambda and a nonresonant alpha is an error
+    _u_reads_three(monkeypatch)
+    code = main(["rank", "--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3",
+                 "--supports", "zn", "--hypersurface"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert ("error: dimension 3 stabilized at bound 3 (dims 3, 3) differs from "
+            "the normalized volume 2") in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("extra", [
+    # an explicit lambda may be special and read more than the volume
+    ["--alpha", "1/3,1/5", "--lambda", "3/7,5/11,2/9"],
+    # at a resonant alpha the rank need not be the volume
+    ["--alpha", "1/2,1/2"],
+])
+def test_u_rank_is_not_checked_against_the_volume(monkeypatch, capsys, extra):
+    _u_reads_three(monkeypatch)
+    code, report = run(capsys, "rank", "--config", "trinomial", "--bound", "3",
+                       "--supports", "zn", "--hypersurface", *extra)
+    assert code == 0 and report["result"]["U"]["dims"] == [3, 3]
+
+
 def test_job_block_embeds_the_seed_only_where_it_draws(capsys):
     # rank with a random lambda and modp draw their specialization from the
     # seed; an explicit lambda draws nothing
@@ -215,10 +250,10 @@ TRINOMIAL_JOB = ["rank", "--config", "trinomial", "--alpha", "1/3,1/5",
     # B one's points; one echelon per support for its one specialization,
     # which takes the B-1 generators and then the B ones that differ from
     # them; the normalized volume builds neither; quasi_iso_check reads the
-    # reports' windows and echelon and builds none; the U side: two
-    # windows, one echelon of numerators and one of generators
-    (TRINOMIAL_JOB, 6, 4),
-    (TRINOMIAL_JOB + ["--lambda", "3/7,5/11,2/9"], 6, 4),
+    # reports' windows and echelon and builds none; the U side: the two
+    # windows of the half space and one echelon, as on the torus
+    (TRINOMIAL_JOB, 6, 3),
+    (TRINOMIAL_JOB + ["--lambda", "3/7,5/11,2/9"], 6, 3),
     (["rank", "--config", "gauss", "--alpha", "1/2,1/3,1/5", "--bound", "3",
       "--supports", "u0"], 2, 1),
 ])
@@ -585,7 +620,7 @@ BATTERY_MODULES = ["gkzkit.derham", "gkzkit.laurent", "gkzkit.verify", "gkzkit.w
     (["rank", "--config", "single", "--alpha", "1/2", "--supports", "zn",
       "--bound", "2"], RANK_MODULES),
     (["rank", "--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3",
-      "--hypersurface"], sorted(RANK_MODULES + ["gkzkit.complement", "gkzkit.laurent"])),
+      "--hypersurface"], sorted(RANK_MODULES + ["gkzkit.complement"])),
     # verify jobs run the identity battery and no window; in one dimension
     # there is no gamma kernel, whose echelon needs linalg
     (["verify", "--config", "single"], sorted(ANALYZE_MODULES + BATTERY_MODULES)),

@@ -10,21 +10,22 @@ from hypothesis import strategies as st
 
 from gkzkit import hypersurface
 from gkzkit.catalog import builtin_alpha, builtin_config
-from gkzkit.complement import (apply_unimodular, build_g, cohomology_U_dim,
+from gkzkit.complement import (apply_unimodular, cohomology_U_dim,
                                find_unimodular_normalizer, normalize_structure)
 from gkzkit.derham import (LogForm, clearing_scale, enumerate_monomial_forms,
                            principal_lattice)
 from gkzkit.errors import PochhammerPoleError, StructureError
 from gkzkit.hypersurface import (ComplementTables, SplitForm, UForm,
-                                 _derivations_by_parts,
+                                 _derivations_by_parts, build_g,
                                  check_gamma_chain_map, check_split_matches_nabla,
                                  d_h, d_v, gamma, kernel_equals_dv_image,
                                  pochhammer, tilde_nabla)
-from gkzkit.lattice import ParameterVector, validate_config
+from gkzkit.lattice import ParameterVector, normalized_volume, validate_config
 from gkzkit.laurent import LaurentPoly, build_f
 from gkzkit.linalg import RationalEchelon
 from gkzkit.verify import BatteryReport, CheckResult, run_battery
-from gkzkit.window import FullSupport, top_cohomology_dim
+from gkzkit.window import (FullSupport, HalfSupport, random_specialization,
+                           top_cohomology_dim, window_generators, window_pair)
 import oracles
 from oracles import (LocalizedElement, centered_box, gamma_per_monomial,
                      tilde_nabla_per_piece, u_quotient_dim)
@@ -736,6 +737,54 @@ def test_cohomology_U_matches_the_per_point_oracle(points, alpha):
             rep = cohomology_U_dim(config, alpha, lam, bound)
             assert rep.dims == tuple(u_quotient_dim(normal, twisted, g, b)
                                      for b in (bound - 1, bound)), (lam, bound)
+
+
+@pytest.mark.parametrize("points, volume", [
+    ([(-2, -2, 1), (-2, 2, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1), (2, 2, 1)], 20),
+    ([(-2, 0, 1), (0, -2, 1), (0, 2, 1), (1, 0, 1), (1, 2, 1), (2, -1, 1)], 19),
+])
+def test_cohomology_U_reads_the_volume_of_six_points(points, volume):
+    # the numerator path took 23.0 s and 10.7 s on these at bound 4
+    config = validate_config(points)
+    lam = random_specialization(random.Random(1), config.N)
+    rep = cohomology_U_dim(config, ParameterVector.of("1/3", "1/5", "1/7"), lam, 4)
+    assert rep.dims == (volume, volume) and normalized_volume(config) == volume
+
+
+@pytest.mark.parametrize("points, alpha", [
+    (TRI.points, ("1/3", "1/5")),
+    # an integer last entry, as the pre-twist leaves one
+    (PLANE2, ("1/3", 1)),
+    ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], ("1/2", "1/3", 3)),
+    ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (-1, -1, 1), (2, 1, 1)], ("1/3", "1/5", "1/7")),
+])
+def test_complement_generators_rank_as_the_half_space_torus(points, alpha):
+    # a generator on the complement is the torus one with the entries off
+    # its own column scaled by -(m + alpha_n) (times e, for alpha_n = a / e);
+    # the scaling changes no rank, and every g-relation e_u - sum_j lambda_j
+    # e_{u+a_j} inside the window lies in the generators' span
+    config = validate_config(points)
+    lam = [Fraction(k + 3, 2 * k + 5) for k in range(config.N)]
+    alpha = ParameterVector.of(*alpha)
+    a, e = alpha.entries[-1].as_integer_ratio()
+    windows = small, win = window_pair(config, HalfSupport(config.n), 3)
+    torus, ech = top_cohomology_dim(config, alpha, lam, HalfSupport(config.n), 3), RationalEchelon()
+    dims = []
+    for w, gens in zip(windows, window_generators(windows, alpha, lam)):
+        for col, vec in gens:
+            off = -(win.points[col][-1] * e + a)
+            ech.insert({k: c * (e if k == col else off) for k, c in vec.items()})
+        dims.append(len(w.points) - ech.rank)
+    assert tuple(dims) == torus.dims
+    relations = 0
+    for col, u in enumerate(win.points):
+        targets = [win.index.get(tuple(map(sum, zip(u, p)))) for p in config.points]
+        if None not in targets:
+            row = {t: -v for t, v in zip(targets, lam)}
+            row[col] = 1
+            assert not ech.insert(oracles.cleared(row)), u
+            relations += 1
+    assert relations > 0
 
 
 def test_minimal_two_point_case_matches():

@@ -9,7 +9,9 @@ import pytest
 
 from gkzkit.catalog import builtin_config
 from gkzkit.complement import cohomology_U_dim
-from gkzkit.lattice import NewtonPolytope, ParameterVector, newton_polytope, validate_config
+from gkzkit.errors import NotGeneratingError
+from gkzkit.lattice import (NewtonPolytope, ParameterVector, newton_polytope,
+                            normalized_volume, validate_config)
 from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, top_cohomology_dim,
                            window_pair)
 
@@ -54,6 +56,33 @@ def test_window_pair_dims_match_the_per_window_oracle(name, alpha_kind):
             if hypersurface:
                 got = cohomology_U_dim(config, alpha, lam, bound).dims
                 assert got == u_window_dims(config, alpha, lam, bound), ("U", lam, bound)
+
+
+def plane_draws(count: int, seed: int) -> list:
+    """Configurations of 4 or 5 distinct points in [-2, 2]^2 x {1} that
+    generate the lattice, each with a specialization."""
+    rng = random.Random(seed)
+    plane = [(x, y, 1) for x in range(-2, 3) for y in range(-2, 3)]
+    draws = []
+    while len(draws) < count:
+        try:
+            config = validate_config(rng.sample(plane, rng.randint(4, 5)))
+        except NotGeneratingError:
+            continue
+        draws.append((config, [Fraction(rng.randint(1, 30), rng.randint(1, 30))
+                               for _ in config.points]))
+    return draws
+
+
+def test_u_dims_match_the_per_window_oracle_on_seeded_draws():
+    # the g-relations span the kernel of u -> x'^{u'} / g^m in every window
+    # the numerators rank; at bound 3 every draw reads its volume (4 to 20)
+    alpha = ParameterVector.of("1/3", "1/5", "1/7")
+    for config, lam in plane_draws(20, 31):
+        for bound in (2, 3):
+            got = cohomology_U_dim(config, alpha, lam, bound).dims
+            assert got == u_window_dims(config, alpha, lam, bound), (config.points, bound)
+        assert got == (normalized_volume(config),) * 2, config.points
 
 
 PYRAMID = CASES["pyramid"][0]
