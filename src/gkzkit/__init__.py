@@ -28,12 +28,12 @@ _EXPORTS = {
     "laurent": ("LaurentPoly", "apply_D", "build_f", "build_f_symbolic",
                 "toric_derivative"),
     "window": ("ConeSupport", "FullSupport", "HalfSupport", "RankReport", "Support",
-               "generic_rank", "quasi_iso_check", "top_cohomology_dim"),
+               "cohomology_U_dim", "generic_rank", "quasi_iso_check",
+               "top_cohomology_dim"),
     "weyl": ("WeylElement", "box_operator", "check_commutation",
              "check_phi_intertwines", "euler_operator", "phi_map", "weyl_mul"),
     "derham": ("LogForm", "check_complex", "homotopy_identity_check", "nabla",
                "twist_conjugation_check"),
-    "complement": ("cohomology_U_dim",),
     "hypersurface": ("SplitForm", "UForm", "build_g", "check_gamma_chain_map", "gamma",
                      "kernel_equals_dv_image", "pochhammer", "tilde_nabla"),
     "modp": ("ModpInstance", "ModpReport", "full_set_sweep", "make_instance",
@@ -41,8 +41,8 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 # modules the package exports by name
-_SUBMODULES = ("complement", "derham", "errors", "hypersurface", "intmat", "lattice",
-               "laurent", "linalg", "modp", "weyl", "window")
+_SUBMODULES = ("derham", "errors", "hypersurface", "intmat", "lattice", "laurent",
+               "linalg", "modp", "weyl", "window")
 
 __all__ = sorted([*_MODULE_OF, *_SUBMODULES])
 

@@ -4,9 +4,10 @@ Every report embeds the job description and the toolkit version; ``rank
 --lambda random`` and ``modp``, which draw a random specialization, also
 embed its seed.  Rerunning a job with the same arguments reproduces
 byte-identical output.  Exit codes: 0 success, 1 identity-check failure or
-a generic rank at a nonresonant parameter that is not the normalized
-volume, 2 invalid configuration or arguments, 3 dimension not stabilized,
-4 resonant parameter where nonresonance is required.
+a generic rank that is not the normalized volume (on Z^n at any parameter,
+on U0 and U at a nonresonant one), 2 invalid configuration or arguments,
+3 dimension not stabilized, 4 resonant parameter where nonresonance is
+required.
 
 Each ``cmd_*`` imports the modules it runs, so a process loads only the
 code of its subcommand; the module scope holds what ``analyze`` and the
@@ -123,8 +124,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .window import (ConeSupport, FullSupport, generic_rank, quasi_iso_check,
-                         require_stabilized, require_volume, top_cohomology_dim)
+    from .window import (ConeSupport, FullSupport, cohomology_U_dim, generic_rank,
+                         quasi_iso_check, require_stabilized, require_volume,
+                         top_cohomology_dim)
 
     config, label = _resolve_config(args.config)
     _default_bound(args, config)
@@ -158,7 +160,6 @@ def cmd_rank(args) -> int:
         u_lam = next(iter(reports.values())).lam
         del rep, reports
         if args.hypersurface:
-            from .complement import cohomology_U_dim
             rep = cohomology_U_dim(config, alpha, u_lam, args.bound)
             # as on the torus, a random lambda at a nonresonant alpha must
             # read the volume

@@ -3,8 +3,11 @@
 Validates that a set of lattice points generates the full lattice, computes
 the lattice of relations among the points, enumerates the facets of the
 Newton polytope conv(0 u A) (those through the origin are the facets of the
-cone spanned by the points), and decides nonresonance of a rational
-parameter vector against the cone's facet normals.
+cone spanned by the points), decides nonresonance of a rational
+parameter vector against the cone's facet normals, and brings a
+configuration to constant last coordinate 1, the structure of the
+hypersurface complement, by a unimodular change of coordinates where one
+exists.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DuplicatePointError, NotARelationError, NotGeneratingError
-from .intmat import integer_kernel, lattice_index, matvec
+from .errors import (DuplicatePointError, NotARelationError, NotGeneratingError,
+                     StructureError)
+from .intmat import (complete_primitive_vector, integer_kernel, lattice_index, matvec,
+                     solve_integer)
 
 
 IntVec = tuple[int, ...]
@@ -248,3 +253,47 @@ def is_nonresonant(config: PointConfig, alpha: ParameterVector) -> ResonanceVerd
             return ResonanceVerdict(nonresonant=False, witness=(form, int(value)), vacuous=False)
     return ResonanceVerdict(nonresonant=True, witness=None, vacuous=not facets)
 
+
+def check_structure(config: PointConfig) -> None:
+    """Require last coordinate identically 1 on the configuration."""
+    if any(p[-1] != 1 for p in config.points):
+        raise StructureError("configuration does not have constant last coordinate 1")
+
+
+def find_unimodular_normalizer(config: PointConfig) -> list[list[int]] | None:
+    """A unimodular matrix Q with <last row of Q, a(j)> = 1 for every point,
+    or None when no such lattice functional exists."""
+    mat = [list(p) for p in config.points]  # N x n
+    w = solve_integer(mat, [1] * config.N)
+    if w is None:
+        return None
+    return complete_primitive_vector(w)
+
+
+def apply_unimodular(config: PointConfig, alpha: ParameterVector,
+                     Q: list[list[int]]) -> tuple[PointConfig, ParameterVector]:
+    """Transform points and parameter together by the unimodular matrix Q."""
+    new_points = [tuple(matvec(Q, list(p))) for p in config.points]
+    new_alpha = ParameterVector(tuple(
+        sum(Fraction(Q[i][k]) * alpha.entries[k] for k in range(config.n))
+        for i in range(config.n)))
+    return validate_config(new_points), new_alpha
+
+
+def normalize_structure(config: PointConfig, alpha: ParameterVector
+                        ) -> tuple[PointConfig, ParameterVector, bool]:
+    """Return an equivalent configuration with last coordinate 1.
+
+    Searches for a unimodular change of coordinates when the raw
+    configuration fails the syntactic test; the flag reports whether a
+    change was applied.
+    """
+    if all(p[-1] == 1 for p in config.points):
+        return config, alpha, False
+    Q = find_unimodular_normalizer(config)
+    if Q is None:
+        raise StructureError(
+            "no lattice functional takes value 1 on every point")
+    new_config, new_alpha = apply_unimodular(config, alpha, Q)
+    check_structure(new_config)
+    return new_config, new_alpha, True

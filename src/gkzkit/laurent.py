@@ -17,7 +17,7 @@ The constructor checks what it is given: key lengths, and coefficients
 polynomials, which are already checked, go through ``LaurentPoly._of``,
 which only drops zero coefficients.  The identity battery computes with
 these polynomials; the ranks on the torus and on the complement
-(``window``, ``complement``) do not.
+(``window``) do not.
 """
 
 from __future__ import annotations

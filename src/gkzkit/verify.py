@@ -11,16 +11,16 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-# complement and hypersurface are read through their modules, so a process
-# that checks only one-dimensional configurations never runs their code (the
-# package loads modules on first attribute access)
-from . import complement, hypersurface
+# hypersurface is read through its module, so a process that checks only
+# one-dimensional configurations never runs its code (the package loads
+# modules on first attribute access)
+from . import hypersurface
 from .derham import (LogForm, check_complex, differentials,
                      enumerate_monomial_forms, homotopy_identity_check,
                      principal_lattice, twist_conjugation_check)
 from .errors import StructureError
 from .lattice import (ParameterVector, PointConfig, cone_facets,
-                      relation_lattice)
+                      normalize_structure, relation_lattice)
 from .weyl import (PhiTables, WeylElement, box_shift, check_commutation,
                    check_phi_intertwines, check_phi_kills_box)
 
@@ -177,7 +177,7 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     # hypersurface-structure checks, when the configuration admits them
     if n >= 2:
         try:
-            cfg_h, alpha_h, _ = complement.normalize_structure(config, alpha)
+            cfg_h, alpha_h, _ = normalize_structure(config, alpha)
         except StructureError:
             cfg_h = None
         if cfg_h is not None:

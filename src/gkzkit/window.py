@@ -5,7 +5,9 @@ half space, the saturated cone U0).  The rank of the twisted complex on the
 torus is the dimension of a window's monomials modulo the images of the
 twisted derivations that stay inside it, by exact linear algebra at two
 consecutive bounds; a failure to stabilize is an explicit outcome, and so
-is a generic rank that is not the normalized volume.
+is a generic rank that is not the normalized volume.  The rank on the
+complement U of a hypersurface g = 0 is read on the torus window of the
+half space (``cohomology_U_dim``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .errors import NotStabilizedError, VolumeMismatchError
 from .intmat import integer_kernel
 from .lattice import (FacetForm, NewtonPolytope, ParameterVector, PointConfig,
-                      is_nonresonant, newton_polytope, normalized_volume)
+                      is_nonresonant, newton_polytope, normalize_structure,
+                      normalized_volume)
 from .linalg import RationalEchelon
 
 IntVec = tuple[int, ...]
@@ -97,8 +100,9 @@ class RankReport:
     one at B.
 
     ``top`` holds the bound-B window and its echelon, which quasi_iso_check
-    reduces against; it is None on the complement side and on hand-built
-    reports, and equality and repr leave it out.
+    reduces against; it is None on the complement's report
+    (``cohomology_U_dim``) and on hand-built reports, and equality and repr
+    leave it out.
     """
 
     __slots__ = ("complex_id", "alpha", "lam", "bound", "dims", "warnings", "top")
@@ -317,6 +321,51 @@ def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
                          _resonance_warnings(config, alpha))
 
 
+def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
+                     lam: Sequence, bound: int) -> RankReport:
+    """Truncated dimension of the top cohomology on the complement of g = 0.
+
+    Requires the last-coordinate structure (a unimodular normalization is
+    applied automatically when available).  A last parameter entry that is a
+    nonpositive integer is shifted to 1 beforehand; the shift is an
+    isomorphism of the complex, so dimensions are unaffected.  As on the
+    torus, lam needs one nonzero entry per point.
+
+    The window elements are x'^{u'} / g^m for u = (u', m) in the window of
+    the half space m >= 0.  As D_n acts as the identity g / g^{m+1} =
+    1 / g^m, a generator is that of ``window_generators`` at u with each
+    entry off u's own column scaled by -(m + alpha_n).  Every a_j ends in 1,
+    so those entries lie at level m + 1, and scaling the columns of level m
+    by (-1)^m / (alpha_n)_m, the inverse of the comparison map's weight
+    (``hypersurface.ComplementTables``; nonzero after the pre-twist), makes
+    each generator that of the torus at u.  So the generators have the rank
+    of the torus window pair of the half space, read by the torus's one
+    echelon (``_torus_report``) as |window| - rank.
+
+    That reading takes the x'^{u'} / g^m as independent.  Between them the
+    relations g x'^{u'} / g^{m+1} = x'^{u'} / g^m, i.e. e_u - sum_j
+    lambda_j e_{u+a_j}, hold wherever every u + a_j lies in the window, and
+    each is the generator of D_n at u divided by m + alpha_n, so it adds
+    nothing.  A relation outside their span, or a special lam, at which the
+    generators' rank (polynomial entries in lam) can only drop, could only
+    make the reading an over-count.  At a random lam and a nonresonant
+    alpha the rank is the normalized volume, and ``rank --hypersurface``
+    checks it (``require_volume``).
+    """
+    lam = specialization(config, lam)
+    warnings = []
+    config, alpha, changed = normalize_structure(config, alpha)
+    if changed:
+        warnings.append("applied unimodular change of coordinates")
+    alpha_n = alpha.entries[-1]
+    if alpha_n.denominator == 1 and alpha_n < 1:
+        shift = (0,) * (config.n - 1) + (int(1 - alpha_n),)
+        alpha = alpha.shift(shift)
+        warnings.append(f"pre-twisted last parameter entry by {shift[-1]}")
+    torus = _torus_report(alpha, lam, window_pair(config, HalfSupport(config.n), bound), ())
+    return RankReport("U", alpha, lam, bound, torus.dims, tuple(warnings))
+
+
 def specialization(config: PointConfig, lam: Sequence) -> tuple[Fraction, ...]:
     """lam as Fractions, refused unless it has one nonzero entry per point."""
     lam = tuple(Fraction(v) for v in lam)
@@ -354,21 +403,28 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
     the generators' entries are polynomial in lam, so at a special lam their
     rank can only drop and the window quotient can only grow.  A stable
     reading equal to the volume is therefore the answer, and any other
-    stable reading is an error, not a retry.  A resonant alpha, which the
-    report warns of, is not checked.
+    stable reading is an error, not a retry.
+
+    On Z^n the check holds at every alpha, resonant ones too: for
+    nondegenerate f the top cohomology on the torus has dimension
+    n! vol(Delta) whatever alpha is (Adolphson-Sperber, Ann. of Math. 130,
+    1989); resonance governs the GKZ system, not the torus complex.  On
+    another support a resonant alpha, which the report warns of, is not
+    checked.
     """
     warnings = _resonance_warnings(config, alpha)
     lam = random_specialization(random.Random(seed), config.N)
+    report = _torus_report(alpha, lam, window_pair(config, support, bound), warnings)
     # the resonance warning is the only one, so none means alpha is nonresonant
-    return require_volume(config, _torus_report(alpha, lam, window_pair(config, support, bound),
-                                                warnings), not warnings)
+    return require_volume(config, report, not warnings or isinstance(support, FullSupport))
 
 
 def require_volume(config: PointConfig, report: RankReport, checked: bool) -> RankReport:
     """The report, once stabilized (``require_stabilized``) and, when
     checked, equal to ``lattice.normalized_volume``: a checked report is
-    one at a nonresonant alpha and a random specialization, whose rank is
-    the volume, and any other stable reading raises VolumeMismatchError."""
+    one at a random specialization and a nonresonant alpha (any alpha on
+    Z^n), whose rank is the volume, and any other stable reading raises
+    VolumeMismatchError."""
     require_stabilized(report)
     if checked:
         volume = normalized_volume(config)

@@ -31,7 +31,7 @@ replaced it:
   over window points and staying combinations, which ranks the window
   elements as numerators over one power of g, for
   gkzkit.window.window_generators, which both sides now share, and
-  gkzkit.complement.cohomology_U_dim, which ranks no numerator: it reads
+  gkzkit.window.cohomology_U_dim, which ranks no numerator: it reads
   the half-space torus window pair, whose relations include every
   g-relation x'^{u'} / g^m = sum_j lambda_j x'^{u'+a'_j} / g^{m+1} inside
   the window.
@@ -42,7 +42,7 @@ replaced it:
   window's numerators over its own power of g, for gkzkit.window.window_pair
   and _torus_report, which scan once and run one elimination per
   specialization on integer rows, and for the same reading of
-  gkzkit.complement.cohomology_U_dim, with no power of g.
+  gkzkit.window.cohomology_U_dim, with no power of g.
 - kernel_equals_dv_image, the former gamma-kernel check over Q (gamma
   columns weighted by rising factorials, vertical rows with Fraction
   entries), for gkzkit.hypersurface.kernel_equals_dv_image, which builds
@@ -81,7 +81,6 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from gkzkit.complement import normalize_structure
 from gkzkit.derham import (IndexTuple, IntVec, LogForm, _form, clearing_scale,
                            nabla, wedge_insert)
 from gkzkit.errors import PochhammerPoleError, ScalarModeError
@@ -89,7 +88,7 @@ from gkzkit.hypersurface import (SplitForm, UForm, _box, _derivations_by_parts,
                                  _powers, build_g, d_h, d_v, pochhammer)
 from gkzkit.intmat import integer_kernel, matvec
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
-                            RelationLattice, relation_lattice)
+                            RelationLattice, normalize_structure, relation_lattice)
 from gkzkit.laurent import (LaurentPoly, TwistedDerivations, _add_scaled,
                             build_f_symbolic, int_if_integral, toric_derivative)
 from gkzkit.weyl import (TermKey, WeylElement, euler_operator, lambda_derivative,

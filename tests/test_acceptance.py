@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
-from gkzkit.complement import cohomology_U_dim
 from gkzkit.derham import (LogForm, check_complex, clearing_scale, differentials,
                            enumerate_monomial_forms, homotopy_identity_check)
 from gkzkit.errors import ResonantError
@@ -25,8 +24,8 @@ from gkzkit.laurent import TwistedDerivations, build_f_symbolic
 from gkzkit.modp import full_set_sweep
 from gkzkit.weyl import (PhiTables, box_shift, check_commutation,
                          check_phi_intertwines, check_phi_kills_box, WeylElement)
-from gkzkit.window import (ConeSupport, FullSupport, generic_rank, quasi_iso_check,
-                           random_specialization, top_cohomology_dim)
+from gkzkit.window import (ConeSupport, FullSupport, cohomology_U_dim, generic_rank,
+                           quasi_iso_check, random_specialization, top_cohomology_dim)
 from oracles import centered_box
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

@@ -130,25 +130,40 @@ def test_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("extra", [
     # an explicit lambda may be special and read more than the volume
-    ["--alpha", "1/3,1/5", "--lambda", "3/7,5/11,2/9"],
-    # at a resonant alpha the rank need not be the volume
-    ["--alpha", "1/2,1/2"],
+    ["--supports", "zn", "--alpha", "1/3,1/5", "--lambda", "3/7,5/11,2/9"],
+    # at a resonant alpha the U0 rank need not be the volume
+    ["--supports", "u0", "--alpha", "1/2,1/2"],
 ])
 def test_rank_is_not_checked_against_the_volume(monkeypatch, capsys, extra):
     calls = _reads_three(monkeypatch)
-    code, report = run(capsys, "rank", "--config", "trinomial", "--bound", "3",
-                       "--supports", "zn", *extra)
+    code, report = run(capsys, "rank", "--config", "trinomial", "--bound", "3", *extra)
     assert code == 0 and len(calls) == 1
-    assert report["result"]["supports"]["Z^n"]["dims"] == [3, 3]
+    assert [rep["dims"] for rep in report["result"]["supports"].values()] == [[3, 3]]
+
+
+@pytest.mark.parametrize("config, alpha, dims, volume", [
+    # stable readings above the volume at a resonant alpha, on the unpatched
+    # code: the torus rank is the volume at every alpha, so each is an error
+    ("trinomial", "0,2", (3, 3), 2),
+    ("gauss", "1,1,0", (4, 4), 2),
+])
+def test_resonant_torus_rank_other_than_the_volume_exits_1(capsys, config, alpha, dims,
+                                                            volume):
+    code = main(["rank", "--config", config, "--alpha", alpha, "--supports", "zn"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert (f"error: dimension {dims[1]} stabilized at bound 4 (dims {dims[0]}, {dims[1]}) "
+            f"differs from the normalized volume {volume}") in captured.err
+    assert "Traceback" not in captured.err
 
 
 def _u_reads_three(monkeypatch):
     """A stand-in complement rank that reads (3, 3) on any job."""
-    from gkzkit import complement, window
+    from gkzkit import window
 
     def forced(config, alpha, lam, bound):
         return window.RankReport("U", alpha, tuple(lam), bound, (3, 3))
-    monkeypatch.setattr(complement, "cohomology_U_dim", forced)
+    monkeypatch.setattr(window, "cohomology_U_dim", forced)
 
 
 def test_u_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
@@ -620,7 +635,7 @@ BATTERY_MODULES = ["gkzkit.derham", "gkzkit.laurent", "gkzkit.verify", "gkzkit.w
     (["rank", "--config", "single", "--alpha", "1/2", "--supports", "zn",
       "--bound", "2"], RANK_MODULES),
     (["rank", "--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3",
-      "--hypersurface"], sorted(RANK_MODULES + ["gkzkit.complement"])),
+      "--hypersurface"], RANK_MODULES),
     # verify jobs run the identity battery and no window; in one dimension
     # there is no gamma kernel, whose echelon needs linalg
     (["verify", "--config", "single"], sorted(ANALYZE_MODULES + BATTERY_MODULES)),
@@ -628,7 +643,7 @@ BATTERY_MODULES = ["gkzkit.derham", "gkzkit.laurent", "gkzkit.verify", "gkzkit.w
      sorted(RANK_MODULES + ["gkzkit.modp"])),
     (["verify", "--config", "trinomial"],
      sorted(ANALYZE_MODULES + BATTERY_MODULES
-            + ["gkzkit.complement", "gkzkit.hypersurface", "gkzkit.linalg"])),
+            + ["gkzkit.hypersurface", "gkzkit.linalg"])),
     # the path of the benchmark's rank_cone jobs: cone windows in 3-D
     (["rank", "--config", "gauss", "--alpha", "1/3,1/5,1/7", "--bound", "2",
       "--supports", "u0"], RANK_MODULES),
@@ -649,7 +664,7 @@ def test_package_exports_resolve_on_first_access():
         "ResonanceVerdict", "SplitForm", "Support", "UForm", "WeylElement",
         "apply_D", "box_operator", "build_f", "build_f_symbolic", "build_g",
         "check_commutation", "check_complex", "check_gamma_chain_map",
-        "check_phi_intertwines", "cohomology_U_dim", "complement", "cone_facets",
+        "check_phi_intertwines", "cohomology_U_dim", "cone_facets",
         "derham", "errors", "euler_operator", "full_set_sweep", "gamma", "generic_rank",
         "homotopy_identity_check", "hypersurface", "intmat",
         "is_nonresonant", "kernel_equals_dv_image", "lattice", "laurent",

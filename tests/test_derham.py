@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from gkzkit import derham, weyl
 from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
-from gkzkit.complement import apply_unimodular, normalize_structure
 from gkzkit.derham import (LogForm, check_complex, differentials,
                            enumerate_monomial_forms, homotopy_identity_check, nabla,
                            principal_lattice, twist_conjugation_check)
 from gkzkit.errors import GkzError, NotStabilizedError, StructureError, VolumeMismatchError
 from gkzkit.hypersurface import check_split_matches_nabla
-from gkzkit.lattice import (FacetForm, ParameterVector, cone_facets, normalized_volume,
-                            validate_config)
+from gkzkit.lattice import (FacetForm, ParameterVector, apply_unimodular, cone_facets,
+                            normalize_structure, normalized_volume, validate_config)
 from gkzkit.laurent import (LaurentPoly, TwistedDerivations, apply_D, build_f,
                             build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from gkzkit import hypersurface
 from gkzkit.catalog import builtin_alpha, builtin_config
-from gkzkit.complement import (apply_unimodular, cohomology_U_dim,
-                               find_unimodular_normalizer, normalize_structure)
 from gkzkit.derham import (LogForm, clearing_scale, enumerate_monomial_forms,
                            principal_lattice)
 from gkzkit.errors import PochhammerPoleError, StructureError
@@ -20,11 +18,12 @@ from gkzkit.hypersurface import (ComplementTables, SplitForm, UForm,
                                  check_gamma_chain_map, check_split_matches_nabla,
                                  d_h, d_v, gamma, kernel_equals_dv_image,
                                  pochhammer, tilde_nabla)
-from gkzkit.lattice import ParameterVector, normalized_volume, validate_config
+from gkzkit.lattice import (ParameterVector, apply_unimodular, find_unimodular_normalizer,
+                            normalize_structure, normalized_volume, validate_config)
 from gkzkit.laurent import LaurentPoly, build_f
 from gkzkit.linalg import RationalEchelon
 from gkzkit.verify import BatteryReport, CheckResult, run_battery
-from gkzkit.window import (FullSupport, HalfSupport, random_specialization,
+from gkzkit.window import (FullSupport, HalfSupport, cohomology_U_dim, random_specialization,
                            top_cohomology_dim, window_generators, window_pair)
 import oracles
 from oracles import (LocalizedElement, centered_box, gamma_per_monomial,

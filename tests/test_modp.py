@@ -10,10 +10,10 @@ import pytest
 
 from gkzkit import modp
 from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
-from gkzkit.complement import apply_unimodular
 from gkzkit.errors import NotGeneratingError, ResonantError, SkippedPrimeError
 from gkzkit.intmat import matvec
-from gkzkit.lattice import ParameterVector, relation_lattice, validate_config
+from gkzkit.lattice import (ParameterVector, apply_unimodular, relation_lattice,
+                            validate_config)
 from gkzkit.linalg import ModpEchelon
 from gkzkit.modp import (full_set_sweep, make_instance, modp_solution_dim,
                          recurrence_rows, solution_support)

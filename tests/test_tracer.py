@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from gkzkit import derham, laurent, window
+from gkzkit import derham, hypersurface, laurent, window
 from gkzkit.catalog import builtin_config
 from gkzkit.window import CohomologyWindow, ConeSupport
 
@@ -38,9 +38,11 @@ def test_tracer_names_resolve():
 
 
 def test_tracer_names_in_battery_modules_are_the_window_objects():
-    # derham and laurent resolve the tracer's window names on first access,
-    # so a battery process, which never asks for them, loads no window code
+    # derham, laurent and hypersurface resolve the tracer's window names on
+    # first access, so a battery process, which never asks for them, loads no
+    # window code
     assert laurent.ConeSupport is window.ConeSupport
+    assert hypersurface.cohomology_U_dim is window.cohomology_U_dim
     for name in ("CohomologyWindow", "generic_rank", "quasi_iso_check",
                  "top_cohomology_dim"):
         assert getattr(derham, name) is getattr(window, name)

@@ -8,12 +8,11 @@ from fractions import Fraction
 import pytest
 
 from gkzkit.catalog import builtin_config
-from gkzkit.complement import cohomology_U_dim
 from gkzkit.errors import NotGeneratingError
 from gkzkit.lattice import (NewtonPolytope, ParameterVector, newton_polytope,
                             normalized_volume, validate_config)
-from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, top_cohomology_dim,
-                           window_pair)
+from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, cohomology_U_dim,
+                           top_cohomology_dim, window_pair)
 
 from oracles import torus_window_dims, u_window_dims
 
