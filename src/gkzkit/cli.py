@@ -1,13 +1,13 @@
 """Command-line front end: analyze, rank, verify, modp.
 
 Every report embeds the job description and the toolkit version; ``rank
---lambda random`` and ``modp``, which draw a random specialization, also
-embed its seed.  Rerunning a job with the same arguments reproduces
-byte-identical output.  Exit codes: 0 success, 1 identity-check failure or
-a generic rank that is not the normalized volume (on Z^n at any parameter,
-on U0 and U at a nonresonant one), 2 invalid configuration or arguments,
-3 dimension not stabilized, 4 resonant parameter where nonresonance is
-required.
+--lambda random``, the one job that draws a random specialization, also
+embeds its seed.  Rerunning a job with the same arguments reproduces
+byte-identical output.  Exit codes: 0 success, 1 identity-check failure, a
+generic rank that is not the normalized volume (on Z^n at any parameter,
+on U0 and U at a nonresonant one) or a mod-p dimension above it, 2 invalid
+configuration or arguments, 3 dimension not stabilized (``rank`` only), 4
+resonant parameter where nonresonance is required.
 
 Each ``cmd_*`` imports the modules it runs, so a process loads only the
 code of its subcommand; the module scope holds what ``analyze`` and the
@@ -35,6 +35,10 @@ EXIT_RESONANT = 4
 
 BOUND_HELP = "window bound; default max(4, n + 1) for points in Z^n"
 SEED_HELP = "seed of the random parameter specialization"
+# modp's rank is the normalized volume, which reads no window and draws no
+# specialization: its --bound and --seed are still accepted, so that existing
+# command lines run, under names that no job block reads, and change nothing
+NO_EFFECT_HELP = "no effect: the rank is the normalized volume"
 
 # the names ``rank --supports`` accepts, by the support they stand for
 SUPPORT_NAMES = {"zn": "Z^n", "u0": "U0"}
@@ -72,8 +76,8 @@ def _job_block(args, config, config_label: str) -> dict:
         "command": args.command,
         "config": {"points": [list(p) for p in config.points], "label": config_label},
     }
-    # rank with a random lambda and modp draw their specialization from the
-    # seed; analyze has none, and an explicit lambda draws nothing
+    # rank with a random lambda draws its specialization from the seed;
+    # analyze and modp have none, and an explicit lambda draws nothing
     if hasattr(args, "seed") and getattr(args, "lam", "random") == "random":
         job["seed"] = args.seed
     job["version"] = __version__
@@ -86,18 +90,6 @@ def _job_block(args, config, config_label: str) -> dict:
     if getattr(args, "primes", None):
         job["primes"] = args.primes
     return job
-
-
-def _default_bound(args, config) -> None:
-    """Fill in --bound when it was not given, by ``window.default_bound``."""
-    from .window import default_bound
-
-    if args.bound is None:
-        args.bound = default_bound(config.n)
-
-
-def _not_stabilized(exc: NotStabilizedError) -> dict:
-    return {"kind": "NotStabilized", "dims": list(exc.dims), "bound": exc.bound}
 
 
 def cmd_analyze(args) -> int:
@@ -124,12 +116,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .window import (ConeSupport, FullSupport, cohomology_U_dim, generic_rank,
-                         quasi_iso_check, require_stabilized, require_volume,
-                         top_cohomology_dim)
+    from .window import (ConeSupport, FullSupport, cohomology_U_dim, default_bound,
+                         generic_rank, quasi_iso_check, require_stabilized,
+                         require_volume, top_cohomology_dim)
 
     config, label = _resolve_config(args.config)
-    _default_bound(args, config)
+    if args.bound is None:
+        args.bound = default_bound(config.n)
     alpha = _parse_alpha_arg(args.alpha)
     chosen = set()
     for name in args.supports.split(","):
@@ -166,7 +159,8 @@ def cmd_rank(args) -> int:
             checked = args.lam == "random" and is_nonresonant(config, alpha).nonresonant
             result["U"] = require_volume(config, rep, checked).to_json()
     except NotStabilizedError as exc:
-        result["error"] = _not_stabilized(exc)
+        result["error"] = {"kind": "NotStabilized", "dims": list(exc.dims),
+                           "bound": exc.bound}
         _emit({"job": _job_block(args, config, label), "result": result}, args.out)
         return EXIT_NOT_STABILIZED
     _emit({"job": _job_block(args, config, label), "result": result}, args.out)
@@ -219,21 +213,15 @@ def cmd_modp(args) -> int:
     from .modp import full_set_sweep
 
     config, label = _resolve_config(args.config)
-    _default_bound(args, config)
     alpha = _parse_alpha_arg(args.alpha)
     primes = [int(p.strip()) for p in args.primes.split(",") if p.strip()]
     try:
-        report = full_set_sweep(config, alpha, primes, bound=args.bound,
-                                seed=args.seed)
+        report = full_set_sweep(config, alpha, primes)
     except ResonantError as exc:
         _emit({"job": _job_block(args, config, label),
                "result": {"error": {"kind": "Resonant", "message": str(exc)}}},
               args.out)
         return EXIT_RESONANT
-    except NotStabilizedError as exc:
-        _emit({"job": _job_block(args, config, label),
-               "result": {"error": _not_stabilized(exc)}}, args.out)
-        return EXIT_NOT_STABILIZED
     _emit({"job": _job_block(args, config, label), "result": report.to_json()},
           args.out)
     return EXIT_OK
@@ -273,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modp", help="mod-p solution dimensions against the rank")
     common(p)
     p.add_argument("--primes", default="3,5,7,11,13,17,19,23")
-    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
-    p.add_argument("--bound", type=int, help=BOUND_HELP)
+    p.add_argument("--seed", type=int, dest="unused_seed", metavar="SEED",
+                   help=NO_EFFECT_HELP)
+    p.add_argument("--bound", type=int, dest="unused_bound", metavar="BOUND",
+                   help=NO_EFFECT_HELP)
     return parser
 
 

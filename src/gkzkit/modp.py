@@ -9,7 +9,8 @@ either equates two coefficients in one integer fiber {v : Av = b} or kills
 one whose partner exponent leaves the box, so a spanning set of them has at
 most one row per exponent.  The solution dimension is the nullspace
 dimension of that system over the prime field, compared against the
-characteristic-zero rank.
+characteristic-zero rank, which at the nonresonant parameters the sweep
+accepts is the normalized volume: no window and no rational echelon run.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from typing import Callable, NamedTuple, Sequence
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
 from .intmat import matvec, solve_integer
 from .lattice import (ParameterVector, PointConfig, is_nonresonant,
-                      relation_lattice)
+                      normalized_volume, relation_lattice)
 from .linalg import ModpEchelon
-from .window import FullSupport, default_bound, generic_rank
 
 IntVec = tuple[int, ...]
 
@@ -130,7 +130,9 @@ def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec]) -> list[d
     # (support of e, p Ae) for each nonzero e in {0, 1}^N
     lifts = [([k for k, x in enumerate(e) if x], [p * x for x in matvec(matrix, e)])
              for e in itertools.product((0, 1), repeat=instance.config.N) if any(e)]
-    ratio = _factorial_ratio(p)
+    # the tables of k! have p entries: built only when a fiber has a pair,
+    # so a support of one point per fiber answers at any prime
+    ratio = _factorial_ratio(p) if any(len(m) > 1 for m in fibers.values()) else None
     rows = []
     for b, members in fibers.items():
         for x, y in zip(members, members[1:]):
@@ -184,19 +186,18 @@ class ModpReport(NamedTuple):
 
 
 def full_set_sweep(config: PointConfig, alpha: ParameterVector,
-                   primes: Sequence[int], bound: int | None = None,
-                   seed: int = 0) -> ModpReport:
+                   primes: Sequence[int]) -> ModpReport:
     """Per-prime solution dimensions against the characteristic-zero rank.
 
     Requires a nonresonant parameter.  Primes dividing a denominator of the
     parameter are skipped with a reason, never silently dropped.  A solution
-    dimension exceeding the rank would falsify the truncation rank and is
-    surfaced as a hard failure.  An empty prime list is refused, and a sweep
-    whose every prime is skipped says that no good prime was tested.  A prime
-    given twice runs once, in the place it was first given.  The rank is
-    ``generic_rank`` on Z^n at the bound, by default ``default_bound``, with
-    its one specialization drawn from ``seed``; as alpha is nonresonant, it
-    raises VolumeMismatchError unless that rank is the normalized volume.
+    dimension exceeding the rank is surfaced as a hard failure.  An empty
+    prime list is refused, and a sweep whose every prime is skipped says
+    that no good prime was tested.  A prime given twice runs once, in the
+    place it was first given.  The rank is ``lattice.normalized_volume``,
+    n! vol(conv(0 u A)): for a nonresonant alpha that is the rank of the GKZ
+    system (Gelfand-Kapranov-Zelevinsky 1989; Adolphson, Duke Math. J. 73,
+    1994), so no window is read.
     """
     if not primes:
         raise ValueError("the prime list is empty")
@@ -205,8 +206,7 @@ def full_set_sweep(config: PointConfig, alpha: ParameterVector,
         form, value = verdict.witness
         raise ResonantError(
             f"parameter is resonant: form {form.coeffs} gives integer {value}")
-    bound = default_bound(config.n) if bound is None else bound
-    rank = generic_rank(config, alpha, FullSupport(config.n), bound, seed=seed).dim
+    rank = normalized_volume(config)
     results = []
     skipped = []
     for p in dict.fromkeys(primes):

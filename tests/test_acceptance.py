@@ -190,7 +190,7 @@ def test_criterion_6_modp_criterion():
 
     bessel = builtin_config("bessel")
     alpha = ParameterVector.of("1/2")
-    rep = full_set_sweep(bessel, alpha, primes[1:], bound=4, seed=9)
+    rep = full_set_sweep(bessel, alpha, primes[1:])
     ok = ok and rep.rank == 2
     ok = ok and all(r.dim <= 2 for r in rep.primes)
     fixture = json.loads((FIXTURES / "bessel_modp.json").read_text())

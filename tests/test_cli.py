@@ -89,13 +89,17 @@ def test_rank_not_stabilized_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(window, "_torus_report", counting)
     job = ["--config", "cusp", "--alpha", "1/2", "--bound", "1"]
     for argv in (["rank", *job, "--supports", "zn", "--lambda", "3/7,5/11"],
-                 ["rank", *job, "--supports", "zn"],
-                 ["modp", *job]):
+                 ["rank", *job, "--supports", "zn"]):
         calls.clear()
         code, report = run(capsys, *argv)
         assert code == 3 and len(calls) == 1, argv
         assert report["result"]["error"] == {"kind": "NotStabilized",
                                              "dims": [1, 2], "bound": 1}, argv
+    # modp reads its rank off the volume, not a window: the bound is ignored
+    calls.clear()
+    code, report = run(capsys, "modp", *job, "--primes", "7")
+    assert code == 0 and calls == []
+    assert report["result"]["rank"] == 2
 
 
 def _reads_three(monkeypatch):
@@ -117,15 +121,18 @@ def test_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
     # is an error, found after the one specialization, with no retry
     calls = _reads_three(monkeypatch)
     job = ["--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3"]
-    for argv in (["rank", *job, "--supports", "zn"], ["modp", *job, "--primes", "7"]):
-        calls.clear()
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 1 and len(calls) == 1, argv
-        assert captured.out == ""
-        assert ("error: dimension 3 stabilized at bound 3 (dims 3, 3) differs from "
-                "the normalized volume 2") in captured.err, argv
-        assert "Traceback" not in captured.err
+    code = main(["rank", *job, "--supports", "zn"])
+    captured = capsys.readouterr()
+    assert code == 1 and len(calls) == 1
+    assert captured.out == ""
+    assert ("error: dimension 3 stabilized at bound 3 (dims 3, 3) differs from "
+            "the normalized volume 2") in captured.err
+    assert "Traceback" not in captured.err
+    # modp reads no window, so no torus report can disagree with its rank
+    calls.clear()
+    code, report = run(capsys, "modp", *job, "--primes", "7")
+    assert code == 0 and calls == []
+    assert report["result"]["rank"] == 2
 
 
 @pytest.mark.parametrize("extra", [
@@ -193,16 +200,42 @@ def test_u_rank_is_not_checked_against_the_volume(monkeypatch, capsys, extra):
 
 
 def test_job_block_embeds_the_seed_only_where_it_draws(capsys):
-    # rank with a random lambda and modp draw their specialization from the
-    # seed; an explicit lambda draws nothing
+    # rank with a random lambda draws its specialization from the seed; an
+    # explicit lambda draws nothing, and modp, whose rank is the volume,
+    # draws nothing either
     job = ["--config", "trinomial", "--alpha", "1/3,1/5", "--bound", "3", "--seed", "5"]
     for argv, seeded in ((["rank", *job, "--supports", "zn"], True),
                          (["rank", *job, "--supports", "zn", "--lambda", "3/7,5/11,2/9"],
                           False),
-                         (["modp", *job, "--primes", "7"], True)):
+                         (["modp", *job, "--primes", "7"], False)):
         code, report = run(capsys, *argv)
         assert code == 0, argv
         assert report["job"].get("seed") == (5 if seeded else None), argv
+
+
+def test_modp_bound_and_seed_have_no_effect(capsys):
+    # modp still accepts --bound and --seed, and its output is the same
+    # byte for byte with them or without them: neither appears in the job
+    # block, and the rank is the normalized volume
+    job = ["modp", "--config", "trinomial", "--alpha", "1/3,1/5", "--primes", "7,11"]
+    outputs = []
+    for extra in ([], ["--bound", "2", "--seed", "5"], ["--seed", "9"], ["--bound", "7"]):
+        assert main([*job, *extra]) == 0, extra
+        outputs.append(capsys.readouterr().out)
+    assert outputs == [outputs[0]] * 4
+    assert '"bound"' not in outputs[0] and '"seed"' not in outputs[0]
+
+
+def test_modp_at_a_large_prime_on_one_point_per_fiber(capsys):
+    # no fiber has two members, so no factorial table of p entries is built:
+    # the job answers instead of running out of memory
+    code = main(["modp", "--config", "single", "--alpha", "1/2",
+                 "--primes", "99999999977"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["primes"] == [{"dim": 1, "full": True, "p": 99999999977}]
+    assert result["rank"] == 1
 
 
 @pytest.mark.parametrize("points, supports, bound, volume", [
@@ -625,7 +658,8 @@ ALL_MODULES = sorted(["gkzkit", *(f"gkzkit.{p.stem}" for p in
                                    if p.stem != "__init__")])
 ANALYZE_MODULES = ["gkzkit", "gkzkit.catalog", "gkzkit.cli", "gkzkit.errors",
                    "gkzkit.intmat", "gkzkit.jsonio", "gkzkit.lattice"]
-# rank and modp jobs run the windows, not the identity battery
+# rank jobs run the windows, not the identity battery; modp jobs run
+# neither, only the mod-p echelon of linalg
 RANK_MODULES = sorted(ANALYZE_MODULES + ["gkzkit.linalg", "gkzkit.window"])
 BATTERY_MODULES = ["gkzkit.derham", "gkzkit.laurent", "gkzkit.verify", "gkzkit.weyl"]
 
@@ -640,7 +674,7 @@ BATTERY_MODULES = ["gkzkit.derham", "gkzkit.laurent", "gkzkit.verify", "gkzkit.w
     # there is no gamma kernel, whose echelon needs linalg
     (["verify", "--config", "single"], sorted(ANALYZE_MODULES + BATTERY_MODULES)),
     (["modp", "--config", "single", "--alpha", "1/2", "--primes", "5"],
-     sorted(RANK_MODULES + ["gkzkit.modp"])),
+     sorted(ANALYZE_MODULES + ["gkzkit.linalg", "gkzkit.modp"])),
     (["verify", "--config", "trinomial"],
      sorted(ANALYZE_MODULES + BATTERY_MODULES
             + ["gkzkit.hypersurface", "gkzkit.linalg"])),

@@ -1,10 +1,10 @@
+import inspect
 import itertools
 import json
 import pathlib
 import random
 from fractions import Fraction
 from math import prod
-from types import SimpleNamespace
 
 import pytest
 
@@ -12,12 +12,13 @@ from gkzkit import modp
 from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
 from gkzkit.errors import NotGeneratingError, ResonantError, SkippedPrimeError
 from gkzkit.intmat import matvec
-from gkzkit.lattice import (ParameterVector, apply_unimodular, relation_lattice,
-                            validate_config)
+from gkzkit.lattice import (ParameterVector, apply_unimodular, normalized_volume,
+                            relation_lattice, validate_config)
 from gkzkit.linalg import ModpEchelon
 from gkzkit.modp import (full_set_sweep, make_instance, modp_solution_dim,
                          recurrence_rows, solution_support)
 from gkzkit.weyl import box_operator
+from gkzkit.window import FullSupport, default_bound, generic_rank
 from oracles import (all_recurrence_rows, apply_box_to_lambda_poly,
                      falling_product, lattice_points_in_box,
                      modp_recurrence_dim, relation_scan_killed_fibers)
@@ -370,21 +371,47 @@ def test_full_set_sweep_reports():
     assert rep.verdict.startswith("not full at")
 
 
-def test_full_set_sweep_default_bound_follows_the_dimension(monkeypatch):
-    # without a bound the sweep reads the rank where gkz modp does, at
-    # max(4, n + 1): at bound 4 the four-dimensional pair reads 7, 8
-    bounds = []
+def test_full_set_sweep_reads_the_volume_without_a_window(monkeypatch):
+    # the rank is the normalized volume: no window rank runs, and the sweep
+    # takes no bound and no seed; in four dimensions the volume is 8, which
+    # the window pair reads only from bound 5 on
+    from gkzkit import window
 
-    def recording(config, alpha, support, bound, seed=0):
-        bounds.append(bound)
-        return SimpleNamespace(dim=8)
-    monkeypatch.setattr(modp, "generic_rank", recording)
+    def refused(*args, **kwargs):
+        raise AssertionError("full_set_sweep ran a window rank")
+    monkeypatch.setattr(window, "generic_rank", refused)
+    assert list(inspect.signature(full_set_sweep).parameters) == ["config", "alpha",
+                                                                  "primes"]
     four = validate_config([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
                             (-1, -2, -1, -3)])
-    full_set_sweep(four, ParameterVector.of("1/2", "1/3", "1/5", "1/7"), [11])
-    full_set_sweep(builtin_config("trinomial"), builtin_alpha("trinomial"), [7])
-    full_set_sweep(builtin_config("trinomial"), builtin_alpha("trinomial"), [7], bound=2)
-    assert bounds == [5, 4, 2]
+    rep = full_set_sweep(four, ParameterVector.of("1/2", "1/3", "1/5", "1/7"), [11])
+    assert rep.rank == 8
+    rep = full_set_sweep(builtin_config("trinomial"), builtin_alpha("trinomial"), [7])
+    assert rep.rank == 2
+
+
+@pytest.mark.parametrize("config, alpha", [
+    *((builtin_config(name), builtin_alpha(name))
+      for name in ("single", "cusp", "bessel", "trinomial", "gauss")),
+    (validate_config(PLANE2), ParameterVector.of("1/3", "1/5")),
+], ids=["single", "cusp", "bessel", "trinomial", "gauss", "plane2"])
+def test_volume_is_the_window_rank_on_the_modp_configurations(config, alpha):
+    # the sweep's rank against the window rank it replaced, at the default
+    # bound on Z^n
+    report = generic_rank(config, alpha, FullSupport(config.n), default_bound(config.n))
+    assert report.dim == normalized_volume(config), config.points
+
+
+def test_a_support_without_pairs_builds_no_factorial_table(monkeypatch):
+    # with a relation lattice of rank 0 every fiber has one member, so no
+    # row needs k! mod p, whose tables would have p entries
+    def refused(p):
+        raise AssertionError(f"factorial tables built at p={p}")
+    monkeypatch.setattr(modp, "_factorial_ratio", refused)
+    for points, alpha, p in (([(1,)], ("1/2",), 99999999977),
+                             ([(1, 0), (0, 1)], ("1/2", "1/3"), 10000019)):
+        inst = make_instance(validate_config(points), ParameterVector.of(*alpha), p)
+        assert modp_solution_dim(inst) == 1, points
 
 
 def test_full_set_sweep_needs_a_tested_prime():
