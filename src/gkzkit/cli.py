@@ -4,8 +4,8 @@ Every report embeds the job description and the toolkit version; ``rank
 --lambda random``, the one job that draws a random specialization, also
 embeds its seed.  Rerunning a job with the same arguments reproduces
 byte-identical output.  Exit codes: 0 success, 1 identity-check failure, a
-generic rank that is not the normalized volume (on Z^n at any parameter,
-on U0 and U at a nonresonant one) or a mod-p dimension above it, 2 invalid
+generic rank that is not the normalized volume (on Z^n and U0 at any
+parameter, on U at a nonresonant one) or a mod-p dimension above it, 2 invalid
 configuration or arguments, 3 dimension not stabilized (``rank`` only), 4
 resonant parameter where nonresonance is required.
 
@@ -154,10 +154,12 @@ def cmd_rank(args) -> int:
         del rep, reports
         if args.hypersurface:
             rep = cohomology_U_dim(config, alpha, u_lam, args.bound)
-            # as on the torus, a random lambda at a nonresonant alpha must
-            # read the volume
-            checked = args.lam == "random" and is_nonresonant(config, alpha).nonresonant
-            result["U"] = require_volume(config, rep, checked).to_json()
+            # as on the torus, a random lambda must read the volume, but on U
+            # only at a nonresonant alpha (cohomology_U_dim says why)
+            if args.lam == "random" and is_nonresonant(config, alpha).nonresonant:
+                result["U"] = require_volume(config, rep).to_json()
+            else:
+                result["U"] = require_stabilized(rep).to_json()
     except NotStabilizedError as exc:
         result["error"] = {"kind": "NotStabilized", "dims": list(exc.dims),
                            "bound": exc.bound}

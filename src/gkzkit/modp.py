@@ -16,7 +16,7 @@ accepts is the normalized volume: no window and no rational echelon run.
 from __future__ import annotations
 
 import itertools
-from math import isqrt, prod
+from math import prod
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
@@ -35,12 +35,48 @@ class ModpInstance(NamedTuple):
     alpha_bar: tuple[int, ...]
 
 
+# the first thirteen primes: as Miller-Rabin bases together they are exact
+# below MILLER_RABIN_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def is_prime(p: int) -> bool:
+    """Whether p is a prime, decided exactly by a strong-probable-prime test
+    to each base of MILLER_RABIN_BASES; p at or above MILLER_RABIN_BOUND,
+    where those bases no longer decide, raises ValueError."""
+    if p < 2:
+        return False
+    if p >= MILLER_RABIN_BOUND:
+        raise ValueError(f"modulus {p} is not below {MILLER_RABIN_BOUND}, "
+                         f"under which primality is decided exactly")
+    for b in MILLER_RABIN_BASES:
+        if p % b == 0:
+            return p == b
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for b in MILLER_RABIN_BASES:
+        x = pow(b, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def make_instance(config: PointConfig, alpha: ParameterVector, p: int) -> ModpInstance:
     """Reduce the parameter mod p; primes dividing a denominator are refused.
 
-    The modulus must be a prime, checked exactly by trial division.
+    The modulus must be a prime, checked exactly by ``is_prime``, which
+    refuses a modulus too large to decide.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if not is_prime(p):
         raise ValueError(f"modulus must be a prime, got {p}")
     bar = []
     for a in alpha.entries:

@@ -257,9 +257,13 @@ class PhiTables:
     the twisted derivations ``TwistedDerivations(alpha, f, d)`` of the
     symbolic f, d the lcm of the denominators of alpha.  The tables are
     integral, so integer elements have integer images on both sides.  The
-    identity battery runs its torus checks on the same derivations."""
+    identity battery runs its torus checks on the same derivations.
 
-    __slots__ = ("config", "columns", "euler", "partials", "derivations")
+    ``transported`` holds the elements, as ``frozenset(w.terms.items())``,
+    whose identity (b) has held: (b) does not involve i, so a battery that
+    checks each element for every i checks (b) once per element."""
+
+    __slots__ = ("config", "columns", "euler", "partials", "derivations", "transported")
 
     def __init__(self, config: PointConfig, alpha: ParameterVector):
         self.config = config
@@ -272,6 +276,7 @@ class PhiTables:
         self.partials = [WeylElement.partial(j, config.N).terms
                          for j in range(1, config.N + 1)]
         self.derivations = TwistedDerivations(alpha, f, d)
+        self.transported: set[frozenset] = set()
 
 
 def check_phi_intertwines(w: WeylElement, i: int, tables: PhiTables) -> bool:
@@ -288,7 +293,8 @@ def check_phi_intertwines(w: WeylElement, i: int, tables: PhiTables) -> bool:
     product are linear, so the scaled sides are d times the unscaled ones,
     and as d is nonzero they agree exactly when those do; on an integer w
     every coefficient is an integer.  ``tables`` are the
-    ``PhiTables(config, alpha)``.
+    ``PhiTables(config, alpha)``; identity (b) is skipped for an element
+    whose (b) the tables have recorded as holding.
     """
     config = tables.config
     img = phi_map(w, config)
@@ -301,9 +307,13 @@ def check_phi_intertwines(w: WeylElement, i: int, tables: PhiTables) -> bool:
     if lhs_a != rhs_a.terms:
         return False
 
+    key = frozenset(w.terms.items())
+    if key in tables.transported:
+        return True
     for j, (partial, point) in enumerate(zip(tables.partials, config.points), 1):
         lhs_b = _phi_terms(_mul_terms(partial, w.terms), columns)
         rhs_b = lambda_derivative(img, j) + img.shift(point)
         if lhs_b != rhs_b.terms:
             return False
+    tables.transported.add(key)
     return True

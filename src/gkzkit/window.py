@@ -300,25 +300,22 @@ def _torus_report(alpha: ParameterVector, lam: tuple[Fraction, ...],
                       tuple(dims), tuple(warnings), (win, ech))
 
 
-def _resonance_warnings(config: PointConfig, alpha: ParameterVector) -> tuple[str, ...]:
-    verdict = is_nonresonant(config, alpha)
-    if verdict.nonresonant:
-        return ()
-    form, value = verdict.witness
-    return (f"resonant: form {form.coeffs} takes integer value {value}",)
-
-
 def top_cohomology_dim(config: PointConfig, alpha: ParameterVector,
                        lam: Sequence, support: Support, bound: int) -> RankReport:
     """Truncated dimension of the top cohomology of the twisted complex.
 
     Computes the window quotient at bounds B-1 and B; the result counts as
     stabilized when the two agree.  A resonant parameter is not an error:
-    the computation proceeds with a warning flag set.
+    the report warns of it, naming a facet form that takes an integer value,
+    and is neither checked nor refused here (``generic_rank`` checks).
     """
+    verdict = is_nonresonant(config, alpha)
+    warnings = ()
+    if not verdict.nonresonant:
+        form, value = verdict.witness
+        warnings = (f"resonant: form {form.coeffs} takes integer value {value}",)
     return _torus_report(alpha, specialization(config, lam),
-                         window_pair(config, support, bound),
-                         _resonance_warnings(config, alpha))
+                         window_pair(config, support, bound), warnings)
 
 
 def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
@@ -351,6 +348,12 @@ def cohomology_U_dim(config: PointConfig, alpha: ParameterVector,
     make the reading an over-count.  At a random lam and a nonresonant
     alpha the rank is the normalized volume, and ``rank --hypersurface``
     checks it (``require_volume``).
+
+    Unlike the torus readings, U is not checked at a resonant alpha, for a
+    measured reason: trinomial at (0, 2) reads U dims (2, 3) at B = 4 and
+    (3, 3) from B = 5.  With alpha_n = 2 integral, U is the untwisted
+    complement of two points in C^*, whose H^1 has dimension 3, not the
+    volume 2.
     """
     lam = specialization(config, lam)
     warnings = []
@@ -394,42 +397,37 @@ def generic_rank(config: PointConfig, alpha: ParameterVector, support: Support,
     """Stabilized dimension at a generic specialization, checked against
     the normalized volume.
 
-    Draws one specialization lam from ``random.Random(seed)``, evaluates it
-    on one pair of windows (bounds B-1 and B) and raises NotStabilizedError
-    with its dims unless they agree.  For a nonresonant alpha the rank is
-    n! vol(conv(0 u A)) (Adolphson, Duke Math. J. 73, 1994), and a stabilized
-    dimension other than ``lattice.normalized_volume`` raises
-    VolumeMismatchError.  The volume stands in for a second specialization:
-    the generators' entries are polynomial in lam, so at a special lam their
-    rank can only drop and the window quotient can only grow.  A stable
-    reading equal to the volume is therefore the answer, and any other
-    stable reading is an error, not a retry.
+    Draws one specialization lam from ``random.Random(seed)``, reads
+    ``top_cohomology_dim`` at it (bounds B-1 and B, with its resonance
+    warning) and holds the report to ``require_volume``.  The volume stands
+    in for a second specialization: the generators' entries are polynomial
+    in lam, so at a special lam their rank can only drop and the window
+    quotient can only grow.  A stable reading equal to the volume is
+    therefore the answer, and any other stable reading is an error, not a
+    retry.
 
-    On Z^n the check holds at every alpha, resonant ones too: for
-    nondegenerate f the top cohomology on the torus has dimension
-    n! vol(Delta) whatever alpha is (Adolphson-Sperber, Ann. of Math. 130,
-    1989); resonance governs the GKZ system, not the torus complex.  On
-    another support a resonant alpha, which the report warns of, is not
-    checked.
+    The check holds on every support and at every alpha, resonant ones too:
+    for nondegenerate f the top cohomology of the twisted complex, on Z^n
+    and on the saturated cone U0 alike, has dimension n! vol(conv(0 u A))
+    whatever alpha is (Adolphson-Sperber, Ann. of Math. 130, 1989: under
+    the Newton filtration alpha enters only in degree 0, and the associated
+    graded complex does not involve it).  Resonance governs the GKZ system,
+    not the torus complex.
     """
-    warnings = _resonance_warnings(config, alpha)
     lam = random_specialization(random.Random(seed), config.N)
-    report = _torus_report(alpha, lam, window_pair(config, support, bound), warnings)
-    # the resonance warning is the only one, so none means alpha is nonresonant
-    return require_volume(config, report, not warnings or isinstance(support, FullSupport))
+    return require_volume(config, top_cohomology_dim(config, alpha, lam, support, bound))
 
 
-def require_volume(config: PointConfig, report: RankReport, checked: bool) -> RankReport:
-    """The report, once stabilized (``require_stabilized``) and, when
-    checked, equal to ``lattice.normalized_volume``: a checked report is
-    one at a random specialization and a nonresonant alpha (any alpha on
-    Z^n), whose rank is the volume, and any other stable reading raises
-    VolumeMismatchError."""
+def require_volume(config: PointConfig, report: RankReport) -> RankReport:
+    """The report, once stabilized (``require_stabilized``), if it reads
+    ``lattice.normalized_volume``; any other stable reading raises
+    VolumeMismatchError.  Only for a report whose rank is the volume: one
+    at a random specialization on the torus (``generic_rank``), or on the
+    complement at a nonresonant alpha (``cohomology_U_dim``)."""
     require_stabilized(report)
-    if checked:
-        volume = normalized_volume(config)
-        if report.dim != volume:
-            raise VolumeMismatchError(report.dims, report.bound, volume)
+    volume = normalized_volume(config)
+    if report.dim != volume:
+        raise VolumeMismatchError(report.dims, report.bound, volume)
     return report
 
 

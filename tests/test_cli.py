@@ -138,14 +138,25 @@ def test_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
 @pytest.mark.parametrize("extra", [
     # an explicit lambda may be special and read more than the volume
     ["--supports", "zn", "--alpha", "1/3,1/5", "--lambda", "3/7,5/11,2/9"],
-    # at a resonant alpha the U0 rank need not be the volume
-    ["--supports", "u0", "--alpha", "1/2,1/2"],
 ])
 def test_rank_is_not_checked_against_the_volume(monkeypatch, capsys, extra):
     calls = _reads_three(monkeypatch)
     code, report = run(capsys, "rank", "--config", "trinomial", "--bound", "3", *extra)
     assert code == 0 and len(calls) == 1
     assert [rep["dims"] for rep in report["result"]["supports"].values()] == [[3, 3]]
+
+
+def test_resonant_u0_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
+    # U0, like Z^n, reads the volume at every alpha: a stable reading of 3
+    # at the resonant (1/2, 1/2) is an error, whose report still warns
+    calls = _reads_three(monkeypatch)
+    code = main(["rank", "--config", "trinomial", "--bound", "3", "--supports", "u0",
+                 "--alpha", "1/2,1/2"])
+    captured = capsys.readouterr()
+    assert code == 1 and len(calls) == 1 and captured.out == ""
+    assert ("error: dimension 3 stabilized at bound 3 (dims 3, 3) differs from "
+            "the normalized volume 2") in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("config, alpha, dims, volume", [
@@ -224,6 +235,17 @@ def test_modp_bound_and_seed_have_no_effect(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs == [outputs[0]] * 4
     assert '"bound"' not in outputs[0] and '"seed"' not in outputs[0]
+
+
+def test_modp_at_a_prime_beyond_trial_division(capsys):
+    # 10^15 + 37 is a prime: decided by Miller-Rabin, not by trial division
+    # up to its square root
+    code = main(["modp", "--config", "single", "--alpha", "1/2",
+                 "--primes", "1000000000000037"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    result = json.loads(captured.out)["result"]
+    assert result["primes"] == [{"dim": 1, "full": True, "p": 1000000000000037}]
 
 
 def test_modp_at_a_large_prime_on_one_point_per_fiber(capsys):

@@ -15,13 +15,14 @@ from gkzkit.derham import (LogForm, check_complex, differentials,
 from gkzkit.errors import GkzError, NotStabilizedError, StructureError, VolumeMismatchError
 from gkzkit.hypersurface import check_split_matches_nabla
 from gkzkit.lattice import (FacetForm, ParameterVector, apply_unimodular, cone_facets,
-                            normalize_structure, normalized_volume, validate_config)
+                            is_nonresonant, normalize_structure, normalized_volume,
+                            validate_config)
 from gkzkit.laurent import (LaurentPoly, TwistedDerivations, apply_D, build_f,
                             build_f_symbolic, toric_derivative)
 from gkzkit.verify import run_battery
 from gkzkit.window import (CohomologyWindow, ConeSupport, FullSupport, HalfSupport,
-                           RankReport, generic_rank, quasi_iso_check, require_stabilized,
-                           top_cohomology_dim)
+                           RankReport, default_bound, generic_rank, quasi_iso_check,
+                           require_stabilized, require_volume, top_cohomology_dim)
 from oracles import (apply_D_by_parts, brute_newton_window, centered_box, contract,
                      dense_rank, ehrhart_volume, homotopy_identity_per_facet,
                      homotopy_rho, nabla_by_parts, shoelace_volume, specialize,
@@ -938,6 +939,50 @@ def test_generic_rank_other_than_the_volume_raises(monkeypatch):
     with pytest.raises(VolumeMismatchError) as err:
         generic_rank(tri, builtin_alpha("trinomial"), FullSupport(2), 4)
     assert (err.value.dims, err.value.bound, err.value.volume) == ((3, 3), 4, 2)
+
+
+def test_require_volume_passes_the_volume_only():
+    # trinomial has volume 2: a stabilized reading of 2 passes as it is,
+    # any other stabilized reading raises, and an unstable one is not
+    # stabilized, whatever it reads
+    tri = builtin_config("trinomial")
+    alpha = builtin_alpha("trinomial")
+    rep = RankReport("torus/Z^n", alpha, tuple(LAM3), 4, (2, 2))
+    assert require_volume(tri, rep) is rep
+    for dim in (0, 1, 3, 4):
+        with pytest.raises(VolumeMismatchError) as err:
+            require_volume(tri, changed(rep, dims=(dim, dim)))
+        assert (err.value.dims, err.value.volume) == ((dim, dim), 2)
+    with pytest.raises(NotStabilizedError):
+        require_volume(tri, changed(rep, dims=(1, 2)))
+
+
+RESONANT_GRID = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2),
+                 Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("points, cases", [
+    ([(1,), (2,)], 4),
+    ([(0, 1), (1, 1), (-1, 1)], 18),
+    ([(0, 1), (1, 1), (-1, 1), (2, 1)], 21),
+    # N.A is not saturated; U0 is the saturated cone
+    ([(-2, 2), (-1, 3), (2, 1)], 21),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 12),
+    ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], 12),
+])
+def test_resonant_u0_reads_the_volume(points, cases):
+    # every resonant alpha of the grid (the first 12 in 3-D) through
+    # generic_rank on U0, which holds it to the volume: the top cohomology
+    # on the cone does not depend on alpha (Adolphson-Sperber)
+    config = validate_config(points)
+    grid = [ParameterVector(a) for a in itertools.product(RESONANT_GRID, repeat=config.n)]
+    resonant = [a for a in grid if not is_nonresonant(config, a).nonresonant]
+    if config.n == 3:
+        resonant = resonant[:12]
+    assert len(resonant) == cases
+    for alpha in resonant:
+        rep = generic_rank(config, alpha, ConeSupport(config), default_bound(config.n))
+        assert rep.dim == normalized_volume(config) and rep.warnings, alpha
 
 
 @st.composite

@@ -4,7 +4,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 
@@ -15,8 +15,8 @@ from gkzkit.intmat import matvec
 from gkzkit.lattice import (ParameterVector, apply_unimodular, normalized_volume,
                             relation_lattice, validate_config)
 from gkzkit.linalg import ModpEchelon
-from gkzkit.modp import (full_set_sweep, make_instance, modp_solution_dim,
-                         recurrence_rows, solution_support)
+from gkzkit.modp import (MILLER_RABIN_BOUND, full_set_sweep, is_prime, make_instance,
+                         modp_solution_dim, recurrence_rows, solution_support)
 from gkzkit.weyl import box_operator
 from gkzkit.window import FullSupport, default_bound, generic_rank
 from oracles import (all_recurrence_rows, apply_box_to_lambda_poly,
@@ -107,6 +107,35 @@ def test_make_instance_skips_bad_primes():
     for modulus in (-3, 0, 1, 4, 9, 15, 25, 49):
         with pytest.raises(ValueError, match="must be a prime"):
             make_instance(c1, ParameterVector.of("1/2"), modulus)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 10 ** 5):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+@pytest.mark.parametrize("modulus", [
+    # the least strong pseudoprimes to the first k prime bases, k = 1, 2, 3,
+    # 4, 5, 6, 8, 11 and 12: composites that fewer bases would pass
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+])
+def test_strong_pseudoprimes_are_refused_as_composite(modulus):
+    c1 = validate_config([(1,)])
+    assert not is_prime(modulus)
+    with pytest.raises(ValueError, match=f"modulus must be a prime, got {modulus}$"):
+        make_instance(c1, ParameterVector.of("1/2"), modulus)
+
+
+def test_a_modulus_beyond_the_bases_is_refused():
+    # the least strong pseudoprime to all thirteen bases: they decide
+    # nothing from there on, so the modulus is refused, naming the bound
+    assert MILLER_RABIN_BOUND == 3317044064679887385961981
+    c1 = validate_config([(1,)])
+    for modulus in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 2, 10 ** 30 + 57):
+        with pytest.raises(ValueError, match=str(MILLER_RABIN_BOUND)):
+            make_instance(c1, ParameterVector.of("1/2"), modulus)
+    assert is_prime(10 ** 24 + 7)
 
 
 def test_lattice_points_in_box_match_brute_scan():

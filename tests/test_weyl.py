@@ -225,7 +225,10 @@ def test_identity_b_needs_lambda_carrying_elements(name, count, monkeypatch):
     assert len(elements) == count
     inputs = [(w, i) for w in elements for i in range(1, cfg.n + 1)]
     assert all(check_phi_intertwines(w, i, tables) for w, i in battery + inputs)
+    # the tables record each element whose (b) held, so the faulty
+    # derivative runs on fresh ones
     monkeypatch.setattr(weyl, "lambda_derivative", dropping_the_factor)
+    tables = PhiTables(cfg, alpha)
     assert all(check_phi_intertwines(w, i, tables) for w, i in battery)
     assert not all(check_phi_intertwines(w, i, tables) for w, i in inputs)
 
@@ -237,8 +240,7 @@ def test_phi_intertwines_matches_the_check_over_q(name, monkeypatch):
     # fractional coefficients, for the right parameter derivative and for
     # the faulty one
     cfg, alpha = builtin_config(name), builtin_alpha(name)
-    tables = PhiTables(cfg, alpha)
-    assert all(type(c) is int for op in tables.euler for c in op.values())
+    assert all(type(c) is int for op in PhiTables(cfg, alpha).euler for c in op.values())
     rng = random.Random(31)
     elements = lambda_carrying(cfg.N) + [
         random_weyl(rng, cfg.N, terms=3, deg=2).scale(Fraction(1, rng.randint(1, 3)))
@@ -247,12 +249,42 @@ def test_phi_intertwines_matches_the_check_over_q(name, monkeypatch):
         if faulty:
             monkeypatch.setattr(weyl, "lambda_derivative", dropping_the_factor)
             monkeypatch.setattr(oracles, "lambda_derivative", dropping_the_factor)
+        # fresh tables, which have recorded no element's (b)
+        tables = PhiTables(cfg, alpha)
         verdicts = [(check_phi_intertwines(w, i, tables),
                      oracles.check_phi_intertwines(w, i, alpha, cfg))
                     for w in elements for i in range(1, cfg.n + 1)]
         assert all(len(set(v)) == 1 for v in verdicts)
         assert any(v[0] for v in verdicts)
         assert all(v[0] for v in verdicts) is not faulty
+
+
+def test_battery_checks_identity_b_once_per_element(monkeypatch):
+    # (b) does not involve i: the 35 del-monomials of degree at most 3 in
+    # N = 4 variables each take the N parameter derivatives once, not once
+    # per i = 1..3
+    calls = []
+
+    def counting(p, j, _real=lambda_derivative):
+        calls.append(j)
+        return _real(p, j)
+    monkeypatch.setattr(weyl, "lambda_derivative", counting)
+    report = verify.run_battery(builtin_config("gauss"), builtin_alpha("gauss"))
+    check = next(c for c in report.checks if c.name == "phi_intertwines")
+    assert check.ok and check.samples == 105
+    assert len(calls) == 35 * 4
+
+
+def test_wrong_identity_b_fails_at_the_first_element(monkeypatch):
+    # a parameter derivative that adds its argument is wrong on w = 1, the
+    # battery's first element: the recorded elements skip nothing before it
+    def adding(p, j, _real=lambda_derivative):
+        return _real(p, j) + p
+    monkeypatch.setattr(weyl, "lambda_derivative", adding)
+    report = verify.run_battery(builtin_config("gauss"), builtin_alpha("gauss"))
+    check = next(c for c in report.checks if c.name == "phi_intertwines")
+    assert not check.ok and check.samples == 1
+    assert check.detail.endswith("i=1")
 
 
 def test_phi_intertwines_keeps_its_argument_checks():
