@@ -161,8 +161,8 @@ def cmd_rank(args) -> int:
             else:
                 result["U"] = require_stabilized(rep).to_json()
     except NotStabilizedError as exc:
-        result["error"] = {"kind": "NotStabilized", "dims": list(exc.dims),
-                           "bound": exc.bound}
+        result["error"] = {"kind": "NotStabilized", "complex": exc.complex_id,
+                           "dims": list(exc.dims), "bound": exc.bound}
         _emit({"job": _job_block(args, config, label), "result": result}, args.out)
         return EXIT_NOT_STABILIZED
     _emit({"job": _job_block(args, config, label), "result": result}, args.out)

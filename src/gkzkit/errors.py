@@ -42,24 +42,32 @@ class PochhammerPoleError(GkzError):
 
 
 class NotStabilizedError(GkzError):
-    """A truncated dimension did not agree at two consecutive window bounds."""
+    """A truncated dimension did not agree at two consecutive window bounds;
+    ``complex_id`` names the complex that was read."""
 
-    def __init__(self, dims: tuple[int, int], bound: int):
+    def __init__(self, dims: tuple[int, int], bound: int, complex_id: str):
         self.dims = dims
         self.bound = bound
-        super().__init__(f"dimension not stabilized at bound {bound}: {dims[0]} vs {dims[1]}")
+        self.complex_id = complex_id
+        super().__init__(f"dimension not stabilized at bound {bound} on {complex_id}: "
+                         f"{dims[0]} vs {dims[1]}")
 
 
 class VolumeMismatchError(GkzError):
-    """A stabilized dimension at a nonresonant parameter is not the
-    normalized volume n! vol(conv(0 u A)), which the rank must equal."""
+    """A stabilized dimension that must be the normalized volume
+    n! vol(conv(0 u A)) is not: a random-lambda reading on Z^n or U0 at any
+    parameter, or on U at a nonresonant one.  ``complex_id`` names the
+    complex that was read."""
 
-    def __init__(self, dims: tuple[int, int], bound: int, volume: int):
+    def __init__(self, dims: tuple[int, int], bound: int, volume: int,
+                 complex_id: str):
         self.dims = dims
         self.bound = bound
         self.volume = volume
+        self.complex_id = complex_id
         super().__init__(f"dimension {dims[1]} stabilized at bound {bound} (dims {dims[0]}, "
-                         f"{dims[1]}) differs from the normalized volume {volume}")
+                         f"{dims[1]}) differs from the normalized volume {volume} "
+                         f"on {complex_id}")
 
 
 class ResonantError(GkzError):

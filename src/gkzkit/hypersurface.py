@@ -15,7 +15,6 @@ complement is one numerator form over one power of g, not reduced
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from operator import add
 from typing import Callable, Sequence
@@ -51,12 +50,6 @@ def _powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
     for _ in range(top):
         pows.append(pows[-1] * g)
     return pows
-
-
-def _cleared(g: LaurentPoly) -> tuple[int, LaurentPoly]:
-    """c and the integral G = c g, for c the lcm of the denominators of g."""
-    c = math.lcm(*(v.denominator for v in g.terms.values()))
-    return c, LaurentPoly._of(g.n, {w: int_if_integral(v * c) for w, v in g.terms.items()})
 
 
 def pochhammer(a: Fraction, m: int) -> Fraction:
@@ -374,11 +367,12 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
     The vertical image always lies in the kernel (chain-map identity), so
     the subspaces agree exactly when the two dimensions match.  Requires the
     last parameter entry to avoid nonpositive integers, which makes the
-    rising factorials nonzero.  Both matrices are integer, and neither rank
-    changes, as each vector is only rescaled by a nonzero constant: the
+    rising factorials nonzero.  Each vector is rescaled by a nonzero
+    constant, which leaves both ranks unchanged whatever the scale: with
+    h = L g for L = ``clearing_scale(alpha, g)`` (``ComplementTables``), the
     gamma image (-1)^m (alpha_n)_m x^{u'} g^(M-m) / g^M of x^{u'} / g^m
-    enters as x^{u'} G^(M-m), with G = c g for the lcm c of the denominators
-    of g, and each vertical row is multiplied by lcm(c, den alpha_n).
+    enters as x^{u'} h^(M-m), and each vertical row is multiplied by L.
+    With this L both matrices are integer.
 
     One index block decides every degree, so only the block of degree 0 is
     built.  At degree k each column and each row is keyed by a single index
@@ -393,17 +387,16 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
         raise PochhammerPoleError(
             "last parameter entry is a nonpositive integer")
     nprime = g.n
-    c, G = _cleared(g)
+    tables = ComplementTables(alpha, g, clearing_scale(alpha, g))
 
     basis = [(up, m) for up in _box(nprime, u_bound) for m in range(m_bound + 1)]
 
     # gamma matrix: columns indexed by basis, target keyed by numerator
-    # monomials at the common denominator G^{m_bound}
-    G_pows = _powers(G, m_bound)
+    # monomials at the common denominator h^{m_bound}
     col_ech = RationalEchelon()
     for up, m in basis:
         col_ech.insert({tuple(map(add, w, up)): v
-                        for w, v in G_pows[m_bound - m].terms.items()})
+                        for w, v in tables.power(m_bound - m).terms.items()})
     ker_dim = len(basis) - col_ech.rank
 
     # vertical-image generators confined to the window: the numerator box
@@ -411,9 +404,8 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
     eroded = [up for up in _box(nprime, u_bound)
               if all(max(abs(a + b) for a, b in zip(up, w)) <= u_bound
                      for w in g.terms)]
-    L = math.lcm(alpha_n.denominator, c)
-    diags = [int_if_integral((alpha_n + m) * L) for m in range(m_bound)]
-    steps = [(w, int_if_integral(v * L)) for w, v in g.terms.items()]
+    diags = [int_if_integral((alpha_n + m) * tables.scale) for m in range(m_bound)]
+    steps = list(tables.h.terms.items())
     ech_v = RationalEchelon()
     for up in eroded:
         for m, diag in enumerate(diags):

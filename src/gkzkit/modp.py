@@ -3,21 +3,22 @@
 Solutions are sought among polynomials in the parameters with exponents in
 the box [0, p)^N.  The Euler operators pin the admissible exponents to a
 single congruence class; the box operators of the relations with sup norm
-below p impose falling-factorial recurrences between coefficients.  After
-rescaling each coefficient by v!, a unit mod p on the box, a recurrence
-either equates two coefficients in one integer fiber {v : Av = b} or kills
-one whose partner exponent leaves the box, so a spanning set of them has at
-most one row per exponent.  The solution dimension is the nullspace
-dimension of that system over the prime field, compared against the
-characteristic-zero rank, which at the nonresonant parameters the sweep
-accepts is the normalized volume: no window and no rational echelon run.
+below p impose falling-factorial recurrences between the coefficients c_v.
+The rows are written in d_v = c_v v!: v! is a unit mod p on the box, so the
+diagonal change of basis keeps the rank, and in d a recurrence either
+equates two coefficients in one integer fiber {v : Av = b} or kills one
+whose partner exponent leaves the box, so a spanning set of them has at
+most one row per exponent and no row carries a factorial.  The solution
+dimension is the nullspace dimension of that system over the prime field,
+compared against the characteristic-zero rank, which at the nonresonant
+parameters the sweep accepts is the normalized volume: no window and no
+rational echelon run.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import prod
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (RankConsistencyError, ResonantError, SkippedPrimeError)
 from .intmat import matvec, solve_integer
@@ -107,41 +108,27 @@ def solution_support(instance: ModpInstance) -> list[IntVec]:
     return sorted(coset)
 
 
-def _factorial_ratio(p: int) -> Callable[[IntVec, IntVec], int]:
-    """The map (w, v) -> v! / w! mod p for w <= v in [0, p)^N, where v! is
-    the product of the v_j!.
-
-    Below p every factorial is a unit mod p, so the map reads a table of k!
-    and of its inverse, built once for the prime.
-    """
-    fact = [1] * p
-    for k in range(1, p):
-        fact[k] = fact[k - 1] * k % p
-    inv = [1] * p
-    inv[-1] = pow(fact[-1], -1, p)
-    for k in range(p - 1, 0, -1):
-        inv[k - 1] = inv[k] * k % p
-    return lambda w, v: prod(map(fact.__getitem__, v)) * prod(map(inv.__getitem__, w)) % p
-
-
 def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec]) -> list[dict]:
-    """A spanning set of the box-operator recurrences on the support.
+    """A spanning set of the box-operator recurrences on the support,
+    written in the coordinates d_v = c_v v!.
 
     Let S be the support, a congruence class in [0, p)^N, and f the sum of
     c_v lambda^v over S.  For a relation l with sup norm at most p - 1 the box
     operator gives at each exponent w the row
     c_{w+l+} (w+l+)!/w! - c_{w+l-} (w+l-)!/w!, where v! is the product of
     the v_j! and a coefficient outside S is absent.  On [0, p)^N, v! is a
-    unit mod p, so in d_v = c_v v! each row says one of two things: d_x = d_y
-    when both ends are in S, and d_x = 0 when the other end leaves the box
-    (it is still >= 0 and in the same congruence class, so a coordinate is
-    at least p).  Two points of S are joined by a row exactly when they lie
-    in the same integer fiber F_b = {v in S : Av = b}: their difference is
-    in L with sup norm at most p - 1.  Hence these rows span all of them:
-    the row of each pair of consecutive members of a fiber (relation x - y
-    at w = min(x, y)), and one single-entry row for each fiber with a
-    leaking member v, one with u = v - l >= 0 and max u >= p for some
-    relation l of sup norm at most p - 1.  At most |S| rows.
+    unit mod p, so the diagonal change of basis c -> d scales each column by
+    a unit and keeps the rank of every set of rows.  In d each row is 1/w!
+    times one of two rows: d_x - d_y when both ends are in S, and d_x when
+    the other end leaves the box (it is still >= 0 and in the same
+    congruence class, so a coordinate is at least p).  Two points of S are
+    joined by a row exactly when they lie in the same integer fiber
+    F_b = {v in S : Av = b}: their difference is in L with sup norm at most
+    p - 1.  Hence these rows span all of them: {x: 1, y: p - 1} for each
+    pair of consecutive members x, y of a fiber, and {v: 1} for one leaking
+    member v of each fiber that has one, a v with u = v - l >= 0 and
+    max u >= p for some relation l of sup norm at most p - 1.  At most |S|
+    rows.
 
     A leak is found by lifting fibers by p, not by scanning relations.  Such
     a u has Au = b and every u_k <= 2p - 2, so u = s + p e for a point s of
@@ -166,14 +153,10 @@ def recurrence_rows(instance: ModpInstance, support: Sequence[IntVec]) -> list[d
     # (support of e, p Ae) for each nonzero e in {0, 1}^N
     lifts = [([k for k, x in enumerate(e) if x], [p * x for x in matvec(matrix, e)])
              for e in itertools.product((0, 1), repeat=instance.config.N) if any(e)]
-    # the tables of k! have p entries: built only when a fiber has a pair,
-    # so a support of one point per fiber answers at any prime
-    ratio = _factorial_ratio(p) if any(len(m) > 1 for m in fibers.values()) else None
     rows = []
     for b, members in fibers.items():
         for x, y in zip(members, members[1:]):
-            w = tuple(map(min, x, y))
-            rows.append({x: ratio(w, x), y: -ratio(w, y) % p})
+            rows.append({x: 1, y: p - 1})
         below = []
         for on, shift in lifts:
             lower = fibers.get(tuple(a - d for a, d in zip(b, shift)))

@@ -156,7 +156,7 @@ class RankReport:
 
 def require_stabilized(report: RankReport) -> RankReport:
     if not report.stabilized:
-        raise NotStabilizedError(report.dims, report.bound)
+        raise NotStabilizedError(report.dims, report.bound, report.complex_id)
     return report
 
 
@@ -427,7 +427,7 @@ def require_volume(config: PointConfig, report: RankReport) -> RankReport:
     require_stabilized(report)
     volume = normalized_volume(config)
     if report.dim != volume:
-        raise VolumeMismatchError(report.dims, report.bound, volume)
+        raise VolumeMismatchError(report.dims, report.bound, volume, report.complex_id)
     return report
 
 

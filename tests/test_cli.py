@@ -94,12 +94,26 @@ def test_rank_not_stabilized_exits_3(monkeypatch, capsys):
         code, report = run(capsys, *argv)
         assert code == 3 and len(calls) == 1, argv
         assert report["result"]["error"] == {"kind": "NotStabilized",
+                                             "complex": "torus/Z^n",
                                              "dims": [1, 2], "bound": 1}, argv
     # modp reads its rank off the volume, not a window: the bound is ignored
     calls.clear()
     code, report = run(capsys, "modp", *job, "--primes", "7")
     assert code == 0 and calls == []
     assert report["result"]["rank"] == 2
+
+
+def test_rank_not_stabilized_names_the_complex(capsys):
+    # Z^n reads (3, 3) at this lambda and the complement (2, 3): the error
+    # block names U, the complex that failed
+    code, report = run(capsys, "rank", "--config", "trinomial", "--alpha", "0,2",
+                       "--supports", "zn", "--hypersurface", "--lambda", "3/7,5/11,2/9",
+                       "--bound", "4")
+    assert code == 3
+    assert report["result"]["error"] == {"kind": "NotStabilized", "complex": "U",
+                                         "dims": [2, 3], "bound": 4}
+    assert report["result"]["supports"]["Z^n"]["dims"] == [3, 3]
+    assert "U" not in report["result"]
 
 
 def _reads_three(monkeypatch):
@@ -155,7 +169,7 @@ def test_resonant_u0_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1 and len(calls) == 1 and captured.out == ""
     assert ("error: dimension 3 stabilized at bound 3 (dims 3, 3) differs from "
-            "the normalized volume 2") in captured.err
+            "the normalized volume 2 on torus/U0") in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -171,7 +185,7 @@ def test_resonant_torus_rank_other_than_the_volume_exits_1(capsys, config, alpha
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert (f"error: dimension {dims[1]} stabilized at bound 4 (dims {dims[0]}, {dims[1]}) "
-            f"differs from the normalized volume {volume}") in captured.err
+            f"differs from the normalized volume {volume} on torus/Z^n") in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -193,7 +207,7 @@ def test_u_rank_other_than_the_volume_exits_1(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert ("error: dimension 3 stabilized at bound 3 (dims 3, 3) differs from "
-            "the normalized volume 2") in captured.err
+            "the normalized volume 2 on U") in captured.err
     assert "Traceback" not in captured.err
 
 

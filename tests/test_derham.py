@@ -952,9 +952,11 @@ def test_require_volume_passes_the_volume_only():
     for dim in (0, 1, 3, 4):
         with pytest.raises(VolumeMismatchError) as err:
             require_volume(tri, changed(rep, dims=(dim, dim)))
-        assert (err.value.dims, err.value.volume) == ((dim, dim), 2)
-    with pytest.raises(NotStabilizedError):
+        assert (err.value.dims, err.value.volume, err.value.complex_id) == (
+            (dim, dim), 2, "torus/Z^n")
+    with pytest.raises(NotStabilizedError) as err:
         require_volume(tri, changed(rep, dims=(1, 2)))
+    assert err.value.complex_id == "torus/Z^n"
 
 
 RESONANT_GRID = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2),

@@ -4,11 +4,10 @@ import json
 import pathlib
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from math import factorial, isqrt, prod
 
 import pytest
 
-from gkzkit import modp
 from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
 from gkzkit.errors import NotGeneratingError, ResonantError, SkippedPrimeError
 from gkzkit.intmat import matvec
@@ -20,8 +19,8 @@ from gkzkit.modp import (MILLER_RABIN_BOUND, full_set_sweep, is_prime, make_inst
 from gkzkit.weyl import box_operator
 from gkzkit.window import FullSupport, default_bound, generic_rank
 from oracles import (all_recurrence_rows, apply_box_to_lambda_poly,
-                     falling_product, lattice_points_in_box,
-                     modp_recurrence_dim, relation_scan_killed_fibers)
+                     lattice_points_in_box, modp_recurrence_dim,
+                     relation_scan_killed_fibers)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PLANE2 = [(0, 1), (1, 1), (-1, 1), (2, 1)]
@@ -237,9 +236,17 @@ def normalized(rows, p):
     return out
 
 
+def in_d_basis(rows, p):
+    """The rows in the coordinates d_v = c_v v!: the entry at v times the
+    inverse of v! mod p."""
+    return [{v: c * pow(prod(map(factorial, v)), -1, p) % p for v, c in row.items()}
+            for row in rows]
+
+
 def test_recurrence_rows_span_all_rows():
-    # the fiber rows are rows of the full system, up to a nonzero scalar,
-    # and they span it: their rank is that of the full system and of the union
+    # the fiber rows are rows of the full system written in d, up to a
+    # nonzero scalar, and they span it: their rank is that of the full system
+    # and of the union
     rng = random.Random(3)
     cases = [(validate_config(PLANE2), ParameterVector.of("1/3", "1/5"), 7),
              (builtin_config("gauss"), builtin_alpha("gauss"), 7)]
@@ -250,7 +257,7 @@ def test_recurrence_rows_span_all_rows():
         inst = make_instance(cfg, alpha, p)
         support = solution_support(inst)
         rows = recurrence_rows(inst, support)
-        oracle = all_recurrence_rows(inst, support)
+        oracle = in_d_basis(all_recurrence_rows(inst, support), p)
         assert len(rows) <= len(support)
         assert normalized(rows, p) <= normalized(oracle, p), (cfg.points, p)
         rank = rank_modp(rows, p)
@@ -260,23 +267,17 @@ def test_recurrence_rows_span_all_rows():
 
 def fiber_rows(inst, support, killed):
     """The rows recurrence_rows must emit, fiber by fiber in support order:
-    a chain row for each pair of consecutive members, with the falling
-    factorials (w+1)...(x) of w = min(x, y), then {v: 1} for the killed
-    member v of a fiber that leaks."""
+    a chain row {x: 1, y: -1} for each pair of consecutive members, then
+    {v: 1} for the killed member v of a fiber that leaks."""
     p = inst.p
     matrix = inst.config.matrix()
     fibers = {}
     for v in support:
         fibers.setdefault(tuple(matvec(matrix, v)), []).append(v)
-
-    def ratio(w, x):
-        return prod(falling_product(a, b - a, p) for a, b in zip(w, x)) % p
-
     rows = []
     for key, members in fibers.items():
         for x, y in zip(members, members[1:]):
-            w = tuple(map(min, x, y))
-            rows.append({x: ratio(w, x), y: -ratio(w, y) % p})
+            rows.append({x: 1, y: p - 1})
         if key in killed:
             rows.append({killed[key]: 1})
     return rows
@@ -308,6 +309,30 @@ def test_lifted_fibers_kill_what_the_relation_scan_kills():
             cfg.points, alpha, p)
         kills += len(killed)
     assert kills > len(cases)
+
+
+def test_dimension_counts_the_sealed_fibers():
+    # the rows are independent, so the dimension is the support size less
+    # the row count: one per fiber, less one for each fiber with a leak row
+    rng = random.Random(37)
+    cases = [(builtin_config(name), builtin_alpha(name), p)
+             for name in ("bessel", "cusp", "trinomial", "gauss")
+             for p in (7, 11, 13, 17)]
+    for cfg in random_configs(40, seed=37):
+        for p in (3, 5, 7, 11, 13):
+            cases.append((cfg, random_alpha(rng, cfg.n, p), p))
+    cases += [(validate_config([(1,), (5,)]), ParameterVector.of("1/2"), p)
+              for p in (3, 5)]
+    assert len(cases) == 218
+    for cfg, alpha, p in cases:
+        inst = make_instance(cfg, alpha, p)
+        support = solution_support(inst)
+        rows = recurrence_rows(inst, support)
+        fiber = {v: tuple(matvec(cfg.matrix(), v)) for v in support}
+        leaking = {fiber[v] for row in rows if len(row) == 1 for v in row}
+        dim = modp_solution_dim(inst)
+        assert dim == len(support) - len(rows), (cfg.points, alpha, p)
+        assert dim == len(set(fiber.values())) - len(leaking), (cfg.points, alpha, p)
 
 
 def test_modp_dim_matches_dense_oracle():
@@ -431,12 +456,9 @@ def test_volume_is_the_window_rank_on_the_modp_configurations(config, alpha):
     assert report.dim == normalized_volume(config), config.points
 
 
-def test_a_support_without_pairs_builds_no_factorial_table(monkeypatch):
-    # with a relation lattice of rank 0 every fiber has one member, so no
-    # row needs k! mod p, whose tables would have p entries
-    def refused(p):
-        raise AssertionError(f"factorial tables built at p={p}")
-    monkeypatch.setattr(modp, "_factorial_ratio", refused)
+def test_a_support_without_pairs_builds_no_factorial_table():
+    # the rows are written in d_v = c_v v!, so no prime builds a table of k!
+    # mod p with p entries: a prime near 10^11 answers
     for points, alpha, p in (([(1,)], ("1/2",), 99999999977),
                              ([(1, 0), (0, 1)], ("1/2", "1/3"), 10000019)):
         inst = make_instance(validate_config(points), ParameterVector.of(*alpha), p)
