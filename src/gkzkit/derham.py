@@ -101,13 +101,6 @@ class LogForm:
                 out[idx] = s
         return LogForm._of(self.n, self.degree, out, self.nlam)
 
-    def __neg__(self) -> "LogForm":
-        return LogForm._of(self.n, self.degree,
-                           {idx: -p for idx, p in self.components.items()}, self.nlam)
-
-    def __sub__(self, other: "LogForm") -> "LogForm":
-        return self + (-other)
-
     def scale(self, c) -> "LogForm":
         return LogForm._of(self.n, self.degree,
                            {idx: p.scalar_mul(c) for idx, p in self.components.items()},

@@ -44,14 +44,6 @@ def build_g(config: PointConfig, lam: Sequence) -> LaurentPoly:
     return LaurentPoly._of(config.n - 1, {u[:-1]: c for u, c in f.terms.items()})
 
 
-def _powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
-    """g^0, g^1, ..., g^top."""
-    pows = [LaurentPoly.one(g.n)]
-    for _ in range(top):
-        pows.append(pows[-1] * g)
-    return pows
-
-
 def pochhammer(a: Fraction, m: int) -> Fraction:
     """Rising factorial a(a+1)...(a+m-1); for negative m the reciprocal
     falling product 1/((a-1)(a-2)...(a+m))."""
@@ -78,8 +70,8 @@ class UForm:
     The pair is kept over one power of g, not reduced: no factor of g is
     divided out, and gpow may be any integer.  Laurent polynomials have no
     zero divisors, so two pairs are equal exactly when their numerators agree
-    once both are multiplied up to the larger power, and a pair is zero
-    exactly when its numerator is.
+    once both are multiplied up to the larger power (``_same_form``), and a
+    pair is zero exactly when its numerator is.
     """
 
     __slots__ = ("g", "num", "gpow")
@@ -95,10 +87,6 @@ class UForm:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, UForm) and self.g == other.g
-                and _same_form(self, other, lambda k: _powers(self.g, k)[-1]))
 
 
 def _same_form(a: UForm, b: UForm, power: Callable[[int], LaurentPoly]) -> bool:
@@ -341,6 +329,18 @@ def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
     m >= 0 is the integer (-1)^m (a)(a + e)...(a + (m-1) e) (L/e)^m; the
     boundaries scaled by L and h are integral too, so on integer samples
     with last exponents m >= 0 every coefficient is an integer.
+
+    On x^(u', m) dx_I, for a fixed m >= 0, both sides of the first identity
+    are one numerator over g^(m+1): d_h weights x^(u', m) by u_i + alpha_i
+    and shifts it by the terms of x_n x_i dg/dx_i, gamma weights each level
+    by a constant, and tilde_nabla weights x^u' by u_i + alpha_i and by
+    -(m + alpha_n).  So the residual has, per numerator monomial, a
+    coefficient affine in u', and distinct shifts give distinct monomials:
+    samples with u' in ``derham.principal_lattice(n - 1, 1)``, 0 and the
+    unit vectors, decide it for every u' at that m.  In the second, gamma
+    takes the two terms of d_v x^(u', m), (m + alpha_n) x^(u', m) and
+    x^(u', m+1) g, to x^u' g over g^(m+1) with weights that cancel, whatever
+    u' is.  m is still sampled: the weights are not polynomial in it.
     """
     tables = ComplementTables(alpha, g, clearing_scale(alpha, g))
     D = _derivations_by_parts(alpha, g, tables.scale)
@@ -367,12 +367,11 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
     The vertical image always lies in the kernel (chain-map identity), so
     the subspaces agree exactly when the two dimensions match.  Requires the
     last parameter entry to avoid nonpositive integers, which makes the
-    rising factorials nonzero.  Each vector is rescaled by a nonzero
-    constant, which leaves both ranks unchanged whatever the scale: with
+    rising factorials nonzero.  Each gamma column is rescaled by a nonzero
+    constant, which leaves the rank unchanged whatever the scale: with
     h = L g for L = ``clearing_scale(alpha, g)`` (``ComplementTables``), the
     gamma image (-1)^m (alpha_n)_m x^{u'} g^(M-m) / g^M of x^{u'} / g^m
-    enters as x^{u'} h^(M-m), and each vertical row is multiplied by L.
-    With this L both matrices are integer.
+    enters as x^{u'} h^(M-m), so the gamma matrix is integer.
 
     One index block decides every degree, so only the block of degree 0 is
     built.  At degree k each column and each row is keyed by a single index
@@ -381,6 +380,13 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
     it.  Both matrices are therefore block diagonal with C(n', k) copies of
     the block of the empty tuple, so the kernel dimension and the vertical
     rank are C(n', k) times those at degree 0, and the verdict is the same.
+
+    The vertical rank needs no echelon.  The generator d_v x^(u', m), for
+    m < m_bound and u' in the eroded box, has its own entry at (u', m),
+    equal to alpha_n + m and nonzero as alpha_n is no integer <= 0, and
+    every other entry at level m + 1.  In a vanishing combination, the
+    lowest level with a nonzero coefficient would keep those own entries
+    alone, so the generators are independent: their rank is their count.
     """
     alpha_n = alpha.entries[-1]
     if alpha_n.denominator == 1 and alpha_n <= 0:
@@ -400,17 +406,9 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
     ker_dim = len(basis) - col_ech.rank
 
     # vertical-image generators confined to the window: the numerator box
-    # eroded by the support of g, so every image term stays inside
+    # eroded by the support of g, so every image term stays inside; m_bound
+    # of them per u', all independent
     eroded = [up for up in _box(nprime, u_bound)
               if all(max(abs(a + b) for a, b in zip(up, w)) <= u_bound
                      for w in g.terms)]
-    diags = [int_if_integral((alpha_n + m) * tables.scale) for m in range(m_bound)]
-    steps = list(tables.h.terms.items())
-    ech_v = RationalEchelon()
-    for up in eroded:
-        for m, diag in enumerate(diags):
-            # diag is nonzero, as alpha_n is no integer <= 0
-            vec = {(tuple(map(add, up, w)), m + 1): v for w, v in steps}
-            vec[(up, m)] = diag
-            ech_v.insert(vec)
-    return ker_dim == ech_v.rank
+    return ker_dim == len(eroded) * m_bound

@@ -78,10 +78,10 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
                 perturb_beta: bool = False) -> BatteryReport:
     """All exact identity checks for one configuration.
 
-    Four checks run on the smallest exponent sets that decide them for
-    every Laurent form, fixed by an argument, not chosen.  Each derivation
-    takes x^u to (u_i + alpha_i) x^u plus shifts by the terms of f, with
-    coefficients affine in u, and distinct shifts give distinct monomials.
+    Five checks run on the smallest exponent sets that decide them, fixed
+    by an argument, not chosen.  Each derivation takes x^u to
+    (u_i + alpha_i) x^u plus shifts by the terms of f, with coefficients
+    affine in u, and distinct shifts give distinct monomials.
     So each residual has, per target monomial, a coefficient of total
     degree at most 2 in the exponent u for ``nabla_squared`` (products of
     two affine factors) and at most 1 for ``homotopy_identity``,
@@ -93,7 +93,13 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
     degree below min(n, 2) for its three twists, and ``split_consistency``
     decides at one fixed lambda.  S_1 leads S_2, so the homotopy check reads
     the first differentials ``nabla_squared`` took, and no form goes through
-    nabla twice.
+    nabla twice.  These four then hold for every Laurent form.  The fifth,
+    ``gamma_chain_map``, takes x^(u', m) with u' in S_1 of the first n - 1
+    coordinates and m in {0, 1, 2}: at fixed m the residual of
+    gamma d_h = tilde_nabla gamma has, per shift, a coefficient affine in
+    u', and gamma d_v = 0 does not involve u' at all, so S_1 decides both
+    for every u' (``hypersurface.check_gamma_chain_map``); m stays sampled,
+    as the rising-factorial weights are not polynomial in m.
 
     The Weyl-side checks sample the d-monomials d^b with b in
     ``principal_lattice(N, d)``: degree at most 2 for ``phi_kills_boxes``
@@ -183,8 +189,9 @@ def run_battery(config: PointConfig, alpha: ParameterVector,
         if cfg_h is not None:
             lam = tuple(Fraction(k + 2, 2 * k + 1) for k in range(N))
             g = hypersurface.build_g(cfg_h, lam)
+            # the comparison map is a chain map, decided at each m by S_1 in u'
             splits = []
-            for u in itertools.product(range(-1, 2), repeat=n - 1):
+            for u in principal_lattice(n - 1, 1):
                 for m in range(0, 3):
                     full = u + (m,)
                     for k in range(n):

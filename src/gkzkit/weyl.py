@@ -89,9 +89,6 @@ class WeylElement:
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return weyl_mul(self, other)
-
     def scale(self, c) -> "WeylElement":
         if type(c) is not int and type(c) is not Fraction:
             c = Fraction(c)

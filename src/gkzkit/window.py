@@ -452,14 +452,19 @@ def quasi_iso_check(small: RankReport, big: RankReport) -> QuasiIsoReport:
     the window, to something supported in the small window.  The windows
     and the echelon of that image come from the reports; only the unit
     vectors of the small window are reduced, in a copy of the row map.
-    Raises ValueError when the bounds differ, a report carries no window,
-    or the supports do not nest.
+    Raises ValueError when the bounds, the parameters or the
+    specializations differ, a report carries no window, or the supports do
+    not nest.
     """
     require_stabilized(small)
     require_stabilized(big)
     bound = big.bound
     if small.bound != bound:
         raise ValueError(f"reports at bounds {small.bound} and {bound} do not compare")
+    if small.alpha != big.alpha:
+        raise ValueError("reports at different parameters do not compare")
+    if small.lam != big.lam:
+        raise ValueError("reports at different specializations do not compare")
     if small.top is None or big.top is None:
         raise ValueError("a report without its window does not compare")
     win_small, _ = small.top

@@ -85,7 +85,7 @@ from gkzkit.derham import (IndexTuple, IntVec, LogForm, _form, clearing_scale,
                            nabla, wedge_insert)
 from gkzkit.errors import PochhammerPoleError, ScalarModeError
 from gkzkit.hypersurface import (SplitForm, UForm, _box, _derivations_by_parts,
-                                 _powers, build_g, d_h, d_v, pochhammer)
+                                 build_g, d_h, d_v, pochhammer)
 from gkzkit.intmat import integer_kernel, matvec
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, normalize_structure, relation_lattice)
@@ -95,6 +95,14 @@ from gkzkit.weyl import (TermKey, WeylElement, euler_operator, lambda_derivative
                          phi_map)
 from gkzkit.linalg import RationalEchelon
 from gkzkit.window import CohomologyWindow, HalfSupport
+
+
+def g_powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
+    """g^0, g^1, ..., g^top."""
+    pows = [LaurentPoly.one(g.n)]
+    for _ in range(top):
+        pows.append(pows[-1] * g)
+    return pows
 
 
 def centered_box(n: int, radius: int) -> list[IntVec]:
@@ -874,7 +882,7 @@ def u_quotient_dim_per_window(alpha: ParameterVector, lam: tuple[Fraction, ...],
     alpha_n = alpha.entries[-1]
     points = win.points
     M = max((pt[-1] for pt in points), default=0)
-    g_pows = _powers(g, M)
+    g_pows = g_powers(g, M)
     nums = [g_pows[M - pt[-1]].shift(pt[:-1]) for pt in points]
     span_ech = RationalEchelon()
     for num in nums:
@@ -919,9 +927,7 @@ def u_quotient_dim(config, alpha, g: LaurentPoly, bound: int) -> int:
     win = CohomologyWindow(config, HalfSupport(config.n), bound)
     points = win.points
     M = max((pt[-1] for pt in points), default=0)
-    g_pows = [LaurentPoly.one(g.n)]
-    for _ in range(M):
-        g_pows.append(g_pows[-1] * g)
+    g_pows = g_powers(g, M)
 
     cache: dict[tuple, dict] = {}
 
@@ -976,7 +982,7 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
 
     # gamma matrix: columns indexed by basis, target keyed by numerator
     # monomials at the common denominator g^{m_bound}
-    g_pows = _powers(g, m_bound)
+    g_pows = g_powers(g, m_bound)
     gamma_cols = []
     for up, m, idx in basis:
         weight = pochhammer(alpha_n, m)
@@ -1212,12 +1218,21 @@ def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
             by_m.setdefault((idx, m), {})[u[:-1]] = weights[m] * c
     ms = [m for _, m in by_m]
     M = max([0, *ms])
-    pows = _powers(g, M - min(ms, default=M))
+    pows = g_powers(g, M - min(ms, default=M))
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for (idx, m), terms in by_m.items():
         num = LaurentPoly._of(g.n, terms)
         _add_scaled(acc.setdefault(idx, {}), num if m == M else num * pows[M - m], 1)
     return UForm(g, _form(g.n, part1.degree, acc, 0), M)
+
+
+def same_form(a: UForm, b: UForm) -> bool:
+    """a and b are one form on the complement of one g: the numerator over
+    the lower power of g, multiplied up to the higher, is the other."""
+    low, high = sorted((a, b), key=lambda w: w.gpow)
+    up = g_powers(a.g, high.gpow - low.gpow)[-1]
+    return a.g == b.g and LogForm(low.num.n, low.num.degree, {
+        idx: p * up for idx, p in low.num.components.items()}) == high.num
 
 
 def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
@@ -1230,7 +1245,7 @@ def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
         if sf.part1.degree < g.n:
             lhs = gamma(alpha, g, d_h(D, sf.part1))
             rhs = tilde_nabla(alpha, g, gamma(alpha, g, sf.part1))
-            if lhs != rhs:
+            if not same_form(lhs, rhs):
                 return False
         if not gamma(alpha, g, d_v(D, sf.part0)).is_zero():
             return False

@@ -110,8 +110,10 @@ def test_criterion_3_rank_across_supports():
                   ParameterVector.of("1/2", "1/3", "1/5"), 4, 27))
     for name, cfg, alpha, bound, expected in cases:
         t0 = time.monotonic()
+        # quasi_iso_check compares reports at one specialization, so both
+        # supports draw theirs from one seed, as gkz rank does
         rep_full = generic_rank(cfg, alpha, FullSupport(cfg.n), bound, seed=101)
-        rep_cone = generic_rank(cfg, alpha, ConeSupport(cfg), bound, seed=202)
+        rep_cone = generic_rank(cfg, alpha, ConeSupport(cfg), bound, seed=101)
         qi = quasi_iso_check(rep_cone, rep_full)
         case_ok = (rep_full.stabilized and rep_cone.stabilized
                    and rep_full.dim == expected and rep_cone.dim == expected

@@ -862,9 +862,15 @@ def test_quasi_iso_rejects_reports_that_do_not_compare():
     cone = top_cohomology_dim(tri, alpha, LAM3, ConeSupport(tri), 3)
     with pytest.raises(ValueError, match="bounds 3 and 4"):
         quasi_iso_check(cone, full)
+    # at one bound, reports at another parameter or specialization are refused
+    cone = changed(cone, bound=4)
+    with pytest.raises(ValueError, match="different parameters"):
+        quasi_iso_check(changed(cone, alpha=alpha.shift((1, 0))), full)
+    with pytest.raises(ValueError, match="different specializations"):
+        quasi_iso_check(changed(cone, lam=tuple(reversed(full.lam))), full)
     unstable = changed(full, dims=(1, 2))
     with pytest.raises(NotStabilizedError) as err:
-        quasi_iso_check(changed(cone, bound=4), unstable)
+        quasi_iso_check(cone, unstable)
     assert err.value.dims == (1, 2)
     # a report built by hand carries no window to compare
     with pytest.raises(ValueError, match="without its window"):

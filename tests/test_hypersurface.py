@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 
 from gkzkit import hypersurface
 from gkzkit.catalog import builtin_alpha, builtin_config
-from gkzkit.derham import (LogForm, clearing_scale, enumerate_monomial_forms,
-                           principal_lattice)
+from gkzkit.derham import (LogForm, _form, clearing_scale, enumerate_monomial_forms,
+                           principal_lattice, wedge_insert)
 from gkzkit.errors import PochhammerPoleError, StructureError
 from gkzkit.hypersurface import (ComplementTables, SplitForm, UForm,
-                                 _derivations_by_parts, build_g,
+                                 _derivations_by_parts, _same_form, build_g,
                                  check_gamma_chain_map, check_split_matches_nabla,
                                  d_h, d_v, gamma, kernel_equals_dv_image,
                                  pochhammer, tilde_nabla)
 from gkzkit.lattice import (ParameterVector, apply_unimodular, find_unimodular_normalizer,
                             normalize_structure, normalized_volume, validate_config)
-from gkzkit.laurent import LaurentPoly, build_f
+from gkzkit.laurent import LaurentPoly, _add_scaled, build_f, toric_derivative
 from gkzkit.linalg import RationalEchelon
 from gkzkit.verify import BatteryReport, CheckResult, run_battery
 from gkzkit.window import (FullSupport, HalfSupport, cohomology_U_dim, random_specialization,
@@ -35,6 +35,7 @@ ALPHA = builtin_alpha("trinomial")
 LAM1 = [Fraction(1), Fraction(1), Fraction(1)]
 LAMR = [Fraction(3, 7), Fraction(5, 11), Fraction(2, 9)]
 PLANE2 = [(0, 1), (1, 1), (-1, 1), (2, 1)]
+PYRAMID = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
 
 
 def loc_mono(g, u, m=0, c=1):
@@ -51,6 +52,11 @@ def g_power(g, k):
     for _ in range(k):
         out = out * g
     return out
+
+
+def same(a: UForm, b: UForm) -> bool:
+    """a and b are one form on the complement of one g (``_same_form``)."""
+    return a.g == b.g and _same_form(a, b, lambda k: g_power(a.g, k))
 
 
 def lowest_terms(omega: UForm) -> dict:
@@ -137,15 +143,15 @@ def test_uform_compares_numerators_at_the_larger_power():
     num = LogForm(1, 1, {(1,): LaurentPoly.monomial((2,), 3) + LaurentPoly.one(1)})
     num_g = LogForm(1, 1, {(1,): num.components[(1,)] * g})
     for m in (-1, 0, 2):
-        assert UForm(g, num_g, m + 1) == UForm(g, num, m)
-        assert UForm(g, num, m) == UForm(g, num_g, m + 1)
-        assert UForm(g, num.mul_monomial((1,)), m) != UForm(g, num, m)
-        assert UForm(g, num, m + 1) != UForm(g, num, m)
+        assert same(UForm(g, num_g, m + 1), UForm(g, num, m))
+        assert same(UForm(g, num, m), UForm(g, num_g, m + 1))
+        assert not same(UForm(g, num.mul_monomial((1,)), m), UForm(g, num, m))
+        assert not same(UForm(g, num, m + 1), UForm(g, num, m))
     # another degree or another g is another form
-    assert UForm(g, LogForm.zero(1, 0), 0) != UForm(g, LogForm.zero(1, 1), 0)
-    assert UForm(build_g(TRI, LAM1), num, 0) != UForm(g, num, 0)
+    assert not same(UForm(g, LogForm.zero(1, 0), 0), UForm(g, LogForm.zero(1, 1), 0))
+    assert not same(UForm(build_g(TRI, LAM1), num, 0), UForm(g, num, 0))
     zero = UForm(g, LogForm.zero(1, 1), 5)
-    assert zero.is_zero() and zero == UForm(g, LogForm.zero(1, 1), 0)
+    assert zero.is_zero() and same(zero, UForm(g, LogForm.zero(1, 1), 0))
     with pytest.raises(ZeroDivisionError, match="zero polynomial"):
         UForm(LaurentPoly.zero(1), num, 0)
     with pytest.raises(ValueError, match="different tori"):
@@ -254,7 +260,7 @@ def test_each_split_check_builds_the_derivations_once(monkeypatch):
     g = build_g(cfg, lam)
     splits = [SplitForm(LogForm.from_monomial(u + (m,), idx, cfg.n),
                         LogForm.from_monomial(u + (m,), idx, cfg.n))
-              for u in itertools.product(range(-1, 2), repeat=cfg.n - 1)
+              for u in principal_lattice(cfg.n - 1, 1)
               for m in range(3) for k in range(cfg.n)
               for idx in itertools.combinations(range(1, cfg.n), k)]
     forms = enumerate_monomial_forms(principal_lattice(cfg.n, 1), range(cfg.n + 1))
@@ -299,9 +305,9 @@ def test_gamma_examples():
     tables = ComplementTables(ALPHA, g)
     a2 = ALPHA.entries[1]
     got = gamma(tables, LogForm.from_monomial((3, 0), (), 2))
-    assert got == u_mono(g, (3,))
+    assert same(got, u_mono(g, (3,)))
     got = gamma(tables, LogForm.from_monomial((3, 1), (), 2))
-    assert got == u_mono(g, (3,), 1, -a2)
+    assert same(got, u_mono(g, (3,), 1, -a2))
     # a negative last exponent multiplies the numerator by g instead
     got = gamma(tables, LogForm.from_monomial((3, -1), (), 2))
     want = LaurentPoly.monomial((3,), -1 / (a2 - 1)) * g
@@ -318,18 +324,29 @@ def test_gamma_examples():
         gamma(tables, LogForm.from_monomial((3, 1), (), 2, nlam=1))
 
 
-def battery_gamma_case(name, alpha=None):
+# the configurations of the verify goldens with last coordinate 1, at their
+# golden parameters
+GOLDEN_COMPLEMENTS = {"trinomial": ALPHA, "gauss": builtin_alpha("gauss"),
+                      "plane2": ParameterVector.of("1/3", "-2/5"),
+                      "pyramid": ParameterVector.of("1/2", "-1/3", "3/7")}
+COMPLEMENT_CONFIGS = {**SPLIT_CONFIGS, "pyramid": validate_config(PYRAMID)}
+
+
+def battery_gamma_case(name, alpha=None, exponents=None):
     """The parameter, g and split samples ``run_battery`` checks the
-    comparison map on, for a configuration of SPLIT_CONFIGS and, by
-    default, its builtin parameter."""
-    config = SPLIT_CONFIGS[name]
+    comparison map on, for a configuration of COMPLEMENT_CONFIGS and, by
+    default, its builtin parameter: x^(u', m) with u' in ``exponents``, by
+    default S_1 = ``principal_lattice(n - 1, 1)``, and m in {0, 1, 2}."""
+    config = COMPLEMENT_CONFIGS[name]
     config, alpha, _ = normalize_structure(
         config, builtin_alpha(name) if alpha is None else alpha)
     n = config.n
+    if exponents is None:
+        exponents = principal_lattice(n - 1, 1)
     g = build_g(config, [Fraction(k + 2, 2 * k + 1) for k in range(config.N)])
     splits = [SplitForm(LogForm.from_monomial(u + (m,), idx, n),
                         LogForm.from_monomial(u + (m,), idx, n))
-              for u in itertools.product(range(-1, 2), repeat=n - 1)
+              for u in exponents
               for m in range(3) for k in range(n)
               for idx in itertools.combinations(range(1, n), k)]
     return alpha, g, splits
@@ -382,6 +399,63 @@ def test_gamma_chain_map_check_matches_the_check_over_q(name, alpha, monkeypatch
         assert not oracles.check_gamma_chain_map(alpha, g, splits)
 
 
+def doubled_u(direction: int):
+    """tilde_nabla with the u-coefficient of one direction i doubled: the
+    extra term scale u_i num h over h^(m+1), 0 at u_i = 0."""
+    def faulty(tables, omega):
+        out = tilde_nabla(tables, omega)
+        acc = {}
+        for idx, num in omega.num.components.items():
+            ins = wedge_insert(direction, idx)
+            if ins is not None:
+                sign, target = ins
+                _add_scaled(acc.setdefault(target, {}),
+                            toric_derivative(direction, num) * tables.h, sign * tables.scale)
+        return UForm(tables.h, out.num + _form(out.num.n, out.num.degree, acc, 0), out.gpow)
+    return faulty
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMPLEMENTS))
+def test_s1_splits_reach_the_verdicts_of_the_box(name):
+    # at each m the residual of gamma d_h = tilde_nabla gamma is affine in
+    # u' and gamma d_v = 0 does not involve u', so the battery's S_1 in u'
+    # reaches the verdict of the box {-1, 0, 1}^(n-1) on the true maps and
+    # on faults that keep that shape: a wrong alpha_i in the derivations by
+    # parts, in each direction i, and a doubled u_i in tilde_nabla
+    alpha = GOLDEN_COMPLEMENTS[name]
+    n = alpha.n
+    alpha, g, linear = battery_gamma_case(name, alpha)
+    _, _, box = battery_gamma_case(name, alpha,
+                                   list(itertools.product(range(-1, 2), repeat=n - 1)))
+    assert (len(linear), len(box)) == ((12, 18) if n == 2 else (36, 108))
+    faults = [(None, 0)] + [("alpha", i) for i in range(1, n + 1)] + [
+        ("u", i) for i in range(1, n)]
+    verdicts = []
+    for kind, direction in faults:
+        with pytest.MonkeyPatch.context() as patch:
+            if kind == "alpha":
+                wrong = alpha.shift(tuple(int(k == direction - 1) for k in range(n)))
+                patch.setattr(hypersurface, "_derivations_by_parts",
+                              lambda alpha, g, scale: _derivations_by_parts(wrong, g, scale))
+            elif kind == "u":
+                patch.setattr(hypersurface, "tilde_nabla", doubled_u(direction))
+            verdict = check_gamma_chain_map(alpha, g, linear)
+            assert verdict == check_gamma_chain_map(alpha, g, box), (kind, direction)
+            verdicts.append(verdict)
+    assert verdicts == [True] + [False] * (len(faults) - 1)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMPLEMENTS))
+def test_one_exponent_misses_the_doubled_u_that_s1_catches(name, monkeypatch):
+    # the doubled u_1 adds a term that vanishes at u' = 0: {0}^(n-1) passes
+    # it, and S_1 = {0, e_1, ..., e_(n-1)} fails it
+    alpha, g, linear = battery_gamma_case(name, GOLDEN_COMPLEMENTS[name])
+    _, _, origin = battery_gamma_case(name, alpha, [(0,) * (alpha.n - 1)])
+    monkeypatch.setattr(hypersurface, "tilde_nabla", doubled_u(1))
+    assert check_gamma_chain_map(alpha, g, origin)
+    assert not check_gamma_chain_map(alpha, g, linear)
+
+
 def test_complement_tables_write_the_unscaled_forms_over_h():
     # gamma and the differential over h = L g with integer coefficients are
     # the unscaled forms over g, the differential multiplied by L
@@ -394,11 +468,11 @@ def test_complement_tables_write_the_unscaled_forms_over_h():
         assert all(type(c) is int for p in got.num.components.values()
                    for c in p.terms.values())
         # num / h^M is num / (L^M g^M)
-        assert UForm(g, got.num.scale(Fraction(1, L ** got.gpow)), got.gpow) == want
+        assert same(UForm(g, got.num.scale(Fraction(1, L ** got.gpow)), got.gpow), want)
         d_got = tilde_nabla(tables, got)
         d_want = oracles.tilde_nabla(alpha, g, want).num.scale(L)
-        assert UForm(g, d_got.num.scale(Fraction(1, L ** d_got.gpow)), d_got.gpow) \
-            == UForm(g, d_want, want.gpow + 1)
+        assert same(UForm(g, d_got.num.scale(Fraction(1, L ** d_got.gpow)), d_got.gpow),
+                    UForm(g, d_want, want.gpow + 1))
 
 
 def test_gamma_chain_map_check_sees_a_vertical_image_gamma_keeps():
@@ -479,7 +553,7 @@ def test_gamma_and_tilde_nabla_match_the_per_monomial_oracles(case):
     assert lowest_terms(d_got) == d_want
     # the oracle's lowest terms over one power of g are the same form
     d_same = over_one_power(g, d_got.num.degree, d_want)
-    assert d_same == d_got
+    assert same(d_same, d_got)
     dd = tilde_nabla(tables, d_same)
     assert lowest_terms(dd) == tilde_nabla_per_piece(alpha, g, d_want) == {}
     assert tilde_nabla(tables, d_got).is_zero()
@@ -559,20 +633,20 @@ def _proportional(a: dict, b: dict) -> bool:
 @given(gamma_kernel_cases())
 def test_integer_gamma_kernel_matches_the_rational_oracle(case):
     # each gamma column, without its rising-factorial weight and over the
-    # integer multiple of g, and each vertical row cleared of denominators
-    # is a nonzero multiple of the rational one, so the verdict is the same.
-    # The verdict alone reads True on every case here, so the vectors are
-    # compared one by one, against the oracle's block of degree 0
+    # integer multiple of g, is a nonzero multiple of the rational one, so
+    # the kernel dimension is the same.  The verdict alone reads True on
+    # every case here, so the columns are compared one by one, against the
+    # oracle's block of degree 0; the package builds no echelon of the
+    # vertical rows (test_one_index_block_decides_every_gamma_kernel_degree)
     alpha, g, u_bound, m_bound = case
-    got, ours = _inserted(hypersurface, kernel_equals_dv_image, *case)
-    want, (columns, rows) = _inserted(oracles, kernel_equals_dv_image_over_q,
-                                      alpha, g, 0, u_bound, m_bound)
+    got, (ours,) = _inserted(hypersurface, kernel_equals_dv_image, *case)
+    want, (columns, _) = _inserted(oracles, kernel_equals_dv_image_over_q,
+                                   alpha, g, 0, u_bound, m_bound)
     assert got == want
-    # the oracle keys every vector by the empty index tuple as well
-    theirs = [[{w: c for (w, _), c in vec.items()} for vec in columns],
-              [{key[:-1]: c for key, c in vec.items()} for vec in rows]]
-    assert [len(vectors) for vectors in ours] == [len(vectors) for vectors in theirs]
-    pairs = list(zip(itertools.chain(*ours), itertools.chain(*theirs)))
+    # the oracle keys every column by the empty index tuple as well
+    theirs = [{w: c for (w, _), c in vec.items()} for vec in columns]
+    assert len(ours) == len(theirs)
+    pairs = list(zip(ours, theirs))
     assert all(_proportional(a, b) for a, b in pairs)
     assert all(type(c) is int for vec, _ in pairs for c in vec.values())
 
@@ -589,13 +663,16 @@ def _rank(vectors) -> int:
 def test_one_index_block_decides_every_gamma_kernel_degree(case):
     # the package builds the gamma kernel's one block only: at each degree k
     # the oracle's kernel dimension and vertical rank are C(n', k) times
-    # those of the one block at k = 0
+    # those of the one block at k = 0.  Each vertical generator has its own
+    # nonzero entry at (u', m) and the rest at level m + 1, so the oracle's
+    # rows rank as their count, which the package reads in place of a rank
     alpha, g, u_bound, m_bound = case
     dims = []
     for k in range(g.n + 1):
         verdict, (columns, rows) = _inserted(oracles, kernel_equals_dv_image_over_q,
                                              alpha, g, k, u_bound, m_bound)
-        dims.append((len(columns) - _rank(columns), _rank(rows), verdict))
+        assert _rank(rows) == len(rows)
+        dims.append((len(columns) - _rank(columns), len(rows), verdict))
     ker0, rank0, verdict0 = dims[0]
     assert dims == [(math.comb(g.n, k) * ker0, math.comb(g.n, k) * rank0, verdict0)
                     for k in range(g.n + 1)]
@@ -617,8 +694,8 @@ def twist_iso_U_check(alpha, u, g, samples) -> bool:
     the last parameter entry in cohomology_U_dim."""
     factor = (LaurentPoly.monomial(u[:-1]), u[-1])
     shifted, tables = ComplementTables(alpha.shift(u), g), ComplementTables(alpha, g)
-    return all(times(factor, tilde_nabla(shifted, omega))
-               == tilde_nabla(tables, times(factor, omega)) for omega in samples)
+    return all(same(times(factor, tilde_nabla(shifted, omega)),
+                    tilde_nabla(tables, times(factor, omega))) for omega in samples)
 
 
 def test_twist_iso_U():
@@ -633,7 +710,7 @@ def test_twist_iso_U():
     one = u_mono(g, (0,))
     for inverse in ((LaurentPoly.monomial((-2,)), -1),
                     (LaurentPoly.monomial((-2,)) * g, 0)):
-        assert times(inverse, times(factor, one)) == one
+        assert same(times(inverse, times(factor, one)), one)
 
 
 def test_structure_normalization():

@@ -9,7 +9,10 @@ from math import factorial, isqrt, prod
 import pytest
 
 from gkzkit.catalog import BUILTIN_POINTS, builtin_alpha, builtin_config
-from gkzkit.errors import NotGeneratingError, ResonantError, SkippedPrimeError
+from gkzkit import modp
+from gkzkit.cli import main
+from gkzkit.errors import (NotGeneratingError, RankConsistencyError, ResonantError,
+                           SkippedPrimeError)
 from gkzkit.intmat import matvec
 from gkzkit.lattice import (ParameterVector, apply_unimodular, normalized_volume,
                             relation_lattice, validate_config)
@@ -489,3 +492,15 @@ def test_dimension_never_exceeds_rank():
         rep = full_set_sweep(cfg, pv, [3, 5, 7])
         for r in rep.primes:
             assert r.dim <= rep.rank
+
+
+def test_a_dimension_above_the_rank_is_a_hard_failure(monkeypatch, capsys):
+    # a rank of 0 on trinomial, which no prime's dimension stays within: the
+    # sweep raises, and gkz modp exits 1 with the message and no traceback
+    monkeypatch.setattr(modp, "normalized_volume", lambda config: 0)
+    with pytest.raises(RankConsistencyError, match="exceeds rank 0 at p=7"):
+        full_set_sweep(builtin_config("trinomial"), builtin_alpha("trinomial"), [7, 11])
+    code = main(["modp", "--config", "trinomial", "--alpha", "1/3,1/5", "--primes", "7,11"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "exceeds rank" in captured.err and "Traceback" not in captured.err
