@@ -6,19 +6,34 @@ embeds its seed.  Rerunning a job with the same arguments reproduces
 byte-identical output.  Exit codes: 0 success, 1 identity-check failure, a
 generic rank that is not the normalized volume (on Z^n and U0 at any
 parameter, on U at a nonresonant one) or a mod-p dimension above it, 2 invalid
-configuration or arguments, 3 dimension not stabilized (``rank`` only), 4
-resonant parameter where nonresonance is required.
+configuration or arguments, or a report that cannot be written (to stdout or
+to ``--out``; stderr reads ``cannot write the report: ...``), 3 dimension not
+stabilized (``rank`` only), 4 resonant parameter where nonresonance is
+required.
 
 Each ``cmd_*`` imports the modules it runs, so a process loads only the
 code of its subcommand; the module scope holds what ``analyze`` and the
 error handling of ``main`` need.
+
+A ``gkz`` process, the installed script or ``python -m gkzkit.cli``, runs
+``entry``: ``main``, then a flush of stdout and stderr, then ``os._exit``.
+The interpreter's teardown would free every object of a process that is
+about to end, at a cost of the order of a short job's own computation
+(mypy's ``util.hard_exit`` skips it for the same reason).  ``main`` returns
+its exit code and never ends the process, because its callers in the same
+process, the tests and the benchmark's tracer, go on after it.  A
+``SystemExit`` from argparse and any uncaught exception leave ``entry``
+before the hard exit; a process under a tracer or profiler, which writes
+its results at exit, ends through ``sys.exit``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import NoReturn
 
 from . import __version__
 from .catalog import BUILTIN_POINTS, builtin_alpha, builtin_config, builtin_names
@@ -62,13 +77,28 @@ def _parse_alpha_arg(text: str | None):
     return parse_alpha([part.strip() for part in text.split(",") if part.strip()])
 
 
+class ReportWriteError(Exception):
+    """The report could not be written; its message is the OSError's."""
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
+    """Write the report and flush it, so that no report bytes wait for exit."""
     text = dump_json(payload)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out_path:
+            # the bytes left in the buffer would fail every later flush, the
+            # one at exit included: stdout now discards them
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ReportWriteError(exc) from exc
 
 
 def _job_block(args, config, config_label: str) -> dict:
@@ -282,6 +312,9 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "modp":
             return cmd_modp(args)
+    except ReportWriteError as exc:
+        sys.stderr.write(f"cannot write the report: {exc}\n")
+        return EXIT_BAD_CONFIG
     except (NotGeneratingError, DuplicatePointError, StructureError) as exc:
         sys.stderr.write(f"invalid configuration: {exc}\n")
         return EXIT_BAD_CONFIG
@@ -295,5 +328,24 @@ def main(argv=None) -> int:
     return EXIT_BAD_CONFIG
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler watches this process."""
+    monitoring = getattr(sys, "monitoring", None)     # Python 3.12 and later
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            # sys.monitoring has the tool ids 0 to 5
+            or (monitoring is not None
+                and any(monitoring.get_tool(tool) is not None for tool in range(6))))
+
+
+def entry(argv=None) -> NoReturn:
+    """Run ``main`` and end the process with its exit code, without teardown."""
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

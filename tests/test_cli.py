@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import pstats
 import re
 import subprocess
 import sys
@@ -38,8 +39,16 @@ def test_analyze_builtin(capsys):
     assert report["job"]["version"]
 
 
+# the jobs of the exit-code tests below that run on the unpatched code
+NOT_GENERATING_JOB = ["analyze", "--config", '{"points": [[2]]}']
+PERTURBED_JOB = ["verify", "--config", "cusp", "--perturb-beta"]
+NOT_STABILIZED_JOB = ["rank", "--config", "trinomial", "--alpha", "0,2", "--supports", "zn",
+                      "--hypersurface", "--lambda", "3/7,5/11,2/9", "--bound", "4"]
+MODP_RESONANT_JOB = ["modp", "--config", "single", "--alpha", "3", "--primes", "3,5"]
+
+
 def test_analyze_invalid_config_exits_2(capsys):
-    code = main(["analyze", "--config", '{"points": [[2]]}'])
+    code = main(NOT_GENERATING_JOB)
     assert code == 2
     err = capsys.readouterr().err
     assert "index 2" in err
@@ -106,9 +115,7 @@ def test_rank_not_stabilized_exits_3(monkeypatch, capsys):
 def test_rank_not_stabilized_names_the_complex(capsys):
     # Z^n reads (3, 3) at this lambda and the complement (2, 3): the error
     # block names U, the complex that failed
-    code, report = run(capsys, "rank", "--config", "trinomial", "--alpha", "0,2",
-                       "--supports", "zn", "--hypersurface", "--lambda", "3/7,5/11,2/9",
-                       "--bound", "4")
+    code, report = run(capsys, *NOT_STABILIZED_JOB)
     assert code == 3
     assert report["result"]["error"] == {"kind": "NotStabilized", "complex": "U",
                                          "dims": [2, 3], "bound": 4}
@@ -418,7 +425,7 @@ def test_verify_single_config(capsys):
 
 
 def test_verify_perturbed_beta_fails(capsys):
-    code, report = run(capsys, "verify", "--config", "cusp", "--perturb-beta")
+    code, report = run(capsys, *PERTURBED_JOB)
     assert code == 1
     battery = report["result"]["batteries"][0]
     failing = [c for c in battery["checks"] if not c["ok"]]
@@ -655,8 +662,7 @@ def test_cli_contract_under_fuzzing(argv):
 
 
 def test_modp_resonant_exits_4(capsys):
-    code, report = run(capsys, "modp", "--config", "single", "--alpha", "3",
-                       "--primes", "3,5")
+    code, report = run(capsys, *MODP_RESONANT_JOB)
     assert code == 4
     assert report["result"]["error"]["kind"] == "Resonant"
 
@@ -758,3 +764,104 @@ def test_readme_library_sketch_runs():
     proc = run_fresh(sketch.group(1))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:2] == ["2", "True"]
+
+
+def test_a_report_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main([*TRINOMIAL_JOB, "--out", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (f"cannot write the report: [Errno 2] No such file or "
+                            f"directory: {str(path)!r}\n")
+
+
+# one job for each exit code, 0 to 4, from the tests above
+EXIT_CODE_JOBS = [TRINOMIAL_JOB, PERTURBED_JOB, NOT_GENERATING_JOB, NOT_STABILIZED_JOB,
+                  MODP_RESONANT_JOB]
+# main in a process that ends with the interpreter's teardown
+MAIN_THEN_EXIT = "import sys\nfrom gkzkit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+PROCESS_STARTS = [
+    # python -m gkzkit.cli, which skips the teardown
+    ["-m", "gkzkit.cli"],
+    # main, then the teardown, which still reports what the hard exit would
+    # hide: a file left open (a ResourceWarning under -X dev) or an object
+    # that fails to finalize
+    ["-X", "dev", "-W", "error", "-c", MAIN_THEN_EXIT],
+]
+
+
+def run_python(*args: str, cwd=None, stdout=subprocess.PIPE,
+               **env: str) -> subprocess.CompletedProcess:
+    """Run Python on the package sources in a new interpreter; bytes out."""
+    environ = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    environ.pop("PYTHONUNBUFFERED", None)
+    environ.update(env)
+    return subprocess.run([sys.executable, *args], env=environ, cwd=cwd, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=300)
+
+
+@pytest.mark.parametrize("start", PROCESS_STARTS)
+@pytest.mark.parametrize("code, argv", enumerate(EXIT_CODE_JOBS))
+def test_a_gkz_process_prints_what_main_prints(capsys, start, code, argv):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    proc = run_python(*start, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out.encode(), captured.err.encode())
+
+
+@pytest.mark.parametrize("start", PROCESS_STARTS)
+def test_a_gkz_process_writes_the_whole_report_file(capsys, tmp_path, start):
+    assert main(TRINOMIAL_JOB) == 0
+    expected = capsys.readouterr().out
+    proc = run_python(*start, *TRINOMIAL_JOB, "--out", "report.json", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("start", [
+    # the installed gkz script
+    "from gkzkit.cli import entry; entry()",
+    # python -m gkzkit.cli
+    "import runpy; runpy.run_module('gkzkit.cli', run_name='__main__')",
+])
+def test_a_gkz_process_ends_without_teardown(start):
+    # an atexit handler runs in the teardown that the process skips
+    code = "import atexit, sys; atexit.register(print, 'teardown', file=sys.stderr)\n"
+    proc = run_python("-c", code + start, "analyze", "--config", "single")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["result"]["n"] == 1
+
+
+def test_a_profiled_gkz_process_keeps_its_profile(tmp_path):
+    # a profiler writes its results at exit, so that process is not cut short
+    proc = run_python("-m", "cProfile", "-o", "gkz.prof", "-m", "gkzkit.cli",
+                      "analyze", "--config", "single", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    stats = pstats.Stats(str(tmp_path / "gkz.prof"))
+    assert any(path.endswith("cli.py") for path, _, _ in stats.stats)
+
+
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}])
+@pytest.mark.parametrize("start", [["-m", "gkzkit.cli"], ["-c", MAIN_THEN_EXIT]])
+def test_a_report_that_cannot_be_written_exits_2(start, unbuffered):
+    # stdout is a pipe whose reading end is closed: the report fails in the
+    # write or in the flush, with buffered or unbuffered stdout, and neither
+    # the hard exit nor the teardown tries it again
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python(*start, "verify", "--config", "gauss", stdout=write,
+                          **unbuffered)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (
+        2, b"cannot write the report: [Errno 32] Broken pipe\n")
+
+
+def test_the_gkz_script_ends_through_entry():
+    # read as text: Python 3.10 has no tomllib
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert re.findall(r'^gkz\s*=\s*"(.*)"$', scripts.group(1), re.M) == [
+        "gkzkit.cli:entry"]
