@@ -34,8 +34,8 @@ _EXPORTS = {
              "check_phi_intertwines", "euler_operator", "phi_map", "weyl_mul"),
     "derham": ("LogForm", "check_complex", "homotopy_identity_check", "nabla",
                "twist_conjugation_check"),
-    "hypersurface": ("SplitForm", "UForm", "build_g", "check_gamma_chain_map", "gamma",
-                     "kernel_equals_dv_image", "pochhammer", "tilde_nabla"),
+    "hypersurface": ("UForm", "build_g", "check_gamma_chain_map", "gamma",
+                     "kernel_equals_dv_image", "tilde_nabla"),
     "modp": ("ModpInstance", "ModpReport", "full_set_sweep", "make_instance",
              "modp_solution_dim", "solution_support"),
 }

@@ -84,6 +84,8 @@ class ReportWriteError(Exception):
 def _emit(payload: dict, out_path: str | None) -> None:
     """Write the report and flush it, so that no report bytes wait for exit."""
     text = dump_json(payload)
+    if not out_path and sys.stdout is None:     # fd 1 was not open at start-up
+        raise ReportWriteError("stdout is closed")
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -300,6 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(message: str) -> None:
+    """One line on stderr, unless stderr is closed (sys.stderr is None)."""
+    if sys.stderr is not None:
+        sys.stderr.write(message + "\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -313,16 +321,16 @@ def main(argv=None) -> int:
         if args.command == "modp":
             return cmd_modp(args)
     except ReportWriteError as exc:
-        sys.stderr.write(f"cannot write the report: {exc}\n")
+        _say(f"cannot write the report: {exc}")
         return EXIT_BAD_CONFIG
     except (NotGeneratingError, DuplicatePointError, StructureError) as exc:
-        sys.stderr.write(f"invalid configuration: {exc}\n")
+        _say(f"invalid configuration: {exc}")
         return EXIT_BAD_CONFIG
     except (ValueError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"bad input: {exc}\n")
+        _say(f"bad input: {exc}")
         return EXIT_BAD_CONFIG
     except GkzError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        _say(f"error: {exc}")
         return EXIT_CHECK_FAILED
     parser.error("unknown command")
     return EXIT_BAD_CONFIG
@@ -340,8 +348,8 @@ def _observed() -> bool:
 def entry(argv=None) -> NoReturn:
     """Run ``main`` and end the process with its exit code, without teardown."""
     code = main(argv)
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in filter(None, (sys.stdout, sys.stderr)):     # None if closed
+        stream.flush()
     if _observed():
         sys.exit(code)
     os._exit(code)

@@ -3,12 +3,13 @@
 When every point of the configuration has last coordinate 1, the defining
 polynomial factors as x_n times a Laurent polynomial g in the first n-1
 variables (``build_g``).  This module houses the twisted complex on the
-complement of g = 0 in the (n-1)-torus, the two-row double complex that
-splits logarithmic forms by their dx_n/x_n part, and the comparison chain
-map weighted by rising factorials of the last parameter entry, with the
-identity-battery checks on them; the truncated dimension of the top
-cohomology on the complement is ``window.cohomology_U_dim``.  A form on the
-complement is one numerator form over one power of g, not reduced
+complement of g = 0 in the (n-1)-torus, the two rows that split
+logarithmic forms by their dx_n/x_n part, and the comparison chain map
+weighted by rising factorials of the last parameter entry, with the
+identity-battery checks on them.  The map is defined on last exponents
+m >= 0 only: the half space x_n >= 0 that ``window.cohomology_U_dim``, the
+truncated dimension of the top cohomology on the complement, reads.  A form
+on the complement is one numerator form over one power of g, not reduced
 (``UForm``).
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .derham import LogForm, _form, clearing_scale, nabla, wedge_insert
 from .errors import PochhammerPoleError
@@ -44,49 +45,19 @@ def build_g(config: PointConfig, lam: Sequence) -> LaurentPoly:
     return LaurentPoly._of(config.n - 1, {u[:-1]: c for u, c in f.terms.items()})
 
 
-def pochhammer(a: Fraction, m: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+m-1); for negative m the reciprocal
-    falling product 1/((a-1)(a-2)...(a+m))."""
-    a = Fraction(a)
-    if m >= 0:
-        out = Fraction(1)
-        for k in range(m):
-            out *= a + k
-        return out
-    out = Fraction(1)
-    for k in range(1, -m + 1):
-        factor = a - k
-        if factor == 0:
-            raise PochhammerPoleError(
-                f"rising factorial undefined: {a} - {k} vanishes")
-        out *= factor
-    return Fraction(1) / out
-
-
-class UForm:
+class UForm(NamedTuple):
     """A form on the complement of g = 0: num / g^gpow, with num a
-    logarithmic form in the first n-1 variables.
+    logarithmic form in the first n-1 variables and g held by the
+    ``ComplementTables`` of the map that made it.
 
     The pair is kept over one power of g, not reduced: no factor of g is
     divided out, and gpow may be any integer.  Laurent polynomials have no
     zero divisors, so two pairs are equal exactly when their numerators agree
     once both are multiplied up to the larger power (``_same_form``), and a
-    pair is zero exactly when its numerator is.
-    """
+    pair is zero exactly when its numerator is."""
 
-    __slots__ = ("g", "num", "gpow")
-
-    def __init__(self, g: LaurentPoly, num: LogForm, gpow: int):
-        if g.is_zero():
-            raise ZeroDivisionError("localization at the zero polynomial")
-        if num.n != g.n:
-            raise ValueError("numerator and g live on different tori")
-        self.g = g
-        self.num = num
-        self.gpow = gpow
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    num: LogForm
+    gpow: int
 
 
 def _same_form(a: UForm, b: UForm, power: Callable[[int], LaurentPoly]) -> bool:
@@ -107,24 +78,24 @@ class ComplementTables:
     last exponent and, per direction i, scale alpha_i and x_i dh/dx_i.
 
     Over h, num / g^m is scale^m num / h^m, so the comparison map weights a
-    monomial with last exponent m by (-1)^m (alpha_n)_m scale^m over h^m;
-    and as dh/h = dg/g, the differential of num / h^m is the quotient-rule
-    formula with h in place of g.  ``gamma`` and ``tilde_nabla`` take these
-    tables alone: read off them, ``gamma`` gives the form the unscaled map
-    gives and ``tilde_nabla`` scale times it, each written over powers of
-    h; with scale 1, h is g."""
+    monomial with last exponent m >= 0 by (-1)^m (alpha_n)_m scale^m over
+    h^m; as dh/h = dg/g, the differential of num / h^m is the quotient rule
+    with h for g.  Read off these tables alone, ``gamma`` gives the form the
+    unscaled map gives and ``tilde_nabla`` scale times it, each over powers
+    of h; with scale 1, h is g."""
 
-    __slots__ = ("alpha", "scale", "h", "pows", "weights", "directions", "last")
+    __slots__ = ("scale", "h", "pows", "weights", "directions", "last")
 
     def __init__(self, alpha: ParameterVector, g: LaurentPoly, scale: int = 1):
+        if g.is_zero():
+            raise ZeroDivisionError("localization at the zero polynomial")
         if alpha.n != g.n + 1:
             raise ValueError("parameter must have one more entry than g has variables")
-        self.alpha = alpha
         self.scale = scale
         h = self.h = LaurentPoly._of(g.n, {u: int_if_integral(c * scale)
                                            for u, c in g.terms.items()})
         self.pows = [LaurentPoly.one(g.n), h]
-        self.weights: dict[int, Fraction] = {}
+        self.weights: list[int | Fraction] = [1]
         self.directions = [(int_if_integral(a * scale), toric_derivative(i, h))
                            for i, a in zip(range(1, g.n + 1), alpha.entries)]
         self.last = int_if_integral(alpha.entries[-1] * scale)
@@ -136,12 +107,16 @@ class ComplementTables:
             pows.append(pows[-1] * self.h)
         return pows[k]
 
-    def weight(self, m: int) -> Fraction:
-        """(-1)^m (alpha_n)_m scale^m."""
-        if m not in self.weights:
-            w = pochhammer(self.alpha.entries[-1], m) * Fraction(self.scale) ** m
-            self.weights[m] = int_if_integral(-w if m % 2 else w)
-        return self.weights[m]
+    def weight(self, m: int) -> int | Fraction:
+        """(-1)^m (alpha_n)_m scale^m, for the m >= 0 ``gamma`` is defined on.
+        As (alpha_n)_(m+1) = (alpha_n)_m (alpha_n + m), the weight of m + 1
+        is minus that of m times ``last`` + scale m; ints if ``last`` is one,
+        else non-integral Fractions past m = 0."""
+        weights = self.weights
+        while len(weights) <= m:
+            k = len(weights) - 1
+            weights.append(-weights[-1] * (self.last + self.scale * k))
+        return weights[m]
 
 
 def tilde_nabla(tables: ComplementTables, omega: UForm) -> UForm:
@@ -158,7 +133,7 @@ def tilde_nabla(tables: ComplementTables, omega: UForm) -> UForm:
     nprime = h.n
     degree = omega.num.degree
     if degree == nprime:
-        return UForm(h, LogForm.zero(nprime, nprime), 0)
+        return UForm(LogForm.zero(nprime, nprime), 0)
     m = omega.gpow
     s = tables.scale
     # scale (m + alpha_n), the factor of num x_i dh/dx_i
@@ -175,29 +150,14 @@ def tilde_nabla(tables: ComplementTables, omega: UForm) -> UForm:
                                              for u, c in num.terms.items()})
             piece = d_num * h + (num * dh).scalar_mul(-s_m)
             _add_scaled(acc.setdefault(target, {}), piece, sign)
-    return UForm(h, _form(nprime, degree + 1, acc, 0), m + 1)
+    return UForm(_form(nprime, degree + 1, acc, 0), m + 1)
 
 
-class SplitForm:
-    """Pair of logarithmic forms over the full torus with indices drawn from
-    the first n-1 variables; part1 carries an implicit trailing dx_n/x_n."""
-
-    __slots__ = ("part0", "part1")
-
-    def __init__(self, part0: LogForm, part1: LogForm):
-        n = part0.n
-        if part1.n != n:
-            raise ValueError("parts live on different tori")
-        for part in (part0, part1):
-            for idx in part.components:
-                if any(i >= n for i in idx):
-                    raise ValueError("split index tuples must avoid the last variable")
-        self.part0 = part0
-        self.part1 = part1
-
-
-def split(form: LogForm) -> SplitForm:
-    """Separate components by the trailing last index, which part1 drops."""
+def split(form: LogForm) -> tuple[LogForm, LogForm]:
+    """The rows (part0, part1) of a form on the full torus: part1 carries an
+    implicit trailing dx_n/x_n, which the components with the last index
+    drop.  ``gamma`` takes part1 on the half space m >= 0 of last exponents
+    that ``window.cohomology_U_dim`` reads, and refuses it elsewhere."""
     n = form.n
     comp0: dict[IndexTuple, LaurentPoly] = {}
     comp1: dict[IndexTuple, LaurentPoly] = {}
@@ -206,9 +166,8 @@ def split(form: LogForm) -> SplitForm:
             comp1[idx[:-1]] = poly
         else:
             comp0[idx] = poly
-    deg1 = form.degree - 1 if form.degree > 0 else 0
-    return SplitForm(LogForm(n, form.degree, comp0, form.nlam),
-                     LogForm(n, deg1, comp1, form.nlam))
+    return (LogForm(n, form.degree, comp0, form.nlam),
+            LogForm(n, max(form.degree - 1, 0), comp1, form.nlam))
 
 
 def _derivations_by_parts(alpha: ParameterVector, g: LaurentPoly,
@@ -271,15 +230,13 @@ def check_split_matches_nabla(config: PointConfig, alpha: ParameterVector,
     dd = TwistedDerivations(alpha, f, clearing_scale(alpha, f))
     D = _derivations_by_parts(alpha, build_g(config, lam), dd.scale)
     for form in samples:
-        sp = split(form)
-        spn = split(nabla(dd, form))
-        want0 = d_h(D, sp.part0)
-        want1 = d_v(D, sp.part0)
-        if sp.part1.components:
-            want1 = want1 + d_h(D, sp.part1)
-        if spn.part0.components != want0.components:
-            return False
-        if spn.part1.components != want1.components:
+        part0, part1 = split(form)
+        image0, image1 = split(nabla(dd, form))
+        want1 = d_v(D, part0)
+        if part1.components:
+            want1 = want1 + d_h(D, part1)
+        if (image0.components != d_h(D, part0).components
+                or image1.components != want1.components):
             return False
     return True
 
@@ -288,10 +245,10 @@ def gamma(tables: ComplementTables, part1: LogForm) -> UForm:
     """Comparison map dropping the trailing dx_n/x_n.
 
     A monomial with last exponent m maps to its first n-1 coordinates over
-    g^m, weighted by (-1)^m times the rising factorial of the last parameter
-    entry; negative m uses the reciprocal convention and requires the last
-    parameter entry to avoid the corresponding poles.  Every term is put
-    over g^M, M the larger of 0 and the largest last exponent, as one
+    g^m, weighted by (-1)^m (alpha_n)_m, the rising factorial of the last
+    parameter entry: for m >= 0 only, the half space x_n >= 0 that
+    ``window.cohomology_U_dim`` reads, so a negative m is refused.  Every
+    term is put over g^M, M the largest last exponent or 0, as one
     numerator, not reduced.  With the ``tables`` of (alpha, g, scale), the
     image is the same form written over h^M, h = scale g.
     """
@@ -301,34 +258,35 @@ def gamma(tables: ComplementTables, part1: LogForm) -> UForm:
     for idx, xi in part1.components.items():
         for u, c in xi.terms.items():
             m = u[-1]
+            if m < 0:
+                raise ValueError(f"comparison map needs last exponents >= 0, not {m}")
             by_m.setdefault((idx, m), {})[u[:-1]] = tables.weight(m) * c
-    M = max([0, *(m for _, m in by_m)])
+    M = max((m for _, m in by_m), default=0)
     nprime = tables.h.n
     acc: dict[IndexTuple, dict[IntVec, Fraction]] = {}
     for (idx, m), terms in by_m.items():
         num = LaurentPoly._of(nprime, terms)
         _add_scaled(acc.setdefault(idx, {}),
                     num if m == M else num * tables.power(M - m), 1)
-    return UForm(tables.h, _form(nprime, part1.degree, acc, 0), M)
+    return UForm(_form(nprime, part1.degree, acc, 0), M)
 
 
 def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
-                          samples: Sequence[SplitForm]) -> bool:
+                          samples: Sequence[LogForm]) -> bool:
     """The comparison map intertwines the boundaries and kills the vertical
     image: gamma(d_h w) = tilde_nabla(gamma(w)) on the dx_n/x_n row and
-    gamma(d_v v) = 0 for the other row.
+    gamma(d_v v) = 0 for the other row, each sample taken as w and as v; a
+    sample with the last variable in an index tuple is refused.
 
     Both identities are checked scaled by L = ``clearing_scale(alpha, g)``,
     the lcm of the denominators of alpha and of g, with every form written
     over powers of h = L g (``ComplementTables``): gamma(L d_h w) =
-    L tilde_nabla(gamma(w)) and gamma(L d_v v) = 0.  Every map is linear,
-    so each scaled side is L times the unscaled one, and as L is nonzero
-    the scaled identities hold exactly when the unscaled ones do; writing a
-    form over h instead of g does not change the form.  With alpha_n = a/e,
-    e divides L, so the weight (-1)^m (alpha_n)_m L^m of a last exponent
-    m >= 0 is the integer (-1)^m (a)(a + e)...(a + (m-1) e) (L/e)^m; the
-    boundaries scaled by L and h are integral too, so on integer samples
-    with last exponents m >= 0 every coefficient is an integer.
+    L tilde_nabla(gamma(w)) and gamma(L d_v v) = 0.  Every map is linear and
+    L is nonzero, so these hold exactly when the unscaled identities do.
+    With alpha_n = a/e, e divides L, so the weight (-1)^m (alpha_n)_m L^m is
+    the integer (-1)^m (a)(a + e)...(a + (m-1) e) (L/e)^m; the boundaries
+    scaled by L and h are integral too, so on integer samples every
+    coefficient is an integer.
 
     On x^(u', m) dx_I, for a fixed m >= 0, both sides of the first identity
     are one numerator over g^(m+1): d_h weights x^(u', m) by u_i + alpha_i
@@ -344,19 +302,17 @@ def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
     """
     tables = ComplementTables(alpha, g, clearing_scale(alpha, g))
     D = _derivations_by_parts(alpha, g, tables.scale)
-    for sf in samples:
-        if sf.part1.degree < g.n:
-            lhs = gamma(tables, d_h(D, sf.part1))
-            rhs = tilde_nabla(tables, gamma(tables, sf.part1))
+    for form in samples:
+        if any(i >= form.n for idx in form.components for i in idx):
+            raise ValueError("sample index tuples must avoid the last variable")
+        if form.degree < g.n:
+            lhs = gamma(tables, d_h(D, form))
+            rhs = tilde_nabla(tables, gamma(tables, form))
             if not _same_form(lhs, rhs, tables.power):
                 return False
-        if not gamma(tables, d_v(D, sf.part0)).is_zero():
+        if not gamma(tables, d_v(D, form)).num.is_zero():
             return False
     return True
-
-
-def _box(nprime: int, bound: int):
-    return itertools.product(range(-bound, bound + 1), repeat=nprime)
 
 
 def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
@@ -392,10 +348,9 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
     if alpha_n.denominator == 1 and alpha_n <= 0:
         raise PochhammerPoleError(
             "last parameter entry is a nonpositive integer")
-    nprime = g.n
     tables = ComplementTables(alpha, g, clearing_scale(alpha, g))
-
-    basis = [(up, m) for up in _box(nprime, u_bound) for m in range(m_bound + 1)]
+    box = list(itertools.product(range(-u_bound, u_bound + 1), repeat=g.n))
+    basis = [(up, m) for up in box for m in range(m_bound + 1)]
 
     # gamma matrix: columns indexed by basis, target keyed by numerator
     # monomials at the common denominator h^{m_bound}
@@ -408,7 +363,7 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly,
     # vertical-image generators confined to the window: the numerator box
     # eroded by the support of g, so every image term stays inside; m_bound
     # of them per u', all independent
-    eroded = [up for up in _box(nprime, u_bound)
+    eroded = [up for up in box
               if all(max(abs(a + b) for a, b in zip(up, w)) <= u_bound
                      for w in g.terms)]
     return ker_dim == len(eroded) * m_bound

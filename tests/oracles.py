@@ -69,7 +69,9 @@ replaced it:
   powers of g, the rising factorials and the derivatives of g on every
   call, for gkzkit.hypersurface.ComplementTables, which builds them once
   per check, and gkzkit.hypersurface.check_gamma_chain_map, which clears
-  the denominators of alpha and g.
+  the denominators of alpha and g.  They keep g in their own record,
+  GForm, and their weights come from their own rising factorial, rising,
+  so no weight shares code with gkzkit.hypersurface.ComplementTables.weight.
 """
 
 from __future__ import annotations
@@ -79,13 +81,12 @@ import itertools
 import operator
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from gkzkit.derham import (IndexTuple, IntVec, LogForm, _form, clearing_scale,
                            nabla, wedge_insert)
 from gkzkit.errors import PochhammerPoleError, ScalarModeError
-from gkzkit.hypersurface import (SplitForm, UForm, _box, _derivations_by_parts,
-                                 build_g, d_h, d_v, pochhammer)
+from gkzkit.hypersurface import _derivations_by_parts, build_g, d_h, d_v
 from gkzkit.intmat import integer_kernel, matvec
 from gkzkit.lattice import (FacetForm, ParameterVector, PointConfig,
                             RelationLattice, normalize_structure, relation_lattice)
@@ -103,6 +104,33 @@ def g_powers(g: LaurentPoly, top: int) -> list[LaurentPoly]:
     for _ in range(top):
         pows.append(pows[-1] * g)
     return pows
+
+
+def rising(a: Fraction, m: int) -> Fraction:
+    """The rising factorial a(a+1)...(a+m-1), for m >= 0."""
+    if m < 0:
+        raise ValueError("the comparison map has no weight for m < 0")
+    out = Fraction(1)
+    for k in range(m):
+        out *= a + k
+    return out
+
+
+def complement_weight(alpha_n: Fraction, m: int, scale: int = 1) -> Fraction:
+    """(-1)^m (alpha_n)_m scale^m, the weight of the last exponent m in the
+    comparison map written over h = scale g."""
+    return (-1) ** m * rising(alpha_n, m) * Fraction(scale) ** m
+
+
+class GForm(NamedTuple):
+    """num / g^gpow on the complement of g = 0, one numerator form over one
+    power of g, not reduced, with g in the record."""
+    g: LaurentPoly
+    num: LogForm
+    gpow: int
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
 
 
 def centered_box(n: int, radius: int) -> list[IntVec]:
@@ -754,10 +782,9 @@ def gamma_per_monomial(alpha: ParameterVector, g: LaurentPoly,
     """Comparison map dropping the trailing dx_n/x_n, as its nonzero
     components in lowest g-terms.
 
-    A monomial with last exponent m maps to its first n-1 coordinates over
-    g^m, weighted by (-1)^m times the rising factorial of the last parameter
-    entry; negative m uses the reciprocal convention and requires the last
-    parameter entry to avoid the corresponding poles.
+    A monomial with last exponent m >= 0 maps to its first n-1 coordinates
+    over g^m, weighted by (-1)^m times the rising factorial of the last
+    parameter entry.
     """
     if part1.nlam:
         raise ValueError("comparison map needs specialized coefficients")
@@ -766,20 +793,10 @@ def gamma_per_monomial(alpha: ParameterVector, g: LaurentPoly,
     for idx, xi in part1.components.items():
         acc = LocalizedElement.zero(g)
         for u, c in xi.terms.items():
-            m = u[-1]
-            weight = pochhammer(alpha_n, m) * c
-            if m % 2:
-                weight = -weight
-            if weight == 0:
-                continue
-            num = LaurentPoly.monomial(u[:-1], weight)
-            if m >= 0:
-                acc = acc + LocalizedElement(g, num, m)
-            else:
-                gp = LaurentPoly.one(g.n)
-                for _ in range(-m):
-                    gp = gp * g
-                acc = acc + LocalizedElement(g, num * gp, 0)
+            weight = complement_weight(alpha_n, u[-1]) * c
+            if weight != 0:
+                acc = acc + LocalizedElement(
+                    g, LaurentPoly.monomial(u[:-1], weight), u[-1])
         _add_component(out, idx, acc)
     return out
 
@@ -978,17 +995,14 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
     nprime = g.n
     idx_tuples = list(itertools.combinations(range(1, nprime + 1), k))
     basis = [(up, m, idx) for idx in idx_tuples
-             for up in _box(nprime, u_bound) for m in range(m_bound + 1)]
+             for up in centered_box(nprime, u_bound) for m in range(m_bound + 1)]
 
     # gamma matrix: columns indexed by basis, target keyed by numerator
     # monomials at the common denominator g^{m_bound}
     g_pows = g_powers(g, m_bound)
     gamma_cols = []
     for up, m, idx in basis:
-        weight = pochhammer(alpha_n, m)
-        if m % 2:
-            weight = -weight
-        num = LaurentPoly.monomial(up, weight) * g_pows[m_bound - m]
+        num = LaurentPoly.monomial(up, complement_weight(alpha_n, m)) * g_pows[m_bound - m]
         gamma_cols.append({(w, idx): c for w, c in num.terms.items()})
     # kernel dimension of the matrix whose columns are gamma images
     col_ech = RationalEchelon()
@@ -998,7 +1012,7 @@ def kernel_equals_dv_image(alpha: ParameterVector, g: LaurentPoly, k: int,
 
     # vertical-image generators confined to the window: the numerator box
     # eroded by the support of g, so every image term stays inside
-    eroded = [up for up in _box(nprime, u_bound)
+    eroded = [up for up in centered_box(nprime, u_bound)
               if all(max(abs(a + b) for a, b in zip(up, w)) <= u_bound
                      for w in g.terms)]
     ech_v = RationalEchelon()
@@ -1163,7 +1177,7 @@ def check_phi_intertwines(w: WeylElement, i: int, alpha: ParameterVector,
 
 
 
-def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
+def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: GForm) -> GForm:
     """Twisted differential on the complement: logarithmic part in the first
     n-1 directions minus the last parameter entry times dg/g.
 
@@ -1176,7 +1190,7 @@ def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
         raise ValueError("parameter must have one more entry than g has variables")
     degree = omega.num.degree
     if degree == nprime:
-        return UForm(g, LogForm.zero(nprime, nprime), 0)
+        return GForm(g, LogForm.zero(nprime, nprime), 0)
     m = omega.gpow
     alpha_n = alpha.entries[-1]
     dg = [toric_derivative(i, g) for i in range(1, nprime + 1)]
@@ -1192,18 +1206,16 @@ def tilde_nabla(alpha: ParameterVector, g: LaurentPoly, omega: UForm) -> UForm:
                                              for u, c in num.terms.items()})
             piece = d_num * g + (num * dg[i - 1]).scalar_mul(-(m + alpha_n))
             _add_scaled(acc.setdefault(target, {}), piece, sign)
-    return UForm(g, _form(nprime, degree + 1, acc, 0), m + 1)
+    return GForm(g, _form(nprime, degree + 1, acc, 0), m + 1)
 
 
-def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
+def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> GForm:
     """Comparison map dropping the trailing dx_n/x_n.
 
-    A monomial with last exponent m maps to its first n-1 coordinates over
-    g^m, weighted by (-1)^m times the rising factorial of the last parameter
-    entry; negative m uses the reciprocal convention and requires the last
-    parameter entry to avoid the corresponding poles.  Every term is put
-    over g^M, M the larger of 0 and the largest last exponent, as one
-    numerator, not reduced.
+    A monomial with last exponent m >= 0 maps to its first n-1 coordinates
+    over g^m, weighted by (-1)^m times the rising factorial of the last
+    parameter entry.  Every term is put over g^M, M the larger of 0 and the
+    largest last exponent, as one numerator, not reduced.
     """
     if part1.nlam:
         raise ValueError("comparison map needs specialized coefficients")
@@ -1214,7 +1226,7 @@ def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
         for u, c in xi.terms.items():
             m = u[-1]
             if m not in weights:
-                weights[m] = -pochhammer(alpha_n, m) if m % 2 else pochhammer(alpha_n, m)
+                weights[m] = complement_weight(alpha_n, m)
             by_m.setdefault((idx, m), {})[u[:-1]] = weights[m] * c
     ms = [m for _, m in by_m]
     M = max([0, *ms])
@@ -1223,10 +1235,10 @@ def gamma(alpha: ParameterVector, g: LaurentPoly, part1: LogForm) -> UForm:
     for (idx, m), terms in by_m.items():
         num = LaurentPoly._of(g.n, terms)
         _add_scaled(acc.setdefault(idx, {}), num if m == M else num * pows[M - m], 1)
-    return UForm(g, _form(g.n, part1.degree, acc, 0), M)
+    return GForm(g, _form(g.n, part1.degree, acc, 0), M)
 
 
-def same_form(a: UForm, b: UForm) -> bool:
+def same_form(a: GForm, b: GForm) -> bool:
     """a and b are one form on the complement of one g: the numerator over
     the lower power of g, multiplied up to the higher, is the other."""
     low, high = sorted((a, b), key=lambda w: w.gpow)
@@ -1236,17 +1248,17 @@ def same_form(a: UForm, b: UForm) -> bool:
 
 
 def check_gamma_chain_map(alpha: ParameterVector, g: LaurentPoly,
-                          samples: Sequence[SplitForm]) -> bool:
+                          samples: Sequence[LogForm]) -> bool:
     """The comparison map intertwines the boundaries and kills the vertical
     image: gamma(d_h w) = tilde_nabla(gamma(w)) on the dx_n/x_n row and
-    gamma(d_v v) = 0 for the other row."""
+    gamma(d_v v) = 0 for the other row, each sample taken as w and as v."""
     D = _derivations_by_parts(alpha, g, 1)
-    for sf in samples:
-        if sf.part1.degree < g.n:
-            lhs = gamma(alpha, g, d_h(D, sf.part1))
-            rhs = tilde_nabla(alpha, g, gamma(alpha, g, sf.part1))
+    for form in samples:
+        if form.degree < g.n:
+            lhs = gamma(alpha, g, d_h(D, form))
+            rhs = tilde_nabla(alpha, g, gamma(alpha, g, form))
             if not same_form(lhs, rhs):
                 return False
-        if not gamma(alpha, g, d_v(D, sf.part0)).is_zero():
+        if not gamma(alpha, g, d_v(D, form)).is_zero():
             return False
     return True

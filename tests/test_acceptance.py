@@ -16,8 +16,7 @@ from gkzkit.catalog import builtin_alpha, builtin_config, builtin_names
 from gkzkit.derham import (LogForm, check_complex, clearing_scale, differentials,
                            enumerate_monomial_forms, homotopy_identity_check)
 from gkzkit.errors import ResonantError
-from gkzkit.hypersurface import (SplitForm, build_g, check_gamma_chain_map,
-                                 kernel_equals_dv_image)
+from gkzkit.hypersurface import build_g, check_gamma_chain_map, kernel_equals_dv_image
 from gkzkit.lattice import (ParameterVector, cone_facets, relation_lattice,
                             validate_config)
 from gkzkit.laurent import TwistedDerivations, build_f_symbolic
@@ -137,14 +136,12 @@ def test_criterion_4_hypersurface_comparison():
           and torus.dim == u_side.dim == 2)
 
     g = build_g(cfg, lam)
-    splits = []
+    samples = []
     for u1 in range(-2, 3):
         for m in range(0, 4):
             for idx in ((), (1,)):
-                splits.append(SplitForm(
-                    LogForm.from_monomial((u1, m), idx, 2),
-                    LogForm.from_monomial((u1, m), idx, 2)))
-    ok = ok and check_gamma_chain_map(alpha, g, splits)
+                samples.append(LogForm.from_monomial((u1, m), idx, 2))
+    ok = ok and check_gamma_chain_map(alpha, g, samples)
     # one index block decides the gamma kernel at every degree
     ok = ok and kernel_equals_dv_image(alpha, g, 3, 3)
     elapsed = time.monotonic() - t0

@@ -737,7 +737,7 @@ def test_package_exports_resolve_on_first_access():
         "ConeSupport", "FacetForm", "FullSupport", "HalfSupport", "LaurentPoly",
         "LogForm", "ModpInstance", "ModpReport",
         "ParameterVector", "PointConfig", "RankReport", "RelationLattice",
-        "ResonanceVerdict", "SplitForm", "Support", "UForm", "WeylElement",
+        "ResonanceVerdict", "Support", "UForm", "WeylElement",
         "apply_D", "box_operator", "build_f", "build_f_symbolic", "build_g",
         "check_commutation", "check_complex", "check_gamma_chain_map",
         "check_phi_intertwines", "cohomology_U_dim", "cone_facets",
@@ -745,7 +745,7 @@ def test_package_exports_resolve_on_first_access():
         "homotopy_identity_check", "hypersurface", "intmat",
         "is_nonresonant", "kernel_equals_dv_image", "lattice", "laurent",
         "linalg", "make_instance", "modp", "modp_solution_dim", "nabla",
-        "phi_map", "pochhammer", "quasi_iso_check", "relation_lattice",
+        "phi_map", "quasi_iso_check", "relation_lattice",
         "solution_support", "tilde_nabla", "top_cohomology_dim",
         "toric_derivative", "twist_conjugation_check", "validate_config",
         "weyl", "weyl_mul", "window"]
@@ -790,14 +790,16 @@ PROCESS_STARTS = [
 ]
 
 
-def run_python(*args: str, cwd=None, stdout=subprocess.PIPE,
+def run_python(*args: str, cwd=None, stdout=subprocess.PIPE, close_fd: int | None = None,
                **env: str) -> subprocess.CompletedProcess:
-    """Run Python on the package sources in a new interpreter; bytes out."""
+    """Run Python on the package sources in a new interpreter; bytes out.
+    With ``close_fd``, that file descriptor is closed before Python starts."""
     environ = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     environ.pop("PYTHONUNBUFFERED", None)
     environ.update(env)
+    closing = None if close_fd is None else (lambda: os.close(close_fd))
     return subprocess.run([sys.executable, *args], env=environ, cwd=cwd, stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=300)
+                          stderr=subprocess.PIPE, preexec_fn=closing, timeout=300)
 
 
 @pytest.mark.parametrize("start", PROCESS_STARTS)
@@ -857,6 +859,29 @@ def test_a_report_that_cannot_be_written_exits_2(start, unbuffered):
         os.close(write)
     assert (proc.returncode, proc.stderr) == (
         2, b"cannot write the report: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("start", PROCESS_STARTS)
+@pytest.mark.parametrize("argv, stderr", [
+    (["analyze", "--config", "single"], b"cannot write the report: stdout is closed\n"),
+    (["analyze", "--config", "nope"],
+     b"bad input: [Errno 2] No such file or directory: 'nope'\n"),
+])
+def test_a_gkz_process_without_stdout_exits_2(start, argv, stderr):
+    # fd 1 is not open at start-up, so sys.stdout is None: the report cannot
+    # be written, and the flush before the hard exit skips the stream
+    proc = run_python(*start, *argv, stdout=None, close_fd=1)
+    assert (proc.returncode, proc.stderr) == (2, stderr)
+
+
+@pytest.mark.parametrize("start", PROCESS_STARTS)
+@pytest.mark.parametrize("argv, code", [(["analyze", "--config", "nope"], 2),
+                                        (["analyze", "--config", "single"], 0)])
+def test_a_gkz_process_without_stderr_keeps_its_exit_code(start, argv, code):
+    # fd 2 is not open at start-up, so sys.stderr is None: the message is
+    # dropped, and a traceback, which would go nowhere, would exit 1
+    proc = run_python(*start, *argv, stdout=subprocess.DEVNULL, close_fd=2)
+    assert proc.returncode == code
 
 
 def test_the_gkz_script_ends_through_entry():
